@@ -13,8 +13,14 @@ large boosts.
 import argparse
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
 
 from ctcdec.context import BiasingPhrase, build_context_graph
 from ctcdec.decode import PosteriorMatrix, ctc_prefix_beam_search

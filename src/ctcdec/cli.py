@@ -247,7 +247,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         if graph is not None:
             nbest = ctc_wfst_beam_search(post, graph, opts, context)
         else:
-            nbest = ctc_prefix_beam_search(post, opts.beam, opts.nbest, context)
+            nbest = ctc_prefix_beam_search(post, opts.beam, opts.nbest, context, opts.blank_skip_threshold)
         return Path(path).stem, nbest
 
     if args.jobs > 1:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .symbols import SymbolTable
 
@@ -53,12 +55,16 @@ class ContextGraph:
         self._final: list[bool] = [False]
         self._depth: list[int] = [0]
         self._banked: list[int] = [0]  # depth of deepest completed phrase on the root path
+        # (node, width) -> (delta row at pending 0, mask of mismatching units);
+        # filled on a node's first `delta_row` call.
+        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         seen: set[tuple[int, ...]] = set()
         for phrase in phrases:
             if phrase.units in seen:
                 continue
             seen.add(phrase.units)
             self._insert(phrase.units)
+        self._refresh_banked()
 
     def _insert(self, units: tuple[int, ...]) -> None:
         node = self.START
@@ -73,7 +79,6 @@ class ContextGraph:
                 self._children[node][unit] = nxt
             node = nxt
         self._final[node] = True
-        self._refresh_banked()
 
     def _refresh_banked(self) -> None:
         stack = [(self.START, 0)]
@@ -127,6 +132,36 @@ class ContextGraph:
             nxt, gain = self._enter(child, 0.0)
             return nxt, delta + gain
         return ContextState(self.START, 0.0), delta
+
+    def delta_row(self, state: ContextState, width: int) -> np.ndarray:
+        """`advance(state, u)[1]` for every unit u < width, as one row.
+
+        A match pays the boost; a mismatch refunds the pending boost and
+        gains the boost again where the unit starts a phrase. Only the
+        refund depends on `pending`, so the row is memoised per node and
+        width and the refund is applied on the mismatch columns. At
+        `pending == 0` the memoised row itself is returned, read-only.
+        """
+        key = (state.node, width)
+        memo = self._rows.get(key)
+        if memo is None:
+            base = np.zeros(width)
+            for unit in self._children[self.START]:
+                if unit < width:
+                    base[unit] = self.boost
+            miss = np.ones(width, dtype=bool)
+            for unit in self._children[state.node]:
+                if unit < width:
+                    base[unit] = self.boost
+                    miss[unit] = False
+            base.flags.writeable = False
+            memo = self._rows[key] = (base, miss)
+        base, miss = memo
+        if state.pending == 0.0:
+            return base
+        row = base.copy()
+        row[miss] -= state.pending
+        return row
 
     def _enter(self, child: int, pending: float) -> tuple[ContextState, float]:
         pending += self.boost

@@ -44,6 +44,8 @@ class PosteriorMatrix:
         arr = np.asarray(logprobs, dtype=np.float64)
         if arr.ndim != 2:
             raise ConfigurationError("posterior matrix must be 2-dimensional")
+        if not (arr < math.inf).all():
+            raise ConfigurationError("posterior matrix holds NaN or +inf log-probabilities")
         self.logprobs = arr
 
     @property
@@ -59,12 +61,18 @@ class PosteriorMatrix:
 
     def validate(self, tol: float = 1e-4) -> "PosteriorMatrix":
         """Check each row is a normalized distribution (logsumexp ~ 0)."""
-        for t in range(self.frames):
-            mass = _logsumexp(self.logprobs[t])
-            if not abs(mass) <= tol:
-                raise ConfigurationError(
-                    f"posterior row {t} is not normalized (logsumexp {mass:.6g})"
-                )
+        if self.frames == 0:
+            return self
+        hi = self.logprobs.max(axis=1, initial=NEG_INF)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mass = hi + np.log(np.sum(np.exp(self.logprobs - hi[:, None]), axis=1))
+        mass[hi == NEG_INF] = NEG_INF
+        bad = ~(np.abs(mass) <= tol)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise ConfigurationError(
+                f"posterior row {t} is not normalized (logsumexp {mass[t]:.6g})"
+            )
         return self
 
     @classmethod
@@ -110,9 +118,8 @@ class PosteriorMatrix:
         if domain == "prob":
             with np.errstate(divide="ignore"):
                 arr = np.log(arr)
-        matrix = cls(arr)
         try:
-            return matrix.validate()
+            return cls(arr).validate()
         except ConfigurationError as exc:
             raise ParseError(str(exc), source=source) from None
 
@@ -131,13 +138,6 @@ class PosteriorMatrix:
 
     def write(self, path: str | Path, domain: str = "logprob") -> None:
         Path(path).write_text(self.to_text(domain), encoding="utf-8")
-
-
-def _logsumexp(row: np.ndarray) -> float:
-    hi = float(np.max(row)) if row.size else NEG_INF
-    if hi == NEG_INF:
-        return NEG_INF
-    return hi + math.log(float(np.sum(np.exp(row - hi))))
 
 
 def skip_blank_frames(
@@ -277,6 +277,12 @@ class _PrefixEntry:
         return log_add(self.pb, self.pnb)
 
 
+def _rank_key(item: tuple[tuple[int, ...], _PrefixEntry]) -> tuple[float, tuple[int, ...]]:
+    """Best combined score first; ties go to the lexicographically smaller prefix."""
+    prefix, entry = item
+    return (-(entry.total() + entry.ctx_score), prefix)
+
+
 class PrefixBeamDecoder:
     """Streaming CTC prefix beam search (LM-free first pass).
 
@@ -311,59 +317,93 @@ class PrefixBeamDecoder:
     def advance(self, post: PosteriorMatrix | np.ndarray) -> None:
         matrix = post if isinstance(post, PosteriorMatrix) else PosteriorMatrix(post)
         if self.blank_skip_threshold is not None:
-            matrix, _ = skip_blank_frames(matrix, self.blank_skip_threshold)
-            self.frames_skipped += (post.frames if isinstance(post, PosteriorMatrix) else len(post)) - matrix.frames
+            kept, _ = skip_blank_frames(matrix, self.blank_skip_threshold)
+            self.frames_skipped += matrix.frames - kept.frames
+            matrix = kept
         for t in range(matrix.frames):
-            self._step([float(v) for v in matrix.row(t)])
+            self._step(matrix.row(t))
             self.frames_processed += 1
 
-    def _step(self, logp: list[float]) -> None:
-        nxt: dict[tuple[int, ...], _PrefixEntry] = {}
+    def _step(self, logp: np.ndarray) -> None:
+        """One frame: score every (prefix, unit) extension as one array.
 
-        def entry_for(prefix: tuple[int, ...], ctx: ContextState | None, ctx_score: float) -> _PrefixEntry:
-            entry = nxt.get(prefix)
-            if entry is None:
-                entry = _PrefixEntry(NEG_INF, NEG_INF, ctx, ctx_score)
-                nxt[prefix] = entry
-            return entry
+        Python objects are built only for the stay entries and for the
+        extensions at or above the beam-th best score, so the cut to
+        `beam` is exact, ties included.
+        """
+        blank = self.blank
+        width = logp.shape[0]
+        prefixes = list(self._entries)
+        entries = list(self._entries.values())
+        index = {prefix: i for i, prefix in enumerate(prefixes)}
+        totals = [entry.total() for entry in entries]
 
-        blank_lp = logp[self.blank]
-        for prefix, cur in self._entries.items():
-            total = cur.total()
-            stay = entry_for(prefix, cur.ctx, cur.ctx_score)
-            if total != NEG_INF and blank_lp != NEG_INF:
-                stay.pb = log_add(stay.pb, total + blank_lp)
-            if prefix and cur.pnb != NEG_INF and logp[prefix[-1]] != NEG_INF:
-                stay.pnb = log_add(stay.pnb, cur.pnb + logp[prefix[-1]])
-            for token in range(len(logp)):
-                if token == self.blank:
-                    continue
-                lp = logp[token]
-                if lp == NEG_INF:
-                    continue
-                source = cur.pb if (prefix and token == prefix[-1]) else total
-                if source == NEG_INF:
-                    continue
-                extended = prefix + (token,)
-                entry = nxt.get(extended)
-                if entry is None:
-                    if cur.ctx is not None:
-                        ctx, delta = self.context.advance(cur.ctx, token)
-                        entry = entry_for(extended, ctx, cur.ctx_score + delta)
-                    else:
-                        entry = entry_for(extended, None, 0.0)
-                entry.pnb = log_add(entry.pnb, source + lp)
+        # Extension (i, u) adds unit u to prefix i. It continues from the
+        # prefix total, or from pb when u repeats the prefix's last unit.
+        src = np.repeat(np.array(totals)[:, None], width, axis=1)
+        for i, prefix in enumerate(prefixes):
+            if prefix:
+                src[i, prefix[-1]] = entries[i].pb
+        ext = src + logp
+        valid = (src != NEG_INF) & (logp != NEG_INF)
+        valid[:, blank] = False
 
-        ranked = sorted(
-            nxt.items(), key=lambda item: (-(item[1].total() + item[1].ctx_score), item[0])
-        )
-        self._entries = dict(ranked[: self.beam])
+        # Stay entries keep their prefix. An extension that lands on a
+        # stay entry's prefix merges into it and is not a candidate itself.
+        blank_lp = float(logp[blank])
+        stays = []
+        stay_scores = []
+        for i, (prefix, cur) in enumerate(zip(prefixes, entries)):
+            total = totals[i]
+            pb = total + blank_lp if total != NEG_INF and blank_lp != NEG_INF else NEG_INF
+            pnb = NEG_INF
+            if prefix:
+                last = prefix[-1]
+                last_lp = float(logp[last])
+                if cur.pnb != NEG_INF and last_lp != NEG_INF:
+                    pnb = cur.pnb + last_lp
+                parent = index.get(prefix[:-1])
+                if parent is not None and valid[parent, last]:
+                    pnb = log_add(pnb, float(ext[parent, last]))
+                    valid[parent, last] = False
+            stay = _PrefixEntry(pb, pnb, cur.ctx, cur.ctx_score)
+            stays.append(stay)
+            stay_scores.append(stay.total() + stay.ctx_score)
+
+        rank = ext
+        if self.context is not None:
+            rank = ext + np.stack(
+                [cur.ctx_score + self.context.delta_row(cur.ctx, width) for cur in entries]
+            )
+        cand = np.flatnonzero(valid)
+        scores = np.concatenate((stay_scores, rank.ravel()[cand]))
+        n_stay = len(stays)
+        if len(scores) > self.beam:
+            cut = -np.partition(-scores, self.beam - 1)[self.beam - 1]
+            kept = np.flatnonzero(scores >= cut)
+        else:
+            kept = np.arange(len(scores))
+
+        nxt: list[tuple[tuple[int, ...], _PrefixEntry]] = []
+        for k in kept.tolist():
+            if k < n_stay:
+                nxt.append((prefixes[k], stays[k]))
+                continue
+            i, token = divmod(int(cand[k - n_stay]), width)
+            cur = entries[i]
+            pnb = float(ext[i, token])
+            if cur.ctx is not None:
+                ctx, delta = self.context.advance(cur.ctx, token)
+                entry = _PrefixEntry(NEG_INF, pnb, ctx, cur.ctx_score + delta)
+            else:
+                entry = _PrefixEntry(NEG_INF, pnb, None, 0.0)
+            nxt.append((prefixes[i] + (token,), entry))
+
+        nxt.sort(key=_rank_key)
+        self._entries = dict(nxt[: self.beam])
 
     def finalize(self) -> NBestList:
-        ranked = sorted(
-            self._entries.items(),
-            key=lambda item: (-(item[1].total() + item[1].ctx_score), item[0]),
-        )
+        ranked = sorted(self._entries.items(), key=_rank_key)
         hyps = []
         for prefix, entry in ranked[: self.nbest]:
             ctc = entry.total()

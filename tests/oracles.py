@@ -1,9 +1,11 @@
 """Independent reference computations the tests check the engine against.
 
 Everything here is deliberately brute force: exhaustive path enumeration,
-full path-sum marginalization, the textbook ARPA backoff recursion, and a
-plain greedy phrase matcher. None of it shares code with the engine paths
-it verifies.
+full path-sum marginalization, the textbook ARPA backoff recursion, a
+plain greedy phrase matcher, and the object-per-extension prefix search.
+None of it shares code with the engine paths it verifies; the prefix
+search borrows only the engine's input and output containers and
+the biasing graph's `advance`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+
+from ctcdec.decode import Hypothesis, NBestList, PosteriorMatrix, skip_blank_frames
 
 INF = math.inf
 
@@ -161,3 +165,116 @@ def greedy_phrase_score(units, phrase_sets, boost):
                         matched = ()
                         banked = 0
     return score
+
+
+# -- reference CTC prefix beam search ---------------------------------------
+#
+# The pure-Python prefix search as it stood before the array-based step:
+# it builds every extension as a Python object and sorts all of them. The
+# engine's `PrefixBeamDecoder` must give byte-identical n-best text.
+
+NEG_INF = float("-inf")
+
+
+def log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)) without leaving the log domain."""
+    if a == NEG_INF:
+        return b
+    if b == NEG_INF:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+class _PrefixEntry:
+    __slots__ = ("pb", "pnb", "ctx", "ctx_score")
+
+    def __init__(self, pb, pnb, ctx, ctx_score):
+        self.pb = pb
+        self.pnb = pnb
+        self.ctx = ctx
+        self.ctx_score = ctx_score
+
+    def total(self):
+        return log_add(self.pb, self.pnb)
+
+
+class ReferencePrefixBeamDecoder:
+    """Streaming CTC prefix beam search, one Python object per extension."""
+
+    def __init__(self, beam=10, nbest=10, context=None, blank_skip_threshold=None, blank=0):
+        self.beam = beam
+        self.nbest = nbest
+        self.context = context
+        self.blank_skip_threshold = blank_skip_threshold
+        self.blank = blank
+        initial_ctx = context.initial_state() if context is not None else None
+        self._entries = {(): _PrefixEntry(0.0, NEG_INF, initial_ctx, 0.0)}
+
+    def advance(self, logprobs):
+        matrix = PosteriorMatrix(logprobs)
+        if self.blank_skip_threshold is not None:
+            matrix, _ = skip_blank_frames(matrix, self.blank_skip_threshold)
+        for t in range(matrix.frames):
+            self._step([float(v) for v in matrix.row(t)])
+
+    def _step(self, logp):
+        nxt = {}
+
+        def entry_for(prefix, ctx, ctx_score):
+            entry = nxt.get(prefix)
+            if entry is None:
+                entry = _PrefixEntry(NEG_INF, NEG_INF, ctx, ctx_score)
+                nxt[prefix] = entry
+            return entry
+
+        blank_lp = logp[self.blank]
+        for prefix, cur in self._entries.items():
+            total = cur.total()
+            stay = entry_for(prefix, cur.ctx, cur.ctx_score)
+            if total != NEG_INF and blank_lp != NEG_INF:
+                stay.pb = log_add(stay.pb, total + blank_lp)
+            if prefix and cur.pnb != NEG_INF and logp[prefix[-1]] != NEG_INF:
+                stay.pnb = log_add(stay.pnb, cur.pnb + logp[prefix[-1]])
+            for token in range(len(logp)):
+                if token == self.blank:
+                    continue
+                lp = logp[token]
+                if lp == NEG_INF:
+                    continue
+                source = cur.pb if (prefix and token == prefix[-1]) else total
+                if source == NEG_INF:
+                    continue
+                extended = prefix + (token,)
+                entry = nxt.get(extended)
+                if entry is None:
+                    if cur.ctx is not None:
+                        ctx, delta = self.context.advance(cur.ctx, token)
+                        entry = entry_for(extended, ctx, cur.ctx_score + delta)
+                    else:
+                        entry = entry_for(extended, None, 0.0)
+                entry.pnb = log_add(entry.pnb, source + lp)
+
+        ranked = sorted(
+            nxt.items(), key=lambda item: (-(item[1].total() + item[1].ctx_score), item[0])
+        )
+        self._entries = dict(ranked[: self.beam])
+
+    def finalize(self):
+        ranked = sorted(
+            self._entries.items(),
+            key=lambda item: (-(item[1].total() + item[1].ctx_score), item[0]),
+        )
+        hyps = []
+        for prefix, entry in ranked[: self.nbest]:
+            ctc = entry.total()
+            hyps.append(
+                Hypothesis(
+                    units=prefix,
+                    total_score=ctc + entry.ctx_score,
+                    score_ctc=ctc,
+                    score_context=entry.ctx_score,
+                )
+            )
+        return NBestList(hyps)

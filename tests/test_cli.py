@@ -110,6 +110,33 @@ class TestDecode:
         assert top.endswith("\tac")
         assert top.split()[3] == "6.000000"  # one boosted word
 
+    @pytest.mark.parametrize("mode", ["lmfree", "graph"])
+    def test_blank_skip_threshold_is_applied(self, tmp_path, capsys, mode):
+        # Frame 1 has blank probability 0.6: a threshold of 0.5 drops it,
+        # 1.0 keeps it. Dropping it must equal decoding without that frame.
+        rows = ["0.05 0.85 0.05 0.05", "0.6 0.1 0.2 0.1", "0.05 0.05 0.85 0.05"]
+        (tmp_path / "full").mkdir()
+        (tmp_path / "cut").mkdir()
+        full = tmp_path / "full" / "utt.post"
+        cut = tmp_path / "cut" / "utt.post"
+        full.write_text("3 4 prob\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        cut.write_text("2 4 prob\n" + "\n".join(rows[::2]) + "\n", encoding="utf-8")
+        if mode == "graph":
+            where = ["--graph-dir", str(_build(tmp_path))]
+            capsys.readouterr()
+        else:
+            where = ["--units", str(DATA / "units.txt")]
+
+        def decode(path, threshold):
+            assert main(["decode", str(path), *where, "--blank-skip-threshold", threshold]) == 0
+            return capsys.readouterr().out
+
+        skipped = decode(full, "0.5")
+        kept = decode(full, "1.0")
+        assert skipped != kept
+        assert skipped == decode(cut, "1.0")
+        assert kept == decode(full, "0.98")
+
     def test_token_count_mismatch_names_both_counts(self, tmp_path, capsys):
         narrow = tmp_path / "narrow.post"
         narrow.write_text("1 2 prob\n0.5 0.5\n", encoding="utf-8")

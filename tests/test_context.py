@@ -159,3 +159,25 @@ class TestScoreHypothesis:
         for unit in [7, 1, 1, 2, 2, 99, 1]:
             state, _ = graph.advance(state, unit)
             assert 0 <= state.node < graph.num_states()
+
+
+class TestDeltaRow:
+    @given(
+        st.lists(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=1, max_value=6), max_size=10),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_row_equals_advance_for_every_unit(self, phrases, walk, width):
+        graph = build_context_graph([_phrase(p) for p in phrases], 2.5)
+        state = graph.initial_state()
+        for unit in [*walk, None]:
+            row = graph.delta_row(state, width)
+            assert row.tolist() == [graph.advance(state, u)[1] for u in range(width)]
+            if unit is not None:
+                state, _ = graph.advance(state, unit)
+
+    def test_rows_are_filled_lazily(self):
+        graph = build_context_graph([_phrase([1, 2]), _phrase([3])], 1.0)
+        assert graph._rows == {}
+        graph.delta_row(graph.initial_state(), 4)
+        assert list(graph._rows) == [(0, 4)]

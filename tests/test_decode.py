@@ -61,6 +61,44 @@ class TestPosteriorMatrix:
         with pytest.raises(ParseError, match="expected 3"):
             PosteriorMatrix.from_text("1 3 prob\n0.5 0.5\n")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_array_rejected(self, value):
+        rows = np.log(np.full((2, 3), 1 / 3))
+        rows[1, 2] = value
+        with pytest.raises(ConfigurationError, match="NaN or \\+inf"):
+            PosteriorMatrix(rows)
+
+    def test_minus_inf_is_log_zero(self):
+        m = PosteriorMatrix.from_probs(np.array([[1.0, 0.0, 0.0]]))
+        assert m.logprobs[0, 1] == -math.inf
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_file_value_is_parse_error(self, value):
+        with pytest.raises(ParseError):
+            PosteriorMatrix.from_text(f"1 3 logprob\n{value} -1.0 -1.0\n")
+
+    def test_validate_reports_first_bad_row(self):
+        rows = np.log(np.full((6, 3), 1 / 3))
+        rows[2] = np.log([0.5, 0.2, 0.1])
+        rows[4] = np.log([0.9, 0.9, 0.9])
+        with pytest.raises(ConfigurationError, match=r"^posterior row 2 is not normalized \(logsumexp -0\.223144\)$"):
+            PosteriorMatrix(rows).validate()
+        rows[2] = np.log([0.5, 0.3, 0.2])
+        with pytest.raises(ConfigurationError, match=r"^posterior row 4 is not normalized"):
+            PosteriorMatrix(rows).validate()
+
+    def test_validate_all_zero_row(self):
+        rows = np.log(np.full((2, 2), 0.5))
+        rows[1] = -math.inf
+        with pytest.raises(ConfigurationError, match="row 1 .*logsumexp -inf"):
+            PosteriorMatrix(rows).validate()
+
+    def test_validate_tolerance_unchanged(self):
+        rows = np.log(np.full((1, 2), 0.5))
+        PosteriorMatrix(rows + 0.9e-4).validate()
+        with pytest.raises(ConfigurationError):
+            PosteriorMatrix(rows + 1.1e-4).validate()
+
 
 class TestSkipBlankFrames:
     def test_threshold_removes_dominant_blank_rows(self):
@@ -147,6 +185,14 @@ class TestPrefixBeamSearch:
             )
             assert nbest.best().units == expected[0]
             assert nbest.best().total_score == pytest.approx(expected[1], abs=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_chunk_rejected(self, value):
+        dec = PrefixBeamDecoder(beam=4, nbest=2)
+        chunk = np.log(np.full((2, 3), 1 / 3))
+        chunk[1, 1] = value
+        with pytest.raises(ConfigurationError, match="NaN or"):
+            dec.advance(chunk)
 
     def test_streaming_equals_one_shot(self):
         rng = random.Random(5)
@@ -255,6 +301,14 @@ class TestWfstBeamSearch:
                 assert hyp.total_score == pytest.approx(total, abs=1e-9)
                 assert hyp.score_ctc == pytest.approx(-acoustic, abs=1e-9)
                 assert hyp.score_lm == pytest.approx(-graph_w, abs=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_chunk_rejected(self, value):
+        dec = WfstBeamDecoder(_toy_graph(), DecodeOptions(blank_skip_threshold=1.0))
+        chunk = np.log(np.array(_forced_rows([1, 0])))
+        chunk[0, 2] = value
+        with pytest.raises(ConfigurationError, match="NaN or"):
+            dec.advance(chunk)
 
     def test_posterior_width_mismatch_names_counts(self):
         graph = _toy_graph()
