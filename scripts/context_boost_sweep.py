@@ -22,8 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from ctcdec.context import BiasingPhrase, build_context_graph
-from ctcdec.decode import PosteriorMatrix, ctc_prefix_beam_search
+from ctcdec.context import BiasingPhrase, ContextGraph
+from ctcdec.decode import PosteriorMatrix, PrefixBeamDecoder
 
 BOOSTS = (0.0, 3.0, 5.0, 7.0, 10.0)
 PHRASE = BiasingPhrase("ab", (1, 2))
@@ -75,15 +75,15 @@ def main():
     print(f"{args.utterances} positive / {args.utterances} negative utterances, beam {args.beam}")
     print(f"{'boost':>6} {'pos hits':>9} {'hit rate':>9} {'neg refunded':>13} {'neg trailing':>13} {'refund != 0':>12}")
     for boost in BOOSTS:
-        ctx = None if boost == 0 else build_context_graph([PHRASE], boost)
+        ctx = None if boost == 0 else ContextGraph([PHRASE], boost)
         hits = sum(
-            contains(ctc_prefix_beam_search(m, beam=args.beam, nbest=1, context=ctx).best().units, PHRASE.units)
+            contains(PrefixBeamDecoder(beam=args.beam, nbest=1, context=ctx).decode(m).best().units, PHRASE.units)
             for m in positives
         )
-        neg_ctx = None if boost == 0 else build_context_graph([NEGATIVE_PREFIX], boost)
+        neg_ctx = None if boost == 0 else ContextGraph([NEGATIVE_PREFIX], boost)
         refunded = trailing = bad_refunds = 0
         for m in negatives:
-            top = ctc_prefix_beam_search(m, beam=args.beam, nbest=1, context=neg_ctx).best()
+            top = PrefixBeamDecoder(beam=args.beam, nbest=1, context=neg_ctx).decode(m).best()
             if top.units and top.units[-1] == NEGATIVE_PREFIX.units[0]:
                 trailing += 1  # ends on a live prefix: pending boost kept
             else:

@@ -11,26 +11,22 @@ from .context import (
     BiasingPhrase,
     ContextGraph,
     ContextState,
-    advance,
-    build_context_graph,
     load_biasing_phrases,
     score_hypothesis,
 )
 from .decode import (
-    DecodeOptions,
     Hypothesis,
     NBestList,
     PosteriorMatrix,
     PrefixBeamDecoder,
+    StreamingDecoder,
     TraceStep,
     WfstBeamDecoder,
-    ctc_prefix_beam_search,
-    ctc_wfst_beam_search,
     skip_blank_frames,
 )
 from .errors import ConfigurationError, EngineError, ParseError, PreconditionError, ResourceError
 from .fst import Arc, FstPath, WeightedFst, compose, connect, determinize, minimize, shortest_path
-from .graph import CtcTopology, build_G, build_L, build_T, build_TLG, read_units, units_of
+from .graph import build_G, build_L, build_T, build_TLG, read_units, units_of
 from .lexicon import Lexicon, parse_lexicon, read_lexicon
 from .rescore import FusionWeights, SequenceScorer, TableScorer, rescore_nbest, reverse_labels
 from .symbols import SymbolTable
@@ -49,7 +45,6 @@ from .uio import (
     chain,
     iter_shard,
     pack_shards,
-    raw_list_read,
     read_shards,
     seeded_shuffle,
     shard_list_from_manifest,

@@ -2,26 +2,26 @@
 
 Subcommands: build-graph, decode, rescore, pack, cat-shards.
 Exit codes: 0 success, 1 runtime error, 2 usage or parse error.
-Decode options resolve as flags > config file (`key = value` lines) > defaults.
+Decode and rescore options resolve as flags > config file (`key = value`
+lines) > the default of the stage that takes the option.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 from pathlib import Path
 
 from .arpa import read_arpa
 from .context import ContextGraph, load_biasing_phrases
 from .decode import (
-    DecodeOptions,
     Hypothesis,
     NBestList,
     PosteriorMatrix,
-    ctc_prefix_beam_search,
-    ctc_wfst_beam_search,
+    PrefixBeamDecoder,
+    StreamingDecoder,
+    WfstBeamDecoder,
 )
 from .errors import ConfigurationError, EngineError, ParseError
 from .fst import WeightedFst
@@ -31,8 +31,28 @@ from .rescore import FusionWeights, TableScorer, rescore_nbest
 from .symbols import BLANK_SYMBOL, SymbolTable
 from .uio import RawSampleReader, pack_shards, read_shards, shard_list_from_manifest
 
-_DEFAULTS = DecodeOptions()
-_INT_OPTIONS = {"beam", "nbest", "max_active"}
+# Option -> (the stage that takes it, its parameter name there, help).
+# An option's default and validation are that stage's own.
+_OPTIONS = {
+    "beam": (PrefixBeamDecoder, "beam", "prefix-search hypothesis-count beam"),
+    "nbest": (StreamingDecoder, "nbest", "hypotheses to output per utterance"),
+    "acoustic_scale": (WfstBeamDecoder, "acoustic_scale", "multiplier on acoustic log-probabilities"),
+    "lm_scale": (WfstBeamDecoder, "lm_scale", "multiplier on decoding-graph weights"),
+    "blank_skip_threshold": (
+        StreamingDecoder, "blank_skip_threshold", "skip frames whose blank probability exceeds this"
+    ),
+    "context_score": (ContextGraph, "boost", "per-unit biasing boost; 0 disables biasing"),
+    "alpha": (FusionWeights, "alpha", "right-to-left share of the rescoring fusion, in [0,1]"),
+    "ctc_weight": (FusionWeights, "ctc_weight", "first-pass score weight in the rescoring fusion"),
+    "word_penalty": (WfstBeamDecoder, "word_penalty", "cost added per emitted word (WFST search)"),
+    "score_beam": (WfstBeamDecoder, "score_beam", "WFST pruning beam in score units"),
+    "max_active": (WfstBeamDecoder, "max_active", "WFST max active search tokens"),
+}
+
+
+def _default(name: str):
+    owner, param, _ = _OPTIONS[name]
+    return inspect.signature(owner).parameters[param].default
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="`key = value` option file")
     p.add_argument("--l2r-table", help="left-to-right scorer table for rescoring")
     p.add_argument("--r2l-table", help="right-to-left scorer table for rescoring")
-    p.add_argument("--jobs", type=int, default=1, help="parallel utterances (default: 1)")
-    _add_option_flags(p)
+    _add_option_flags(p, _OPTIONS)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("rescore", help="rescore a decode output file with scorer tables")
@@ -83,10 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2l-table", required=True)
     p.add_argument("--output", help="rescored output file (default stdout)")
     p.add_argument("--config", help="`key = value` option file")
-    p.add_argument("--alpha", type=float, default=None,
-                   help=f"right-to-left share in [0,1] (default: {_DEFAULTS.alpha})")
-    p.add_argument("--ctc-weight", type=float, default=None,
-                   help=f"first-pass score weight (default: {_DEFAULTS.ctc_weight})")
+    _add_option_flags(p, ("alpha", "ctc_weight"))
     p.set_defaults(func=cmd_rescore)
 
     p = sub.add_parser("pack", help="pack a raw sample list into tar shards")
@@ -103,25 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_option_flags(p: argparse.ArgumentParser) -> None:
-    helps = {
-        "beam": "prefix-search hypothesis-count beam",
-        "nbest": "hypotheses to output per utterance",
-        "acoustic_scale": "multiplier on acoustic log-probabilities",
-        "lm_scale": "multiplier on decoding-graph weights",
-        "blank_skip_threshold": "skip frames whose blank probability exceeds this",
-        "context_score": "per-unit biasing boost; 0 disables biasing",
-        "alpha": "right-to-left share of the rescoring fusion, in [0,1]",
-        "ctc_weight": "first-pass score weight in the rescoring fusion",
-        "word_penalty": "cost added per emitted word (WFST search)",
-        "score_beam": "WFST pruning beam in score units",
-        "max_active": "WFST max active search tokens",
-    }
-    for f in fields(DecodeOptions):
-        flag = "--" + f.name.replace("_", "-")
-        kind = int if f.name in _INT_OPTIONS else float
-        p.add_argument(flag, type=kind, default=None,
-                       help=f"{helps[f.name]} (default: {getattr(_DEFAULTS, f.name)})")
+def _add_option_flags(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        default = _default(name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=None,
+                       help=f"{_OPTIONS[name][2]} (default: {default})")
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -138,19 +140,23 @@ def read_config(path: str | Path) -> dict[str, str]:
     return values
 
 
-def resolve_options(args: argparse.Namespace, config: dict[str, str]) -> DecodeOptions:
+def resolve_options(args: argparse.Namespace, config: dict[str, str], owner) -> dict:
+    """The options `owner` takes, by parameter name: flag > config > default."""
     values = {}
-    for f in fields(DecodeOptions):
-        flag = getattr(args, f.name, None)
+    for name, (stage, param, _) in _OPTIONS.items():
+        if stage is not owner:
+            continue
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[f.name] = flag
-        elif f.name in config:
-            kind = int if f.name in _INT_OPTIONS else float
+            values[param] = flag
+        elif name in config:
             try:
-                values[f.name] = kind(config[f.name])
+                values[param] = type(_default(name))(config[name])
             except ValueError:
-                raise ParseError(f"bad value for {f.name}: {config[f.name]!r}") from None
-    return DecodeOptions(**values)
+                raise ParseError(f"bad value for {name}: {config[name]!r}") from None
+        else:
+            values[param] = _default(name)
+    return values
 
 
 # -- build-graph -------------------------------------------------------------
@@ -202,7 +208,10 @@ def _report(name: str, fst: WeightedFst) -> None:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     config = read_config(args.config) if args.config else {}
-    opts = resolve_options(args, config)
+    common, prefix_opts, wfst_opts, context_opts, fusion_opts = (
+        resolve_options(args, config, owner)
+        for owner in (StreamingDecoder, PrefixBeamDecoder, WfstBeamDecoder, ContextGraph, FusionWeights)
+    )
 
     graph = None
     words = None
@@ -221,46 +230,41 @@ def cmd_decode(args: argparse.Namespace) -> int:
         return 2
 
     context = None
-    if args.context_file and opts.context_score > 0:
+    if args.context_file and context_opts["boost"] != 0:
         if graph is not None:
             phrases = load_biasing_phrases(args.context_file, words, mode="word")
         else:
             phrases = load_biasing_phrases(args.context_file, tokens, mode="char")
-        context = ContextGraph(phrases, opts.context_score)
+        context = ContextGraph(phrases, **context_opts)
 
     scorers = None
     if args.l2r_table or args.r2l_table:
         if not (args.l2r_table and args.r2l_table):
             print("error: rescoring needs both --l2r-table and --r2l-table", file=sys.stderr)
             return 2
+        weights = FusionWeights(**fusion_opts)
         scorers = (
             TableScorer.from_file(args.l2r_table, tokens, direction="l2r"),
             TableScorer.from_file(args.r2l_table, tokens, direction="r2l"),
         )
 
-    def decode_one(path: str) -> tuple[str, NBestList]:
+    results = []
+    for path in args.posteriors:
+        if graph is not None:
+            decoder = WfstBeamDecoder(graph, context=context, **common, **wfst_opts)
+        else:
+            decoder = PrefixBeamDecoder(context=context, **common, **prefix_opts)
         post = PosteriorMatrix.read(path)
         if post.tokens != len(tokens):
             raise ConfigurationError(
                 f"{path}: posterior has {post.tokens} tokens but the units table has {len(tokens)}"
             )
-        if graph is not None:
-            nbest = ctc_wfst_beam_search(post, graph, opts, context)
-        else:
-            nbest = ctc_prefix_beam_search(post, opts.beam, opts.nbest, context, opts.blank_skip_threshold)
-        return Path(path).stem, nbest
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(decode_one, args.posteriors))
-    else:
-        results = [decode_one(p) for p in args.posteriors]
+        results.append((Path(path).stem, decoder.decode(post)))
 
     blocks = [f"# utt {utt}\n{nbest.to_text(tokens)}" for utt, nbest in results]
     _emit("".join(blocks), args.output)
 
     if scorers is not None:
-        weights = FusionWeights(opts.alpha, opts.ctc_weight)
         rescored_blocks = []
         for utt, nbest in results:
             rescored = rescore_nbest(nbest, scorers[0], scorers[1], weights)
@@ -323,11 +327,7 @@ def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
 
 def cmd_rescore(args: argparse.Namespace) -> int:
     config = read_config(args.config) if args.config else {}
-    alpha = args.alpha if args.alpha is not None else float(config.get("alpha", _DEFAULTS.alpha))
-    ctc_weight = (
-        args.ctc_weight if args.ctc_weight is not None else float(config.get("ctc_weight", _DEFAULTS.ctc_weight))
-    )
-    weights = FusionWeights(alpha, ctc_weight)
+    weights = FusionWeights(**resolve_options(args, config, FusionWeights))
     l2r = TableScorer.from_file(args.l2r_table, direction="l2r")
     r2l = TableScorer.from_file(args.r2l_table, direction="r2l")
     blocks = []

@@ -11,6 +11,7 @@ Aho-Corasick suffix links.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,9 +45,9 @@ class ContextState:
 class ContextGraph:
     START = 0
 
-    def __init__(self, phrases: Sequence[BiasingPhrase], boost: float):
-        if boost < 0:
-            raise ConfigurationError("boost must be >= 0")
+    def __init__(self, phrases: Sequence[BiasingPhrase], boost: float = 0.0):
+        if not 0 <= boost < math.inf:
+            raise ConfigurationError(f"boost must be finite and >= 0, got {boost}")
         if not phrases:
             raise ConfigurationError("no usable biasing phrases: context graph would be empty")
         self.boost = boost
@@ -172,13 +173,8 @@ class ContextGraph:
         return ContextState(child, pending), self.boost
 
 
-def advance(state: ContextState, unit: int, graph: ContextGraph) -> tuple[ContextState, float]:
-    """Free-function form of `ContextGraph.advance`."""
-    return graph.advance(state, unit)
-
-
 def score_hypothesis(units: Iterable[int], graph: ContextGraph | None) -> float:
-    """Fold of `advance` over a unit sequence from the start state."""
+    """Fold of `ContextGraph.advance` over a unit sequence from the start state."""
     if graph is None:
         return 0.0
     state = graph.initial_state()
@@ -187,10 +183,6 @@ def score_hypothesis(units: Iterable[int], graph: ContextGraph | None) -> float:
         state, delta = graph.advance(state, unit)
         total += delta
     return total
-
-
-def build_context_graph(phrases: Sequence[BiasingPhrase], boost: float) -> ContextGraph:
-    return ContextGraph(phrases, boost)
 
 
 def phrase_units(surface: str, table: SymbolTable, mode: str) -> tuple[int, ...] | None:

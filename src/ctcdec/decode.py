@@ -1,9 +1,9 @@
 """First-pass CTC search: prefix beam search and WFST beam search over TLG.
 
-Both decoders are frame-synchronous and streaming: construct one, feed
-posterior chunks through `advance`, and call `finalize` for the n-best
-list. The one-shot functions wrap that. Results are bit-identical however
-the frames are chunked.
+Both searches share one streaming contract, `StreamingDecoder`: construct
+a decoder, feed posterior chunks through `advance`, and call `finalize`
+for the n-best list (`decode` does both over one matrix). Results are
+bit-identical however the frames are chunked.
 """
 
 from __future__ import annotations
@@ -143,12 +143,10 @@ class PosteriorMatrix:
 def skip_blank_frames(
     post: PosteriorMatrix, threshold: float
 ) -> tuple[PosteriorMatrix, tuple[int, ...]]:
-    """Drop frames whose blank probability exceeds `threshold`.
+    """Drop frames whose blank probability exceeds `threshold`, in (0, 1].
 
     Returns the filtered matrix and the original indices of kept frames.
     """
-    if not 0 < threshold <= 1:
-        raise ConfigurationError("blank-skip threshold must be in (0, 1]")
     if post.frames == 0:
         return post, ()
     blank_prob = np.exp(post.logprobs[:, 0])
@@ -224,41 +222,72 @@ def _fmt_score(value: float) -> str:
     return f"{value + 0.0:.6f}"
 
 
-@dataclass(frozen=True)
-class DecodeOptions:
-    """Decode-time knobs; defaults follow production conventions.
+# -- the streaming contract ----------------------------------------------
 
-    `beam` is the hypothesis-count beam of prefix search; WFST search
-    prunes by `score_beam` (score units) and `max_active` instead.
+
+class StreamingDecoder:
+    """Frame-synchronous streaming search over posterior chunks.
+
+    `advance` owns what both searches share: it converts a chunk to a
+    `PosteriorMatrix`, checks its width against earlier chunks, skips
+    frames whose blank probability exceeds `blank_skip_threshold` (None
+    keeps every frame), counts frames, and hands each kept row to the
+    search's `_step` with its frame index in the whole stream.
     """
 
-    beam: int = 10
-    nbest: int = 10
-    acoustic_scale: float = 1.0
-    lm_scale: float = 1.0
-    blank_skip_threshold: float = 0.98
-    context_score: float = 0.0
-    alpha: float = 0.3
-    ctc_weight: float = 0.5
-    word_penalty: float = 0.0
-    score_beam: float = 16.0
-    max_active: int = 7000
+    _min_tokens = 1  # the blank column
 
-    def __post_init__(self) -> None:
-        if self.nbest < 1:
+    def __init__(
+        self,
+        *,
+        nbest: int = 10,
+        blank_skip_threshold: float | None = 0.98,
+        context: ContextGraph | None = None,
+    ):
+        if nbest < 1:
             raise ConfigurationError("nbest must be >= 1")
-        if self.beam < self.nbest:
-            raise ConfigurationError(f"beam ({self.beam}) must be >= nbest ({self.nbest})")
-        if not 0 < self.blank_skip_threshold <= 1:
+        if blank_skip_threshold is not None and not 0 < blank_skip_threshold <= 1:
             raise ConfigurationError("blank_skip_threshold must be in (0, 1]")
-        if self.context_score < 0:
-            raise ConfigurationError("context_score must be >= 0")
-        if not 0 <= self.alpha <= 1:
-            raise ConfigurationError("alpha must be in [0, 1]")
-        if self.ctc_weight < 0:
-            raise ConfigurationError("ctc_weight must be >= 0")
-        if self.max_active < 1:
-            raise ConfigurationError("max_active must be >= 1")
+        self.nbest = nbest
+        self.blank_skip_threshold = blank_skip_threshold
+        self.context = context
+        self.frames_processed = 0
+        self.frames_skipped = 0
+        self._frames_seen = 0
+        self._width: int | None = None
+
+    def advance(self, post: PosteriorMatrix | np.ndarray) -> None:
+        matrix = post if isinstance(post, PosteriorMatrix) else PosteriorMatrix(post)
+        if matrix.frames:
+            if self._width is None:
+                if matrix.tokens < self._min_tokens:
+                    raise ConfigurationError(
+                        f"search needs {self._min_tokens} acoustic tokens but posterior rows have {matrix.tokens}"
+                    )
+                self._width = matrix.tokens
+            elif matrix.tokens != self._width:
+                raise ConfigurationError(
+                    f"chunk rows have {matrix.tokens} tokens but earlier chunks had {self._width}"
+                )
+        kept: Sequence[int] = range(matrix.frames)
+        if self.blank_skip_threshold is not None:
+            _, kept = skip_blank_frames(matrix, self.blank_skip_threshold)
+        for t in kept:
+            self._step(matrix.row(t), self._frames_seen + t)
+        self.frames_processed += len(kept)
+        self.frames_skipped += matrix.frames - len(kept)
+        self._frames_seen += matrix.frames
+
+    def decode(self, post: PosteriorMatrix | np.ndarray) -> NBestList:
+        """Advance over all of `post` and return the n-best list."""
+        self.advance(post)
+        return self.finalize()
+
+    def _step(self, logp: np.ndarray, frame: int) -> None:
+        raise NotImplementedError
+
+    def finalize(self) -> NBestList:
+        raise NotImplementedError
 
 
 # -- prefix beam search ----------------------------------------------------
@@ -283,7 +312,7 @@ def _rank_key(item: tuple[tuple[int, ...], _PrefixEntry]) -> tuple[float, tuple[
     return (-(entry.total() + entry.ctx_score), prefix)
 
 
-class PrefixBeamDecoder:
+class PrefixBeamDecoder(StreamingDecoder):
     """Streaming CTC prefix beam search (LM-free first pass).
 
     Tracks blank-ending / nonblank-ending log masses per prefix, applies
@@ -292,46 +321,23 @@ class PrefixBeamDecoder:
     lexicographic order.
     """
 
-    def __init__(
-        self,
-        beam: int = 10,
-        nbest: int = 10,
-        context: ContextGraph | None = None,
-        blank_skip_threshold: float | None = None,
-        blank: int = 0,
-    ):
-        if nbest < 1 or beam < nbest:
-            raise ConfigurationError(f"need beam >= nbest >= 1, got beam={beam} nbest={nbest}")
+    def __init__(self, *, beam: int = 10, **common):
+        super().__init__(**common)
+        if beam < self.nbest:
+            raise ConfigurationError(f"beam ({beam}) must be >= nbest ({self.nbest})")
         self.beam = beam
-        self.nbest = nbest
-        self.context = context
-        self.blank_skip_threshold = blank_skip_threshold
-        self.blank = blank
-        self.frames_processed = 0
-        self.frames_skipped = 0
-        initial_ctx = context.initial_state() if context is not None else None
+        initial_ctx = self.context.initial_state() if self.context is not None else None
         self._entries: dict[tuple[int, ...], _PrefixEntry] = {
             (): _PrefixEntry(0.0, NEG_INF, initial_ctx, 0.0)
         }
 
-    def advance(self, post: PosteriorMatrix | np.ndarray) -> None:
-        matrix = post if isinstance(post, PosteriorMatrix) else PosteriorMatrix(post)
-        if self.blank_skip_threshold is not None:
-            kept, _ = skip_blank_frames(matrix, self.blank_skip_threshold)
-            self.frames_skipped += matrix.frames - kept.frames
-            matrix = kept
-        for t in range(matrix.frames):
-            self._step(matrix.row(t))
-            self.frames_processed += 1
-
-    def _step(self, logp: np.ndarray) -> None:
+    def _step(self, logp: np.ndarray, frame: int) -> None:
         """One frame: score every (prefix, unit) extension as one array.
 
         Python objects are built only for the stay entries and for the
         extensions at or above the beam-th best score, so the cut to
         `beam` is exact, ties included.
         """
-        blank = self.blank
         width = logp.shape[0]
         prefixes = list(self._entries)
         entries = list(self._entries.values())
@@ -346,11 +352,11 @@ class PrefixBeamDecoder:
                 src[i, prefix[-1]] = entries[i].pb
         ext = src + logp
         valid = (src != NEG_INF) & (logp != NEG_INF)
-        valid[:, blank] = False
+        valid[:, 0] = False
 
         # Stay entries keep their prefix. An extension that lands on a
         # stay entry's prefix merges into it and is not a candidate itself.
-        blank_lp = float(logp[blank])
+        blank_lp = float(logp[0])
         stays = []
         stay_scores = []
         for i, (prefix, cur) in enumerate(zip(prefixes, entries)):
@@ -418,20 +424,6 @@ class PrefixBeamDecoder:
         return NBestList(hyps)
 
 
-def ctc_prefix_beam_search(
-    post: PosteriorMatrix,
-    beam: int = 10,
-    nbest: int = 10,
-    context: ContextGraph | None = None,
-    blank_skip_threshold: float | None = None,
-) -> NBestList:
-    decoder = PrefixBeamDecoder(
-        beam=beam, nbest=nbest, context=context, blank_skip_threshold=blank_skip_threshold
-    )
-    decoder.advance(post)
-    return decoder.finalize()
-
-
 # -- WFST beam search ------------------------------------------------------
 
 
@@ -449,13 +441,13 @@ class _Token:
         self.trace = trace  # linked (parent_trace, TraceStep) chain
 
 
-class WfstBeamDecoder:
+class WfstBeamDecoder(StreamingDecoder):
     """Frame-synchronous Viterbi beam search over a TLG decoding graph.
 
     Graph input label l > 0 consumes acoustic token l - 1 (so `<blank>` at
     acoustic id 0 is graph label 1); label 0 arcs are free moves expanded
-    after each frame. Blank-dominant frames are skipped before search per
-    `opts.blank_skip_threshold`. Biasing advances on emitted words.
+    after each frame. Tokens are pruned to `score_beam` score units of the
+    best and to `max_active` tokens. Biasing advances on emitted words.
     """
 
     _EPS_RELAX_LIMIT = 1_000_000
@@ -463,17 +455,33 @@ class WfstBeamDecoder:
     def __init__(
         self,
         graph: WeightedFst,
-        opts: DecodeOptions | None = None,
-        context: ContextGraph | None = None,
+        *,
+        acoustic_scale: float = 1.0,
+        lm_scale: float = 1.0,
+        word_penalty: float = 0.0,
+        score_beam: float = 16.0,
+        max_active: int = 7000,
+        **common,
     ):
+        super().__init__(**common)
+        if not 0 < acoustic_scale < math.inf:
+            raise ConfigurationError("acoustic_scale must be finite and > 0")
+        if not 0 <= lm_scale < math.inf:
+            raise ConfigurationError("lm_scale must be finite and >= 0")
+        if not math.isfinite(word_penalty):
+            raise ConfigurationError("word_penalty must be finite")
+        if not 0 < score_beam < math.inf:
+            raise ConfigurationError("score_beam must be finite and > 0")
+        if max_active < 1:
+            raise ConfigurationError("max_active must be >= 1")
         if graph.is_empty():
             raise ConfigurationError("decoding graph is empty")
         self.graph = graph
-        self.opts = opts if opts is not None else DecodeOptions()
-        self.context = context
-        self.frames_processed = 0
-        self.frames_skipped = 0
-        self._frames_seen = 0
+        self.acoustic_scale = acoustic_scale
+        self.lm_scale = lm_scale
+        self.word_penalty = word_penalty
+        self.score_beam = score_beam
+        self.max_active = max_active
         self._emit_arcs: list[list] = []
         self._eps_arcs: list[list] = []
         max_ilabel = 0
@@ -487,8 +495,8 @@ class WfstBeamDecoder:
                     max_ilabel = max(max_ilabel, arc.ilabel)
             self._emit_arcs.append(emit)
             self._eps_arcs.append(eps)
-        self._max_ilabel = max_ilabel
-        initial_ctx = context.initial_state() if context is not None else None
+        self._min_tokens = max(self._min_tokens, max_ilabel)
+        initial_ctx = self.context.initial_state() if self.context is not None else None
         start = _Token(graph.start, 0.0, 0.0, 0.0, initial_ctx, 0.0, (), None)
         self._tokens: dict[tuple[int, int], _Token] = {self._key(start): start}
         self._eps_expand()
@@ -496,34 +504,24 @@ class WfstBeamDecoder:
     def _key(self, token: _Token) -> tuple[int, int]:
         return (token.state, token.ctx.node if token.ctx is not None else 0)
 
-    def advance(self, post: PosteriorMatrix | np.ndarray) -> None:
-        matrix = post if isinstance(post, PosteriorMatrix) else PosteriorMatrix(post)
-        if matrix.frames and matrix.tokens < self._max_ilabel:
-            raise ConfigurationError(
-                f"graph consumes {self._max_ilabel} acoustic tokens but posterior rows have {matrix.tokens}"
-            )
-        kept, indices = skip_blank_frames(matrix, self.opts.blank_skip_threshold)
-        self.frames_skipped += matrix.frames - kept.frames
-        for local, original in enumerate(indices):
-            self._step([float(v) for v in kept.row(local)], self._frames_seen + original)
-            self.frames_processed += 1
-        self._frames_seen += matrix.frames
-
-    def _step(self, logp: list[float], frame: int) -> None:
-        opts = self.opts
+    def _step(self, row: np.ndarray, frame: int) -> None:
+        logp = row.tolist()
+        acoustic_scale = self.acoustic_scale
+        lm_scale = self.lm_scale
+        word_penalty = self.word_penalty
         nxt: dict[tuple[int, int], _Token] = {}
         for token in self._tokens.values():
             for arc in self._emit_arcs[token.state]:
                 lp = logp[arc.ilabel - 1]
                 if lp == NEG_INF:
                     continue
-                ac = -lp * opts.acoustic_scale
-                gw = arc.weight * opts.lm_scale
+                ac = -lp * acoustic_scale
+                gw = arc.weight * lm_scale
                 ctx = token.ctx
                 ctx_delta = 0.0
                 words = token.words
                 if arc.olabel != 0:
-                    gw += opts.word_penalty
+                    gw += word_penalty
                     words = words + (arc.olabel,)
                     if ctx is not None:
                         ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
@@ -547,7 +545,8 @@ class WfstBeamDecoder:
 
     def _eps_expand(self, frame: int = -2) -> None:
         """Relax label-0 arcs to a fixed point (no frame is consumed)."""
-        opts = self.opts
+        lm_scale = self.lm_scale
+        word_penalty = self.word_penalty
         worklist = list(self._tokens.values())
         relaxed = 0
         while worklist:
@@ -556,12 +555,12 @@ class WfstBeamDecoder:
             if current is not token:
                 continue  # superseded by a cheaper token at this key
             for arc in self._eps_arcs[token.state]:
-                gw = arc.weight * opts.lm_scale
+                gw = arc.weight * lm_scale
                 ctx = token.ctx
                 ctx_delta = 0.0
                 words = token.words
                 if arc.olabel != 0:
-                    gw += opts.word_penalty
+                    gw += word_penalty
                     words = words + (arc.olabel,)
                     if ctx is not None:
                         ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
@@ -593,14 +592,14 @@ class WfstBeamDecoder:
         keep = [
             (token.cost, key, token)
             for key, token in self._tokens.items()
-            if token.cost <= best + self.opts.score_beam
+            if token.cost <= best + self.score_beam
         ]
         keep.sort(key=lambda item: (item[0], item[1]))
-        keep = keep[: self.opts.max_active]
+        keep = keep[: self.max_active]
         self._tokens = {key: token for _, key, token in keep}
 
     def finalize(self) -> NBestList:
-        opts = self.opts
+        lm_scale = self.lm_scale
         candidates = []
         any_final = any(
             self.graph.final_weight(token.state) != math.inf for token in self._tokens.values()
@@ -611,8 +610,8 @@ class WfstBeamDecoder:
                 if any_final:
                     continue
                 fw = 0.0  # no token reached a final state; fall back to all survivors
-            graph_cost = token.graph_cost + fw * opts.lm_scale
-            cost = token.cost + fw * opts.lm_scale
+            graph_cost = token.graph_cost + fw * lm_scale
+            cost = token.cost + fw * lm_scale
             trace = _unwind(token.trace)
             if fw != 0.0 or any_final:
                 trace = trace + (TraceStep(-1, 0, 0, 0.0, fw),)
@@ -626,7 +625,7 @@ class WfstBeamDecoder:
 
         ranked = sorted(by_words.items(), key=lambda item: (item[1][0], item[0]))
         hyps = []
-        for words, (cost, token, graph_cost, trace) in ranked[: opts.nbest]:
+        for words, (cost, token, graph_cost, trace) in ranked[: self.nbest]:
             units = _collapse(
                 tuple(step.ilabel - 1 for step in trace if step.ilabel > 0)
             )
@@ -654,7 +653,7 @@ def _unwind(chain) -> tuple[TraceStep, ...]:
     return tuple(reversed(steps))
 
 
-def _collapse(labels: Sequence[int], blank: int = 0) -> tuple[int, ...]:
+def _collapse(labels: Sequence[int]) -> tuple[int, ...]:
     """CTC collapse: merge adjacent repeats, then drop blanks."""
     out = []
     prev = None
@@ -662,15 +661,5 @@ def _collapse(labels: Sequence[int], blank: int = 0) -> tuple[int, ...]:
         if label != prev:
             out.append(label)
         prev = label
-    return tuple(label for label in out if label != blank)
+    return tuple(label for label in out if label != 0)
 
-
-def ctc_wfst_beam_search(
-    post: PosteriorMatrix,
-    graph: WeightedFst,
-    opts: DecodeOptions | None = None,
-    context: ContextGraph | None = None,
-) -> NBestList:
-    decoder = WfstBeamDecoder(graph, opts, context)
-    decoder.advance(post)
-    return decoder.finalize()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -45,25 +44,6 @@ def units_of(tokens: SymbolTable) -> list[str]:
     return [sym for sym, sym_id in tokens if sym_id != 0]
 
 
-@dataclass(frozen=True)
-class CtcTopology:
-    """Blank-at-zero CTC label inventory backing the T transducer."""
-
-    units: tuple[str, ...]
-    blank_id: int = 0
-
-    @classmethod
-    def from_tokens(cls, tokens: SymbolTable) -> "CtcTopology":
-        return cls(tuple(units_of(tokens)))
-
-    def build(self) -> WeightedFst:
-        return build_T(self.units)
-
-
-def unit_symbol_table(units: Sequence[str]) -> SymbolTable:
-    return SymbolTable.with_epsilon(units)
-
-
 def build_T(units: Sequence[str]) -> WeightedFst:
     """CTC topology: collapse frame labels (repeats + blanks) to unit sequences.
 
@@ -76,7 +56,7 @@ def build_T(units: Sequence[str]) -> WeightedFst:
     if BLANK_SYMBOL in units:
         raise ConfigurationError(f"unit inventory must not contain {BLANK_SYMBOL}")
     isymbols = SymbolTable.with_epsilon([BLANK_SYMBOL, *units])
-    osymbols = unit_symbol_table(units)
+    osymbols = SymbolTable.with_epsilon(units)
     t = WeightedFst(isymbols, osymbols)
     start = t.add_state()
     t.set_start(start)

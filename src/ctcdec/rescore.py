@@ -12,6 +12,7 @@ table scorer doubles as the file-backed stand-in for neural decoders.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -37,8 +38,8 @@ class FusionWeights:
     def __post_init__(self) -> None:
         if not 0 <= self.alpha <= 1:
             raise ConfigurationError("alpha must be in [0, 1]")
-        if self.ctc_weight < 0:
-            raise ConfigurationError("ctc_weight must be >= 0")
+        if not 0 <= self.ctc_weight < math.inf:
+            raise ConfigurationError("ctc_weight must be finite and >= 0")
 
 
 @dataclass

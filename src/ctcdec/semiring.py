@@ -23,10 +23,3 @@ def times(a: Weight, b: Weight) -> Weight:
         return ZERO
     return a + b
 
-
-def approx_equal(a: Weight, b: Weight, tol: float = 1e-9) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= tol

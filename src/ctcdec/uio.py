@@ -442,12 +442,6 @@ class RawSampleReader:
             yield self.read()
 
 
-def raw_list_read(manifest: str | Path | Sequence[tuple[str, Sequence[str]]]) -> RawSampleReader:
-    if isinstance(manifest, (str, Path)):
-        return RawSampleReader.from_file(manifest)
-    return RawSampleReader(manifest)
-
-
 # -- chain operations --------------------------------------------------------
 
 

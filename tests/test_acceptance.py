@@ -23,16 +23,13 @@ from oracles import (
 )
 
 from ctcdec.arpa import parse_arpa
-from ctcdec.context import BiasingPhrase, build_context_graph
+from ctcdec.context import BiasingPhrase, ContextGraph
 from ctcdec.decode import (
-    DecodeOptions,
     Hypothesis,
     NBestList,
     PosteriorMatrix,
     PrefixBeamDecoder,
     WfstBeamDecoder,
-    ctc_prefix_beam_search,
-    ctc_wfst_beam_search,
 )
 from ctcdec.fst import WeightedFst, compose, determinize, minimize, shortest_path
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
@@ -72,7 +69,7 @@ def test_prefix_search_oracle_equivalence():
         for _ in range(500):
             frames = rng.randint(0, 4)
             m = _random_matrix(rng, frames, 3)
-            nbest = ctc_prefix_beam_search(m, beam=100, nbest=1)
+            nbest = PrefixBeamDecoder(beam=100, nbest=1, blank_skip_threshold=None).decode(m)
             seq, score = best_marginal(m.logprobs.tolist())
             assert nbest.best().units == seq
             assert nbest.best().score_ctc == pytest.approx(score, abs=1e-9)
@@ -148,10 +145,10 @@ def test_context_biasing_mechanics():
         positives = _positive_set(rng)
         counts = []
         for boost in (0, 3, 5, 7, 10):
-            ctx = None if boost == 0 else build_context_graph([BiasingPhrase("ab", (1, 2))], boost)
+            ctx = None if boost == 0 else ContextGraph([BiasingPhrase("ab", (1, 2))], boost)
             hits = 0
             for m in positives:
-                nbest = ctc_prefix_beam_search(m, beam=200, nbest=1, context=ctx)
+                nbest = PrefixBeamDecoder(beam=200, nbest=1, context=ctx, blank_skip_threshold=None).decode(m)
                 if _contains_phrase(nbest.best().units):
                     hits += 1
             counts.append(hits)
@@ -159,16 +156,16 @@ def test_context_biasing_mechanics():
         assert counts[-1] > counts[0], "sweep never engaged the phrase"
 
         # Boost 0 must be bit-identical to decoding without any context graph.
-        zero_ctx = build_context_graph([BiasingPhrase("ab", (1, 2))], 0.0)
+        zero_ctx = ContextGraph([BiasingPhrase("ab", (1, 2))], 0.0)
         for m in positives:
-            plain = ctc_prefix_beam_search(m, beam=200, nbest=5)
-            zeroed = ctc_prefix_beam_search(m, beam=200, nbest=5, context=zero_ctx)
+            plain = PrefixBeamDecoder(beam=200, nbest=5, blank_skip_threshold=None).decode(m)
+            zeroed = PrefixBeamDecoder(beam=200, nbest=5, context=zero_ctx, blank_skip_threshold=None).decode(m)
             assert zeroed.to_text() == plain.to_text()
 
         # Negative set: the phrase "bc" can never complete (c has zero mass)
         # and every utterance ends on a near-certain unit outside the phrase,
         # so every matched prefix is abandoned and refunded exactly.
-        ctx = build_context_graph([BiasingPhrase("bc", (2, 3))], 5.0)
+        ctx = ContextGraph([BiasingPhrase("bc", (2, 3))], 5.0)
         for _ in range(10):
             b = rng.uniform(0.7, 0.85)
             rows = [
@@ -176,7 +173,7 @@ def test_context_biasing_mechanics():
                 [0.0005, 0.999, 0.0005, 0.0],
             ]
             m = PosteriorMatrix.from_probs(np.array(rows))
-            top = ctc_prefix_beam_search(m, beam=200, nbest=1, context=ctx).best()
+            top = PrefixBeamDecoder(beam=200, nbest=1, context=ctx, blank_skip_threshold=None).decode(m).best()
             assert 2 in top.units, "negative utterance should still contain the prefix"
             assert top.score_context == 0.0  # exact, not approximate
 
@@ -199,14 +196,11 @@ def test_blank_skipping_matches_manual_filtering():
         ]
         noise = [[0.985, 0.006, 0.005, 0.004], [0.99, 0.004, 0.003, 0.003]]
         interleaved = [noise[0], informative[0], noise[1], informative[1]]
-        opts = DecodeOptions(blank_skip_threshold=0.98)
-        dec = WfstBeamDecoder(graph, opts)
+        dec = WfstBeamDecoder(graph, blank_skip_threshold=0.98)
         dec.advance(PosteriorMatrix.from_probs(np.array(interleaved)))
         auto = dec.finalize()
-        manual = ctc_wfst_beam_search(
-            PosteriorMatrix.from_probs(np.array(informative)),
-            graph,
-            DecodeOptions(blank_skip_threshold=1.0),
+        manual = WfstBeamDecoder(graph, blank_skip_threshold=1.0).decode(
+            PosteriorMatrix.from_probs(np.array(informative))
         )
         assert dec.frames_processed == len(informative)
         assert dec.frames_skipped == len(noise)
@@ -339,8 +333,8 @@ def test_streaming_equals_one_shot_decoding():
         for case in range(50):
             frames = rng.randint(0, 8)
             m = _random_matrix(rng, frames, 4)
-            one_shot = ctc_prefix_beam_search(m, beam=6, nbest=4)
-            dec = PrefixBeamDecoder(beam=6, nbest=4)
+            one_shot = PrefixBeamDecoder(beam=6, nbest=4, blank_skip_threshold=None).decode(m)
+            dec = PrefixBeamDecoder(beam=6, nbest=4, blank_skip_threshold=None)
             cut = 0
             while cut < frames:
                 step = rng.randint(1, 3)
@@ -349,11 +343,10 @@ def test_streaming_equals_one_shot_decoding():
             assert dec.finalize().to_text() == one_shot.to_text(), f"prefix case {case}"
 
         graph = _toy_tlg()
-        opts = DecodeOptions(nbest=4, beam=4)
         for case in range(10):
             m = _random_matrix(rng, rng.randint(1, 6), 4)
-            one_shot = ctc_wfst_beam_search(m, graph, opts)
-            dec = WfstBeamDecoder(graph, opts)
+            one_shot = WfstBeamDecoder(graph, nbest=4).decode(m)
+            dec = WfstBeamDecoder(graph, nbest=4)
             for t in range(m.frames):
                 dec.advance(PosteriorMatrix(m.logprobs[t : t + 1]))
             assert dec.finalize().to_text() == one_shot.to_text(), f"wfst case {case}"

@@ -145,17 +145,41 @@ class TestDecode:
         err = capsys.readouterr().err
         assert "2" in err and "4" in err
 
-    def test_jobs_preserve_output_order(self, tmp_path):
+    def test_beam_is_a_prefix_search_option_only(self, tmp_path, capsys):
+        # WFST search never reads `beam`, so it must not bound `nbest` there.
         graph = _build(tmp_path)
-        args = [
-            "decode", str(DATA / "utt1.post"), str(DATA / "utt2.post"), str(DATA / "utt1.post"),
-            "--graph-dir", str(graph),
-        ]
-        one = tmp_path / "one.txt"
-        many = tmp_path / "many.txt"
-        assert main(args + ["--output", str(one), "--jobs", "1"]) == 0
-        assert main(args + ["--output", str(many), "--jobs", "3"]) == 0
-        assert one.read_bytes() == many.read_bytes()
+        capsys.readouterr()
+        assert main(["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph), "--nbest", "20"]) == 0
+        assert 1 < len(capsys.readouterr().out.splitlines()) <= 21
+        assert main(["decode", str(DATA / "utt1.post"), "--units", str(DATA / "units.txt"), "--nbest", "20"]) == 1
+        assert "beam (10) must be >= nbest (20)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode,flags,name",
+        [
+            ("graph", ["--score-beam", "nan"], "score_beam"),
+            ("graph", ["--score-beam", "-1"], "score_beam"),
+            ("graph", ["--lm-scale", "nan"], "lm_scale"),
+            ("graph", ["--acoustic-scale", "inf"], "acoustic_scale"),
+            ("graph", ["--word-penalty", "nan"], "word_penalty"),
+            ("graph", ["--context-file", str(DATA / "phrases.txt"), "--context-score", "nan"], "boost"),
+            ("lmfree", ["--context-file", str(DATA / "phrases_ab.txt"), "--context-score", "nan"], "boost"),
+        ],
+        ids=[
+            "score-beam-nan", "score-beam-negative", "lm-scale-nan", "acoustic-scale-inf",
+            "word-penalty-nan", "context-score-nan-graph", "context-score-nan-lmfree",
+        ],
+    )
+    def test_non_finite_or_out_of_range_option_rejected(self, tmp_path, capsys, mode, flags, name):
+        if mode == "graph":
+            where = ["--graph-dir", str(_build(tmp_path))]
+            capsys.readouterr()
+        else:
+            where = ["--units", str(DATA / "units.txt")]
+        assert main(["decode", str(DATA / "utt1.post"), *where, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err
 
     def test_decode_plus_rescore_tables(self, tmp_path):
         l2r = tmp_path / "l2r.txt"
@@ -232,6 +256,21 @@ class TestRescoreCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].split("\t")[1] == "a b"  # boosted to the top
+
+    def test_bad_config_value_is_parse_error(self, tmp_path, capsys):
+        # `rescore` resolves its options like `decode`: a bad config value exits 2.
+        nbest = tmp_path / "nbest.txt"
+        assert main(["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
+                     "--output", str(nbest)]) == 0
+        table = tmp_path / "table.txt"
+        table.write_text("1.0 a b\n", encoding="utf-8")
+        config = tmp_path / "rescore.conf"
+        config.write_text("alpha = abc\n", encoding="utf-8")
+        args = ["rescore", str(nbest), "--l2r-table", str(table), "--r2l-table", str(table)]
+        assert main(args + ["--config", str(config)]) == 2
+        assert "bad value for alpha" in capsys.readouterr().err
+        assert main(args + ["--ctc-weight", "nan"]) == 1
+        assert "ctc_weight" in capsys.readouterr().err
 
 
 class TestShardCommands:

@@ -4,14 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from ctcdec.context import BiasingPhrase, build_context_graph
+from ctcdec.context import BiasingPhrase, ContextGraph
 from ctcdec.decode import (
-    DecodeOptions,
     PosteriorMatrix,
     PrefixBeamDecoder,
     WfstBeamDecoder,
-    ctc_prefix_beam_search,
-    ctc_wfst_beam_search,
     skip_blank_frames,
 )
 from ctcdec.arpa import parse_arpa
@@ -19,6 +16,7 @@ from ctcdec.context import score_hypothesis
 from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
+from ctcdec.rescore import FusionWeights
 
 from conftest import TOY_ARPA, TOY_LEXICON
 from oracles import best_marginal, ctc_marginals
@@ -128,56 +126,57 @@ class TestSkipBlankFrames:
 class TestPrefixBeamSearch:
     def test_two_frame_example_matches_path_sum_oracle(self):
         m = _matrix([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1]])
-        nbest = ctc_prefix_beam_search(m, beam=50, nbest=5)
+        nbest = PrefixBeamDecoder(beam=50, nbest=5, blank_skip_threshold=None).decode(m)
         seq, score = best_marginal(m.logprobs.tolist())
         assert nbest.best().units == seq
         assert nbest.best().score_ctc == pytest.approx(score, abs=1e-9)
 
     def test_all_blank_mass_gives_empty_top1(self):
         m = _matrix([[0.9, 0.05, 0.05], [0.8, 0.1, 0.1]])
-        nbest = ctc_prefix_beam_search(m, beam=50, nbest=3)
+        nbest = PrefixBeamDecoder(beam=50, nbest=3, blank_skip_threshold=None).decode(m)
         assert nbest.best().units == ()
         assert nbest.best().score_ctc == pytest.approx(math.log(0.9) + math.log(0.8), abs=1e-9)
 
     def test_boosted_phrase_overtakes_empty(self):
         m = _matrix([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1]])
-        ctx = build_context_graph([BiasingPhrase("a", (1,))], 10.0)
-        nbest = ctc_prefix_beam_search(m, beam=50, nbest=5, context=ctx)
+        ctx = ContextGraph([BiasingPhrase("a", (1,))], 10.0)
+        nbest = PrefixBeamDecoder(beam=50, nbest=5, context=ctx, blank_skip_threshold=None).decode(m)
         assert nbest.best().units == (1,)
         marginals = ctc_marginals(m.logprobs.tolist())
         assert nbest.best().total_score == pytest.approx(marginals[(1,)] + 10.0, abs=1e-9)
 
     def test_zero_frames_yield_empty_hypothesis(self):
-        nbest = ctc_prefix_beam_search(PosteriorMatrix(np.zeros((0, 3))), beam=4, nbest=2)
+        dec = PrefixBeamDecoder(beam=4, nbest=2, blank_skip_threshold=None)
+        nbest = dec.decode(PosteriorMatrix(np.zeros((0, 3))))
         assert len(nbest) == 1
         assert nbest.best().units == ()
         assert nbest.best().total_score == 0.0
 
     def test_nbest_larger_than_prefixes_returns_all(self):
         m = _matrix([[0.5, 0.5]])
-        nbest = ctc_prefix_beam_search(m, beam=50, nbest=50)
+        nbest = PrefixBeamDecoder(beam=50, nbest=50, blank_skip_threshold=None).decode(m)
         assert len(nbest) == 2  # () and (1,)
 
     def test_beam_must_cover_nbest(self):
         with pytest.raises(ConfigurationError):
-            ctc_prefix_beam_search(_matrix([[1.0]]), beam=1, nbest=2)
+            PrefixBeamDecoder(beam=1, nbest=2)
 
     def test_exhaustive_beam_matches_oracle_on_random_grid(self):
         rng = random.Random(20240)
         for _ in range(50):
             frames = rng.randint(0, 4)
             m = _random_matrix(rng, frames, 3)
-            nbest = ctc_prefix_beam_search(m, beam=100, nbest=1)
+            nbest = PrefixBeamDecoder(beam=100, nbest=1, blank_skip_threshold=None).decode(m)
             seq, score = best_marginal(m.logprobs.tolist())
             assert nbest.best().units == seq
             assert nbest.best().score_ctc == pytest.approx(score, abs=1e-9)
 
     def test_biasing_consistency_with_exhaustive_beam(self):
         rng = random.Random(77)
-        ctx = build_context_graph([BiasingPhrase("ab", (1, 2))], 4.0)
+        ctx = ContextGraph([BiasingPhrase("ab", (1, 2))], 4.0)
         for _ in range(20):
             m = _random_matrix(rng, 3, 3)
-            nbest = ctc_prefix_beam_search(m, beam=200, nbest=1, context=ctx)
+            nbest = PrefixBeamDecoder(beam=200, nbest=1, context=ctx, blank_skip_threshold=None).decode(m)
             marginals = ctc_marginals(m.logprobs.tolist())
             expected = min(
                 ((seq, lp + score_hypothesis(seq, ctx)) for seq, lp in marginals.items()),
@@ -194,11 +193,18 @@ class TestPrefixBeamSearch:
         with pytest.raises(ConfigurationError, match="NaN or"):
             dec.advance(chunk)
 
+    def test_chunk_width_change_names_both_widths(self):
+        dec = PrefixBeamDecoder(beam=4, nbest=2, blank_skip_threshold=None)
+        dec.advance(np.log([[0.1, 0.1, 0.1, 0.7]]))  # leaves prefix (3,)
+        dec.advance(np.zeros((0, 2)))  # an empty chunk of any width is accepted
+        with pytest.raises(ConfigurationError, match="2 tokens .* had 4"):
+            dec.advance(np.log([[0.5, 0.5]]))
+
     def test_streaming_equals_one_shot(self):
         rng = random.Random(5)
         m = _random_matrix(rng, 7, 3)
-        one_shot = ctc_prefix_beam_search(m, beam=8, nbest=4)
-        dec = PrefixBeamDecoder(beam=8, nbest=4)
+        one_shot = PrefixBeamDecoder(beam=8, nbest=4, blank_skip_threshold=None).decode(m)
+        dec = PrefixBeamDecoder(beam=8, nbest=4, blank_skip_threshold=None)
         dec.advance(PosteriorMatrix(m.logprobs[:3]))
         dec.advance(PosteriorMatrix(m.logprobs[3:4]))
         dec.advance(PosteriorMatrix(m.logprobs[4:]))
@@ -230,7 +236,7 @@ class TestWfstBeamSearch:
     def test_forced_alignment_decodes_word(self):
         graph = _toy_graph()
         m = _matrix(_forced_rows([1, 0, 2]))  # a <blank> b -> "ab"
-        nbest = ctc_wfst_beam_search(m, graph, DecodeOptions(blank_skip_threshold=1.0))
+        nbest = WfstBeamDecoder(graph, blank_skip_threshold=1.0).decode(m)
         assert nbest.best().words == ("ab",)
         assert nbest.best().units == (1, 2)
 
@@ -243,7 +249,7 @@ class TestWfstBeamSearch:
     def test_all_frames_blank_dominant_skips_everything(self):
         graph = _toy_graph()
         m = _matrix([[0.99, 0.004, 0.003, 0.003]] * 5)
-        dec = WfstBeamDecoder(graph, DecodeOptions(blank_skip_threshold=0.98))
+        dec = WfstBeamDecoder(graph, blank_skip_threshold=0.98)
         dec.advance(m)
         nbest = dec.finalize()
         assert dec.frames_processed == 0
@@ -257,11 +263,10 @@ class TestWfstBeamSearch:
         interleaved = [noisy[0], rows[0], noisy[1], rows[1]]
         full = _matrix(interleaved)
         manual = _matrix(rows)
-        opts = DecodeOptions(blank_skip_threshold=0.98)
-        auto_dec = WfstBeamDecoder(graph, opts)
+        auto_dec = WfstBeamDecoder(graph, blank_skip_threshold=0.98)
         auto_dec.advance(full)
         auto = auto_dec.finalize()
-        by_hand = ctc_wfst_beam_search(manual, graph, DecodeOptions(blank_skip_threshold=1.0))
+        by_hand = WfstBeamDecoder(graph, blank_skip_threshold=1.0).decode(manual)
         assert auto.best().words == by_hand.best().words
         assert auto_dec.frames_processed == manual.frames
 
@@ -280,23 +285,23 @@ class TestWfstBeamSearch:
             return build_TLG(t, build_L(lex, units, words), build_G(model, words))
 
         m = _matrix(_forced_rows([1], tokens=2, peak=0.9))
-        favored_a = ctc_wfst_beam_search(m, tlg_for(0.4, 0.1), DecodeOptions(blank_skip_threshold=1.0))
+        favored_a = WfstBeamDecoder(tlg_for(0.4, 0.1), blank_skip_threshold=1.0).decode(m)
         assert favored_a.best().words == ("alpha",)
-        favored_b = ctc_wfst_beam_search(m, tlg_for(0.1, 0.4), DecodeOptions(blank_skip_threshold=1.0))
+        favored_b = WfstBeamDecoder(tlg_for(0.1, 0.4), blank_skip_threshold=1.0).decode(m)
         assert favored_b.best().words == ("beta",)
 
     def test_score_decomposition_replays_from_trace(self):
         graph = _toy_graph()
         rng = random.Random(11)
-        opts = DecodeOptions(acoustic_scale=0.8, lm_scale=1.3, blank_skip_threshold=1.0, nbest=5, beam=5)
         for _ in range(10):
             m = _random_matrix(rng, 4, 4)
-            for hyp in ctc_wfst_beam_search(m, graph, opts):
+            dec = WfstBeamDecoder(graph, acoustic_scale=0.8, lm_scale=1.3, blank_skip_threshold=1.0, nbest=5)
+            for hyp in dec.decode(m):
                 assert hyp.trace is not None
-                acoustic = opts.acoustic_scale * sum(
+                acoustic = dec.acoustic_scale * sum(
                     -s.acoustic_logprob for s in hyp.trace if s.ilabel > 0
                 )
-                graph_w = opts.lm_scale * sum(s.graph_weight for s in hyp.trace)
+                graph_w = dec.lm_scale * sum(s.graph_weight for s in hyp.trace)
                 total = -(acoustic + graph_w) + hyp.score_context
                 assert hyp.total_score == pytest.approx(total, abs=1e-9)
                 assert hyp.score_ctc == pytest.approx(-acoustic, abs=1e-9)
@@ -304,7 +309,7 @@ class TestWfstBeamSearch:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_chunk_rejected(self, value):
-        dec = WfstBeamDecoder(_toy_graph(), DecodeOptions(blank_skip_threshold=1.0))
+        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=1.0)
         chunk = np.log(np.array(_forced_rows([1, 0])))
         chunk[0, 2] = value
         with pytest.raises(ConfigurationError, match="NaN or"):
@@ -313,17 +318,23 @@ class TestWfstBeamSearch:
     def test_posterior_width_mismatch_names_counts(self):
         graph = _toy_graph()
         m = _matrix([[0.7, 0.3]])
-        dec = WfstBeamDecoder(graph, DecodeOptions(blank_skip_threshold=1.0))
+        dec = WfstBeamDecoder(graph, blank_skip_threshold=1.0)
         with pytest.raises(ConfigurationError, match="4 acoustic tokens.*2"):
             dec.advance(m)
+
+    def test_chunk_width_change_names_both_widths(self):
+        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=1.0)
+        dec.advance(np.log(np.array(_forced_rows([1]))))
+        dec.advance(np.zeros((0, 2)))
+        with pytest.raises(ConfigurationError, match="5 tokens .* had 4"):
+            dec.advance(np.log(np.array(_forced_rows([2], tokens=5))))
 
     def test_streaming_equals_one_shot(self):
         graph = _toy_graph()
         rng = random.Random(31)
         m = _random_matrix(rng, 6, 4)
-        opts = DecodeOptions(nbest=4, beam=4)
-        one_shot = ctc_wfst_beam_search(m, graph, opts)
-        dec = WfstBeamDecoder(graph, opts)
+        one_shot = WfstBeamDecoder(graph, nbest=4).decode(m)
+        dec = WfstBeamDecoder(graph, nbest=4)
         for i in range(m.frames):
             dec.advance(PosteriorMatrix(m.logprobs[i : i + 1]))
         assert dec.finalize().to_text() == one_shot.to_text()
@@ -336,14 +347,13 @@ class TestWfstBeamSearch:
             [0.1, 0.02, 0.5, 0.38],
         ]
         m = _matrix(rows)
-        opts = DecodeOptions(blank_skip_threshold=1.0)
-        plain = ctc_wfst_beam_search(m, graph, opts)
+        plain = WfstBeamDecoder(graph, blank_skip_threshold=1.0).decode(m)
         assert plain.best().words == ("ab",)
         words_table = graph.osymbols
-        ctx = build_context_graph(
+        ctx = ContextGraph(
             [BiasingPhrase("ac", (words_table.id_of("ac"),))], 6.0
         )
-        boosted = ctc_wfst_beam_search(m, graph, opts, ctx)
+        boosted = WfstBeamDecoder(graph, blank_skip_threshold=1.0, context=ctx).decode(m)
         assert boosted.best().words == ("ac",)
         assert boosted.best().score_context == pytest.approx(6.0)
 
@@ -355,8 +365,8 @@ class TestNBestOrdering:
         for _ in range(10):
             m = _random_matrix(rng, 4, 4)
             for nbest in (
-                ctc_prefix_beam_search(m, beam=20, nbest=6),
-                ctc_wfst_beam_search(m, graph, DecodeOptions(beam=6, nbest=6, blank_skip_threshold=1.0)),
+                PrefixBeamDecoder(beam=20, nbest=6, blank_skip_threshold=None).decode(m),
+                WfstBeamDecoder(graph, nbest=6, blank_skip_threshold=1.0).decode(m),
             ):
                 totals = [h.total_score for h in nbest]
                 assert totals == sorted(totals, reverse=True)
@@ -364,21 +374,24 @@ class TestNBestOrdering:
 
 
 class TestDecodeOptions:
+    """Each option is defaulted and validated by the stage that takes it."""
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            DecodeOptions(beam=2, nbest=5)
+            PrefixBeamDecoder(beam=2, nbest=5)
         with pytest.raises(ConfigurationError):
-            DecodeOptions(blank_skip_threshold=0.0)
+            WfstBeamDecoder(_toy_graph(), blank_skip_threshold=0.0)
         with pytest.raises(ConfigurationError):
-            DecodeOptions(alpha=1.5)
+            FusionWeights(alpha=1.5)
         with pytest.raises(ConfigurationError):
-            DecodeOptions(context_score=-1.0)
+            ContextGraph([BiasingPhrase("a", (1,))], -1.0)
 
     def test_defaults_follow_stated_conventions(self):
-        opts = DecodeOptions()
-        assert opts.blank_skip_threshold == 0.98
-        assert opts.context_score == 0.0
-        assert opts.acoustic_scale == 1.0
-        assert opts.lm_scale == 1.0
-        assert opts.alpha == 0.3
-        assert opts.ctc_weight == 0.5
+        wfst = WfstBeamDecoder(_toy_graph())
+        fusion = FusionWeights()
+        assert wfst.blank_skip_threshold == 0.98
+        assert ContextGraph([BiasingPhrase("a", (1,))]).boost == 0.0
+        assert wfst.acoustic_scale == 1.0
+        assert wfst.lm_scale == 1.0
+        assert fusion.alpha == 0.3
+        assert fusion.ctc_weight == 0.5

@@ -81,12 +81,11 @@ def test_random_posteriors_byte_identical(seed):
         logprobs = _random_logprobs(rng, rng.randint(0, 7), width)
         chunks = _chunks(rng, logprobs)
         skip = rng.choice((None, None, 0.5, 0.9))
-        blank = 0 if rng.random() < 0.8 else rng.randrange(width)
         for beam, nbest in BEAMS:
             for context in (None, SHARED_CONTEXT):
                 fast, ref = _both(
                     logprobs, chunks,
-                    beam=beam, nbest=nbest, context=context, blank_skip_threshold=skip, blank=blank,
+                    beam=beam, nbest=nbest, context=context, blank_skip_threshold=skip,
                 )
                 assert fast == ref, (seed, width, beam, nbest, context is not None, logprobs.tolist())
 
@@ -96,7 +95,7 @@ def test_context_graph_shared_across_widths():
     rng = random.Random(7)
     for width in (4, 2, 3, 4, 2):
         logprobs = _random_logprobs(rng, 6, width)
-        fast, ref = _both(logprobs, [logprobs], beam=8, nbest=8, context=graph)
+        fast, ref = _both(logprobs, [logprobs], beam=8, nbest=8, context=graph, blank_skip_threshold=None)
         assert fast == ref
 
 
@@ -105,7 +104,9 @@ class TestNeverCreatedEntries:
 
     def _check(self, rows, beam=8, nbest=8, context=None):
         logprobs = np.array(rows, dtype=np.float64)
-        fast, ref = _both(logprobs, [logprobs], beam=beam, nbest=nbest, context=context)
+        fast, ref = _both(
+            logprobs, [logprobs], beam=beam, nbest=nbest, context=context, blank_skip_threshold=None
+        )
         assert fast == ref
         return fast
 

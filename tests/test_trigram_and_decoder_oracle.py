@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ctcdec.arpa import parse_arpa
-from ctcdec.decode import DecodeOptions, PosteriorMatrix, ctc_wfst_beam_search
+from ctcdec.decode import PosteriorMatrix, WfstBeamDecoder
 from ctcdec.fst import WeightedFst, compose, shortest_path
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
@@ -121,20 +121,19 @@ class TestWfstDecoderAgainstCompositionOracle:
     def test_top1_matches_shortest_path(self, acoustic_scale, lm_scale):
         tlg = self._tlg(TOY_ARPA, TOY_LEXICON, ["a", "b", "c"])
         oracle_graph = _scaled(tlg, lm_scale) if lm_scale != 1.0 else tlg
-        opts = DecodeOptions(
+        opts = dict(
             acoustic_scale=acoustic_scale,
             lm_scale=lm_scale,
             blank_skip_threshold=1.0,
             score_beam=1e9,
             max_active=1_000_000,
-            beam=5,
             nbest=5,
         )
         rng = random.Random(9090)
         agreements = 0
         for _ in range(25):
             m = _random_matrix(rng, rng.randint(1, 5), 4)
-            got = ctc_wfst_beam_search(m, tlg, opts).best()
+            got = WfstBeamDecoder(tlg, **opts).decode(m).best()
             lattice = _posterior_lattice(m, tlg, acoustic_scale)
             paths = shortest_path(compose(lattice, oracle_graph), 1, max_expansions=500_000)
             if not paths:
@@ -149,11 +148,11 @@ class TestWfstDecoderAgainstCompositionOracle:
     def test_trigram_tlg_decodes_against_oracle(self):
         lexicon = "a x\nb y\nc z\n"
         tlg = self._tlg(TRIGRAM_ARPA, lexicon, ["x", "y", "z"])
-        opts = DecodeOptions(blank_skip_threshold=1.0, score_beam=1e9, max_active=1_000_000)
+        opts = dict(blank_skip_threshold=1.0, score_beam=1e9, max_active=1_000_000)
         rng = random.Random(41)
         for _ in range(15):
             m = _random_matrix(rng, rng.randint(1, 6), 4)
-            got = ctc_wfst_beam_search(m, tlg, opts).best()
+            got = WfstBeamDecoder(tlg, **opts).decode(m).best()
             lattice = _posterior_lattice(m, tlg, 1.0)
             paths = shortest_path(compose(lattice, tlg), 1, max_expansions=500_000)
             assert paths
