@@ -20,7 +20,6 @@ from .decode import (
     PosteriorMatrix,
     PrefixBeamDecoder,
     StreamingDecoder,
-    TraceStep,
     WfstBeamDecoder,
     skip_blank_frames,
 )

@@ -20,6 +20,8 @@ SENTENCE_END = "</s>"
 # repair; low enough that the repaired arc never beats a real path.
 _SYNTHETIC_LOGPROB = -99.0
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class NgramEntry:
@@ -118,6 +120,8 @@ def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str =
                 logprob = float(parts[0])
             except ValueError:
                 raise ParseError(f"non-numeric log probability {parts[0]!r}", source=name, line=lineno) from None
+            if not logprob < _INF:  # -inf (probability 0) is allowed
+                raise ParseError(f"log probability {parts[0]!r} is NaN or +inf", source=name, line=lineno)
             words = tuple(parts[1 : 1 + current_order])
             backoff: float | None = None
             if len(parts) == current_order + 2:
@@ -125,6 +129,8 @@ def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str =
                     backoff = float(parts[-1])
                 except ValueError:
                     raise ParseError(f"non-numeric backoff weight {parts[-1]!r}", source=name, line=lineno) from None
+                if not backoff < _INF:
+                    raise ParseError(f"backoff weight {parts[-1]!r} is NaN or +inf", source=name, line=lineno)
             elif len(parts) > current_order + 2:
                 raise ParseError("too many fields for this order", source=name, line=lineno)
             orders[current_order].append(NgramEntry(words, logprob, backoff))

@@ -211,11 +211,13 @@ def load_biasing_phrases(
     table: SymbolTable,
     mode: str,
 ) -> list[BiasingPhrase]:
-    """Read one phrase per line, warning about (and skipping) unresolvable ones."""
-    if isinstance(source, (str, Path)) and Path(source).exists():
+    """Read one phrase per line, warning about (and skipping) unresolvable ones.
+
+    A `str` or `Path` names a file, which must exist; any other iterable
+    yields the lines themselves.
+    """
+    if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
     else:
         lines = list(source)
     phrases = []

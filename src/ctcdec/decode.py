@@ -159,17 +159,6 @@ def skip_blank_frames(
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One decoding step: frame -1 marks the final-weight step."""
-
-    frame: int
-    ilabel: int
-    olabel: int
-    acoustic_logprob: float
-    graph_weight: float
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     units: tuple[int, ...]
     total_score: float
@@ -179,7 +168,6 @@ class Hypothesis:
     words: tuple[str, ...] = ()
     score_l2r: float | None = None
     score_r2l: float | None = None
-    trace: tuple[TraceStep, ...] | None = None
 
     def first_pass_score(self) -> float:
         return self.score_ctc + self.score_context + self.score_lm
@@ -428,9 +416,9 @@ class PrefixBeamDecoder(StreamingDecoder):
 
 
 class _Token:
-    __slots__ = ("state", "cost", "ac_cost", "graph_cost", "ctx", "ctx_score", "words", "trace")
+    __slots__ = ("state", "cost", "ac_cost", "graph_cost", "ctx", "ctx_score", "words", "labels")
 
-    def __init__(self, state, cost, ac_cost, graph_cost, ctx, ctx_score, words, trace):
+    def __init__(self, state, cost, ac_cost, graph_cost, ctx, ctx_score, words, labels):
         self.state = state
         self.cost = cost
         self.ac_cost = ac_cost
@@ -438,7 +426,7 @@ class _Token:
         self.ctx = ctx
         self.ctx_score = ctx_score
         self.words = words
-        self.trace = trace  # linked (parent_trace, TraceStep) chain
+        self.labels = labels  # linked (parent, acoustic label) chain, one link per frame
 
 
 class WfstBeamDecoder(StreamingDecoder):
@@ -504,49 +492,48 @@ class WfstBeamDecoder(StreamingDecoder):
     def _key(self, token: _Token) -> tuple[int, int]:
         return (token.state, token.ctx.node if token.ctx is not None else 0)
 
+    def _follow(self, token: _Token, arc, ac: float, labels) -> _Token:
+        """The token reached over `arc` at acoustic cost `ac` (0 on label-0 arcs)."""
+        gw = arc.weight * self.lm_scale
+        ctx = token.ctx
+        ctx_delta = 0.0
+        words = token.words
+        if arc.olabel != 0:
+            gw += self.word_penalty
+            words = words + (arc.olabel,)
+            if ctx is not None:
+                ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
+        return _Token(
+            arc.nextstate,
+            token.cost + ac + gw - ctx_delta,
+            token.ac_cost + ac,
+            token.graph_cost + gw,
+            ctx,
+            token.ctx_score + ctx_delta,
+            words,
+            labels,
+        )
+
     def _step(self, row: np.ndarray, frame: int) -> None:
         logp = row.tolist()
         acoustic_scale = self.acoustic_scale
-        lm_scale = self.lm_scale
-        word_penalty = self.word_penalty
         nxt: dict[tuple[int, int], _Token] = {}
         for token in self._tokens.values():
             for arc in self._emit_arcs[token.state]:
                 lp = logp[arc.ilabel - 1]
                 if lp == NEG_INF:
                     continue
-                ac = -lp * acoustic_scale
-                gw = arc.weight * lm_scale
-                ctx = token.ctx
-                ctx_delta = 0.0
-                words = token.words
-                if arc.olabel != 0:
-                    gw += word_penalty
-                    words = words + (arc.olabel,)
-                    if ctx is not None:
-                        ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
-                cand = _Token(
-                    arc.nextstate,
-                    token.cost + ac + gw - ctx_delta,
-                    token.ac_cost + ac,
-                    token.graph_cost + gw,
-                    ctx,
-                    token.ctx_score + ctx_delta,
-                    words,
-                    (token.trace, TraceStep(frame, arc.ilabel, arc.olabel, lp, arc.weight)),
-                )
+                cand = self._follow(token, arc, -lp * acoustic_scale, (token.labels, arc.ilabel - 1))
                 key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
                 best = nxt.get(key)
                 if best is None or cand.cost < best.cost:
                     nxt[key] = cand
         self._tokens = nxt
-        self._eps_expand(frame)
+        self._eps_expand()
         self._prune()
 
-    def _eps_expand(self, frame: int = -2) -> None:
+    def _eps_expand(self) -> None:
         """Relax label-0 arcs to a fixed point (no frame is consumed)."""
-        lm_scale = self.lm_scale
-        word_penalty = self.word_penalty
         worklist = list(self._tokens.values())
         relaxed = 0
         while worklist:
@@ -555,25 +542,7 @@ class WfstBeamDecoder(StreamingDecoder):
             if current is not token:
                 continue  # superseded by a cheaper token at this key
             for arc in self._eps_arcs[token.state]:
-                gw = arc.weight * lm_scale
-                ctx = token.ctx
-                ctx_delta = 0.0
-                words = token.words
-                if arc.olabel != 0:
-                    gw += word_penalty
-                    words = words + (arc.olabel,)
-                    if ctx is not None:
-                        ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
-                cand = _Token(
-                    arc.nextstate,
-                    token.cost + gw - ctx_delta,
-                    token.ac_cost,
-                    token.graph_cost + gw,
-                    ctx,
-                    token.ctx_score + ctx_delta,
-                    words,
-                    (token.trace, TraceStep(frame, 0, arc.olabel, 0.0, arc.weight)),
-                )
+                cand = self._follow(token, arc, 0.0, token.labels)
                 key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
                 best = self._tokens.get(key)
                 if best is None or cand.cost < best.cost:
@@ -599,58 +568,44 @@ class WfstBeamDecoder(StreamingDecoder):
         self._tokens = {key: token for _, key, token in keep}
 
     def finalize(self) -> NBestList:
+        """Add final weights, keep the cheapest token per word sequence, rank."""
         lm_scale = self.lm_scale
-        candidates = []
         any_final = any(
             self.graph.final_weight(token.state) != math.inf for token in self._tokens.values()
         )
-        for key, token in sorted(self._tokens.items()):
+        by_words: dict[tuple[int, ...], tuple[float, float, _Token]] = {}
+        for _, token in sorted(self._tokens.items()):
             fw = self.graph.final_weight(token.state)
             if fw == math.inf:
                 if any_final:
                     continue
                 fw = 0.0  # no token reached a final state; fall back to all survivors
-            graph_cost = token.graph_cost + fw * lm_scale
             cost = token.cost + fw * lm_scale
-            trace = _unwind(token.trace)
-            if fw != 0.0 or any_final:
-                trace = trace + (TraceStep(-1, 0, 0, 0.0, fw),)
-            candidates.append((cost, token, graph_cost, trace))
-
-        by_words: dict[tuple[int, ...], tuple] = {}
-        for cost, token, graph_cost, trace in candidates:
             prev = by_words.get(token.words)
             if prev is None or cost < prev[0]:
-                by_words[token.words] = (cost, token, graph_cost, trace)
+                by_words[token.words] = (cost, token.graph_cost + fw * lm_scale, token)
 
         ranked = sorted(by_words.items(), key=lambda item: (item[1][0], item[0]))
         hyps = []
-        for words, (cost, token, graph_cost, trace) in ranked[: self.nbest]:
-            units = _collapse(
-                tuple(step.ilabel - 1 for step in trace if step.ilabel > 0)
-            )
+        for words, (cost, graph_cost, token) in ranked[: self.nbest]:
+            labels = []
+            link = token.labels
+            while link is not None:
+                link, label = link
+                labels.append(label)
             hyps.append(
                 Hypothesis(
-                    units=units,
+                    units=_collapse(labels[::-1]),
                     total_score=-cost,
                     score_ctc=-token.ac_cost,
                     score_context=token.ctx_score,
                     score_lm=-graph_cost,
                     words=tuple(self.graph.osymbols.symbol_of(w) for w in words),
-                    trace=trace,
                 )
             )
         if not hyps:
             hyps = [Hypothesis(units=(), total_score=NEG_INF, score_ctc=NEG_INF)]
         return NBestList(hyps)
-
-
-def _unwind(chain) -> tuple[TraceStep, ...]:
-    steps = []
-    while chain is not None:
-        chain, step = chain
-        steps.append(step)
-    return tuple(reversed(steps))
 
 
 def _collapse(labels: Sequence[int]) -> tuple[int, ...]:

@@ -18,6 +18,7 @@ from .errors import ConfigurationError, ParseError, PreconditionError, ResourceE
 from .symbols import EPSILON, SymbolTable
 
 NO_STATE = -1
+_NEG_INF = float("-inf")
 
 # Budget floor so that determinizing tiny machines never trips the guard;
 # the 10x term is what scales on real graphs.
@@ -164,9 +165,11 @@ class WeightedFst:
         isymbols: SymbolTable | None = None,
         osymbols: SymbolTable | None = None,
         source: str = "<fst>",
-        start: int = 0,
     ) -> "WeightedFst":
-        """Parse the text format. The start state is `start` when any state exists."""
+        """Parse the text format. State 0 is the start state when any state exists.
+
+        A weight may be +inf (the semiring zero) but not NaN or -inf.
+        """
         fst = cls(isymbols, osymbols)
         known_il = set(fst.isymbols.ids()) if isymbols is not None else None
         known_ol = set(fst.osymbols.ids()) if osymbols is not None else None
@@ -185,11 +188,17 @@ class WeightedFst:
                         raise ValueError(f"input label {il} not in the symbol table")
                     if known_ol is not None and ol not in known_ol:
                         raise ValueError(f"output label {ol} not in the symbol table")
-                    pending.append((src, dst, il, ol, float(parts[4])))
+                    w = float(parts[4])
+                    if not w > _NEG_INF:
+                        raise ValueError(f"arc weight {parts[4]!r} is NaN or -inf")
+                    pending.append((src, dst, il, ol, w))
                     max_state = max(max_state, src, dst)
                 elif len(parts) == 2:
                     state = int(parts[0])
-                    finals.append((state, float(parts[1])))
+                    w = float(parts[1])
+                    if not w > _NEG_INF:
+                        raise ValueError(f"final weight {parts[1]!r} is NaN or -inf")
+                    finals.append((state, w))
                     max_state = max(max_state, state)
                 else:
                     raise ValueError("expected arc or final-state line")
@@ -197,7 +206,7 @@ class WeightedFst:
                 raise ParseError(str(exc), source=source, line=lineno) from None
         if max_state >= 0:
             fst.add_states(max_state + 1)
-            fst.set_start(start)
+            fst.set_start(0)
         for src, dst, il, ol, w in pending:
             fst.add_arc(src, il, ol, w, dst)
         for state, w in finals:
@@ -276,12 +285,12 @@ def _reachable(start: int, successors) -> set[int]:
 # -- composition ---------------------------------------------------------
 
 
-def compose(a: WeightedFst, b: WeightedFst, *, connect_result: bool = True) -> WeightedFst:
+def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     """Compose two transducers, matching a's output tape against b's input tape.
 
     Epsilon moves go through the standard three-state filter so that each
     interleaving of output-epsilons (from a) and input-epsilons (from b)
-    contributes exactly one path.
+    contributes exactly one path. The result is connected, its arcs sorted.
     """
     if a.osymbols != b.isymbols:
         raise ConfigurationError(
@@ -335,8 +344,7 @@ def compose(a: WeightedFst, b: WeightedFst, *, connect_result: bool = True) -> W
         if fw != semiring.ZERO:
             out.set_final(src, fw)
 
-    if connect_result:
-        out = connect(out)
+    out = connect(out)
     out.sort_arcs()
     return out
 

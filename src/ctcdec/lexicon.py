@@ -14,13 +14,9 @@ class Lexicon:
     entries: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, tuple[str, ...]]] = set()
         for word, pron in self.entries:
             if not pron:
                 raise ParseError(f"word {word!r} has an empty pronunciation")
-            if (word, pron) in seen:
-                raise ParseError(f"duplicate lexicon entry for {word!r} /{' '.join(pron)}/")
-            seen.add((word, pron))
 
     def words(self) -> list[str]:
         return sorted({word for word, _ in self.entries})

@@ -15,8 +15,6 @@ import json
 import logging
 import tarfile
 import zlib
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -258,7 +256,6 @@ def read_shards(
     seed: int | None = None,
     storage: LocalStorage | None = None,
     on_error: str = "fail",
-    prefetch: int = 0,
 ) -> Iterator[SampleRecord]:
     """Stream records shard by shard.
 
@@ -281,7 +278,7 @@ def read_shards(
         locators = seeded_shuffle(locators, seed)
     storage = storage if storage is not None else LocalStorage()
 
-    for locator, stream in _opened(locators, storage, prefetch, on_error):
+    for locator, stream in _opened(locators, storage, on_error):
         if stream is None:
             continue
         try:
@@ -293,46 +290,15 @@ def read_shards(
             logger.warning("skipping unreadable shard %s: %s", locator, exc)
 
 
-def _opened(locators, storage, prefetch, on_error):
-    def open_one(locator):
-        return storage.open_read(locator)
-
-    if prefetch <= 0:
-        for locator in locators:
-            try:
-                yield locator, open_one(locator)
-            except OSError as exc:
-                if on_error == "fail":
-                    raise
-                logger.warning("skipping unreadable shard %s: %s", locator, exc)
-                yield locator, None
-        return
-    with ThreadPoolExecutor(max_workers=prefetch) as pool:
-        pending = deque()
-        it = iter(locators)
+def _opened(locators, storage, on_error):
+    for locator in locators:
         try:
-            for locator in it:
-                pending.append((locator, pool.submit(open_one, locator)))
-                if len(pending) >= prefetch:
-                    break
-            while pending:
-                locator, future = pending.popleft()
-                for nxt in it:
-                    pending.append((nxt, pool.submit(open_one, nxt)))
-                    break
-                try:
-                    yield locator, future.result()
-                except OSError as exc:
-                    if on_error == "fail":
-                        raise
-                    logger.warning("skipping unreadable shard %s: %s", locator, exc)
-                    yield locator, None
-        finally:
-            for _, future in pending:  # close streams opened ahead but never consumed
-                try:
-                    future.result().close()
-                except Exception:
-                    pass
+            yield locator, storage.open_read(locator)
+        except OSError as exc:
+            if on_error == "fail":
+                raise
+            logger.warning("skipping unreadable shard %s: %s", locator, exc)
+            yield locator, None
 
 
 def iter_shard(stream: BinaryIO, *, locator: str = "<shard>") -> Iterator[SampleRecord]:
@@ -446,10 +412,7 @@ class RawSampleReader:
 
 
 class ChainOp:
-    """A composable, seed-deterministic stream transformer."""
-
-    in_kind = "sample"
-    out_kind = "sample"
+    """A composable, seed-deterministic stream transformer over samples."""
 
     def apply(self, stream: Iterator) -> Iterator:
         raise NotImplementedError
@@ -502,7 +465,7 @@ class Shuffle(ChainOp):
 
 
 class Batch(ChainOp):
-    out_kind = "batch"
+    """Groups samples into lists; nothing may follow it in a chain."""
 
     def __init__(self, size: int):
         if size < 1:
@@ -524,14 +487,12 @@ class Batch(ChainOp):
 
 
 def chain(ops: Sequence[ChainOp], stream: Iterator) -> Iterator:
-    """Left-to-right composition; kind mismatches fail before streaming."""
-    kind = "sample"
-    for i, op in enumerate(ops):
-        if op.in_kind != kind:
+    """Left-to-right composition; an op after a `Batch` fails before streaming."""
+    for i, op in enumerate(ops[1:], 1):
+        if isinstance(ops[i - 1], Batch):
             raise ConfigurationError(
-                f"chain op {i} ({type(op).__name__}) consumes {op.in_kind!r} but receives {kind!r}"
+                f"chain op {i} ({type(op).__name__}) consumes 'sample' but receives 'batch'"
             )
-        kind = op.out_kind
     out = stream
     for op in ops:
         out = op.apply(out)

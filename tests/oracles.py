@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute force: exhaustive path enumeration,
 full path-sum marginalization, the textbook ARPA backoff recursion, a
-plain greedy phrase matcher, and the object-per-extension prefix search.
-None of it shares code with the engine paths it verifies; the prefix
-search borrows only the engine's input and output containers and
-the biasing graph's `advance`.
+plain greedy phrase matcher, the object-per-extension prefix search and
+the trace-carrying WFST search. None of it shares code with the engine
+paths it verifies; the two searches borrow only the engine's input and
+output containers (the WFST search also its `StreamingDecoder` chunk
+loop) and the biasing graph's `advance`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 
-from ctcdec.decode import Hypothesis, NBestList, PosteriorMatrix, skip_blank_frames
+import numpy as np
+
+from ctcdec.decode import (
+    Hypothesis,
+    NBestList,
+    PosteriorMatrix,
+    StreamingDecoder,
+    skip_blank_frames,
+)
+from ctcdec.errors import ConfigurationError
+from ctcdec.fst import WeightedFst
 
 INF = math.inf
 
@@ -278,3 +290,250 @@ class ReferencePrefixBeamDecoder:
                 )
             )
         return NBestList(hyps)
+
+
+# -- reference WFST beam search ----------------------------------------------
+#
+# The WFST search as it stood when every search token carried a full
+# `TraceStep` chain (frame, labels, acoustic log-probability and graph
+# weight for each arc taken) and `finalize` rebuilt `units` from it. It
+# shares only the `StreamingDecoder` chunk loop and the output containers
+# with the engine; repeats are collapsed with `ctc_collapse` above. The
+# engine's `WfstBeamDecoder` must give byte-identical n-best text.
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    """One decoding step: frame -1 marks the final-weight step."""
+
+    frame: int
+    ilabel: int
+    olabel: int
+    acoustic_logprob: float
+    graph_weight: float
+
+
+class _RefToken:
+    __slots__ = ("state", "cost", "ac_cost", "graph_cost", "ctx", "ctx_score", "words", "trace")
+
+    def __init__(self, state, cost, ac_cost, graph_cost, ctx, ctx_score, words, trace):
+        self.state = state
+        self.cost = cost
+        self.ac_cost = ac_cost
+        self.graph_cost = graph_cost
+        self.ctx = ctx
+        self.ctx_score = ctx_score
+        self.words = words
+        self.trace = trace  # linked (parent_trace, TraceStep) chain
+
+
+class ReferenceWfstBeamDecoder(StreamingDecoder):
+    """Frame-synchronous Viterbi beam search over a TLG decoding graph.
+
+    Graph input label l > 0 consumes acoustic token l - 1 (so `<blank>` at
+    acoustic id 0 is graph label 1); label 0 arcs are free moves expanded
+    after each frame. Tokens are pruned to `score_beam` score units of the
+    best and to `max_active` tokens. Biasing advances on emitted words.
+    """
+
+    _EPS_RELAX_LIMIT = 1_000_000
+
+    def __init__(
+        self,
+        graph: WeightedFst,
+        *,
+        acoustic_scale: float = 1.0,
+        lm_scale: float = 1.0,
+        word_penalty: float = 0.0,
+        score_beam: float = 16.0,
+        max_active: int = 7000,
+        **common,
+    ):
+        super().__init__(**common)
+        if not 0 < acoustic_scale < math.inf:
+            raise ConfigurationError("acoustic_scale must be finite and > 0")
+        if not 0 <= lm_scale < math.inf:
+            raise ConfigurationError("lm_scale must be finite and >= 0")
+        if not math.isfinite(word_penalty):
+            raise ConfigurationError("word_penalty must be finite")
+        if not 0 < score_beam < math.inf:
+            raise ConfigurationError("score_beam must be finite and > 0")
+        if max_active < 1:
+            raise ConfigurationError("max_active must be >= 1")
+        if graph.is_empty():
+            raise ConfigurationError("decoding graph is empty")
+        self.graph = graph
+        self.acoustic_scale = acoustic_scale
+        self.lm_scale = lm_scale
+        self.word_penalty = word_penalty
+        self.score_beam = score_beam
+        self.max_active = max_active
+        self._emit_arcs: list[list] = []
+        self._eps_arcs: list[list] = []
+        max_ilabel = 0
+        for state in graph.states():
+            emit, eps = [], []
+            for arc in graph.arcs(state):
+                if arc.ilabel == 0:
+                    eps.append(arc)
+                else:
+                    emit.append(arc)
+                    max_ilabel = max(max_ilabel, arc.ilabel)
+            self._emit_arcs.append(emit)
+            self._eps_arcs.append(eps)
+        self._min_tokens = max(self._min_tokens, max_ilabel)
+        initial_ctx = self.context.initial_state() if self.context is not None else None
+        start = _RefToken(graph.start, 0.0, 0.0, 0.0, initial_ctx, 0.0, (), None)
+        self._tokens: dict[tuple[int, int], _RefToken] = {self._key(start): start}
+        self._eps_expand()
+
+    def _key(self, token: _RefToken) -> tuple[int, int]:
+        return (token.state, token.ctx.node if token.ctx is not None else 0)
+
+    def _step(self, row: np.ndarray, frame: int) -> None:
+        logp = row.tolist()
+        acoustic_scale = self.acoustic_scale
+        lm_scale = self.lm_scale
+        word_penalty = self.word_penalty
+        nxt: dict[tuple[int, int], _RefToken] = {}
+        for token in self._tokens.values():
+            for arc in self._emit_arcs[token.state]:
+                lp = logp[arc.ilabel - 1]
+                if lp == NEG_INF:
+                    continue
+                ac = -lp * acoustic_scale
+                gw = arc.weight * lm_scale
+                ctx = token.ctx
+                ctx_delta = 0.0
+                words = token.words
+                if arc.olabel != 0:
+                    gw += word_penalty
+                    words = words + (arc.olabel,)
+                    if ctx is not None:
+                        ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
+                cand = _RefToken(
+                    arc.nextstate,
+                    token.cost + ac + gw - ctx_delta,
+                    token.ac_cost + ac,
+                    token.graph_cost + gw,
+                    ctx,
+                    token.ctx_score + ctx_delta,
+                    words,
+                    (token.trace, TraceStep(frame, arc.ilabel, arc.olabel, lp, arc.weight)),
+                )
+                key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
+                best = nxt.get(key)
+                if best is None or cand.cost < best.cost:
+                    nxt[key] = cand
+        self._tokens = nxt
+        self._eps_expand(frame)
+        self._prune()
+
+    def _eps_expand(self, frame: int = -2) -> None:
+        """Relax label-0 arcs to a fixed point (no frame is consumed)."""
+        lm_scale = self.lm_scale
+        word_penalty = self.word_penalty
+        worklist = list(self._tokens.values())
+        relaxed = 0
+        while worklist:
+            token = worklist.pop()
+            current = self._tokens.get(self._key(token))
+            if current is not token:
+                continue  # superseded by a cheaper token at this key
+            for arc in self._eps_arcs[token.state]:
+                gw = arc.weight * lm_scale
+                ctx = token.ctx
+                ctx_delta = 0.0
+                words = token.words
+                if arc.olabel != 0:
+                    gw += word_penalty
+                    words = words + (arc.olabel,)
+                    if ctx is not None:
+                        ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
+                cand = _RefToken(
+                    arc.nextstate,
+                    token.cost + gw - ctx_delta,
+                    token.ac_cost,
+                    token.graph_cost + gw,
+                    ctx,
+                    token.ctx_score + ctx_delta,
+                    words,
+                    (token.trace, TraceStep(frame, 0, arc.olabel, 0.0, arc.weight)),
+                )
+                key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
+                best = self._tokens.get(key)
+                if best is None or cand.cost < best.cost:
+                    self._tokens[key] = cand
+                    worklist.append(cand)
+                    relaxed += 1
+                    if relaxed > self._EPS_RELAX_LIMIT:
+                        raise ConfigurationError(
+                            "epsilon expansion did not converge; the graph has an improving label-0 cycle"
+                        )
+
+    def _prune(self) -> None:
+        if not self._tokens:
+            return
+        best = min(token.cost for token in self._tokens.values())
+        keep = [
+            (token.cost, key, token)
+            for key, token in self._tokens.items()
+            if token.cost <= best + self.score_beam
+        ]
+        keep.sort(key=lambda item: (item[0], item[1]))
+        keep = keep[: self.max_active]
+        self._tokens = {key: token for _, key, token in keep}
+
+    def finalize(self) -> NBestList:
+        lm_scale = self.lm_scale
+        candidates = []
+        any_final = any(
+            self.graph.final_weight(token.state) != math.inf for token in self._tokens.values()
+        )
+        for key, token in sorted(self._tokens.items()):
+            fw = self.graph.final_weight(token.state)
+            if fw == math.inf:
+                if any_final:
+                    continue
+                fw = 0.0  # no token reached a final state; fall back to all survivors
+            graph_cost = token.graph_cost + fw * lm_scale
+            cost = token.cost + fw * lm_scale
+            trace = _unwind(token.trace)
+            if fw != 0.0 or any_final:
+                trace = trace + (TraceStep(-1, 0, 0, 0.0, fw),)
+            candidates.append((cost, token, graph_cost, trace))
+
+        by_words: dict[tuple[int, ...], tuple] = {}
+        for cost, token, graph_cost, trace in candidates:
+            prev = by_words.get(token.words)
+            if prev is None or cost < prev[0]:
+                by_words[token.words] = (cost, token, graph_cost, trace)
+
+        ranked = sorted(by_words.items(), key=lambda item: (item[1][0], item[0]))
+        hyps = []
+        for words, (cost, token, graph_cost, trace) in ranked[: self.nbest]:
+            units = ctc_collapse(
+                tuple(step.ilabel - 1 for step in trace if step.ilabel > 0)
+            )
+            hyps.append(
+                Hypothesis(
+                    units=units,
+                    total_score=-cost,
+                    score_ctc=-token.ac_cost,
+                    score_context=token.ctx_score,
+                    score_lm=-graph_cost,
+                    words=tuple(self.graph.osymbols.symbol_of(w) for w in words),
+                )
+            )
+        if not hyps:
+            hyps = [Hypothesis(units=(), total_score=NEG_INF, score_ctc=NEG_INF)]
+        return NBestList(hyps)
+
+
+def _unwind(chain) -> tuple[TraceStep, ...]:
+    steps = []
+    while chain is not None:
+        chain, step = chain
+        steps.append(step)
+    return tuple(reversed(steps))
+

@@ -62,6 +62,19 @@ class TestBuildGraph:
         assert code == 2
         assert ":3:" in capsys.readouterr().err
 
+    def test_nan_arpa_logprob_exits_2(self, tmp_path, capsys):
+        arpa = tmp_path / "nan.arpa"
+        arpa.write_text((DATA / "lm.arpa").read_text().replace("-0.5228787", "nan", 1), encoding="utf-8")
+        code = main([
+            "build-graph",
+            "--units", str(DATA / "units.txt"),
+            "--lexicon", str(DATA / "lexicon.txt"),
+            "--arpa", str(arpa),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "NaN or +inf" in capsys.readouterr().err
+
 
 class TestDecode:
     def test_with_lm_matches_golden(self, tmp_path):
@@ -109,6 +122,18 @@ class TestDecode:
         top = capsys.readouterr().out.splitlines()[1]
         assert top.endswith("\tac")
         assert top.split()[3] == "6.000000"  # one boosted word
+
+    @pytest.mark.parametrize("name", ["ab", "nosuchfile.txt"])
+    def test_missing_context_file_is_an_error(self, tmp_path, capsys, monkeypatch, name):
+        # A missing file is never read as phrase text: "ab" would bias "a b".
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "decode", str(DATA / "utt1.post"), "--units", str(DATA / "units.txt"),
+            "--context-file", name, "--context-score", "3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert name in err and "No such file" in err
 
     @pytest.mark.parametrize("mode", ["lmfree", "graph"])
     def test_blank_skip_threshold_is_applied(self, tmp_path, capsys, mode):

@@ -290,23 +290,6 @@ class TestWfstBeamSearch:
         favored_b = WfstBeamDecoder(tlg_for(0.1, 0.4), blank_skip_threshold=1.0).decode(m)
         assert favored_b.best().words == ("beta",)
 
-    def test_score_decomposition_replays_from_trace(self):
-        graph = _toy_graph()
-        rng = random.Random(11)
-        for _ in range(10):
-            m = _random_matrix(rng, 4, 4)
-            dec = WfstBeamDecoder(graph, acoustic_scale=0.8, lm_scale=1.3, blank_skip_threshold=1.0, nbest=5)
-            for hyp in dec.decode(m):
-                assert hyp.trace is not None
-                acoustic = dec.acoustic_scale * sum(
-                    -s.acoustic_logprob for s in hyp.trace if s.ilabel > 0
-                )
-                graph_w = dec.lm_scale * sum(s.graph_weight for s in hyp.trace)
-                total = -(acoustic + graph_w) + hyp.score_context
-                assert hyp.total_score == pytest.approx(total, abs=1e-9)
-                assert hyp.score_ctc == pytest.approx(-acoustic, abs=1e-9)
-                assert hyp.score_lm == pytest.approx(-graph_w, abs=1e-9)
-
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_chunk_rejected(self, value):
         dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=1.0)

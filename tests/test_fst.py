@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctcdec import semiring
-from ctcdec.errors import ConfigurationError, PreconditionError, ResourceError
+from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError
 from ctcdec.fst import (
     WeightedFst,
     compose,
@@ -308,6 +308,25 @@ class TestTextFormat:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(Exception, match="2"):
             WeightedFst.from_text("0 1 1 1 0.0\nnot an arc line\n", source="x.fst")
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("0 1 1 1 nan\n1 0.0\n", 1),
+            ("0 1 1 1 -inf\n1 0.0\n", 1),
+            ("0 1 1 1 0.0\n1 nan\n", 2),
+            ("0 1 1 1 0.0\n1 -inf\n", 2),
+        ],
+    )
+    def test_nan_or_minus_inf_weight_rejected(self, text, line):
+        with pytest.raises(ParseError, match=f"x.fst:{line}: .*NaN or -inf"):
+            WeightedFst.from_text(text, source="x.fst")
+
+    def test_plus_inf_weight_is_the_semiring_zero(self):
+        fst = WeightedFst.from_text("0 1 1 1 inf\n1 inf\n0 0.5\n")
+        assert fst.arcs(0)[0].weight == semiring.ZERO
+        assert fst.final_weight(1) == semiring.ZERO
+        assert fst.final_weight(0) == 0.5
 
     def test_labels_validated_against_given_tables(self):
         isym = SymbolTable.with_epsilon(["a"])

@@ -65,6 +65,18 @@ class TestArpa:
         with pytest.raises(ParseError, match="5"):
             parse_arpa(text)
 
+    @pytest.mark.parametrize(
+        "line", ["nan a -0.1", "NaN a", "inf a -0.1", "+inf a", "-0.5 a nan", "-0.5 a inf"]
+    )
+    def test_nan_or_plus_inf_rejected_citing_line(self, line):
+        text = f"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5 b\n{line}\n\n\\end\\\n"
+        with pytest.raises(ParseError, match=r"<arpa>:6: .*NaN or \+inf"):
+            parse_arpa(text)
+
+    def test_minus_inf_logprob_is_probability_zero(self):
+        model = parse_arpa("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5 b\n-inf a -inf\n\n\\end\\\n")
+        assert model.entries(1)[1].logprob == -math.inf
+
     def test_missing_end_rejected(self):
         with pytest.raises(ParseError, match="end"):
             parse_arpa("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5 a\n")

@@ -19,7 +19,7 @@ from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 
 from conftest import TOY_ARPA, TOY_LEXICON
-from oracles import arpa_sentence_log10
+from oracles import arpa_sentence_log10, ctc_collapse
 
 LN10 = math.log(10.0)
 
@@ -142,6 +142,14 @@ class TestWfstDecoderAgainstCompositionOracle:
             oracle_words = tuple(tlg.osymbols.symbol_of(o) for o in paths[0].olabels)
             assert got.words == oracle_words
             assert got.total_score == pytest.approx(-paths[0].weight, abs=1e-9)
+            # The lattice gives the path one input label per frame, so the
+            # path also fixes the units and the acoustic/graph score split.
+            labels = [il - 1 for il in paths[0].ilabels]
+            assert len(labels) == m.frames
+            assert got.units == ctc_collapse(labels)
+            acoustic = acoustic_scale * sum(float(m.row(t)[u]) for t, u in enumerate(labels))
+            assert got.score_ctc == pytest.approx(acoustic, abs=1e-9)
+            assert got.score_lm == pytest.approx(-paths[0].weight - got.score_ctc - got.score_context, abs=1e-9)
             agreements += 1
         assert agreements >= 20  # nearly every random draw must have an accepting path
 

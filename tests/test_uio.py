@@ -195,18 +195,6 @@ class TestRead:
         with pytest.raises((ParseError, OSError)):
             list(read_shards(shards))
 
-    def test_prefetch_preserves_order(self, tmp_path):
-        records = _records(9)
-        shards = pack_shards(records, 3, tmp_path)
-        keys = [r.key for r in read_shards(shards, prefetch=2)]
-        assert keys == [r.key for r in records]
-
-    def test_prefetch_abandoned_early_does_not_leak(self, tmp_path):
-        shards = pack_shards(_records(12), 2, tmp_path)
-        stream = read_shards(shards, prefetch=3)
-        assert next(stream).key == "utt0000"
-        stream.close()  # prefetched-but-unread shard streams must get closed
-
     def test_manifest_round_trip(self, tmp_path):
         pack_shards(_records(5), 2, tmp_path)
         shards = shard_list_from_manifest(tmp_path / "manifest.txt")

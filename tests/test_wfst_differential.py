@@ -1,0 +1,205 @@
+"""The WFST search against the reference trace-carrying search.
+
+`WfstBeamDecoder` tokens keep only a (parent, acoustic label) chain, and
+one method builds every token reached over an arc.
+`oracles.ReferenceWfstBeamDecoder` keeps a full `TraceStep` chain per
+token and builds tokens separately for emitting and label-0 arcs. Over
+seeded random TLGs and posteriors their n-best text must be
+byte-identical.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from ctcdec.arpa import parse_arpa
+from ctcdec.context import BiasingPhrase, ContextGraph
+from ctcdec.decode import WfstBeamDecoder
+from ctcdec.fst import WeightedFst
+from ctcdec.graph import build_G, build_L, build_T, build_TLG
+from ctcdec.lexicon import parse_lexicon
+from ctcdec.symbols import SymbolTable
+
+from conftest import TOY_ARPA, TOY_LEXICON
+from oracles import ReferenceWfstBeamDecoder
+
+PRUNING = (
+    dict(score_beam=1e9, max_active=10**6),  # off
+    dict(),  # the defaults
+    dict(max_active=2),
+    dict(score_beam=2.0),
+)
+SCALES = (
+    dict(),
+    dict(acoustic_scale=0.7, lm_scale=1.6, word_penalty=0.5),
+    dict(acoustic_scale=1.3, lm_scale=0.0, word_penalty=-1.25),
+)
+
+
+def _tlg(lexicon_text: str, arpa_text: str, units: list[str]):
+    lex = parse_lexicon(lexicon_text)
+    model = parse_arpa(arpa_text)
+    words = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
+    return build_TLG(build_T(units), build_L(lex, units, words), build_G(model, words))
+
+
+def _random_lexicon(rng: random.Random, units: list[str]) -> str:
+    """Random spellings, with homophones and prefix pronunciations."""
+    prons: list[tuple[str, ...]] = []
+    for _ in range(rng.randint(3, 6)):
+        r = rng.random()
+        if prons and r < 0.25:
+            pron = rng.choice(prons)  # a homophone
+        elif prons and r < 0.5:
+            base = rng.choice(prons)  # a prefix of, or extending, another word
+            pron = base[:-1] if len(base) > 1 and rng.random() < 0.5 else base + (rng.choice(units),)
+        else:
+            pron = tuple(rng.choice(units) for _ in range(rng.randint(1, 3)))
+        prons.append(pron)
+    return "".join(f"w{i} {' '.join(pron)}\n" for i, pron in enumerate(prons))
+
+
+def _random_bigram_arpa(rng: random.Random, words: list[str]) -> str:
+    """A bigram ARPA with coarse weights, so equal path costs come up."""
+    unigrams = [f"{-rng.randint(2, 12) / 10} {w} {-rng.randint(1, 5) / 10}" for w in words]
+    unigrams += [f"{-rng.randint(5, 15) / 10} </s>", f"-99 <s> {-rng.randint(1, 5) / 10}"]
+    pairs = [(h, w) for h in ["<s>", *words] for w in [*words, "</s>"]]
+    bigrams = [f"{-rng.randint(1, 8) / 10} {h} {w}" for h, w in rng.sample(pairs, rng.randint(1, len(pairs) // 2))]
+    return (
+        f"\\data\\\nngram 1={len(unigrams)}\nngram 2={len(bigrams)}\n\n"
+        "\\1-grams:\n" + "\n".join(unigrams) + "\n\n"
+        "\\2-grams:\n" + "\n".join(bigrams) + "\n\n\\end\\\n"
+    )
+
+
+def _random_graph(rng: random.Random):
+    units = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+    lexicon = _random_lexicon(rng, units)
+    words = [line.split()[0] for line in lexicon.splitlines()]
+    return _tlg(lexicon, _random_bigram_arpa(rng, words), units)
+
+
+def _random_wfst(rng: random.Random) -> WeightedFst:
+    """A hand-made graph whose label-0 arcs may emit words.
+
+    The built TLGs above carry every word on an emitting arc, so only
+    graphs like these reach the word branch of label-0 arcs. Label-0 arcs
+    run only to higher states, so there is no label-0 cycle. Weights come
+    from a short list and some graphs have no final state, so equal costs
+    and the no-final fallback both come up.
+    """
+    width = rng.randint(2, 4)
+    n_words = rng.randint(1, 4)
+    graph = WeightedFst(
+        SymbolTable.with_epsilon([f"t{i}" for i in range(width)]),
+        SymbolTable.with_epsilon([f"w{i}" for i in range(1, n_words + 1)]),
+    )
+    n = rng.randint(2, 6)
+    graph.add_states(n)
+    graph.set_start(0)
+    for src in range(n):
+        for _ in range(rng.randint(1, 4)):
+            olabel = rng.randint(1, n_words) if rng.random() < 0.4 else 0
+            weight = rng.choice((0.0, 0.5, 1.0, 2.5))
+            if src < n - 1 and rng.random() < 0.3:
+                graph.add_arc(src, 0, olabel, weight, rng.randrange(src + 1, n))
+            else:
+                graph.add_arc(src, rng.randint(1, width), olabel, weight, rng.randrange(n))
+    for state in rng.sample(range(n), rng.randint(0, 2)):
+        graph.set_final(state, rng.choice((0.0, 1.0)))
+    return graph
+
+
+def _random_logprobs(rng: random.Random, frames: int, width: int) -> np.ndarray:
+    """Normalized rows with about 20% zero-probability entries.
+
+    Probabilities are multiples of 1/8 about half the time, so equal
+    scores come up often. Half the rows favour the blank, so blank-frame
+    skipping has frames to drop.
+    """
+    rows = []
+    for _ in range(frames):
+        coarse = rng.random() < 0.5
+        weights = [rng.randint(1, 8) if coarse else rng.random() + 1e-3 for _ in range(width)]
+        if rng.random() < 0.5:
+            weights[0] *= 40
+        for u in range(width):
+            if rng.random() < 0.2:
+                weights[u] = 0.0
+        if not any(weights):
+            weights[rng.randrange(width)] = 1.0
+        total = sum(weights)
+        rows.append([w / total for w in weights])
+    with np.errstate(divide="ignore"):
+        return np.log(np.array(rows, dtype=np.float64).reshape(frames, width))
+
+
+def _chunks(rng: random.Random, logprobs: np.ndarray):
+    cuts = sorted(rng.sample(range(1, len(logprobs)), rng.randint(0, len(logprobs) - 1))) if len(logprobs) > 1 else []
+    bounds = [0, *cuts, len(logprobs)]
+    return [logprobs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _word_context(rng: random.Random, graph) -> ContextGraph:
+    n_words = len(graph.osymbols) - 1
+    phrases = [
+        BiasingPhrase(f"p{i}", tuple(rng.randint(1, n_words) for _ in range(rng.randint(1, 2))))
+        for i in range(rng.randint(1, 3))
+    ]
+    return ContextGraph(phrases, boost=rng.choice((0.5, 2.0)))
+
+
+def _both(graph, logprobs, chunks, **kwargs):
+    fast = WfstBeamDecoder(graph, **kwargs)
+    for chunk in chunks:
+        fast.advance(chunk)
+    ref = ReferenceWfstBeamDecoder(graph, **kwargs)
+    ref.advance(logprobs)
+    return fast.finalize().to_text(), ref.finalize().to_text()
+
+
+def _check_graph(rng: random.Random, graph, draws: int) -> None:
+    width = max(arc.ilabel for s in graph.states() for arc in graph.arcs(s))
+    for _ in range(draws):
+        logprobs = _random_logprobs(rng, rng.randint(0, 7), width)
+        chunks = _chunks(rng, logprobs)
+        skip = rng.choice((None, 0.98, 0.9, 0.5))
+        context = _word_context(rng, graph) if rng.random() < 0.5 else None
+        for pruning in PRUNING:
+            for nbest in (1, 5, 10):
+                opts = dict(
+                    **pruning, **rng.choice(SCALES),
+                    nbest=nbest, blank_skip_threshold=skip, context=context,
+                )
+                fast, ref = _both(graph, logprobs, chunks, **opts)
+                assert fast == ref, (opts, logprobs.tolist())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_graphs_byte_identical(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        _check_graph(rng, _random_graph(rng), draws=6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hand_made_graphs_byte_identical(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(8):
+        _check_graph(rng, _random_wfst(rng), draws=4)
+
+
+def test_toy_graph_byte_identical():
+    _check_graph(random.Random(99), _tlg(TOY_LEXICON, TOY_ARPA, ["a", "b", "c"]), draws=40)
+
+
+def test_long_posteriors_on_toy_graph():
+    """Longer streams, where pruning and word recombination bite."""
+    graph = _tlg(TOY_LEXICON, TOY_ARPA, ["a", "b", "c"])
+    rng = random.Random(5)
+    for _ in range(6):
+        logprobs = _random_logprobs(rng, 30, 4)
+        for pruning in PRUNING:
+            fast, ref = _both(graph, logprobs, _chunks(rng, logprobs), nbest=10, blank_skip_threshold=None, **pruning)
+            assert fast == ref
