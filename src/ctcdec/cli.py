@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -127,6 +128,8 @@ def _add_option_flags(p: argparse.ArgumentParser, names) -> None:
 
 
 def read_config(path: str | Path) -> dict[str, str]:
+    """`key = value` lines. A key may be any option of `decode` or `rescore`,
+    so one file can serve both; any other key is a parse error."""
     values: dict[str, str] = {}
     source = str(path)
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -136,7 +139,10 @@ def read_config(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ParseError("expected 'key = value'", source=source, line=lineno)
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _OPTIONS:
+            raise ParseError(f"unknown option {key!r}", source=source, line=lineno)
+        values[key] = value.strip()
     return values
 
 
@@ -312,6 +318,8 @@ def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
             total, ctc, ctx, lm = (float(v) for v in head[1:])
         except ValueError:
             raise ParseError("non-numeric score", source=source, line=lineno) from None
+        if not all(v < math.inf for v in (total, ctc, ctx, lm)):  # -inf marks an empty result
+            raise ParseError("score is NaN or +inf", source=source, line=lineno)
         current.hyps.append(
             Hypothesis(
                 units=tuple(parts[1].split()),

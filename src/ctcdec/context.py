@@ -34,14 +34,6 @@ class BiasingPhrase:
             raise ConfigurationError(f"biasing phrase {self.surface!r} has no units")
 
 
-@dataclass(frozen=True)
-class ContextState:
-    """Walker position: trie node plus the boost not yet locked in by a match."""
-
-    node: int
-    pending: float = 0.0
-
-
 class ContextGraph:
     START = 0
 
@@ -54,18 +46,26 @@ class ContextGraph:
         self.phrases = tuple(phrases)
         self._children: list[dict[int, int]] = [{}]
         self._final: list[bool] = [False]
-        self._depth: list[int] = [0]
-        self._banked: list[int] = [0]  # depth of deepest completed phrase on the root path
-        # (node, width) -> (delta row at pending 0, mask of mismatching units);
-        # filled on a node's first `delta_row` call.
-        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # (node, width) -> read-only delta row; filled on the first `delta_row` call.
+        self._rows: dict[tuple[int, int], np.ndarray] = {}
         seen: set[tuple[int, ...]] = set()
         for phrase in phrases:
             if phrase.units in seen:
                 continue
             seen.add(phrase.units)
             self._insert(phrase.units)
-        self._refresh_banked()
+        # Per node, the boost matched since the last completed phrase on the
+        # root path: what its failure arc takes back. Summed in the walker's
+        # own float steps (0.0 at a completed phrase, else the parent's plus
+        # the boost), so `advance` and `delta_row` refund it bit for bit.
+        self._pending = [0.0] * len(self._children)
+        stack = [self.START]
+        while stack:
+            node = stack.pop()
+            for child in self._children[node].values():
+                if not self._final[child]:
+                    self._pending[child] = self._pending[node] + boost
+                stack.append(child)
 
     def _insert(self, units: tuple[int, ...]) -> None:
         node = self.START
@@ -75,20 +75,9 @@ class ContextGraph:
                 nxt = len(self._children)
                 self._children.append({})
                 self._final.append(False)
-                self._depth.append(self._depth[node] + 1)
-                self._banked.append(0)
                 self._children[node][unit] = nxt
             node = nxt
         self._final[node] = True
-
-    def _refresh_banked(self) -> None:
-        stack = [(self.START, 0)]
-        while stack:
-            node, banked = stack.pop()
-            if self._final[node]:
-                banked = self._depth[node]
-            self._banked[node] = banked
-            stack.extend((child, banked) for child in self._children[node].values())
 
     # -- inspection ------------------------------------------------------
 
@@ -98,89 +87,69 @@ class ContextGraph:
     def is_final(self, node: int) -> bool:
         return self._final[node]
 
-    def depth(self, node: int) -> int:
-        return self._depth[node]
-
     def match_arcs(self, node: int) -> dict[int, int]:
         return dict(self._children[node])
 
     def failure_weight(self, node: int) -> float:
         """Weight of the failure arc back to start; 0.0 where no arc is needed."""
-        if node == self.START or self._final[node]:
-            return 0.0
-        return -(self._depth[node] - self._banked[node]) * self.boost
-
-    def initial_state(self) -> ContextState:
-        return ContextState(self.START, 0.0)
+        return -self._pending[node]
 
     # -- walking ---------------------------------------------------------
 
-    def advance(self, state: ContextState, unit: int) -> tuple[ContextState, float]:
-        """Consume one unit; returns the new state and the score delta.
+    def advance(self, node: int, unit: int) -> tuple[int, float]:
+        """Consume one unit; returns the new node and the score delta.
 
         A match pays +boost up front; completing a phrase banks everything
         pending (a completed phrase can no longer be taken back); a
         mismatch returns exactly the pending boost and retries the unit
         from the start once.
         """
-        node, pending = state.node, state.pending
         child = self._children[node].get(unit)
         if child is not None:
-            return self._enter(child, pending)
-        delta = -pending
+            return self._enter(child), self.boost
+        delta = -self._pending[node]
         child = self._children[self.START].get(unit)
         if child is not None:
-            nxt, gain = self._enter(child, 0.0)
-            return nxt, delta + gain
-        return ContextState(self.START, 0.0), delta
+            return self._enter(child), delta + self.boost
+        return self.START, delta
 
-    def delta_row(self, state: ContextState, width: int) -> np.ndarray:
-        """`advance(state, u)[1]` for every unit u < width, as one row.
+    def delta_row(self, node: int, width: int) -> np.ndarray:
+        """`advance(node, u)[1]` for every unit u < width, as one read-only row.
 
         A match pays the boost; a mismatch refunds the pending boost and
-        gains the boost again where the unit starts a phrase. Only the
-        refund depends on `pending`, so the row is memoised per node and
-        width and the refund is applied on the mismatch columns. At
-        `pending == 0` the memoised row itself is returned, read-only.
+        gains the boost again where the unit starts a phrase. The row is
+        memoised per node and width.
         """
-        key = (state.node, width)
-        memo = self._rows.get(key)
-        if memo is None:
-            base = np.zeros(width)
+        key = (node, width)
+        row = self._rows.get(key)
+        if row is None:
+            refund = -self._pending[node]
+            row = np.full(width, refund)
             for unit in self._children[self.START]:
                 if unit < width:
-                    base[unit] = self.boost
-            miss = np.ones(width, dtype=bool)
-            for unit in self._children[state.node]:
+                    row[unit] = refund + self.boost
+            for unit in self._children[node]:
                 if unit < width:
-                    base[unit] = self.boost
-                    miss[unit] = False
-            base.flags.writeable = False
-            memo = self._rows[key] = (base, miss)
-        base, miss = memo
-        if state.pending == 0.0:
-            return base
-        row = base.copy()
-        row[miss] -= state.pending
+                    row[unit] = self.boost
+            row.flags.writeable = False
+            self._rows[key] = row
         return row
 
-    def _enter(self, child: int, pending: float) -> tuple[ContextState, float]:
-        pending += self.boost
-        if self._final[child]:
-            # Keep walking only while a longer phrase can still complete.
-            node = child if self._children[child] else self.START
-            return ContextState(node, 0.0), self.boost
-        return ContextState(child, pending), self.boost
+    def _enter(self, child: int) -> int:
+        # Keep walking past a completed phrase only while a longer one can still complete.
+        if self._final[child] and not self._children[child]:
+            return self.START
+        return child
 
 
 def score_hypothesis(units: Iterable[int], graph: ContextGraph | None) -> float:
-    """Fold of `ContextGraph.advance` over a unit sequence from the start state."""
+    """Fold of `ContextGraph.advance` over a unit sequence from the start node."""
     if graph is None:
         return 0.0
-    state = graph.initial_state()
+    node = graph.START
     total = 0.0
     for unit in units:
-        state, delta = graph.advance(state, unit)
+        node, delta = graph.advance(node, unit)
         total += delta
     return total
 
@@ -189,7 +158,7 @@ def phrase_units(surface: str, table: SymbolTable, mode: str) -> tuple[int, ...]
     """Split a phrase into biasing-unit ids; None when a unit is unresolvable.
 
     char mode tokenizes into characters (whitespace dropped); word mode
-    splits on whitespace, falling back to the whole phrase as one word.
+    splits on whitespace.
     """
     if mode == "char":
         tokens = [ch for ch in surface if not ch.isspace()]

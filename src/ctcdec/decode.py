@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .context import ContextGraph, ContextState
+from .context import ContextGraph
 from .errors import ConfigurationError, ParseError
 from .fst import WeightedFst
 from .symbols import SymbolTable
@@ -220,7 +220,7 @@ class StreamingDecoder:
     `PosteriorMatrix`, checks its width against earlier chunks, skips
     frames whose blank probability exceeds `blank_skip_threshold` (None
     keeps every frame), counts frames, and hands each kept row to the
-    search's `_step` with its frame index in the whole stream.
+    search's `_step`.
     """
 
     _min_tokens = 1  # the blank column
@@ -241,7 +241,6 @@ class StreamingDecoder:
         self.context = context
         self.frames_processed = 0
         self.frames_skipped = 0
-        self._frames_seen = 0
         self._width: int | None = None
 
     def advance(self, post: PosteriorMatrix | np.ndarray) -> None:
@@ -261,17 +260,16 @@ class StreamingDecoder:
         if self.blank_skip_threshold is not None:
             _, kept = skip_blank_frames(matrix, self.blank_skip_threshold)
         for t in kept:
-            self._step(matrix.row(t), self._frames_seen + t)
+            self._step(matrix.row(t))
         self.frames_processed += len(kept)
         self.frames_skipped += matrix.frames - len(kept)
-        self._frames_seen += matrix.frames
 
     def decode(self, post: PosteriorMatrix | np.ndarray) -> NBestList:
         """Advance over all of `post` and return the n-best list."""
         self.advance(post)
         return self.finalize()
 
-    def _step(self, logp: np.ndarray, frame: int) -> None:
+    def _step(self, logp: np.ndarray) -> None:
         raise NotImplementedError
 
     def finalize(self) -> NBestList:
@@ -284,7 +282,7 @@ class StreamingDecoder:
 class _PrefixEntry:
     __slots__ = ("pb", "pnb", "ctx", "ctx_score")
 
-    def __init__(self, pb: float, pnb: float, ctx: ContextState | None, ctx_score: float):
+    def __init__(self, pb: float, pnb: float, ctx: int, ctx_score: float):
         self.pb = pb
         self.pnb = pnb
         self.ctx = ctx
@@ -314,12 +312,11 @@ class PrefixBeamDecoder(StreamingDecoder):
         if beam < self.nbest:
             raise ConfigurationError(f"beam ({beam}) must be >= nbest ({self.nbest})")
         self.beam = beam
-        initial_ctx = self.context.initial_state() if self.context is not None else None
         self._entries: dict[tuple[int, ...], _PrefixEntry] = {
-            (): _PrefixEntry(0.0, NEG_INF, initial_ctx, 0.0)
+            (): _PrefixEntry(0.0, NEG_INF, ContextGraph.START, 0.0)
         }
 
-    def _step(self, logp: np.ndarray, frame: int) -> None:
+    def _step(self, logp: np.ndarray) -> None:
         """One frame: score every (prefix, unit) extension as one array.
 
         Python objects are built only for the stay entries and for the
@@ -385,12 +382,10 @@ class PrefixBeamDecoder(StreamingDecoder):
                 continue
             i, token = divmod(int(cand[k - n_stay]), width)
             cur = entries[i]
-            pnb = float(ext[i, token])
-            if cur.ctx is not None:
+            ctx, delta = cur.ctx, 0.0
+            if self.context is not None:
                 ctx, delta = self.context.advance(cur.ctx, token)
-                entry = _PrefixEntry(NEG_INF, pnb, ctx, cur.ctx_score + delta)
-            else:
-                entry = _PrefixEntry(NEG_INF, pnb, None, 0.0)
+            entry = _PrefixEntry(NEG_INF, float(ext[i, token]), ctx, cur.ctx_score + delta)
             nxt.append((prefixes[i] + (token,), entry))
 
         nxt.sort(key=_rank_key)
@@ -484,13 +479,9 @@ class WfstBeamDecoder(StreamingDecoder):
             self._emit_arcs.append(emit)
             self._eps_arcs.append(eps)
         self._min_tokens = max(self._min_tokens, max_ilabel)
-        initial_ctx = self.context.initial_state() if self.context is not None else None
-        start = _Token(graph.start, 0.0, 0.0, 0.0, initial_ctx, 0.0, (), None)
-        self._tokens: dict[tuple[int, int], _Token] = {self._key(start): start}
+        start = _Token(graph.start, 0.0, 0.0, 0.0, ContextGraph.START, 0.0, (), None)
+        self._tokens: dict[tuple[int, int], _Token] = {(start.state, start.ctx): start}
         self._eps_expand()
-
-    def _key(self, token: _Token) -> tuple[int, int]:
-        return (token.state, token.ctx.node if token.ctx is not None else 0)
 
     def _follow(self, token: _Token, arc, ac: float, labels) -> _Token:
         """The token reached over `arc` at acoustic cost `ac` (0 on label-0 arcs)."""
@@ -501,7 +492,7 @@ class WfstBeamDecoder(StreamingDecoder):
         if arc.olabel != 0:
             gw += self.word_penalty
             words = words + (arc.olabel,)
-            if ctx is not None:
+            if self.context is not None:
                 ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
         return _Token(
             arc.nextstate,
@@ -514,7 +505,7 @@ class WfstBeamDecoder(StreamingDecoder):
             labels,
         )
 
-    def _step(self, row: np.ndarray, frame: int) -> None:
+    def _step(self, row: np.ndarray) -> None:
         logp = row.tolist()
         acoustic_scale = self.acoustic_scale
         nxt: dict[tuple[int, int], _Token] = {}
@@ -524,7 +515,7 @@ class WfstBeamDecoder(StreamingDecoder):
                 if lp == NEG_INF:
                     continue
                 cand = self._follow(token, arc, -lp * acoustic_scale, (token.labels, arc.ilabel - 1))
-                key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
+                key = (cand.state, cand.ctx)
                 best = nxt.get(key)
                 if best is None or cand.cost < best.cost:
                     nxt[key] = cand
@@ -538,12 +529,12 @@ class WfstBeamDecoder(StreamingDecoder):
         relaxed = 0
         while worklist:
             token = worklist.pop()
-            current = self._tokens.get(self._key(token))
+            current = self._tokens.get((token.state, token.ctx))
             if current is not token:
                 continue  # superseded by a cheaper token at this key
             for arc in self._eps_arcs[token.state]:
                 cand = self._follow(token, arc, 0.0, token.labels)
-                key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
+                key = (cand.state, cand.ctx)
                 best = self._tokens.get(key)
                 if best is None or cand.cost < best.cost:
                     self._tokens[key] = cand

@@ -73,6 +73,8 @@ class TableScorer:
                     value = float(parts[0])
                 except ValueError:
                     raise ParseError(f"non-numeric score {parts[0]!r}", source=source, line=lineno) from None
+                if not value < math.inf:  # -inf (an impossible sequence) is allowed
+                    raise ParseError(f"score {parts[0]!r} is NaN or +inf", source=source, line=lineno)
                 tokens = parts[1:]
                 if table is not None:
                     ids = []

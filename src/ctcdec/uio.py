@@ -64,7 +64,6 @@ class ShardInfo:
 @dataclass
 class ShardList:
     locators: list[str]
-    epoch_seed: int = 0
 
     def __post_init__(self) -> None:
         if len(set(self.locators)) != len(self.locators):
@@ -241,9 +240,9 @@ def read_manifest(path: str | Path) -> list[ShardInfo]:
     return out
 
 
-def shard_list_from_manifest(path: str | Path, epoch_seed: int = 0) -> ShardList:
+def shard_list_from_manifest(path: str | Path) -> ShardList:
     base = Path(path).parent
-    return ShardList([str(base / info.name) for info in read_manifest(path)], epoch_seed)
+    return ShardList([str(base / info.name) for info in read_manifest(path)])
 
 
 # -- reading ---------------------------------------------------------------
@@ -253,7 +252,7 @@ def read_shards(
     shards: ShardList | Sequence[str],
     *,
     shuffle: bool = False,
-    seed: int | None = None,
+    seed: int = 0,
     storage: LocalStorage | None = None,
     on_error: str = "fail",
 ) -> Iterator[SampleRecord]:
@@ -262,43 +261,24 @@ def read_shards(
     Shard visit order is identity, or a seeded Fisher-Yates permutation
     when `shuffle` is set; within a shard records come back strictly
     sequentially (tar stream mode, one record buffered at a time).
-    `on_error` is "fail" (default) or "skip" for unreadable shards.
+    `on_error` is "fail" (default) or "skip" for shards that cannot be
+    opened or read.
     """
     if on_error not in ("fail", "skip"):
         raise ConfigurationError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
-    if isinstance(shards, ShardList):
-        locators = list(shards.locators)
-        if seed is None:
-            seed = shards.epoch_seed
-    else:
-        locators = list(shards)
-        if seed is None:
-            seed = 0
+    locators = list(shards.locators if isinstance(shards, ShardList) else shards)
     if shuffle:
         locators = seeded_shuffle(locators, seed)
     storage = storage if storage is not None else LocalStorage()
 
-    for locator, stream in _opened(locators, storage, on_error):
-        if stream is None:
-            continue
+    for locator in locators:
         try:
-            with stream:
+            with storage.open_read(locator) as stream:
                 yield from iter_shard(stream, locator=locator)
         except (OSError, tarfile.TarError, EngineError) as exc:
             if on_error == "fail":
                 raise
             logger.warning("skipping unreadable shard %s: %s", locator, exc)
-
-
-def _opened(locators, storage, on_error):
-    for locator in locators:
-        try:
-            yield locator, storage.open_read(locator)
-        except OSError as exc:
-            if on_error == "fail":
-                raise
-            logger.warning("skipping unreadable shard %s: %s", locator, exc)
-            yield locator, None
 
 
 def iter_shard(stream: BinaryIO, *, locator: str = "<shard>") -> Iterator[SampleRecord]:

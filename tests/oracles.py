@@ -2,11 +2,12 @@
 
 Everything here is deliberately brute force: exhaustive path enumeration,
 full path-sum marginalization, the textbook ARPA backoff recursion, a
-plain greedy phrase matcher, the object-per-extension prefix search and
-the trace-carrying WFST search. None of it shares code with the engine
-paths it verifies; the two searches borrow only the engine's input and
-output containers (the WFST search also its `StreamingDecoder` chunk
-loop) and the biasing graph's `advance`.
+plain greedy phrase matcher, the `(node, pending)` biasing walker, the
+object-per-extension prefix search and the trace-carrying WFST search.
+None of it shares code with the engine paths it verifies; the walker
+reads only the biasing trie's arcs, and the two searches borrow only the
+engine's input and output containers (the WFST search also its
+`StreamingDecoder` chunk loop) and the biasing graph's `advance`.
 """
 
 from __future__ import annotations
@@ -179,6 +180,33 @@ def greedy_phrase_score(units, phrase_sets, boost):
     return score
 
 
+def reference_advance(graph, node, pending, unit):
+    """One step of the biasing walk that carries its refund along.
+
+    The walker as it stood when its state was `(node, pending)`: `pending`
+    sums `+= boost` over the matches since the last completed phrase, and
+    a mismatch refunds it. It reads only the trie's `match_arcs`,
+    `is_final`, `boost` and `START`. Returns `(node, pending, delta)`.
+    """
+
+    def enter(child, pending):
+        pending += graph.boost
+        if graph.is_final(child):
+            # Keep walking only while a longer phrase can still complete.
+            return (child if graph.match_arcs(child) else graph.START), 0.0, graph.boost
+        return child, pending, graph.boost
+
+    child = graph.match_arcs(node).get(unit)
+    if child is not None:
+        return enter(child, pending)
+    delta = -pending
+    child = graph.match_arcs(graph.START).get(unit)
+    if child is not None:
+        node, pending, gain = enter(child, 0.0)
+        return node, pending, delta + gain
+    return graph.START, 0.0, delta
+
+
 # -- reference CTC prefix beam search ---------------------------------------
 #
 # The pure-Python prefix search as it stood before the array-based step:
@@ -221,7 +249,7 @@ class ReferencePrefixBeamDecoder:
         self.context = context
         self.blank_skip_threshold = blank_skip_threshold
         self.blank = blank
-        initial_ctx = context.initial_state() if context is not None else None
+        initial_ctx = context.START if context is not None else None
         self._entries = {(): _PrefixEntry(0.0, NEG_INF, initial_ctx, 0.0)}
 
     def advance(self, logprobs):
@@ -382,15 +410,18 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
             self._emit_arcs.append(emit)
             self._eps_arcs.append(eps)
         self._min_tokens = max(self._min_tokens, max_ilabel)
-        initial_ctx = self.context.initial_state() if self.context is not None else None
+        initial_ctx = self.context.START if self.context is not None else None
         start = _RefToken(graph.start, 0.0, 0.0, 0.0, initial_ctx, 0.0, (), None)
         self._tokens: dict[tuple[int, int], _RefToken] = {self._key(start): start}
+        self._frame = 0  # index of the next searched (not skipped) frame
         self._eps_expand()
 
     def _key(self, token: _RefToken) -> tuple[int, int]:
-        return (token.state, token.ctx.node if token.ctx is not None else 0)
+        return (token.state, token.ctx if token.ctx is not None else 0)
 
-    def _step(self, row: np.ndarray, frame: int) -> None:
+    def _step(self, row: np.ndarray) -> None:
+        frame = self._frame
+        self._frame += 1
         logp = row.tolist()
         acoustic_scale = self.acoustic_scale
         lm_scale = self.lm_scale
@@ -421,7 +452,7 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
                     words,
                     (token.trace, TraceStep(frame, arc.ilabel, arc.olabel, lp, arc.weight)),
                 )
-                key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
+                key = (cand.state, cand.ctx if cand.ctx is not None else 0)
                 best = nxt.get(key)
                 if best is None or cand.cost < best.cost:
                     nxt[key] = cand
@@ -460,7 +491,7 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
                     words,
                     (token.trace, TraceStep(frame, 0, arc.olabel, 0.0, arc.weight)),
                 )
-                key = (cand.state, cand.ctx.node if cand.ctx is not None else 0)
+                key = (cand.state, cand.ctx if cand.ctx is not None else 0)
                 best = self._tokens.get(key)
                 if best is None or cand.cost < best.cost:
                     self._tokens[key] = cand

@@ -242,6 +242,16 @@ class TestDecode:
         assert top[1] != "a b"  # flag disabled the boost configured in the file
         assert top[0].split()[3] == "0.000000"  # zero context component
 
+    def test_unknown_config_key_is_parse_error(self, tmp_path, capsys):
+        config = tmp_path / "decode.conf"
+        config.write_text("nbest = 2\nbeem = 5\n", encoding="utf-8")
+        code = main(["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
+                     "--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{config}:2: unknown option 'beem'" in captured.err
+
     def test_help_documents_every_option_with_default(self, capsys):
         with pytest.raises(SystemExit):
             import ctcdec.cli as cli
@@ -296,6 +306,40 @@ class TestRescoreCommand:
         assert "bad value for alpha" in capsys.readouterr().err
         assert main(args + ["--ctc-weight", "nan"]) == 1
         assert "ctc_weight" in capsys.readouterr().err
+
+    def test_one_config_serves_decode_and_rescore(self, tmp_path, capsys):
+        config = tmp_path / "both.conf"
+        config.write_text("beam = 4\nnbest = 2\nalpha = 1\nctc_weight = 0\n", encoding="utf-8")
+        nbest = tmp_path / "nbest.txt"
+        assert main(["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
+                     "--config", str(config), "--output", str(nbest)]) == 0
+        l2r, r2l = tmp_path / "l2r.txt", tmp_path / "r2l.txt"
+        l2r.write_text("0.0 b\n-5.0 c\n", encoding="utf-8")
+        r2l.write_text("-5.0 b\n0.0 c\n", encoding="utf-8")
+        args = ["rescore", str(nbest), "--l2r-table", str(l2r), "--r2l-table", str(r2l)]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[1] == "b"  # default fusion
+        assert main(args + ["--config", str(config)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3  # header + the 2 hypotheses decoded with the same file
+        assert rows[1].split("\t")[:2] == ["1 0.000000 -1.548813 0.000000 0.000000", "c"]  # r2l alone
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_nbest_score_is_parse_error(self, tmp_path, capsys, bad):
+        nbest = tmp_path / "nbest.txt"
+        assert main(["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
+                     "--output", str(nbest)]) == 0
+        lines = nbest.read_text(encoding="utf-8").splitlines(keepends=True)
+        head, rest = lines[2].split("\t", 1)
+        fields = head.split()
+        fields[2] = bad  # the ctc score of rank 2
+        lines[2] = " ".join(fields) + "\t" + rest
+        nbest.write_text("".join(lines), encoding="utf-8")
+        table = tmp_path / "table.txt"
+        table.write_text("1.0 a b\n", encoding="utf-8")
+        code = main(["rescore", str(nbest), "--l2r-table", str(table), "--r2l-table", str(table)])
+        assert code == 2
+        assert f"{nbest}:3: score is NaN or +inf" in capsys.readouterr().err
 
 
 class TestShardCommands:

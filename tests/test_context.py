@@ -14,7 +14,7 @@ from ctcdec.context import (
 from ctcdec.errors import ConfigurationError
 from ctcdec.symbols import SymbolTable
 
-from oracles import greedy_phrase_score
+from oracles import greedy_phrase_score, reference_advance
 
 
 def _phrase(units, surface="p"):
@@ -75,14 +75,14 @@ class TestBuild:
 class TestAdvance:
     def test_first_unit_match_boosts_immediately(self):
         graph = ContextGraph([_phrase([1, 2])], 3.0)
-        state, delta = graph.advance(graph.initial_state(), 1)
+        state, delta = graph.advance(graph.START, 1)
         assert delta == pytest.approx(3.0)
-        assert state.pending == pytest.approx(3.0)
+        assert graph.failure_weight(state) == pytest.approx(-3.0)
 
     def test_partial_match_then_mismatch_nets_zero(self):
         b = 7.0
         graph = ContextGraph([_phrase([1, 2, 3, 4])], b)
-        state = graph.initial_state()
+        state = graph.START
         total = 0.0
         for unit in (1, 2, 3):
             state, delta = graph.advance(state, unit)
@@ -95,20 +95,20 @@ class TestAdvance:
     def test_complete_phrase_accumulates_len_times_boost(self):
         b = 2.0
         graph = ContextGraph([_phrase([1, 2, 3, 4])], b)
-        state = graph.initial_state()
+        state = graph.START
         total = 0.0
         for unit in (1, 2, 3, 4):
             state, delta = graph.advance(state, unit)
             total += delta
         assert total == pytest.approx(4 * b)
-        assert state.node == graph.START  # reset after completion
+        assert state == graph.START  # reset after completion
 
     def test_mismatch_retries_from_start(self):
         graph = ContextGraph([_phrase([1, 2])], 1.0)
-        state, _ = graph.advance(graph.initial_state(), 1)
+        state, _ = graph.advance(graph.START, 1)
         state, delta = graph.advance(state, 1)  # not 2, but it restarts the phrase
         assert delta == pytest.approx(-1.0 + 1.0)
-        assert state.node != graph.START
+        assert state != graph.START
 
 
 class TestScoreHypothesis:
@@ -155,10 +155,10 @@ class TestScoreHypothesis:
 
     def test_advance_is_total(self):
         graph = ContextGraph([_phrase([1, 2])], 1.0)
-        state = graph.initial_state()
+        state = graph.START
         for unit in [7, 1, 1, 2, 2, 99, 1]:
             state, _ = graph.advance(state, unit)
-            assert 0 <= state.node < graph.num_states()
+            assert 0 <= state < graph.num_states()
 
 
 class TestDeltaRow:
@@ -169,7 +169,7 @@ class TestDeltaRow:
     )
     def test_row_equals_advance_for_every_unit(self, phrases, walk, width):
         graph = ContextGraph([_phrase(p) for p in phrases], 2.5)
-        state = graph.initial_state()
+        state = graph.START
         for unit in [*walk, None]:
             row = graph.delta_row(state, width)
             assert row.tolist() == [graph.advance(state, u)[1] for u in range(width)]
@@ -179,5 +179,45 @@ class TestDeltaRow:
     def test_rows_are_filled_lazily(self):
         graph = ContextGraph([_phrase([1, 2]), _phrase([3])], 1.0)
         assert graph._rows == {}
-        graph.delta_row(graph.initial_state(), 4)
+        graph.delta_row(graph.START, 4)
         assert list(graph._rows) == [(0, 4)]
+
+
+def _check_against_pending_walker(graph, walk, width):
+    # Exact equality: the node-only walker must round as the walker that
+    # summed its pending boost step by step did.
+    node, pending = graph.START, 0.0
+    for unit in [*walk, None]:
+        assert graph.failure_weight(node) == -pending
+        row = graph.delta_row(node, width)
+        assert row.tolist() == [reference_advance(graph, node, pending, u)[2] for u in range(width)]
+        assert not row.flags.writeable
+        if unit is None:
+            break
+        ref_node, pending, ref_delta = reference_advance(graph, node, pending, unit)
+        node, delta = graph.advance(node, unit)
+        assert (node, delta) == (ref_node, ref_delta)
+
+
+class TestAgainstPendingWalker:
+    def test_deep_refund_is_the_summed_boost(self):
+        # Six or more additions of 0.1 round differently from k * 0.1.
+        graph = ContextGraph([_phrase([1] * 9), _phrase([2, 1])], 0.1)
+        _check_against_pending_walker(graph, [1] * 8 + [2, 1, 1] * 2, 4)
+
+    @given(
+        st.lists(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=8), min_size=1, max_size=4),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        st.integers(min_value=1, max_value=7),
+        st.data(),
+    )
+    def test_walk_and_rows_are_bit_identical(self, phrases, boost, width, data):
+        # Pieces of phrases, with stray units between them, take the walk
+        # deep into the trie, where summed and multiplied boosts differ.
+        pieces = data.draw(st.lists(st.tuples(
+            st.sampled_from(phrases),
+            st.integers(min_value=1, max_value=8),
+            st.lists(st.integers(min_value=1, max_value=6), max_size=2),
+        ), max_size=4))
+        walk = [u for phrase, cut, stray in pieces for u in [*phrase[:cut], *stray]]
+        _check_against_pending_walker(ContextGraph([_phrase(p) for p in phrases], boost), walk, width)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctcdec.decode import Hypothesis, NBestList
-from ctcdec.errors import ConfigurationError
+from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.rescore import FusionWeights, TableScorer, rescore_nbest, reverse_labels
 
 
@@ -147,6 +147,18 @@ class TestTableScorer:
         by_id = TableScorer.from_file(path, table)
         assert by_id.score((1, 2)) == -1.5
         assert by_id.score((2,)) == -0.25
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "+inf"])
+    def test_from_file_rejects_nan_or_plus_inf(self, tmp_path, bad):
+        path = tmp_path / "table.txt"
+        path.write_text(f"-1.5 a b\n{bad} b\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="table.txt:2: .*NaN or \\+inf"):
+            TableScorer.from_file(path)
+
+    def test_from_file_minus_inf_is_an_impossible_sequence(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("-inf a\n", encoding="utf-8")
+        assert TableScorer.from_file(path).score(("a",)) == -math.inf
 
     def test_weights_validated(self):
         with pytest.raises(ConfigurationError):
