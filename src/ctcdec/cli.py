@@ -127,10 +127,11 @@ def _add_option_flags(p: argparse.ArgumentParser, names) -> None:
                        help=f"{_OPTIONS[name][2]} (default: {default})")
 
 
-def read_config(path: str | Path) -> dict[str, str]:
+def read_config(path: str | Path) -> dict[str, object]:
     """`key = value` lines. A key may be any option of `decode` or `rescore`,
-    so one file can serve both; any other key is a parse error."""
-    values: dict[str, str] = {}
+    so one file can serve both; any other key, or a value its option's type
+    cannot take, is a parse error."""
+    values: dict[str, object] = {}
     source = str(path)
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -142,11 +143,15 @@ def read_config(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if key not in _OPTIONS:
             raise ParseError(f"unknown option {key!r}", source=source, line=lineno)
-        values[key] = value.strip()
+        value = value.strip()
+        try:
+            values[key] = type(_default(key))(value)
+        except ValueError:
+            raise ParseError(f"bad value for {key}: {value!r}", source=source, line=lineno) from None
     return values
 
 
-def resolve_options(args: argparse.Namespace, config: dict[str, str], owner) -> dict:
+def resolve_options(args: argparse.Namespace, config: dict[str, object], owner) -> dict:
     """The options `owner` takes, by parameter name: flag > config > default."""
     values = {}
     for name, (stage, param, _) in _OPTIONS.items():
@@ -156,10 +161,7 @@ def resolve_options(args: argparse.Namespace, config: dict[str, str], owner) -> 
         if flag is not None:
             values[param] = flag
         elif name in config:
-            try:
-                values[param] = type(_default(name))(config[name])
-            except ValueError:
-                raise ParseError(f"bad value for {name}: {config[name]!r}") from None
+            values[param] = config[name]
         else:
             values[param] = _default(name)
     return values
@@ -314,6 +316,9 @@ def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
         head = parts[0].split()
         if len(head) != 5:
             raise ParseError("expected 'rank total ctc context lm'", source=source, line=lineno)
+        rank = len(current) + 1
+        if not (head[0].isdecimal() and int(head[0]) == rank):
+            raise ParseError(f"expected rank {rank}, found {head[0]!r}", source=source, line=lineno)
         try:
             total, ctc, ctx, lm = (float(v) for v in head[1:])
         except ValueError:

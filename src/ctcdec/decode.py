@@ -410,18 +410,56 @@ class PrefixBeamDecoder(StreamingDecoder):
 # -- WFST beam search ------------------------------------------------------
 
 
-class _Token:
-    __slots__ = ("state", "cost", "ac_cost", "graph_cost", "ctx", "ctx_score", "words", "labels")
+# Tokens are parallel arrays, one per field. `unit` and `word` are ids of
+# each token's unit and word chains in the decoder's `_Links` (-1 is the
+# empty chain); `last` is the acoustic label of its latest frame (-1 before
+# the first), which decides whether the next label starts a unit. Within a
+# step, `new_unit` and `new_word` hold the label still to be linked onto
+# each chain (0 for none), so links are made only for surviving tokens.
+_FIELDS = (
+    "state", "ctx", "cost", "ac_cost", "graph_cost", "ctx_score",
+    "unit", "last", "word", "new_unit", "new_word",
+)
+_Tokens = dict[str, np.ndarray]
 
-    def __init__(self, state, cost, ac_cost, graph_cost, ctx, ctx_score, words, labels):
-        self.state = state
-        self.cost = cost
-        self.ac_cost = ac_cost
-        self.graph_cost = graph_cost
-        self.ctx = ctx
-        self.ctx_score = ctx_score
-        self.words = words
-        self.labels = labels  # linked (parent, acoustic label) chain, one link per frame
+
+def _take(tokens: _Tokens, index: np.ndarray) -> _Tokens:
+    return {name: array[index] for name, array in tokens.items()}
+
+
+class _Links:
+    """Backpointer chains: link i is chain `parent[i]` extended by `label[i]`."""
+
+    def __init__(self):
+        self._parent = np.empty(256, dtype=np.int64)
+        self._label = np.empty(256, dtype=np.int64)
+        self._size = 0
+
+    def add(self, parents, labels) -> np.ndarray:
+        """New links, one per (parent, label) pair; returns their ids."""
+        start = self._size
+        end = start + len(parents)
+        if end > len(self._parent):
+            grow = np.empty(max(end, 2 * len(self._parent)) - len(self._parent), dtype=np.int64)
+            self._parent = np.concatenate((self._parent, grow))
+            self._label = np.concatenate((self._label, grow))
+        self._parent[start:end] = parents
+        self._label[start:end] = labels
+        self._size = end
+        return np.arange(start, end)
+
+    def chains(self, links: np.ndarray) -> list[tuple[int, ...]]:
+        """Each link's labels, oldest first."""
+        parent = self._parent[: self._size].tolist()
+        label = self._label[: self._size].tolist()
+        out = []
+        for link in links.tolist():
+            chain = []
+            while link >= 0:
+                chain.append(label[link])
+                link = parent[link]
+            out.append(tuple(chain[::-1]))
+        return out
 
 
 class WfstBeamDecoder(StreamingDecoder):
@@ -431,6 +469,16 @@ class WfstBeamDecoder(StreamingDecoder):
     acoustic id 0 is graph label 1); label 0 arcs are free moves expanded
     after each frame. Tokens are pruned to `score_beam` score units of the
     best and to `max_active` tokens. Biasing advances on emitted words.
+
+    The search reads the graph's `arc_arrays()`, which every decoder on an
+    unchanged graph shares, and keeps its tokens as parallel arrays. A
+    frame costs all emitting arcs of the active tokens as one vector and
+    recombines them per (state, context node) with a scatter-min, where
+    the first arrival wins among equal costs. Label-0 arcs are relaxed by
+    a worklist. Counters over the stream: `arcs_expanded` (emitting arcs
+    with a finite log-probability, plus label-0 arcs followed),
+    `tokens_pruned_beam`, `tokens_pruned_max_active` and
+    `eps_relaxations` (label-0 moves that improved a token).
     """
 
     _EPS_RELAX_LIMIT = 1_000_000
@@ -465,147 +513,219 @@ class WfstBeamDecoder(StreamingDecoder):
         self.word_penalty = word_penalty
         self.score_beam = score_beam
         self.max_active = max_active
-        self._emit_arcs: list[list] = []
-        self._eps_arcs: list[list] = []
-        max_ilabel = 0
-        for state in graph.states():
-            emit, eps = [], []
-            for arc in graph.arcs(state):
-                if arc.ilabel == 0:
-                    eps.append(arc)
-                else:
-                    emit.append(arc)
-                    max_ilabel = max(max_ilabel, arc.ilabel)
-            self._emit_arcs.append(emit)
-            self._eps_arcs.append(eps)
-        self._min_tokens = max(self._min_tokens, max_ilabel)
-        start = _Token(graph.start, 0.0, 0.0, 0.0, ContextGraph.START, 0.0, (), None)
-        self._tokens: dict[tuple[int, int], _Token] = {(start.state, start.ctx): start}
-        self._eps_expand()
-
-    def _follow(self, token: _Token, arc, ac: float, labels) -> _Token:
-        """The token reached over `arc` at acoustic cost `ac` (0 on label-0 arcs)."""
-        gw = arc.weight * self.lm_scale
-        ctx = token.ctx
-        ctx_delta = 0.0
-        words = token.words
-        if arc.olabel != 0:
-            gw += self.word_penalty
-            words = words + (arc.olabel,)
-            if self.context is not None:
-                ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
-        return _Token(
-            arc.nextstate,
-            token.cost + ac + gw - ctx_delta,
-            token.ac_cost + ac,
-            token.graph_cost + gw,
-            ctx,
-            token.ctx_score + ctx_delta,
-            words,
-            labels,
-        )
+        self.arcs_expanded = 0
+        self.tokens_pruned_beam = 0
+        self.tokens_pruned_max_active = 0
+        self.eps_relaxations = 0
+        self._arcs = graph.arc_arrays()
+        self._min_tokens = max(self._min_tokens, self._arcs.max_ilabel)
+        self._n_ctx = self.context.num_states() if self.context is not None else 1
+        self._units = _Links()
+        self._words = _Links()
+        start = (graph.start, ContextGraph.START, 0.0, 0.0, 0.0, 0.0, -1, -1, -1, 0, 0)
+        tokens = {name: np.array([value]) for name, value in zip(_FIELDS, start)}
+        if self._arcs.has_epsilon[graph.start]:
+            tokens = self._eps_expand(tokens, [0])
+        self._tokens = self._link(tokens)
 
     def _step(self, row: np.ndarray) -> None:
-        logp = row.tolist()
-        acoustic_scale = self.acoustic_scale
-        nxt: dict[tuple[int, int], _Token] = {}
-        for token in self._tokens.values():
-            for arc in self._emit_arcs[token.state]:
-                lp = logp[arc.ilabel - 1]
-                if lp == NEG_INF:
-                    continue
-                cand = self._follow(token, arc, -lp * acoustic_scale, (token.labels, arc.ilabel - 1))
-                key = (cand.state, cand.ctx)
-                best = nxt.get(key)
-                if best is None or cand.cost < best.cost:
-                    nxt[key] = cand
-        self._tokens = nxt
-        self._eps_expand()
-        self._prune()
+        arcs = self._arcs
+        tokens = self._tokens
+        # Every arc of every token, in token order and then arc order.
+        first = arcs.offsets[tokens["state"]]
+        count = arcs.offsets[tokens["state"] + 1] - first
+        src = np.repeat(np.arange(len(first)), count)
+        arc = np.arange(len(src)) + np.repeat(first - (np.cumsum(count) - count), count)
+        # Label l reads column l - 1, and label 0 reads -inf: label-0 arcs
+        # drop out with the arcs whose token is impossible in this frame.
+        lp = np.concatenate(([NEG_INF], row))[arcs.ilabel[arc]]
+        kept = np.flatnonzero(lp != NEG_INF)
+        src, arc, lp = src[kept], arc[kept], lp[kept]
+        self.arcs_expanded += len(arc)
 
-    def _eps_expand(self) -> None:
-        """Relax label-0 arcs to a fixed point (no frame is consumed)."""
-        worklist = list(self._tokens.values())
-        relaxed = 0
-        while worklist:
-            token = worklist.pop()
-            current = self._tokens.get((token.state, token.ctx))
-            if current is not token:
+        ac = -lp * self.acoustic_scale
+        olabel = arcs.olabel[arc]
+        word = olabel != 0
+        gw = arcs.weight[arc] * self.lm_scale
+        gw[word] += self.word_penalty
+        cost = tokens["cost"][src] + ac + gw
+        ctx = tokens["ctx"][src]
+        delta = np.zeros(len(arc))
+        if self.context is not None and word.any():
+            self._advance_context(ctx, delta, olabel, np.flatnonzero(word))
+            cost -= delta
+
+        # Recombine per (state, ctx): the cheapest candidate, the first among equals.
+        key = arcs.nextstate[arc] * self._n_ctx + ctx
+        if self.context is None:
+            ids, size = key, len(arcs.offsets) - 1
+        else:
+            ids = np.unique(key, return_inverse=True)[1]
+            size = int(ids.max(initial=-1)) + 1
+        best = np.full(size, math.inf)
+        np.minimum.at(best, ids, cost)
+        tie = np.flatnonzero(cost == best[ids])
+        pick = np.full(size, len(cost))
+        np.minimum.at(pick, ids[tie], tie)
+        win = pick[pick < len(cost)]  # ascending key; a key whose costs are all NaN has none
+
+        parent = src[win]
+        label = arcs.ilabel[arc[win]] - 1
+        nxt = {
+            "state": arcs.nextstate[arc[win]],
+            "ctx": ctx[win],
+            "cost": cost[win],
+            "ac_cost": tokens["ac_cost"][parent] + ac[win],
+            "graph_cost": tokens["graph_cost"][parent] + gw[win],
+            "ctx_score": tokens["ctx_score"][parent] + delta[win],
+            "unit": tokens["unit"][parent],
+            "last": label,
+            "word": tokens["word"][parent],
+            "new_unit": np.where((label != 0) & (label != tokens["last"][parent]), label, 0),
+            "new_word": olabel[win],
+        }
+
+        with_eps = np.flatnonzero(arcs.has_epsilon[nxt["state"]])
+        if len(with_eps) > 1:
+            # The worklist starts in the order each key was first reached.
+            arrival = np.full(size, len(cost))
+            np.minimum.at(arrival, ids, np.arange(len(cost)))
+            with_eps = with_eps[np.argsort(arrival[ids[win[with_eps]]])]
+        if len(with_eps):
+            nxt = self._eps_expand(nxt, with_eps.tolist())
+        self._tokens = self._link(self._prune(nxt))
+
+    def _advance_context(self, ctx, delta, olabel, word) -> None:
+        """Biasing over the word candidates `word`, in place: one
+        `ContextGraph.advance` per distinct (node, word) pair."""
+        width = int(olabel[word].max()) + 1
+        pairs, inverse = np.unique(ctx[word] * width + olabel[word], return_inverse=True)
+        moves = [self.context.advance(*divmod(pair, width)) for pair in pairs.tolist()]
+        ctx[word] = np.array([node for node, _ in moves], dtype=np.int64)[inverse]
+        delta[word] = np.array([d for _, d in moves])[inverse]
+
+    def _eps_expand(self, tokens: _Tokens, worklist: list[int]) -> _Tokens:
+        """Relax label-0 arcs to a fixed point (no frame is consumed).
+
+        The worklist of token indices is popped from its end. A strictly
+        cheaper token replaces the one at its (state, ctx) key in place; a
+        key reached for the first time is appended.
+        """
+        epsilon = self._arcs.epsilon
+        n_ctx = self._n_ctx
+        lm_scale, word_penalty, context = self.lm_scale, self.word_penalty, self.context
+        n = len(tokens["state"])
+        index = dict(zip((tokens["state"] * n_ctx + tokens["ctx"]).tolist(), range(n)))
+        records: dict[int, tuple] = {}  # token index -> record, for tokens replaced or added
+        stack: list[tuple[int, tuple | None]] = [(i, None) for i in worklist]
+        relaxed = followed = 0
+        while stack:
+            i, record = stack.pop()
+            if records.get(i) is not record:
                 continue  # superseded by a cheaper token at this key
-            for arc in self._eps_arcs[token.state]:
-                cand = self._follow(token, arc, 0.0, token.labels)
-                key = (cand.state, cand.ctx)
-                best = self._tokens.get(key)
-                if best is None or cand.cost < best.cost:
-                    self._tokens[key] = cand
-                    worklist.append(cand)
-                    relaxed += 1
-                    if relaxed > self._EPS_RELAX_LIMIT:
-                        raise ConfigurationError(
-                            "epsilon expansion did not converge; the graph has an improving label-0 cycle"
-                        )
+            state, ctx, cost, ac_cost, graph_cost, ctx_score, unit, last, word, new_unit, new_word = (
+                record if record is not None else [tokens[name][i] for name in _FIELDS]
+            )
+            for olabel, weight, nextstate in epsilon.get(state, ()):
+                followed += 1
+                gw = weight * lm_scale
+                to_ctx, ctx_delta, to_word, to_new_word = ctx, 0.0, word, new_word
+                if olabel != 0:
+                    gw += word_penalty
+                    if new_word:
+                        to_word = int(self._words.add([word], [new_word])[0])
+                    to_new_word = olabel
+                    if context is not None:
+                        to_ctx, ctx_delta = context.advance(ctx, olabel)
+                cand_cost = cost + 0.0 + gw - ctx_delta
+                key = nextstate * n_ctx + to_ctx
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(index)  # a key reached for the first time
+                current = records.get(j)
+                if current is not None:
+                    if not cand_cost < current[2]:
+                        continue
+                elif j < n and not cand_cost < tokens["cost"][j]:
+                    continue
+                record = (
+                    nextstate, to_ctx, cand_cost, ac_cost + 0.0, graph_cost + gw,
+                    ctx_score + ctx_delta, unit, last, to_word, new_unit, to_new_word,
+                )
+                records[j] = record
+                stack.append((j, record))
+                relaxed += 1
+                if relaxed > self._EPS_RELAX_LIMIT:
+                    raise ConfigurationError(
+                        "epsilon expansion did not converge; the graph has an improving label-0 cycle"
+                    )
+        self.arcs_expanded += followed
+        self.eps_relaxations += relaxed
+        added = []
+        for j, record in records.items():
+            if j < n:
+                for name, value in zip(_FIELDS, record):
+                    tokens[name][j] = value
+            else:
+                added.append(record)  # `records` holds added tokens in index order
+        if added:
+            tokens = {
+                name: np.concatenate((tokens[name], values)) for name, values in zip(_FIELDS, zip(*added))
+            }
+        return tokens
 
-    def _prune(self) -> None:
-        if not self._tokens:
-            return
-        best = min(token.cost for token in self._tokens.values())
-        keep = [
-            (token.cost, key, token)
-            for key, token in self._tokens.items()
-            if token.cost <= best + self.score_beam
-        ]
-        keep.sort(key=lambda item: (item[0], item[1]))
-        keep = keep[: self.max_active]
-        self._tokens = {key: token for _, key, token in keep}
+    def _prune(self, tokens: _Tokens) -> _Tokens:
+        """Keep tokens within `score_beam` of the best, then the `max_active`
+        cheapest, ordered by (cost, state, ctx)."""
+        cost = tokens["cost"]
+        if not len(cost):
+            return tokens
+        kept = np.flatnonzero(cost <= np.fmin.reduce(cost) + self.score_beam)
+        self.tokens_pruned_beam += len(cost) - len(kept)
+        order = np.lexsort((tokens["ctx"][kept], tokens["state"][kept], cost[kept]))
+        self.tokens_pruned_max_active += max(0, len(order) - self.max_active)
+        return _take(tokens, kept[order[: self.max_active]])
+
+    def _link(self, tokens: _Tokens) -> _Tokens:
+        """Link each token's pending unit and word onto its chains."""
+        for links, chain, new in ((self._units, "unit", "new_unit"), (self._words, "word", "new_word")):
+            labels = tokens.pop(new)
+            pending = np.flatnonzero(labels)
+            if len(pending):
+                tokens[chain][pending] = links.add(tokens[chain][pending], labels[pending])
+        return tokens
 
     def finalize(self) -> NBestList:
         """Add final weights, keep the cheapest token per word sequence, rank."""
-        lm_scale = self.lm_scale
-        any_final = any(
-            self.graph.final_weight(token.state) != math.inf for token in self._tokens.values()
-        )
-        by_words: dict[tuple[int, ...], tuple[float, float, _Token]] = {}
-        for _, token in sorted(self._tokens.items()):
-            fw = self.graph.final_weight(token.state)
-            if fw == math.inf:
-                if any_final:
-                    continue
-                fw = 0.0  # no token reached a final state; fall back to all survivors
-            cost = token.cost + fw * lm_scale
-            prev = by_words.get(token.words)
-            if prev is None or cost < prev[0]:
-                by_words[token.words] = (cost, token.graph_cost + fw * lm_scale, token)
+        tokens = _take(self._tokens, np.lexsort((self._tokens["ctx"], self._tokens["state"])))
+        fw = np.array([self.graph.final_weight(state) for state in tokens["state"].tolist()])
+        is_final = fw != math.inf
+        if is_final.any():
+            tokens, fw = _take(tokens, is_final), fw[is_final]
+        else:
+            fw = np.zeros(len(fw))  # no token reached a final state; fall back to all survivors
+        cost = (tokens["cost"] + fw * self.lm_scale).tolist()
+        graph_cost = (tokens["graph_cost"] + fw * self.lm_scale).tolist()
+        by_words: dict[tuple[int, ...], int] = {}
+        for i, words in enumerate(self._words.chains(tokens["word"])):
+            prev = by_words.get(words)
+            if prev is None or cost[i] < cost[prev]:
+                by_words[words] = i
 
-        ranked = sorted(by_words.items(), key=lambda item: (item[1][0], item[0]))
-        hyps = []
-        for words, (cost, graph_cost, token) in ranked[: self.nbest]:
-            labels = []
-            link = token.labels
-            while link is not None:
-                link, label = link
-                labels.append(label)
-            hyps.append(
-                Hypothesis(
-                    units=_collapse(labels[::-1]),
-                    total_score=-cost,
-                    score_ctc=-token.ac_cost,
-                    score_context=token.ctx_score,
-                    score_lm=-graph_cost,
-                    words=tuple(self.graph.osymbols.symbol_of(w) for w in words),
-                )
+        ranked = sorted(by_words.items(), key=lambda item: (cost[item[1]], item[0]))[: self.nbest]
+        best = np.array([i for _, i in ranked], dtype=np.int64)
+        units = self._units.chains(tokens["unit"][best])
+        hyps = [
+            Hypothesis(
+                units=units[rank],
+                total_score=-cost[i],
+                score_ctc=-float(tokens["ac_cost"][i]),
+                score_context=float(tokens["ctx_score"][i]),
+                score_lm=-graph_cost[i],
+                words=tuple(self.graph.osymbols.symbol_of(w) for w in words),
             )
+            for rank, (words, i) in enumerate(ranked)
+        ]
         if not hyps:
             hyps = [Hypothesis(units=(), total_score=NEG_INF, score_ctc=NEG_INF)]
         return NBestList(hyps)
-
-
-def _collapse(labels: Sequence[int]) -> tuple[int, ...]:
-    """CTC collapse: merge adjacent repeats, then drop blanks."""
-    out = []
-    prev = None
-    for label in labels:
-        if label != prev:
-            out.append(label)
-        prev = label
-    return tuple(label for label in out if label != 0)
-

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import semiring
 from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError
 from .symbols import EPSILON, SymbolTable
@@ -50,10 +52,12 @@ class WeightedFst:
         self.start = NO_STATE
         self._arcs: list[list[Arc]] = []
         self.finals: dict[int, float] = {}
+        self._frozen: ArcArrays | None = None  # built by `arc_arrays`, dropped when the arcs change
 
     # -- construction ----------------------------------------------------
 
     def add_state(self) -> int:
+        self._frozen = None
         self._arcs.append([])
         return len(self._arcs) - 1
 
@@ -74,6 +78,7 @@ class WeightedFst:
         self._check_state(dst)
         if ilabel < 0 or olabel < 0:
             raise ConfigurationError("arc labels must be >= 0")
+        self._frozen = None
         self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
 
     def _check_state(self, state: int) -> None:
@@ -102,8 +107,20 @@ class WeightedFst:
 
     def sort_arcs(self) -> None:
         """Order arcs by (ilabel, olabel, nextstate) for reproducible output."""
+        self._frozen = None
         for arcs in self._arcs:
             arcs.sort(key=Arc.sort_key)
+
+    def arc_arrays(self) -> "ArcArrays":
+        """The arcs frozen into read-only arrays.
+
+        Built on the first call and cached until `add_state`, `add_arc` or
+        `sort_arcs` changes them. The start state and final weights are
+        not frozen; read them from the machine.
+        """
+        if self._frozen is None:
+            self._frozen = ArcArrays.freeze(self)
+        return self._frozen
 
     def copy(self) -> "WeightedFst":
         out = WeightedFst(self.isymbols.copy(), self.osymbols.copy())
@@ -225,6 +242,50 @@ class WeightedFst:
 
 def _fmt(weight: float) -> str:
     return f"{weight + 0.0:.6f}"
+
+
+@dataclass(frozen=True, eq=False)
+class ArcArrays:
+    """The arcs of a `WeightedFst` as read-only arrays in CSR form.
+
+    State s owns arcs `offsets[s]:offsets[s + 1]`, in the machine's arc
+    order. `epsilon` holds, for each state that has any, its label-0 arcs
+    as `(olabel, weight, nextstate)` in arc order, and `has_epsilon` marks
+    those states.
+    """
+
+    offsets: np.ndarray
+    ilabel: np.ndarray
+    olabel: np.ndarray
+    weight: np.ndarray
+    nextstate: np.ndarray
+    max_ilabel: int
+    epsilon: dict[int, tuple[tuple[int, float, int], ...]]
+    has_epsilon: np.ndarray
+
+    @classmethod
+    def freeze(cls, fst: WeightedFst) -> "ArcArrays":
+        n = fst.num_states()
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(fst.arcs(s)) for s in fst.states()], out=offsets[1:])
+        arcs = [arc for s in fst.states() for arc in fst.arcs(s)]
+        ilabel = np.fromiter((a.ilabel for a in arcs), np.int64, len(arcs))
+        olabel = np.fromiter((a.olabel for a in arcs), np.int64, len(arcs))
+        weight = np.fromiter((a.weight for a in arcs), np.float64, len(arcs))
+        nextstate = np.fromiter((a.nextstate for a in arcs), np.int64, len(arcs))
+        epsilon: dict[int, list[tuple[int, float, int]]] = {}
+        for i in np.flatnonzero(ilabel == 0).tolist():
+            state = int(np.searchsorted(offsets, i, side="right")) - 1
+            arc = arcs[i]
+            epsilon.setdefault(state, []).append((arc.olabel, arc.weight, arc.nextstate))
+        has_epsilon = np.zeros(n, dtype=bool)
+        has_epsilon[list(epsilon)] = True
+        for array in (offsets, ilabel, olabel, weight, nextstate, has_epsilon):
+            array.flags.writeable = False
+        return cls(
+            offsets, ilabel, olabel, weight, nextstate,
+            int(ilabel.max(initial=0)), {s: tuple(a) for s, a in epsilon.items()}, has_epsilon,
+        )
 
 
 # -- connect -------------------------------------------------------------

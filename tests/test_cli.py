@@ -252,6 +252,16 @@ class TestDecode:
         assert captured.out == ""
         assert f"{config}:2: unknown option 'beem'" in captured.err
 
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "decode.conf"
+        config.write_text("# search\nnbest = 2\nbeam = ten\n", encoding="utf-8")
+        code = main(["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
+                     "--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{config}:3: bad value for beam: 'ten'" in captured.err
+
     def test_help_documents_every_option_with_default(self, capsys):
         with pytest.raises(SystemExit):
             import ctcdec.cli as cli
@@ -340,6 +350,33 @@ class TestRescoreCommand:
         code = main(["rescore", str(nbest), "--l2r-table", str(table), "--r2l-table", str(table)])
         assert code == 2
         assert f"{nbest}:3: score is NaN or +inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, bad_rank, rank", [(3, "1", 2), (3, "3", 2), (5, "2", 1), (3, "2.0", 2)])
+    def test_rank_must_be_the_position_in_its_section(self, tmp_path, capsys, line, bad_rank, rank):
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text(
+            "# utt one\n1 -1 -1 0 0\ta\t\n2 -2 -2 0 0\tb\t\n# utt two\n1 -1 -1 0 0\ta\t\n",
+            encoding="utf-8",
+        )
+        table = tmp_path / "table.txt"
+        table.write_text("1.0 a\n", encoding="utf-8")
+        args = ["rescore", str(nbest), "--l2r-table", str(table), "--r2l-table", str(table)]
+        assert main(args) == 0  # ranks restart at 1 in each section
+        capsys.readouterr()
+        lines = nbest.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line - 1] = bad_rank + lines[line - 1][1:]
+        nbest.write_text("".join(lines), encoding="utf-8")
+        assert main(args) == 2
+        assert f"{nbest}:{line}: expected rank {rank}, found {bad_rank!r}" in capsys.readouterr().err
+
+    def test_rank_field_of_score_numbers_is_rejected(self, tmp_path, capsys):
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text("# utt one\nfoo 1 2 3 4\ta\t\n", encoding="utf-8")
+        table = tmp_path / "table.txt"
+        table.write_text("1.0 a\n", encoding="utf-8")
+        code = main(["rescore", str(nbest), "--l2r-table", str(table), "--r2l-table", str(table)])
+        assert code == 2
+        assert f"{nbest}:2: expected rank 1, found 'foo'" in capsys.readouterr().err
 
 
 class TestShardCommands:

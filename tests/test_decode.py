@@ -341,6 +341,105 @@ class TestWfstBeamSearch:
         assert boosted.best().score_context == pytest.approx(6.0)
 
 
+def _tie_graph():
+    """Start state 0 has two blank arcs to state 1 at equal cost, for w2 and
+    then w1, so the first arc wins recombination; state 1 is final."""
+    from ctcdec.fst import WeightedFst
+    from ctcdec.symbols import SymbolTable
+
+    graph = WeightedFst(SymbolTable.with_epsilon(["t0"]), SymbolTable.with_epsilon(["w1", "w2"]))
+    graph.add_states(2)
+    graph.set_start(0)
+    graph.add_arc(0, 1, 2, 0.5, 1)
+    graph.add_arc(0, 1, 1, 0.5, 1)
+    graph.set_final(1, 0.0)
+    return graph
+
+
+class TestWfstSearchOverAChangedGraph:
+    @staticmethod
+    def _best(graph):
+        """Top hypothesis for one frame with all mass on the blank."""
+        return WfstBeamDecoder(graph, blank_skip_threshold=None).decode(np.zeros((1, 1))).best()
+
+    def test_decoders_share_the_frozen_graph(self):
+        graph = _toy_graph()
+        WfstBeamDecoder(graph)
+        frozen = graph.arc_arrays()
+        WfstBeamDecoder(graph)
+        assert graph.arc_arrays() is frozen
+
+    def test_add_arc_after_a_decode_is_searched(self):
+        graph = _tie_graph()
+        assert self._best(graph).words == ("w2",)
+        graph.add_arc(0, 1, 1, 0.25, 1)  # a cheaper w1 arc
+        best = self._best(graph)
+        assert best.words == ("w1",)
+        assert best.total_score == -0.25
+
+    def test_set_final_after_a_decode_is_searched(self):
+        graph = _tie_graph()
+        assert self._best(graph).total_score == -0.5
+        graph.set_final(1, 0.75)  # the tropical plus keeps the cheaper final weight
+        assert self._best(graph).total_score == -0.5
+        graph.finals.clear()
+        graph.set_final(1, 2.0)
+        assert self._best(graph).total_score == -2.5
+
+    def test_sort_arcs_after_a_decode_is_searched(self):
+        graph = _tie_graph()
+        assert self._best(graph).words == ("w2",)
+        graph.sort_arcs()  # w1's arc now comes first and wins the tie
+        assert self._best(graph).words == ("w1",)
+
+    def test_improving_label0_cycle_is_an_error(self):
+        from ctcdec.fst import WeightedFst
+
+        graph = WeightedFst()
+        graph.add_states(3)
+        graph.set_start(0)
+        graph.add_arc(0, 2, 0, 0.0, 1)
+        graph.add_arc(1, 0, 0, -1.0, 2)
+        graph.add_arc(2, 0, 0, 0.0, 1)
+        graph.set_final(1, 0.0)
+        dec = WfstBeamDecoder(graph, blank_skip_threshold=None)
+        with pytest.raises(ConfigurationError, match="epsilon expansion did not converge"):
+            dec.advance(np.log(np.array([[0.5, 0.5]])))
+
+
+class TestWfstSearchCounters:
+    # On the toy TLG (graph labels 1..4 are blank, a, b, c) the start state 0
+    # has one label-0 arc, to state 5. Frame 1 allows blank and a: state 0
+    # follows 4 arcs (to 1, 2, 3 and 4) and state 5 follows 2 (to 3 and 4),
+    # leaving tokens at 1 (cost 0.69), 3 (1.20), 2 (1.39) and 4 (1.90).
+    # Frame 2 allows blank and b: 1 follows 1 arc, 3 follows 2, 2 follows 2
+    # and 4 follows 1.
+    ROWS = [[0.5, 0.5, 0.0, 0.0], [0.25, 0.0, 0.75, 0.0]]
+
+    def _run(self, **pruning):
+        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=None, **pruning)
+        with np.errstate(divide="ignore"):
+            dec.decode(np.log(np.array(self.ROWS)))
+        return (
+            dec.frames_processed, dec.arcs_expanded, dec.tokens_pruned_beam,
+            dec.tokens_pruned_max_active, dec.eps_relaxations,
+        )
+
+    def test_pruning_off(self):
+        # 1 label-0 arc in the constructor, then 6 and 6 emitting arcs.
+        assert self._run(score_beam=1e9, max_active=10**6) == (2, 13, 0, 0, 1)
+
+    def test_max_active_2(self):
+        # Frame 1 keeps 1 and 3 of 4 tokens; frame 2 expands 1 + 2 arcs
+        # to 1 (2.08), 17 (2.59) and 19 (1.49), and keeps two of them.
+        assert self._run(max_active=2) == (2, 10, 0, 3, 1)
+
+    def test_score_beam(self):
+        # Beam 0.6 keeps 1 and 3 after frame 1 (best 0.69); after frame 2 it
+        # drops 17, which is 1.10 behind 19.
+        assert self._run(score_beam=0.6) == (2, 10, 3, 0, 1)
+
+
 class TestNBestOrdering:
     def test_totals_nonincreasing_and_size_capped(self):
         rng = random.Random(77)

@@ -346,3 +346,69 @@ def test_connect_drops_unproductive_states():
     out = connect(fst)
     assert out.num_states() == 2
     assert math.isinf(out.final_weight(out.start))
+
+
+class TestArcArrays:
+    def _fst(self):
+        isym, osym = _tables()
+        fst = WeightedFst(isym, osym)
+        fst.add_states(3)
+        fst.set_start(0)
+        fst.add_arc(0, 2, 1, 0.5, 1)
+        fst.add_arc(0, 0, 2, 1.5, 2)
+        fst.add_arc(0, 1, 0, 0.0, 1)
+        fst.add_arc(2, 3, 3, 2.0, 0)
+        fst.set_final(1, 0.25)
+        return fst
+
+    def test_csr_holds_every_arc_in_arc_order(self):
+        fst = self._fst()
+        frozen = fst.arc_arrays()
+        assert frozen.offsets.tolist() == [0, 3, 3, 4]
+        assert frozen.ilabel.tolist() == [2, 0, 1, 3]
+        assert frozen.olabel.tolist() == [1, 2, 0, 3]
+        assert frozen.weight.tolist() == [0.5, 1.5, 0.0, 2.0]
+        assert frozen.nextstate.tolist() == [1, 2, 1, 0]
+        assert frozen.max_ilabel == 3
+        assert frozen.epsilon == {0: ((2, 1.5, 2),)}
+        assert frozen.has_epsilon.tolist() == [True, False, False]
+        with pytest.raises(ValueError):
+            frozen.weight[0] = 9.0
+
+    def test_cached_until_the_arcs_change(self):
+        fst = self._fst()
+        frozen = fst.arc_arrays()
+        assert fst.arc_arrays() is frozen
+        fst.arcs(0)
+        fst.set_start(1)  # neither the start state nor final weights are frozen
+        fst.set_final(2, 1.0)
+        assert fst.arc_arrays() is frozen
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda f: f.add_state(),
+            lambda f: f.add_states(1),
+            lambda f: f.add_arc(1, 1, 1, 0.0, 2),
+            lambda f: f.sort_arcs(),
+        ],
+        ids=["add_state", "add_states", "add_arc", "sort_arcs"],
+    )
+    def test_every_arc_change_drops_the_cache(self, change):
+        fst = self._fst()
+        frozen = fst.arc_arrays()
+        change(fst)
+        fresh = fst.arc_arrays()
+        assert fresh is not frozen
+        rebuilt = fst.copy().arc_arrays()
+        for name in ("offsets", "ilabel", "olabel", "weight", "nextstate", "has_epsilon"):
+            assert getattr(fresh, name).tolist() == getattr(rebuilt, name).tolist(), name
+
+    def test_copy_does_not_share_the_cache(self):
+        fst = self._fst()
+        frozen = fst.arc_arrays()
+        twin = fst.copy()
+        assert twin.arc_arrays() is not frozen
+        twin.add_arc(1, 1, 1, 0.0, 2)
+        assert fst.arc_arrays() is frozen
+        assert twin.arc_arrays().offsets.tolist() == [0, 3, 4, 5]

@@ -1,11 +1,11 @@
 """The WFST search against the reference trace-carrying search.
 
-`WfstBeamDecoder` tokens keep only a (parent, acoustic label) chain, and
-one method builds every token reached over an arc.
-`oracles.ReferenceWfstBeamDecoder` keeps a full `TraceStep` chain per
-token and builds tokens separately for emitting and label-0 arcs. Over
-seeded random TLGs and posteriors their n-best text must be
-byte-identical.
+`WfstBeamDecoder` searches each frame as array code over the graph's
+frozen arcs and keeps unit and word backpointers as int arrays.
+`oracles.ReferenceWfstBeamDecoder` is the per-token Python search it
+replaced: it keeps a full `TraceStep` chain per token and builds tokens
+separately for emitting and label-0 arcs. Over seeded random TLGs,
+hand-made graphs and posteriors their n-best text must be byte-identical.
 """
 
 import random
@@ -203,3 +203,84 @@ def test_long_posteriors_on_toy_graph():
         for pruning in PRUNING:
             fast, ref = _both(graph, logprobs, _chunks(rng, logprobs), nbest=10, blank_skip_threshold=None, **pruning)
             assert fast == ref
+
+
+def _word_graph(n_words: int, width: int = 2) -> WeightedFst:
+    return WeightedFst(
+        SymbolTable.with_epsilon([f"t{i}" for i in range(width)]),
+        SymbolTable.with_epsilon([f"w{i}" for i in range(1, n_words + 1)]),
+    )
+
+
+def _check_fixed(graph, logprobs, expected_top_words=None, **kwargs):
+    for pruning in PRUNING:
+        opts = dict(pruning, nbest=10, blank_skip_threshold=None, **kwargs)
+        fast, ref = _both(graph, logprobs, [logprobs], **opts)
+        assert fast == ref, opts
+    if expected_top_words is not None:
+        best = WfstBeamDecoder(graph, blank_skip_threshold=None, **kwargs).decode(logprobs).best()
+        assert best.words == expected_top_words
+
+
+def test_equal_cost_arrivals_keep_the_first():
+    """Tokens at states 1 (w2) and 2 (w1) cost the same after frame 1 and
+    both reach state 3 on frame 2 at equal cost: the token at state 1 comes
+    first in (cost, state) order, so w2 wins state 3."""
+    graph = _word_graph(2)
+    graph.add_states(4)
+    graph.set_start(0)
+    graph.add_arc(0, 2, 2, 0.5, 1)
+    graph.add_arc(0, 2, 1, 0.5, 2)
+    graph.add_arc(1, 1, 0, 0.25, 3)
+    graph.add_arc(2, 1, 0, 0.25, 3)
+    graph.set_final(3, 0.0)
+    logprobs = np.log(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    _check_fixed(graph, logprobs, expected_top_words=("w2",))
+
+
+def test_unpruned_first_step_keeps_the_order_reached():
+    """The constructor does not prune: its tokens stay in the order its
+    label-0 expansion reached them (start, 3, then 2), not in key order, so
+    on frame 1 the token at 3 (w2) arrives first at state 4."""
+    graph = _word_graph(2)
+    graph.add_states(5)
+    graph.set_start(0)
+    graph.add_arc(0, 0, 0, 1.0, 3)
+    graph.add_arc(0, 0, 0, 1.0, 2)
+    graph.add_arc(3, 2, 2, 0.0, 4)
+    graph.add_arc(2, 2, 1, 0.0, 4)
+    graph.set_final(4, 0.0)
+    logprobs = np.log(np.array([[0.5, 0.5]]))
+    _check_fixed(graph, logprobs, expected_top_words=("w2",))
+
+
+@pytest.mark.parametrize("max_active", [1, 2, 3, 4])
+def test_max_active_cut_inside_a_run_of_equal_costs(max_active):
+    """Five tokens tie after frame 1; the cut keeps the lowest states, and
+    each state's word shows which ones survived."""
+    graph = _word_graph(5)
+    graph.add_states(11)
+    graph.set_start(0)
+    for state in (5, 3, 1, 4, 2):
+        graph.add_arc(0, 2, 0, 0.5, state)
+        graph.add_arc(state, 1, state, 0.0, state + 5)
+        graph.set_final(state + 5, 0.0)
+    logprobs = np.log(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    for kwargs in (dict(max_active=max_active), dict(max_active=max_active, score_beam=1.0)):
+        fast, ref = _both(graph, logprobs, [logprobs[:1], logprobs[1:]], nbest=10, blank_skip_threshold=None, **kwargs)
+        assert fast == ref
+        words = [line.split("\t")[2] for line in fast.splitlines()]
+        assert words == [f"w{s}" for s in range(1, max_active + 1)]
+
+
+@pytest.mark.parametrize("with_context", [False, True])
+def test_long_stream_on_a_random_graph(with_context):
+    """A 240-frame stream in random chunks over a seeded random TLG."""
+    rng = random.Random(77)
+    graph = _random_graph(rng)
+    width = max(arc.ilabel for s in graph.states() for arc in graph.arcs(s))
+    logprobs = _random_logprobs(rng, 240, width)
+    context = _word_context(rng, graph) if with_context else None
+    for pruning in (dict(), dict(max_active=3), dict(score_beam=4.0)):
+        fast, ref = _both(graph, logprobs, _chunks(rng, logprobs), nbest=10, context=context, **pruning)
+        assert fast == ref, pruning
