@@ -367,7 +367,7 @@ def cmd_cat_shards(args: argparse.Namespace) -> int:
         if item.endswith((".tar", ".tar.gz", ".tgz")):
             locators.append(item)
         else:
-            locators.extend(shard_list_from_manifest(item).locators)
+            locators.extend(shard_list_from_manifest(item))
     for record in read_shards(locators):
         print(f"{record.key} {record.total_bytes()}")
     return 0

@@ -43,7 +43,6 @@ class ContextGraph:
         if not phrases:
             raise ConfigurationError("no usable biasing phrases: context graph would be empty")
         self.boost = boost
-        self.phrases = tuple(phrases)
         self._children: list[dict[int, int]] = [{}]
         self._final: list[bool] = [False]
         # (node, width) -> read-only delta row; filled on the first `delta_row` call.

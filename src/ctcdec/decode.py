@@ -140,19 +140,11 @@ class PosteriorMatrix:
         Path(path).write_text(self.to_text(domain), encoding="utf-8")
 
 
-def skip_blank_frames(
-    post: PosteriorMatrix, threshold: float
-) -> tuple[PosteriorMatrix, tuple[int, ...]]:
-    """Drop frames whose blank probability exceeds `threshold`, in (0, 1].
-
-    Returns the filtered matrix and the original indices of kept frames.
-    """
+def skip_blank_frames(post: PosteriorMatrix, threshold: float) -> np.ndarray:
+    """Indices of the frames whose blank probability is at most `threshold`, in (0, 1]."""
     if post.frames == 0:
-        return post, ()
-    blank_prob = np.exp(post.logprobs[:, 0])
-    keep = blank_prob <= threshold
-    kept = tuple(int(i) for i in np.nonzero(keep)[0])
-    return PosteriorMatrix(post.logprobs[keep]), kept
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.exp(post.logprobs[:, 0]) <= threshold)
 
 
 # -- hypotheses ----------------------------------------------------------
@@ -258,7 +250,7 @@ class StreamingDecoder:
                 )
         kept: Sequence[int] = range(matrix.frames)
         if self.blank_skip_threshold is not None:
-            _, kept = skip_blank_frames(matrix, self.blank_skip_threshold)
+            kept = skip_blank_frames(matrix, self.blank_skip_threshold)
         for t in kept:
             self._step(matrix.row(t))
         self.frames_processed += len(kept)

@@ -201,6 +201,10 @@ class WeightedFst:
             try:
                 if len(parts) == 5:
                     src, dst, il, ol = (int(p) for p in parts[:4])
+                    if min(src, dst) < 0:
+                        raise ValueError(f"state ids must be >= 0, got {src} and {dst}")
+                    if min(il, ol) < 0:
+                        raise ValueError(f"labels must be >= 0, got {il} and {ol}")
                     if known_il is not None and il not in known_il:
                         raise ValueError(f"input label {il} not in the symbol table")
                     if known_ol is not None and ol not in known_ol:
@@ -212,6 +216,8 @@ class WeightedFst:
                     max_state = max(max_state, src, dst)
                 elif len(parts) == 2:
                     state = int(parts[0])
+                    if state < 0:
+                        raise ValueError(f"state id must be >= 0, got {state}")
                     w = float(parts[1])
                     if not w > _NEG_INF:
                         raise ValueError(f"final weight {parts[1]!r} is NaN or -inf")
@@ -420,8 +426,10 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
     weights are pushed forward so the weighted language is preserved.
     Arcs whose encoded pair is (0, 0) are kept as regular labels, so
     machines with epsilon cycles of that kind (n-gram backoff loops) stay
-    representable. Raises ResourceError if the construction exceeds the
-    state budget (default 10x the input size, with a small floor).
+    representable. Paths of weight +inf (the semiring zero) are dropped.
+    Each state's arcs are added in (ilabel, olabel) order. Raises
+    ResourceError if the construction exceeds the state budget (default
+    10x the input size, with a small floor).
     """
     out = WeightedFst(a.isymbols.copy(), a.osymbols.copy())
     if a.is_empty():
@@ -455,9 +463,10 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
         for state, residual in subset:
             final = semiring.plus(final, semiring.times(residual, a.final_weight(state)))
             for arc in a.arcs(state):
-                label = (arc.ilabel, arc.olabel)
-                targets = by_label.setdefault(label, {})
                 w = semiring.times(residual, arc.weight)
+                if w == semiring.ZERO:
+                    continue  # a subset of +inf residuals would hold NaN and never match itself
+                targets = by_label.setdefault((arc.ilabel, arc.olabel), {})
                 prev = targets.get(arc.nextstate, semiring.ZERO)
                 targets[arc.nextstate] = semiring.plus(prev, w)
         if final != semiring.ZERO:
@@ -469,8 +478,6 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
             next_subset = tuple(sorted((state, w - w_min) for state, w in targets.items()))
             dst = subset_state(next_subset)
             out.add_arc(src, label[0], label[1], w_min, dst)
-
-    out.sort_arcs()
     return out
 
 

@@ -247,6 +247,4 @@ def build_TLG(
         if sym_id not in aux:
             clean.add(sym, sym_id)
     stripped = fstlib.relabel_ilabels(mind, {a: 0 for a in aux}, isymbols=clean)
-    tlg = fstlib.compose(t, stripped)
-    tlg.sort_arcs()
-    return tlg
+    return fstlib.compose(t, stripped)

@@ -52,27 +52,6 @@ class SampleRecord:
         return sum(len(data) for data in self.payloads.values())
 
 
-@dataclass(frozen=True)
-class ShardInfo:
-    """Manifest row for one shard file."""
-
-    name: str
-    sample_count: int
-    byte_size: int
-
-
-@dataclass
-class ShardList:
-    locators: list[str]
-
-    def __post_init__(self) -> None:
-        if len(set(self.locators)) != len(self.locators):
-            raise ConfigurationError("shard locators must be unique")
-
-    def __len__(self) -> int:
-        return len(self.locators)
-
-
 class LocalStorage:
     """Filesystem backend; accepts plain paths and file:// URLs.
 
@@ -81,17 +60,15 @@ class LocalStorage:
     """
 
     def open_read(self, locator: str) -> BinaryIO:
-        return open(self.resolve(locator), "rb")
-
-    def resolve(self, locator: str) -> str:
+        path = locator
         if "://" in locator:
             parsed = urlparse(locator)
             if parsed.scheme != "file":
                 raise ConfigurationError(
                     f"unsupported storage scheme {parsed.scheme!r} in {locator!r} (only file:// and local paths)"
                 )
-            return parsed.path
-        return locator
+            path = parsed.path
+        return open(path, "rb")
 
 
 # -- deterministic shuffling ----------------------------------------------
@@ -132,18 +109,19 @@ def pack_shards(
     out_dir: str | Path,
     *,
     compress: bool = False,
-) -> ShardList:
+) -> list[str]:
     """Pack a sample stream into ceil(N / shard_size) tar shards.
 
     Entries of one record stay adjacent and records keep input order. A
     `manifest.txt` with `shard_path sample_count byte_size` lines is
-    written next to the shards. Duplicate keys abort the pack.
+    written next to the shards. Duplicate keys abort the pack. Returns
+    the shard paths in order.
     """
     if shard_size < 1:
         raise ConfigurationError("shard_size must be >= 1")
     out_path = Path(out_dir)
     seen_keys: set[str] = set()
-    infos: list[ShardInfo] = []
+    manifest: list[str] = []
     locators: list[str] = []
 
     writer: _ShardWriter | None = None
@@ -154,23 +132,23 @@ def pack_shards(
             seen_keys.add(sample.key)
             if writer is None:
                 out_path.mkdir(parents=True, exist_ok=True)
-                writer = _ShardWriter(out_path, len(infos), compress)
+                writer = _ShardWriter(out_path, len(locators), compress)
             writer.add(sample)
             if writer.count >= shard_size:
-                infos.append(writer.close())
-                locators.append(str(out_path / infos[-1].name))
+                manifest.append(writer.close())
+                locators.append(str(writer.path))
                 writer = None
         if writer is not None:
-            infos.append(writer.close())
-            locators.append(str(out_path / infos[-1].name))
+            manifest.append(writer.close())
+            locators.append(str(writer.path))
             writer = None
     finally:
         if writer is not None:
             writer.abort()
 
-    if infos:
-        write_manifest(out_path / MANIFEST_NAME, infos)
-    return ShardList(locators)
+    if manifest:
+        (out_path / MANIFEST_NAME).write_text("".join(manifest), encoding="utf-8")
+    return locators
 
 
 class _ShardWriter:
@@ -202,12 +180,13 @@ class _ShardWriter:
         info.uname = info.gname = ""
         self._tar.addfile(info, io.BytesIO(data))
 
-    def close(self) -> ShardInfo:
+    def close(self) -> str:
+        """Finish the shard and return its manifest line."""
         self._tar.close()
         if self._stream is not self._raw:
             self._stream.close()
         self._raw.close()
-        return ShardInfo(self.name, self.count, self.path.stat().st_size)
+        return f"{self.name} {self.count} {self.path.stat().st_size}\n"
 
     def abort(self) -> None:
         try:
@@ -216,40 +195,36 @@ class _ShardWriter:
             self.path.unlink(missing_ok=True)
 
 
-def write_manifest(path: str | Path, infos: Sequence[ShardInfo]) -> None:
-    Path(path).write_text(
-        "".join(f"{i.name} {i.sample_count} {i.byte_size}\n" for i in infos), encoding="utf-8"
-    )
+def shard_list_from_manifest(path: str | Path) -> list[str]:
+    """Shard paths from `shard_path sample_count byte_size` lines.
 
-
-def read_manifest(path: str | Path) -> list[ShardInfo]:
-    """Parse `shard_path sample_count byte_size` lines; paths stay relative."""
-    out = []
+    Paths resolve against the manifest's directory; a shard named twice
+    is rejected.
+    """
+    base = Path(path).parent
     source = str(path)
+    locators: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected 'shard_path sample_count byte_size'", source=source, line=lineno)
         try:
-            out.append(ShardInfo(parts[0], int(parts[1]), int(parts[2])))
+            int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError("counts must be integers", source=source, line=lineno) from None
-    return out
-
-
-def shard_list_from_manifest(path: str | Path) -> ShardList:
-    base = Path(path).parent
-    return ShardList([str(base / info.name) for info in read_manifest(path)])
+        if parts[0] in locators:
+            raise ParseError(f"shard {parts[0]!r} is listed twice", source=source, line=lineno)
+        locators[parts[0]] = str(base / parts[0])
+    return list(locators.values())
 
 
 # -- reading ---------------------------------------------------------------
 
 
 def read_shards(
-    shards: ShardList | Sequence[str],
+    shards: Sequence[str],
     *,
     shuffle: bool = False,
     seed: int = 0,
@@ -261,12 +236,15 @@ def read_shards(
     Shard visit order is identity, or a seeded Fisher-Yates permutation
     when `shuffle` is set; within a shard records come back strictly
     sequentially (tar stream mode, one record buffered at a time).
+    A repeated locator is rejected before any shard is opened.
     `on_error` is "fail" (default) or "skip" for shards that cannot be
     opened or read.
     """
     if on_error not in ("fail", "skip"):
         raise ConfigurationError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
-    locators = list(shards.locators if isinstance(shards, ShardList) else shards)
+    locators = list(shards)
+    if len(set(locators)) != len(locators):
+        raise ConfigurationError("shard locators must be unique")
     if shuffle:
         locators = seeded_shuffle(locators, seed)
     storage = storage if storage is not None else LocalStorage()
@@ -274,27 +252,20 @@ def read_shards(
     for locator in locators:
         try:
             with storage.open_read(locator) as stream:
-                yield from iter_shard(stream, locator=locator)
+                yield from _read_shard(stream, locator)
         except (OSError, tarfile.TarError, EngineError) as exc:
             if on_error == "fail":
                 raise
             logger.warning("skipping unreadable shard %s: %s", locator, exc)
 
 
-def iter_shard(stream: BinaryIO, *, locator: str = "<shard>") -> Iterator[SampleRecord]:
+def _read_shard(stream: BinaryIO, locator: str) -> Iterator[SampleRecord]:
     """Yield records from one tar stream; gzip is sniffed from the locator."""
     mode = "r|gz" if locator.endswith((".tar.gz", ".tgz")) else "r|"
     last_entry = "<start>"
     key: str | None = None
     payloads: dict[str, bytes] = {}
     metadata: dict[str, str] = {}
-
-    def flush() -> Iterator[SampleRecord]:
-        nonlocal key, payloads, metadata
-        if key is not None:
-            yield SampleRecord(key, payloads, metadata)
-            key, payloads, metadata = None, {}, {}
-
     try:
         with tarfile.open(fileobj=stream, mode=mode) as tar:
             for member in tar:
@@ -305,8 +276,9 @@ def iter_shard(stream: BinaryIO, *, locator: str = "<shard>") -> Iterator[Sample
                 if not dot or not base:
                     raise ParseError(f"entry {member.name!r} is not named key.suffix", source=locator)
                 if base != key:
-                    yield from flush()
-                    key = base
+                    if key is not None:
+                        yield SampleRecord(key, payloads, metadata)
+                    key, payloads, metadata = base, {}, {}
                 handle = tar.extractfile(member)
                 data = handle.read() if handle is not None else b""
                 if suffix == METADATA_SUFFIX:
@@ -318,7 +290,8 @@ def iter_shard(stream: BinaryIO, *, locator: str = "<shard>") -> Iterator[Sample
             trailer = tar.fileobj.read(tarfile.RECORDSIZE)  # type: ignore[union-attr]
             if trailer.strip(b"\0"):
                 raise tarfile.ReadError("archive continues with unreadable data")
-            yield from flush()
+            if key is not None:
+                yield SampleRecord(key, payloads, metadata)
     except (tarfile.TarError, EOFError, zlib.error, json.JSONDecodeError) as exc:
         raise ParseError(f"corrupt shard after entry {last_entry!r}: {exc}", source=locator) from exc
 

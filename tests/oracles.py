@@ -254,10 +254,11 @@ class ReferencePrefixBeamDecoder:
 
     def advance(self, logprobs):
         matrix = PosteriorMatrix(logprobs)
+        rows = matrix.logprobs
         if self.blank_skip_threshold is not None:
-            matrix, _ = skip_blank_frames(matrix, self.blank_skip_threshold)
-        for t in range(matrix.frames):
-            self._step([float(v) for v in matrix.row(t)])
+            rows = rows[skip_blank_frames(matrix, self.blank_skip_threshold)]
+        for row in rows:
+            self._step([float(v) for v in row])
 
     def _step(self, logp):
         nxt = {}

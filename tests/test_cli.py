@@ -75,6 +75,15 @@ class TestBuildGraph:
         assert code == 2
         assert "NaN or +inf" in capsys.readouterr().err
 
+    def test_negative_state_in_graph_exits_2(self, tmp_path, capsys):
+        graph = _build(tmp_path)
+        tlg = graph / "TLG.fst"
+        lines = tlg.read_text(encoding="utf-8").splitlines()
+        tlg.write_text("\n".join(lines + ["-2 0"]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph)]) == 2
+        assert f"TLG.fst:{len(lines) + 1}: " in capsys.readouterr().err
+
 
 class TestDecode:
     def test_with_lm_matches_golden(self, tmp_path):
@@ -407,6 +416,17 @@ class TestShardCommands:
         manifest.write_text(text, encoding="utf-8")
         assert main(["pack", str(manifest), "--out", str(tmp_path / "x")]) == 1
         assert "s0" in capsys.readouterr().err
+
+    def test_cat_same_shard_twice_fails_before_listing(self, tmp_path, capsys):
+        manifest = self._raw_manifest(tmp_path)
+        out = tmp_path / "shards"
+        assert main(["pack", str(manifest), "--out", str(out)]) == 0
+        capsys.readouterr()
+        shard = str(out / "shard_00000.tar")
+        assert main(["cat-shards", shard, shard]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unique" in captured.err
 
     def test_cat_corrupted_tar_fails_naming_entry(self, tmp_path, capsys):
         manifest = self._raw_manifest(tmp_path)

@@ -322,6 +322,11 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=f"x.fst:{line}: .*NaN or -inf"):
             WeightedFst.from_text(text, source="x.fst")
 
+    @pytest.mark.parametrize("bad", ["-1 0 1 1 0.5", "0 -3 1 1 0.5", "0 1 -2 3 0.5", "-2 0"])
+    def test_negative_state_or_label_rejected_citing_line(self, bad):
+        with pytest.raises(ParseError, match=r"x.fst:2: .*>= 0"):
+            WeightedFst.from_text(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", source="x.fst")
+
     def test_plus_inf_weight_is_the_semiring_zero(self):
         fst = WeightedFst.from_text("0 1 1 1 inf\n1 inf\n0 0.5\n")
         assert fst.arcs(0)[0].weight == semiring.ZERO

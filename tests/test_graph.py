@@ -1,9 +1,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ctcdec.arpa import parse_arpa
+from ctcdec.decode import WfstBeamDecoder
 from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.fst import WeightedFst, compose, determinize, shortest_path
 from ctcdec.graph import build_G, build_L, build_T, build_TLG, disambig_ids, read_units
@@ -270,6 +272,28 @@ class TestTlg:
         l = build_L(lex, units, lex.words())
         g = build_G(parse_arpa("\\data\\\n\n\\end\\\n"), words=lex.words())
         assert build_TLG(t, l, g).is_empty()
+
+    @pytest.mark.parametrize(
+        "arpa",
+        [
+            # ac has probability zero
+            "\\data\\\nngram 1=4\n\n\\1-grams:\n-0.5 ab\n-inf ac\n-0.5 bc\n-1 </s>\n\n\\end\\\n",
+            # ac can be said, but nothing may follow it: its backoff has probability zero
+            "\\data\\\nngram 1=5\nngram 2=3\n\n\\1-grams:\n-0.5 ab -0.3\n-0.2 ac -inf\n-0.5 bc -0.3\n"
+            "-1 </s>\n-99 <s> -0.3\n\n\\2-grams:\n-0.2 <s> ab\n-0.1 <s> ac\n-0.2 ab </s>\n\n\\end\\\n",
+        ],
+        ids=["zero_word", "zero_backoff"],
+    )
+    def test_probability_zero_paths_are_dropped(self, arpa):
+        lex = parse_lexicon(TOY_LEXICON)
+        units, words = ["a", "b", "c"], ["ab", "ac", "bc"]
+        tlg = build_TLG(build_T(units), build_L(lex, units, words), build_G(parse_arpa(arpa), words))
+        ac = tlg.osymbols.id_of("ac")
+        assert all(arc.olabel != ac for state in tlg.states() for arc in tlg.arcs(state))
+        # frame labels for "ac": a a <blank> c
+        nbest = WfstBeamDecoder(tlg).decode(np.log(np.full((4, 4), 0.01) + 0.96 * np.eye(4)[[1, 1, 0, 3]]))
+        assert nbest.best().words
+        assert "ac" not in {word for hyp in nbest for word in hyp.words}
 
     def test_no_disambig_survives(self):
         tlg, _ = _toy_tlg()

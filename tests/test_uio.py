@@ -13,12 +13,10 @@ from ctcdec.uio import (
     Map,
     RawSampleReader,
     SampleRecord,
-    ShardList,
     Shuffle,
     SplitMix64,
     chain,
     pack_shards,
-    read_manifest,
     read_shards,
     seeded_shuffle,
     shard_list_from_manifest,
@@ -36,6 +34,11 @@ def _records(n, payload_bytes=16):
             )
         )
     return out
+
+
+def _manifest_counts(out_dir):
+    lines = (out_dir / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    return [int(line.split()[1]) for line in lines]
 
 
 class InstrumentedStorage(LocalStorage):
@@ -89,13 +92,11 @@ class TestPack:
     def test_three_samples_fit_one_big_shard(self, tmp_path):
         shards = pack_shards(_records(3), 1000, tmp_path)
         assert len(shards) == 1
-        infos = read_manifest(tmp_path / "manifest.txt")
-        assert infos[0].sample_count == 3
+        assert _manifest_counts(tmp_path) == [3]
 
     def test_ceiling_division_of_shard_sizes(self, tmp_path):
         shards = pack_shards(_records(5), 2, tmp_path)
-        infos = read_manifest(tmp_path / "manifest.txt")
-        assert [i.sample_count for i in infos] == [2, 2, 1]
+        assert _manifest_counts(tmp_path) == [2, 2, 1]
         assert len(shards) == 3
 
     def test_empty_stream_writes_nothing(self, tmp_path):
@@ -138,7 +139,7 @@ class TestRead:
     def test_gzip_round_trip(self, tmp_path):
         records = _records(4)
         shards = pack_shards(records, 2, tmp_path, compress=True)
-        assert all(loc.endswith(".tar.gz") for loc in shards.locators)
+        assert all(loc.endswith(".tar.gz") for loc in shards)
         back = list(read_shards(shards))
         assert [r.key for r in back] == [r.key for r in records]
 
@@ -153,10 +154,10 @@ class TestRead:
         second = [r.key for r in read_shards(shards, shuffle=True, seed=9)]
         assert first == second
         # Order within each shard stays sequential.
-        order = seeded_shuffle(shards.locators, 9)
+        order = seeded_shuffle(shards, 9)
         expected = []
         for locator in order:
-            base = shards.locators.index(locator) * 2
+            base = shards.index(locator) * 2
             expected += [f"utt{base:04d}", f"utt{base + 1:04d}"]
         assert first == expected
 
@@ -171,7 +172,7 @@ class TestRead:
 
     def test_unreadable_shard_policy(self, tmp_path):
         shards = pack_shards(_records(4), 2, tmp_path)
-        broken = ShardList([shards.locators[0], str(tmp_path / "missing.tar"), shards.locators[1]])
+        broken = [shards[0], str(tmp_path / "missing.tar"), shards[1]]
         with pytest.raises(OSError):
             list(read_shards(broken))
         keys = [r.key for r in read_shards(broken, on_error="skip")]
@@ -200,6 +201,35 @@ class TestRead:
         shards = shard_list_from_manifest(tmp_path / "manifest.txt")
         assert len(shards) == 3
         assert [r.key for r in read_shards(shards)] == [f"utt{i:04d}" for i in range(5)]
+
+    def test_repeated_locator_rejected_before_any_open(self, tmp_path):
+        shards = pack_shards(_records(4), 2, tmp_path)
+        storage = InstrumentedStorage()
+        with pytest.raises(ConfigurationError, match="unique"):
+            next(read_shards([shards[0], shards[1], shards[0]], storage=storage))
+        assert storage.opens == 0
+
+    def test_manifest_naming_a_shard_twice_rejected(self, tmp_path):
+        pack_shards(_records(4), 2, tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        first = manifest.read_text(encoding="utf-8").splitlines()[0]
+        manifest.write_text(manifest.read_text(encoding="utf-8") + first + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"manifest\.txt:3.*shard_00000\.tar"):
+            shard_list_from_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("shard_00000.tar two 10", "integers"),
+            ("shard_00000.tar 2 1e3", "integers"),
+            ("shard_00000.tar 2", "expected"),
+        ],
+    )
+    def test_bad_manifest_line_cites_it(self, tmp_path, line, message):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"manifest\.txt:2.*{message}"):
+            shard_list_from_manifest(manifest)
 
     def test_epoch_coverage_exactly_once(self, tmp_path):
         records = _records(30)
