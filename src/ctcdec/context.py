@@ -141,18 +141,6 @@ class ContextGraph:
         return child
 
 
-def score_hypothesis(units: Iterable[int], graph: ContextGraph | None) -> float:
-    """Fold of `ContextGraph.advance` over a unit sequence from the start node."""
-    if graph is None:
-        return 0.0
-    node = graph.START
-    total = 0.0
-    for unit in units:
-        node, delta = graph.advance(node, unit)
-        total += delta
-    return total
-
-
 def phrase_units(surface: str, table: SymbolTable, mode: str) -> tuple[int, ...] | None:
     """Split a phrase into biasing-unit ids; None when a unit is unresolvable.
 

@@ -1,17 +1,25 @@
 """Weighted finite-state transducers over the tropical semiring.
 
-Just enough algebra to build and search CTC decoding graphs: mutable
-construction, composition with an epsilon filter, determinization of
-(ilabel, olabel)-encoded labels, minimization, connection, and n-best
-shortest paths. Arc label 0 is epsilon on both tapes.
+Just enough algebra to build and search CTC decoding graphs: construction,
+composition with an epsilon filter, determinization of (ilabel,
+olabel)-encoded labels, minimization and connection. Arc label 0 is
+epsilon on both tapes.
+
+A machine stores its arcs as one `ArcArrays`: CSR columns grouped by
+source state. The arrays are the storage, not a cache of it. Every
+algorithm here reads rows from them and emits new columns, which one
+private constructor turns into the result; no pass makes an object per
+arc. `WeightedFst.arcs` builds `Arc` values for one state on demand, for
+tests and oracles.
 """
 
 from __future__ import annotations
 
-import heapq
+import dataclasses
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +34,11 @@ _NEG_INF = float("-inf")
 # the 10x term is what scales on real graphs.
 _DET_BUDGET_FLOOR = 1000
 
+# The text format's two line shapes, as `np.loadtxt` rows.
+_ARC_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("il", np.int64), ("ol", np.int64), ("w", np.float64)])
+_FINAL_ROW = np.dtype([("state", np.int64), ("w", np.float64)])
+_TEXT_CHUNK = 1 << 16  # arcs per `%` call in `to_text`, which bounds the argument tuple it builds
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -34,36 +47,51 @@ class Arc:
     weight: float
     nextstate: int
 
-    def sort_key(self) -> tuple[int, int, int, float]:
-        return (self.ilabel, self.olabel, self.nextstate, self.weight)
-
 
 class WeightedFst:
-    """A mutable WFST with dense integer states.
+    """A WFST with dense integer states whose arcs are one `ArcArrays`.
 
     Arc weights live in the tropical semiring (see `semiring`). Symbol
     tables are carried along so composition can verify tape compatibility;
     id 0 must be epsilon in both.
+
+    `add_arc` checks its arguments and queues the arc; queued arcs and
+    added states are merged into new arrays, stably by source state, on
+    the next read. An unchanged machine hands out the same arrays object
+    every time, and every change to its arcs yields a new one. The start
+    state and the final weights are not part of the arrays: `set_start`
+    and `set_final` leave them alone.
     """
 
     def __init__(self, isymbols: SymbolTable | None = None, osymbols: SymbolTable | None = None):
         self.isymbols = isymbols if isymbols is not None else SymbolTable.with_epsilon()
         self.osymbols = osymbols if osymbols is not None else SymbolTable.with_epsilon()
         self.start = NO_STATE
-        self._arcs: list[list[Arc]] = []
         self.finals: dict[int, float] = {}
-        self._frozen: ArcArrays | None = None  # built by `arc_arrays`, dropped when the arcs change
+        self._num_states = 0
+        self._arrays = ArcArrays.from_columns(0, (), (), (), (), ())
+        self._pending: list[tuple[int, int, int, float, int]] = []  # (src, ilabel, olabel, weight, dst)
+
+    @classmethod
+    def _from_columns(
+        cls, isymbols, osymbols, num_states: int, start: int, finals: dict[int, float], *columns
+    ) -> "WeightedFst":
+        """A machine over `columns` = (src, ilabel, olabel, weight, nextstate)."""
+        out = cls(isymbols, osymbols)
+        out._num_states = num_states
+        out.start = start
+        out.finals = finals
+        out._arrays = ArcArrays.from_columns(num_states, *columns)
+        return out
 
     # -- construction ----------------------------------------------------
 
     def add_state(self) -> int:
-        self._frozen = None
-        self._arcs.append([])
-        return len(self._arcs) - 1
+        self._num_states += 1
+        return self._num_states - 1
 
     def add_states(self, n: int) -> None:
-        for _ in range(n):
-            self.add_state()
+        self._num_states += max(n, 0)
 
     def set_start(self, state: int) -> None:
         self._check_state(state)
@@ -78,99 +106,83 @@ class WeightedFst:
         self._check_state(dst)
         if ilabel < 0 or olabel < 0:
             raise ConfigurationError("arc labels must be >= 0")
-        self._frozen = None
-        self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
+        self._pending.append((src, ilabel, olabel, weight, dst))
 
     def _check_state(self, state: int) -> None:
-        if not 0 <= state < len(self._arcs):
+        if not 0 <= state < self._num_states:
             raise ConfigurationError(f"state {state} does not exist")
 
     # -- inspection ------------------------------------------------------
 
     def num_states(self) -> int:
-        return len(self._arcs)
+        return self._num_states
 
     def num_arcs(self) -> int:
-        return sum(len(arcs) for arcs in self._arcs)
+        return len(self._arrays.ilabel) + len(self._pending)
 
     def states(self) -> range:
-        return range(len(self._arcs))
+        return range(self._num_states)
 
     def arcs(self, state: int) -> list[Arc]:
-        return self._arcs[state]
+        """The arcs leaving `state`, built as `Arc` values on each call."""
+        a = self.arc_arrays()
+        span = slice(a.offsets[state], a.offsets[state + 1])
+        return list(map(Arc, *(c[span].tolist() for c in (a.ilabel, a.olabel, a.weight, a.nextstate))))
 
     def final_weight(self, state: int) -> float:
         return self.finals.get(state, semiring.ZERO)
 
     def is_empty(self) -> bool:
-        return self.start == NO_STATE or not self._arcs
-
-    def sort_arcs(self) -> None:
-        """Order arcs by (ilabel, olabel, nextstate) for reproducible output."""
-        self._frozen = None
-        for arcs in self._arcs:
-            arcs.sort(key=Arc.sort_key)
+        return self.start == NO_STATE or not self._num_states
 
     def arc_arrays(self) -> "ArcArrays":
-        """The arcs frozen into read-only arrays.
+        """The arcs as read-only CSR arrays, with queued arcs merged in first."""
+        a = self._arrays
+        if self._pending or a.num_states != self._num_states:
+            added = zip(*self._pending) if self._pending else [()] * 5
+            self._arrays = ArcArrays.from_columns(self._num_states, *(
+                np.concatenate((old, np.array(new, dtype=old.dtype))) for old, new in zip(a.columns(), added)
+            ))
+            self._pending = []
+        return self._arrays
 
-        Built on the first call and cached until `add_state`, `add_arc` or
-        `sort_arcs` changes them. The start state and final weights are
-        not frozen; read them from the machine.
-        """
-        if self._frozen is None:
-            self._frozen = ArcArrays.freeze(self)
-        return self._frozen
+    def sort_arcs(self) -> None:
+        """Order each state's arcs by (ilabel, olabel, nextstate, weight)."""
+        a = self.arc_arrays()
+        order = a.sorted_order()
+        self._arrays = ArcArrays.from_columns(self._num_states, *(c[order] for c in a.columns()))
 
     def copy(self) -> "WeightedFst":
+        """An independent machine; the read-only arc arrays are shared."""
         out = WeightedFst(self.isymbols.copy(), self.osymbols.copy())
         out.start = self.start
-        out._arcs = [list(arcs) for arcs in self._arcs]
         out.finals = dict(self.finals)
+        out._num_states = self._num_states
+        out._arrays = dataclasses.replace(self.arc_arrays())
         return out
-
-    @classmethod
-    def linear(
-        cls,
-        ilabels: Sequence[int],
-        olabels: Sequence[int] | None = None,
-        weights: Sequence[float] | None = None,
-        isymbols: SymbolTable | None = None,
-        osymbols: SymbolTable | None = None,
-        final_weight: float = semiring.ONE,
-    ) -> "WeightedFst":
-        """A single-path transducer; olabels default to ilabels (acceptor)."""
-        if olabels is None:
-            olabels = ilabels
-        if len(olabels) != len(ilabels):
-            raise ConfigurationError("ilabels and olabels must have equal length")
-        if weights is None:
-            weights = [semiring.ONE] * len(ilabels)
-        fst = cls(isymbols, osymbols)
-        state = fst.add_state()
-        fst.set_start(state)
-        for il, ol, w in zip(ilabels, olabels, weights):
-            nxt = fst.add_state()
-            fst.add_arc(state, il, ol, w, nxt)
-            state = nxt
-        fst.set_final(state, final_weight)
-        return fst
 
     # -- text format -----------------------------------------------------
 
     def to_text(self) -> str:
         """One `src dst ilabel olabel weight` line per arc, then `state weight` finals.
 
+        Arcs are listed by source state and then in `sort_arcs` order.
         State 0 is the start state by convention; every construction op in
         this module numbers its result that way.
         """
-        lines = []
-        for state in self.states():
-            for arc in sorted(self._arcs[state], key=Arc.sort_key):
-                lines.append(f"{state} {arc.nextstate} {arc.ilabel} {arc.olabel} {_fmt(arc.weight)}")
-        for state in sorted(self.finals):
-            lines.append(f"{state} {_fmt(self.finals[state])}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        a = self.arc_arrays()
+        order = a.sorted_order()
+        src, il, ol, w, dst = (c[order] for c in a.columns())
+        columns = (src, dst, il, ol, w + 0.0)  # + 0.0 prints -0.0 as 0.000000
+        parts = []
+        for lo in range(0, len(order), _TEXT_CHUNK):
+            rows = [c[lo : lo + _TEXT_CHUNK].tolist() for c in columns]
+            fields: list = [None] * (5 * len(rows[0]))
+            for k, row in enumerate(rows):
+                fields[k::5] = row
+            parts.append("%d %d %d %d %.6f\n" * len(rows[0]) % tuple(fields))
+        parts.extend(f"{state} {self.finals[state] + 0.0:.6f}\n" for state in sorted(self.finals))
+        return "".join(parts)
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
@@ -185,55 +197,45 @@ class WeightedFst:
     ) -> "WeightedFst":
         """Parse the text format. State 0 is the start state when any state exists.
 
-        A weight may be +inf (the semiring zero) but not NaN or -inf.
+        A line is an arc (5 fields) or a final weight (2 fields). State ids
+        and labels are ASCII integers >= 0; labels must be in the given
+        symbol tables. A weight may be +inf (the semiring zero) but not NaN
+        or -inf, and a state listed final twice keeps the smaller weight.
+        `#` is an ordinary token, not a comment. Errors cite the first
+        failing line.
         """
-        fst = cls(isymbols, osymbols)
-        known_il = set(fst.isymbols.ids()) if isymbols is not None else None
-        known_ol = set(fst.osymbols.ids()) if osymbols is not None else None
-        pending: list[tuple[int, int, int, int, float]] = []
-        finals: list[tuple[int, float]] = []
-        max_state = -1
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if len(parts) == 5:
-                    src, dst, il, ol = (int(p) for p in parts[:4])
-                    if min(src, dst) < 0:
-                        raise ValueError(f"state ids must be >= 0, got {src} and {dst}")
-                    if min(il, ol) < 0:
-                        raise ValueError(f"labels must be >= 0, got {il} and {ol}")
-                    if known_il is not None and il not in known_il:
-                        raise ValueError(f"input label {il} not in the symbol table")
-                    if known_ol is not None and ol not in known_ol:
-                        raise ValueError(f"output label {ol} not in the symbol table")
-                    w = float(parts[4])
-                    if not w > _NEG_INF:
-                        raise ValueError(f"arc weight {parts[4]!r} is NaN or -inf")
-                    pending.append((src, dst, il, ol, w))
-                    max_state = max(max_state, src, dst)
-                elif len(parts) == 2:
-                    state = int(parts[0])
-                    if state < 0:
-                        raise ValueError(f"state id must be >= 0, got {state}")
-                    w = float(parts[1])
-                    if not w > _NEG_INF:
-                        raise ValueError(f"final weight {parts[1]!r} is NaN or -inf")
-                    finals.append((state, w))
-                    max_state = max(max_state, state)
-                else:
-                    raise ValueError("expected arc or final-state line")
-            except ValueError as exc:
-                raise ParseError(str(exc), source=source, line=lineno) from None
-        if max_state >= 0:
-            fst.add_states(max_state + 1)
-            fst.set_start(0)
-        for src, dst, il, ol, w in pending:
-            fst.add_arc(src, il, ol, w, dst)
-        for state, w in finals:
-            fst.set_final(state, w)
+        lines = text.splitlines()
+        fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+        arc_at, final_at = np.flatnonzero(fields == 5), np.flatnonzero(fields == 2)
+        errors: list[tuple[int, int, str]] = []  # (line index, check order, message)
+
+        def fail(at: np.ndarray, bad: np.ndarray, message) -> None:
+            if bad.any():
+                row = int(np.argmax(bad))
+                errors.append((int(at[row]), len(errors), message(row)))
+
+        fail(np.arange(len(lines)), ~np.isin(fields, (0, 2, 5)), lambda r: "expected arc or final-state line")
+        arcs = _load_rows(lines, arc_at, _ARC_ROW, errors)
+        finals = _load_rows(lines, final_at, _FINAL_ROW, errors)
+        src, dst, il, ol, w = (arcs[name] for name in _ARC_ROW.names)
+        fail(arc_at, np.minimum(src, dst) < 0, lambda r: f"state ids must be >= 0, got {src[r]} and {dst[r]}")
+        fail(arc_at, np.minimum(il, ol) < 0, lambda r: f"labels must be >= 0, got {il[r]} and {ol[r]}")
+        if isymbols is not None:
+            fail(arc_at, ~np.isin(il, isymbols.ids()), lambda r: f"input label {il[r]} not in the symbol table")
+        if osymbols is not None:
+            fail(arc_at, ~np.isin(ol, osymbols.ids()), lambda r: f"output label {ol[r]} not in the symbol table")
+        fail(arc_at, ~(w > _NEG_INF), lambda r: f"arc weight {lines[arc_at[r]].split()[4]!r} is NaN or -inf")
+        state, fw = finals["state"], finals["w"]
+        fail(final_at, state < 0, lambda r: f"state id must be >= 0, got {state[r]}")
+        fail(final_at, ~(fw > _NEG_INF), lambda r: f"final weight {lines[final_at[r]].split()[1]!r} is NaN or -inf")
+        if errors:
+            at, _, message = min(errors)
+            raise ParseError(message, source=source, line=at + 1)
+
+        n = 1 + max((int(c.max()) for c in (src, dst, state) if len(c)), default=-1)
+        fst = cls._from_columns(isymbols, osymbols, n, 0 if n else NO_STATE, {}, src, il, ol, w, dst)
+        for s, weight in zip(state.tolist(), fw.tolist()):
+            fst.set_final(s, weight)
         return fst
 
     @classmethod
@@ -246,8 +248,34 @@ class WeightedFst:
         return cls.from_text(Path(path).read_text(encoding="utf-8"), isymbols, osymbols, source=str(path))
 
 
-def _fmt(weight: float) -> str:
-    return f"{weight + 0.0:.6f}"
+def _loadtxt(rows: list[str], dtype: np.dtype) -> np.ndarray:
+    if not rows:
+        return np.zeros(0, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a row numpy only warns about is still a bad row
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+
+
+def _load_rows(lines: list[str], at: np.ndarray, dtype: np.dtype, errors: list) -> np.ndarray:
+    """Parse `lines[i]` for i in `at`; on a row that does not convert, note it
+    in `errors` and return the rows before it."""
+    rows = [lines[i] for i in at.tolist()]
+    try:
+        return _loadtxt(rows, dtype)
+    except (ValueError, Warning):
+        pass
+    lo, hi = 0, len(rows)  # rows[:lo] convert and rows[lo:hi] holds the first that does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(rows[lo:mid], dtype)
+        except (ValueError, Warning):
+            hi = mid
+        else:
+            lo = mid
+    message = f"cannot read {rows[lo].strip()!r}: ids and labels must be integers and weights numbers"
+    errors.append((int(at[lo]), len(errors), message))
+    return _loadtxt(rows[:lo], dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +285,7 @@ class ArcArrays:
     State s owns arcs `offsets[s]:offsets[s + 1]`, in the machine's arc
     order. `epsilon` holds, for each state that has any, its label-0 arcs
     as `(olabel, weight, nextstate)` in arc order, and `has_epsilon` marks
-    those states.
+    those states; both, like `max_ilabel`, are computed on first use.
     """
 
     offsets: np.ndarray
@@ -265,33 +293,70 @@ class ArcArrays:
     olabel: np.ndarray
     weight: np.ndarray
     nextstate: np.ndarray
-    max_ilabel: int
-    epsilon: dict[int, tuple[tuple[int, float, int], ...]]
-    has_epsilon: np.ndarray
 
     @classmethod
-    def freeze(cls, fst: WeightedFst) -> "ArcArrays":
-        n = fst.num_states()
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(fst.arcs(s)) for s in fst.states()], out=offsets[1:])
-        arcs = [arc for s in fst.states() for arc in fst.arcs(s)]
-        ilabel = np.fromiter((a.ilabel for a in arcs), np.int64, len(arcs))
-        olabel = np.fromiter((a.olabel for a in arcs), np.int64, len(arcs))
-        weight = np.fromiter((a.weight for a in arcs), np.float64, len(arcs))
-        nextstate = np.fromiter((a.nextstate for a in arcs), np.int64, len(arcs))
-        epsilon: dict[int, list[tuple[int, float, int]]] = {}
-        for i in np.flatnonzero(ilabel == 0).tolist():
-            state = int(np.searchsorted(offsets, i, side="right")) - 1
-            arc = arcs[i]
-            epsilon.setdefault(state, []).append((arc.olabel, arc.weight, arc.nextstate))
-        has_epsilon = np.zeros(n, dtype=bool)
-        has_epsilon[list(epsilon)] = True
-        for array in (offsets, ilabel, olabel, weight, nextstate, has_epsilon):
+    def from_columns(cls, num_states: int, src, ilabel, olabel, weight, nextstate) -> "ArcArrays":
+        """Group arcs by source state, keeping their given order within a state."""
+        src = np.asarray(src, dtype=np.int64)
+        columns = [np.asarray(c, dtype) for c, dtype in
+                   ((ilabel, np.int64), (olabel, np.int64), (weight, np.float64), (nextstate, np.int64))]
+        if np.any(src[1:] < src[:-1]):
+            order = np.argsort(src, kind="stable")
+            columns = [c[order] for c in columns]
+        offsets = np.zeros(num_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=num_states), out=offsets[1:])
+        columns = [np.ascontiguousarray(c) for c in columns]
+        for array in (offsets, *columns):
             array.flags.writeable = False
-        return cls(
-            offsets, ilabel, olabel, weight, nextstate,
-            int(ilabel.max(initial=0)), {s: tuple(a) for s, a in epsilon.items()}, has_epsilon,
-        )
+        return cls(offsets, *columns)
+
+    @property
+    def num_states(self) -> int:
+        return len(self.offsets) - 1
+
+    def sources(self) -> np.ndarray:
+        """Each arc's source state."""
+        return np.repeat(np.arange(self.num_states, dtype=np.int64), np.diff(self.offsets))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """(src, ilabel, olabel, weight, nextstate), one entry per arc."""
+        return self.sources(), self.ilabel, self.olabel, self.weight, self.nextstate
+
+    def sorted_order(self) -> np.ndarray:
+        """Arc indices by (source, ilabel, olabel, nextstate, weight), stably."""
+        keys = (self.sources(), self.ilabel, self.olabel, self.nextstate, self.weight)
+        tied = np.ones(max(len(self.ilabel) - 1, 0), dtype=bool)  # neighbours equal on the keys so far
+        for key in keys:  # skip the sort when the arcs are in order already
+            if np.any(tied & ~(key[:-1] <= key[1:])):
+                return np.lexsort(keys[::-1])
+            tied &= key[:-1] == key[1:]
+        return np.arange(len(self.ilabel))
+
+    @cached_property
+    def max_ilabel(self) -> int:
+        return int(self.ilabel.max(initial=0))
+
+    @cached_property
+    def epsilon(self) -> dict[int, tuple[tuple[int, float, int], ...]]:
+        arcs = np.flatnonzero(self.ilabel == 0)
+        out: dict[int, list[tuple[int, float, int]]] = {}
+        for state, *arc in zip(*(c[arcs].tolist() for c in (self.sources(), self.olabel, self.weight, self.nextstate))):
+            out.setdefault(state, []).append(tuple(arc))
+        return {state: tuple(arcs) for state, arcs in out.items()}
+
+    @cached_property
+    def has_epsilon(self) -> np.ndarray:
+        mask = np.zeros(self.num_states, dtype=bool)
+        mask[list(self.epsilon)] = True
+        mask.flags.writeable = False
+        return mask
+
+
+def _rows(a: ArcArrays) -> list[list[tuple[int, int, float, int]]]:
+    """Each state's arcs as (ilabel, olabel, weight, nextstate) tuples, for scalar loops."""
+    arcs = list(zip(a.ilabel.tolist(), a.olabel.tolist(), a.weight.tolist(), a.nextstate.tolist()))
+    offsets = a.offsets.tolist()
+    return [arcs[offsets[s] : offsets[s + 1]] for s in range(a.num_states)]
 
 
 # -- connect -------------------------------------------------------------
@@ -303,49 +368,40 @@ def connect(fst: WeightedFst) -> WeightedFst:
     The start state is renumbered to 0 (the text format's convention);
     other surviving states keep their relative order.
     """
-    out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
+    isymbols, osymbols = fst.isymbols.copy(), fst.osymbols.copy()
     if fst.is_empty():
-        return out
-    accessible = _reachable(fst.start, lambda s: (a.nextstate for a in fst.arcs(s)))
-    reverse: dict[int, list[int]] = {s: [] for s in fst.states()}
-    for state in fst.states():
-        for arc in fst.arcs(state):
-            reverse[arc.nextstate].append(state)
-    coaccessible: set[int] = set()
-    stack = [s for s in fst.finals if s in accessible]
-    while stack:
-        state = stack.pop()
-        if state in coaccessible:
-            continue
-        coaccessible.add(state)
-        stack.extend(p for p in reverse[state] if p not in coaccessible)
-    keep = accessible & coaccessible
-    if fst.start not in keep:
-        return out
-    order = [fst.start] + [s for s in sorted(keep) if s != fst.start]
-    remap = {}
-    for state in order:
-        remap[state] = out.add_state()
-    out.set_start(remap[fst.start])
-    for state in order:
-        for arc in fst.arcs(state):
-            if arc.nextstate in keep:
-                out.add_arc(remap[state], arc.ilabel, arc.olabel, arc.weight, remap[arc.nextstate])
-    for state, weight in fst.finals.items():
-        if state in keep:
-            out.set_final(remap[state], weight)
-    return out
+        return WeightedFst(isymbols, osymbols)
+    a = fst.arc_arrays()
+    n = fst.num_states()
+    src, il, ol, w, dst = a.columns()
+    accessible = _reachable(a, [fst.start])
+    reverse = ArcArrays.from_columns(n, dst, il, ol, w, src)
+    keep = accessible & _reachable(reverse, [s for s in fst.finals if accessible[s]])
+    if not keep[fst.start]:
+        return WeightedFst(isymbols, osymbols)
+    kept = np.flatnonzero(keep)
+    remap = np.full(n, NO_STATE, dtype=np.int64)
+    remap[kept[kept != fst.start]] = np.arange(1, len(kept))
+    remap[fst.start] = 0
+    arc = keep[src] & keep[dst]
+    finals = {int(remap[s]): weight for s, weight in fst.finals.items() if keep[s]}
+    return WeightedFst._from_columns(
+        isymbols, osymbols, len(kept), 0, finals, remap[src[arc]], il[arc], ol[arc], w[arc], remap[dst[arc]]
+    )
 
 
-def _reachable(start: int, successors) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        for nxt in successors(state):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+def _reachable(a: ArcArrays, starts: list[int]) -> np.ndarray:
+    """Mask of the states reached from `starts`, a frontier at a time."""
+    seen = np.zeros(a.num_states, dtype=bool)
+    frontier = np.unique(np.asarray(starts, dtype=np.int64))
+    seen[frontier] = True
+    while len(frontier):
+        first = a.offsets[frontier]
+        count = a.offsets[frontier + 1] - first
+        arcs = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+        nxt = a.nextstate[arcs]
+        frontier = np.unique(nxt[~seen[nxt]])
+        seen[frontier] = True
     return seen
 
 
@@ -357,60 +413,65 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
 
     Epsilon moves go through the standard three-state filter so that each
     interleaving of output-epsilons (from a) and input-epsilons (from b)
-    contributes exactly one path. The result is connected, its arcs sorted.
+    contributes exactly one path. States are numbered in the order a stack
+    discovers them; the result is connected, its arcs sorted.
     """
     if a.osymbols != b.isymbols:
         raise ConfigurationError(
             "composition requires a.osymbols == b.isymbols "
             f"({len(a.osymbols)} vs {len(b.isymbols)} symbols)"
         )
-    out = WeightedFst(a.isymbols.copy(), b.osymbols.copy())
     if a.is_empty() or b.is_empty():
-        return out
-
+        return WeightedFst(a.isymbols.copy(), b.osymbols.copy())
+    a_rows, b_rows = _rows(a.arc_arrays()), _rows(b.arc_arrays())
+    tables: dict[int, dict[int, list[tuple[int, float, int]]]] = {}  # b state -> ilabel -> arcs
+    ZERO, times = semiring.ZERO, semiring.times
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    add_src, add_il, add_ol, add_w, add_dst = (c.append for c in columns)
+    finals: dict[int, float] = {}
     state_ids: dict[tuple[int, int, int], int] = {}
+    queue: list[tuple[int, int, int]] = []
 
     def state_of(key: tuple[int, int, int]) -> int:
-        if key not in state_ids:
-            state_ids[key] = out.add_state()
+        state = state_ids.get(key)
+        if state is None:
+            state = state_ids[key] = len(state_ids)
             queue.append(key)
-        return state_ids[key]
+        return state
 
-    queue: list[tuple[int, int, int]] = []
-    start_key = (a.start, b.start, 0)
-    out.set_start(state_of(start_key))
-
+    state_of((a.start, b.start, 0))
     while queue:
         key = queue.pop()
         s1, s2, flt = key
         src = state_ids[key]
+        table = tables.get(s2)
+        if table is None:
+            table = tables[s2] = {}
+            for il2, ol2, w2, n2 in b_rows[s2]:
+                table.setdefault(il2, []).append((ol2, w2, n2))
+        b_eps = table.get(EPSILON, ())
 
-        by_ilabel: dict[int, list[Arc]] = {}
-        for arc2 in b.arcs(s2):
-            by_ilabel.setdefault(arc2.ilabel, []).append(arc2)
-
-        for arc1 in a.arcs(s1):
-            if arc1.olabel != EPSILON:
-                for arc2 in by_ilabel.get(arc1.olabel, ()):
-                    dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                    out.add_arc(src, arc1.ilabel, arc2.olabel, semiring.times(arc1.weight, arc2.weight), dst)
+        for il1, ol1, w1, n1 in a_rows[s1]:
+            if ol1 != EPSILON:
+                for ol2, w2, n2 in table.get(ol1, ()):
+                    add_src(src), add_il(il1), add_ol(ol2), add_w(times(w1, w2)), add_dst(state_of((n1, n2, 0)))
             else:
                 if flt != 2:  # a moves alone on its output-epsilon arc
-                    dst = state_of((arc1.nextstate, s2, 1))
-                    out.add_arc(src, arc1.ilabel, EPSILON, arc1.weight, dst)
+                    add_src(src), add_il(il1), add_ol(EPSILON), add_w(w1), add_dst(state_of((n1, s2, 1)))
                 if flt == 0:  # both sides move on an epsilon pair
-                    for arc2 in by_ilabel.get(EPSILON, ()):
-                        dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                        out.add_arc(src, arc1.ilabel, arc2.olabel, semiring.times(arc1.weight, arc2.weight), dst)
+                    for ol2, w2, n2 in b_eps:
+                        add_src(src), add_il(il1), add_ol(ol2), add_w(times(w1, w2)), add_dst(state_of((n1, n2, 0)))
         if flt != 1:  # b moves alone on its input-epsilon arc
-            for arc2 in by_ilabel.get(EPSILON, ()):
-                dst = state_of((s1, arc2.nextstate, 2))
-                out.add_arc(src, EPSILON, arc2.olabel, arc2.weight, dst)
+            for ol2, w2, n2 in b_eps:
+                add_src(src), add_il(EPSILON), add_ol(ol2), add_w(w2), add_dst(state_of((s1, n2, 2)))
 
-        fw = semiring.times(a.final_weight(s1), b.final_weight(s2))
-        if fw != semiring.ZERO:
-            out.set_final(src, fw)
+        fw = times(a.final_weight(s1), b.final_weight(s2))
+        if fw != ZERO:
+            finals[src] = fw
 
+    out = WeightedFst._from_columns(
+        a.isymbols.copy(), b.osymbols.copy(), len(state_ids), 0, finals, *columns
+    )
     out = connect(out)
     out.sort_arcs()
     return out
@@ -427,70 +488,69 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
     Arcs whose encoded pair is (0, 0) are kept as regular labels, so
     machines with epsilon cycles of that kind (n-gram backoff loops) stay
     representable. Paths of weight +inf (the semiring zero) are dropped.
-    Each state's arcs are added in (ilabel, olabel) order. Raises
-    ResourceError if the construction exceeds the state budget (default
-    10x the input size, with a small floor).
+    Subsets are numbered in the order a stack discovers them, and each
+    state's arcs are added in (ilabel, olabel) order. Raises ResourceError
+    if the construction exceeds the state budget (default 10x the input
+    size, with a small floor).
     """
-    out = WeightedFst(a.isymbols.copy(), a.osymbols.copy())
     if a.is_empty():
-        return out
+        return WeightedFst(a.isymbols.copy(), a.osymbols.copy())
     budget = state_budget if state_budget is not None else max(10 * a.num_states(), _DET_BUDGET_FLOOR)
+    rows = _rows(a.arc_arrays())
+    ZERO, plus, times = semiring.ZERO, semiring.plus, semiring.times
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    add_src, add_il, add_ol, add_w, add_dst = (c.append for c in columns)
+    finals: dict[int, float] = {}
 
     Subset = tuple[tuple[int, float], ...]
     subset_ids: dict[Subset, int] = {}
     queue: list[Subset] = []
 
     def subset_state(subset: Subset) -> int:
-        if subset not in subset_ids:
+        state = subset_ids.get(subset)
+        if state is None:
             if len(subset_ids) >= budget:
-                raise ResourceError(
-                    f"determinization exceeded its state budget of {budget} states"
-                )
-            subset_ids[subset] = out.add_state()
+                raise ResourceError(f"determinization exceeded its state budget of {budget} states")
+            state = subset_ids[subset] = len(subset_ids)
             queue.append(subset)
-        return subset_ids[subset]
+        return state
 
-    initial: Subset = ((a.start, semiring.ONE),)
-    out.set_start(subset_state(initial))
-
+    subset_state(((a.start, semiring.ONE),))
     while queue:
         subset = queue.pop()
         src = subset_ids[subset]
 
         # Gather per encoded label the best extension weight into each state.
         by_label: dict[tuple[int, int], dict[int, float]] = {}
-        final = semiring.ZERO
+        final = ZERO
         for state, residual in subset:
-            final = semiring.plus(final, semiring.times(residual, a.final_weight(state)))
-            for arc in a.arcs(state):
-                w = semiring.times(residual, arc.weight)
-                if w == semiring.ZERO:
+            final = plus(final, times(residual, a.final_weight(state)))
+            for il, ol, weight, nxt in rows[state]:
+                w = times(residual, weight)
+                if w == ZERO:
                     continue  # a subset of +inf residuals would hold NaN and never match itself
-                targets = by_label.setdefault((arc.ilabel, arc.olabel), {})
-                prev = targets.get(arc.nextstate, semiring.ZERO)
-                targets[arc.nextstate] = semiring.plus(prev, w)
-        if final != semiring.ZERO:
-            out.set_final(src, final)
+                targets = by_label.setdefault((il, ol), {})
+                targets[nxt] = plus(targets.get(nxt, ZERO), w)
+        if final != ZERO:
+            finals[src] = final
 
         for label in sorted(by_label):
             targets = by_label[label]
             w_min = min(targets.values())
-            next_subset = tuple(sorted((state, w - w_min) for state, w in targets.items()))
-            dst = subset_state(next_subset)
-            out.add_arc(src, label[0], label[1], w_min, dst)
-    return out
+            dst = subset_state(tuple(sorted((state, w - w_min) for state, w in targets.items())))
+            add_src(src), add_il(label[0]), add_ol(label[1]), add_w(w_min), add_dst(dst)
+    return WeightedFst._from_columns(
+        a.isymbols.copy(), a.osymbols.copy(), len(subset_ids), 0, finals, *columns
+    )
 
 
 def is_deterministic(a: WeightedFst) -> bool:
     """True when no state has two arcs sharing an encoded (ilabel, olabel) pair."""
-    for state in a.states():
-        seen = set()
-        for arc in a.arcs(state):
-            label = (arc.ilabel, arc.olabel)
-            if label in seen:
-                return False
-            seen.add(label)
-    return True
+    arrays = a.arc_arrays()
+    src = arrays.sources()
+    order = np.lexsort((arrays.olabel, arrays.ilabel, src))
+    keys = np.stack((src[order], arrays.ilabel[order], arrays.olabel[order]))
+    return not np.all(keys[:, 1:] == keys[:, :-1], axis=0).any()
 
 
 # -- minimization --------------------------------------------------------
@@ -499,113 +559,52 @@ def is_deterministic(a: WeightedFst) -> bool:
 def minimize(a: WeightedFst) -> WeightedFst:
     """Merge equivalent states of a deterministic machine.
 
-    Equivalence is computed by partition refinement on (final weight,
-    outgoing arc) signatures after trimming, so two states merge exactly
-    when their weighted suffix languages are identical.
+    Equivalence is computed by partition refinement after trimming, so two
+    states merge exactly when their weighted suffix languages are
+    identical. Determinism fixes each state's arc order by (ilabel,
+    olabel), so the blocks start from (final weight, labelled arc weights)
+    and each round refines them by the block of each arc's nextstate.
     """
     if not is_deterministic(a):
         raise PreconditionError("minimize requires a deterministic input FST")
     trimmed = connect(a)
     if trimmed.is_empty():
         return trimmed
-
-    classes = [0] * trimmed.num_states()
-    keys = {}
-    for state in trimmed.states():
-        key = ("F", trimmed.final_weight(state))
-        classes[state] = keys.setdefault(key, len(keys))
-
-    while True:
-        keys = {}
-        new_classes = [0] * trimmed.num_states()
-        for state in trimmed.states():
-            signature = (
-                classes[state],
-                tuple(
-                    sorted(
-                        (arc.ilabel, arc.olabel, arc.weight, classes[arc.nextstate])
-                        for arc in trimmed.arcs(state)
-                    )
-                ),
-            )
-            new_classes[state] = keys.setdefault(signature, len(keys))
-        if new_classes == classes:
-            break
-        classes = new_classes
-
-    out = WeightedFst(trimmed.isymbols.copy(), trimmed.osymbols.copy())
-    representative: dict[int, int] = {}
-    for state in trimmed.states():  # first state of each class represents it
-        representative.setdefault(classes[state], state)
-    start_class = classes[trimmed.start]
-    ordered = [start_class] + [
-        cls for cls in sorted(representative, key=lambda c: representative[c]) if cls != start_class
+    arrays = trimmed.arc_arrays()
+    n = trimmed.num_states()
+    src, il, ol, w, dst = arrays.columns()
+    order = np.lexsort((ol, il, src))
+    offsets = arrays.offsets.tolist()
+    spans = [slice(offsets[s], offsets[s + 1]) for s in range(n)]
+    labelled = list(zip(il[order].tolist(), ol[order].tolist(), w[order].tolist()))
+    blocks: dict = {}
+    classes = [
+        blocks.setdefault((trimmed.final_weight(s), tuple(labelled[span])), len(blocks))
+        for s, span in enumerate(spans)
     ]
-    class_state = {cls: out.add_state() for cls in ordered}
-    out.set_start(class_state[start_class])
-    for cls, rep in representative.items():
-        src = class_state[cls]
-        for arc in trimmed.arcs(rep):
-            out.add_arc(src, arc.ilabel, arc.olabel, arc.weight, class_state[classes[arc.nextstate]])
-        fw = trimmed.final_weight(rep)
-        if fw != semiring.ZERO:
-            out.set_final(src, fw)
+    next_by_label = dst[order]
+    count = len(blocks)
+    while True:
+        successors = np.asarray(classes)[next_by_label].tolist()
+        blocks = {}
+        classes = [blocks.setdefault((c, tuple(successors[span])), len(blocks)) for c, span in zip(classes, spans)]
+        if len(blocks) == count:
+            break
+        count = len(blocks)
+
+    # Classes are numbered in the order of their first state, which
+    # represents the class and becomes its state; connect numbered the
+    # start state 0, so its class is state 0.
+    classes = np.asarray(classes)
+    _, first = np.unique(classes, return_index=True)
+    arc = np.isin(src, first)
+    finals = {c: trimmed.finals[s] for c, s in enumerate(first.tolist()) if trimmed.final_weight(s) != semiring.ZERO}
+    out = WeightedFst._from_columns(
+        trimmed.isymbols.copy(), trimmed.osymbols.copy(), count, 0, finals,
+        classes[src[arc]], il[arc], ol[arc], w[arc], classes[dst[arc]],
+    )
     out.sort_arcs()
     return out
-
-
-# -- shortest paths ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FstPath:
-    """An accepting path: epsilon-stripped label sequences plus total weight."""
-
-    ilabels: tuple[int, ...]
-    olabels: tuple[int, ...]
-    weight: float
-
-
-def shortest_path(a: WeightedFst, n: int = 1, *, max_expansions: int = 200_000) -> list[FstPath]:
-    """The n cheapest accepting paths, in nondecreasing weight order.
-
-    Ties are broken by the lexicographic order of the (epsilon-stripped)
-    input-label sequence. Returns fewer than n paths when the machine has
-    fewer; an empty list when there is no accepting path.
-    """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if a.is_empty():
-        return []
-    results: list[FstPath] = []
-    counter = 0
-    # Heap entries: (weight, ilabels, olabels, tiebreak, state); state None marks
-    # a completed path (final weight already folded in).
-    heap: list[tuple[float, tuple[int, ...], tuple[int, ...], int, int | None]] = [
-        (semiring.ONE, (), (), counter, a.start)
-    ]
-    expansions = 0
-    while heap and len(results) < n:
-        weight, ilabels, olabels, _, state = heapq.heappop(heap)
-        if state is None:
-            results.append(FstPath(ilabels, olabels, weight))
-            continue
-        expansions += 1
-        if expansions > max_expansions:
-            raise ResourceError(f"shortest_path exceeded {max_expansions} expansions")
-        fw = a.final_weight(state)
-        if fw != semiring.ZERO:
-            counter += 1
-            heapq.heappush(heap, (semiring.times(weight, fw), ilabels, olabels, counter, None))
-        for arc in a.arcs(state):
-            w = semiring.times(weight, arc.weight)
-            if w == semiring.ZERO:
-                continue
-            counter += 1
-            nil = ilabels + (arc.ilabel,) if arc.ilabel != EPSILON else ilabels
-            nol = olabels + (arc.olabel,) if arc.olabel != EPSILON else olabels
-            heapq.heappush(heap, (w, nil, nol, counter, arc.nextstate))
-    return results
 
 
 # -- relabeling ----------------------------------------------------------
@@ -617,14 +616,17 @@ def relabel_ilabels(
     isymbols: SymbolTable | None = None,
 ) -> WeightedFst:
     """Copy with input labels rewritten through `mapping` (identity elsewhere)."""
-    out = WeightedFst(isymbols if isymbols is not None else fst.isymbols.copy(), fst.osymbols.copy())
-    out.add_states(fst.num_states())
-    if fst.start != NO_STATE:
-        out.set_start(fst.start)
-    for state in fst.states():
-        for arc in fst.arcs(state):
-            out.add_arc(state, mapping.get(arc.ilabel, arc.ilabel), arc.olabel, arc.weight, arc.nextstate)
-    for state, weight in fst.finals.items():
-        out.set_final(state, weight)
+    if min(mapping.values(), default=0) < 0:
+        raise ConfigurationError("arc labels must be >= 0")
+    a = fst.arc_arrays()
+    table = np.arange(a.max_ilabel + 1, dtype=np.int64)
+    for old, new in mapping.items():
+        if 0 <= old < len(table):
+            table[old] = new
+    src, il, ol, w, dst = a.columns()
+    out = WeightedFst._from_columns(
+        isymbols if isymbols is not None else fst.isymbols.copy(), fst.osymbols.copy(),
+        fst.num_states(), fst.start, dict(fst.finals), src, table[il], ol, w, dst,
+    )
     out.sort_arcs()
     return out

@@ -236,9 +236,9 @@ def read_shards(
     Shard visit order is identity, or a seeded Fisher-Yates permutation
     when `shuffle` is set; within a shard records come back strictly
     sequentially (tar stream mode, one record buffered at a time).
-    A repeated locator is rejected before any shard is opened.
     `on_error` is "fail" (default) or "skip" for shards that cannot be
-    opened or read.
+    opened or read. A repeated locator or a bad `on_error` is rejected by
+    the call itself, before the iterator is returned.
     """
     if on_error not in ("fail", "skip"):
         raise ConfigurationError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
@@ -247,8 +247,10 @@ def read_shards(
         raise ConfigurationError("shard locators must be unique")
     if shuffle:
         locators = seeded_shuffle(locators, seed)
-    storage = storage if storage is not None else LocalStorage()
+    return _iter_shards(locators, storage if storage is not None else LocalStorage(), on_error)
 
+
+def _iter_shards(locators: list[str], storage: LocalStorage, on_error: str) -> Iterator[SampleRecord]:
     for locator in locators:
         try:
             with storage.open_read(locator) as stream:

@@ -3,15 +3,18 @@
 Everything here is deliberately brute force: exhaustive path enumeration,
 full path-sum marginalization, the textbook ARPA backoff recursion, a
 plain greedy phrase matcher, the `(node, pending)` biasing walker, the
-object-per-extension prefix search and the trace-carrying WFST search.
+object-per-extension prefix search, the trace-carrying WFST search, a
+heap-based n-best shortest path and the list-of-`Arc` FST algorithms.
 None of it shares code with the engine paths it verifies; the walker
-reads only the biasing trie's arcs, and the two searches borrow only the
+reads only the biasing trie's arcs, the two searches borrow only the
 engine's input and output containers (the WFST search also its
-`StreamingDecoder` chunk loop) and the biasing graph's `advance`.
+`StreamingDecoder` chunk loop) and the biasing graph's `advance`, and the
+FST code uses `WeightedFst` only as a container of states and arcs.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import defaultdict
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ctcdec import semiring
 from ctcdec.decode import (
     Hypothesis,
     NBestList,
@@ -26,8 +30,10 @@ from ctcdec.decode import (
     StreamingDecoder,
     skip_blank_frames,
 )
-from ctcdec.errors import ConfigurationError
+from ctcdec.errors import ConfigurationError, PreconditionError, ResourceError
 from ctcdec.fst import WeightedFst
+from ctcdec.graph import disambig_ids
+from ctcdec.symbols import SymbolTable
 
 INF = math.inf
 
@@ -569,3 +575,319 @@ def _unwind(chain) -> tuple[TraceStep, ...]:
         steps.append(step)
     return tuple(reversed(steps))
 
+
+
+# -- single-path machines, shortest paths and biasing scores -----------------
+
+
+def linear_fst(ilabels, olabels=None, weights=None, isymbols=None, osymbols=None, final_weight=0.0):
+    """A single-path transducer; olabels default to ilabels (acceptor)."""
+    if olabels is None:
+        olabels = ilabels
+    if len(olabels) != len(ilabels):
+        raise ConfigurationError("ilabels and olabels must have equal length")
+    if weights is None:
+        weights = [0.0] * len(ilabels)
+    fst = WeightedFst(isymbols, osymbols)
+    state = fst.add_state()
+    fst.set_start(state)
+    for il, ol, w in zip(ilabels, olabels, weights):
+        nxt = fst.add_state()
+        fst.add_arc(state, il, ol, w, nxt)
+        state = nxt
+    fst.set_final(state, final_weight)
+    return fst
+
+
+@dataclass(frozen=True)
+class FstPath:
+    """An accepting path: epsilon-stripped label sequences plus total weight."""
+
+    ilabels: tuple[int, ...]
+    olabels: tuple[int, ...]
+    weight: float
+
+
+def shortest_path(a, n=1, *, max_expansions=200_000):
+    """The n cheapest accepting paths, in nondecreasing weight order.
+
+    Ties are broken by the lexicographic order of the (epsilon-stripped)
+    input-label sequence. Returns fewer than n paths when the machine has
+    fewer; an empty list when there is no accepting path.
+    """
+    if n < 1:
+        raise ConfigurationError("n must be >= 1")
+    if a.is_empty():
+        return []
+    results = []
+    counter = 0
+    # Heap entries: (weight, ilabels, olabels, tiebreak, state); state None marks
+    # a completed path (final weight already folded in).
+    heap = [(0.0, (), (), counter, a.start)]
+    expansions = 0
+    while heap and len(results) < n:
+        weight, ilabels, olabels, _, state = heapq.heappop(heap)
+        if state is None:
+            results.append(FstPath(ilabels, olabels, weight))
+            continue
+        expansions += 1
+        if expansions > max_expansions:
+            raise ResourceError(f"shortest_path exceeded {max_expansions} expansions")
+        fw = a.final_weight(state)
+        if fw != INF:
+            counter += 1
+            heapq.heappush(heap, (semiring.times(weight, fw), ilabels, olabels, counter, None))
+        for arc in a.arcs(state):
+            w = semiring.times(weight, arc.weight)
+            if w == INF:
+                continue
+            counter += 1
+            nil = ilabels + (arc.ilabel,) if arc.ilabel else ilabels
+            nol = olabels + (arc.olabel,) if arc.olabel else olabels
+            heapq.heappush(heap, (w, nil, nol, counter, arc.nextstate))
+    return results
+
+
+def score_hypothesis(units, graph):
+    """Fold of `ContextGraph.advance` over a unit sequence from the start node."""
+    if graph is None:
+        return 0.0
+    node = graph.START
+    total = 0.0
+    for unit in units:
+        node, delta = graph.advance(node, unit)
+        total += delta
+    return total
+
+
+# -- list-of-Arc FST algorithms ----------------------------------------------
+#
+# The engine's algorithms work on CSR arc columns. These are the earlier
+# versions, which walk one `Arc` object at a time, kept as the byte-identity
+# reference: each reads arcs only through `WeightedFst.arcs` and builds its
+# result only through `add_state`, `add_arc` and `set_final`.
+
+
+def _arc_key(arc):
+    return (arc.ilabel, arc.olabel, arc.nextstate, arc.weight)
+
+
+def _arc_lists(fst):
+    return [fst.arcs(state) for state in fst.states()]
+
+
+def reference_sorted(fst):
+    """A copy whose arcs are added state by state in `_arc_key` order."""
+    out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
+    out.add_states(fst.num_states())
+    if fst.start != -1:
+        out.set_start(fst.start)
+    for state, arcs in enumerate(_arc_lists(fst)):
+        for arc in sorted(arcs, key=_arc_key):
+            out.add_arc(state, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
+    for state, weight in fst.finals.items():
+        out.set_final(state, weight)
+    return out
+
+
+def reference_to_text(fst):
+    lines = []
+    for state, arcs in enumerate(_arc_lists(fst)):
+        for arc in sorted(arcs, key=_arc_key):
+            lines.append(f"{state} {arc.nextstate} {arc.ilabel} {arc.olabel} {arc.weight + 0.0:.6f}")
+    for state in sorted(fst.finals):
+        lines.append(f"{state} {fst.finals[state] + 0.0:.6f}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_connect(fst):
+    out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
+    if fst.is_empty():
+        return out
+    arcs = _arc_lists(fst)
+    accessible = {fst.start}
+    stack = [fst.start]
+    while stack:
+        for arc in arcs[stack.pop()]:
+            if arc.nextstate not in accessible:
+                accessible.add(arc.nextstate)
+                stack.append(arc.nextstate)
+    reverse = {s: [] for s in fst.states()}
+    for state in fst.states():
+        for arc in arcs[state]:
+            reverse[arc.nextstate].append(state)
+    coaccessible = set()
+    stack = [s for s in fst.finals if s in accessible]
+    while stack:
+        state = stack.pop()
+        if state in coaccessible:
+            continue
+        coaccessible.add(state)
+        stack.extend(p for p in reverse[state] if p not in coaccessible)
+    keep = accessible & coaccessible
+    if fst.start not in keep:
+        return out
+    order = [fst.start] + [s for s in sorted(keep) if s != fst.start]
+    remap = {state: out.add_state() for state in order}
+    out.set_start(remap[fst.start])
+    for state in order:
+        for arc in arcs[state]:
+            if arc.nextstate in keep:
+                out.add_arc(remap[state], arc.ilabel, arc.olabel, arc.weight, remap[arc.nextstate])
+    for state, weight in fst.finals.items():
+        if state in keep:
+            out.set_final(remap[state], weight)
+    return out
+
+
+def reference_compose(a, b):
+    out = WeightedFst(a.isymbols.copy(), b.osymbols.copy())
+    if a.is_empty() or b.is_empty():
+        return out
+    a_arcs, b_arcs = _arc_lists(a), _arc_lists(b)
+    state_ids = {}
+    queue = []
+
+    def state_of(key):
+        if key not in state_ids:
+            state_ids[key] = out.add_state()
+            queue.append(key)
+        return state_ids[key]
+
+    out.set_start(state_of((a.start, b.start, 0)))
+    while queue:
+        key = queue.pop()
+        s1, s2, flt = key
+        src = state_ids[key]
+        by_ilabel = defaultdict(list)
+        for arc2 in b_arcs[s2]:
+            by_ilabel[arc2.ilabel].append(arc2)
+        for arc1 in a_arcs[s1]:
+            if arc1.olabel != 0:
+                for arc2 in by_ilabel.get(arc1.olabel, ()):
+                    dst = state_of((arc1.nextstate, arc2.nextstate, 0))
+                    out.add_arc(src, arc1.ilabel, arc2.olabel, semiring.times(arc1.weight, arc2.weight), dst)
+            else:
+                if flt != 2:
+                    out.add_arc(src, arc1.ilabel, 0, arc1.weight, state_of((arc1.nextstate, s2, 1)))
+                if flt == 0:
+                    for arc2 in by_ilabel.get(0, ()):
+                        dst = state_of((arc1.nextstate, arc2.nextstate, 0))
+                        out.add_arc(src, arc1.ilabel, arc2.olabel, semiring.times(arc1.weight, arc2.weight), dst)
+        if flt != 1:
+            for arc2 in by_ilabel.get(0, ()):
+                out.add_arc(src, 0, arc2.olabel, arc2.weight, state_of((s1, arc2.nextstate, 2)))
+        fw = semiring.times(a.final_weight(s1), b.final_weight(s2))
+        if fw != INF:
+            out.set_final(src, fw)
+    return reference_sorted(reference_connect(out))
+
+
+def reference_determinize(a, state_budget=None):
+    out = WeightedFst(a.isymbols.copy(), a.osymbols.copy())
+    if a.is_empty():
+        return out
+    budget = state_budget if state_budget is not None else max(10 * a.num_states(), 1000)
+    arcs = _arc_lists(a)
+    subset_ids = {}
+    queue = []
+
+    def subset_state(subset):
+        if subset not in subset_ids:
+            if len(subset_ids) >= budget:
+                raise ResourceError(f"determinization exceeded its state budget of {budget} states")
+            subset_ids[subset] = out.add_state()
+            queue.append(subset)
+        return subset_ids[subset]
+
+    out.set_start(subset_state(((a.start, 0.0),)))
+    while queue:
+        subset = queue.pop()
+        src = subset_ids[subset]
+        by_label = {}
+        final = INF
+        for state, residual in subset:
+            final = semiring.plus(final, semiring.times(residual, a.final_weight(state)))
+            for arc in arcs[state]:
+                w = semiring.times(residual, arc.weight)
+                if w == INF:
+                    continue
+                targets = by_label.setdefault((arc.ilabel, arc.olabel), {})
+                targets[arc.nextstate] = semiring.plus(targets.get(arc.nextstate, INF), w)
+        if final != INF:
+            out.set_final(src, final)
+        for label in sorted(by_label):
+            targets = by_label[label]
+            w_min = min(targets.values())
+            dst = subset_state(tuple(sorted((state, w - w_min) for state, w in targets.items())))
+            out.add_arc(src, label[0], label[1], w_min, dst)
+    return out
+
+
+def reference_minimize(a):
+    for arcs in _arc_lists(a):
+        labels = [(arc.ilabel, arc.olabel) for arc in arcs]
+        if len(set(labels)) != len(labels):
+            raise PreconditionError("minimize requires a deterministic input FST")
+    trimmed = reference_connect(a)
+    if trimmed.is_empty():
+        return trimmed
+    arcs = _arc_lists(trimmed)
+    classes = [0] * trimmed.num_states()
+    keys = {}
+    for state in trimmed.states():
+        classes[state] = keys.setdefault(("F", trimmed.final_weight(state)), len(keys))
+    while True:
+        keys = {}
+        new_classes = [0] * trimmed.num_states()
+        for state in trimmed.states():
+            signature = (
+                classes[state],
+                tuple(sorted((arc.ilabel, arc.olabel, arc.weight, classes[arc.nextstate]) for arc in arcs[state])),
+            )
+            new_classes[state] = keys.setdefault(signature, len(keys))
+        if new_classes == classes:
+            break
+        classes = new_classes
+    out = WeightedFst(trimmed.isymbols.copy(), trimmed.osymbols.copy())
+    representative = {}
+    for state in trimmed.states():
+        representative.setdefault(classes[state], state)
+    start_class = classes[trimmed.start]
+    ordered = [start_class] + [c for c in sorted(representative, key=representative.get) if c != start_class]
+    class_state = {c: out.add_state() for c in ordered}
+    out.set_start(class_state[start_class])
+    for c, rep in representative.items():
+        for arc in arcs[rep]:
+            out.add_arc(class_state[c], arc.ilabel, arc.olabel, arc.weight, class_state[classes[arc.nextstate]])
+        fw = trimmed.final_weight(rep)
+        if fw != INF:
+            out.set_final(class_state[c], fw)
+    return reference_sorted(out)
+
+
+def reference_relabel_ilabels(fst, mapping, isymbols=None):
+    out = WeightedFst(isymbols if isymbols is not None else fst.isymbols.copy(), fst.osymbols.copy())
+    out.add_states(fst.num_states())
+    if fst.start != -1:
+        out.set_start(fst.start)
+    for state, arcs in enumerate(_arc_lists(fst)):
+        for arc in arcs:
+            out.add_arc(state, mapping.get(arc.ilabel, arc.ilabel), arc.olabel, arc.weight, arc.nextstate)
+    for state, weight in fst.finals.items():
+        out.set_final(state, weight)
+    return reference_sorted(out)
+
+
+def reference_build_TLG(t, l, g):
+    """`graph.build_TLG`'s chain over the list-of-Arc algorithms."""
+    lg = reference_compose(l, g)
+    if lg.is_empty():
+        return WeightedFst(t.isymbols.copy(), g.osymbols.copy())
+    mind = reference_minimize(reference_determinize(lg))
+    aux = disambig_ids(mind.isymbols)
+    clean = SymbolTable()
+    for sym, sym_id in mind.isymbols:
+        if sym_id not in aux:
+            clean.add(sym, sym_id)
+    return reference_compose(t, reference_relabel_ilabels(mind, {a: 0 for a in aux}, isymbols=clean))

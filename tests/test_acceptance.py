@@ -20,6 +20,8 @@ from oracles import (
     enumerate_language,
     join_languages,
     languages_equal,
+    linear_fst,
+    shortest_path,
 )
 
 from ctcdec.arpa import parse_arpa
@@ -31,7 +33,7 @@ from ctcdec.decode import (
     PrefixBeamDecoder,
     WfstBeamDecoder,
 )
-from ctcdec.fst import WeightedFst, compose, determinize, minimize, shortest_path
+from ctcdec.fst import WeightedFst, compose, determinize, minimize
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 from ctcdec.rescore import FusionWeights, TableScorer, rescore_nbest
@@ -112,7 +114,7 @@ def test_lm_scores_match_backoff_recursion():
         for length in range(0, 5):
             for sentence in itertools.product(words, repeat=length):
                 ids = [g.isymbols.id_of(w) for w in sentence]
-                lin = WeightedFst.linear(ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
+                lin = linear_fst(ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
                 paths = shortest_path(compose(lin, g), 1, max_expansions=100_000)
                 expected = -arpa_sentence_log10(model, list(sentence)) * LN10
                 assert paths, sentence

@@ -9,12 +9,11 @@ from ctcdec.context import (
     ContextGraph,
     load_biasing_phrases,
     phrase_units,
-    score_hypothesis,
 )
 from ctcdec.errors import ConfigurationError
 from ctcdec.symbols import SymbolTable
 
-from oracles import greedy_phrase_score, reference_advance
+from oracles import greedy_phrase_score, reference_advance, score_hypothesis
 
 
 def _phrase(units, surface="p"):

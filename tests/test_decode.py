@@ -12,14 +12,13 @@ from ctcdec.decode import (
     skip_blank_frames,
 )
 from ctcdec.arpa import parse_arpa
-from ctcdec.context import score_hypothesis
 from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 from ctcdec.rescore import FusionWeights
 
 from conftest import TOY_ARPA, TOY_LEXICON
-from oracles import best_marginal, ctc_marginals
+from oracles import best_marginal, ctc_marginals, score_hypothesis
 
 LN10 = math.log(10.0)
 
@@ -104,6 +103,14 @@ class TestSkipBlankFrames:
         indices = skip_blank_frames(m, 0.98)
         assert indices.dtype.kind == "i"
         assert indices.tolist() == [1]
+
+    def test_frame_exactly_at_the_threshold_is_kept(self):
+        m = _matrix([[0.99, 0.005, 0.005], [0.9, 0.05, 0.05], [0.95, 0.03, 0.02]])
+        threshold = float(np.exp(m.logprobs[1, 0]))  # frame 1's blank probability, to the bit
+        assert skip_blank_frames(m, threshold).tolist() == [1]
+        dec = PrefixBeamDecoder(beam=4, nbest=2, blank_skip_threshold=threshold)
+        dec.decode(m)
+        assert (dec.frames_processed, dec.frames_skipped) == (1, 2)
 
     def test_threshold_one_keeps_everything(self):
         m = _matrix([[0.99, 0.005, 0.005], [0.5, 0.25, 0.25]])

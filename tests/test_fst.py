@@ -14,12 +14,11 @@ from ctcdec.fst import (
     determinize,
     is_deterministic,
     minimize,
-    shortest_path,
 )
 from ctcdec.symbols import SymbolTable
 
 from conftest import random_acyclic_fst
-from oracles import enumerate_language, join_languages, languages_equal
+from oracles import enumerate_language, join_languages, languages_equal, linear_fst, shortest_path
 
 finite_weights = st.floats(min_value=-50, max_value=50, allow_nan=False)
 weights = st.one_of(finite_weights, st.just(semiring.ZERO))
@@ -57,8 +56,8 @@ class TestCompose:
         lower = SymbolTable.with_epsilon(["a", "b"])
         mid = SymbolTable.with_epsilon(["A", "B"])
         upper = SymbolTable.with_epsilon(["X"])
-        a = WeightedFst.linear([1, 2], [1, 2], weights=[1.0, 0.0], isymbols=lower, osymbols=mid)
-        b = WeightedFst.linear([1, 2], [1, 0], weights=[2.0, 0.0], isymbols=mid, osymbols=upper)
+        a = linear_fst([1, 2], [1, 2], weights=[1.0, 0.0], isymbols=lower, osymbols=mid)
+        b = linear_fst([1, 2], [1, 0], weights=[2.0, 0.0], isymbols=mid, osymbols=upper)
         ab = compose(a, b)
         lang = enumerate_language(ab)
         assert lang == {((1, 2), (1,)): pytest.approx(3.0)}
@@ -80,15 +79,15 @@ class TestCompose:
 
     def test_disjoint_labels_give_empty_fst(self):
         isym, osym = _tables(2, 2)
-        a = WeightedFst.linear([1], [1], isymbols=isym, osymbols=osym)
-        b = WeightedFst.linear([2], [2], isymbols=osym, osymbols=osym)
+        a = linear_fst([1], [1], isymbols=isym, osymbols=osym)
+        b = linear_fst([2], [2], isymbols=osym, osymbols=osym)
         assert compose(a, b).is_empty()
 
     def test_symbol_table_mismatch_rejected(self):
         isym, osym = _tables()
         other = SymbolTable.with_epsilon(["z"])
-        a = WeightedFst.linear([1], [1], isymbols=isym, osymbols=osym)
-        b = WeightedFst.linear([1], [1], isymbols=other, osymbols=other)
+        a = linear_fst([1], [1], isymbols=isym, osymbols=osym)
+        b = linear_fst([1], [1], isymbols=other, osymbols=other)
         with pytest.raises(ConfigurationError):
             compose(a, b)
 
@@ -126,7 +125,7 @@ class TestDeterminize:
 
     def test_deterministic_input_is_fixed_point(self):
         isym, _ = _tables()
-        fst = WeightedFst.linear([1, 2, 3], isymbols=isym, osymbols=isym)
+        fst = linear_fst([1, 2, 3], isymbols=isym, osymbols=isym)
         det = determinize(fst)
         assert languages_equal(enumerate_language(det), enumerate_language(fst))
 
@@ -183,7 +182,7 @@ class TestMinimize:
 
     def test_minimal_machine_unchanged(self):
         isym, _ = _tables()
-        fst = WeightedFst.linear([1, 2], isymbols=isym, osymbols=isym)
+        fst = linear_fst([1, 2], isymbols=isym, osymbols=isym)
         out = minimize(fst)
         assert out.num_states() == fst.num_states()
         assert languages_equal(enumerate_language(out), enumerate_language(fst))
@@ -246,7 +245,7 @@ class TestShortestPath:
 
     def test_single_path(self):
         isym, _ = _tables()
-        fst = WeightedFst.linear([1, 2], weights=[0.5, 0.25], isymbols=isym, osymbols=isym)
+        fst = linear_fst([1, 2], weights=[0.5, 0.25], isymbols=isym, osymbols=isym)
         paths = shortest_path(fst, 1)
         assert len(paths) == 1
         assert paths[0].weight == pytest.approx(0.75)
@@ -300,7 +299,7 @@ class TestTextFormat:
 
     def test_weights_have_six_decimals(self):
         isym, _ = _tables()
-        fst = WeightedFst.linear([1], weights=[1.25], isymbols=isym, osymbols=isym)
+        fst = linear_fst([1], weights=[1.25], isymbols=isym, osymbols=isym)
         lines = fst.to_text().splitlines()
         assert lines[0].endswith("1.250000")
         assert lines[1].endswith("0.000000")
@@ -337,6 +336,64 @@ class TestTextFormat:
         isym = SymbolTable.with_epsilon(["a"])
         with pytest.raises(Exception, match="label 9"):
             WeightedFst.from_text("0 1 9 1 0.0\n1 0.0\n", isym, isym.copy(), source="x.fst")
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            ("1 2 3", "expected arc or final-state line"),
+            ("1 2 1 1 0.0 #", "expected arc or final-state line"),
+            ("1.0 2 1 1 0.0", "cannot read"),
+            ("1e3 2 1 1 0.0", "cannot read"),
+            ("1 2 # 1 0.0", "cannot read"),
+            ("# 0.0", "cannot read"),
+            ("1.0 0.0", "cannot read"),
+            ("1e3 0.0", "cannot read"),
+            ("1 2 1 3 0.0", "output label 3 not in the symbol table"),
+            ("1 2 5 1 0.0", "input label 5 not in the symbol table"),
+            ("1 nan", "final weight 'nan' is NaN or -inf"),
+            ("1 -inf", "final weight '-inf' is NaN or -inf"),
+        ],
+    )
+    def test_bad_line_in_mid_file_cites_its_line(self, bad, match):
+        isym, osym = _tables(4, 2)
+        text = f"0 1 1 1 0.0\n1 2 2 2 0.5\n{bad}\n2 0.0\n0 1 3 0 1.0\n"
+        with pytest.raises(ParseError, match=f"x.fst:3: {match}"):
+            WeightedFst.from_text(text, isym, osym, source="x.fst")
+
+    @pytest.mark.parametrize("bad", ["1_0 2 1 1 0.0", "0 ١ 1 1 0.0", "0 1 1 1 1_0", "1 ٣"])
+    def test_underscores_and_non_ascii_digits_rejected(self, bad):
+        with pytest.raises(ParseError, match="x.fst:2: cannot read"):
+            WeightedFst.from_text(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", source="x.fst")
+
+    def test_first_failing_line_is_cited_across_kinds_of_error(self):
+        lines = ["0 1 1 1 0.0"] * 5
+        lines[4] = "0 x 1 1 0.0"  # does not convert
+        lines[2] = "1 nan"  # a bad final weight, earlier
+        with pytest.raises(ParseError, match="x.fst:3: final weight"):
+            WeightedFst.from_text("\n".join(lines), source="x.fst")
+        lines[1] = "0 -1 1 1 0.0"  # a negative state id, earlier still
+        with pytest.raises(ParseError, match="x.fst:2: state ids"):
+            WeightedFst.from_text("\n".join(lines), source="x.fst")
+
+    @pytest.mark.parametrize("at", [0, 1, 500, 998, 999])
+    def test_unconvertible_line_found_in_a_long_file(self, at):
+        lines = [f"{i} {i + 1} 1 1 0.25" for i in range(1000)]
+        lines[at] = f"{at} {at + 1} 1 1.5 0.25"
+        with pytest.raises(ParseError, match=f"x.fst:{at + 1}: cannot read '{at} {at + 1} 1 1.5 0.25'"):
+            WeightedFst.from_text("\n".join(lines), source="x.fst")
+
+    def test_repeated_final_lines_keep_the_smaller_weight(self):
+        fst = WeightedFst.from_text("0 1 1 1 0.0\n1 2.0\n1 0.5\n1 1.0\n0 inf\n")
+        assert fst.final_weight(1) == 0.5
+        assert fst.final_weight(0) == semiring.ZERO
+        assert fst.to_text() == "0 1 1 1 0.000000\n0 inf\n1 0.500000\n"
+
+    def test_arcs_keep_file_order_within_a_state(self):
+        text = "1 0 2 2 0.0\n0 1 2 1 0.5\n1 1 1 1 0.0\n0 0 1 2 0.25\n1 0.0\n"
+        fst = WeightedFst.from_text(text)
+        assert [(a.ilabel, a.olabel) for a in fst.arcs(0)] == [(2, 1), (1, 2)]
+        assert [(a.ilabel, a.olabel) for a in fst.arcs(1)] == [(2, 2), (1, 1)]
+        assert fst.num_states() == 2 and fst.start == 0
 
 
 def test_connect_drops_unproductive_states():

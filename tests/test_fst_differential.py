@@ -1,0 +1,207 @@
+"""The FST algorithms over CSR arc columns against their list-of-Arc references.
+
+Each engine result must print, through `to_text`, the same bytes as the
+reference algorithm's result printed by the reference printer, and have
+the same state count and start state. Inputs are seeded random machines
+(with cycles, dead states, epsilons, +inf and -0.0 weights), `build_TLG`
+over seeded random lexicons and bigram ARPA files, and the golden TLG.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from ctcdec.arpa import parse_arpa, read_arpa
+from ctcdec.errors import PreconditionError, ResourceError
+from ctcdec.fst import WeightedFst, compose, connect, determinize, minimize, relabel_ilabels
+from ctcdec.graph import build_G, build_L, build_T, build_TLG, read_units, units_of
+from ctcdec.lexicon import parse_lexicon, read_lexicon
+from ctcdec.symbols import SymbolTable
+
+from conftest import random_acyclic_fst, random_bigram_arpa, random_lexicon
+from oracles import (
+    reference_build_TLG,
+    reference_compose,
+    reference_connect,
+    reference_determinize,
+    reference_minimize,
+    reference_relabel_ilabels,
+    reference_sorted,
+    reference_to_text,
+)
+
+DATA = Path(__file__).parent / "data"
+CASES = 80
+
+
+def _tables(n_in=3, n_out=3):
+    return (
+        SymbolTable.with_epsilon([f"i{k}" for k in range(1, n_in + 1)]),
+        SymbolTable.with_epsilon([f"o{k}" for k in range(1, n_out + 1)]),
+    )
+
+
+def _random_fst(rng, isymbols, osymbols, max_states=7):
+    """Arcs in any direction, so cycles, unreachable and dead states come up."""
+    fst = WeightedFst(isymbols.copy(), osymbols.copy())
+    n = rng.randint(1, max_states)
+    fst.add_states(n)
+    fst.set_start(rng.randrange(n))
+    for _ in range(rng.randint(0, 3 * n)):
+        il = rng.randint(0, len(isymbols) - 1) if rng.random() < 0.8 else 0
+        ol = rng.randint(0, len(osymbols) - 1) if rng.random() < 0.8 else 0
+        weight = rng.choice((0.0, -0.0, 0.5, 1.25, 3.0, float("inf"), round(rng.uniform(-1.0, 4.0), 3)))
+        fst.add_arc(rng.randrange(n), il, ol, weight, rng.randrange(n))
+    for state in rng.sample(range(n), rng.randint(0, n)):
+        fst.set_final(state, rng.choice((0.0, 0.5, float("inf"))))
+    return fst
+
+
+def _random_deterministic(rng, isymbols, max_states=6):
+    """A deterministic machine of two copies of one random machine.
+
+    Each arc of either copy targets the same state in one of the two
+    copies, so state s and its twin have the same suffix language and
+    minimization has states to merge; a few twins are perturbed.
+    """
+    n = rng.randint(1, max_states)
+    fst = WeightedFst(isymbols.copy(), isymbols.copy())
+    fst.add_states(2 * n)
+    fst.set_start(0)
+    labels = [(il, ol) for il in range(len(isymbols)) for ol in range(2)]
+    for src in range(n):
+        final = rng.choice((None, 0.0, 1.0))
+        for il, ol in rng.sample(labels, rng.randint(0, 3)):
+            weight, dst = rng.choice((0.0, 1.0)), rng.randrange(n)
+            for copy in (src, src + n):
+                fst.add_arc(copy, il, ol, weight, dst + n * rng.randint(0, 1))
+        for copy in (src, src + n):
+            if final is not None:
+                fst.set_final(copy, final if rng.random() < 0.9 else final + 0.5)
+    return fst
+
+
+def _assert_same(got, want):
+    assert (got.num_states(), got.start) == (want.num_states(), want.start)
+    assert got.to_text() == reference_to_text(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_to_text_and_sort_arcs(seed):
+    rng = random.Random(seed)
+    isym, osym = _tables()
+    for _ in range(CASES):
+        fst = _random_fst(rng, isym, osym)
+        assert fst.to_text() == reference_to_text(fst)
+        want = reference_sorted(fst)
+        fst.sort_arcs()
+        assert [fst.arcs(s) for s in fst.states()] == [want.arcs(s) for s in want.states()]
+        assert fst.to_text() == reference_to_text(fst)  # arcs in order already
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_connect(seed):
+    rng = random.Random(100 + seed)
+    isym, osym = _tables()
+    for _ in range(CASES):
+        fst = _random_fst(rng, isym, osym)
+        got, want = connect(fst), reference_connect(fst)
+        _assert_same(got, want)
+        assert [got.arcs(s) for s in got.states()] == [want.arcs(s) for s in want.states()]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compose(seed):
+    rng = random.Random(200 + seed)
+    isym, mid = _tables(3, 2)
+    third = SymbolTable.with_epsilon(["z1", "z2"])
+    for _ in range(CASES):
+        make = _random_fst if rng.random() < 0.5 else random_acyclic_fst
+        a, b = make(rng, isym, mid), make(rng, mid, third)
+        _assert_same(compose(a, b), reference_compose(a, b))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_determinize(seed):
+    rng = random.Random(300 + seed)
+    isym, _ = _tables()
+    for _ in range(CASES):
+        fst = random_acyclic_fst(rng, isym, isym, max_states=8, eps_prob=0.3)
+        _assert_same(determinize(fst), reference_determinize(fst))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minimize(seed):
+    rng = random.Random(400 + seed)
+    isym, _ = _tables()
+    for _ in range(CASES):
+        fst = _random_deterministic(rng, isym)
+        _assert_same(minimize(fst), reference_minimize(fst))
+        det = determinize(random_acyclic_fst(rng, isym, isym, max_states=8))
+        _assert_same(minimize(det), reference_minimize(det))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relabel_ilabels(seed):
+    rng = random.Random(500 + seed)
+    isym, osym = _tables()
+    for _ in range(CASES):
+        fst = _random_fst(rng, isym, osym)
+        mapping = {rng.randint(0, 4): rng.randint(0, 3) for _ in range(rng.randint(0, 3))}
+        _assert_same(relabel_ilabels(fst, mapping), reference_relabel_ilabels(fst, mapping))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_TLG_over_random_lexicon_and_bigram(seed):
+    rng = random.Random(600 + seed)
+    units = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+    lexicon = random_lexicon(rng, units)
+    words = [line.split()[0] for line in lexicon.splitlines()]
+    lex, model = parse_lexicon(lexicon), parse_arpa(random_bigram_arpa(rng, words))
+    vocab = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
+    t, l, g = build_T(units), build_L(lex, units, vocab), build_G(model, vocab)
+    _assert_same(build_TLG(t, l, g), reference_build_TLG(t, l, g))
+
+
+def test_golden_TLG():
+    golden = (DATA / "golden" / "TLG.fst").read_text(encoding="utf-8")
+    units = units_of(read_units(DATA / "units.txt"))
+    lex, model = read_lexicon(DATA / "lexicon.txt"), read_arpa(DATA / "lm.arpa")
+    words = sorted(set(lex.words()) | (model.all_words() - {"<s>", "</s>"}))
+    t, l, g = build_T(units), build_L(lex, units, words), build_G(model, words)
+    assert build_TLG(t, l, g).to_text() == golden
+    assert reference_to_text(reference_build_TLG(t, l, g)) == golden
+    again = WeightedFst.from_text(golden, t.isymbols.copy(), g.osymbols.copy())
+    assert again.to_text() == reference_to_text(again) == golden
+
+
+def test_determinize_budget_raises_in_both():
+    isym, _ = _tables()
+    fst = WeightedFst(isym.copy(), isym.copy())
+    fst.add_states(4)
+    fst.set_start(0)
+    for dst in (1, 2, 3):
+        fst.add_arc(0, 1, 1, float(dst), dst)
+        fst.add_arc(dst, 2, 2, 0.0, dst)
+        fst.set_final(dst, 0.0)
+    for run in (determinize, reference_determinize):
+        with pytest.raises(ResourceError, match="budget of 1 states"):
+            run(fst, state_budget=1)
+    assert determinize(fst, state_budget=2).num_states() == 2
+
+
+def test_minimize_rejects_nondeterministic_in_both():
+    isym, _ = _tables()
+    fst = WeightedFst(isym.copy(), isym.copy())
+    fst.add_states(3)
+    fst.set_start(0)
+    fst.add_arc(0, 1, 2, 0.0, 1)
+    fst.add_arc(0, 1, 1, 0.0, 2)  # (1, 2) and (1, 1) differ: still deterministic
+    fst.add_arc(2, 1, 2, 0.0, 1)
+    fst.set_final(1)
+    assert minimize(fst).to_text() == reference_to_text(reference_minimize(fst))
+    fst.add_arc(2, 1, 2, 1.0, 2)  # state 2 now has (1, 2) twice
+    for run in (minimize, reference_minimize):
+        with pytest.raises(PreconditionError):
+            run(fst)

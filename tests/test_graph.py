@@ -7,12 +7,12 @@ import pytest
 from ctcdec.arpa import parse_arpa
 from ctcdec.decode import WfstBeamDecoder
 from ctcdec.errors import ConfigurationError, ParseError
-from ctcdec.fst import WeightedFst, compose, determinize, shortest_path
+from ctcdec.fst import WeightedFst, compose, determinize
 from ctcdec.graph import build_G, build_L, build_T, build_TLG, disambig_ids, read_units
 from ctcdec.lexicon import Lexicon, parse_lexicon
 
 from conftest import TOY_ARPA, TOY_LEXICON
-from oracles import arpa_sentence_log10, ctc_collapse, enumerate_language
+from oracles import arpa_sentence_log10, ctc_collapse, enumerate_language, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
 
@@ -105,7 +105,7 @@ class TestCtcTopology:
 
     def _transduce(self, t, frame_labels):
         """Outputs of composing a linear frame acceptor with T."""
-        lin = WeightedFst.linear(
+        lin = linear_fst(
             [l + 1 for l in frame_labels],
             isymbols=t.isymbols.copy(),
             osymbols=t.isymbols.copy(),
@@ -183,7 +183,7 @@ class TestLexiconFst:
 
 def _score_sentence(g, words, sentence):
     word_ids = [words.index(w) + 1 for w in sentence]
-    lin = WeightedFst.linear(word_ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
+    lin = linear_fst(word_ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
     paths = shortest_path(compose(lin, g), 1, max_expansions=50_000)
     return paths[0].weight if paths else math.inf
 
@@ -251,7 +251,7 @@ class TestTlg:
         tlg, words = _toy_tlg()
         # frame labels for "ab": a a <blank> b  (acoustic ids +1 on T's tape)
         frames = [2, 2, 1, 3]
-        lin = WeightedFst.linear(frames, isymbols=tlg.isymbols.copy(), osymbols=tlg.isymbols.copy())
+        lin = linear_fst(frames, isymbols=tlg.isymbols.copy(), osymbols=tlg.isymbols.copy())
         paths = shortest_path(compose(lin, tlg), 1, max_expansions=100_000)
         assert paths, "no accepting path"
         assert [words[o - 1] for o in paths[0].olabels] == ["ab"]
@@ -260,7 +260,7 @@ class TestTlg:
         tlg, words = _toy_tlg()
         model = parse_arpa(TOY_ARPA)
         frames = [2, 2, 1, 3]  # "ab" with zero acoustic weight in the graph
-        lin = WeightedFst.linear(frames, isymbols=tlg.isymbols.copy(), osymbols=tlg.isymbols.copy())
+        lin = linear_fst(frames, isymbols=tlg.isymbols.copy(), osymbols=tlg.isymbols.copy())
         paths = shortest_path(compose(lin, tlg), 1, max_expansions=100_000)
         expected = -arpa_sentence_log10(model, ["ab"]) * LN10
         assert paths[0].weight == pytest.approx(expected, abs=1e-6)

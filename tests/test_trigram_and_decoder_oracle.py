@@ -14,12 +14,12 @@ import pytest
 
 from ctcdec.arpa import parse_arpa
 from ctcdec.decode import PosteriorMatrix, WfstBeamDecoder
-from ctcdec.fst import WeightedFst, compose, shortest_path
+from ctcdec.fst import WeightedFst, compose
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 
 from conftest import TOY_ARPA, TOY_LEXICON
-from oracles import arpa_sentence_log10, ctc_collapse
+from oracles import arpa_sentence_log10, ctc_collapse, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
 
@@ -63,7 +63,7 @@ def test_trigram_grammar_matches_backoff_recursion():
     for length in range(0, 5):
         for sentence in itertools.product(words, repeat=length):
             ids = [g.isymbols.id_of(w) for w in sentence]
-            lin = WeightedFst.linear(ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
+            lin = linear_fst(ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
             paths = shortest_path(compose(lin, g), 1, max_expansions=200_000)
             expected = -arpa_sentence_log10(model, list(sentence)) * LN10
             assert paths, sentence

@@ -209,6 +209,17 @@ class TestRead:
             next(read_shards([shards[0], shards[1], shards[0]], storage=storage))
         assert storage.opens == 0
 
+    @pytest.mark.parametrize(
+        "shards,options,match",
+        [(["a.tar", "b.tar", "a.tar"], {}, "unique"), (["a.tar"], {"on_error": "retry"}, "on_error")],
+        ids=["repeated_locator", "bad_on_error"],
+    )
+    def test_bad_arguments_rejected_by_the_call(self, shards, options, match):
+        storage = InstrumentedStorage()
+        with pytest.raises(ConfigurationError, match=match):
+            read_shards(shards, storage=storage, **options)  # no next(): the call itself checks
+        assert storage.opens == 0
+
     def test_manifest_naming_a_shard_twice_rejected(self, tmp_path):
         pack_shards(_records(4), 2, tmp_path)
         manifest = tmp_path / "manifest.txt"

@@ -21,7 +21,7 @@ from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 from ctcdec.symbols import SymbolTable
 
-from conftest import TOY_ARPA, TOY_LEXICON
+from conftest import TOY_ARPA, TOY_LEXICON, random_bigram_arpa, random_lexicon
 from oracles import ReferenceWfstBeamDecoder
 
 PRUNING = (
@@ -44,40 +44,11 @@ def _tlg(lexicon_text: str, arpa_text: str, units: list[str]):
     return build_TLG(build_T(units), build_L(lex, units, words), build_G(model, words))
 
 
-def _random_lexicon(rng: random.Random, units: list[str]) -> str:
-    """Random spellings, with homophones and prefix pronunciations."""
-    prons: list[tuple[str, ...]] = []
-    for _ in range(rng.randint(3, 6)):
-        r = rng.random()
-        if prons and r < 0.25:
-            pron = rng.choice(prons)  # a homophone
-        elif prons and r < 0.5:
-            base = rng.choice(prons)  # a prefix of, or extending, another word
-            pron = base[:-1] if len(base) > 1 and rng.random() < 0.5 else base + (rng.choice(units),)
-        else:
-            pron = tuple(rng.choice(units) for _ in range(rng.randint(1, 3)))
-        prons.append(pron)
-    return "".join(f"w{i} {' '.join(pron)}\n" for i, pron in enumerate(prons))
-
-
-def _random_bigram_arpa(rng: random.Random, words: list[str]) -> str:
-    """A bigram ARPA with coarse weights, so equal path costs come up."""
-    unigrams = [f"{-rng.randint(2, 12) / 10} {w} {-rng.randint(1, 5) / 10}" for w in words]
-    unigrams += [f"{-rng.randint(5, 15) / 10} </s>", f"-99 <s> {-rng.randint(1, 5) / 10}"]
-    pairs = [(h, w) for h in ["<s>", *words] for w in [*words, "</s>"]]
-    bigrams = [f"{-rng.randint(1, 8) / 10} {h} {w}" for h, w in rng.sample(pairs, rng.randint(1, len(pairs) // 2))]
-    return (
-        f"\\data\\\nngram 1={len(unigrams)}\nngram 2={len(bigrams)}\n\n"
-        "\\1-grams:\n" + "\n".join(unigrams) + "\n\n"
-        "\\2-grams:\n" + "\n".join(bigrams) + "\n\n\\end\\\n"
-    )
-
-
 def _random_graph(rng: random.Random):
     units = ["a", "b", "c", "d"][: rng.randint(2, 4)]
-    lexicon = _random_lexicon(rng, units)
+    lexicon = random_lexicon(rng, units)
     words = [line.split()[0] for line in lexicon.splitlines()]
-    return _tlg(lexicon, _random_bigram_arpa(rng, words), units)
+    return _tlg(lexicon, random_bigram_arpa(rng, words), units)
 
 
 def _random_wfst(rng: random.Random) -> WeightedFst:
