@@ -17,7 +17,7 @@ import numpy as np
 
 from .context import ContextGraph
 from .errors import ConfigurationError, ParseError
-from .fst import WeightedFst
+from .fst import WeightedFst, load_rows
 from .symbols import SymbolTable
 
 NEG_INF = float("-inf")
@@ -61,18 +61,9 @@ class PosteriorMatrix:
 
     def validate(self, tol: float = 1e-4) -> "PosteriorMatrix":
         """Check each row is a normalized distribution (logsumexp ~ 0)."""
-        if self.frames == 0:
-            return self
-        hi = self.logprobs.max(axis=1, initial=NEG_INF)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mass = hi + np.log(np.sum(np.exp(self.logprobs - hi[:, None]), axis=1))
-        mass[hi == NEG_INF] = NEG_INF
-        bad = ~(np.abs(mass) <= tol)
-        if bad.any():
-            t = int(np.argmax(bad))
-            raise ConfigurationError(
-                f"posterior row {t} is not normalized (logsumexp {mass[t]:.6g})"
-            )
+        bad = _first_bad_row(self.logprobs, tol)
+        if bad is not None:
+            raise ConfigurationError(bad[1])
         return self
 
     @classmethod
@@ -83,45 +74,35 @@ class PosteriorMatrix:
 
     @classmethod
     def from_text(cls, text: str, *, source: str = "<posterior>") -> "PosteriorMatrix":
-        lines = [line for line in text.splitlines()]
-        header_line = 0
-        header: list[str] = []
-        for i, line in enumerate(lines):
-            if line.strip():
-                header = line.split()
-                header_line = i + 1
-                break
+        """A `frames tokens prob|logprob` header, then a row of `tokens`
+        numbers per frame, read as float64 by `np.loadtxt` (ASCII only, no
+        `1_0`). Blank lines are skipped; errors cite the first failing line."""
+        lines = text.splitlines()
+        at = [i for i, line in enumerate(lines) if line.strip()]
+        header = lines[at[0]].split() if at else []
+        header_line = at[0] + 1 if at else 1
         if len(header) != 3:
-            raise ParseError("expected header 'frames tokens domain'", source=source, line=header_line or 1)
-        try:
-            frames, tokens = int(header[0]), int(header[1])
-        except ValueError:
-            raise ParseError("frame/token counts must be integers", source=source, line=header_line) from None
-        domain = header[2]
+            raise ParseError("expected header 'frames tokens domain'", source=source, line=header_line)
+        if not all(count.isascii() and count.isdigit() and len(count) <= 9 for count in header[:2]):
+            raise ParseError("frame/token counts must be integers of at most 9 digits", source=source, line=header_line)
+        frames, tokens, domain = int(header[0]), int(header[1]), header[2]
         if domain not in ("prob", "logprob"):
             raise ParseError(f"domain must be 'prob' or 'logprob', got {domain!r}", source=source, line=header_line)
-        rows = []
-        for lineno in range(header_line, len(lines)):
-            line = lines[lineno].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != tokens:
-                raise ParseError(f"expected {tokens} values, found {len(parts)}", source=source, line=lineno + 1)
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError("non-numeric posterior value", source=source, line=lineno + 1) from None
-        if len(rows) != frames:
-            raise ParseError(f"header declares {frames} frames but {len(rows)} rows follow", source=source)
-        arr = np.array(rows, dtype=np.float64).reshape(frames, tokens)
+        rows = at[1:]
+        arr, bad = load_rows(lines, rows, np.float64, tokens)
+        if bad is not None:
+            found = len(lines[bad].split())
+            message = f"expected {tokens} values, found {found}" if found != tokens else "non-numeric posterior value"
+            raise ParseError(message, source=source, line=bad + 1)
+        if len(arr) != frames:
+            raise ParseError(f"header declares {frames} frames but {len(arr)} rows follow", source=source)
         if domain == "prob":
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 arr = np.log(arr)
-        try:
-            return cls(arr).validate()
-        except ConfigurationError as exc:
-            raise ParseError(str(exc), source=source) from None
+        bad_row = _first_bad_row(arr)
+        if bad_row is not None:
+            raise ParseError(bad_row[1], source=source, line=rows[bad_row[0]] + 1)
+        return cls(arr)
 
     @classmethod
     def read(cls, path: str | Path) -> "PosteriorMatrix":
@@ -138,6 +119,21 @@ class PosteriorMatrix:
 
     def write(self, path: str | Path, domain: str = "logprob") -> None:
         Path(path).write_text(self.to_text(domain), encoding="utf-8")
+
+
+def _first_bad_row(logprobs: np.ndarray, tol: float = 1e-4) -> tuple[int, str] | None:
+    """The first row that is not a distribution within `tol`, and why."""
+    hi = logprobs.max(axis=1, initial=NEG_INF)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mass = hi + np.log(np.sum(np.exp(logprobs - hi[:, None]), axis=1))
+    mass[hi == NEG_INF] = NEG_INF
+    bad = ~(np.abs(mass) <= tol)
+    if not bad.any():
+        return None
+    t = int(np.argmax(bad))
+    if not (logprobs[t] < math.inf).all():
+        return t, f"posterior row {t} holds NaN or +inf log-probabilities"
+    return t, f"posterior row {t} is not normalized (logsumexp {mass[t]:.6g})"
 
 
 def skip_blank_frames(post: PosteriorMatrix, threshold: float) -> np.ndarray:
@@ -420,12 +416,21 @@ def _take(tokens: _Tokens, index: np.ndarray) -> _Tokens:
 
 
 class _Links:
-    """Backpointer chains: link i is chain `parent[i]` extended by `label[i]`."""
+    """Backpointer chains: link i is chain `parent[i]` extended by `label[i]`.
+
+    A link is always newer than its parent. Once the store has doubled
+    since its last compaction, and holds at least `FLOOR` links, `compact`
+    drops the links no live chain reaches, so a long stream keeps at most
+    about twice the links its live tokens need.
+    """
+
+    FLOOR = 1 << 16
 
     def __init__(self):
         self._parent = np.empty(256, dtype=np.int64)
         self._label = np.empty(256, dtype=np.int64)
         self._size = 0
+        self._limit = self.FLOOR
 
     def add(self, parents, labels) -> np.ndarray:
         """New links, one per (parent, label) pair; returns their ids."""
@@ -439,6 +444,32 @@ class _Links:
         self._label[start:end] = labels
         self._size = end
         return np.arange(start, end)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def compact(self, live: np.ndarray) -> np.ndarray:
+        """When the store is over its limit, keep only the links that the
+        chains `live` reach, in their order; returns `live` renumbered."""
+        if self._size < self._limit:
+            return live
+        parent = self._parent[: self._size]
+        # One sweep from the newest link down marks every ancestor, since a
+        # parent is older than its child. The extra last slot absorbs -1.
+        keep = bytearray(self._size + 1)
+        for link in live.tolist():
+            keep[link] = 1
+        for link, up in zip(range(self._size - 1, -1, -1), reversed(parent.tolist())):
+            if keep[link]:
+                keep[up] = 1
+        keep = np.frombuffer(keep, dtype=bool)[:-1]
+        renumber = np.append(np.cumsum(keep) - 1, -1)  # index -1 maps the empty chain to itself
+        kept = np.flatnonzero(keep)
+        self._size = len(kept)
+        self._parent[: self._size] = renumber[parent[kept]]
+        self._label[: self._size] = self._label[kept]
+        self._limit = max(self.FLOOR, 2 * self._size)
+        return renumber[live]
 
     def chains(self, links: np.ndarray) -> list[tuple[int, ...]]:
         """Each link's labels, oldest first."""
@@ -470,7 +501,8 @@ class WfstBeamDecoder(StreamingDecoder):
     a worklist. Counters over the stream: `arcs_expanded` (emitting arcs
     with a finite log-probability, plus label-0 arcs followed),
     `tokens_pruned_beam`, `tokens_pruned_max_active` and
-    `eps_relaxations` (label-0 moves that improved a token).
+    `eps_relaxations` (label-0 moves that improved a token). `links_held`
+    is the number of unit and word backpointers held now.
     """
 
     _EPS_RELAX_LIMIT = 1_000_000
@@ -519,6 +551,10 @@ class WfstBeamDecoder(StreamingDecoder):
         if self._arcs.has_epsilon[graph.start]:
             tokens = self._eps_expand(tokens, [0])
         self._tokens = self._link(tokens)
+
+    @property
+    def links_held(self) -> int:
+        return len(self._units) + len(self._words)
 
     def _step(self, row: np.ndarray) -> None:
         arcs = self._arcs
@@ -685,6 +721,7 @@ class WfstBeamDecoder(StreamingDecoder):
             pending = np.flatnonzero(labels)
             if len(pending):
                 tokens[chain][pending] = links.add(tokens[chain][pending], labels[pending])
+            tokens[chain] = links.compact(tokens[chain])
         return tokens
 
     def finalize(self) -> NBestList:

@@ -215,18 +215,27 @@ class WeightedFst:
                 errors.append((int(at[row]), len(errors), message(row)))
 
         fail(np.arange(len(lines)), ~np.isin(fields, (0, 2, 5)), lambda r: "expected arc or final-state line")
-        arcs = _load_rows(lines, arc_at, _ARC_ROW, errors)
-        finals = _load_rows(lines, final_at, _FINAL_ROW, errors)
+        arcs, bad_arc = load_rows(lines, arc_at, _ARC_ROW)
+        finals, bad_final = load_rows(lines, final_at, _FINAL_ROW)
+        for at in (bad_arc, bad_final):
+            if at is not None:
+                message = f"cannot read {lines[at].strip()!r}: ids and labels must be integers and weights numbers"
+                errors.append((at, len(errors), message))
         src, dst, il, ol, w = (arcs[name] for name in _ARC_ROW.names)
+        state, fw = finals["state"], finals["w"]
+        # A line names at most two states, so no file numbers its states densely past this.
+        bound = 2 * len(lines)
         fail(arc_at, np.minimum(src, dst) < 0, lambda r: f"state ids must be >= 0, got {src[r]} and {dst[r]}")
+        fail(arc_at, np.maximum(src, dst) >= bound,
+             lambda r: f"state id {max(src[r], dst[r])} is too large for a file of {len(lines)} lines")
         fail(arc_at, np.minimum(il, ol) < 0, lambda r: f"labels must be >= 0, got {il[r]} and {ol[r]}")
         if isymbols is not None:
             fail(arc_at, ~np.isin(il, isymbols.ids()), lambda r: f"input label {il[r]} not in the symbol table")
         if osymbols is not None:
             fail(arc_at, ~np.isin(ol, osymbols.ids()), lambda r: f"output label {ol[r]} not in the symbol table")
         fail(arc_at, ~(w > _NEG_INF), lambda r: f"arc weight {lines[arc_at[r]].split()[4]!r} is NaN or -inf")
-        state, fw = finals["state"], finals["w"]
         fail(final_at, state < 0, lambda r: f"state id must be >= 0, got {state[r]}")
+        fail(final_at, state >= bound, lambda r: f"state id {state[r]} is too large for a file of {len(lines)} lines")
         fail(final_at, ~(fw > _NEG_INF), lambda r: f"final weight {lines[final_at[r]].split()[1]!r} is NaN or -inf")
         if errors:
             at, _, message = min(errors)
@@ -248,34 +257,36 @@ class WeightedFst:
         return cls.from_text(Path(path).read_text(encoding="utf-8"), isymbols, osymbols, source=str(path))
 
 
-def _loadtxt(rows: list[str], dtype: np.dtype) -> np.ndarray:
+def _loadtxt(rows: list[str], dtype: np.dtype, width: int | None) -> np.ndarray:
     if not rows:
-        return np.zeros(0, dtype)
+        return np.zeros(0 if width is None else (0, width), dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a row numpy only warns about is still a bad row
-        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+        array = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1 if width is None else 2)
+    if width is not None and array.shape[1] != width:
+        raise ValueError(f"rows hold {array.shape[1]} values, not {width}")
+    return array
 
 
-def _load_rows(lines: list[str], at: np.ndarray, dtype: np.dtype, errors: list) -> np.ndarray:
-    """Parse `lines[i]` for i in `at`; on a row that does not convert, note it
-    in `errors` and return the rows before it."""
-    rows = [lines[i] for i in at.tolist()]
+def load_rows(lines: list[str], at, dtype: np.dtype, width: int | None = None) -> tuple[np.ndarray, int | None]:
+    """Parse the non-blank `lines[i]`, i in `at`, in one `np.loadtxt` call into records
+    of a structured `dtype` or `width` columns. If a row does not convert, return the
+    rows before it and its index in `lines`, found by bisecting with the same call."""
+    rows = [lines[i] for i in np.asarray(at, dtype=np.int64).tolist()]
     try:
-        return _loadtxt(rows, dtype)
+        return _loadtxt(rows, dtype, width), None
     except (ValueError, Warning):
         pass
     lo, hi = 0, len(rows)  # rows[:lo] convert and rows[lo:hi] holds the first that does not
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _loadtxt(rows[lo:mid], dtype)
+            _loadtxt(rows[lo:mid], dtype, width)
         except (ValueError, Warning):
             hi = mid
         else:
             lo = mid
-    message = f"cannot read {rows[lo].strip()!r}: ids and labels must be integers and weights numbers"
-    errors.append((int(at[lo]), len(errors), message))
-    return _loadtxt(rows[:lo], dtype)
+    return _loadtxt(rows[:lo], dtype, width), int(at[lo])
 
 
 @dataclass(frozen=True, eq=False)

@@ -171,6 +171,44 @@ class TestDecode:
         assert skipped == decode(cut, "1.0")
         assert kept == decode(full, "0.98")
 
+    @pytest.mark.parametrize("mode", ["lmfree", "graph"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("0.5 0.5 0.0", "expected 4 values, found 3"),
+            ("0.5 0.5 0.0 0.0 0.0", "expected 4 values, found 5"),
+            ("0.5 0.5 0.0 1_0", "non-numeric posterior value"),
+            ("0.5 nan 0.0 0.0", "posterior row 1 holds NaN or +inf"),
+            ("0.5 inf 0.0 0.0", "posterior row 1 holds NaN or +inf"),
+            ("0.5 0.2 0.0 0.0", "posterior row 1 is not normalized"),
+        ],
+    )
+    def test_bad_posterior_line_exits_2_citing_it(self, tmp_path, capsys, mode, bad, message):
+        post = tmp_path / "bad.post"
+        post.write_text(f"3 4 prob\n0.97 0.01 0.01 0.01\n{bad}\n0.97 0.01 0.01 0.01\n", encoding="utf-8")
+        where = ["--graph-dir", str(_build(tmp_path))] if mode == "graph" else ["--units", str(DATA / "units.txt")]
+        capsys.readouterr()
+        assert main(["decode", str(post), *where]) == 2
+        assert f"{post}:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("0 2000000000 1 1 0.0", "state id 2000000000 is too large"),
+            ("0 1 1 1 0.0 x", "expected arc or final-state line"),
+            ("0 1 1 1 1_0", "cannot read"),
+        ],
+    )
+    def test_bad_graph_line_exits_2_citing_it(self, tmp_path, capsys, bad, message):
+        graph = _build(tmp_path)
+        tlg = graph / "TLG.fst"
+        lines = tlg.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, bad)
+        tlg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph)]) == 2
+        assert f"{tlg}:3: {message}" in capsys.readouterr().err
+
     def test_token_count_mismatch_names_both_counts(self, tmp_path, capsys):
         narrow = tmp_path / "narrow.post"
         narrow.write_text("1 2 prob\n0.5 0.5\n", encoding="utf-8")

@@ -9,6 +9,7 @@ from ctcdec.decode import (
     PosteriorMatrix,
     PrefixBeamDecoder,
     WfstBeamDecoder,
+    _Links,
     skip_blank_frames,
 )
 from ctcdec.arpa import parse_arpa
@@ -73,6 +74,89 @@ class TestPosteriorMatrix:
     def test_non_finite_file_value_is_parse_error(self, value):
         with pytest.raises(ParseError):
             PosteriorMatrix.from_text(f"1 3 logprob\n{value} -1.0 -1.0\n")
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            ("0.5 0.5", "expected 3 values, found 2"),
+            ("0.5 0.25 0.25 0.0", "expected 3 values, found 4"),
+            ("0.5 x 0.5", "non-numeric posterior value"),
+            ("0.5 0.25 #", "non-numeric posterior value"),
+            ("nan 0.5 0.5", "posterior row 1 holds NaN or \\+inf"),
+            ("inf 0.5 0.5", "posterior row 1 holds NaN or \\+inf"),
+            ("-0.5 0.5 1.0", "posterior row 1 holds NaN or \\+inf"),
+            ("0.5 0.2 0.1", "posterior row 1 is not normalized"),
+        ],
+    )
+    def test_bad_row_cites_its_line(self, bad, match):
+        text = f"4 3 prob\n0.5 0.25 0.25\n{bad}\n0.5 0.25 0.25\n0.25 0.25 0.5\n"
+        with pytest.raises(ParseError, match=f"^x.post:3: {match}"):
+            PosteriorMatrix.from_text(text, source="x.post")
+
+    @pytest.mark.parametrize("bad", ["nan -1.0 -1.0", "inf -1.0 -1.0"])
+    def test_non_finite_log_value_cites_its_line(self, bad):
+        good = " ".join([repr(math.log(1 / 3))] * 3)
+        text = f"4 3 logprob\n{good}\n{bad}\n{good}\n{good}\n"
+        with pytest.raises(ParseError, match="^x.post:3: posterior row 1 holds NaN or \\+inf"):
+            PosteriorMatrix.from_text(text, source="x.post")
+
+    def test_first_failing_line_wins_across_kinds(self):
+        rows = ["0.5 0.25 0.25"] * 5
+        rows[3] = "0.5 0.5"  # short, after a row that does not convert
+        rows[1] = "0.5 0.25 0.2_5"
+        with pytest.raises(ParseError, match="^x.post:3: non-numeric"):
+            PosteriorMatrix.from_text("5 3 prob\n" + "\n".join(rows), source="x.post")
+        rows[1] = "0.5 0.2 0.1"  # unnormalized rows are checked only once every row converts
+        with pytest.raises(ParseError, match="^x.post:5: expected 3 values, found 2"):
+            PosteriorMatrix.from_text("5 3 prob\n" + "\n".join(rows), source="x.post")
+
+    def test_blank_lines_and_crlf_are_skipped(self):
+        plain = PosteriorMatrix.from_text("2 3 prob\n0.5 0.25 0.25\n0.25 0.25 0.5\n")
+        spaced = PosteriorMatrix.from_text("\r\n  \r\n2 3 prob\r\n\r\n0.5 0.25 0.25\r\n \t \r\n0.25 0.25 0.5\r\n\r\n")
+        assert spaced.logprobs.tobytes() == plain.logprobs.tobytes()
+        with pytest.raises(ParseError, match="^x.post:6: posterior row 1 is not normalized"):
+            PosteriorMatrix.from_text("\n2 3 prob\n\n0.5 0.25 0.25\n  \n0.5 0.2 0.1\n", source="x.post")
+
+    @pytest.mark.parametrize("body", ["", "\n", "  \n\t\n"])
+    def test_no_rows_is_a_zero_by_v_matrix(self, body):
+        m = PosteriorMatrix.from_text(f"0 4 logprob\n{body}")
+        assert m.logprobs.shape == (0, 4)
+
+    @pytest.mark.parametrize("frames,rows", [(3, 2), (1, 2), (1, 0), (0, 1)])
+    def test_frame_count_mismatch_in_both_directions(self, frames, rows):
+        text = f"{frames} 3 prob\n" + "0.5 0.25 0.25\n" * rows
+        with pytest.raises(ParseError, match=f"^x.post: header declares {frames} frames but {rows} rows follow$"):
+            PosteriorMatrix.from_text(text, source="x.post")
+
+    @pytest.mark.parametrize("bad", ["0.5 0.2_5 0.25", "0.5 0.25 \u0660.25", "\u0665e-1 0.25 0.25"])
+    def test_underscores_and_non_ascii_digits_rejected(self, bad):
+        # float() reads all three; the posterior reader accepts ASCII numbers only.
+        with pytest.raises(ParseError, match="^x.post:3: non-numeric posterior value"):
+            PosteriorMatrix.from_text(f"3 3 prob\n0.5 0.25 0.25\n{bad}\n0.5 0.25 0.25\n", source="x.post")
+
+    @pytest.mark.parametrize(
+        "header",
+        ["1_0 3 prob", "\u0661 3 prob", "1 +3 prob", "-1 3 prob", "1 3000000000 prob", "0 -1 prob", "0 99999999999999999999 prob"],
+    )
+    def test_bad_header_counts_rejected(self, header):
+        with pytest.raises(ParseError, match="^x.post:1: frame/token counts"):
+            PosteriorMatrix.from_text(f"{header}\n0.5 0.25 0.25\n", source="x.post")
+        with pytest.raises(ParseError, match="^x.post:1: frame/token counts"):
+            PosteriorMatrix.from_text(f"{header}\n", source="x.post")
+
+    @pytest.mark.parametrize("fmt", ["%.9g", "repr"])
+    def test_values_match_python_float_byte_for_byte(self, fmt):
+        rng = np.random.default_rng(12)
+        probs = rng.dirichlet(np.full(7, 0.3), size=40)
+        probs[rng.random(probs.shape) < 0.1] = 0.0
+        with np.errstate(divide="ignore"):
+            logs = np.log(probs / probs.sum(axis=1, keepdims=True))
+        write = repr if fmt == "repr" else (lambda v: f"{v:.9g}")
+        lines = [" ".join(write(float(v)) for v in row) for row in logs]
+        parsed = PosteriorMatrix.from_text("40 7 logprob\n" + "\n".join(lines) + "\n")
+        expected = np.array([[float(v) for v in line.split()] for line in lines], dtype=np.float64)
+        assert parsed.logprobs.tobytes() == expected.tobytes()
+        assert np.isneginf(parsed.logprobs).any()
 
     def test_validate_reports_first_bad_row(self):
         rows = np.log(np.full((6, 3), 1 / 3))
@@ -412,6 +496,50 @@ class TestWfstSearchOverAChangedGraph:
         dec = WfstBeamDecoder(graph, blank_skip_threshold=None)
         with pytest.raises(ConfigurationError, match="epsilon expansion did not converge"):
             dec.advance(np.log(np.array([[0.5, 0.5]])))
+
+
+class TestLinkCompaction:
+    def test_keeps_reachable_links_in_order_and_waits_to_double(self, monkeypatch):
+        monkeypatch.setattr(_Links, "FLOOR", 4)
+        links = _Links()
+        links.add([-1, -1], [1, 2])  # links 0 and 1
+        links.add([0, 1, 0], [3, 4, 5])  # links 2, 3 and 4
+        live = np.array([4, -1, 2])
+        renumbered = links.compact(live)
+        assert len(links) == 3  # links 0, 2 and 4 survive as 0, 1 and 2
+        assert renumbered.tolist() == [2, -1, 1]
+        assert links.chains(renumbered) == [(1, 5), (), (1, 3)]
+        links.add([2, 2], [6, 7])
+        assert links.compact(np.array([3])).tolist() == [3]  # 5 links: under twice the 3 kept
+        links.add([3], [8])
+        assert links.compact(np.array([5])).tolist() == [3]
+        assert links.chains(np.array([3])) == [(1, 5, 6, 8)]
+
+
+class TestWfstSearchOverALongStream:
+    FRAMES = 20_000
+
+    def _stream(self, monkeypatch, floor):
+        """Decode one seeded stream in 400-frame chunks; the n-best text and
+        the most links held after any chunk."""
+        monkeypatch.setattr(_Links, "FLOOR", floor)
+        rng = np.random.default_rng(8)
+        with np.errstate(divide="ignore"):
+            logprobs = np.log(rng.dirichlet(np.ones(4), size=self.FRAMES))
+        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=None)
+        held = 0
+        for start in range(0, self.FRAMES, 400):
+            dec.advance(logprobs[start : start + 400])
+            held = max(held, dec.links_held)
+        return dec.finalize().to_text(), held
+
+    def test_link_store_stays_bounded_with_unchanged_nbest(self, monkeypatch):
+        floor = _Links.FLOOR
+        text, held = self._stream(monkeypatch, floor)
+        unbounded_text, unbounded = self._stream(monkeypatch, 10**9)
+        bound = 2 * floor + 1000  # the unit and the word store, each with one frame's links over its floor
+        assert held <= bound < unbounded
+        assert text == unbounded_text
 
 
 class TestWfstSearchCounters:

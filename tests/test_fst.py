@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -381,6 +382,28 @@ class TestTextFormat:
         lines[at] = f"{at} {at + 1} 1 1.5 0.25"
         with pytest.raises(ParseError, match=f"x.fst:{at + 1}: cannot read '{at} {at + 1} 1 1.5 0.25'"):
             WeightedFst.from_text("\n".join(lines), source="x.fst")
+
+    @pytest.mark.parametrize(
+        "bad,state",
+        [
+            ("0 1000000000 1 1 0.0", 1000000000),
+            ("1000000000 0 1 1 0.0", 1000000000),
+            ("9223372036854775807 0", 9223372036854775807),
+            ("0 6 1 1 0.0", 6),
+            ("6 0", 6),
+        ],
+    )
+    def test_state_id_past_what_the_file_can_describe_rejected(self, bad, state):
+        # Three lines name at most six states, ids 0 to 5. The machine is
+        # sized by its largest id, so this must fail before any allocation.
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"x.fst:2: state id {state} is too large for a file of 3 lines"):
+            WeightedFst.from_text(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", source="x.fst")
+        assert time.perf_counter() - start < 0.5
+
+    def test_densest_state_ids_a_file_can_describe_are_read(self):
+        fst = WeightedFst.from_text("0 1 1 1 0.0\n2 3 1 1 0.0\n4 5 1 1 0.0\n")
+        assert fst.num_states() == 6
 
     def test_repeated_final_lines_keep_the_smaller_weight(self):
         fst = WeightedFst.from_text("0 1 1 1 0.0\n1 2.0\n1 0.5\n1 1.0\n0 inf\n")
