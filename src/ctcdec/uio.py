@@ -5,15 +5,23 @@ Shards are plain POSIX ustar archives (optionally gzipped) holding the
 payloads of each record as adjacent `key.suffix` entries plus a `key.json`
 metadata entry. Shard order can be randomized per epoch; within a shard
 records are always read strictly sequentially with streaming decompression.
+
+The archives are written and read here, 512-byte header by header, without
+`tarfile`. The writer emits regular-file entries only: mode 0644, owner 0,
+mtime 0, names of at most 100 UTF-8 bytes and sizes under 8 GiB. The reader
+also takes archives from other writers: it joins a ustar name prefix,
+honours pax `x` records `path` and `size`, skips pax `g` headers, takes a
+GNU `L` entry as the next entry's name and skips directories and other
+non-file entries. It requires the end-of-archive zero block, followed by
+nothing but NULs, so a truncated shard never reads as a shorter one.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import logging
-import tarfile
+import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,13 +164,13 @@ class _ShardWriter:
         self.name = f"shard_{index:05d}.tar" + (".gz" if compress else "")
         self.path = out_dir / self.name
         self.count = 0
+        self._offset = 0
         self._raw = open(self.path, "wb")
         if compress:
             # mtime pinned so identical inputs give byte-identical shards
             self._stream: BinaryIO = gzip.GzipFile(filename="", mode="wb", fileobj=self._raw, mtime=0)
         else:
             self._stream = self._raw
-        self._tar = tarfile.open(fileobj=self._stream, mode="w", format=tarfile.USTAR_FORMAT)
 
     def add(self, sample: SampleRecord) -> None:
         for suffix in sorted(sample.payloads):
@@ -172,17 +180,18 @@ class _ShardWriter:
         self.count += 1
 
     def _entry(self, name: str, data: bytes) -> None:
-        info = tarfile.TarInfo(name)
-        info.size = len(data)
-        info.mtime = 0
-        info.mode = 0o644
-        info.uid = info.gid = 0
-        info.uname = info.gname = ""
-        self._tar.addfile(info, io.BytesIO(data))
+        write = self._stream.write
+        write(_ustar_header(name, len(data)))
+        write(data)
+        pad = -len(data) % _BLOCK
+        if pad:
+            write(_ZERO_BLOCK[:pad])
+        self._offset += _BLOCK + len(data) + pad
 
     def close(self) -> str:
         """Finish the shard and return its manifest line."""
-        self._tar.close()
+        end = 2 * _BLOCK
+        self._stream.write(bytes(end + -(self._offset + end) % _RECORD))
         if self._stream is not self._raw:
             self._stream.close()
         self._raw.close()
@@ -235,7 +244,7 @@ def read_shards(
 
     Shard visit order is identity, or a seeded Fisher-Yates permutation
     when `shuffle` is set; within a shard records come back strictly
-    sequentially (tar stream mode, one record buffered at a time).
+    sequentially (one forward pass, one record buffered at a time).
     `on_error` is "fail" (default) or "skip" for shards that cannot be
     opened or read. A repeated locator or a bad `on_error` is rejected by
     the call itself, before the iterator is returned.
@@ -255,47 +264,209 @@ def _iter_shards(locators: list[str], storage: LocalStorage, on_error: str) -> I
         try:
             with storage.open_read(locator) as stream:
                 yield from _read_shard(stream, locator)
-        except (OSError, tarfile.TarError, EngineError) as exc:
+        except (OSError, EngineError) as exc:
             if on_error == "fail":
                 raise
             logger.warning("skipping unreadable shard %s: %s", locator, exc)
 
 
 def _read_shard(stream: BinaryIO, locator: str) -> Iterator[SampleRecord]:
-    """Yield records from one tar stream; gzip is sniffed from the locator."""
-    mode = "r|gz" if locator.endswith((".tar.gz", ".tgz")) else "r|"
-    last_entry = "<start>"
+    """Yield records from one shard stream; gzip is sniffed from the locator."""
+    if locator.endswith((".tar.gz", ".tgz")):
+        stream = gzip.GzipFile(fileobj=stream, mode="rb")
     key: str | None = None
     payloads: dict[str, bytes] = {}
     metadata: dict[str, str] = {}
-    try:
-        with tarfile.open(fileobj=stream, mode=mode) as tar:
-            for member in tar:
-                last_entry = member.name
-                if not member.isfile():
-                    continue
-                base, dot, suffix = member.name.rpartition(".")
-                if not dot or not base:
-                    raise ParseError(f"entry {member.name!r} is not named key.suffix", source=locator)
-                if base != key:
-                    if key is not None:
-                        yield SampleRecord(key, payloads, metadata)
-                    key, payloads, metadata = base, {}, {}
-                handle = tar.extractfile(member)
-                data = handle.read() if handle is not None else b""
-                if suffix == METADATA_SUFFIX:
-                    metadata = json.loads(data.decode("utf-8"))
-                else:
-                    payloads[suffix] = data
-            # Stream-mode tarfile ends silently on a bad mid-archive header;
-            # a well-formed archive leaves nothing but NUL padding here.
-            trailer = tar.fileobj.read(tarfile.RECORDSIZE)  # type: ignore[union-attr]
-            if trailer.strip(b"\0"):
-                raise tarfile.ReadError("archive continues with unreadable data")
+    for name, data in _ustar_entries(stream, locator):
+        base, dot, suffix = name.rpartition(".")
+        if not dot or not base:
+            raise ParseError(f"entry {name!r} is not named key.suffix", source=locator)
+        if base != key:
             if key is not None:
                 yield SampleRecord(key, payloads, metadata)
-    except (tarfile.TarError, EOFError, zlib.error, json.JSONDecodeError) as exc:
-        raise ParseError(f"corrupt shard after entry {last_entry!r}: {exc}", source=locator) from exc
+            key, payloads, metadata = base, {}, {}
+        if suffix == METADATA_SUFFIX:
+            try:
+                metadata = json.loads(data.decode("utf-8"))
+            except ValueError as exc:
+                raise ParseError(f"corrupt shard after entry {name!r}: {exc}", source=locator) from exc
+        else:
+            payloads[suffix] = data
+    if key is not None:
+        yield SampleRecord(key, payloads, metadata)
+
+
+# -- ustar -------------------------------------------------------------------
+#
+# An entry is one 512-byte header, then its data padded with NULs to a
+# 512-byte boundary. Two zero blocks end the archive, which is padded with
+# NULs to tar's 10,240-byte record.
+
+_BLOCK = 512
+_RECORD = 20 * _BLOCK
+_ZERO_BLOCK = bytes(_BLOCK)
+_NAME_BYTES = 100
+_SIZE_LIMIT = 8**11  # the size field holds 11 octal digits
+# Header fields the writer never varies: mode 0644, uid and gid 0 (size
+# follows), mtime 0 (checksum follows), then a regular file with no link
+# target, the POSIX magic and version, and empty owner names, device
+# numbers and name prefix.
+_MODE_OWNER = b"0000644\0" b"0000000\0" b"0000000\0"
+_MTIME = b"00000000000\0"
+_TYPE_TO_END = b"0" + bytes(100) + b"ustar\x0000" + bytes(_BLOCK - 265)
+_FIXED_SUM = sum(_MODE_OWNER) + sum(_MTIME) + sum(_TYPE_TO_END) + 8 * ord(" ")
+_SIGNED_BYTES = struct.Struct("148b8x356b")  # every header byte but the checksum field
+
+_FILE_TYPES = (b"0", b"\0", b"7")
+# Hard and symbolic links, devices, directories and FIFOs: no data follows
+# their header, whatever its size field says.
+_NO_DATA_TYPES = (b"1", b"2", b"3", b"4", b"5", b"6")
+# Pax extended and global headers and GNU long name and long link entries:
+# their data describes the entry that follows.
+_EXTENSION_TYPES = (b"x", b"g", b"L", b"K")
+# A corrupt size field must not make one read allocate more than the
+# stream holds, so larger entries are read in pieces of this size.
+_READ_CHUNK = 1 << 20
+
+
+class _BadArchive(Exception):
+    """A malformed ustar stream; reported as a `ParseError` naming the shard."""
+
+
+def _ustar_header(name: str, size: int) -> bytes:
+    """The ustar header of a regular file `name` holding `size` bytes."""
+    encoded = name.encode("utf-8")
+    if len(encoded) > _NAME_BYTES:
+        raise ConfigurationError(
+            f"entry name {name!r} is {len(encoded)} UTF-8 bytes; a ustar name holds at most {_NAME_BYTES}"
+        )
+    if not 0 <= size < _SIZE_LIMIT:
+        raise ConfigurationError(f"entry {name!r} holds {size} bytes; a ustar entry holds less than 8 GiB")
+    size_field = b"%011o\0" % size
+    checksum = _FIXED_SUM + sum(encoded) + sum(size_field)
+    return b"".join(
+        (encoded.ljust(_NAME_BYTES, b"\0"), _MODE_OWNER, size_field, _MTIME, b"%06o\0 " % checksum, _TYPE_TO_END)
+    )
+
+
+def _ustar_entries(stream: BinaryIO, locator: str) -> Iterator[tuple[str, bytes]]:
+    """Yield (name, data) of each regular file in a ustar stream, in order.
+
+    Reads strictly forward. Any malformed or missing part of the archive,
+    its end-of-archive block included, raises a `ParseError` that names the
+    last entry read.
+    """
+    read = stream.read
+    last = "<start>"
+    pax_name: str | None = None
+    pax_size: int | None = None
+    gnu_name: str | None = None
+    try:
+        while True:
+            header = read(_BLOCK)
+            if header == _ZERO_BLOCK:
+                break
+            if len(header) != _BLOCK:
+                raise _BadArchive("truncated header" if header else "missing end-of-archive block")
+            checksum = _octal(header[148:156])
+            if checksum != sum(header) - sum(header[148:156]) + 256:
+                if checksum != sum(_SIGNED_BYTES.unpack(header)) + 256:
+                    raise _BadArchive("bad header checksum")
+            size = _octal(header[124:136])
+            kind = header[156:157]
+            if kind in _EXTENSION_TYPES:
+                data = _read_data(read, size)
+                if kind == b"x":
+                    fields = _pax_fields(data)
+                    if b"path" in fields:
+                        pax_name = fields[b"path"].decode("utf-8")
+                    if b"size" in fields:
+                        pax_size = _decimal(fields[b"size"])
+                elif kind == b"L":
+                    gnu_name = data.partition(b"\0")[0].decode("utf-8")
+                continue
+            raw_name = header[:_NAME_BYTES].partition(b"\0")[0]
+            if kind == b"\0" and raw_name.endswith(b"/"):
+                kind = b"5"  # an old-style directory
+            if pax_name is not None:
+                last = pax_name
+            elif gnu_name is not None:
+                last = gnu_name
+            else:
+                if header[257:263] == b"ustar\0" and header[345]:
+                    raw_name = header[345:500].partition(b"\0")[0] + b"/" + raw_name
+                last = raw_name.decode("utf-8")
+            if pax_size is not None:
+                size = pax_size
+            pax_name = pax_size = gnu_name = None
+            if kind in _NO_DATA_TYPES:
+                continue
+            data = _read_data(read, size)
+            if kind in _FILE_TYPES:
+                yield last, data
+        if pax_name is not None or pax_size is not None or gnu_name is not None:
+            raise _BadArchive("extension header without an entry")
+        while True:
+            rest = read(_RECORD)
+            if not rest:
+                break
+            if rest.count(0) != len(rest):
+                raise _BadArchive("archive continues with unreadable data")
+    except (_BadArchive, UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ParseError(f"corrupt shard after entry {last!r}: {exc}", source=locator) from exc
+
+
+def _octal(field: bytes) -> int:
+    try:
+        value = int(field.partition(b"\0")[0].strip() or b"0", 8)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise _BadArchive(f"bad number {field!r} in header")
+    return value
+
+
+def _decimal(text: bytes) -> int:
+    if not text.isdigit():
+        raise _BadArchive(f"bad number {text!r} in pax header")
+    return int(text)
+
+
+def _read_data(read: Callable[[int], bytes], size: int) -> bytes:
+    """`size` bytes of entry data; the NUL padding after them is skipped."""
+    if size <= _READ_CHUNK:
+        data = read(size)
+    else:
+        parts = []
+        left = size
+        while left:
+            part = read(min(left, _READ_CHUNK))
+            if not part:
+                break
+            parts.append(part)
+            left -= len(part)
+        data = b"".join(parts)
+    pad = -size % _BLOCK
+    if len(data) != size or (pad and len(read(pad)) != pad):
+        raise _BadArchive("truncated entry data")
+    return data
+
+
+def _pax_fields(data: bytes) -> dict[bytes, bytes]:
+    """The `length keyword=value\\n` records of a pax extended header."""
+    fields = {}
+    pos = 0
+    while pos < len(data):
+        space = data.find(b" ", pos)
+        if space <= pos:
+            raise _BadArchive("bad pax record")
+        end = pos + _decimal(data[pos:space])
+        keyword, equals, value = data[space + 1 : end].partition(b"=")
+        if end > len(data) or data[end - 1 : end] != b"\n" or not keyword or not equals:
+            raise _BadArchive("bad pax record")
+        fields[keyword] = value[:-1]
+        pos = end
+    return fields
 
 
 # -- raw (sample-level random access) ---------------------------------------

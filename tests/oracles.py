@@ -4,19 +4,26 @@ Everything here is deliberately brute force: exhaustive path enumeration,
 full path-sum marginalization, the textbook ARPA backoff recursion, a
 plain greedy phrase matcher, the `(node, pending)` biasing walker, the
 object-per-extension prefix search, the trace-carrying WFST search, a
-heap-based n-best shortest path and the list-of-`Arc` FST algorithms.
-None of it shares code with the engine paths it verifies; the walker
-reads only the biasing trie's arcs, the two searches borrow only the
-engine's input and output containers (the WFST search also its
-`StreamingDecoder` chunk loop) and the biasing graph's `advance`, and the
-FST code uses `WeightedFst` only as a container of states and arcs.
+heap-based n-best shortest path, the list-of-`Arc` FST algorithms and the
+`tarfile` shard writer and reader. None of it shares code with the engine
+paths it verifies; the walker reads only the biasing trie's arcs, the two
+searches borrow only the engine's input and output containers (the WFST
+search also its `StreamingDecoder` chunk loop) and the biasing graph's
+`advance`, the FST code uses `WeightedFst` only as a container of states
+and arcs, and the shard code uses `SampleRecord` only as a container of a
+record.
 """
 
 from __future__ import annotations
 
+import gzip
 import heapq
+import io
 import itertools
+import json
 import math
+import tarfile
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -30,10 +37,11 @@ from ctcdec.decode import (
     StreamingDecoder,
     skip_blank_frames,
 )
-from ctcdec.errors import ConfigurationError, PreconditionError, ResourceError
+from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError
 from ctcdec.fst import WeightedFst
 from ctcdec.graph import disambig_ids
 from ctcdec.symbols import SymbolTable
+from ctcdec.uio import SampleRecord
 
 INF = math.inf
 
@@ -891,3 +899,69 @@ def reference_build_TLG(t, l, g):
         if sym_id not in aux:
             clean.add(sym, sym_id)
     return reference_compose(t, reference_relabel_ilabels(mind, {a: 0 for a in aux}, isymbols=clean))
+
+
+# -- shard IO through tarfile ----------------------------------------------
+
+
+def tarfile_write_shard(path, samples, *, compress=False):
+    """One shard written through `tarfile` in USTAR format, entry by entry."""
+    with open(path, "wb") as raw:
+        stream = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) if compress else raw
+        with tarfile.open(fileobj=stream, mode="w", format=tarfile.USTAR_FORMAT) as tar:
+            for sample in samples:
+                entries = [(f"{sample.key}.{suffix}", sample.payloads[suffix]) for suffix in sorted(sample.payloads)]
+                meta = json.dumps(sample.metadata, sort_keys=True, ensure_ascii=False).encode("utf-8")
+                entries.append((f"{sample.key}.json", meta))
+                for name, data in entries:
+                    tar.addfile(tarfile_info(name, len(data)), io.BytesIO(data))
+        if compress:
+            stream.close()
+
+
+def tarfile_info(name, size):
+    """The `TarInfo` the tarfile-based writer gives an entry."""
+    info = tarfile.TarInfo(name)
+    info.size = size
+    info.mtime = 0
+    info.mode = 0o644
+    info.uid = info.gid = 0
+    info.uname = info.gname = ""
+    return info
+
+
+def tarfile_read_shard(stream, locator):
+    """Records of one shard stream read through stream-mode `tarfile`."""
+    mode = "r|gz" if locator.endswith((".tar.gz", ".tgz")) else "r|"
+    last_entry = "<start>"
+    key = None
+    payloads = {}
+    metadata = {}
+    try:
+        with tarfile.open(fileobj=stream, mode=mode) as tar:
+            for member in tar:
+                last_entry = member.name
+                if not member.isfile():
+                    continue
+                base, dot, suffix = member.name.rpartition(".")
+                if not dot or not base:
+                    raise ParseError(f"entry {member.name!r} is not named key.suffix", source=locator)
+                if base != key:
+                    if key is not None:
+                        yield SampleRecord(key, payloads, metadata)
+                    key, payloads, metadata = base, {}, {}
+                handle = tar.extractfile(member)
+                data = handle.read() if handle is not None else b""
+                if suffix == "json":
+                    metadata = json.loads(data.decode("utf-8"))
+                else:
+                    payloads[suffix] = data
+            # Stream-mode tarfile ends silently on a bad mid-archive header;
+            # a well-formed archive leaves nothing but NUL padding here.
+            trailer = tar.fileobj.read(tarfile.RECORDSIZE)
+            if trailer.strip(b"\0"):
+                raise tarfile.ReadError("archive continues with unreadable data")
+            if key is not None:
+                yield SampleRecord(key, payloads, metadata)
+    except (tarfile.TarError, EOFError, zlib.error, json.JSONDecodeError) as exc:
+        raise ParseError(f"corrupt shard after entry {last_entry!r}: {exc}", source=locator) from exc

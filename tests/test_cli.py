@@ -455,6 +455,16 @@ class TestShardCommands:
         assert main(["pack", str(manifest), "--out", str(tmp_path / "x")]) == 1
         assert "s0" in capsys.readouterr().err
 
+    def test_pack_key_too_long_for_ustar_fails_naming_it(self, tmp_path, capsys):
+        key = "k" * 97
+        (tmp_path / "long.wav").write_bytes(b"audio")
+        manifest = tmp_path / "raw.list"
+        manifest.write_text(f"{key} long.wav\n", encoding="utf-8")
+        assert main(["pack", str(manifest), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "100" in err
+        assert "Traceback" not in err
+
     def test_cat_same_shard_twice_fails_before_listing(self, tmp_path, capsys):
         manifest = self._raw_manifest(tmp_path)
         out = tmp_path / "shards"

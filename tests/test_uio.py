@@ -1,11 +1,14 @@
+import gzip
 import io
+import struct
 import tarfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctcdec.errors import ConfigurationError, ParseError
+from ctcdec.errors import ConfigurationError, EngineError, ParseError
 from ctcdec.uio import (
     Batch,
     Filter,
@@ -21,6 +24,8 @@ from ctcdec.uio import (
     seeded_shuffle,
     shard_list_from_manifest,
 )
+from ctcdec.uio import _ustar_entries, _ustar_header
+from oracles import tarfile_info, tarfile_read_shard, tarfile_write_shard
 
 
 def _records(n, payload_bytes=16):
@@ -34,6 +39,16 @@ def _records(n, payload_bytes=16):
             )
         )
     return out
+
+
+def _tarfile_header(name, size):
+    return tarfile_info(name, size).tobuf(tarfile.USTAR_FORMAT, "utf-8", "surrogateescape")
+
+
+def _with_checksum(header, signed=False):
+    """`header` with its checksum field set to the unsigned or the signed byte sum."""
+    total = sum(struct.unpack("148b8x356b" if signed else "148B8x356B", header)) + 8 * ord(" ")
+    return header[:148] + b"%06o\0 " % total + header[156:]
 
 
 def _manifest_counts(out_dir):
@@ -72,6 +87,16 @@ class InstrumentedStorage(LocalStorage):
                 super().close()
 
         return io.BufferedReader(Tracked())
+
+
+class BytesStorage(LocalStorage):
+    """Serves each locator from bytes held in memory."""
+
+    def __init__(self, blobs):
+        self.blobs = blobs
+
+    def open_read(self, locator):
+        return io.BytesIO(self.blobs[locator])
 
 
 class TestSampleRecord:
@@ -118,6 +143,21 @@ class TestPack:
             "utt0000.txt", "utt0000.wav", "utt0000.json",
             "utt0001.txt", "utt0001.wav", "utt0001.json",
         ]
+
+    def test_entry_name_over_100_bytes_names_key(self, tmp_path):
+        key = "k" * 96  # "k...k.wav" is 100 bytes, "k...k.json" 101
+        with pytest.raises(ConfigurationError, match=key):
+            pack_shards([SampleRecord(key, {"wav": b"x"})], 10, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        longest = "k" * 95  # its metadata entry "k...k.json" is 100 bytes
+        shards = pack_shards([SampleRecord(longest, {"wav": b"x"})], 10, tmp_path)
+        assert [r.key for r in read_shards(shards)] == [longest]
+
+    def test_entry_of_8_gib_rejected(self):
+        largest = 8**11 - 1
+        assert _ustar_header("a.wav", largest) == _tarfile_header("a.wav", largest)
+        with pytest.raises(ConfigurationError, match="8 GiB"):
+            _ustar_header("a.wav", 8**11)
 
     def test_packing_is_byte_deterministic(self, tmp_path):
         pack_shards(_records(4), 2, tmp_path / "a", compress=True)
@@ -196,6 +236,51 @@ class TestRead:
         with pytest.raises((ParseError, OSError)):
             list(read_shards(shards))
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_every_cut_reads_all_records_or_raises(self, tmp_path, compress):
+        records = _records(3)
+        [locator] = pack_shards(records, 10, tmp_path, compress=compress)
+        data = Path(locator).read_bytes()
+        whole = []
+        for cut in range(len(data) + 1):
+            try:
+                back = list(read_shards([locator], storage=BytesStorage({locator: data[:cut]})))
+            except ParseError:
+                continue
+            assert back == records, f"cut at byte {cut}"
+            whole.append(cut)
+        if compress:
+            assert whole == [len(data)]
+        else:
+            end_block = 9 * 1024  # nine entries of one header and one data block
+            assert whole == list(range(end_block + 512, len(data) + 1))
+
+    def test_gzip_shard_cut_to_three_bytes(self, tmp_path):
+        shards = pack_shards(_records(4), 2, tmp_path, compress=True)
+        path = Path(shards[0])
+        path.write_bytes(path.read_bytes()[:3])
+        with pytest.raises(ParseError, match="shard_00000.tar.gz"):
+            list(read_shards(shards))
+        assert [r.key for r in read_shards(shards, on_error="skip")] == ["utt0002", "utt0003"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data[:1024], "missing end-of-archive block"),
+            (lambda data: data[:9216 + 100], "truncated header"),
+            (lambda data: data[:600], "truncated entry data"),
+            (lambda data: data[:-1] + b"x", "unreadable data"),
+            (lambda data: data[:148] + b"0000000\0" + data[156:], "bad header checksum"),
+            (lambda data: data[:148] + b"00x000\0 " + data[156:], "bad number"),
+        ],
+        ids=["cut_at_entry", "cut_in_end_block", "cut_in_data", "after_end", "checksum", "checksum_field"],
+    )
+    def test_malformed_archive_names_fault(self, tmp_path, edit, message):
+        [locator] = pack_shards(_records(3), 10, tmp_path)
+        data = edit(Path(locator).read_bytes())
+        with pytest.raises(ParseError, match=message):
+            list(read_shards([locator], storage=BytesStorage({locator: data})))
+
     def test_manifest_round_trip(self, tmp_path):
         pack_shards(_records(5), 2, tmp_path)
         shards = shard_list_from_manifest(tmp_path / "manifest.txt")
@@ -249,6 +334,158 @@ class TestRead:
             keys = [r.key for r in read_shards(shards, shuffle=True, seed=seed)]
             assert sorted(keys) == [r.key for r in records]
             assert len(set(keys)) == len(records)
+
+
+def _names_up_to_100_bytes():
+    """Names of every byte length 1-100, ASCII and with 2- and 3-byte characters."""
+    names = ["a" * n for n in range(1, 101)]
+    for n in range(1, 101):
+        head = "é語" * (n // 5)
+        names.append(head + "b" * (n - len(head.encode("utf-8"))))
+    assert sorted({len(name.encode("utf-8")) for name in names}) == list(range(1, 101))
+    return names
+
+
+_FORMATS = [tarfile.USTAR_FORMAT, tarfile.GNU_FORMAT, tarfile.PAX_FORMAT]
+
+
+def _tar_with(format, entries, **options):
+    """An archive `tarfile` writes: entries are (name, data) or (name, None) for a directory."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w", format=format, **options) as tar:
+        for name, data in entries:
+            info = tarfile.TarInfo(name)
+            info.mtime = 1_700_000_000.25  # a float mtime: PAX writes an extended header for it
+            if data is None:
+                info.type = tarfile.DIRTYPE
+                tar.addfile(info)
+            else:
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def packed_shards(tmp_path_factory):
+    """One small shard per compression, as (locator, bytes)."""
+    out = {}
+    for compress in (False, True):
+        [locator] = pack_shards(_records(3), 10, tmp_path_factory.mktemp("packed"), compress=compress)
+        out[compress] = (locator, Path(locator).read_bytes())
+    return out
+
+
+class TestUstarAgainstTarfile:
+    """The direct ustar code against Python's `tarfile` and the tarfile-based reference."""
+
+    def test_header_bytes_match_tarfile(self):
+        for name in _names_up_to_100_bytes():
+            for size in (0, 1, 511, 512, 513, 1 << 20):
+                assert _ustar_header(name, size) == _tarfile_header(name, size), (name, size)
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_shard_bytes_match_tarfile_writer(self, tmp_path, compress):
+        records = []
+        for i, key in enumerate(_names_up_to_100_bytes()):
+            if len(key.encode("utf-8")) <= 95:  # "key.json" fits in 100 bytes
+                payload = bytes([i % 256]) * (0, 1, 512, 1500)[i % 4]
+                records.append(SampleRecord(key, {"wav": payload, "txt": key.encode()}, {"text": key}))
+        shards = pack_shards(records, len(records), tmp_path / "direct", compress=compress)
+        [shard] = shards
+        reference = tmp_path / "reference.tar"
+        tarfile_write_shard(reference, records, compress=compress)
+        assert Path(shard).read_bytes() == reference.read_bytes()
+        assert list(read_shards(shards)) == records
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("format", _FORMATS, ids=["ustar", "gnu", "pax"])
+    def test_reader_matches_tarfile_reader(self, format, compress):
+        long_key = "k" * 146  # 150-byte names: a GNU long name, or a pax path
+        entries = [("data", None), ("utt1.wav", b"\x01" * 1500), ("utt1.txt", b""), ("utt1.json", b'{"a": "\xc3\xa9"}')]
+        entries += [("datos_é", None), ("ütt2.wav", b"\x02" * 512), ("ütt2.json", b"{}")]
+        if format != tarfile.USTAR_FORMAT:
+            entries += [(f"{long_key}.wav", b"\x03" * 100), (f"{long_key}.json", b"{}")]
+        options = {"pax_headers": {"comment": "global"}} if format == tarfile.PAX_FORMAT else {}
+        data = _tar_with(format, entries, **options)
+        locator = "shard.tar.gz" if compress else "shard.tar"
+        if compress:
+            data = gzip.compress(data, mtime=0)
+        got = list(read_shards([locator], storage=BytesStorage({locator: data})))
+        expected = list(tarfile_read_shard(io.BytesIO(data), locator))
+        assert got == expected
+        assert [r.key for r in got] == ["utt1", "ütt2"] + ([long_key] if format != tarfile.USTAR_FORMAT else [])
+
+    @pytest.mark.parametrize("format", _FORMATS, ids=["ustar", "gnu", "pax"])
+    def test_entry_names_match_tarfile(self, format):
+        # A 150-byte name with a "/" is split into ustar prefix and name.
+        entries = [("d/", None), (f"{'p' * 60}/{'q' * 89}", b"long"), ("d/é.txt", b"x" * 700), ("e", b"")]
+        data = _tar_with(format, entries)
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            expected = [(m.name, tar.extractfile(m).read()) for m in tar if m.isfile()]
+        assert list(_ustar_entries(io.BytesIO(data), "shard.tar")) == expected
+        assert [name for name, _ in expected] == [entries[1][0], "d/é.txt", "e"]
+
+    def test_pax_size_record_overrides_header(self):
+        info = tarfile.TarInfo("a.txt")  # its ustar header says 0 bytes
+        info.pax_headers = {"size": "5"}
+        data = info.tobuf(tarfile.PAX_FORMAT) + b"hello".ljust(512, b"\0") + bytes(1024)
+        assert list(_ustar_entries(io.BytesIO(data), "shard.tar")) == [("a.txt", b"hello")]
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            assert [(m.name, tar.extractfile(m).read()) for m in tar] == [("a.txt", b"hello")]
+
+    def test_huge_size_field_reads_in_pieces(self):
+        requested = []
+
+        class Recording(io.BytesIO):
+            def read(self, n=-1):
+                requested.append(n)
+                return super().read(n)
+
+        data = _ustar_header("a.wav", 8**11 - 1) + b"x" * 5000
+        with pytest.raises(ParseError, match="truncated entry data"):
+            list(_ustar_entries(Recording(data), "shard.tar"))
+        assert 0 < max(requested) <= 1 << 20
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            _with_checksum(_ustar_header("é.txt", 3), signed=True) + b"abc".ljust(512, b"\0"),
+            _with_checksum(_ustar_header("d/", 0)[:156] + b"\0" + _ustar_header("d/", 0)[157:]),
+            _with_checksum(_ustar_header("d", 512)[:156] + b"5" + _ustar_header("d", 512)[157:]),
+        ],
+        ids=["signed_checksum", "old_style_directory", "directory_with_size"],
+    )
+    def test_hand_made_entry_read_as_tarfile_reads_it(self, entry):
+        data = entry + _ustar_header("e.txt", 1) + b"e".ljust(512, b"\0") + bytes(1024)
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            expected = [(m.name, tar.extractfile(m).read()) for m in tar if m.isfile()]
+        assert list(_ustar_entries(io.BytesIO(data), "shard.tar")) == expected
+        assert expected[-1] == ("e.txt", b"e")
+
+    def test_extension_header_without_entry_rejected(self):
+        info = tarfile.TarInfo("a.txt")
+        info.pax_headers = {"path": "b.txt"}
+        pax_only = info.tobuf(tarfile.PAX_FORMAT)[:-512]
+        with pytest.raises(ParseError, match="without an entry"):
+            list(_ustar_entries(io.BytesIO(pax_only + bytes(1024)), "shard.tar"))
+
+    @given(
+        compress=st.booleans(),
+        edits=st.lists(
+            st.tuples(st.one_of(st.integers(0, 3071), st.integers(0, 10239)), st.integers(0, 255)), max_size=6
+        ),
+        cut=st.one_of(st.none(), st.integers(0, 10240)),
+    )
+    def test_mutated_shard_raises_only_engine_or_os_errors(self, packed_shards, compress, edits, cut):
+        locator, original = packed_shards[compress]
+        data = bytearray(original)
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        storage = BytesStorage({locator: bytes(data[:cut])})
+        try:
+            list(read_shards([locator], storage=storage))
+        except (EngineError, OSError):
+            pass
 
 
 class TestRawReader:
