@@ -94,7 +94,9 @@ def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str =
             try:
                 current_order = int(line[1:-len("-grams:")])
             except ValueError:
-                raise ParseError(f"bad section header {line!r}", source=name, line=lineno) from None
+                current_order = 0
+            if current_order < 1:
+                raise ParseError(f"bad section header {line!r}", source=name, line=lineno)
             orders.setdefault(current_order, [])
             section = "ngrams"
             continue
@@ -105,9 +107,12 @@ def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str =
                     raise ParseError(f"bad count line {line!r}", source=name, line=lineno)
                 order_text, count_text = body.split("=", 1)
                 try:
-                    declared[int(order_text)] = int(count_text)
+                    order, count = int(order_text), int(count_text)
                 except ValueError:
-                    raise ParseError(f"bad count line {line!r}", source=name, line=lineno) from None
+                    order = 0
+                if order < 1:
+                    raise ParseError(f"bad count line {line!r}", source=name, line=lineno)
+                declared[order] = count
                 continue
             raise ParseError(f"unexpected line in \\data\\ section: {line!r}", source=name, line=lineno)
         if section == "ngrams":

@@ -11,6 +11,11 @@ algorithm here reads rows from them and emits new columns, which one
 private constructor turns into the result; no pass makes an object per
 arc. `WeightedFst.arcs` builds `Arc` values for one state on demand, for
 tests and oracles.
+
+Every algorithm but `determinize` is array code. `compose` expands the
+composed states a frontier at a time and then numbers them in the order
+a stack would discover them. `determinize` keeps a scalar loop over the
+arcs of each subset it builds.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ _DET_BUDGET_FLOOR = 1000
 _ARC_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("il", np.int64), ("ol", np.int64), ("w", np.float64)])
 _FINAL_ROW = np.dtype([("state", np.int64), ("w", np.float64)])
 _TEXT_CHUNK = 1 << 16  # arcs per `%` call in `to_text`, which bounds the argument tuple it builds
+_EXPAND_KEYS = 256  # composed states `compose` expands at once, which bounds the arc rows it holds
 
 
 @dataclass(frozen=True)
@@ -339,9 +345,24 @@ class ArcArrays:
         tied = np.ones(max(len(self.ilabel) - 1, 0), dtype=bool)  # neighbours equal on the keys so far
         for key in keys:  # skip the sort when the arcs are in order already
             if np.any(tied & ~(key[:-1] <= key[1:])):
-                return np.lexsort(keys[::-1])
+                break
             tied &= key[:-1] == key[1:]
-        return np.arange(len(self.ilabel))
+        else:
+            return np.arange(len(self.ilabel))
+        # One stable sort of the four integer keys packed into one, when they
+        # fit; then the runs equal on all four are ordered by weight.
+        radix = [1 + int(key.max(initial=0)) for key in keys[1:4]]
+        if self.num_states * radix[0] * radix[1] * radix[2] >= 1 << 63:
+            return np.lexsort(keys[::-1])
+        src, il, ol, dst, weight = keys
+        packed = ((src * radix[0] + il) * radix[1] + ol) * radix[2] + dst
+        order = np.argsort(packed, kind="stable")
+        packed = packed[order]
+        tie = packed[1:] == packed[:-1]
+        if tie.any():
+            run = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+            order[run] = order[run][np.lexsort((weight[order[run]], packed[run]))]
+        return order
 
     @cached_property
     def max_ilabel(self) -> int:
@@ -408,12 +429,15 @@ def _reachable(a: ArcArrays, starts: list[int]) -> np.ndarray:
     seen[frontier] = True
     while len(frontier):
         first = a.offsets[frontier]
-        count = a.offsets[frontier + 1] - first
-        arcs = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-        nxt = a.nextstate[arcs]
+        nxt = a.nextstate[_spans(first, a.offsets[frontier + 1] - first)]
         frontier = np.unique(nxt[~seen[nxt]])
         seen[frontier] = True
     return seen
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices `first[i]:first[i] + count[i]` for each i, concatenated."""
+    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
 # -- composition ---------------------------------------------------------
@@ -426,6 +450,14 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     interleaving of output-epsilons (from a) and input-epsilons (from b)
     contributes exactly one path. States are numbered in the order a stack
     discovers them; the result is connected, its arcs sorted.
+
+    This is array code with no step per arc. Composed states, keys (a
+    state, b state, filter state), are expanded `_EXPAND_KEYS` at a time
+    in the order they are found, and each key's arcs are put in the order
+    a scalar loop would emit them: a's arcs in order, then b's input
+    epsilons. A second pass replays that loop's stack over each key's
+    destinations, with a few array operations per state, to number the
+    states as the loop would.
     """
     if a.osymbols != b.isymbols:
         raise ConfigurationError(
@@ -434,58 +466,113 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         )
     if a.is_empty() or b.is_empty():
         return WeightedFst(a.isymbols.copy(), b.osymbols.copy())
-    a_rows, b_rows = _rows(a.arc_arrays()), _rows(b.arc_arrays())
-    tables: dict[int, dict[int, list[tuple[int, float, int]]]] = {}  # b state -> ilabel -> arcs
-    ZERO, times = semiring.ZERO, semiring.times
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    add_src, add_il, add_ol, add_w, add_dst = (c.append for c in columns)
-    finals: dict[int, float] = {}
-    state_ids: dict[tuple[int, int, int], int] = {}
-    queue: list[tuple[int, int, int]] = []
+    A, B = a.arc_arrays(), b.arc_arrays()
+    n2 = B.num_states
+    # b's arcs stably sorted by (state, ilabel), so the arcs of one pair are
+    # a range of `b_order`, in arc order.
+    width = 1 + max(B.max_ilabel, int(A.olabel.max(initial=0)))
+    b_pair = B.sources() * width + B.ilabel
+    b_order = np.argsort(b_pair, kind="stable")
+    b_pair = b_pair[b_order]
 
-    def state_of(key: tuple[int, int, int]) -> int:
-        state = state_ids.get(key)
-        if state is None:
-            state = state_ids[key] = len(state_ids)
-            queue.append(key)
-        return state
+    def b_arcs(s2: np.ndarray, ilabel) -> tuple[np.ndarray, np.ndarray]:
+        """The b arcs matching each query (s2, ilabel): the query's index, and the arc's position in `b_order`."""
+        pair = s2 * width + ilabel
+        first = np.searchsorted(b_pair, pair, "left")
+        count = np.searchsorted(b_pair, pair, "right") - first
+        return np.repeat(np.arange(len(pair)), count), _spans(first, count)
 
-    state_of((a.start, b.start, 0))
-    while queue:
-        key = queue.pop()
-        s1, s2, flt = key
-        src = state_ids[key]
-        table = tables.get(s2)
-        if table is None:
-            table = tables[s2] = {}
-            for il2, ol2, w2, n2 in b_rows[s2]:
-                table.setdefault(il2, []).append((ol2, w2, n2))
-        b_eps = table.get(EPSILON, ())
+    # A key's code is (s1 * n2 + s2) * 3 + filter; ids go in order of discovery.
+    codes = [np.array([(a.start * n2 + b.start) * 3], dtype=np.int64)]
+    known, known_ids = codes[0], np.zeros(1, dtype=np.int64)  # sorted codes and their ids
+    pending = codes[0]
+    counts, il, ol, w, dst = [], [], [], [], []  # per expansion: arcs per key, then the arcs' columns
+    after_a = len(A.ilabel) + 1  # a b-epsilon-alone arc sorts after every a arc
+    while len(pending):
+        code, pending = pending[:_EXPAND_KEYS], pending[_EXPAND_KEYS:]
+        s1, s2, flt = code // 3 // n2, code // 3 % n2, code % 3
+        first = A.offsets[s1]
+        a_count = A.offsets[s1 + 1] - first
+        a_key, a_arc = np.repeat(np.arange(len(code)), a_count), _spans(first, a_count)
+        a_eps = A.olabel[a_arc] == EPSILON
+        # a moves alone on an output epsilon, to filter 1
+        alone = a_eps & (flt[a_key] != 2)
+        key1, arc1 = a_key[alone], a_arc[alone]
+        # both move, to filter 0: on a matched label, or from filter 0 on an epsilon pair
+        paired = ~a_eps | (flt[a_key] == 0)
+        at, rows2 = b_arcs(s2[a_key[paired]], A.olabel[a_arc[paired]])
+        key2, arc2, b2 = a_key[paired][at], a_arc[paired][at], b_order[rows2]
+        # b moves alone on an input epsilon, to filter 2, after all of a's arcs
+        b_keys = np.flatnonzero(flt != 1)
+        at, rows3 = b_arcs(s2[b_keys], EPSILON)
+        key3, b3 = b_keys[at], b_order[rows3]
 
-        for il1, ol1, w1, n1 in a_rows[s1]:
-            if ol1 != EPSILON:
-                for ol2, w2, n2 in table.get(ol1, ()):
-                    add_src(src), add_il(il1), add_ol(ol2), add_w(times(w1, w2)), add_dst(state_of((n1, n2, 0)))
-            else:
-                if flt != 2:  # a moves alone on its output-epsilon arc
-                    add_src(src), add_il(il1), add_ol(EPSILON), add_w(w1), add_dst(state_of((n1, s2, 1)))
-                if flt == 0:  # both sides move on an epsilon pair
-                    for ol2, w2, n2 in b_eps:
-                        add_src(src), add_il(il1), add_ol(ol2), add_w(times(w1, w2)), add_dst(state_of((n1, n2, 0)))
-        if flt != 1:  # b moves alone on its input-epsilon arc
-            for ol2, w2, n2 in b_eps:
-                add_src(src), add_il(EPSILON), add_ol(ol2), add_w(w2), add_dst(state_of((s1, n2, 2)))
+        # a-alone before paired keeps each a-epsilon's lone move ahead of its epsilon pairs
+        key = np.concatenate((key1, key2, key3))
+        order = np.argsort(key * after_a + np.concatenate((arc1, arc2, np.full(len(key3), after_a - 1))), kind="stable")
+        counts.append(np.bincount(key, minlength=len(code)))
+        zeros = np.zeros(len(key3), dtype=np.int64)
+        il.append(np.concatenate((A.ilabel[arc1], A.ilabel[arc2], zeros))[order])
+        ol.append(np.concatenate((np.zeros(len(key1), dtype=np.int64), B.olabel[b2], B.olabel[b3]))[order])
+        w.append(np.concatenate((A.weight[arc1], _times(A.weight[arc2], B.weight[b2]), B.weight[b3]))[order])
+        d1 = np.concatenate((A.nextstate[arc1], A.nextstate[arc2], s1[key3]))
+        d2 = np.concatenate((s2[key1], B.nextstate[b2], B.nextstate[b3]))
+        d = ((d1 * n2 + d2) * 3 + np.repeat((1, 0, 2), (len(key1), len(key2), len(key3))))[order]
 
-        fw = times(a.final_weight(s1), b.final_weight(s2))
-        if fw != ZERO:
-            finals[src] = fw
+        at = np.minimum(np.searchsorted(known, d), len(known) - 1)
+        new = np.unique(d[known[at] != d])
+        at = np.searchsorted(known, new)
+        known = np.insert(known, at, new)
+        known_ids = np.insert(known_ids, at, np.arange(len(known_ids), len(known_ids) + len(new)))
+        dst.append(known_ids[np.searchsorted(known, d)])
+        codes.append(new)
+        pending = np.concatenate((pending, new))
 
+    counts, dst, codes = np.concatenate(counts), np.concatenate(dst), np.concatenate(codes)
+    state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
+    fw = _times(_final_weights(a)[codes // 3 // n2], _final_weights(b)[codes // 3 % n2])
+    final = np.flatnonzero(fw != semiring.ZERO)
     out = WeightedFst._from_columns(
-        a.isymbols.copy(), b.osymbols.copy(), len(state_ids), 0, finals, *columns
+        a.isymbols.copy(), b.osymbols.copy(), len(codes), 0, dict(zip(state[final].tolist(), fw[final].tolist())),
+        np.repeat(state, counts), np.concatenate(il), np.concatenate(ol), np.concatenate(w), state[dst],
     )
     out = connect(out)
     out.sort_arcs()
     return out
+
+
+def _stack_order(offsets: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Number the keys as a stack discovers them, from key 0.
+
+    Key k's arcs go to `dst[offsets[k]:offsets[k + 1]]`. A popped key gives
+    its unseen destinations the next numbers, in order of first appearance,
+    and pushes them in that order. Only the unseen ones reach Python.
+    """
+    state = np.full(len(offsets) - 1, NO_STATE, dtype=np.int64)
+    state[0] = 0
+    bounds = offsets.tolist()
+    stack, n = [0], 1
+    while stack:
+        key = stack.pop()
+        d = dst[bounds[key] : bounds[key + 1]]
+        for fresh in d[state[d] == NO_STATE].tolist():
+            if state[fresh] == NO_STATE:
+                state[fresh] = n
+                n += 1
+                stack.append(fresh)
+    return state
+
+
+def _final_weights(fst: WeightedFst) -> np.ndarray:
+    out = np.full(fst.num_states(), semiring.ZERO)
+    out[list(fst.finals)] = list(fst.finals.values())
+    return out
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`semiring.times` elementwise: +inf absorbs, even against -inf."""
+    with np.errstate(invalid="ignore"):
+        return np.where((x == semiring.ZERO) | (y == semiring.ZERO), semiring.ZERO, x + y)
 
 
 # -- determinization -----------------------------------------------------

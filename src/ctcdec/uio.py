@@ -271,29 +271,42 @@ def _iter_shards(locators: list[str], storage: LocalStorage, on_error: str) -> I
 
 
 def _read_shard(stream: BinaryIO, locator: str) -> Iterator[SampleRecord]:
-    """Yield records from one shard stream; gzip is sniffed from the locator."""
+    """Yield records from one shard stream; gzip is sniffed from the locator.
+
+    A `key.json` entry must hold a JSON object of strings. An entry that
+    breaks this or `SampleRecord`'s rules is a `ParseError` citing the shard.
+    """
     if locator.endswith((".tar.gz", ".tgz")):
         stream = gzip.GzipFile(fileobj=stream, mode="rb")
     key: str | None = None
     payloads: dict[str, bytes] = {}
     metadata: dict[str, str] = {}
+
+    def record() -> SampleRecord:
+        try:
+            return SampleRecord(key, payloads, metadata)
+        except ConfigurationError as exc:
+            raise ParseError(str(exc), source=locator) from exc
+
     for name, data in _ustar_entries(stream, locator):
         base, dot, suffix = name.rpartition(".")
         if not dot or not base:
             raise ParseError(f"entry {name!r} is not named key.suffix", source=locator)
         if base != key:
             if key is not None:
-                yield SampleRecord(key, payloads, metadata)
+                yield record()
             key, payloads, metadata = base, {}, {}
         if suffix == METADATA_SUFFIX:
             try:
                 metadata = json.loads(data.decode("utf-8"))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"corrupt shard after entry {name!r}: {exc}", source=locator) from exc
+            if not isinstance(metadata, dict) or not all(isinstance(v, str) for v in metadata.values()):
+                raise ParseError(f"entry {name!r} must hold a JSON object of string values", source=locator)
         else:
             payloads[suffix] = data
     if key is not None:
-        yield SampleRecord(key, payloads, metadata)
+        yield record()
 
 
 # -- ustar -------------------------------------------------------------------

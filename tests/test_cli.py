@@ -1,3 +1,5 @@
+import io
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -489,6 +491,29 @@ class TestShardCommands:
         assert code != 0
         assert "s0" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([("u1.wav", b"w"), ("u1.json", b"[1, 2]")], "entry 'u1.json' must hold a JSON object of string values"),
+            ([("u1.wav", b"w"), ("u1.json", b'{"a": 1}')], "entry 'u1.json' must hold a JSON object of string values"),
+            ([("d/u1.wav", b"w")], "sample key 'd/u1' must not contain path separators"),
+            ([("u1.json", b"{}")], "sample 'u1' has no payloads"),
+        ],
+        ids=["metadata_list", "metadata_int_value", "path_separator", "metadata_only"],
+    )
+    def test_cat_shard_with_bad_record_is_parse_error(self, tmp_path, capsys, entries, message):
+        shard = tmp_path / "bad.tar"
+        with tarfile.open(shard, "w", format=tarfile.USTAR_FORMAT) as tar:
+            for name, data in entries:
+                info = tarfile.TarInfo(name)
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+        assert main(["cat-shards", str(shard)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{shard}: {message}" in captured.err
+        assert "Traceback" not in captured.err
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2

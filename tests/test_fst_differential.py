@@ -3,8 +3,10 @@
 Each engine result must print, through `to_text`, the same bytes as the
 reference algorithm's result printed by the reference printer, and have
 the same state count and start state. Inputs are seeded random machines
-(with cycles, dead states, epsilons, +inf and -0.0 weights), `build_TLG`
-over seeded random lexicons and bigram ARPA files, and the golden TLG.
+(with cycles, dead states, epsilons, +inf and -0.0 weights), pairs large
+enough that `compose` expands its states over several array passes,
+`build_TLG` over seeded random lexicons and bigram ARPA files, and the
+golden TLG.
 """
 
 import random
@@ -14,6 +16,7 @@ import pytest
 
 from ctcdec.arpa import parse_arpa, read_arpa
 from ctcdec.errors import PreconditionError, ResourceError
+from ctcdec import fst as fstlib
 from ctcdec.fst import WeightedFst, compose, connect, determinize, minimize, relabel_ilabels
 from ctcdec.graph import build_G, build_L, build_T, build_TLG, read_units, units_of
 from ctcdec.lexicon import parse_lexicon, read_lexicon
@@ -55,6 +58,27 @@ def _random_fst(rng, isymbols, osymbols, max_states=7):
         fst.add_arc(rng.randrange(n), il, ol, weight, rng.randrange(n))
     for state in rng.sample(range(n), rng.randint(0, n)):
         fst.set_final(state, rng.choice((0.0, 0.5, float("inf"))))
+    return fst
+
+
+def _large_fst(rng, isymbols, osymbols):
+    """20-40 states of 1-4 arcs each from start 0, epsilons on both tapes.
+
+    Composing two gives hundreds of states, more than one `compose`
+    expansion holds, and arcs in every filter state.
+    """
+    fst = WeightedFst(isymbols.copy(), osymbols.copy())
+    n = rng.randint(20, 40)
+    fst.add_states(n)
+    fst.set_start(0)
+    for src in range(n):
+        for _ in range(rng.randint(1, 4)):
+            il = rng.randint(1, len(isymbols) - 1) if rng.random() < 0.75 else 0
+            ol = rng.randint(1, len(osymbols) - 1) if rng.random() < 0.75 else 0
+            weight = rng.choice((0.0, -0.0, 0.5, 1.25, float("inf"), round(rng.uniform(-1.0, 4.0), 3)))
+            fst.add_arc(src, il, ol, weight, rng.randrange(n))
+    for state in rng.sample(range(n), rng.randint(1, n // 4)):
+        fst.set_final(state, rng.choice((0.0, -0.0, 0.5, float("inf"))))
     return fst
 
 
@@ -120,6 +144,81 @@ def test_compose(seed):
         make = _random_fst if rng.random() < 0.5 else random_acyclic_fst
         a, b = make(rng, isym, mid), make(rng, mid, third)
         _assert_same(compose(a, b), reference_compose(a, b))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_large(seed):
+    rng = random.Random(250 + seed)
+    isym, mid = _tables(3, 2)
+    third = SymbolTable.with_epsilon(["z1", "z2"])
+    sizes = []
+    for _ in range(12):
+        a, b = _large_fst(rng, isym, mid), _large_fst(rng, mid, third)
+        got = compose(a, b)
+        _assert_same(got, reference_compose(a, b))
+        sizes.append(got.num_states())
+    assert max(sizes) > 2 * fstlib._EXPAND_KEYS  # the connected result alone spans three expansions
+
+
+@pytest.mark.parametrize("keys", [1, 2, 7])
+def test_compose_does_not_depend_on_expansion_size(monkeypatch, keys):
+    rng = random.Random(260 + keys)
+    isym, mid = _tables(3, 2)
+    third = SymbolTable.with_epsilon(["z1", "z2"])
+    monkeypatch.setattr(fstlib, "_EXPAND_KEYS", keys)
+    for _ in range(CASES):
+        make = _random_fst if rng.random() < 0.5 else random_acyclic_fst
+        a, b = make(rng, isym, mid), make(rng, mid, third)
+        _assert_same(compose(a, b), reference_compose(a, b))
+    a, b = _large_fst(rng, isym, mid), _large_fst(rng, mid, third)
+    _assert_same(compose(a, b), reference_compose(a, b))
+
+
+def test_compose_numbers_states_in_stack_order():
+    """A stack pops state 2 before state 1, so 2's successor is numbered before 1's.
+
+    a: 0 -1-> 1 -1-> 3 and 0 -2-> 2 -2-> 4; b accepts any string. Breadth-first
+    numbering would give 1's successor 3 and 2's successor 4.
+    """
+    isym, _ = _tables(2, 2)
+    a = WeightedFst(isym.copy(), isym.copy())
+    a.add_states(5)
+    a.set_start(0)
+    for src, label, dst in ((0, 1, 1), (0, 2, 2), (1, 1, 3), (2, 2, 4)):
+        a.add_arc(src, label, label, 0.0, dst)
+    a.set_final(3)
+    a.set_final(4)
+    b = WeightedFst(isym.copy(), isym.copy())
+    b.add_state()
+    b.set_start(0)
+    b.add_arc(0, 1, 1, 0.0, 0)
+    b.add_arc(0, 2, 2, 0.5, 0)
+    b.set_final(0)
+    want = (
+        "0 1 1 1 0.000000\n0 2 2 2 0.500000\n1 4 1 1 0.000000\n2 3 2 2 0.500000\n"
+        "3 0.000000\n4 0.000000\n"
+    )
+    assert compose(a, b).to_text() == reference_to_text(reference_compose(a, b)) == want
+
+
+def test_sort_arcs_with_ties_and_labels_too_wide_to_pack():
+    """Arcs equal but for the weight sort by weight, stably; labels of 2**62 overflow a packed key."""
+    isym, osym = _tables()
+    for big in (1, 2**62):
+        fst = WeightedFst(isym.copy(), osym.copy())
+        fst.add_states(3)
+        fst.set_start(0)
+        for src, il, ol, weight, dst in (
+            (1, big, 1, 2.0, 2), (0, 1, big, 0.5, 1), (1, big, 1, -0.0, 2), (1, big, 1, 0.0, 2),
+            (0, 1, big, float("inf"), 1), (1, 0, 1, 3.0, 0), (0, 1, big, 0.5, 0), (1, big, 1, 1.0, 2),
+            (2, big, 1, 0.0, 1), (2, 1, big, 0.0, 1),
+        ):
+            fst.add_arc(src, il, ol, weight, dst)
+        assert fst.to_text() == reference_to_text(fst)
+        want = reference_sorted(fst)
+        fst.sort_arcs()
+        assert [fst.arcs(s) for s in fst.states()] == [want.arcs(s) for s in want.states()]
+        assert [str(arc.weight) for arc in fst.arcs(1)] == ["3.0", "-0.0", "0.0", "1.0", "2.0"]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -79,6 +79,21 @@ class TestArpa:
         model = parse_arpa("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5 b\n-inf a -inf\n\n\\end\\\n")
         assert model.entries(1)[1].logprob == -math.inf
 
+    @pytest.mark.parametrize(
+        "counts, header, message",
+        [
+            ("ngram 1=1", "\\0-grams:", r"<arpa>:4: bad section header '\\\\0-grams:'"),
+            ("ngram 1=1", "\\-1-grams:", r"<arpa>:4: bad section header '\\\\-1-grams:'"),
+            ("ngram 0=1\nngram 1=1", "\\1-grams:", r"<arpa>:2: bad count line 'ngram 0=1'"),
+            ("ngram -1=1\nngram 1=1", "\\1-grams:", r"<arpa>:2: bad count line 'ngram -1=1'"),
+        ],
+        ids=["section_0", "section_minus_1", "count_0", "count_minus_1"],
+    )
+    def test_order_below_one_rejected_citing_line(self, counts, header, message):
+        text = f"\\data\\\n{counts}\n\n{header}\n-1.0\n\n\\1-grams:\n-0.5 a\n\n\\end\\\n"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_arpa(text)
+
     def test_missing_end_rejected(self):
         with pytest.raises(ParseError, match="end"):
             parse_arpa("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5 a\n")

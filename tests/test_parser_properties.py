@@ -1,8 +1,9 @@
-"""Property tests for the posterior and FST text parsers.
+"""Property tests for the posterior, FST, ARPA and lexicon text parsers.
 
 Valid files are mutated token by token: tokens are dropped or repeated,
 and values such as `nan`, `1_0`, `#`, huge integers and non-ASCII digits
-are inserted or substituted, along with blank lines. Whatever the input,
+are inserted or substituted, along with blank lines; ARPA files also get
+section headers and `ngram N=` counts, good and bad. Whatever the input,
 a parser may raise only `EngineError` subclasses, and a `ParseError`
 about a line cites it. A posterior file the parser accepts must give the
 same float64 bytes as Python's `float()` on each value.
@@ -12,9 +13,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctcdec.arpa import parse_arpa
 from ctcdec.decode import PosteriorMatrix
 from ctcdec.errors import EngineError, ParseError
 from ctcdec.fst import WeightedFst
+from ctcdec.lexicon import parse_lexicon
 from ctcdec.symbols import SymbolTable
 
 VALUES = [
@@ -23,12 +26,23 @@ VALUES = [
     "١", "٥e-1", "\xa0",
 ]
 
-MUTATION = st.tuples(
-    st.sampled_from(["drop", "repeat", "insert", "replace", "blank_line"]),
-    st.integers(0, 1000),
-    st.integers(0, 1000),
-    st.sampled_from(VALUES),
-)
+ARPA_VALUES = VALUES + [
+    "\\data\\", "\\end\\", "\\1-grams:", "\\2-grams:", "\\3-grams:", "\\0-grams:", "\\-1-grams:",
+    "\\x-grams:", "\\1-grams", "ngram", "1=3", "2=2", "3=1", "0=0", "1=", "=2", "1=x", "x=1", "2=-1",
+    "1=99999999999999999999", "<s>", "</s>", "a",
+]
+
+
+def _mutation(values):
+    return st.tuples(
+        st.sampled_from(["drop", "repeat", "insert", "replace", "blank_line"]),
+        st.integers(0, 1000),
+        st.integers(0, 1000),
+        st.sampled_from(values),
+    )
+
+
+MUTATION = _mutation(VALUES)
 
 
 def _mutate(text: str, mutations) -> str:
@@ -78,6 +92,21 @@ def _fst_text() -> str:
     return "0 1 1 1 0.0\n0 2 2 2 0.5\n1 3 3 0 1.25\n2 3 0 3 inf\n3 0.0\n1 2.5\n"
 
 
+def _arpa_text() -> str:
+    return (
+        "some header\n\\data\\\nngram 1=3\nngram 2=2\n\n\\1-grams:\n-0.5 <s> -0.25\n-0.7 a -0.1\n"
+        "-0.9 </s>\n\n\\2-grams:\n-0.2 <s> a\n-0.3 a </s>\n\n\\end\\\n"
+    )
+
+
+def _lexicon_text() -> str:
+    return "# words\nab a b\nab a b #1\nabc a b c\nc c\n"
+
+
+# The ARPA checks made on the whole file, which cite no line.
+_WHOLE_FILE = ("missing \\data\\ section", "missing \\end\\ marker", "were present", "was not declared")
+
+
 def _tables():
     return SymbolTable.with_epsilon(["a", "b", "c"]), SymbolTable.with_epsilon(["x", "y", "z"])
 
@@ -109,9 +138,42 @@ def test_fst_parser_raises_only_engine_errors(with_tables, mutations):
     assert fst.num_states() <= 2 * len(text.splitlines())
 
 
+@given(st.booleans(), st.lists(_mutation(ARPA_VALUES), max_size=6))
+def test_arpa_parser_raises_only_engine_errors(strict, mutations):
+    text = _mutate(_arpa_text(), mutations)
+    try:
+        model = parse_arpa(text, strict=strict, name="lm")
+    except ParseError as exc:
+        assert exc.line is not None or any(part in str(exc) for part in _WHOLE_FILE), str(exc)
+        return
+    except EngineError:
+        return
+    for order, entries in model.orders.items():
+        assert order >= 1
+        for entry in entries:
+            assert entry.logprob < float("inf") and (entry.backoff is None or entry.backoff < float("inf"))
+
+
+@given(st.lists(MUTATION, max_size=6))
+def test_lexicon_parser_raises_only_engine_errors(mutations):
+    text = _mutate(_lexicon_text(), mutations)
+    try:
+        lexicon = parse_lexicon(text, name="lex")
+    except ParseError as exc:
+        assert exc.line is not None, str(exc)
+        return
+    except EngineError:
+        return
+    assert len(set(lexicon.entries)) == len(lexicon.entries)
+    assert all(pron and not word.startswith("#") for word, pron in lexicon.entries)
+
+
 def test_unmutated_files_parse():
     for domain in ("prob", "logprob"):
         text = _posterior_text(domain)
         assert PosteriorMatrix.from_text(text).logprobs.tobytes() == _float_parse(text).tobytes()
     fst = WeightedFst.from_text(_fst_text(), *_tables())
     assert fst.num_states() == 4 and fst.num_arcs() == 4
+    model = parse_arpa(_arpa_text(), strict=True)
+    assert [len(model.entries(order)) for order in (1, 2)] == [3, 2]
+    assert len(parse_lexicon(_lexicon_text()).entries) == 4

@@ -227,6 +227,38 @@ class TestRead:
         with pytest.raises(ParseError, match="utt0000"):
             list(read_shards(shards))
 
+    @pytest.mark.parametrize("metadata", [b"[1, 2]", b'{"a": 1}', b'{"a": {"b": "c"}}', b'"text"', b"null"])
+    def test_metadata_not_a_string_map_rejected(self, metadata):
+        good = _tar_with(tarfile.USTAR_FORMAT, [("u0.wav", b"w"), ("u0.json", b'{"a": "b"}')])
+        bad = _tar_with(tarfile.USTAR_FORMAT, [("u1.wav", b"w"), ("u1.json", metadata)])
+        storage = BytesStorage({"good.tar": good, "bad.tar": bad})
+        with pytest.raises(ParseError, match=r"^bad\.tar: entry 'u1\.json' must hold a JSON object of string values$"):
+            list(read_shards(["bad.tar"], storage=storage))
+        records = list(read_shards(["bad.tar", "good.tar"], storage=storage, on_error="skip"))
+        assert [(r.key, r.metadata) for r in records] == [("u0", {"a": "b"})]
+
+    def test_deeply_nested_metadata_rejected(self):
+        data = _tar_with(tarfile.USTAR_FORMAT, [("u1.wav", b"w"), ("u1.json", b"[" * 100_000)])
+        with pytest.raises(ParseError, match="corrupt shard after entry 'u1.json'"):
+            list(read_shards(["s.tar"], storage=BytesStorage({"s.tar": data})))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([("d/u1.wav", b"w")], "sample key 'd/u1' must not contain path separators"),
+            ([("u0.wav", b"w"), ("u1.json", b"{}")], "sample 'u1' has no payloads"),
+        ],
+        ids=["path_separator", "metadata_only"],
+    )
+    def test_entries_breaking_record_rules_are_parse_errors(self, entries, message):
+        good = _tar_with(tarfile.USTAR_FORMAT, [("u9.wav", b"w")])
+        storage = BytesStorage({"bad.tar": _tar_with(tarfile.USTAR_FORMAT, entries), "good.tar": good})
+        with pytest.raises(ParseError) as info:
+            list(read_shards(["bad.tar"], storage=storage))
+        assert str(info.value) == f"bad.tar: {message}"
+        records = list(read_shards(["bad.tar", "good.tar"], storage=storage, on_error="skip"))
+        assert [r.key for r in records][-1] == "u9"
+
     def test_corrupt_gzip_shard_detected(self, tmp_path):
         shards = pack_shards(_records(3), 10, tmp_path, compress=True)
         path = tmp_path / "shard_00000.tar.gz"
