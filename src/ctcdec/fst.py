@@ -345,24 +345,9 @@ class ArcArrays:
         tied = np.ones(max(len(self.ilabel) - 1, 0), dtype=bool)  # neighbours equal on the keys so far
         for key in keys:  # skip the sort when the arcs are in order already
             if np.any(tied & ~(key[:-1] <= key[1:])):
-                break
+                return np.lexsort(keys[::-1])
             tied &= key[:-1] == key[1:]
-        else:
-            return np.arange(len(self.ilabel))
-        # One stable sort of the four integer keys packed into one, when they
-        # fit; then the runs equal on all four are ordered by weight.
-        radix = [1 + int(key.max(initial=0)) for key in keys[1:4]]
-        if self.num_states * radix[0] * radix[1] * radix[2] >= 1 << 63:
-            return np.lexsort(keys[::-1])
-        src, il, ol, dst, weight = keys
-        packed = ((src * radix[0] + il) * radix[1] + ol) * radix[2] + dst
-        order = np.argsort(packed, kind="stable")
-        packed = packed[order]
-        tie = packed[1:] == packed[:-1]
-        if tie.any():
-            run = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
-            order[run] = order[run][np.lexsort((weight[order[run]], packed[run]))]
-        return order
+        return np.arange(len(self.ilabel))
 
     @cached_property
     def max_ilabel(self) -> int:
@@ -482,14 +467,15 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         count = np.searchsorted(b_pair, pair, "right") - first
         return np.repeat(np.arange(len(pair)), count), _spans(first, count)
 
-    # A key's code is (s1 * n2 + s2) * 3 + filter; ids go in order of discovery.
-    codes = [np.array([(a.start * n2 + b.start) * 3], dtype=np.int64)]
-    known, known_ids = codes[0], np.zeros(1, dtype=np.int64)  # sorted codes and their ids
-    pending = codes[0]
+    # A key's code is (s1 * n2 + s2) * 3 + filter. Ids go in order of
+    # discovery, which is also the order keys are expanded in.
+    index = _KeyIds((a.start * n2 + b.start) * 3)
     counts, il, ol, w, dst = [], [], [], [], []  # per expansion: arcs per key, then the arcs' columns
     after_a = len(A.ilabel) + 1  # a b-epsilon-alone arc sorts after every a arc
-    while len(pending):
-        code, pending = pending[:_EXPAND_KEYS], pending[_EXPAND_KEYS:]
+    done = 0
+    while done < len(index):
+        code = index.codes[done : done + _EXPAND_KEYS]
+        done += len(code)
         s1, s2, flt = code // 3 // n2, code // 3 % n2, code % 3
         first = A.offsets[s1]
         a_count = A.offsets[s1 + 1] - first
@@ -519,16 +505,9 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         d2 = np.concatenate((s2[key1], B.nextstate[b2], B.nextstate[b3]))
         d = ((d1 * n2 + d2) * 3 + np.repeat((1, 0, 2), (len(key1), len(key2), len(key3))))[order]
 
-        at = np.minimum(np.searchsorted(known, d), len(known) - 1)
-        new = np.unique(d[known[at] != d])
-        at = np.searchsorted(known, new)
-        known = np.insert(known, at, new)
-        known_ids = np.insert(known_ids, at, np.arange(len(known_ids), len(known_ids) + len(new)))
-        dst.append(known_ids[np.searchsorted(known, d)])
-        codes.append(new)
-        pending = np.concatenate((pending, new))
+        dst.append(index.ids(d))
 
-    counts, dst, codes = np.concatenate(counts), np.concatenate(dst), np.concatenate(codes)
+    counts, dst, codes = np.concatenate(counts), np.concatenate(dst), index.codes
     state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
     fw = _times(_final_weights(a)[codes // 3 // n2], _final_weights(b)[codes // 3 % n2])
     final = np.flatnonzero(fw != semiring.ZERO)
@@ -539,6 +518,55 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     out = connect(out)
     out.sort_arcs()
     return out
+
+
+class _KeyIds:
+    """Dense ids for int64 codes, handed out in order of first lookup.
+
+    The codes are held in id order in one array that doubles as it fills.
+    The index from code to id is a few sorted runs; a new run merges with
+    the one before it while that one is at most twice its size, so each
+    run is more than twice the next and there are at most log2(n) + 1.
+    """
+
+    def __init__(self, first: int):
+        self._codes = np.array([first], dtype=np.int64)
+        self._size = 1
+        self._runs = [(self._codes.copy(), np.zeros(1, dtype=np.int64))]  # (sorted codes, their ids)
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Every code seen, by id."""
+        return self._codes[: self._size]
+
+    def ids(self, code: np.ndarray) -> np.ndarray:
+        """The id of each code, giving unseen codes the next ids in ascending order."""
+        out = np.full(len(code), -1, dtype=np.int64)
+        for keys, ids in self._runs:
+            at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+            hit = keys[at] == code
+            out[hit] = ids[at[hit]]
+        miss = out < 0
+        if not miss.any():
+            return out
+        new = np.unique(code[miss])
+        out[miss] = self._size + np.searchsorted(new, code[miss])
+        new_ids = np.arange(self._size, self._size + len(new))
+        if self._size + len(new) > len(self._codes):
+            self._codes = np.resize(self._codes, max(2 * len(self._codes), self._size + len(new)))
+        self._codes[self._size : self._size + len(new)] = new
+        self._size += len(new)
+        runs = self._runs
+        runs.append((new, new_ids))
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            (k1, i1), (k2, i2) = runs.pop(), runs.pop()
+            keys = np.concatenate((k2, k1))
+            order = np.argsort(keys, kind="stable")  # two sorted runs: one linear merge
+            runs.append((keys[order], np.concatenate((i2, i1))[order]))
+        return out
 
 
 def _stack_order(offsets: np.ndarray, dst: np.ndarray) -> np.ndarray:

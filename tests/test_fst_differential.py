@@ -9,9 +9,11 @@ enough that `compose` expands its states over several array passes,
 golden TLG.
 """
 
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctcdec.arpa import parse_arpa, read_arpa
@@ -174,6 +176,19 @@ def test_compose_does_not_depend_on_expansion_size(monkeypatch, keys):
     _assert_same(compose(a, b), reference_compose(a, b))
 
 
+def test_compose_key_ids_match_a_dict_with_few_index_runs():
+    """New codes take the next ids in ascending order; the index stays at most log2(n) + 1 sorted runs."""
+    rng = random.Random(270)
+    index, want = fstlib._KeyIds(7), {7: 0}
+    for _ in range(300):
+        codes = [rng.randrange(5000) for _ in range(rng.randint(1, 60))]
+        for code in sorted(set(codes) - want.keys()):
+            want[code] = len(want)
+        assert index.ids(np.array(codes, dtype=np.int64)).tolist() == [want[c] for c in codes]
+        assert len(index._runs) <= math.log2(len(index)) + 1
+    assert index.codes.tolist() == sorted(want, key=want.get)
+
+
 def test_compose_numbers_states_in_stack_order():
     """A stack pops state 2 before state 1, so 2's successor is numbered before 1's.
 
@@ -201,8 +216,8 @@ def test_compose_numbers_states_in_stack_order():
     assert compose(a, b).to_text() == reference_to_text(reference_compose(a, b)) == want
 
 
-def test_sort_arcs_with_ties_and_labels_too_wide_to_pack():
-    """Arcs equal but for the weight sort by weight, stably; labels of 2**62 overflow a packed key."""
+def test_sort_arcs_orders_weight_ties_stably_at_any_label_width():
+    """Arcs equal but for the weight sort by weight, stably, with labels of 1 or 2**62."""
     isym, osym = _tables()
     for big in (1, 2**62):
         fst = WeightedFst(isym.copy(), osym.copy())
