@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -194,5 +194,4 @@ def _repair_closure(
 
 
 def read_arpa(path: str | Path, *, strict: bool = False) -> ArpaModel:
-    with open(path, encoding="utf-8") as handle:
-        return parse_arpa(handle, strict=strict, name=str(path))
+    return parse_arpa(read_text(path), strict=strict, name=str(path))

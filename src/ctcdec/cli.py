@@ -24,7 +24,7 @@ from .decode import (
     StreamingDecoder,
     WfstBeamDecoder,
 )
-from .errors import ConfigurationError, EngineError, ParseError
+from .errors import ConfigurationError, EngineError, ParseError, read_text
 from .fst import WeightedFst
 from .graph import build_G, build_L, build_T, build_TLG, read_units, units_of
 from .lexicon import read_lexicon
@@ -133,7 +133,7 @@ def read_config(path: str | Path) -> dict[str, object]:
     cannot take, is a parse error."""
     values: dict[str, object] = {}
     source = str(path)
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -145,10 +145,17 @@ def read_config(path: str | Path) -> dict[str, object]:
             raise ParseError(f"unknown option {key!r}", source=source, line=lineno)
         value = value.strip()
         try:
-            values[key] = type(_default(key))(value)
+            values[key] = _number(value, type(_default(key)))
         except ValueError:
             raise ParseError(f"bad value for {key}: {value!r}", source=source, line=lineno) from None
     return values
+
+
+def _number(text: str, kind: type = float):
+    """`kind(text)`, for ASCII text without `_` only, as the other text formats take numbers."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
 
 
 def resolve_options(args: argparse.Namespace, config: dict[str, object], owner) -> dict:
@@ -301,7 +308,7 @@ def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
     sections: list[tuple[str, NBestList]] = []
     current: NBestList | None = None
     source = str(path)
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         if raw.startswith("# utt "):
@@ -317,10 +324,10 @@ def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
         if len(head) != 5:
             raise ParseError("expected 'rank total ctc context lm'", source=source, line=lineno)
         rank = len(current) + 1
-        if not (head[0].isdecimal() and int(head[0]) == rank):
+        if not (head[0].isascii() and head[0].isdigit() and int(head[0]) == rank):
             raise ParseError(f"expected rank {rank}, found {head[0]!r}", source=source, line=lineno)
         try:
-            total, ctc, ctx, lm = (float(v) for v in head[1:])
+            total, ctc, ctx, lm = map(_number, head[1:])
         except ValueError:
             raise ParseError("non-numeric score", source=source, line=lineno) from None
         if not all(v < math.inf for v in (total, ctc, ctx, lm)):  # -inf marks an empty result

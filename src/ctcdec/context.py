@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text
 from .symbols import SymbolTable
 
 logger = logging.getLogger(__name__)
@@ -173,7 +173,7 @@ def load_biasing_phrases(
     yields the lines themselves.
     """
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        lines = read_text(source).splitlines()
     else:
         lines = list(source)
     phrases = []

@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .context import ContextGraph
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, read_text
 from .fst import WeightedFst, load_rows
 from .symbols import SymbolTable
 
 NEG_INF = float("-inf")
+_MASS_TOL = 1e-4  # how far a row's logsumexp may be from 0 and still be a distribution
 
 
 def log_add(a: float, b: float) -> float:
@@ -59,9 +60,9 @@ class PosteriorMatrix:
     def row(self, t: int) -> np.ndarray:
         return self.logprobs[t]
 
-    def validate(self, tol: float = 1e-4) -> "PosteriorMatrix":
-        """Check each row is a normalized distribution (logsumexp ~ 0)."""
-        bad = _first_bad_row(self.logprobs, tol)
+    def validate(self) -> "PosteriorMatrix":
+        """Check each row is a normalized distribution (logsumexp within `_MASS_TOL` of 0)."""
+        bad = _first_bad_row(self.logprobs)
         if bad is not None:
             raise ConfigurationError(bad[1])
         return self
@@ -106,7 +107,7 @@ class PosteriorMatrix:
 
     @classmethod
     def read(cls, path: str | Path) -> "PosteriorMatrix":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+        return cls.from_text(read_text(path), source=str(path))
 
     def to_text(self, domain: str = "logprob") -> str:
         if domain not in ("prob", "logprob"):
@@ -121,13 +122,13 @@ class PosteriorMatrix:
         Path(path).write_text(self.to_text(domain), encoding="utf-8")
 
 
-def _first_bad_row(logprobs: np.ndarray, tol: float = 1e-4) -> tuple[int, str] | None:
-    """The first row that is not a distribution within `tol`, and why."""
+def _first_bad_row(logprobs: np.ndarray) -> tuple[int, str] | None:
+    """The first row that is not a distribution within `_MASS_TOL`, and why."""
     hi = logprobs.max(axis=1, initial=NEG_INF)
     with np.errstate(invalid="ignore", divide="ignore"):
         mass = hi + np.log(np.sum(np.exp(logprobs - hi[:, None]), axis=1))
     mass[hi == NEG_INF] = NEG_INF
-    bad = ~(np.abs(mass) <= tol)
+    bad = ~(np.abs(mass) <= _MASS_TOL)
     if not bad.any():
         return None
     t = int(np.argmax(bad))

@@ -1,4 +1,8 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the text-file reader that raises them."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class EngineError(Exception):
@@ -31,3 +35,14 @@ class ResourceError(EngineError):
 
 class PreconditionError(EngineError):
     """An operation was called on input that violates its stated precondition."""
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file. A byte that is not UTF-8 is a `ParseError`
+    citing the file and the line of the first one, as `str.splitlines` counts."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", source=str(path), line=line) from None

@@ -13,9 +13,11 @@ arc. `WeightedFst.arcs` builds `Arc` values for one state on demand, for
 tests and oracles.
 
 Every algorithm but `determinize` is array code. `compose` expands the
-composed states a frontier at a time and then numbers them in the order
-a stack would discover them. `determinize` keeps a scalar loop over the
-arcs of each subset it builds.
+composed states a frontier at a time, giving each new one a dense id
+from a dict, and then numbers them in the order a stack would discover
+them. `connect` walks forward over the CSR arrays and backward over
+each arc's source grouped by its destination. `determinize` keeps a
+scalar loop over the arcs of each subset it builds.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import semiring
-from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError
+from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_text
 from .symbols import EPSILON, SymbolTable
 
 NO_STATE = -1
@@ -260,7 +262,7 @@ class WeightedFst:
         isymbols: SymbolTable | None = None,
         osymbols: SymbolTable | None = None,
     ) -> "WeightedFst":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"), isymbols, osymbols, source=str(path))
+        return cls.from_text(read_text(path), isymbols, osymbols, source=str(path))
 
 
 def _loadtxt(rows: list[str], dtype: np.dtype, width: int | None) -> np.ndarray:
@@ -320,8 +322,7 @@ class ArcArrays:
         if np.any(src[1:] < src[:-1]):
             order = np.argsort(src, kind="stable")
             columns = [c[order] for c in columns]
-        offsets = np.zeros(num_states + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_states), out=offsets[1:])
+        offsets = _offsets(src, num_states)
         columns = [np.ascontiguousarray(c) for c in columns]
         for array in (offsets, *columns):
             array.flags.writeable = False
@@ -369,6 +370,13 @@ class ArcArrays:
         return mask
 
 
+def _offsets(group: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of items grouped by `group`, a state in range(n) each."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=n), out=offsets[1:])
+    return offsets
+
+
 def _rows(a: ArcArrays) -> list[list[tuple[int, int, float, int]]]:
     """Each state's arcs as (ilabel, olabel, weight, nextstate) tuples, for scalar loops."""
     arcs = list(zip(a.ilabel.tolist(), a.olabel.tolist(), a.weight.tolist(), a.nextstate.tolist()))
@@ -391,9 +399,10 @@ def connect(fst: WeightedFst) -> WeightedFst:
     a = fst.arc_arrays()
     n = fst.num_states()
     src, il, ol, w, dst = a.columns()
-    accessible = _reachable(a, [fst.start])
-    reverse = ArcArrays.from_columns(n, dst, il, ol, w, src)
-    keep = accessible & _reachable(reverse, [s for s in fst.finals if accessible[s]])
+    accessible = _reachable(a.offsets, a.nextstate, [fst.start])
+    # backwards from the accessible finals, over each arc's source grouped by its destination
+    ends = [s for s in fst.finals if accessible[s]]
+    keep = accessible & _reachable(_offsets(dst, n), src[np.argsort(dst, kind="stable")], ends)
     if not keep[fst.start]:
         return WeightedFst(isymbols, osymbols)
     kept = np.flatnonzero(keep)
@@ -407,14 +416,14 @@ def connect(fst: WeightedFst) -> WeightedFst:
     )
 
 
-def _reachable(a: ArcArrays, starts: list[int]) -> np.ndarray:
-    """Mask of the states reached from `starts`, a frontier at a time."""
-    seen = np.zeros(a.num_states, dtype=bool)
+def _reachable(offsets: np.ndarray, nextstate: np.ndarray, starts: list[int]) -> np.ndarray:
+    """Mask of the states reached from `starts` over CSR arcs, a frontier at a time."""
+    seen = np.zeros(len(offsets) - 1, dtype=bool)
     frontier = np.unique(np.asarray(starts, dtype=np.int64))
     seen[frontier] = True
     while len(frontier):
-        first = a.offsets[frontier]
-        nxt = a.nextstate[_spans(first, a.offsets[frontier + 1] - first)]
+        first = offsets[frontier]
+        nxt = nextstate[_spans(first, offsets[frontier + 1] - first)]
         frontier = np.unique(nxt[~seen[nxt]])
         seen[frontier] = True
     return seen
@@ -440,9 +449,10 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     state, b state, filter state), are expanded `_EXPAND_KEYS` at a time
     in the order they are found, and each key's arcs are put in the order
     a scalar loop would emit them: a's arcs in order, then b's input
-    epsilons. A second pass replays that loop's stack over each key's
-    destinations, with a few array operations per state, to number the
-    states as the loop would.
+    epsilons. A dict maps each key to a dense id; the keys an expansion
+    finds first get the next ids in ascending order. A second pass
+    replays that loop's stack over each key's destinations, with a few
+    array operations per state, to number the states as the loop would.
     """
     if a.osymbols != b.isymbols:
         raise ConfigurationError(
@@ -469,12 +479,13 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
 
     # A key's code is (s1 * n2 + s2) * 3 + filter. Ids go in order of
     # discovery, which is also the order keys are expanded in.
-    index = _KeyIds((a.start * n2 + b.start) * 3)
+    codes = [(a.start * n2 + b.start) * 3]
+    ids = {codes[0]: 0}
     counts, il, ol, w, dst = [], [], [], [], []  # per expansion: arcs per key, then the arcs' columns
     after_a = len(A.ilabel) + 1  # a b-epsilon-alone arc sorts after every a arc
     done = 0
-    while done < len(index):
-        code = index.codes[done : done + _EXPAND_KEYS]
+    while done < len(codes):
+        code = np.array(codes[done : done + _EXPAND_KEYS], dtype=np.int64)
         done += len(code)
         s1, s2, flt = code // 3 // n2, code // 3 % n2, code % 3
         first = A.offsets[s1]
@@ -505,9 +516,16 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         d2 = np.concatenate((s2[key1], B.nextstate[b2], B.nextstate[b3]))
         d = ((d1 * n2 + d2) * 3 + np.repeat((1, 0, 2), (len(key1), len(key2), len(key3))))[order]
 
-        dst.append(index.ids(d))
+        # unseen codes take the next ids in ascending order
+        unique, inverse = np.unique(d, return_inverse=True)
+        unique = unique.tolist()
+        for c in unique:
+            if c not in ids:
+                ids[c] = len(codes)
+                codes.append(c)
+        dst.append(np.fromiter(map(ids.__getitem__, unique), np.int64, len(unique))[inverse])
 
-    counts, dst, codes = np.concatenate(counts), np.concatenate(dst), index.codes
+    counts, dst, codes = np.concatenate(counts), np.concatenate(dst), np.array(codes, dtype=np.int64)
     state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
     fw = _times(_final_weights(a)[codes // 3 // n2], _final_weights(b)[codes // 3 % n2])
     final = np.flatnonzero(fw != semiring.ZERO)
@@ -518,55 +536,6 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     out = connect(out)
     out.sort_arcs()
     return out
-
-
-class _KeyIds:
-    """Dense ids for int64 codes, handed out in order of first lookup.
-
-    The codes are held in id order in one array that doubles as it fills.
-    The index from code to id is a few sorted runs; a new run merges with
-    the one before it while that one is at most twice its size, so each
-    run is more than twice the next and there are at most log2(n) + 1.
-    """
-
-    def __init__(self, first: int):
-        self._codes = np.array([first], dtype=np.int64)
-        self._size = 1
-        self._runs = [(self._codes.copy(), np.zeros(1, dtype=np.int64))]  # (sorted codes, their ids)
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Every code seen, by id."""
-        return self._codes[: self._size]
-
-    def ids(self, code: np.ndarray) -> np.ndarray:
-        """The id of each code, giving unseen codes the next ids in ascending order."""
-        out = np.full(len(code), -1, dtype=np.int64)
-        for keys, ids in self._runs:
-            at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
-            hit = keys[at] == code
-            out[hit] = ids[at[hit]]
-        miss = out < 0
-        if not miss.any():
-            return out
-        new = np.unique(code[miss])
-        out[miss] = self._size + np.searchsorted(new, code[miss])
-        new_ids = np.arange(self._size, self._size + len(new))
-        if self._size + len(new) > len(self._codes):
-            self._codes = np.resize(self._codes, max(2 * len(self._codes), self._size + len(new)))
-        self._codes[self._size : self._size + len(new)] = new
-        self._size += len(new)
-        runs = self._runs
-        runs.append((new, new_ids))
-        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-            (k1, i1), (k2, i2) = runs.pop(), runs.pop()
-            keys = np.concatenate((k2, k1))
-            order = np.argsort(keys, kind="stable")  # two sorted runs: one linear merge
-            runs.append((keys[order], np.concatenate((i2, i1))[order]))
-        return out
 
 
 def _stack_order(offsets: np.ndarray, dst: np.ndarray) -> np.ndarray:

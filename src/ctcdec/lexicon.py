@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 
 @dataclass(frozen=True)
@@ -49,5 +49,4 @@ def parse_lexicon(source: str | Iterable[str], *, name: str = "<lexicon>") -> Le
 
 
 def read_lexicon(path: str | Path) -> Lexicon:
-    with open(path, encoding="utf-8") as handle:
-        return parse_lexicon(handle, name=str(path))
+    return parse_lexicon(read_text(path), name=str(path))

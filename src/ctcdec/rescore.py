@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from .decode import NEG_INF, Hypothesis, NBestList
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, read_text
 from .symbols import SymbolTable
 
 logger = logging.getLogger(__name__)
@@ -63,35 +63,34 @@ class TableScorer:
         keys become id tuples, otherwise token-string tuples."""
         scores: dict[tuple, float] = {}
         source = str(path)
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            try:
+                value = float(parts[0])
+            except ValueError:
+                raise ParseError(f"non-numeric score {parts[0]!r}", source=source, line=lineno) from None
+            if not value < math.inf:  # -inf (an impossible sequence) is allowed
+                raise ParseError(f"score {parts[0]!r} is NaN or +inf", source=source, line=lineno)
+            tokens = parts[1:]
+            if table is not None:
+                ids = []
+                unknown = None
+                for token in tokens:
+                    token_id = table.get_id(token)
+                    if token_id is None:
+                        unknown = token
+                        break
+                    ids.append(token_id)
+                if unknown is not None:
+                    logger.warning("%s:%d: token %r not in table; entry unreachable", source, lineno, unknown)
                     continue
-                parts = line.split()
-                try:
-                    value = float(parts[0])
-                except ValueError:
-                    raise ParseError(f"non-numeric score {parts[0]!r}", source=source, line=lineno) from None
-                if not value < math.inf:  # -inf (an impossible sequence) is allowed
-                    raise ParseError(f"score {parts[0]!r} is NaN or +inf", source=source, line=lineno)
-                tokens = parts[1:]
-                if table is not None:
-                    ids = []
-                    unknown = None
-                    for token in tokens:
-                        token_id = table.get_id(token)
-                        if token_id is None:
-                            unknown = token
-                            break
-                        ids.append(token_id)
-                    if unknown is not None:
-                        logger.warning("%s:%d: token %r not in table; entry unreachable", source, lineno, unknown)
-                        continue
-                    key = tuple(ids)
-                else:
-                    key = tuple(tokens)
-                scores[key] = value
+                key = tuple(ids)
+            else:
+                key = tuple(tokens)
+            scores[key] = value
         return cls(scores, direction)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 EPSILON = 0
 EPSILON_SYMBOL = "<eps>"
@@ -90,20 +90,19 @@ class SymbolTable:
     def read(cls, path: str | Path) -> "SymbolTable":
         table = cls()
         source = str(path)
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ParseError("expected 'symbol id'", source=source, line=lineno)
-                try:
-                    sym_id = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"bad symbol id {parts[1]!r}", source=source, line=lineno) from None
-                try:
-                    table.add(parts[0], sym_id)
-                except ValueError as exc:
-                    raise ParseError(str(exc), source=source, line=lineno) from None
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("expected 'symbol id'", source=source, line=lineno)
+            try:
+                sym_id = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad symbol id {parts[1]!r}", source=source, line=lineno) from None
+            try:
+                table.add(parts[0], sym_id)
+            except ValueError as exc:
+                raise ParseError(str(exc), source=source, line=lineno) from None
         return table

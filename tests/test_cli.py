@@ -515,5 +515,96 @@ class TestShardCommands:
         assert f"{shard}: {message}" in captured.err
         assert "Traceback" not in captured.err
 
+class TestTextInputBoundaries:
+    """Inputs that are not UTF-8, and numbers outside ASCII, exit 2 citing their line."""
+
+    @staticmethod
+    def _exits_2(capsys, args, where):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert where in captured.err
+        assert "Traceback" not in captured.err
+
+    @staticmethod
+    def _with_bad_byte(tmp_path, source: Path, line: int) -> Path:
+        """A copy of `source` with byte 0xff at the start of `line`."""
+        lines = source.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        out = tmp_path / ("bad_" + source.name)
+        out.write_bytes(b"".join(lines))
+        return out
+
+    def _nbest(self, tmp_path, capsys) -> Path:
+        nbest = tmp_path / "nbest.txt"
+        assert main(["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
+                     "--output", str(nbest)]) == 0
+        capsys.readouterr()
+        return nbest
+
+    def _rescore(self, tmp_path, nbest: Path) -> list[str]:
+        table = tmp_path / "table.txt"
+        table.write_text("1.0 a b\n", encoding="utf-8")
+        return ["rescore", str(nbest), "--l2r-table", str(table), "--r2l-table", str(table)]
+
+    @pytest.mark.parametrize("name", ["posterior", "units"])
+    def test_decode_input_not_utf8(self, tmp_path, capsys, name):
+        post, units = DATA / "utt2.post", DATA / "units.txt"
+        if name == "posterior":
+            post = bad = self._with_bad_byte(tmp_path, post, 3)
+        else:
+            units = bad = self._with_bad_byte(tmp_path, units, 3)
+        self._exits_2(capsys, ["decode", str(post), "--units", str(units)], f"{bad}:3: byte 0xff is not UTF-8")
+
+    @pytest.mark.parametrize("name", ["units", "lexicon", "arpa"])
+    def test_build_graph_input_not_utf8(self, tmp_path, capsys, name):
+        paths = {"units": DATA / "units.txt", "lexicon": DATA / "lexicon.txt", "arpa": DATA / "lm.arpa"}
+        bad = paths[name] = self._with_bad_byte(tmp_path, paths[name], 2)
+        args = ["build-graph", "--out", str(tmp_path / "graph")]
+        for flag, path in paths.items():
+            args += ["--" + flag, str(path)]
+        self._exits_2(capsys, args, f"{bad}:2: byte 0xff is not UTF-8")
+
+    def test_rescore_nbest_not_utf8(self, tmp_path, capsys):
+        bad = self._with_bad_byte(tmp_path, self._nbest(tmp_path, capsys), 3)
+        self._exits_2(capsys, self._rescore(tmp_path, bad), f"{bad}:3: byte 0xff is not UTF-8")
+
+    def test_cat_shards_manifest_not_utf8(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b"a.tar 1 10\nb\xff.tar 1 10\n")
+        self._exits_2(capsys, ["cat-shards", str(manifest)], f"{manifest}:2: byte 0xff is not UTF-8")
+
+    @pytest.mark.parametrize("field, value, message", [
+        (0, "\u0661", "expected rank 1, found '\u0661'"),
+        (1, "-1_0.5", "non-numeric score"),
+        (2, "\u0665", "non-numeric score"),
+    ], ids=["arabic_indic_rank", "underscore_score", "arabic_indic_score"])
+    def test_rescore_nbest_numbers_must_be_ascii(self, tmp_path, capsys, field, value, message):
+        nbest = self._nbest(tmp_path, capsys)
+        lines = nbest.read_text(encoding="utf-8").splitlines(keepends=True)
+        head, rest = lines[1].split("\t", 1)
+        fields = head.split()
+        fields[field] = value
+        lines[1] = " ".join(fields) + "\t" + rest
+        nbest.write_text("".join(lines), encoding="utf-8")
+        self._exits_2(capsys, self._rescore(tmp_path, nbest), f"{nbest}:2: {message}")
+
+    @pytest.mark.parametrize("counts", ["-5 10", "\u0663 10", "1 1_0", "+1 10"])
+    def test_cat_shards_manifest_counts_must_be_ascii_digits(self, tmp_path, capsys, counts):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"a.tar 1 10\nb.tar {counts}\n", encoding="utf-8")
+        self._exits_2(capsys, ["cat-shards", str(manifest)],
+                      f"{manifest}:2: counts must be non-negative ASCII integers")
+
+    @pytest.mark.parametrize("key, value", [
+        ("nbest", "1_0"), ("beam", "\uff12\uff10"), ("beam", "\u0662"), ("alpha", "0_5"), ("alpha", "\u0660.5"),
+    ])
+    def test_config_numbers_must_be_ascii(self, tmp_path, capsys, key, value):
+        config = tmp_path / "decode.conf"
+        config.write_text(f"nbest = 2\n{key} = {value}\n", encoding="utf-8")
+        self._exits_2(capsys, ["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
+                               "--config", str(config)], f"{config}:2: bad value for {key}: {value!r}")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2

@@ -9,11 +9,9 @@ enough that `compose` expands its states over several array passes,
 golden TLG.
 """
 
-import math
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ctcdec.arpa import parse_arpa, read_arpa
@@ -174,19 +172,6 @@ def test_compose_does_not_depend_on_expansion_size(monkeypatch, keys):
         _assert_same(compose(a, b), reference_compose(a, b))
     a, b = _large_fst(rng, isym, mid), _large_fst(rng, mid, third)
     _assert_same(compose(a, b), reference_compose(a, b))
-
-
-def test_compose_key_ids_match_a_dict_with_few_index_runs():
-    """New codes take the next ids in ascending order; the index stays at most log2(n) + 1 sorted runs."""
-    rng = random.Random(270)
-    index, want = fstlib._KeyIds(7), {7: 0}
-    for _ in range(300):
-        codes = [rng.randrange(5000) for _ in range(rng.randint(1, 60))]
-        for code in sorted(set(codes) - want.keys()):
-            want[code] = len(want)
-        assert index.ids(np.array(codes, dtype=np.int64)).tolist() == [want[c] for c in codes]
-        assert len(index._runs) <= math.log2(len(index)) + 1
-    assert index.codes.tolist() == sorted(want, key=want.get)
 
 
 def test_compose_numbers_states_in_stack_order():

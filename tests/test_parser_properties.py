@@ -1,24 +1,37 @@
-"""Property tests for the posterior, FST, ARPA and lexicon text parsers.
+"""Property tests for the text parsers: posteriors, FSTs, ARPA, lexicons,
+n-best lists, shard manifests, raw sample lists and config files.
 
 Valid files are mutated token by token: tokens are dropped or repeated,
 and values such as `nan`, `1_0`, `#`, huge integers and non-ASCII digits
 are inserted or substituted, along with blank lines; ARPA files also get
-section headers and `ngram N=` counts, good and bad. Whatever the input,
-a parser may raise only `EngineError` subclasses, and a `ParseError`
-about a line cites it. A posterior file the parser accepts must give the
-same float64 bytes as Python's `float()` on each value.
+section headers and `ngram N=` counts, good and bad. The n-best, manifest,
+raw-list and config files are then written to disk with bytes that are
+not UTF-8 inserted, and read back by their file readers. Whatever the
+input, a parser may raise only `EngineError` subclasses, and a
+`ParseError` about a line cites it; a file that is not UTF-8 is a
+`ParseError` citing the line of its first bad byte. A posterior file the
+parser accepts must give the same float64 bytes as Python's `float()` on
+each value.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctcdec.arpa import parse_arpa
+from ctcdec.arpa import parse_arpa, read_arpa
+from ctcdec.cli import _OPTIONS, _default, read_config, read_nbest_file
+from ctcdec.context import load_biasing_phrases
 from ctcdec.decode import PosteriorMatrix
 from ctcdec.errors import EngineError, ParseError
 from ctcdec.fst import WeightedFst
-from ctcdec.lexicon import parse_lexicon
+from ctcdec.lexicon import parse_lexicon, read_lexicon
+from ctcdec.rescore import TableScorer
 from ctcdec.symbols import SymbolTable
+from ctcdec.uio import RawSampleReader, shard_list_from_manifest
 
 VALUES = [
     "nan", "inf", "-inf", "+inf", "1_0", "#", "0x10", "1e999", "-0", "0.25",
@@ -44,9 +57,20 @@ def _mutation(values):
 
 MUTATION = _mutation(VALUES)
 
+# Values for the n-best, manifest, raw-list and config files: their own
+# field shapes and the numbers they must refuse.
+FILE_VALUES = VALUES + [
+    "\t", "# utt", "-1_0.5", "\u0663", "\uff12\uff10", "+5", "-5", "=", "beam", "nbest", "alpha", "beam=4",
+    "/abs/x.wav", "d/x.wav", "a.tar",
+]
+
+# Byte runs that are not UTF-8 wherever they are put: a lone continuation
+# byte, a cut-off sequence, an encoded surrogate, an overlong form.
+BAD_BYTES = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe4\xb8", b"\xed\xa0\x80", b"\xc0\xaf"]
+
 
 def _mutate(text: str, mutations) -> str:
-    lines = [line.split() for line in text.splitlines()]
+    lines = [re.findall(r"\t|[^\s]+", line) for line in text.splitlines()]  # a tab is a token of its own
     for kind, i, j, value in mutations:
         if kind == "blank_line":
             lines.insert(i % (len(lines) + 1), [" "])
@@ -177,3 +201,139 @@ def test_unmutated_files_parse():
     model = parse_arpa(_arpa_text(), strict=True)
     assert [len(model.entries(order)) for order in (1, 2)] == [3, 2]
     assert len(parse_lexicon(_lexicon_text()).entries) == 4
+
+
+# -- file readers ------------------------------------------------------------
+
+
+def _nbest_text() -> str:
+    return "# utt one\n1 -1.5 -1.5 0 0\ta b\tab\n2 -2.25 -2 0 -0.25\tb\tb\n\n# utt two\n1 -inf -inf 0 0\t\t\n"
+
+
+def _manifest_text() -> str:
+    return "shard_00000.tar 2 3072\nshard_00001.tar 1 2048\n"
+
+
+def _raw_list_text() -> str:
+    return "# key payloads\ns0 s0.wav s0.txt\ns1 /abs/s1.wav\ns2 d/s2.wav\n"
+
+
+def _config_text() -> str:
+    return "# decode\nbeam = 4\nnbest = 2\nalpha = 0.5\nscore_beam = 16.0\n"
+
+
+def _write(directory: Path, text: str, inserts) -> tuple[Path, bytes]:
+    """`text` as UTF-8 with each (position, bytes) of `inserts` put in, written to a file."""
+    data = bytearray(text.encode("utf-8"))
+    for at, run in inserts:
+        k = at % (len(data) + 1)
+        data[k:k] = run
+    path = directory / "input.txt"
+    path.write_bytes(bytes(data))
+    return path, bytes(data)
+
+
+def _read_or_error(read, path: Path, data: bytes):
+    """`read(path)`, or None after checking the `EngineError` it raised."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        first_bad = data[: exc.start].count(b"\n") + 1
+    else:
+        first_bad = None
+    try:
+        result = read(path)
+    except ParseError as exc:
+        assert exc.line is not None, str(exc)
+        assert first_bad is None or (exc.line, exc.source) == (first_bad, str(path)), str(exc)
+        return None
+    except EngineError:
+        assert first_bad is None
+        return None
+    assert first_bad is None, "a file that is not UTF-8 was read"
+    return result
+
+
+INSERTS = st.lists(st.tuples(st.integers(0, 1000), st.sampled_from(BAD_BYTES)), max_size=2)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("parser_properties")
+
+
+@given(st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
+def test_nbest_reader_raises_only_engine_errors(scratch, mutations, inserts):
+    path, data = _write(scratch, _mutate(_nbest_text(), mutations), inserts)
+    sections = _read_or_error(read_nbest_file, path, data)
+    for _, nbest in sections or ():
+        for hyp in nbest.hyps:
+            scores = (hyp.total_score, hyp.score_ctc, hyp.score_context, hyp.score_lm)
+            assert all(isinstance(v, float) and v < float("inf") for v in scores)
+
+
+@given(st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
+def test_shard_manifest_reader_raises_only_engine_errors(scratch, mutations, inserts):
+    path, data = _write(scratch, _mutate(_manifest_text(), mutations), inserts)
+    locators = _read_or_error(shard_list_from_manifest, path, data)
+    if locators is not None:
+        lines = [line.split() for line in data.decode("utf-8").splitlines() if line.split()]
+        assert all(count.isascii() and count.isdigit() for line in lines for count in line[1:])
+        assert locators == [str(scratch / line[0]) for line in lines]
+
+
+@given(st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
+def test_raw_list_reader_raises_only_engine_errors(scratch, mutations, inserts):
+    path, data = _write(scratch, _mutate(_raw_list_text(), mutations), inserts)
+    reader = _read_or_error(RawSampleReader.from_file, path, data)
+    if reader is not None:
+        assert all(key and paths for key, paths in reader.entries)
+
+
+@given(st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
+def test_config_reader_raises_only_engine_errors(scratch, mutations, inserts):
+    path, data = _write(scratch, _mutate(_config_text(), mutations), inserts)
+    values = _read_or_error(read_config, path, data)
+    for key, value in (values or {}).items():
+        assert key in _OPTIONS and type(value) is type(_default(key))
+
+
+def test_unmutated_files_read(tmp_path):
+    def unmutated(text: str) -> Path:
+        return _write(tmp_path, _mutate(text, []), [])[0]
+
+    assert [len(nbest) for _, nbest in read_nbest_file(unmutated(_nbest_text()))] == [2, 1]
+    assert len(shard_list_from_manifest(unmutated(_manifest_text()))) == 2
+    assert len(RawSampleReader.from_file(unmutated(_raw_list_text()))) == 3
+    assert read_config(unmutated(_config_text())) == {"beam": 4, "nbest": 2, "alpha": 0.5, "score_beam": 16.0}
+
+
+_UNITS = SymbolTable.with_epsilon(["a", "b"])
+
+# Every text-file reader, with a valid first line and a second line to hold a bad byte.
+_READERS = {
+    "posterior": (PosteriorMatrix.read, "1 2 prob\n0.5 0.5\n"),
+    "fst": (WeightedFst.read, "0 1 1 1 0.5\n1 0.0\n"),
+    "symbols": (SymbolTable.read, "<eps> 0\na 1\n"),
+    "lexicon": (read_lexicon, "ab a b\nba b a\n"),
+    "arpa": (read_arpa, _arpa_text()),
+    "config": (read_config, "beam = 4\nnbest = 2\n"),
+    "nbest": (read_nbest_file, "# utt one\n1 -1 -1 0 0\ta\ta\n"),
+    "shard_manifest": (shard_list_from_manifest, "a.tar 1 10\nb.tar 1 10\n"),
+    "raw_list": (RawSampleReader.from_file, "s0 s0.wav\ns1 s1.wav\n"),
+    "scorer_table": (TableScorer.from_file, "1.0 a b\n-2.0 b\n"),
+    "biasing_phrases": (lambda path: load_biasing_phrases(path, _UNITS, "char"), "ab\nba\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_every_text_reader_cites_the_first_byte_that_is_not_utf8(tmp_path, name):
+    read, text = _READERS[name]
+    read(_write(tmp_path, text, [])[0])  # the file itself is valid
+    second = text.index("\n") + 1
+    for run in BAD_BYTES:
+        path, _ = _write(tmp_path, text, [(second + 1, run), (len(text), b"\xff")])
+        with pytest.raises(ParseError) as caught:
+            read(path)
+        assert (caught.value.source, caught.value.line) == (str(path), 2)
+        assert f"byte 0x{run[0]:02x} is not UTF-8" in str(caught.value)
