@@ -24,7 +24,7 @@ from .decode import (
     StreamingDecoder,
     WfstBeamDecoder,
 )
-from .errors import ConfigurationError, EngineError, ParseError, read_text
+from .errors import ConfigurationError, EngineError, ParseError, parse_number, read_text
 from .fst import WeightedFst
 from .graph import build_G, build_L, build_T, build_TLG, read_units, units_of
 from .lexicon import read_lexicon
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arpa", help="ARPA n-gram LM; omit for an LM-free (T only) build")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--strict-arpa", action="store_true", help="reject ARPA files with missing prefixes")
-    p.add_argument("--det-budget", type=int, help="determinization state budget override")
+    p.add_argument("--det-budget", type=_flag_type(int), help="determinization state budget override")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("decode", help="first-pass decoding (+ optional rescoring)")
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="pack a raw sample list into tar shards")
     p.add_argument("manifest", help="raw list: `key payload_path ...` per line")
     p.add_argument("--out", required=True, help="shard output directory")
-    p.add_argument("--shard-size", type=int, default=1000, help="samples per shard (default: 1000)")
+    p.add_argument("--shard-size", type=_flag_type(int), default=1000, help="samples per shard (default: 1000)")
     p.add_argument("--gzip", action="store_true", help="gzip each shard")
     p.set_defaults(func=cmd_pack)
 
@@ -123,8 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_option_flags(p: argparse.ArgumentParser, names) -> None:
     for name in names:
         default = _default(name)
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=None,
+        p.add_argument("--" + name.replace("_", "-"), type=_flag_type(type(default)), default=None,
                        help=f"{_OPTIONS[name][2]} (default: {default})")
+
+
+def _flag_type(kind: type):
+    """An argparse `type` reading `kind` by `parse_number`, named for argparse's errors."""
+    def read(text: str):
+        return parse_number(text, kind)
+    read.__name__ = kind.__name__
+    return read
 
 
 def read_config(path: str | Path) -> dict[str, object]:
@@ -145,17 +153,10 @@ def read_config(path: str | Path) -> dict[str, object]:
             raise ParseError(f"unknown option {key!r}", source=source, line=lineno)
         value = value.strip()
         try:
-            values[key] = _number(value, type(_default(key)))
+            values[key] = parse_number(value, type(_default(key)))
         except ValueError:
             raise ParseError(f"bad value for {key}: {value!r}", source=source, line=lineno) from None
     return values
-
-
-def _number(text: str, kind: type = float):
-    """`kind(text)`, for ASCII text without `_` only, as the other text formats take numbers."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII number: {text!r}")
-    return kind(text)
 
 
 def resolve_options(args: argparse.Namespace, config: dict[str, object], owner) -> dict:
@@ -327,7 +328,7 @@ def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
         if not (head[0].isascii() and head[0].isdigit() and int(head[0]) == rank):
             raise ParseError(f"expected rank {rank}, found {head[0]!r}", source=source, line=lineno)
         try:
-            total, ctc, ctx, lm = map(_number, head[1:])
+            total, ctc, ctx, lm = map(parse_number, head[1:])
         except ValueError:
             raise ParseError("non-numeric score", source=source, line=lineno) from None
         if not all(v < math.inf for v in (total, ctc, ctx, lm)):  # -inf marks an empty result

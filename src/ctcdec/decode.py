@@ -17,7 +17,7 @@ import numpy as np
 
 from .context import ContextGraph
 from .errors import ConfigurationError, ParseError, read_text
-from .fst import WeightedFst, load_rows
+from .fst import WeightedFst, _spans, load_rows
 from .symbols import SymbolTable
 
 NEG_INF = float("-inf")
@@ -399,21 +399,19 @@ class PrefixBeamDecoder(StreamingDecoder):
 # -- WFST beam search ------------------------------------------------------
 
 
-# Tokens are parallel arrays, one per field. `unit` and `word` are ids of
-# each token's unit and word chains in the decoder's `_Links` (-1 is the
-# empty chain); `last` is the acoustic label of its latest frame (-1 before
-# the first), which decides whether the next label starts a unit. Within a
+# Tokens are the columns of two arrays, so a gather or an append is two
+# calls: floats (rows cost, ac_cost, graph_cost, ctx_score) and ints (rows
+# state, ctx, unit, last, word, new_unit, new_word). `unit` and `word` are
+# ids of each token's chains in the decoder's `_Links` (-1 is the empty
+# chain); `last` is the acoustic label of its latest frame (-1 before the
+# first), which decides whether the next label starts a unit. Within a
 # step, `new_unit` and `new_word` hold the label still to be linked onto
 # each chain (0 for none), so links are made only for surviving tokens.
-_FIELDS = (
-    "state", "ctx", "cost", "ac_cost", "graph_cost", "ctx_score",
-    "unit", "last", "word", "new_unit", "new_word",
-)
-_Tokens = dict[str, np.ndarray]
+_Tokens = tuple[np.ndarray, np.ndarray]
 
 
 def _take(tokens: _Tokens, index: np.ndarray) -> _Tokens:
-    return {name: array[index] for name, array in tokens.items()}
+    return tokens[0].take(index, axis=1), tokens[1].take(index, axis=1)
 
 
 class _Links:
@@ -490,23 +488,23 @@ class WfstBeamDecoder(StreamingDecoder):
     """Frame-synchronous Viterbi beam search over a TLG decoding graph.
 
     Graph input label l > 0 consumes acoustic token l - 1 (so `<blank>` at
-    acoustic id 0 is graph label 1); label 0 arcs are free moves expanded
+    acoustic id 0 is graph label 1); label 0 arcs are free moves taken
     after each frame. Tokens are pruned to `score_beam` score units of the
     best and to `max_active` tokens. Biasing advances on emitted words.
 
     The search reads the graph's `arc_arrays()`, which every decoder on an
-    unchanged graph shares, and keeps its tokens as parallel arrays. A
-    frame costs all emitting arcs of the active tokens as one vector and
-    recombines them per (state, context node) with a scatter-min, where
-    the first arrival wins among equal costs. Label-0 arcs are relaxed by
-    a worklist. Counters over the stream: `arcs_expanded` (emitting arcs
-    with a finite log-probability, plus label-0 arcs followed),
-    `tokens_pruned_beam`, `tokens_pruned_max_active` and
-    `eps_relaxations` (label-0 moves that improved a token). `links_held`
-    is the number of unit and word backpointers held now.
+    unchanged graph shares, and keeps its tokens as arrays. A frame costs
+    all emitting arcs of the active tokens as one vector and recombines
+    them per (state, context node) with a scatter-min, where the first
+    arrival wins among equal costs. The survivors then follow the label-0
+    paths of their states, frozen with the graph as `closure` (a label-0
+    cycle is refused here), and the path ends merge in the same way.
+    Counters over the stream: `arcs_expanded` (emitting arcs with a finite
+    log-probability, plus label-0 hops), `tokens_pruned_beam`,
+    `tokens_pruned_max_active` and `eps_relaxations` (keys that a label-0
+    path improved or added). `links_held` is the number of unit and word
+    backpointers held now.
     """
-
-    _EPS_RELAX_LIMIT = 1_000_000
 
     def __init__(
         self,
@@ -547,11 +545,9 @@ class WfstBeamDecoder(StreamingDecoder):
         self._n_ctx = self.context.num_states() if self.context is not None else 1
         self._units = _Links()
         self._words = _Links()
-        start = (graph.start, ContextGraph.START, 0.0, 0.0, 0.0, 0.0, -1, -1, -1, 0, 0)
-        tokens = {name: np.array([value]) for name, value in zip(_FIELDS, start)}
-        if self._arcs.has_epsilon[graph.start]:
-            tokens = self._eps_expand(tokens, [0])
-        self._tokens = self._link(tokens)
+        self._tokens = (np.zeros((4, 1)), np.array([[graph.start, ContextGraph.START, -1, -1, -1, 0, 0]]).T)
+        self._close()
+        self._link()
 
     @property
     def links_held(self) -> int:
@@ -559,198 +555,172 @@ class WfstBeamDecoder(StreamingDecoder):
 
     def _step(self, row: np.ndarray) -> None:
         arcs = self._arcs
-        tokens = self._tokens
+        floats, ints = self._tokens
+        state, ctx = ints[:2]
         # Every arc of every token, in token order and then arc order.
-        first = arcs.offsets[tokens["state"]]
-        count = arcs.offsets[tokens["state"] + 1] - first
-        src = np.repeat(np.arange(len(first)), count)
-        arc = np.arange(len(src)) + np.repeat(first - (np.cumsum(count) - count), count)
+        first = arcs.offsets[state]
+        count = arcs.offsets[state + 1] - first
+        src, arc = _spans(first, count)
         # Label l reads column l - 1, and label 0 reads -inf: label-0 arcs
         # drop out with the arcs whose token is impossible in this frame.
         lp = np.concatenate(([NEG_INF], row))[arcs.ilabel[arc]]
-        kept = np.flatnonzero(lp != NEG_INF)
+        kept = (lp != NEG_INF).nonzero()[0]
         src, arc, lp = src[kept], arc[kept], lp[kept]
         self.arcs_expanded += len(arc)
 
         ac = -lp * self.acoustic_scale
-        olabel = arcs.olabel[arc]
-        word = olabel != 0
-        gw = arcs.weight[arc] * self.lm_scale
-        gw[word] += self.word_penalty
-        cost = tokens["cost"][src] + ac + gw
-        ctx = tokens["ctx"][src]
-        delta = np.zeros(len(arc))
-        if self.context is not None and word.any():
-            self._advance_context(ctx, delta, olabel, np.flatnonzero(word))
-            cost -= delta
+        ctx = ctx[src]
+        olabel, gw, cost, delta = self._follow(arc, floats[0][src] + ac, ctx)
+        win = self._recombine(arcs.nextstate[arc] * self._n_ctx + ctx, cost)
 
-        # Recombine per (state, ctx): the cheapest candidate, the first among equals.
-        key = arcs.nextstate[arc] * self._n_ctx + ctx
-        if self.context is None:
-            ids, size = key, len(arcs.offsets) - 1
-        else:
+        parent, arc = src[win], arc[win]
+        _, ac_cost, graph_cost, ctx_score = floats.take(parent, axis=1)
+        _, _, unit, last, word, _, _ = ints.take(parent, axis=1)
+        label = arcs.ilabel[arc] - 1
+        new_unit = np.where((label != 0) & (label != last), label, 0)
+        floats = np.array((cost[win], ac_cost + ac[win], graph_cost + gw[win], ctx_score + delta[win]))
+        self._tokens = floats, np.array((arcs.nextstate[arc], ctx[win], unit, label, word, new_unit, olabel[win]))
+        self._close()
+        self._prune()
+        self._link()
+
+    def _follow(self, arc, cost, ctx) -> tuple[np.ndarray, ...]:
+        """Follow `arc` from tokens at `cost` (acoustic cost included) and
+        context nodes `ctx`, which advance in place on each arc's word.
+        Returns (olabel, gw, cost, delta): gw is the weight times `lm_scale`
+        plus `word_penalty` on a word; the new cost subtracts the bonus delta."""
+        olabel = self._arcs.olabel[arc]
+        word = olabel.nonzero()[0]
+        gw = self._arcs.weight[arc] * self.lm_scale
+        gw[word] += self.word_penalty
+        cost = cost + gw
+        delta = np.zeros(len(arc))
+        if self.context is not None and len(word):  # one `advance` per distinct (node, word) pair
+            width = int(olabel[word].max()) + 1
+            pairs, inverse = np.unique(ctx[word] * width + olabel[word], return_inverse=True)
+            moves = [self.context.advance(*divmod(pair, width)) for pair in pairs.tolist()]
+            ctx[word] = np.array([node for node, _ in moves], dtype=np.int64)[inverse]
+            delta[word] = np.array([d for _, d in moves])[inverse]
+            cost -= delta
+        return olabel, gw, cost, delta
+
+    def _recombine(self, key: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        """Per (state, ctx) key, the index of its cheapest candidate, the
+        first among equals, in the order the keys are first reached. A key
+        with a NaN cost has none."""
+        ids, size = key, self._arcs.num_states
+        if self.context is not None:  # keys run over states x nodes: number them densely
             ids = np.unique(key, return_inverse=True)[1]
             size = int(ids.max(initial=-1)) + 1
+        n = len(cost)
         best = np.full(size, math.inf)
         np.minimum.at(best, ids, cost)
-        tie = np.flatnonzero(cost == best[ids])
-        pick = np.full(size, len(cost))
+        tie = (cost == best[ids]).nonzero()[0]
+        pick = np.full(size, n)
         np.minimum.at(pick, ids[tie], tie)
-        win = pick[pick < len(cost)]  # ascending key; a key whose costs are all NaN has none
+        arrival = np.full(size, n)
+        np.minimum.at(arrival, ids, np.arange(n))
+        live = pick < n
+        return pick[live][np.argsort(arrival[live])]
 
-        parent = src[win]
-        label = arcs.ilabel[arc[win]] - 1
-        nxt = {
-            "state": arcs.nextstate[arc[win]],
-            "ctx": ctx[win],
-            "cost": cost[win],
-            "ac_cost": tokens["ac_cost"][parent] + ac[win],
-            "graph_cost": tokens["graph_cost"][parent] + gw[win],
-            "ctx_score": tokens["ctx_score"][parent] + delta[win],
-            "unit": tokens["unit"][parent],
-            "last": label,
-            "word": tokens["word"][parent],
-            "new_unit": np.where((label != 0) & (label != tokens["last"][parent]), label, 0),
-            "new_word": olabel[win],
-        }
+    def _close(self) -> None:
+        """Follow every token's label-0 paths and merge their ends in:
+        shorter paths first, then the latest-arriving token first, then
+        closure order. A hop is costed like an emitting arc with no
+        acoustic part; a word on it first links the pending word. A path's
+        end replaces the token at its key only if strictly cheaper, and a
+        new key is appended in the order found."""
+        offsets, paths = self._arcs.closure
+        floats, ints = self._tokens
+        back = ints[0][::-1]  # each token's state, the latest-arriving token first
+        first = offsets[back]
+        count = offsets[back + 1] - first
+        if not np.count_nonzero(count):
+            return
+        held = len(back)
+        src, rows = _spans(first, count)
+        src, hops = held - 1 - src, paths[rows]
+        starts = [0]  # hop j moves rows starts[j]:, as shorter paths come first
+        if hops.shape[1] > 1:
+            length = (hops >= 0).sum(axis=1)
+            order = np.argsort(length, kind="stable")
+            src, hops = src[order], hops[order]
+            starts += np.searchsorted(length[order], np.arange(2, hops.shape[1] + 1)).tolist()
+        ends = _take(self._tokens, src)
+        cost, _, graph_cost, ctx_score = ends[0]
+        state, ctx, _, _, word, _, new_word = ends[1]
+        for start, arc in zip(starts, hops.T):
+            arc = arc[start:]
+            self.arcs_expanded += len(arc)
+            olabel, gw, cost[start:], delta = self._follow(arc, cost[start:], ctx[start:])
+            graph_cost[start:] += gw
+            ctx_score[start:] += delta
+            state[start:] = self._arcs.nextstate[arc]
+            emits = olabel.nonzero()[0]
+            if len(emits):
+                at = emits + start
+                linked = at[new_word[at] != 0]
+                word[linked] = self._words.add(word[linked], new_word[linked])
+                new_word[at] = olabel[emits]
+        self._tokens = floats, ints = np.concatenate((floats, ends[0]), axis=1), np.concatenate((ints, ends[1]), axis=1)
+        key = ints[0] * self._n_ctx + ints[1]  # (state, ctx)
+        ordered = np.sort(key)
+        if not np.count_nonzero(ordered[1:] == ordered[:-1]):  # every path ends at a new key
+            self.eps_relaxations += len(src)
+            return
+        win = self._recombine(key, floats[0])
+        self.eps_relaxations += int(np.count_nonzero(win >= held))
+        self._tokens = _take(self._tokens, win)
 
-        with_eps = np.flatnonzero(arcs.has_epsilon[nxt["state"]])
-        if len(with_eps) > 1:
-            # The worklist starts in the order each key was first reached.
-            arrival = np.full(size, len(cost))
-            np.minimum.at(arrival, ids, np.arange(len(cost)))
-            with_eps = with_eps[np.argsort(arrival[ids[win[with_eps]]])]
-        if len(with_eps):
-            nxt = self._eps_expand(nxt, with_eps.tolist())
-        self._tokens = self._link(self._prune(nxt))
-
-    def _advance_context(self, ctx, delta, olabel, word) -> None:
-        """Biasing over the word candidates `word`, in place: one
-        `ContextGraph.advance` per distinct (node, word) pair."""
-        width = int(olabel[word].max()) + 1
-        pairs, inverse = np.unique(ctx[word] * width + olabel[word], return_inverse=True)
-        moves = [self.context.advance(*divmod(pair, width)) for pair in pairs.tolist()]
-        ctx[word] = np.array([node for node, _ in moves], dtype=np.int64)[inverse]
-        delta[word] = np.array([d for _, d in moves])[inverse]
-
-    def _eps_expand(self, tokens: _Tokens, worklist: list[int]) -> _Tokens:
-        """Relax label-0 arcs to a fixed point (no frame is consumed).
-
-        The worklist of token indices is popped from its end. A strictly
-        cheaper token replaces the one at its (state, ctx) key in place; a
-        key reached for the first time is appended.
-        """
-        epsilon = self._arcs.epsilon
-        n_ctx = self._n_ctx
-        lm_scale, word_penalty, context = self.lm_scale, self.word_penalty, self.context
-        n = len(tokens["state"])
-        index = dict(zip((tokens["state"] * n_ctx + tokens["ctx"]).tolist(), range(n)))
-        records: dict[int, tuple] = {}  # token index -> record, for tokens replaced or added
-        stack: list[tuple[int, tuple | None]] = [(i, None) for i in worklist]
-        relaxed = followed = 0
-        while stack:
-            i, record = stack.pop()
-            if records.get(i) is not record:
-                continue  # superseded by a cheaper token at this key
-            state, ctx, cost, ac_cost, graph_cost, ctx_score, unit, last, word, new_unit, new_word = (
-                record if record is not None else [tokens[name][i] for name in _FIELDS]
-            )
-            for olabel, weight, nextstate in epsilon.get(state, ()):
-                followed += 1
-                gw = weight * lm_scale
-                to_ctx, ctx_delta, to_word, to_new_word = ctx, 0.0, word, new_word
-                if olabel != 0:
-                    gw += word_penalty
-                    if new_word:
-                        to_word = int(self._words.add([word], [new_word])[0])
-                    to_new_word = olabel
-                    if context is not None:
-                        to_ctx, ctx_delta = context.advance(ctx, olabel)
-                cand_cost = cost + 0.0 + gw - ctx_delta
-                key = nextstate * n_ctx + to_ctx
-                j = index.get(key)
-                if j is None:
-                    j = index[key] = len(index)  # a key reached for the first time
-                current = records.get(j)
-                if current is not None:
-                    if not cand_cost < current[2]:
-                        continue
-                elif j < n and not cand_cost < tokens["cost"][j]:
-                    continue
-                record = (
-                    nextstate, to_ctx, cand_cost, ac_cost + 0.0, graph_cost + gw,
-                    ctx_score + ctx_delta, unit, last, to_word, new_unit, to_new_word,
-                )
-                records[j] = record
-                stack.append((j, record))
-                relaxed += 1
-                if relaxed > self._EPS_RELAX_LIMIT:
-                    raise ConfigurationError(
-                        "epsilon expansion did not converge; the graph has an improving label-0 cycle"
-                    )
-        self.arcs_expanded += followed
-        self.eps_relaxations += relaxed
-        added = []
-        for j, record in records.items():
-            if j < n:
-                for name, value in zip(_FIELDS, record):
-                    tokens[name][j] = value
-            else:
-                added.append(record)  # `records` holds added tokens in index order
-        if added:
-            tokens = {
-                name: np.concatenate((tokens[name], values)) for name, values in zip(_FIELDS, zip(*added))
-            }
-        return tokens
-
-    def _prune(self, tokens: _Tokens) -> _Tokens:
+    def _prune(self) -> None:
         """Keep tokens within `score_beam` of the best, then the `max_active`
         cheapest, ordered by (cost, state, ctx)."""
-        cost = tokens["cost"]
+        cost, (state, ctx) = self._tokens[0][0], self._tokens[1][:2]
         if not len(cost):
-            return tokens
-        kept = np.flatnonzero(cost <= np.fmin.reduce(cost) + self.score_beam)
+            return
+        kept = (cost <= np.fmin.reduce(cost) + self.score_beam).nonzero()[0]
         self.tokens_pruned_beam += len(cost) - len(kept)
-        order = np.lexsort((tokens["ctx"][kept], tokens["state"][kept], cost[kept]))
+        order = np.lexsort((ctx[kept], state[kept], cost[kept]))
         self.tokens_pruned_max_active += max(0, len(order) - self.max_active)
-        return _take(tokens, kept[order[: self.max_active]])
+        self._tokens = _take(self._tokens, kept[order[: self.max_active]])
 
-    def _link(self, tokens: _Tokens) -> _Tokens:
+    def _link(self) -> None:
         """Link each token's pending unit and word onto its chains."""
-        for links, chain, new in ((self._units, "unit", "new_unit"), (self._words, "word", "new_word")):
-            labels = tokens.pop(new)
-            pending = np.flatnonzero(labels)
+        _, _, unit, _, word, new_unit, new_word = self._tokens[1]
+        for links, chain, labels in ((self._units, unit, new_unit), (self._words, word, new_word)):
+            pending = labels.nonzero()[0]
             if len(pending):
-                tokens[chain][pending] = links.add(tokens[chain][pending], labels[pending])
-            tokens[chain] = links.compact(tokens[chain])
-        return tokens
+                chain[pending] = links.add(chain[pending], labels[pending])
+            chain[:] = links.compact(chain)
 
     def finalize(self) -> NBestList:
         """Add final weights, keep the cheapest token per word sequence, rank."""
-        tokens = _take(self._tokens, np.lexsort((self._tokens["ctx"], self._tokens["state"])))
-        fw = np.array([self.graph.final_weight(state) for state in tokens["state"].tolist()])
+        state, ctx = self._tokens[1][:2]
+        tokens = _take(self._tokens, np.lexsort((ctx, state)))
+        fw = np.array([self.graph.final_weight(state) for state in tokens[1][0].tolist()])
         is_final = fw != math.inf
         if is_final.any():
-            tokens, fw = _take(tokens, is_final), fw[is_final]
+            tokens, fw = _take(tokens, is_final.nonzero()[0]), fw[is_final]
         else:
             fw = np.zeros(len(fw))  # no token reached a final state; fall back to all survivors
-        cost = (tokens["cost"] + fw * self.lm_scale).tolist()
-        graph_cost = (tokens["graph_cost"] + fw * self.lm_scale).tolist()
+        (cost, ac_cost, graph_cost, ctx_score), (_, _, unit, _, word, _, _) = tokens
+        cost = (cost + fw * self.lm_scale).tolist()
+        graph_cost = (graph_cost + fw * self.lm_scale).tolist()
         by_words: dict[tuple[int, ...], int] = {}
-        for i, words in enumerate(self._words.chains(tokens["word"])):
+        for i, words in enumerate(self._words.chains(word)):
             prev = by_words.get(words)
             if prev is None or cost[i] < cost[prev]:
                 by_words[words] = i
 
         ranked = sorted(by_words.items(), key=lambda item: (cost[item[1]], item[0]))[: self.nbest]
         best = np.array([i for _, i in ranked], dtype=np.int64)
-        units = self._units.chains(tokens["unit"][best])
+        units = self._units.chains(unit[best])
         hyps = [
             Hypothesis(
                 units=units[rank],
                 total_score=-cost[i],
-                score_ctc=-float(tokens["ac_cost"][i]),
-                score_context=float(tokens["ctx_score"][i]),
+                score_ctc=-float(ac_cost[i]),
+                score_context=float(ctx_score[i]),
                 score_lm=-graph_cost[i],
                 words=tuple(self.graph.osymbols.symbol_of(w) for w in words),
             )

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine, and the text-file reader that raises them."""
+"""Exception types shared across the engine, and the text readers that raise them."""
 
 from __future__ import annotations
 
@@ -46,3 +46,10 @@ def read_text(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", source=str(path), line=line) from None
+
+
+def parse_number(text: str, kind: type = float):
+    """`kind(text)` for ASCII text without `_`, the rule of every text input; else a `ValueError`."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)

@@ -302,9 +302,8 @@ class ArcArrays:
     """The arcs of a `WeightedFst` as read-only arrays in CSR form.
 
     State s owns arcs `offsets[s]:offsets[s + 1]`, in the machine's arc
-    order. `epsilon` holds, for each state that has any, its label-0 arcs
-    as `(olabel, weight, nextstate)` in arc order, and `has_epsilon` marks
-    those states; both, like `max_ilabel`, are computed on first use.
+    order. `closure` holds each state's label-0 paths; it is computed on
+    first use, like `max_ilabel`.
     """
 
     offsets: np.ndarray
@@ -355,19 +354,36 @@ class ArcArrays:
         return int(self.ilabel.max(initial=0))
 
     @cached_property
-    def epsilon(self) -> dict[int, tuple[tuple[int, float, int], ...]]:
-        arcs = np.flatnonzero(self.ilabel == 0)
-        out: dict[int, list[tuple[int, float, int]]] = {}
-        for state, *arc in zip(*(c[arcs].tolist() for c in (self.sources(), self.olabel, self.weight, self.nextstate))):
-            out.setdefault(state, []).append(tuple(arc))
-        return {state: tuple(arcs) for state, arcs in out.items()}
-
-    @cached_property
-    def has_epsilon(self) -> np.ndarray:
-        mask = np.zeros(self.num_states, dtype=bool)
-        mask[list(self.epsilon)] = True
-        mask.flags.writeable = False
-        return mask
+    def closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each state's label-0 paths as `(offsets, paths)`: state s owns the
+        rows `offsets[s]:offsets[s + 1]` of `paths`, one row of arc ids per
+        path padded with -1, shorter paths first and then in arc order. A
+        label-0 cycle is refused, and so are more paths than states times
+        label-0 arcs."""
+        eps = np.flatnonzero(self.ilabel == 0)
+        src = self.sources()[eps]
+        by_state = _offsets(src, self.num_states)  # each state's label-0 arcs, as a range of `eps`
+        found = [(src, eps[:, None])]  # round k: the paths of k hops, as (source state, arc ids)
+        total, bound = len(eps), self.num_states * len(eps)
+        while True:
+            src, rows = found[-1]
+            end = self.nextstate[rows[:, -1]]
+            first, count = by_state[end], by_state[end + 1] - by_state[end]
+            if not count.any():
+                break
+            if rows.shape[1] == len(eps):  # a path of more hops than there are label-0 arcs repeats one
+                raise ConfigurationError("the graph has a label-0 cycle")
+            total += int(count.sum())
+            if total > bound:
+                raise ConfigurationError(f"the graph has more than {bound} label-0 paths (states x label-0 arcs)")
+            parent, at = _spans(first, count)
+            found.append((src[parent], np.column_stack((rows[parent], eps[at]))))
+        src = np.concatenate([src for src, _ in found])
+        paths = np.concatenate([np.pad(rows, ((0, 0), (0, len(found) - rows.shape[1])), constant_values=-1)
+                                for _, rows in found])
+        offsets, paths = _offsets(src, self.num_states), paths[np.argsort(src, kind="stable")]
+        offsets.flags.writeable = paths.flags.writeable = False
+        return offsets, paths
 
 
 def _offsets(group: np.ndarray, n: int) -> np.ndarray:
@@ -423,15 +439,18 @@ def _reachable(offsets: np.ndarray, nextstate: np.ndarray, starts: list[int]) ->
     seen[frontier] = True
     while len(frontier):
         first = offsets[frontier]
-        nxt = nextstate[_spans(first, offsets[frontier + 1] - first)]
+        nxt = nextstate[_spans(first, offsets[frontier + 1] - first)[1]]
         frontier = np.unique(nxt[~seen[nxt]])
         seen[frontier] = True
     return seen
 
 
-def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The indices `first[i]:first[i] + count[i]` for each i, concatenated."""
-    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each i, `count[i]` copies of i beside the indices `first[i]:first[i] + count[i]`,
+    concatenated over i."""
+    owner = np.repeat(np.arange(len(first)), count)
+    index = np.repeat(first - (np.cumsum(count) - count), count)
+    return owner, index + np.arange(len(index))
 
 
 # -- composition ---------------------------------------------------------
@@ -475,7 +494,7 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         pair = s2 * width + ilabel
         first = np.searchsorted(b_pair, pair, "left")
         count = np.searchsorted(b_pair, pair, "right") - first
-        return np.repeat(np.arange(len(pair)), count), _spans(first, count)
+        return _spans(first, count)
 
     # A key's code is (s1 * n2 + s2) * 3 + filter. Ids go in order of
     # discovery, which is also the order keys are expanded in.
@@ -490,7 +509,7 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         s1, s2, flt = code // 3 // n2, code // 3 % n2, code % 3
         first = A.offsets[s1]
         a_count = A.offsets[s1 + 1] - first
-        a_key, a_arc = np.repeat(np.arange(len(code)), a_count), _spans(first, a_count)
+        a_key, a_arc = _spans(first, a_count)
         a_eps = A.olabel[a_arc] == EPSILON
         # a moves alone on an output epsilon, to filter 1
         alone = a_eps & (flt[a_key] != 2)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from .decode import NEG_INF, Hypothesis, NBestList
-from .errors import ConfigurationError, ParseError, read_text
+from .errors import ConfigurationError, ParseError, parse_number, read_text
 from .symbols import SymbolTable
 
 logger = logging.getLogger(__name__)
@@ -69,7 +69,7 @@ class TableScorer:
                 continue
             parts = line.split()
             try:
-                value = float(parts[0])
+                value = parse_number(parts[0])
             except ValueError:
                 raise ParseError(f"non-numeric score {parts[0]!r}", source=source, line=lineno) from None
             if not value < math.inf:  # -inf (an impossible sequence) is allowed

@@ -605,6 +605,24 @@ class TestTextInputBoundaries:
         self._exits_2(capsys, ["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"),
                                "--config", str(config)], f"{config}:2: bad value for {key}: {value!r}")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--nbest", "1_0"), ("--beam", "\uff12\uff10"), ("--alpha", "\u0660.5"), ("--score-beam", "1_6"),
+    ])
+    def test_numeric_flags_must_be_ascii(self, capsys, flag, value):
+        args = ["decode", str(DATA / "utt2.post"), "--units", str(DATA / "units.txt"), flag, value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid " in err and f"value: {value!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["pack", "raw.list", "--out", "shards", "--shard-size", "1_0"],
+        ["build-graph", "--units", "units.txt", "--out", "graph", "--det-budget", "\u0661"],
+    ], ids=["shard_size", "det_budget"])
+    def test_integer_flags_must_be_ascii(self, capsys, args):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"argument {args[-2]}: invalid int value: {args[-1]!r}" in err and "Traceback" not in err
+
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2

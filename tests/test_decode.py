@@ -493,9 +493,33 @@ class TestWfstSearchOverAChangedGraph:
         graph.add_arc(1, 0, 0, -1.0, 2)
         graph.add_arc(2, 0, 0, 0.0, 1)
         graph.set_final(1, 0.0)
-        dec = WfstBeamDecoder(graph, blank_skip_threshold=None)
-        with pytest.raises(ConfigurationError, match="epsilon expansion did not converge"):
-            dec.advance(np.log(np.array([[0.5, 0.5]])))
+        with pytest.raises(ConfigurationError, match="label-0 cycle"):
+            WfstBeamDecoder(graph, blank_skip_threshold=None)
+
+    def test_non_improving_label0_cycle_is_refused_when_built(self):
+        from ctcdec.fst import WeightedFst
+
+        graph = WeightedFst()
+        graph.add_states(2)
+        graph.set_start(0)
+        graph.add_arc(0, 0, 0, 1.0, 1)
+        graph.add_arc(1, 0, 0, 1.0, 0)
+        graph.set_final(1, 0.0)
+        with pytest.raises(ConfigurationError, match="label-0 cycle"):
+            WfstBeamDecoder(graph, blank_skip_threshold=None)
+
+    def test_label0_ladder_is_refused_when_built(self):
+        from ctcdec.fst import WeightedFst
+
+        graph = WeightedFst()
+        graph.add_states(40)
+        graph.set_start(0)
+        for k in range(39):
+            graph.add_arc(k, 0, 0, 0.0, k + 1)
+            graph.add_arc(k, 0, 0, 1.0, k + 1)
+        graph.set_final(39, 0.0)
+        with pytest.raises(ConfigurationError, match="label-0 paths"):
+            WfstBeamDecoder(graph, blank_skip_threshold=None)
 
 
 class TestLinkCompaction:

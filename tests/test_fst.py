@@ -455,8 +455,9 @@ class TestArcArrays:
         assert frozen.weight.tolist() == [0.5, 1.5, 0.0, 2.0]
         assert frozen.nextstate.tolist() == [1, 2, 1, 0]
         assert frozen.max_ilabel == 3
-        assert frozen.epsilon == {0: ((2, 1.5, 2),)}
-        assert frozen.has_epsilon.tolist() == [True, False, False]
+        offsets, paths = frozen.closure
+        assert offsets.tolist() == [0, 1, 1, 1]
+        assert paths.tolist() == [[1]]
         with pytest.raises(ValueError):
             frozen.weight[0] = 9.0
 
@@ -486,8 +487,10 @@ class TestArcArrays:
         fresh = fst.arc_arrays()
         assert fresh is not frozen
         rebuilt = fst.copy().arc_arrays()
-        for name in ("offsets", "ilabel", "olabel", "weight", "nextstate", "has_epsilon"):
+        for name in ("offsets", "ilabel", "olabel", "weight", "nextstate"):
             assert getattr(fresh, name).tolist() == getattr(rebuilt, name).tolist(), name
+        for mine, theirs in zip(fresh.closure, rebuilt.closure):
+            assert mine.tolist() == theirs.tolist()
 
     def test_copy_does_not_share_the_cache(self):
         fst = self._fst()
@@ -497,3 +500,50 @@ class TestArcArrays:
         twin.add_arc(1, 1, 1, 0.0, 2)
         assert fst.arc_arrays() is frozen
         assert twin.arc_arrays().offsets.tolist() == [0, 3, 4, 5]
+
+
+class TestLabel0Closure:
+    @staticmethod
+    def _fst(n, arcs):
+        fst = WeightedFst()
+        fst.add_states(n)
+        fst.set_start(0)
+        for arc in arcs:
+            fst.add_arc(*arc)
+        return fst
+
+    def test_paths_shorter_first_then_in_arc_order(self):
+        # Label-0 arcs 0, 2, 3 and 4; arc 1 emits and is no part of any path.
+        fst = self._fst(4, [(0, 0, 0, 1.0, 1), (0, 1, 0, 0.0, 2), (0, 0, 0, 0.5, 2), (1, 0, 0, 0.0, 3), (2, 0, 0, 0.0, 3)])
+        offsets, paths = fst.arc_arrays().closure
+        assert offsets.tolist() == [0, 4, 5, 6, 6]
+        assert paths.tolist() == [[0, -1], [2, -1], [0, 3], [2, 4], [3, -1], [4, -1]]
+        with pytest.raises(ValueError):
+            paths[0, 0] = 9
+
+    def test_no_label0_arc_gives_no_path(self):
+        offsets, paths = self._fst(2, [(0, 1, 0, 0.0, 1)]).arc_arrays().closure
+        assert offsets.tolist() == [0, 0, 0]
+        assert len(paths) == 0
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [(0, 0, 0, 1.0, 1), (1, 0, 0, 1.0, 0)],  # a cycle whose weights do not improve
+            [(0, 0, 0, 0.0, 1), (1, 0, 0, 0.0, 1)],  # a zero-weight self-loop
+            [(0, 1, 1, 0.0, 1), (1, 0, 2, 0.5, 2), (2, 0, 0, -1.0, 1)],  # an improving one, behind an emitting arc
+        ],
+        ids=["non-improving", "self-loop", "improving"],
+    )
+    def test_any_label0_cycle_is_refused(self, arcs):
+        with pytest.raises(ConfigurationError, match="label-0 cycle"):
+            self._fst(3, arcs).arc_arrays().closure
+
+    def test_path_count_is_bounded_by_states_times_label0_arcs(self):
+        # A 40-state ladder with two parallel label-0 arcs per step has about
+        # 2^39 paths from its first state.
+        arcs = [(k, 0, 0, weight, k + 1) for k in range(39) for weight in (0.0, 1.0)]
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match=r"more than 3120 label-0 paths"):
+            self._fst(40, arcs).arc_arrays().closure
+        assert time.perf_counter() - start < 0.5

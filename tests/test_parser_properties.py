@@ -1,12 +1,14 @@
 """Property tests for the text parsers: posteriors, FSTs, ARPA, lexicons,
-n-best lists, shard manifests, raw sample lists and config files.
+n-best lists, shard manifests, raw sample lists, config files, scorer
+tables and biasing phrase files.
 
 Valid files are mutated token by token: tokens are dropped or repeated,
 and values such as `nan`, `1_0`, `#`, huge integers and non-ASCII digits
 are inserted or substituted, along with blank lines; ARPA files also get
 section headers and `ngram N=` counts, good and bad. The n-best, manifest,
-raw-list and config files are then written to disk with bytes that are
-not UTF-8 inserted, and read back by their file readers. Whatever the
+raw-list, config, scorer-table and phrase files are then written to disk
+with bytes that are not UTF-8 inserted, and read back by their file
+readers. Whatever the
 input, a parser may raise only `EngineError` subclasses, and a
 `ParseError` about a line cites it; a file that is not UTF-8 is a
 `ParseError` citing the line of its first bad byte. A posterior file the
@@ -222,6 +224,14 @@ def _config_text() -> str:
     return "# decode\nbeam = 4\nnbest = 2\nalpha = 0.5\nscore_beam = 16.0\n"
 
 
+def _scorer_text() -> str:
+    return "# l2r\n-1.5 a b\n-inf b\n0.25 a c\n"
+
+
+def _phrase_text() -> str:
+    return "ab\nb a\nba\n"
+
+
 def _write(directory: Path, text: str, inserts) -> tuple[Path, bytes]:
     """`text` as UTF-8 with each (position, bytes) of `inserts` put in, written to a file."""
     data = bytearray(text.encode("utf-8"))
@@ -298,6 +308,28 @@ def test_config_reader_raises_only_engine_errors(scratch, mutations, inserts):
         assert key in _OPTIONS and type(value) is type(_default(key))
 
 
+_UNITS = SymbolTable.with_epsilon(["a", "b"])
+
+
+@given(st.booleans(), st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
+def test_scorer_table_reader_raises_only_engine_errors(scratch, with_table, mutations, inserts):
+    path, data = _write(scratch, _mutate(_scorer_text(), mutations), inserts)
+    scorer = _read_or_error(lambda p: TableScorer.from_file(p, _UNITS if with_table else None), path, data)
+    if scorer is not None:
+        lines = [line.split() for line in data.decode("utf-8").splitlines()]
+        heads = [parts[0] for parts in lines if parts and not parts[0].startswith("#")]
+        assert all(head.isascii() and "_" not in head for head in heads)
+        assert all(isinstance(v, float) and v < float("inf") for v in scorer.scores.values())
+
+
+@given(st.sampled_from(["char", "word"]), st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
+def test_biasing_phrase_reader_raises_only_engine_errors(scratch, mode, mutations, inserts):
+    path, data = _write(scratch, _mutate(_phrase_text(), mutations), inserts)
+    phrases = _read_or_error(lambda p: load_biasing_phrases(p, _UNITS, mode), path, data)
+    for phrase in phrases or ():
+        assert phrase.units and all(_UNITS.symbol_of(unit) in ("a", "b") for unit in phrase.units)
+
+
 def test_unmutated_files_read(tmp_path):
     def unmutated(text: str) -> Path:
         return _write(tmp_path, _mutate(text, []), [])[0]
@@ -306,9 +338,9 @@ def test_unmutated_files_read(tmp_path):
     assert len(shard_list_from_manifest(unmutated(_manifest_text()))) == 2
     assert len(RawSampleReader.from_file(unmutated(_raw_list_text()))) == 3
     assert read_config(unmutated(_config_text())) == {"beam": 4, "nbest": 2, "alpha": 0.5, "score_beam": 16.0}
-
-
-_UNITS = SymbolTable.with_epsilon(["a", "b"])
+    assert len(TableScorer.from_file(unmutated(_scorer_text())).scores) == 3
+    assert [p.units for p in load_biasing_phrases(unmutated(_phrase_text()), _UNITS, "word")] == [(2, 1)]
+    assert len(load_biasing_phrases(unmutated(_phrase_text()), _UNITS, "char")) == 3
 
 # Every text-file reader, with a valid first line and a second line to hold a bad byte.
 _READERS = {

@@ -155,6 +155,13 @@ class TestTableScorer:
         with pytest.raises(ParseError, match="table.txt:2: .*NaN or \\+inf"):
             TableScorer.from_file(path)
 
+    @pytest.mark.parametrize("bad", ["1_0", "\u0661", "\uff12", "-0_5"])
+    def test_from_file_scores_follow_the_ascii_number_rule(self, tmp_path, bad):
+        path = tmp_path / "table.txt"
+        path.write_text(f"-1.5 a b\n{bad} b\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"table.txt:2: non-numeric score {bad!r}"):
+            TableScorer.from_file(path)
+
     def test_from_file_minus_inf_is_an_impossible_sequence(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text("-inf a\n", encoding="utf-8")
