@@ -1,4 +1,4 @@
-"""Exception types shared across the engine, and the text readers that raise them."""
+"""Exception types shared across the engine, and the text-input helpers every reader uses."""
 
 from __future__ import annotations
 
