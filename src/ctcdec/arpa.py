@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import NamedTuple
 
-from .errors import ParseError, read_text
+from .errors import ParseError, numbered_lines, parse_count, parse_number, read_text
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -23,8 +23,7 @@ _SYNTHETIC_LOGPROB = -99.0
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class NgramEntry:
+class NgramEntry(NamedTuple):
     words: tuple[str, ...]
     logprob: float
     backoff: float | None = None
@@ -56,18 +55,13 @@ class ArpaModel:
         return table
 
 
-def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str = "<arpa>") -> ArpaModel:
+def parse_arpa(text: str, *, strict: bool = False, name: str = "<arpa>") -> ArpaModel:
     """Parse ARPA text into an ArpaModel.
 
     With strict=False (the default), n-grams whose (n-1)-word prefix is
     missing at the lower order get that prefix synthesized with a floor
     probability and zero backoff; with strict=True they are an error.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-
     declared: dict[int, int] = {}
     orders: dict[int, list[NgramEntry]] = {}
     section = "preamble"
@@ -76,53 +70,16 @@ def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str =
     saw_data = False
     saw_end = False
 
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "\\data\\":
-            saw_data = True
-            section = "data"
-            continue
-        if line == "\\end\\":
-            saw_end = True
-            section = "done"
-            continue
-        if line.startswith("\\") and line.endswith("-grams:"):
-            if not saw_data:
-                raise ParseError("n-gram section before \\data\\", source=name, line=lineno)
-            try:
-                current_order = int(line[1:-len("-grams:")])
-            except ValueError:
-                current_order = 0
-            if current_order < 1:
-                raise ParseError(f"bad section header {line!r}", source=name, line=lineno)
-            orders.setdefault(current_order, [])
-            section = "ngrams"
-            continue
-        if section == "data":
-            if line.startswith("ngram "):
-                body = line[len("ngram "):]
-                if "=" not in body:
-                    raise ParseError(f"bad count line {line!r}", source=name, line=lineno)
-                order_text, count_text = body.split("=", 1)
-                try:
-                    order, count = int(order_text), int(count_text)
-                except ValueError:
-                    order = 0
-                if order < 1:
-                    raise ParseError(f"bad count line {line!r}", source=name, line=lineno)
-                declared[order] = count
-                continue
-            raise ParseError(f"unexpected line in \\data\\ section: {line!r}", source=name, line=lineno)
-        if section == "ngrams":
+    for lineno, line in numbered_lines(text):
+        header = line[0] == "\\" and (line in ("\\data\\", "\\end\\") or line.endswith("-grams:"))
+        if section == "ngrams" and not header:
             parts = line.split()
             if len(parts) < current_order + 1:
                 raise ParseError(
                     f"expected logprob plus {current_order} words", source=name, line=lineno
                 )
             try:
-                logprob = float(parts[0])
+                logprob = parse_number(parts[0])
             except ValueError:
                 raise ParseError(f"non-numeric log probability {parts[0]!r}", source=name, line=lineno) from None
             if not logprob < _INF:  # -inf (probability 0) is allowed
@@ -131,7 +88,7 @@ def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str =
             backoff: float | None = None
             if len(parts) == current_order + 2:
                 try:
-                    backoff = float(parts[-1])
+                    backoff = parse_number(parts[-1])
                 except ValueError:
                     raise ParseError(f"non-numeric backoff weight {parts[-1]!r}", source=name, line=lineno) from None
                 if not backoff < _INF:
@@ -140,10 +97,37 @@ def parse_arpa(source: str | Iterable[str], *, strict: bool = False, name: str =
                 raise ParseError("too many fields for this order", source=name, line=lineno)
             orders[current_order].append(NgramEntry(words, logprob, backoff))
             entry_lines[words] = lineno
-            continue
-        if section == "preamble":
-            continue  # headers/comments before \data\ are ignored
-        raise ParseError(f"unexpected line after \\end\\: {line!r}", source=name, line=lineno)
+        elif line == "\\data\\":
+            saw_data = True
+            section = "data"
+        elif line == "\\end\\":
+            saw_end = True
+            section = "done"
+        elif header:
+            if not saw_data:
+                raise ParseError("n-gram section before \\data\\", source=name, line=lineno)
+            try:
+                current_order = parse_count(line[1:-len("-grams:")].strip())
+            except ValueError:
+                current_order = 0
+            if current_order < 1:
+                raise ParseError(f"bad section header {line!r}", source=name, line=lineno)
+            orders.setdefault(current_order, [])
+            section = "ngrams"
+        elif section == "data":
+            if not line.startswith("ngram "):
+                raise ParseError(f"unexpected line in \\data\\ section: {line!r}", source=name, line=lineno)
+            order_text, equals, count_text = line[len("ngram "):].partition("=")
+            try:
+                order, count = parse_count(order_text.strip()), parse_count(count_text.strip())
+            except ValueError:
+                order = 0
+            if not equals or order < 1:
+                raise ParseError(f"bad count line {line!r}", source=name, line=lineno)
+            declared[order] = count
+        elif section == "done":
+            raise ParseError(f"unexpected line after \\end\\: {line!r}", source=name, line=lineno)
+        # lines before \data\ (headers, comments) are ignored
 
     if not saw_data:
         raise ParseError("missing \\data\\ section", source=name)

@@ -24,7 +24,7 @@ from .decode import (
     StreamingDecoder,
     WfstBeamDecoder,
 )
-from .errors import ConfigurationError, EngineError, ParseError, parse_number, read_text
+from .errors import ConfigurationError, EngineError, ParseError, numbered_lines, parse_count, parse_number, read_text
 from .fst import WeightedFst
 from .graph import build_G, build_L, build_T, build_TLG, read_units, units_of
 from .lexicon import read_lexicon
@@ -141,10 +141,7 @@ def read_config(path: str | Path) -> dict[str, object]:
     cannot take, is a parse error."""
     values: dict[str, object] = {}
     source = str(path)
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered_lines(read_text(path), comments=True):
         if "=" not in line:
             raise ParseError("expected 'key = value'", source=source, line=lineno)
         key, _, value = line.partition("=")
@@ -325,7 +322,11 @@ def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
         if len(head) != 5:
             raise ParseError("expected 'rank total ctc context lm'", source=source, line=lineno)
         rank = len(current) + 1
-        if not (head[0].isascii() and head[0].isdigit() and int(head[0]) == rank):
+        try:
+            found = parse_count(head[0])
+        except ValueError:
+            found = None
+        if found != rank:
             raise ParseError(f"expected rank {rank}, found {head[0]!r}", source=source, line=lineno)
         try:
             total, ctc, ctx, lm = map(parse_number, head[1:])

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .context import ContextGraph
-from .errors import ConfigurationError, ParseError, read_text
+from .errors import ConfigurationError, ParseError, parse_count, read_text
 from .fst import WeightedFst, _spans, load_rows
 from .symbols import SymbolTable
 
@@ -84,9 +84,13 @@ class PosteriorMatrix:
         header_line = at[0] + 1 if at else 1
         if len(header) != 3:
             raise ParseError("expected header 'frames tokens domain'", source=source, line=header_line)
-        if not all(count.isascii() and count.isdigit() and len(count) <= 9 for count in header[:2]):
-            raise ParseError("frame/token counts must be integers of at most 9 digits", source=source, line=header_line)
-        frames, tokens, domain = int(header[0]), int(header[1]), header[2]
+        try:  # a count of more than 9 digits drops out, and the unpacking fails
+            frames, tokens = [parse_count(count) for count in header[:2] if len(count) <= 9]
+        except ValueError:
+            raise ParseError(
+                "frame/token counts must be integers of at most 9 digits", source=source, line=header_line
+            ) from None
+        domain = header[2]
         if domain not in ("prob", "logprob"):
             raise ParseError(f"domain must be 'prob' or 'logprob', got {domain!r}", source=source, line=header_line)
         rows = at[1:]

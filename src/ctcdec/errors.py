@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 
 class EngineError(Exception):
@@ -48,8 +49,24 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", source=str(path), line=line) from None
 
 
+def numbered_lines(text: str, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for each non-blank line of `text`;
+    with `comments`, lines starting with `#` are skipped too."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not (comments and line[0] == "#"):
+            yield lineno, line
+
+
 def parse_number(text: str, kind: type = float):
     """`kind(text)` for ASCII text without `_`, the rule of every text input; else a `ValueError`."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number: {text!r}")
     return kind(text)
+
+
+def parse_count(text: str) -> int:
+    """`int(text)` for a count or id of ASCII digits only (no sign, space or `_`); else a `ValueError`."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an ASCII count: {text!r}")
+    return int(text)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
-from .errors import ParseError, read_text
+from .errors import ParseError, numbered_lines, read_text
 
 
 @dataclass(frozen=True)
@@ -25,18 +24,11 @@ class Lexicon:
         return sorted({unit for _, pron in self.entries for unit in pron})
 
 
-def parse_lexicon(source: str | Iterable[str], *, name: str = "<lexicon>") -> Lexicon:
+def parse_lexicon(text: str, *, name: str = "<lexicon>") -> Lexicon:
     """Parse `word unit1 unit2 ...` lines, one entry per line."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
     entries = []
     seen: set[tuple[str, tuple[str, ...]]] = set()
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered_lines(text, comments=True):
         parts = line.split()
         if len(parts) < 2:
             raise ParseError("expected a word followed by at least one unit", source=name, line=lineno)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from .decode import NEG_INF, Hypothesis, NBestList
-from .errors import ConfigurationError, ParseError, parse_number, read_text
+from .errors import ConfigurationError, ParseError, numbered_lines, parse_number, read_text
 from .symbols import SymbolTable
 
 logger = logging.getLogger(__name__)
@@ -63,10 +63,7 @@ class TableScorer:
         keys become id tuples, otherwise token-string tuples."""
         scores: dict[tuple, float] = {}
         source = str(path)
-        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in numbered_lines(read_text(path), comments=True):
             parts = line.split()
             try:
                 value = parse_number(parts[0])

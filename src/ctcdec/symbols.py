@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ParseError, read_text
+from .errors import ParseError, numbered_lines, parse_count, read_text
 
 EPSILON = 0
 EPSILON_SYMBOL = "<eps>"
@@ -90,15 +90,12 @@ class SymbolTable:
     def read(cls, path: str | Path) -> "SymbolTable":
         table = cls()
         source = str(path)
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in numbered_lines(read_text(path)):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected 'symbol id'", source=source, line=lineno)
             try:
-                sym_id = int(parts[1])
+                sym_id = parse_count(parts[1])
             except ValueError:
                 raise ParseError(f"bad symbol id {parts[1]!r}", source=source, line=lineno) from None
             try:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlparse
 
-from .errors import ConfigurationError, EngineError, ParseError, read_text
+from .errors import ConfigurationError, EngineError, ParseError, numbered_lines, parse_count, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -213,14 +213,15 @@ def shard_list_from_manifest(path: str | Path) -> list[str]:
     base = Path(path).parent
     source = str(path)
     locators: dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        parts = raw.split()
-        if not parts:
-            continue
+    for lineno, line in numbered_lines(read_text(path)):
+        parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected 'shard_path sample_count byte_size'", source=source, line=lineno)
-        if not all(count.isascii() and count.isdigit() for count in parts[1:]):
-            raise ParseError("counts must be non-negative ASCII integers", source=source, line=lineno)
+        try:
+            for count in parts[1:]:
+                parse_count(count)
+        except ValueError:
+            raise ParseError("counts must be non-negative ASCII integers", source=source, line=lineno) from None
         if parts[0] in locators:
             raise ParseError(f"shard {parts[0]!r} is listed twice", source=source, line=lineno)
         locators[parts[0]] = str(base / parts[0])
@@ -501,10 +502,7 @@ class RawSampleReader:
         base = Path(path).parent
         entries = []
         source = str(path)
-        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in numbered_lines(read_text(path), comments=True):
             parts = line.split()
             if len(parts) < 2:
                 raise ParseError("expected 'key payload_path ...'", source=source, line=lineno)

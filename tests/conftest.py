@@ -56,6 +56,41 @@ ngram 2=6
 """
 
 
+# A trigram LM over the words a, b and c; its backoff chains give G label-0
+# paths of more than one arc.
+TRIGRAM_ARPA = """\
+\\data\\
+ngram 1=5
+ngram 2=7
+ngram 3=5
+
+\\1-grams:
+-0.60206 a -0.30103
+-0.69897 b -0.30103
+-0.79588 c -0.30103
+-1.00000 </s>
+-99 <s> -0.30103
+
+\\2-grams:
+-0.30103 <s> a -0.17609
+-0.60206 <s> b -0.17609
+-0.39794 a b -0.17609
+-0.52288 b c -0.17609
+-0.69897 c a -0.17609
+-0.60206 a a -0.17609
+-0.39794 c </s>
+
+\\3-grams:
+-0.22185 <s> a b
+-0.30103 a b c
+-0.39794 b c a
+-0.30103 c a b
+-0.52288 a a b
+
+\\end\\
+"""
+
+
 @pytest.fixture
 def toy_units_file(tmp_path):
     path = tmp_path / "units.txt"

@@ -77,6 +77,12 @@ class TestBuildGraph:
         assert code == 2
         assert "NaN or +inf" in capsys.readouterr().err
 
+    def test_arpa_without_lexicon_is_usage_error(self, tmp_path, capsys):
+        args = ["build-graph", "--units", str(DATA / "units.txt"), "--arpa", str(DATA / "lm.arpa")]
+        assert main([*args, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: --arpa requires --lexicon\n"
+        assert not (tmp_path / "x").exists()
+
     def test_negative_state_in_graph_exits_2(self, tmp_path, capsys):
         graph = _build(tmp_path)
         tlg = graph / "TLG.fst"
@@ -254,6 +260,19 @@ class TestDecode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert name in captured.err
+
+    def test_no_graph_dir_or_units_is_usage_error(self, capsys):
+        assert main(["decode", str(DATA / "utt1.post")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: decode needs --graph-dir or --units\n")
+
+    @pytest.mark.parametrize("flag", ["--l2r-table", "--r2l-table"])
+    def test_one_rescoring_table_is_usage_error(self, tmp_path, capsys, flag):
+        table = tmp_path / "table.txt"
+        table.write_text("1.0 a b\n", encoding="utf-8")
+        assert main(["decode", str(DATA / "utt1.post"), "--units", str(DATA / "units.txt"), flag, str(table)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: rescoring needs both --l2r-table and --r2l-table\n")
 
     def test_decode_plus_rescore_tables(self, tmp_path):
         l2r = tmp_path / "l2r.txt"
@@ -595,6 +614,47 @@ class TestTextInputBoundaries:
         manifest.write_text(f"a.tar 1 10\nb.tar {counts}\n", encoding="utf-8")
         self._exits_2(capsys, ["cat-shards", str(manifest)],
                       f"{manifest}:2: counts must be non-negative ASCII integers")
+
+    @pytest.mark.parametrize("line, old, new, message", [
+        (6, "-0.3979400 ab", "-1_0 ab", "non-numeric log probability '-1_0'"),
+        (6, "-0.3979400 ab", "-\u0660.\u0665 ab", "non-numeric log probability '-\u0660.\u0665'"),
+        (7, "ac -0.3979400", "ac -0_5", "non-numeric backoff weight '-0_5'"),
+        (5, "\\1-grams:", "\\\u0661-grams:", "bad section header '\\\\\u0661-grams:'"),
+        (2, "ngram 1=5", "ngram 1=0_5", "bad count line 'ngram 1=0_5'"),
+    ], ids=["underscore_logprob", "arabic_indic_logprob", "underscore_backoff", "arabic_indic_order",
+            "underscore_count"])
+    def test_build_graph_arpa_numbers_must_be_ascii(self, tmp_path, capsys, line, old, new, message):
+        lines = (DATA / "lm.arpa").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert old in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(old, new)
+        arpa = tmp_path / "lm.arpa"
+        arpa.write_text("".join(lines), encoding="utf-8")
+        self._exits_2(capsys, ["build-graph", "--units", str(DATA / "units.txt"), "--lexicon",
+                               str(DATA / "lexicon.txt"), "--arpa", str(arpa), "--out", str(tmp_path / "graph")],
+                      f"{arpa}:{line}: {message}")
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "-1", "+1"],
+                             ids=["underscore", "arabic_indic", "minus", "plus"])
+    def test_build_graph_unit_ids_must_be_ascii_digits(self, tmp_path, capsys, value):
+        units = tmp_path / "units.txt"
+        units.write_text(f"<blank> 0\na {value}\nb 2\nc 3\n", encoding="utf-8")
+        self._exits_2(capsys, ["build-graph", "--units", str(units), "--out", str(tmp_path / "graph")],
+                      f"{units}:2: bad symbol id {value!r}")
+        assert not (tmp_path / "graph").exists()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "-1", "+1"],
+                             ids=["underscore", "arabic_indic", "minus", "plus"])
+    def test_decode_graph_word_ids_must_be_ascii_digits(self, tmp_path, capsys, value):
+        graph = _build(tmp_path)
+        words = graph / "words.txt"
+        lines = words.read_text(encoding="utf-8").splitlines(keepends=True)
+        symbol, sym_id = lines[1].split()
+        assert sym_id == "1"
+        lines[1] = f"{symbol} {value}\n"
+        words.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        self._exits_2(capsys, ["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph)],
+                      f"{words}:2: bad symbol id {value!r}")
 
     @pytest.mark.parametrize("key, value", [
         ("nbest", "1_0"), ("beam", "\uff12\uff10"), ("beam", "\u0662"), ("alpha", "0_5"), ("alpha", "\u0660.5"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.fst import WeightedFst, compose, determinize
 from ctcdec.graph import build_G, build_L, build_T, build_TLG, disambig_ids, read_units
 from ctcdec.lexicon import Lexicon, parse_lexicon
+from ctcdec.symbols import SymbolTable
 
 from conftest import TOY_ARPA, TOY_LEXICON
 from oracles import arpa_sentence_log10, ctc_collapse, enumerate_language, linear_fst, shortest_path
@@ -75,6 +77,29 @@ class TestArpa:
         with pytest.raises(ParseError, match=r"<arpa>:6: .*NaN or \+inf"):
             parse_arpa(text)
 
+    def test_count_line_may_space_its_equals_sign(self):
+        model = parse_arpa("\\data\\\nngram 1 = 2\n\n\\1-grams:\n-0.5 b\n-0.25 a -0.5\n\n\\end\\\n")
+        entries = [(e.words, e.logprob, e.backoff) for e in model.entries(1)]
+        assert entries == [(("b",), -0.5, None), (("a",), -0.25, -0.5)]
+
+    @pytest.mark.parametrize(
+        "counts, header, line, message",
+        [
+            ("ngram 1=2", "\\1-grams:", "-1_0 a", r"6: non-numeric log probability '-1_0'"),
+            ("ngram 1=2", "\\1-grams:", "-\u0660.\u0665 a", "6: non-numeric log probability '-\u0660.\u0665'"),
+            ("ngram 1=2", "\\1-grams:", "-0.5 a -0_5", r"6: non-numeric backoff weight '-0_5'"),
+            ("ngram 1=2", "\\\u0661-grams:", "-0.5 a", "4: bad section header '\\\\\u0661-grams:'"),
+            ("ngram 1=0_2", "\\1-grams:", "-0.5 a", r"2: bad count line 'ngram 1=0_2'"),
+            ("ngram \u0661=2", "\\1-grams:", "-0.5 a", "2: bad count line 'ngram \u0661=2'"),
+        ],
+        ids=["underscore_logprob", "arabic_indic_logprob", "underscore_backoff", "arabic_indic_order",
+             "underscore_count", "arabic_indic_count_order"],
+    )
+    def test_numbers_must_be_ascii_citing_line(self, counts, header, line, message):
+        text = f"\\data\\\n{counts}\n\n{header}\n-0.5 b\n{line}\n\n\\end\\\n"
+        with pytest.raises(ParseError, match=f"^{re.escape('<arpa>:' + message)}$"):
+            parse_arpa(text)
+
     def test_minus_inf_logprob_is_probability_zero(self):
         model = parse_arpa("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5 b\n-inf a -inf\n\n\\end\\\n")
         assert model.entries(1)[1].logprob == -math.inf
@@ -92,6 +117,20 @@ class TestArpa:
     def test_order_below_one_rejected_citing_line(self, counts, header, message):
         text = f"\\data\\\n{counts}\n\n{header}\n-1.0\n\n\\1-grams:\n-0.5 a\n\n\\end\\\n"
         with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_arpa(text)
+
+    def test_missing_data_section_rejected(self):
+        with pytest.raises(ParseError, match=r"^<arpa>: missing \\data\\ section$"):
+            parse_arpa("some header\n-0.5 a\n\\end\\\n")
+
+    def test_undeclared_section_rejected(self):
+        text = "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5 a\n\n\\2-grams:\n-0.2 a a\n\n\\end\\\n"
+        with pytest.raises(ParseError, match=r"^<arpa>: 2-gram section was not declared in \\data\\$"):
+            parse_arpa(text)
+
+    def test_line_after_end_rejected_citing_line(self):
+        text = "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5 a\n\n\\end\\\n\nextra\n"
+        with pytest.raises(ParseError, match=r"^<arpa>:9: unexpected line after \\end\\: 'extra'$"):
             parse_arpa(text)
 
     def test_missing_end_rejected(self):
@@ -335,3 +374,28 @@ def test_read_units_requires_blank_at_zero(tmp_path):
     path.write_text("a 0\n<blank> 1\n", encoding="utf-8")
     with pytest.raises(ParseError):
         read_units(path)
+
+
+def test_read_units_requires_contiguous_ids(tmp_path):
+    path = tmp_path / "units.txt"
+    path.write_text("<blank> 0\na 1\nb 3\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: unit ids must be contiguous starting at 0$"):
+        read_units(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("<blank> 0\na\n", "2: expected 'symbol id'"),
+        ("<blank> 0\na 1 2\n", "2: expected 'symbol id'"),
+        ("<blank> 0\na one\n", "2: bad symbol id 'one'"),
+        ("<blank> 0\na 1\n\na 2\n", "4: symbol 'a' already mapped to id 1"),
+        ("<blank> 0\na 1\nb 1\n", "3: id 1 already mapped to 'a'"),
+    ],
+    ids=["one_field", "three_fields", "word_id", "duplicate_symbol", "duplicate_id"],
+)
+def test_symbol_table_line_errors_cite_the_line(tmp_path, text, message):
+    path = tmp_path / "units.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        SymbolTable.read(path)

@@ -1,19 +1,20 @@
 """Property tests for the text parsers: posteriors, FSTs, ARPA, lexicons,
-n-best lists, shard manifests, raw sample lists, config files, scorer
-tables and biasing phrase files.
+symbol tables, n-best lists, shard manifests, raw sample lists, config
+files, scorer tables and biasing phrase files.
 
 Valid files are mutated token by token: tokens are dropped or repeated,
 and values such as `nan`, `1_0`, `#`, huge integers and non-ASCII digits
 are inserted or substituted, along with blank lines; ARPA files also get
-section headers and `ngram N=` counts, good and bad. The n-best, manifest,
-raw-list, config, scorer-table and phrase files are then written to disk
-with bytes that are not UTF-8 inserted, and read back by their file
-readers. Whatever the
-input, a parser may raise only `EngineError` subclasses, and a
-`ParseError` about a line cites it; a file that is not UTF-8 is a
-`ParseError` citing the line of its first bad byte. A posterior file the
-parser accepts must give the same float64 bytes as Python's `float()` on
-each value.
+section headers and `ngram N=` counts, good and bad. The symbol-table,
+n-best, manifest, raw-list, config, scorer-table and phrase files are
+then written to disk with bytes that are not UTF-8 inserted, and read
+back by their file readers. Whatever the input, a parser may raise only
+`EngineError` subclasses, and a `ParseError` about a line cites it; a
+file that is not UTF-8 is a `ParseError` citing the line of its first
+bad byte. A posterior file the parser accepts must give the same float64
+bytes as Python's `float()` on each value, and every number in an
+accepted ARPA file, symbol table or scorer table follows the ASCII rule:
+ASCII without `_`, and counts and ids of ASCII digits only.
 """
 
 import re
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctcdec.arpa import parse_arpa, read_arpa
@@ -129,6 +130,26 @@ def _lexicon_text() -> str:
     return "# words\nab a b\nab a b #1\nabc a b c\nc c\n"
 
 
+def _arpa_numbers(text: str) -> tuple[list[str], list[str]]:
+    """The fields of ARPA text that are read as numbers, following the
+    parser's sections: orders and `ngram N=M` counts, then log
+    probabilities and backoff weights."""
+    counts, scores, section, order = [], [], "preamble", 0
+    for line in filter(None, map(str.strip, text.splitlines())):
+        if line in ("\\data\\", "\\end\\"):
+            section = line
+        elif line.startswith("\\") and line.endswith("-grams:"):
+            section, order = "ngrams", line[1:-len("-grams:")].strip()
+            counts.append(order)
+            order = int(order)
+        elif section == "\\data\\":
+            counts += [part.strip() for part in line[len("ngram "):].split("=", 1)]
+        elif section == "ngrams":
+            parts = line.split()
+            scores += [parts[0], parts[-1]] if len(parts) == order + 2 else [parts[0]]
+    return counts, scores
+
+
 # The ARPA checks made on the whole file, which cite no line.
 _WHOLE_FILE = ("missing \\data\\ section", "missing \\end\\ marker", "were present", "was not declared")
 
@@ -165,6 +186,9 @@ def test_fst_parser_raises_only_engine_errors(with_tables, mutations):
 
 
 @given(st.booleans(), st.lists(_mutation(ARPA_VALUES), max_size=6))
+@example(False, [("replace", 6, 0, "1_0")])
+@example(False, [("replace", 6, 2, "\u0665e-1")])
+@example(True, [("replace", 2, 1, "1=0_3")])
 def test_arpa_parser_raises_only_engine_errors(strict, mutations):
     text = _mutate(_arpa_text(), mutations)
     try:
@@ -174,6 +198,9 @@ def test_arpa_parser_raises_only_engine_errors(strict, mutations):
         return
     except EngineError:
         return
+    counts, scores = _arpa_numbers(text)
+    assert all(count.isascii() and count.isdigit() for count in counts), counts
+    assert all(score.isascii() and "_" not in score for score in scores), scores
     for order, entries in model.orders.items():
         assert order >= 1
         for entry in entries:
@@ -206,6 +233,10 @@ def test_unmutated_files_parse():
 
 
 # -- file readers ------------------------------------------------------------
+
+
+def _symbols_text() -> str:
+    return "<eps> 0\na 1\n\nb 2\n#0 3\n"
 
 
 def _nbest_text() -> str:
@@ -273,6 +304,19 @@ def scratch(tmp_path_factory) -> Path:
 
 
 @given(st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
+@example([("replace", 1, 1, "1_0")], [])
+@example([("replace", 3, 1, "\u0662")], [])
+@example([("replace", 1, 1, "+1")], [])
+def test_symbol_table_reader_raises_only_engine_errors(scratch, mutations, inserts):
+    path, data = _write(scratch, _mutate(_symbols_text(), mutations), inserts)
+    table = _read_or_error(SymbolTable.read, path, data)
+    if table is not None:
+        lines = [line.split() for line in data.decode("utf-8").splitlines() if line.strip()]
+        assert all(sym_id.isascii() and sym_id.isdigit() for _, sym_id in lines)
+        assert list(table) == sorted({(symbol, int(sym_id)) for symbol, sym_id in lines}, key=lambda pair: pair[1])
+
+
+@given(st.lists(_mutation(FILE_VALUES), max_size=6), INSERTS)
 def test_nbest_reader_raises_only_engine_errors(scratch, mutations, inserts):
     path, data = _write(scratch, _mutate(_nbest_text(), mutations), inserts)
     sections = _read_or_error(read_nbest_file, path, data)
@@ -334,6 +378,7 @@ def test_unmutated_files_read(tmp_path):
     def unmutated(text: str) -> Path:
         return _write(tmp_path, _mutate(text, []), [])[0]
 
+    assert list(SymbolTable.read(unmutated(_symbols_text()))) == [("<eps>", 0), ("a", 1), ("b", 2), ("#0", 3)]
     assert [len(nbest) for _, nbest in read_nbest_file(unmutated(_nbest_text()))] == [2, 1]
     assert len(shard_list_from_manifest(unmutated(_manifest_text()))) == 2
     assert len(RawSampleReader.from_file(unmutated(_raw_list_text()))) == 3

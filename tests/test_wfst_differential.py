@@ -21,7 +21,7 @@ from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 from ctcdec.symbols import SymbolTable
 
-from conftest import TOY_ARPA, TOY_LEXICON, random_bigram_arpa, random_lexicon
+from conftest import TOY_ARPA, TOY_LEXICON, TRIGRAM_ARPA, random_bigram_arpa, random_lexicon
 from oracles import ReferenceWfstBeamDecoder
 
 PRUNING = (
@@ -174,6 +174,54 @@ def test_long_posteriors_on_toy_graph():
         for pruning in PRUNING:
             fast, ref = _both(graph, logprobs, _chunks(rng, logprobs), nbest=10, blank_skip_threshold=None, **pruning)
             assert fast == ref
+
+
+TWO_HOP_OPTIONS = (dict(), dict(max_active=2, score_beam=2.0, lm_scale=0.0))
+# Draw 44 of `_two_hop_draws` at the second options: two best hypotheses
+# tie exactly, and the search keeps another of them than the reference's
+# depth-first worklist does (see the xfail test below).
+_TIED_DRAW = 44
+
+
+def _trigram_graph() -> WeightedFst:
+    return _tlg("a x\nb y\nc z\n", TRIGRAM_ARPA, ["x", "y", "z"])
+
+
+def _two_hop_draws():
+    """150 seeded posteriors of 1-11 frames over the trigram graph's 4 columns, each with its chunks."""
+    rng = random.Random(18)
+    for _ in range(150):
+        logprobs = _random_logprobs(rng, rng.randint(1, 11), 4)
+        yield logprobs, _chunks(rng, logprobs)
+
+
+def _totals(text: str) -> list[str]:
+    return [line.split()[1] for line in text.splitlines()]
+
+
+def test_two_hop_label0_paths_of_a_built_trigram_graph():
+    """The trigram LM's backoff chains give the TLG label-0 paths of two
+    arcs, so a built graph, not only a hand-made one, runs them."""
+    graph = _trigram_graph()
+    arcs = graph.arc_arrays()
+    paths = arcs.closure[1]
+    assert (graph.num_states(), int((arcs.ilabel == 0).sum()), paths.shape) == (45, 16, (22, 2))
+    assert (paths[:, 1] >= 0).sum() == 6
+    for i, (logprobs, chunks) in enumerate(_two_hop_draws()):
+        for opts in TWO_HOP_OPTIONS:
+            fast, ref = _both(graph, logprobs, chunks, nbest=5, blank_skip_threshold=None, **opts)
+            if (i, opts) == (_TIED_DRAW, TWO_HOP_OPTIONS[1]):
+                assert _totals(fast) == _totals(ref)
+            else:
+                assert fast == ref, (i, opts, logprobs.tolist())
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="exact ties over label-0 paths of two hops are broken "
+                   "unlike the reference's depth-first worklist")
+def test_two_hop_label0_tie_is_broken_like_the_reference():
+    logprobs, chunks = list(_two_hop_draws())[_TIED_DRAW]
+    fast, ref = _both(_trigram_graph(), logprobs, chunks, nbest=5, blank_skip_threshold=None, **TWO_HOP_OPTIONS[1])
+    assert fast == ref
 
 
 def _word_graph(n_words: int, width: int = 2) -> WeightedFst:
