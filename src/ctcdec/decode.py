@@ -405,12 +405,14 @@ class PrefixBeamDecoder(StreamingDecoder):
 
 # Tokens are the columns of two arrays, so a gather or an append is two
 # calls: floats (rows cost, ac_cost, graph_cost, ctx_score) and ints (rows
-# state, ctx, unit, last, word, new_unit, new_word). `unit` and `word` are
+# state, last, new_word, ctx, unit, word, new_unit). `unit` and `word` are
 # ids of each token's chains in the decoder's `_Links` (-1 is the empty
 # chain); `last` is the acoustic label of its latest frame (-1 before the
 # first), which decides whether the next label starts a unit. Within a
 # step, `new_unit` and `new_word` hold the label still to be linked onto
 # each chain (0 for none), so links are made only for surviving tokens.
+# The first three int rows are the rows of `EmittingArcs.arcs`, so the
+# arc a token arrived by fills them in one assignment.
 _Tokens = tuple[np.ndarray, np.ndarray]
 
 
@@ -418,13 +420,30 @@ def _take(tokens: _Tokens, index: np.ndarray) -> _Tokens:
     return tokens[0].take(index, axis=1), tokens[1].take(index, axis=1)
 
 
+def _cheapest(key: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates sorted by (key, cost, index) as `order`, and `heads`, the
+    positions in `order` where a key begins: `order[heads]` is each key's
+    cheapest candidate, the first among equals, in key order."""
+    order = np.lexsort((cost, key))
+    ranked = key[order]
+    head = np.empty(len(ranked), dtype=bool)
+    head[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    return order, head.nonzero()[0]
+
+
+def _by_arrival(order: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The permutation of `_cheapest`'s keys into the order they are first reached."""
+    return np.minimum.reduceat(order, heads).argsort()
+
+
 class _Links:
     """Backpointer chains: link i is chain `parent[i]` extended by `label[i]`.
 
-    A link is always newer than its parent. Once the store has doubled
-    since its last compaction, and holds at least `FLOOR` links, `compact`
-    drops the links no live chain reaches, so a long stream keeps at most
-    about twice the links its live tokens need.
+    A link is always newer than its parent. The store holds `size` links.
+    Once that reaches `limit`, twice what its last compaction kept and at
+    least `FLOOR`, `compact` drops the links no live chain reaches, so a
+    long stream keeps at most about twice the links its live tokens need.
     """
 
     FLOOR = 1 << 16
@@ -432,12 +451,12 @@ class _Links:
     def __init__(self):
         self._parent = np.empty(256, dtype=np.int64)
         self._label = np.empty(256, dtype=np.int64)
-        self._size = 0
-        self._limit = self.FLOOR
+        self.size = 0
+        self.limit = self.FLOOR
 
     def add(self, parents, labels) -> np.ndarray:
         """New links, one per (parent, label) pair; returns their ids."""
-        start = self._size
+        start = self.size
         end = start + len(parents)
         if end > len(self._parent):
             grow = np.empty(max(end, 2 * len(self._parent)) - len(self._parent), dtype=np.int64)
@@ -445,39 +464,39 @@ class _Links:
             self._label = np.concatenate((self._label, grow))
         self._parent[start:end] = parents
         self._label[start:end] = labels
-        self._size = end
+        self.size = end
         return np.arange(start, end)
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     def compact(self, live: np.ndarray) -> np.ndarray:
-        """When the store is over its limit, keep only the links that the
+        """When the store is at its limit, keep only the links that the
         chains `live` reach, in their order; returns `live` renumbered."""
-        if self._size < self._limit:
+        if self.size < self.limit:
             return live
-        parent = self._parent[: self._size]
+        parent = self._parent[: self.size]
         # One sweep from the newest link down marks every ancestor, since a
         # parent is older than its child. The extra last slot absorbs -1.
-        keep = bytearray(self._size + 1)
+        keep = bytearray(self.size + 1)
         for link in live.tolist():
             keep[link] = 1
-        for link, up in zip(range(self._size - 1, -1, -1), reversed(parent.tolist())):
+        for link, up in zip(range(self.size - 1, -1, -1), reversed(parent.tolist())):
             if keep[link]:
                 keep[up] = 1
         keep = np.frombuffer(keep, dtype=bool)[:-1]
         renumber = np.append(np.cumsum(keep) - 1, -1)  # index -1 maps the empty chain to itself
         kept = np.flatnonzero(keep)
-        self._size = len(kept)
-        self._parent[: self._size] = renumber[parent[kept]]
-        self._label[: self._size] = self._label[kept]
-        self._limit = max(self.FLOOR, 2 * self._size)
+        self.size = len(kept)
+        self._parent[: self.size] = renumber[parent[kept]]
+        self._label[: self.size] = self._label[kept]
+        self.limit = max(self.FLOOR, 2 * self.size)
         return renumber[live]
 
     def chains(self, links: np.ndarray) -> list[tuple[int, ...]]:
         """Each link's labels, oldest first."""
-        parent = self._parent[: self._size].tolist()
-        label = self._label[: self._size].tolist()
+        parent = self._parent[: self.size].tolist()
+        label = self._label[: self.size].tolist()
         out = []
         for link in links.tolist():
             chain = []
@@ -498,16 +517,19 @@ class WfstBeamDecoder(StreamingDecoder):
 
     The search reads the graph's `arc_arrays()`, which every decoder on an
     unchanged graph shares, and keeps its tokens as arrays. A frame costs
-    all emitting arcs of the active tokens as one vector and recombines
-    them per (state, context node) with a scatter-min, where the first
-    arrival wins among equal costs. The survivors then follow the label-0
-    paths of their states, frozen with the graph as `closure` (a label-0
-    cycle is refused here), and the path ends merge in the same way.
-    Counters over the stream: `arcs_expanded` (emitting arcs with a finite
-    log-probability, plus label-0 hops), `tokens_pruned_beam`,
-    `tokens_pruned_max_active` and `eps_relaxations` (keys that a label-0
-    path improved or added). `links_held` is the number of unit and word
-    backpointers held now.
+    all emitting arcs of the active tokens as one vector, frozen with the
+    graph apart from the label-0 arcs as `emitting`. It drops the
+    candidates beyond `score_beam` of the frame's best whose state no
+    label-0 path leaves or reaches, which pruning would drop anyway, and
+    recombines the rest per (state, context node), where the first arrival
+    wins among equal costs. The survivors then follow the label-0 paths of
+    their states, frozen as `closure` (a label-0 cycle is refused here),
+    and the path ends merge in the same way. Arcs of weight +inf lie on no
+    finite path and are not searched. Counters over the stream:
+    `arcs_expanded` (emitting arcs with a finite log-probability, plus
+    label-0 hops), `tokens_pruned_beam`, `tokens_pruned_max_active` and
+    `eps_relaxations` (keys that a label-0 path improved or added).
+    `links_held` is the number of unit and word backpointers held now.
     """
 
     def __init__(
@@ -549,92 +571,102 @@ class WfstBeamDecoder(StreamingDecoder):
         self._n_ctx = self.context.num_states() if self.context is not None else 1
         self._units = _Links()
         self._words = _Links()
-        self._tokens = (np.zeros((4, 1)), np.array([[graph.start, ContextGraph.START, -1, -1, -1, 0, 0]]).T)
-        self._close()
+        self._tokens = (np.zeros((4, 1)), np.array([[graph.start, -1, 0, ContextGraph.START, -1, -1, 0]]).T)
+        self._close(by_arrival=True)  # no `_prune` follows to order the tokens
         self._link()
 
     @property
     def links_held(self) -> int:
-        return len(self._units) + len(self._words)
+        return self._units.size + self._words.size
 
     def _step(self, row: np.ndarray) -> None:
-        arcs = self._arcs
+        view = self._arcs.emitting
         floats, ints = self._tokens
-        state, ctx = ints[:2]
-        # Every arc of every token, in token order and then arc order.
-        first = arcs.offsets[state]
-        count = arcs.offsets[state + 1] - first
-        src, arc = _spans(first, count)
-        # Label l reads column l - 1, and label 0 reads -inf: label-0 arcs
-        # drop out with the arcs whose token is impossible in this frame.
-        lp = np.concatenate(([NEG_INF], row))[arcs.ilabel[arc]]
-        kept = (lp != NEG_INF).nonzero()[0]
-        src, arc, lp = src[kept], arc[kept], lp[kept]
-        self.arcs_expanded += len(arc)
+        state = ints[0]
+        # Every emitting arc of every token, in token order and then arc order.
+        src, arc = _spans(view.first[state], view.count[state])
+        cand = view.arcs.take(arc, axis=1)  # rows nextstate, column, olabel
+        lp = row[cand[1]]
+        if np.minimum.reduce(row) == NEG_INF:  # arcs whose token is impossible in this frame drop out
+            kept = (lp != NEG_INF).nonzero()[0]
+            src, arc, cand, lp = src[kept], arc[kept], cand[:, kept], lp[kept]
+        self.arcs_expanded += len(lp)
+        if not len(lp):  # no token survives the frame
+            self._tokens = _take(self._tokens, src)
+            return
 
-        ac = -lp * self.acoustic_scale
-        ctx = ctx[src]
-        olabel, gw, cost, delta = self._follow(arc, floats[0][src] + ac, ctx)
-        win = self._recombine(arcs.nextstate[arc] * self._n_ctx + ctx, cost)
+        ac = lp * -self.acoustic_scale
+        ctx = ints[3][src] if self.context is not None else None
+        gw, cost, delta = self._follow(cand[2], view.weight[arc], floats[0][src] + ac, ctx)
+        nextstate = cand[0]
+        key = nextstate if ctx is None else nextstate * self._n_ctx + ctx
+        # The exact beam cut: `_close` can only lower the best cost, so `_prune`
+        # drops a candidate beyond the beam of this best unless a label-0 path
+        # leaves or reaches its state. Such paths' sources keep every candidate,
+        # so the order keys are first reached in stays what it is among them.
+        kept = ((cost <= np.minimum.reduce(cost) + self.score_beam) | view.on_label0[nextstate]).nonzero()[0]
+        order, heads = _cheapest(key[kept], cost[kept])
+        if len(kept) < len(cost):  # count the keys with every candidate cut, as `_prune` would
+            keys = int(np.count_nonzero(np.bincount(key))) if ctx is None else len(np.unique(key))
+            self.tokens_pruned_beam += keys - len(heads)
+        win = kept[order[heads]]
+        paths = view.starts_label0[nextstate[win]].any()
+        if paths:  # `_close` follows the order of arrival
+            win = win[_by_arrival(order, heads)]
 
-        parent, arc = src[win], arc[win]
-        _, ac_cost, graph_cost, ctx_score = floats.take(parent, axis=1)
-        _, _, unit, last, word, _, _ = ints.take(parent, axis=1)
-        label = arcs.ilabel[arc] - 1
-        new_unit = np.where((label != 0) & (label != last), label, 0)
-        floats = np.array((cost[win], ac_cost + ac[win], graph_cost + gw[win], ctx_score + delta[win]))
-        self._tokens = floats, np.array((arcs.nextstate[arc], ctx[win], unit, label, word, new_unit, olabel[win]))
-        self._close()
+        parent = src[win]
+        floats = floats.take(parent, axis=1)
+        floats[0] = cost[win]
+        floats[1] += ac[win]
+        floats[2] += gw[win]
+        ints = ints.take(parent, axis=1)
+        arrived = cand.take(win, axis=1)
+        fresh = arrived[1] != ints[1]  # a label other than the last starts a unit
+        ints[:3] = arrived
+        np.multiply(ints[1], fresh, out=ints[6])  # the blank's label 0 starts none
+        if ctx is not None:
+            floats[3] += delta[win]
+            ints[3] = ctx[win]
+        self._tokens = floats, ints
+        if paths:
+            self._close()
         self._prune()
         self._link()
 
-    def _follow(self, arc, cost, ctx) -> tuple[np.ndarray, ...]:
-        """Follow `arc` from tokens at `cost` (acoustic cost included) and
-        context nodes `ctx`, which advance in place on each arc's word.
-        Returns (olabel, gw, cost, delta): gw is the weight times `lm_scale`
-        plus `word_penalty` on a word; the new cost subtracts the bonus delta."""
-        olabel = self._arcs.olabel[arc]
-        word = olabel.nonzero()[0]
-        gw = self._arcs.weight[arc] * self.lm_scale
-        gw[word] += self.word_penalty
+    def _follow(self, olabel, weight, cost, ctx) -> tuple[np.ndarray, ...]:
+        """Follow arcs of output labels `olabel` and weights `weight` from
+        tokens at `cost` (acoustic cost included) and, with biasing, context
+        nodes `ctx`, which advance in place on each arc's word. Returns (gw,
+        cost, delta): gw is the weight times `lm_scale` plus `word_penalty`
+        on a word; the new cost subtracts the bonus delta (None without
+        biasing)."""
+        gw = weight * self.lm_scale
+        if self.word_penalty:
+            gw[olabel.nonzero()[0]] += self.word_penalty
         cost = cost + gw
-        delta = np.zeros(len(arc))
-        if self.context is not None and len(word):  # one `advance` per distinct (node, word) pair
+        if self.context is None:
+            return gw, cost, None
+        word = olabel.nonzero()[0]
+        delta = np.zeros(len(olabel))
+        if len(word):  # one `advance` per distinct (node, word) pair
             width = int(olabel[word].max()) + 1
             pairs, inverse = np.unique(ctx[word] * width + olabel[word], return_inverse=True)
             moves = [self.context.advance(*divmod(pair, width)) for pair in pairs.tolist()]
             ctx[word] = np.array([node for node, _ in moves], dtype=np.int64)[inverse]
             delta[word] = np.array([d for _, d in moves])[inverse]
             cost -= delta
-        return olabel, gw, cost, delta
+        return gw, cost, delta
 
-    def _recombine(self, key: np.ndarray, cost: np.ndarray) -> np.ndarray:
-        """Per (state, ctx) key, the index of its cheapest candidate, the
-        first among equals, in the order the keys are first reached. A key
-        with a NaN cost has none."""
-        ids, size = key, self._arcs.num_states
-        if self.context is not None:  # keys run over states x nodes: number them densely
-            ids = np.unique(key, return_inverse=True)[1]
-            size = int(ids.max(initial=-1)) + 1
-        n = len(cost)
-        best = np.full(size, math.inf)
-        np.minimum.at(best, ids, cost)
-        tie = (cost == best[ids]).nonzero()[0]
-        pick = np.full(size, n)
-        np.minimum.at(pick, ids[tie], tie)
-        arrival = np.full(size, n)
-        np.minimum.at(arrival, ids, np.arange(n))
-        live = pick < n
-        return pick[live][np.argsort(arrival[live])]
-
-    def _close(self) -> None:
+    def _close(self, by_arrival: bool = False) -> None:
         """Follow every token's label-0 paths and merge their ends in:
         shorter paths first, then the latest-arriving token first, then
         closure order. A hop is costed like an emitting arc with no
         acoustic part; a word on it first links the pending word. A path's
-        end replaces the token at its key only if strictly cheaper, and a
-        new key is appended in the order found."""
-        offsets, paths = self._arcs.closure
+        end replaces the token at its key only if strictly cheaper. The
+        tokens come out in key order, or, `by_arrival`, held keys first and
+        then new keys in the order found."""
+        arcs = self._arcs
+        offsets, paths = arcs.closure
         floats, ints = self._tokens
         back = ints[0][::-1]  # each token's state, the latest-arriving token first
         first = offsets[back]
@@ -652,14 +684,16 @@ class WfstBeamDecoder(StreamingDecoder):
             starts += np.searchsorted(length[order], np.arange(2, hops.shape[1] + 1)).tolist()
         ends = _take(self._tokens, src)
         cost, _, graph_cost, ctx_score = ends[0]
-        state, ctx, _, _, word, _, new_word = ends[1]
+        state, _, new_word, ctx, _, word, _ = ends[1]
         for start, arc in zip(starts, hops.T):
             arc = arc[start:]
             self.arcs_expanded += len(arc)
-            olabel, gw, cost[start:], delta = self._follow(arc, cost[start:], ctx[start:])
+            olabel = arcs.olabel[arc]
+            gw, cost[start:], delta = self._follow(olabel, arcs.weight[arc], cost[start:], ctx[start:])
             graph_cost[start:] += gw
-            ctx_score[start:] += delta
-            state[start:] = self._arcs.nextstate[arc]
+            if delta is not None:
+                ctx_score[start:] += delta
+            state[start:] = arcs.nextstate[arc]
             emits = olabel.nonzero()[0]
             if len(emits):
                 at = emits + start
@@ -667,47 +701,57 @@ class WfstBeamDecoder(StreamingDecoder):
                 word[linked] = self._words.add(word[linked], new_word[linked])
                 new_word[at] = olabel[emits]
         self._tokens = floats, ints = np.concatenate((floats, ends[0]), axis=1), np.concatenate((ints, ends[1]), axis=1)
-        key = ints[0] * self._n_ctx + ints[1]  # (state, ctx)
-        ordered = np.sort(key)
-        if not np.count_nonzero(ordered[1:] == ordered[:-1]):  # every path ends at a new key
+        key = ints[0] if self.context is None else ints[0] * self._n_ctx + ints[3]  # (state, ctx)
+        ranked = np.sort(key)
+        if not (ranked[1:] == ranked[:-1]).any():  # every path ends at a new key
             self.eps_relaxations += len(src)
             return
-        win = self._recombine(key, floats[0])
+        order, heads = _cheapest(key, floats[0])
+        win = order[heads]
+        if by_arrival:
+            win = win[_by_arrival(order, heads)]
         self.eps_relaxations += int(np.count_nonzero(win >= held))
         self._tokens = _take(self._tokens, win)
 
     def _prune(self) -> None:
         """Keep tokens within `score_beam` of the best, then the `max_active`
         cheapest, ordered by (cost, state, ctx)."""
-        cost, (state, ctx) = self._tokens[0][0], self._tokens[1][:2]
+        floats, ints = self._tokens
+        cost = floats[0]
         if not len(cost):
             return
-        kept = (cost <= np.fmin.reduce(cost) + self.score_beam).nonzero()[0]
-        self.tokens_pruned_beam += len(cost) - len(kept)
-        order = np.lexsort((ctx[kept], state[kept], cost[kept]))
-        self.tokens_pruned_max_active += max(0, len(order) - self.max_active)
-        self._tokens = _take(self._tokens, kept[order[: self.max_active]])
+        order = cost.argsort()
+        ranked = cost[order]
+        within = int(ranked.searchsorted(ranked[0] + self.score_beam, "right"))
+        keep = min(within, self.max_active)
+        seen = ranked[: keep + 1]  # the kept costs and the first one cut
+        if (seen[1:] == seen[:-1]).any():  # a tie, which (state, ctx) breaks
+            order = np.lexsort((ints[3], ints[0], cost))
+        self.tokens_pruned_beam += len(cost) - within
+        self.tokens_pruned_max_active += within - keep
+        self._tokens = _take(self._tokens, order[:keep])
 
     def _link(self) -> None:
         """Link each token's pending unit and word onto its chains."""
-        _, _, unit, _, word, new_unit, new_word = self._tokens[1]
-        for links, chain, labels in ((self._units, unit, new_unit), (self._words, word, new_word)):
+        ints = self._tokens[1]
+        for links, chain, labels in ((self._units, ints[4], ints[6]), (self._words, ints[5], ints[2])):
             pending = labels.nonzero()[0]
             if len(pending):
                 chain[pending] = links.add(chain[pending], labels[pending])
-            chain[:] = links.compact(chain)
+            if links.size >= links.limit:
+                chain[:] = links.compact(chain)
 
     def finalize(self) -> NBestList:
         """Add final weights, keep the cheapest token per word sequence, rank."""
-        state, ctx = self._tokens[1][:2]
-        tokens = _take(self._tokens, np.lexsort((ctx, state)))
+        ints = self._tokens[1]
+        tokens = _take(self._tokens, np.lexsort((ints[3], ints[0])))
         fw = np.array([self.graph.final_weight(state) for state in tokens[1][0].tolist()])
         is_final = fw != math.inf
         if is_final.any():
             tokens, fw = _take(tokens, is_final.nonzero()[0]), fw[is_final]
         else:
             fw = np.zeros(len(fw))  # no token reached a final state; fall back to all survivors
-        (cost, ac_cost, graph_cost, ctx_score), (_, _, unit, _, word, _, _) = tokens
+        (cost, ac_cost, graph_cost, ctx_score), (_, _, _, _, unit, word, _) = tokens
         cost = (cost + fw * self.lm_scale).tolist()
         graph_cost = (graph_cost + fw * self.lm_scale).tolist()
         by_words: dict[tuple[int, ...], int] = {}

@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +60,10 @@ class Arc:
 class WeightedFst:
     """A WFST with dense integer states whose arcs are one `ArcArrays`.
 
-    Arc weights live in the tropical semiring (see `semiring`). Symbol
-    tables are carried along so composition can verify tape compatibility;
-    id 0 must be epsilon in both.
+    Arc weights live in the tropical semiring (see `semiring`); a weight
+    may be +inf (the semiring zero) but not NaN or -inf. Symbol tables are
+    carried along so composition can verify tape compatibility; id 0 must
+    be epsilon in both.
 
     `add_arc` checks its arguments and queues the arc; queued arcs and
     added states are merged into new arrays, stably by source state, on
@@ -107,6 +109,8 @@ class WeightedFst:
 
     def set_final(self, state: int, weight: float = semiring.ONE) -> None:
         self._check_state(state)
+        if not weight > _NEG_INF:
+            raise ConfigurationError(f"final weight {weight!r} is NaN or -inf")
         self.finals[state] = semiring.plus(self.finals.get(state, semiring.ZERO), weight)
 
     def add_arc(self, src: int, ilabel: int, olabel: int, weight: float, dst: int) -> None:
@@ -114,6 +118,8 @@ class WeightedFst:
         self._check_state(dst)
         if ilabel < 0 or olabel < 0:
             raise ConfigurationError("arc labels must be >= 0")
+        if not weight > _NEG_INF:
+            raise ConfigurationError(f"arc weight {weight!r} is NaN or -inf")
         self._pending.append((src, ilabel, olabel, weight, dst))
 
     def _check_state(self, state: int) -> None:
@@ -302,8 +308,10 @@ class ArcArrays:
     """The arcs of a `WeightedFst` as read-only arrays in CSR form.
 
     State s owns arcs `offsets[s]:offsets[s + 1]`, in the machine's arc
-    order. `closure` holds each state's label-0 paths; it is computed on
-    first use, like `max_ilabel`.
+    order. `closure` holds each state's label-0 paths and `emitting` the
+    other arcs, as the search reads them; both are computed on first use,
+    like `max_ilabel`, and both leave out arcs of weight +inf, which lie
+    on no finite path.
     """
 
     offsets: np.ndarray
@@ -360,7 +368,7 @@ class ArcArrays:
         path padded with -1, shorter paths first and then in arc order. A
         label-0 cycle is refused, and so are more paths than states times
         label-0 arcs."""
-        eps = np.flatnonzero(self.ilabel == 0)
+        eps = np.flatnonzero((self.ilabel == 0) & (self.weight < np.inf))
         src = self.sources()[eps]
         by_state = _offsets(src, self.num_states)  # each state's label-0 arcs, as a range of `eps`
         found = [(src, eps[:, None])]  # round k: the paths of k hops, as (source state, arc ids)
@@ -384,6 +392,42 @@ class ArcArrays:
         offsets, paths = _offsets(src, self.num_states), paths[np.argsort(src, kind="stable")]
         offsets.flags.writeable = paths.flags.writeable = False
         return offsets, paths
+
+    @cached_property
+    def emitting(self) -> "EmittingArcs":
+        """The arcs of label > 0 and finite weight, in arc order within a state."""
+        src = self.sources()
+        finite = self.weight < np.inf
+        arc = np.flatnonzero((self.ilabel != 0) & finite)
+        offsets = _offsets(src[arc], self.num_states)
+        eps = (self.ilabel == 0) & finite
+        starts_label0 = np.zeros(self.num_states, dtype=bool)
+        starts_label0[src[eps]] = True
+        on_label0 = starts_label0.copy()
+        on_label0[self.nextstate[eps]] = True
+        view = EmittingArcs(offsets[:-1], np.diff(offsets),
+                            np.stack((self.nextstate[arc], self.ilabel[arc] - 1, self.olabel[arc])),
+                            self.weight[arc], starts_label0, on_label0)
+        for array in view:
+            array.flags.writeable = False
+        return view
+
+
+class EmittingArcs(NamedTuple):
+    """The arcs a frame's search follows, as `ArcArrays.emitting` builds them.
+
+    State s owns columns `first[s]:first[s] + count[s]` of `arcs`, whose
+    rows are (nextstate, acoustic column = ilabel - 1, olabel), and of
+    `weight`. `starts_label0` and `on_label0` mark the states that a
+    label-0 arc of finite weight leaves, and that one leaves or reaches.
+    """
+
+    first: np.ndarray
+    count: np.ndarray
+    arcs: np.ndarray
+    weight: np.ndarray
+    starts_label0: np.ndarray
+    on_label0: np.ndarray
 
 
 def _offsets(group: np.ndarray, n: int) -> np.ndarray:
@@ -448,8 +492,8 @@ def _reachable(offsets: np.ndarray, nextstate: np.ndarray, starts: list[int]) ->
 def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each i, `count[i]` copies of i beside the indices `first[i]:first[i] + count[i]`,
     concatenated over i."""
-    owner = np.repeat(np.arange(len(first)), count)
-    index = np.repeat(first - (np.cumsum(count) - count), count)
+    owner = np.arange(len(first)).repeat(count)
+    index = (first - count.cumsum() + count).repeat(count)
     return owner, index + np.arange(len(index))
 
 

@@ -87,12 +87,16 @@ def build_L(
 
     Disambiguation symbols are appended to pronunciations that are shared
     or that prefix another pronunciation, which is what keeps det(L o G)
-    from diverging on prefix/homophone lexicons.
+    from diverging on prefix/homophone lexicons. A unit spelled like one
+    (`#` and ASCII digits) is refused.
     """
     if units is None:
         units = lex.units()
     if words is None:
         words = lex.words()
+    for unit in units:
+        if _is_disambig(unit):
+            raise ConfigurationError(f"unit {unit!r} is spelled like a disambiguation symbol (# and digits)")
     unit_ids = {sym: i + 1 for i, sym in enumerate(units)}
     word_ids = {sym: i + 1 for i, sym in enumerate(words)}
     for word, pron in lex.entries:
@@ -216,12 +220,13 @@ def build_G(model: ArpaModel, words: Sequence[str] | None = None) -> WeightedFst
     return g
 
 
+def _is_disambig(sym: str) -> bool:
+    return sym[:1] == "#" and sym[1:].isascii() and sym[1:].isdigit()
+
+
 def disambig_ids(table: SymbolTable) -> set[int]:
-    out = set()
-    for sym, sym_id in table:
-        if sym.startswith("#") and sym[1:].isdigit():
-            out.add(sym_id)
-    return out
+    """The ids of the disambiguation symbols `#1`, `#2`, ... (ASCII digits only)."""
+    return {sym_id for sym, sym_id in table if _is_disambig(sym)}
 
 
 def build_TLG(

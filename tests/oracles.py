@@ -377,6 +377,7 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
     acoustic id 0 is graph label 1); label 0 arcs are free moves expanded
     after each frame. Tokens are pruned to `score_beam` score units of the
     best and to `max_active` tokens. Biasing advances on emitted words.
+    Arcs of weight +inf lie on no finite path and are not followed.
     """
 
     _EPS_RELAX_LIMIT = 1_000_000
@@ -417,11 +418,14 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
         for state in graph.states():
             emit, eps = [], []
             for arc in graph.arcs(state):
+                if arc.ilabel != 0:
+                    max_ilabel = max(max_ilabel, arc.ilabel)
+                if arc.weight == math.inf:
+                    continue  # on no finite path
                 if arc.ilabel == 0:
                     eps.append(arc)
                 else:
                     emit.append(arc)
-                    max_ilabel = max(max_ilabel, arc.ilabel)
             self._emit_arcs.append(emit)
             self._eps_arcs.append(eps)
         self._min_tokens = max(self._min_tokens, max_ilabel)

@@ -83,6 +83,25 @@ class TestBuildGraph:
         assert capsys.readouterr().err == "error: --arpa requires --lexicon\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("unit", ["#1", "#\u0661"], ids=["ascii", "arabic_indic"])
+    def test_unit_spelled_like_a_disambiguation_symbol(self, tmp_path, capsys, unit):
+        """`#` and ASCII digits is a disambiguation symbol's spelling, refused
+        as a unit by name; `#` and other digits is an ordinary unit."""
+        units, lexicon, arpa = tmp_path / "units.txt", tmp_path / "lexicon.txt", tmp_path / "lm.arpa"
+        units.write_text(f"<blank> 0\na 1\n{unit} 2\n", encoding="utf-8")
+        lexicon.write_text(f"w a {unit}\nv a\n", encoding="utf-8")
+        arpa.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5 w\n-0.5 v\n-0.5 </s>\n\n\\end\\\n", encoding="utf-8")
+        args = ["build-graph", "--units", str(units), "--lexicon", str(lexicon), "--arpa", str(arpa)]
+        code = main([*args, "--out", str(tmp_path / "graph")])
+        if unit == "#1":
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: unit '#1' is spelled like a disambiguation symbol (# and digits)\n"
+            )
+        else:
+            assert code == 0
+            assert f"{unit} 2" in (tmp_path / "graph" / "units.txt").read_text(encoding="utf-8").splitlines()
+
     def test_negative_state_in_graph_exits_2(self, tmp_path, capsys):
         graph = _build(tmp_path)
         tlg = graph / "TLG.fst"

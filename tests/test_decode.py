@@ -14,9 +14,11 @@ from ctcdec.decode import (
 )
 from ctcdec.arpa import parse_arpa
 from ctcdec.errors import ConfigurationError, ParseError
+from ctcdec.fst import WeightedFst
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 from ctcdec.rescore import FusionWeights
+from ctcdec.symbols import SymbolTable
 
 from conftest import TOY_ARPA, TOY_LEXICON
 from oracles import best_marginal, ctc_marginals, score_hypothesis
@@ -579,10 +581,16 @@ class TestWfstSearchCounters:
         dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=None, **pruning)
         with np.errstate(divide="ignore"):
             dec.decode(np.log(np.array(self.ROWS)))
-        return (
+        return self._counts(dec)
+
+    @staticmethod
+    def _counts(dec):
+        counts = (
             dec.frames_processed, dec.arcs_expanded, dec.tokens_pruned_beam,
             dec.tokens_pruned_max_active, dec.eps_relaxations,
         )
+        assert all(type(count) is int for count in counts)  # not numpy integers
+        return counts
 
     def test_pruning_off(self):
         # 1 label-0 arc in the constructor, then 6 and 6 emitting arcs.
@@ -597,6 +605,43 @@ class TestWfstSearchCounters:
         # Beam 0.6 keeps 1 and 3 after frame 1 (best 0.69); after frame 2 it
         # drops 17, which is 1.10 behind 19.
         assert self._run(score_beam=0.6) == (2, 10, 3, 0, 1)
+
+    # The beam cut before recombination, on a graph of its own. One frame
+    # of [0.5, 0.5] over arcs of label 2 from the start state: to 1 at
+    # weights 0 and 3, to 2 at 2 and 2.5, to 3 at 2 and to 4 at 4.
+    # State 3 has a label-0 arc of weight -1.5 to 4. With beam 1 the best,
+    # 1 at 0.69, keeps candidates up to 1.69. The cut before recombination
+    # drops the second candidate at 1 (a key with candidates on both sides)
+    # and both at 2 (a key it removes whole). It keeps the ones at 3 and 4,
+    # where a label-0 path starts and ends, though both are beyond the beam.
+    # The path end at 4 (1.19) then replaces the candidate there, and
+    # `_prune` drops the token at 3.
+    @staticmethod
+    def _cut_graph():
+        graph = WeightedFst(SymbolTable.with_epsilon(["t0", "t1"]), SymbolTable.with_epsilon(["w"]))
+        graph.add_states(5)
+        graph.set_start(0)
+        for weight, state in ((0.0, 1), (3.0, 1), (2.0, 2), (2.5, 2), (2.0, 3), (4.0, 4)):
+            graph.add_arc(0, 2, 0, weight, state)
+        graph.add_arc(3, 0, 1, -1.5, 4)
+        graph.set_final(1, 0.0)
+        graph.set_final(4, 0.0)
+        return graph
+
+    @pytest.mark.parametrize(
+        "max_active, counts, words",
+        [
+            # 6 emitting arcs and 1 label-0 hop; keys 2 and 3 are pruned by
+            # the beam; the path end improves key 4.
+            (10, (1, 7, 2, 0, 1), ["", "w"]),
+            (1, (1, 7, 2, 1, 1), [""]),
+        ],
+    )
+    def test_cut_keys_are_counted_as_pruned_by_the_beam(self, max_active, counts, words):
+        dec = WfstBeamDecoder(self._cut_graph(), score_beam=1.0, max_active=max_active, blank_skip_threshold=None)
+        nbest = dec.decode(np.log(np.array([[0.5, 0.5]])))
+        assert self._counts(dec) == counts
+        assert [" ".join(hyp.words) for hyp in nbest] == words
 
 
 class TestNBestOrdering:

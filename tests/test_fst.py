@@ -327,6 +327,18 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=r"x.fst:2: .*>= 0"):
             WeightedFst.from_text(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", source="x.fst")
 
+    @pytest.mark.parametrize("weight", [math.nan, -math.inf], ids=["nan", "minus_inf"])
+    def test_add_arc_and_set_final_refuse_nan_or_minus_inf_weight(self, weight):
+        fst = WeightedFst()
+        fst.add_states(2)
+        with pytest.raises(ConfigurationError, match="arc weight .* is NaN or -inf"):
+            fst.add_arc(0, 1, 1, weight, 1)
+        with pytest.raises(ConfigurationError, match="final weight .* is NaN or -inf"):
+            fst.set_final(1, weight)
+        fst.add_arc(0, 1, 1, math.inf, 1)
+        fst.set_final(1, math.inf)
+        assert (fst.num_arcs(), fst.finals) == (1, {1: math.inf})
+
     def test_plus_inf_weight_is_the_semiring_zero(self):
         fst = WeightedFst.from_text("0 1 1 1 inf\n1 inf\n0 0.5\n")
         assert fst.arcs(0)[0].weight == semiring.ZERO
@@ -461,6 +473,23 @@ class TestArcArrays:
         with pytest.raises(ValueError):
             frozen.weight[0] = 9.0
 
+    def test_emitting_view_leaves_out_label0_and_inf_arcs(self):
+        fst = self._fst()
+        fst.add_arc(0, 1, 1, math.inf, 2)
+        fst.add_arc(1, 0, 0, math.inf, 2)
+        frozen = fst.arc_arrays()
+        view = frozen.emitting
+        assert (view.first.tolist(), view.count.tolist()) == ([0, 2, 2], [2, 0, 1])
+        assert view.arcs.tolist() == [[1, 1, 0], [1, 0, 2], [1, 0, 3]]  # nextstate, ilabel - 1, olabel
+        assert view.weight.tolist() == [0.5, 0.0, 2.0]
+        assert view.starts_label0.tolist() == [True, False, False]  # state 1's label-0 arc weighs +inf
+        assert view.on_label0.tolist() == [True, False, True]
+        offsets, paths = frozen.closure
+        assert (offsets.tolist(), paths.tolist()) == ([0, 1, 1, 1], [[1]])
+        assert frozen.emitting is view
+        with pytest.raises(ValueError):
+            view.arcs[0, 0] = 9
+
     def test_cached_until_the_arcs_change(self):
         fst = self._fst()
         frozen = fst.arc_arrays()
@@ -489,7 +518,7 @@ class TestArcArrays:
         rebuilt = fst.copy().arc_arrays()
         for name in ("offsets", "ilabel", "olabel", "weight", "nextstate"):
             assert getattr(fresh, name).tolist() == getattr(rebuilt, name).tolist(), name
-        for mine, theirs in zip(fresh.closure, rebuilt.closure):
+        for mine, theirs in zip((*fresh.closure, *fresh.emitting), (*rebuilt.closure, *rebuilt.emitting)):
             assert mine.tolist() == theirs.tolist()
 
     def test_copy_does_not_share_the_cache(self):

@@ -231,6 +231,15 @@ class TestLexiconFst:
         with pytest.raises(ConfigurationError, match="z"):
             build_L(parse_lexicon("za z a\n"), units=["a"])
 
+    def test_unit_spelled_like_a_disambiguation_symbol_is_refused(self):
+        with pytest.raises(ConfigurationError, match=r"unit '#1' is spelled like a disambiguation symbol"):
+            build_L(parse_lexicon("w a #1\nv a\n"), units=["a", "#1"])
+
+    def test_hash_and_non_ascii_digits_is_an_ordinary_unit(self):
+        l = build_L(parse_lexicon("w a #\u0661\nv a\n"), units=["a", "#\u0661"])
+        assert l.isymbols.get_id("#\u0661") == 2
+        assert disambig_ids(l.isymbols) == {l.isymbols.get_id("#1")}  # `v a` prefixes `w a #١`
+
 
 # -- G ------------------------------------------------------------------------
 

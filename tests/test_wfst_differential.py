@@ -273,6 +273,59 @@ def test_unpruned_first_step_keeps_the_order_reached():
     _check_fixed(graph, logprobs, expected_top_words=("w2",))
 
 
+def test_constructor_keeps_the_order_reached_when_a_key_repeats():
+    """Two label-0 paths from the start reach state 3 and one reaches 2,
+    so the constructor merges a repeated key. Its tokens still follow the
+    order the paths reached them (start, 3, then 2), not key order, so on
+    frame 1 the token at 3 (w2) arrives first at state 4."""
+    graph = _word_graph(2)
+    graph.add_states(5)
+    graph.set_start(0)
+    graph.add_arc(0, 0, 0, 1.0, 3)
+    graph.add_arc(0, 0, 0, 1.0, 2)
+    graph.add_arc(0, 0, 0, 1.5, 3)
+    graph.add_arc(3, 2, 2, 0.0, 4)
+    graph.add_arc(2, 2, 1, 0.0, 4)
+    graph.set_final(4, 0.0)
+    logprobs = np.log(np.array([[0.5, 0.5]]))
+    _check_fixed(graph, logprobs, expected_top_words=("w2",))
+
+
+def test_inf_weight_arcs_lie_on_no_path():
+    """At lm_scale 0 an arc of weight +inf would cost inf * 0 = NaN. It is
+    on no finite path, so it is not searched, whether it emits (w1 into
+    state 1) or has label 0 (w1 into state 3), and w2 wins with two blank
+    frames' log-probability."""
+    inf = float("inf")
+    graph = _word_graph(2)
+    graph.add_states(4)
+    graph.set_start(0)
+    graph.add_arc(0, 1, 1, inf, 1)
+    graph.add_arc(0, 1, 2, 0.5, 1)
+    graph.add_arc(1, 0, 1, inf, 3)
+    graph.add_arc(1, 0, 0, 0.0, 3)
+    graph.add_arc(3, 1, 0, 0.0, 3)
+    graph.set_final(3, 0.0)
+    logprobs = np.log(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    for lm_scale, total, lm in ((0.0, "-1.386294", "0.000000"), (1.0, "-1.886294", "-0.500000")):
+        _check_fixed(graph, logprobs, expected_top_words=("w2",), lm_scale=lm_scale)
+        text = WfstBeamDecoder(graph, lm_scale=lm_scale, blank_skip_threshold=None).decode(logprobs).to_text()
+        assert text.split() == ["1", total, "-1.386294", "0.000000", lm, "w2"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hand_made_graphs_with_inf_arcs_byte_identical(seed):
+    """The hand-made graphs above, with copies of some arcs at weight +inf."""
+    rng = random.Random(2000 + seed)
+    for _ in range(6):
+        graph = _random_wfst(rng)
+        for state in graph.states():
+            for arc in graph.arcs(state):
+                if rng.random() < 0.4:
+                    graph.add_arc(state, arc.ilabel, rng.choice((0, arc.olabel)), float("inf"), arc.nextstate)
+        _check_graph(rng, graph, draws=4)
+
+
 @pytest.mark.parametrize("max_active", [1, 2, 3, 4])
 def test_max_active_cut_inside_a_run_of_equal_costs(max_active):
     """Five tokens tie after frame 1; the cut keeps the lowest states, and
