@@ -432,6 +432,13 @@ def _cheapest(key: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order, head.nonzero()[0]
 
 
+def _distinct(key: np.ndarray) -> int:
+    """The number of distinct values in `key`, counted on a sorted copy
+    (`np.unique` hashes, which is several times slower on a frame's keys)."""
+    ranked = np.sort(key)
+    return len(ranked) - int(np.count_nonzero(ranked[1:] == ranked[:-1]))
+
+
 def _by_arrival(order: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """The permutation of `_cheapest`'s keys into the order they are first reached."""
     return np.minimum.reduceat(order, heads).argsort()
@@ -440,10 +447,10 @@ def _by_arrival(order: np.ndarray, heads: np.ndarray) -> np.ndarray:
 class _Links:
     """Backpointer chains: link i is chain `parent[i]` extended by `label[i]`.
 
-    A link is always newer than its parent. The store holds `size` links.
-    Once that reaches `limit`, twice what its last compaction kept and at
-    least `FLOOR`, `compact` drops the links no live chain reaches, so a
-    long stream keeps at most about twice the links its live tokens need.
+    A link is always newer than its parent. Once the store has doubled
+    since its last compaction, and holds at least `FLOOR` links, `compact`
+    drops the links no live chain reaches, so a long stream keeps at most
+    about twice the links its live tokens need.
     """
 
     FLOOR = 1 << 16
@@ -451,12 +458,12 @@ class _Links:
     def __init__(self):
         self._parent = np.empty(256, dtype=np.int64)
         self._label = np.empty(256, dtype=np.int64)
-        self.size = 0
-        self.limit = self.FLOOR
+        self._size = 0
+        self._limit = self.FLOOR
 
     def add(self, parents, labels) -> np.ndarray:
         """New links, one per (parent, label) pair; returns their ids."""
-        start = self.size
+        start = self._size
         end = start + len(parents)
         if end > len(self._parent):
             grow = np.empty(max(end, 2 * len(self._parent)) - len(self._parent), dtype=np.int64)
@@ -464,39 +471,39 @@ class _Links:
             self._label = np.concatenate((self._label, grow))
         self._parent[start:end] = parents
         self._label[start:end] = labels
-        self.size = end
+        self._size = end
         return np.arange(start, end)
 
     def __len__(self) -> int:
-        return self.size
+        return self._size
 
     def compact(self, live: np.ndarray) -> np.ndarray:
-        """When the store is at its limit, keep only the links that the
+        """When the store is over its limit, keep only the links that the
         chains `live` reach, in their order; returns `live` renumbered."""
-        if self.size < self.limit:
+        if self._size < self._limit:
             return live
-        parent = self._parent[: self.size]
+        parent = self._parent[: self._size]
         # One sweep from the newest link down marks every ancestor, since a
         # parent is older than its child. The extra last slot absorbs -1.
-        keep = bytearray(self.size + 1)
+        keep = bytearray(self._size + 1)
         for link in live.tolist():
             keep[link] = 1
-        for link, up in zip(range(self.size - 1, -1, -1), reversed(parent.tolist())):
+        for link, up in zip(range(self._size - 1, -1, -1), reversed(parent.tolist())):
             if keep[link]:
                 keep[up] = 1
         keep = np.frombuffer(keep, dtype=bool)[:-1]
         renumber = np.append(np.cumsum(keep) - 1, -1)  # index -1 maps the empty chain to itself
         kept = np.flatnonzero(keep)
-        self.size = len(kept)
-        self._parent[: self.size] = renumber[parent[kept]]
-        self._label[: self.size] = self._label[kept]
-        self.limit = max(self.FLOOR, 2 * self.size)
+        self._size = len(kept)
+        self._parent[: self._size] = renumber[parent[kept]]
+        self._label[: self._size] = self._label[kept]
+        self._limit = max(self.FLOOR, 2 * self._size)
         return renumber[live]
 
     def chains(self, links: np.ndarray) -> list[tuple[int, ...]]:
         """Each link's labels, oldest first."""
-        parent = self._parent[: self.size].tolist()
-        label = self._label[: self.size].tolist()
+        parent = self._parent[: self._size].tolist()
+        label = self._label[: self._size].tolist()
         out = []
         for link in links.tolist():
             chain = []
@@ -577,14 +584,15 @@ class WfstBeamDecoder(StreamingDecoder):
 
     @property
     def links_held(self) -> int:
-        return self._units.size + self._words.size
+        return len(self._units) + len(self._words)
 
     def _step(self, row: np.ndarray) -> None:
         view = self._arcs.emitting
         floats, ints = self._tokens
         state = ints[0]
         # Every emitting arc of every token, in token order and then arc order.
-        src, arc = _spans(view.first[state], view.count[state])
+        first = view.offsets[state]
+        src, arc = _spans(first, view.offsets[state + 1] - first)
         cand = view.arcs.take(arc, axis=1)  # rows nextstate, column, olabel
         lp = row[cand[1]]
         if np.minimum.reduce(row) == NEG_INF:  # arcs whose token is impossible in this frame drop out
@@ -606,9 +614,7 @@ class WfstBeamDecoder(StreamingDecoder):
         # so the order keys are first reached in stays what it is among them.
         kept = ((cost <= np.minimum.reduce(cost) + self.score_beam) | view.on_label0[nextstate]).nonzero()[0]
         order, heads = _cheapest(key[kept], cost[kept])
-        if len(kept) < len(cost):  # count the keys with every candidate cut, as `_prune` would
-            keys = int(np.count_nonzero(np.bincount(key))) if ctx is None else len(np.unique(key))
-            self.tokens_pruned_beam += keys - len(heads)
+        self.tokens_pruned_beam += _distinct(key) - len(heads)  # the keys cut whole, as `_prune` counts them
         win = kept[order[heads]]
         paths = view.starts_label0[nextstate[win]].any()
         if paths:  # `_close` follows the order of arrival
@@ -628,8 +634,7 @@ class WfstBeamDecoder(StreamingDecoder):
             floats[3] += delta[win]
             ints[3] = ctx[win]
         self._tokens = floats, ints
-        if paths:
-            self._close()
+        self._close()
         self._prune()
         self._link()
 
@@ -640,9 +645,7 @@ class WfstBeamDecoder(StreamingDecoder):
         cost, delta): gw is the weight times `lm_scale` plus `word_penalty`
         on a word; the new cost subtracts the bonus delta (None without
         biasing)."""
-        gw = weight * self.lm_scale
-        if self.word_penalty:
-            gw[olabel.nonzero()[0]] += self.word_penalty
+        gw = weight * self.lm_scale + self.word_penalty * (olabel != 0)
         cost = cost + gw
         if self.context is None:
             return gw, cost, None
@@ -702,8 +705,7 @@ class WfstBeamDecoder(StreamingDecoder):
                 new_word[at] = olabel[emits]
         self._tokens = floats, ints = np.concatenate((floats, ends[0]), axis=1), np.concatenate((ints, ends[1]), axis=1)
         key = ints[0] if self.context is None else ints[0] * self._n_ctx + ints[3]  # (state, ctx)
-        ranked = np.sort(key)
-        if not (ranked[1:] == ranked[:-1]).any():  # every path ends at a new key
+        if _distinct(key) == len(key):  # every path ends at a new key
             self.eps_relaxations += len(src)
             return
         order, heads = _cheapest(key, floats[0])
@@ -720,13 +722,10 @@ class WfstBeamDecoder(StreamingDecoder):
         cost = floats[0]
         if not len(cost):
             return
-        order = cost.argsort()
+        order = np.lexsort((ints[3], ints[0], cost))
         ranked = cost[order]
         within = int(ranked.searchsorted(ranked[0] + self.score_beam, "right"))
         keep = min(within, self.max_active)
-        seen = ranked[: keep + 1]  # the kept costs and the first one cut
-        if (seen[1:] == seen[:-1]).any():  # a tie, which (state, ctx) breaks
-            order = np.lexsort((ints[3], ints[0], cost))
         self.tokens_pruned_beam += len(cost) - within
         self.tokens_pruned_max_active += within - keep
         self._tokens = _take(self._tokens, order[:keep])
@@ -738,8 +737,7 @@ class WfstBeamDecoder(StreamingDecoder):
             pending = labels.nonzero()[0]
             if len(pending):
                 chain[pending] = links.add(chain[pending], labels[pending])
-            if links.size >= links.limit:
-                chain[:] = links.compact(chain)
+            chain[:] = links.compact(chain)
 
     def finalize(self) -> NBestList:
         """Add final weights, keep the cheapest token per word sequence, rank."""

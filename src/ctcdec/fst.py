@@ -395,17 +395,14 @@ class ArcArrays:
 
     @cached_property
     def emitting(self) -> "EmittingArcs":
-        """The arcs of label > 0 and finite weight, in arc order within a state."""
-        src = self.sources()
-        finite = self.weight < np.inf
-        arc = np.flatnonzero((self.ilabel != 0) & finite)
-        offsets = _offsets(src[arc], self.num_states)
-        eps = (self.ilabel == 0) & finite
-        starts_label0 = np.zeros(self.num_states, dtype=bool)
-        starts_label0[src[eps]] = True
+        """The arcs of label > 0 and finite weight, in arc order within a
+        state, with the states on a label-0 path as `closure` holds them."""
+        arc = np.flatnonzero((self.ilabel != 0) & (self.weight < np.inf))
+        by_state, paths = self.closure
+        starts_label0 = np.diff(by_state) > 0
         on_label0 = starts_label0.copy()
-        on_label0[self.nextstate[eps]] = True
-        view = EmittingArcs(offsets[:-1], np.diff(offsets),
+        on_label0[self.nextstate[paths[:, 0]]] = True  # every label-0 arc is a path of one hop
+        view = EmittingArcs(_offsets(self.sources()[arc], self.num_states),
                             np.stack((self.nextstate[arc], self.ilabel[arc] - 1, self.olabel[arc])),
                             self.weight[arc], starts_label0, on_label0)
         for array in view:
@@ -416,14 +413,13 @@ class ArcArrays:
 class EmittingArcs(NamedTuple):
     """The arcs a frame's search follows, as `ArcArrays.emitting` builds them.
 
-    State s owns columns `first[s]:first[s] + count[s]` of `arcs`, whose
-    rows are (nextstate, acoustic column = ilabel - 1, olabel), and of
-    `weight`. `starts_label0` and `on_label0` mark the states that a
-    label-0 arc of finite weight leaves, and that one leaves or reaches.
+    State s owns columns `offsets[s]:offsets[s + 1]` of `arcs`, whose rows
+    are (nextstate, acoustic column = ilabel - 1, olabel), and of `weight`.
+    `starts_label0` and `on_label0` mark the states that a label-0 path
+    leaves, and that one leaves or reaches.
     """
 
-    first: np.ndarray
-    count: np.ndarray
+    offsets: np.ndarray
     arcs: np.ndarray
     weight: np.ndarray
     starts_label0: np.ndarray

@@ -479,7 +479,7 @@ class TestArcArrays:
         fst.add_arc(1, 0, 0, math.inf, 2)
         frozen = fst.arc_arrays()
         view = frozen.emitting
-        assert (view.first.tolist(), view.count.tolist()) == ([0, 2, 2], [2, 0, 1])
+        assert view.offsets.tolist() == [0, 2, 2, 3]
         assert view.arcs.tolist() == [[1, 1, 0], [1, 0, 2], [1, 0, 3]]  # nextstate, ilabel - 1, olabel
         assert view.weight.tolist() == [0.5, 0.0, 2.0]
         assert view.starts_label0.tolist() == [True, False, False]  # state 1's label-0 arc weighs +inf
