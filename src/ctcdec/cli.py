@@ -179,36 +179,33 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     if args.arpa and not args.lexicon:
         print("error: --arpa requires --lexicon", file=sys.stderr)
         return 2
-    # Parse every input before writing anything.
+    # Parse every input and build every machine before writing anything.
     tokens = read_units(args.units)
     units = units_of(tokens)
     lex = read_lexicon(args.lexicon) if args.arpa else None
     model = read_arpa(args.arpa, strict=args.strict_arpa) if args.arpa else None
+    t = build_T(units)
+    machines = {"T": t}
+    if model is not None:
+        missing = [u for u in lex.units() if u not in units]
+        if missing:
+            raise ConfigurationError(f"lexicon units {missing} missing from the units file")
+        words = sorted(set(lex.words()) | (model.all_words() - {"<s>", "</s>"}))
+        l = build_L(lex, units, words)
+        g = build_G(model, words)
+        machines.update(L=l, G=g, TLG=build_TLG(t, l, g, state_budget=args.det_budget))
 
+    # Each file is replaced whole; a failed write leaves the old one.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    t = build_T(units)
-    (out / "tokens.txt").write_text(tokens.to_text(), encoding="utf-8")
-    t.write(out / "T.fst")
-    _report("T", t)
-
-    if model is None:
-        return 0
-    missing = [u for u in lex.units() if u not in units]
-    if missing:
-        raise ConfigurationError(f"lexicon units {missing} missing from the units file")
-    words = sorted(set(lex.words()) | (model.all_words() - {"<s>", "</s>"}))
-    l = build_L(lex, units, words)
-    g = build_G(model, words)
-    tlg = build_TLG(t, l, g, state_budget=args.det_budget)
-    l.isymbols.write(out / "units.txt")
-    g.osymbols.write(out / "words.txt")
-    l.write(out / "L.fst")
-    g.write(out / "G.fst")
-    tlg.write(out / "TLG.fst")
-    _report("L", l)
-    _report("G", g)
-    _report("TLG", tlg)
+    tokens.write(out / "tokens.txt")
+    if model is not None:
+        l.isymbols.write(out / "units.txt")
+        g.osymbols.write(out / "words.txt")
+    for name, fst in machines.items():
+        fst.write(out / f"{name}.fst")
+    for name, fst in machines.items():
+        _report(name, fst)
     return 0
 
 

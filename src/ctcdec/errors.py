@@ -1,9 +1,11 @@
-"""Exception types shared across the engine, and the text-input helpers every reader uses."""
+"""Exception types shared across the engine, the text-input helpers every reader uses,
+and the one way files are written."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class EngineError(Exception):
@@ -70,3 +72,23 @@ def parse_count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not an ASCII count: {text!r}")
     return int(text)
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to a new file beside `path`, then move it over `path`.
+
+    So `path` holds either its old bytes or all the new ones, never a
+    prefix, even when producing a chunk raises. On any failure the new
+    file is removed. The new file is made like any other, with the mode
+    the umask allows.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temp, "xb") as file:
+            for chunk in chunks:
+                file.write(chunk)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

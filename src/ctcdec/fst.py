@@ -18,6 +18,13 @@ from a dict, and then numbers them in the order a stack would discover
 them. `connect` walks forward over the CSR arrays and backward over
 each arc's source grouped by its destination. `determinize` keeps a
 scalar loop over the arcs of each subset it builds.
+
+The text format is read and written a block of lines at a time, with
+no Python object per line or field that outlives its block.
+`from_text` splits `_READ_BLOCK` characters into lines at once, parses
+them with `np.loadtxt` and copies their arcs into columns allocated
+once. `to_text` and `write` format `_TEXT_CHUNK` arcs at once, each
+distinct value of a column once, and `write` replaces its file whole.
 """
 
 from __future__ import annotations
@@ -27,12 +34,12 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import semiring
-from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_text
+from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_text, write_atomic
 from .symbols import EPSILON, SymbolTable
 
 NO_STATE = -1
@@ -45,7 +52,8 @@ _DET_BUDGET_FLOOR = 1000
 # The text format's two line shapes, as `np.loadtxt` rows.
 _ARC_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("il", np.int64), ("ol", np.int64), ("w", np.float64)])
 _FINAL_ROW = np.dtype([("state", np.int64), ("w", np.float64)])
-_TEXT_CHUNK = 1 << 16  # arcs per `%` call in `to_text`, which bounds the argument tuple it builds
+_READ_BLOCK = 1 << 18  # characters `from_text` splits into lines at once, which bounds the line objects it holds
+_TEXT_CHUNK = 1 << 14  # arcs `to_text` and `write` format at once, which bounds the byte rows they hold
 _EXPAND_KEYS = 256  # composed states `compose` expands at once, which bounds the arc rows it holds
 
 
@@ -184,22 +192,23 @@ class WeightedFst:
         State 0 is the start state by convention; every construction op in
         this module numbers its result that way.
         """
-        a = self.arc_arrays()
-        order = a.sorted_order()
-        src, il, ol, w, dst = (c[order] for c in a.columns())
-        columns = (src, dst, il, ol, w + 0.0)  # + 0.0 prints -0.0 as 0.000000
-        parts = []
-        for lo in range(0, len(order), _TEXT_CHUNK):
-            rows = [c[lo : lo + _TEXT_CHUNK].tolist() for c in columns]
-            fields: list = [None] * (5 * len(rows[0]))
-            for k, row in enumerate(rows):
-                fields[k::5] = row
-            parts.append("%d %d %d %d %.6f\n" * len(rows[0]) % tuple(fields))
-        parts.extend(f"{state} {self.finals[state] + 0.0:.6f}\n" for state in sorted(self.finals))
-        return "".join(parts)
+        return "".join(block.decode("ascii") for block in self._text_blocks())
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        """Write `to_text` a block at a time; the file at `path` is replaced whole, or not at all."""
+        write_atomic(path, self._text_blocks())
+
+    def _text_blocks(self) -> Iterator[bytes]:
+        """The text format as ASCII, `_TEXT_CHUNK` arc lines at a time and then the final lines."""
+        a = self.arc_arrays()
+        order = a.sorted_order()
+        columns = (a.sources(), a.nextstate, a.ilabel, a.olabel, a.weight)
+        for lo in range(0, len(order), _TEXT_CHUNK):
+            at = order[lo : lo + _TEXT_CHUNK]
+            src, dst, il, ol, w = (c[at] for c in columns)
+            # + 0.0 prints -0.0 as 0.000000
+            yield _format_lines((src, dst, il, ol, w + 0.0), (b"%d",) * 4 + (b"%.6f",))
+        yield "".join(f"{state} {self.finals[state] + 0.0:.6f}\n" for state in sorted(self.finals)).encode("ascii")
 
     @classmethod
     def from_text(
@@ -217,45 +226,51 @@ class WeightedFst:
         or -inf, and a state listed final twice keeps the smaller weight.
         `#` is an ordinary token, not a comment. Errors cite the first
         failing line.
+
+        The text is split into lines `_READ_BLOCK` characters at a time,
+        each block cut after a `\\n`, and each block's arcs are copied into
+        columns sized by the count of `\\n`.
         """
-        lines = text.splitlines()
-        fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-        arc_at, final_at = np.flatnonzero(fields == 5), np.flatnonzero(fields == 2)
-        errors: list[tuple[int, int, str]] = []  # (line index, check order, message)
-
-        def fail(at: np.ndarray, bad: np.ndarray, message) -> None:
-            if bad.any():
-                row = int(np.argmax(bad))
-                errors.append((int(at[row]), len(errors), message(row)))
-
-        fail(np.arange(len(lines)), ~np.isin(fields, (0, 2, 5)), lambda r: "expected arc or final-state line")
-        arcs, bad_arc = load_rows(lines, arc_at, _ARC_ROW)
-        finals, bad_final = load_rows(lines, final_at, _FINAL_ROW)
-        for at in (bad_arc, bad_final):
-            if at is not None:
-                message = f"cannot read {lines[at].strip()!r}: ids and labels must be integers and weights numbers"
-                errors.append((at, len(errors), message))
-        src, dst, il, ol, w = (arcs[name] for name in _ARC_ROW.names)
-        state, fw = finals["state"], finals["w"]
+        names = _ARC_ROW.names  # src, dst, il, ol, w
+        # No view of a column exists until the last block is in, so they resize in place.
+        size = text.count("\n") + 1
+        columns = [np.empty(size, _ARC_ROW[name]) for name in names]
+        labels = [None if table is None else table.ids() for table in (isymbols, osymbols)]
+        finals, arc_lines, final_lines = [], [], []  # per block: final rows, and the line of each arc and final row
+        errors: list[tuple[int, int, str]] = []  # (line index, rank of the check, message)
+        n_arcs = n_lines = 0
+        for block in _line_blocks(text, _READ_BLOCK):
+            lines = block.splitlines()
+            if not errors:  # past a failing block only the line count matters
+                arcs, arc_line, fin, final_line = _read_lines(lines, n_lines, *labels, errors)
+                end = n_arcs + len(arcs)
+                if end > len(columns[0]):  # lines ended by \r, \x0b and the like
+                    for c in columns:
+                        c.resize(2 * end, refcheck=False)
+                for c, name in zip(columns, names):
+                    c[n_arcs:end] = arcs[name]
+                n_arcs = end
+                finals.append(fin)
+                arc_lines.append(arc_line)
+                final_lines.append(final_line)
+            n_lines += len(lines)
+        for c in columns:
+            c.resize(n_arcs, refcheck=False)
+        src, dst, il, ol, w = columns
+        fin = np.concatenate(finals) if finals else np.zeros(0, _FINAL_ROW)
+        state, fw = fin["state"], fin["w"]
+        n = 1 + max((int(c.max()) for c in (src, dst, state) if len(c)), default=-1)
         # A line names at most two states, so no file numbers its states densely past this.
-        bound = 2 * len(lines)
-        fail(arc_at, np.minimum(src, dst) < 0, lambda r: f"state ids must be >= 0, got {src[r]} and {dst[r]}")
-        fail(arc_at, np.maximum(src, dst) >= bound,
-             lambda r: f"state id {max(src[r], dst[r])} is too large for a file of {len(lines)} lines")
-        fail(arc_at, np.minimum(il, ol) < 0, lambda r: f"labels must be >= 0, got {il[r]} and {ol[r]}")
-        if isymbols is not None:
-            fail(arc_at, ~np.isin(il, isymbols.ids()), lambda r: f"input label {il[r]} not in the symbol table")
-        if osymbols is not None:
-            fail(arc_at, ~np.isin(ol, osymbols.ids()), lambda r: f"output label {ol[r]} not in the symbol table")
-        fail(arc_at, ~(w > _NEG_INF), lambda r: f"arc weight {lines[arc_at[r]].split()[4]!r} is NaN or -inf")
-        fail(final_at, state < 0, lambda r: f"state id must be >= 0, got {state[r]}")
-        fail(final_at, state >= bound, lambda r: f"state id {state[r]} is too large for a file of {len(lines)} lines")
-        fail(final_at, ~(fw > _NEG_INF), lambda r: f"final weight {lines[final_at[r]].split()[1]!r} is NaN or -inf")
+        bound = 2 * n_lines
+        if n > bound:
+            too_large = f"is too large for a file of {n_lines} lines"
+            _fail(errors, np.concatenate(arc_lines), np.maximum(src, dst) >= bound, 4,
+                  lambda r: f"state id {max(src[r], dst[r])} {too_large}")
+            _fail(errors, np.concatenate(final_lines), state >= bound, 10, lambda r: f"state id {state[r]} {too_large}")
         if errors:
             at, _, message = min(errors)
             raise ParseError(message, source=source, line=at + 1)
 
-        n = 1 + max((int(c.max()) for c in (src, dst, state) if len(c)), default=-1)
         fst = cls._from_columns(isymbols, osymbols, n, 0 if n else NO_STATE, {}, src, il, ol, w, dst)
         for s, weight in zip(state.tolist(), fw.tolist()):
             fst.set_final(s, weight)
@@ -271,6 +286,77 @@ class WeightedFst:
         return cls.from_text(read_text(path), isymbols, osymbols, source=str(path))
 
 
+def _format_lines(columns, formats) -> bytes:
+    """One line per row of `columns`, its fields formatted by `formats` and joined by spaces.
+
+    Each distinct value of a column is formatted once. The fields become
+    rows of NUL-padded bytes, gathered side by side with the separators,
+    and the NULs are dropped.
+    """
+    n = len(columns[0])
+    parts = []
+    for column, fmt in zip(columns, formats):
+        values, inverse = np.unique(column, return_inverse=True)
+        field = np.array([fmt % v for v in values.tolist()])[inverse]
+        parts += [field.view(np.uint8).reshape(n, field.itemsize), np.full((n, 1), ord(" "), np.uint8)]
+    parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
+    rows = np.concatenate(parts, axis=1)
+    return rows.tobytes().replace(b"\0", b"")
+
+
+def _line_blocks(text: str, size: int) -> Iterator[str]:
+    """`text` in pieces of at least `size` characters, each cut just after a `\\n`
+    (the last may end anywhere), so `str.splitlines` finds the same lines in
+    the pieces as in the whole."""
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + size - 1) + 1 or len(text)
+        yield text[lo:hi]
+        lo = hi
+
+
+def _read_lines(lines: list[str], line0: int, ilabels, olabels, errors: list) -> tuple[np.ndarray, ...]:
+    """Parse the FST text `lines`, the first of which is line index `line0`, into
+    arc and final rows beside each row's line index.
+
+    Each check appends its first failing line to `errors` as (line index, rank,
+    message). The ranks order the checks as one line would meet them; `from_text`
+    runs the state-id bound, ranks 4 and 10, once it has counted every line. Rows
+    after a line that does not convert are not read.
+    """
+    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    arc_at, final_at = np.flatnonzero(fields == 5), np.flatnonzero(fields == 2)
+    arc_line, final_line = arc_at + line0, final_at + line0
+    _fail(errors, np.arange(line0, line0 + len(lines)), ~np.isin(fields, (0, 2, 5)), 0,
+          lambda r: "expected arc or final-state line")
+    arcs, bad_arc = load_rows(lines, arc_at, _ARC_ROW)
+    finals, bad_final = load_rows(lines, final_at, _FINAL_ROW)
+    for rank, at in ((1, bad_arc), (2, bad_final)):
+        if at is not None:
+            message = f"cannot read {lines[at].strip()!r}: ids and labels must be integers and weights numbers"
+            errors.append((line0 + at, rank, message))
+    src, dst, il, ol, w = (arcs[name] for name in _ARC_ROW.names)
+    state, fw = finals["state"], finals["w"]
+    _fail(errors, arc_line, np.minimum(src, dst) < 0, 3, lambda r: f"state ids must be >= 0, got {src[r]} and {dst[r]}")
+    _fail(errors, arc_line, np.minimum(il, ol) < 0, 5, lambda r: f"labels must be >= 0, got {il[r]} and {ol[r]}")
+    if ilabels is not None:
+        _fail(errors, arc_line, ~np.isin(il, ilabels), 6, lambda r: f"input label {il[r]} not in the symbol table")
+    if olabels is not None:
+        _fail(errors, arc_line, ~np.isin(ol, olabels), 7, lambda r: f"output label {ol[r]} not in the symbol table")
+    _fail(errors, arc_line, ~(w > _NEG_INF), 8, lambda r: f"arc weight {lines[arc_at[r]].split()[4]!r} is NaN or -inf")
+    _fail(errors, final_line, state < 0, 9, lambda r: f"state id must be >= 0, got {state[r]}")
+    _fail(errors, final_line, ~(fw > _NEG_INF), 11,
+          lambda r: f"final weight {lines[final_at[r]].split()[1]!r} is NaN or -inf")
+    return arcs, arc_line, finals, final_line
+
+
+def _fail(errors: list, at: np.ndarray, bad: np.ndarray, rank: int, message) -> None:
+    """Append (`at[r]`, `rank`, `message(r)`) for the first row r that is `bad`, if any."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        errors.append((int(at[row]), rank, message(row)))
+
+
 def _loadtxt(rows: list[str], dtype: np.dtype, width: int | None) -> np.ndarray:
     if not rows:
         return np.zeros(0 if width is None else (0, width), dtype)
@@ -283,10 +369,10 @@ def _loadtxt(rows: list[str], dtype: np.dtype, width: int | None) -> np.ndarray:
 
 
 def load_rows(lines: list[str], at, dtype: np.dtype, width: int | None = None) -> tuple[np.ndarray, int | None]:
-    """Parse the non-blank `lines[i]`, i in `at`, in one `np.loadtxt` call into records
-    of a structured `dtype` or `width` columns. If a row does not convert, return the
-    rows before it and its index in `lines`, found by bisecting with the same call."""
-    rows = [lines[i] for i in np.asarray(at, dtype=np.int64).tolist()]
+    """Parse the non-blank `lines[i]`, i in `at` (increasing), in one `np.loadtxt` call into
+    records of a structured `dtype` or `width` columns. If a row does not convert, return
+    the rows before it and its index in `lines`, found by bisecting with the same call."""
+    rows = lines if len(at) == len(lines) else [lines[i] for i in np.asarray(at, dtype=np.int64).tolist()]
     try:
         return _loadtxt(rows, dtype, width), None
     except (ValueError, Warning):

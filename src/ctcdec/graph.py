@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import fst as fstlib
 from .arpa import SENTENCE_END, SENTENCE_START, ArpaModel
@@ -78,6 +78,17 @@ def build_T(units: Sequence[str]) -> WeightedFst:
     return t
 
 
+def prefix_prons(prons: Iterable[tuple[str, ...]]) -> set[tuple[str, ...]]:
+    """The pronunciations that are a proper prefix of another one.
+
+    In sorted order, whatever lies between p and a longer q that p
+    prefixes also starts with p, so each pronunciation need only be
+    tested against its successor.
+    """
+    ordered = sorted(set(prons))
+    return {p for p, q in zip(ordered, ordered[1:]) if q[: len(p)] == p}
+
+
 def build_L(
     lex: Lexicon,
     units: Sequence[str] | None = None,
@@ -106,15 +117,12 @@ def build_L(
             if unit not in unit_ids:
                 raise ConfigurationError(f"unit {unit!r} of word {word!r} missing from the unit inventory")
 
-    prons = [pron for _, pron in lex.entries]
-    counts = Counter(prons)
-    prefix_prons = {
-        p for p in counts if any(q != p and q[: len(p)] == p for q in counts)
-    }
+    counts = Counter(pron for _, pron in lex.entries)
+    prefixes = prefix_prons(counts)
     assignments: list[int] = []  # disambig index per entry, 0 = none
     used: dict[tuple[str, ...], int] = {}
     for _, pron in lex.entries:
-        if counts[pron] > 1 or pron in prefix_prons:
+        if counts[pron] > 1 or pron in prefixes:
             used[pron] = used.get(pron, 0) + 1
             assignments.append(used[pron])
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ParseError, numbered_lines, parse_count, read_text
+from .errors import ParseError, numbered_lines, parse_count, read_text, write_atomic
 
 EPSILON = 0
 EPSILON_SYMBOL = "<eps>"
@@ -84,7 +84,7 @@ class SymbolTable:
         return "".join(f"{sym} {sym_id}\n" for sym, sym_id in self)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        write_atomic(path, [self.to_text().encode("utf-8")])
 
     @classmethod
     def read(cls, path: str | Path) -> "SymbolTable":

@@ -43,6 +43,27 @@ class TestBuildGraph:
         golden = DATA / "golden" / "TLG.fst"
         assert (out / "TLG.fst").read_bytes() == golden.read_bytes()
 
+    def test_failed_rebuild_leaves_the_directory_as_it_was(self, tmp_path, capsys):
+        """Every machine is built before any file is written, so a rebuild with
+        a new unit that fails in determinization changes no file, T.fst and
+        tokens.txt included."""
+        out = _build(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        units = tmp_path / "units.txt"
+        units.write_text((DATA / "units.txt").read_text(encoding="utf-8") + "d 4\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "build-graph",
+            "--units", str(units),
+            "--lexicon", str(DATA / "lexicon.txt"),
+            "--arpa", str(DATA / "lm.arpa"),
+            "--out", str(out),
+            "--det-budget", "1",
+        ])
+        assert code == 1
+        assert "state budget" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_without_arpa_is_t_only(self, tmp_path, capsys):
         out = tmp_path / "nolm"
         code = main(["build-graph", "--units", str(DATA / "units.txt"), "--out", str(out)])

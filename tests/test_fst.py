@@ -1,13 +1,16 @@
 import math
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctcdec import fst as fstlib
 from ctcdec import semiring
-from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError
+from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError, write_atomic
 from ctcdec.fst import (
     WeightedFst,
     compose,
@@ -49,6 +52,69 @@ def _tables(n_in=3, n_out=3):
     isym = SymbolTable.with_epsilon([f"i{k}" for k in range(1, n_in + 1)])
     osym = SymbolTable.with_epsilon([f"o{k}" for k in range(1, n_out + 1)])
     return isym, osym
+
+
+# Bad-line cases of `TestTextFormat`, which `TestTextBlocks` also reads with tiny blocks.
+NAN_WEIGHT_TEXTS = [
+    ("0 1 1 1 nan\n1 0.0\n", 1),
+    ("0 1 1 1 -inf\n1 0.0\n", 1),
+    ("0 1 1 1 0.0\n1 nan\n", 2),
+    ("0 1 1 1 0.0\n1 -inf\n", 2),
+]
+NEGATIVE_LINES = ["-1 0 1 1 0.5", "0 -3 1 1 0.5", "0 1 -2 3 0.5", "-2 0"]
+BAD_MID_LINES = [
+    ("1 2 3", "expected arc or final-state line"),
+    ("1 2 1 1 0.0 #", "expected arc or final-state line"),
+    ("1.0 2 1 1 0.0", "cannot read"),
+    ("1e3 2 1 1 0.0", "cannot read"),
+    ("1 2 # 1 0.0", "cannot read"),
+    ("# 0.0", "cannot read"),
+    ("1.0 0.0", "cannot read"),
+    ("1e3 0.0", "cannot read"),
+    ("1 2 1 3 0.0", "output label 3 not in the symbol table"),
+    ("1 2 5 1 0.0", "input label 5 not in the symbol table"),
+    ("1 nan", "final weight 'nan' is NaN or -inf"),
+    ("1 -inf", "final weight '-inf' is NaN or -inf"),
+]
+NON_ASCII_LINES = ["1_0 2 1 1 0.0", "0 ١ 1 1 0.0", "0 1 1 1 1_0", "1 ٣"]
+TOO_LARGE_LINES = [
+    ("0 1000000000 1 1 0.0", 1000000000),
+    ("1000000000 0 1 1 0.0", 1000000000),
+    ("9223372036854775807 0", 9223372036854775807),
+    ("0 6 1 1 0.0", 6),
+    ("6 0", 6),
+]
+UNCONVERTIBLE_AT = [0, 1, 500, 998, 999]
+# The same file with a bad final weight on line 3 (and a line 5 that does not
+# convert), and then also a negative state id on line 2.
+FIRST_FAILING_TEXTS = [
+    "0 1 1 1 0.0\n0 1 1 1 0.0\n1 nan\n0 1 1 1 0.0\n0 x 1 1 0.0",
+    "0 1 1 1 0.0\n0 -1 1 1 0.0\n1 nan\n0 1 1 1 0.0\n0 x 1 1 0.0",
+]
+
+
+def _long_file_with_unconvertible_line(at: int) -> list[str]:
+    lines = [f"{i} {i + 1} 1 1 0.25" for i in range(1000)]
+    lines[at] = f"{at} {at + 1} 1 1.5 0.25"
+    return lines
+
+
+def _bad_texts():
+    """(text, isymbols, osymbols) of every bad-line case of `TestTextFormat`."""
+    yield "0 1 1 1 0.0\nnot an arc line\n", None, None
+    for text, _ in NAN_WEIGHT_TEXTS:
+        yield text, None, None
+    for bad in [*NEGATIVE_LINES, *NON_ASCII_LINES, *(bad for bad, _ in TOO_LARGE_LINES)]:
+        yield f"0 1 1 1 0.0\n{bad}\n1 0.0\n", None, None
+    isym = SymbolTable.with_epsilon(["a"])
+    yield "0 1 9 1 0.0\n1 0.0\n", isym, isym.copy()
+    isym, osym = _tables(4, 2)
+    for bad, _ in BAD_MID_LINES:
+        yield f"0 1 1 1 0.0\n1 2 2 2 0.5\n{bad}\n2 0.0\n0 1 3 0 1.0\n", isym, osym
+    for text in FIRST_FAILING_TEXTS:
+        yield text, None, None
+    for at in UNCONVERTIBLE_AT:
+        yield "\n".join(_long_file_with_unconvertible_line(at)), None, None
 
 
 class TestCompose:
@@ -309,20 +375,12 @@ class TestTextFormat:
         with pytest.raises(Exception, match="2"):
             WeightedFst.from_text("0 1 1 1 0.0\nnot an arc line\n", source="x.fst")
 
-    @pytest.mark.parametrize(
-        "text,line",
-        [
-            ("0 1 1 1 nan\n1 0.0\n", 1),
-            ("0 1 1 1 -inf\n1 0.0\n", 1),
-            ("0 1 1 1 0.0\n1 nan\n", 2),
-            ("0 1 1 1 0.0\n1 -inf\n", 2),
-        ],
-    )
+    @pytest.mark.parametrize("text,line", NAN_WEIGHT_TEXTS)
     def test_nan_or_minus_inf_weight_rejected(self, text, line):
         with pytest.raises(ParseError, match=f"x.fst:{line}: .*NaN or -inf"):
             WeightedFst.from_text(text, source="x.fst")
 
-    @pytest.mark.parametrize("bad", ["-1 0 1 1 0.5", "0 -3 1 1 0.5", "0 1 -2 3 0.5", "-2 0"])
+    @pytest.mark.parametrize("bad", NEGATIVE_LINES)
     def test_negative_state_or_label_rejected_citing_line(self, bad):
         with pytest.raises(ParseError, match=r"x.fst:2: .*>= 0"):
             WeightedFst.from_text(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", source="x.fst")
@@ -350,61 +408,32 @@ class TestTextFormat:
         with pytest.raises(Exception, match="label 9"):
             WeightedFst.from_text("0 1 9 1 0.0\n1 0.0\n", isym, isym.copy(), source="x.fst")
 
-    @pytest.mark.parametrize(
-        "bad,match",
-        [
-            ("1 2 3", "expected arc or final-state line"),
-            ("1 2 1 1 0.0 #", "expected arc or final-state line"),
-            ("1.0 2 1 1 0.0", "cannot read"),
-            ("1e3 2 1 1 0.0", "cannot read"),
-            ("1 2 # 1 0.0", "cannot read"),
-            ("# 0.0", "cannot read"),
-            ("1.0 0.0", "cannot read"),
-            ("1e3 0.0", "cannot read"),
-            ("1 2 1 3 0.0", "output label 3 not in the symbol table"),
-            ("1 2 5 1 0.0", "input label 5 not in the symbol table"),
-            ("1 nan", "final weight 'nan' is NaN or -inf"),
-            ("1 -inf", "final weight '-inf' is NaN or -inf"),
-        ],
-    )
+    @pytest.mark.parametrize("bad,match", BAD_MID_LINES)
     def test_bad_line_in_mid_file_cites_its_line(self, bad, match):
         isym, osym = _tables(4, 2)
         text = f"0 1 1 1 0.0\n1 2 2 2 0.5\n{bad}\n2 0.0\n0 1 3 0 1.0\n"
         with pytest.raises(ParseError, match=f"x.fst:3: {match}"):
             WeightedFst.from_text(text, isym, osym, source="x.fst")
 
-    @pytest.mark.parametrize("bad", ["1_0 2 1 1 0.0", "0 ١ 1 1 0.0", "0 1 1 1 1_0", "1 ٣"])
+    @pytest.mark.parametrize("bad", NON_ASCII_LINES)
     def test_underscores_and_non_ascii_digits_rejected(self, bad):
         with pytest.raises(ParseError, match="x.fst:2: cannot read"):
             WeightedFst.from_text(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", source="x.fst")
 
     def test_first_failing_line_is_cited_across_kinds_of_error(self):
-        lines = ["0 1 1 1 0.0"] * 5
-        lines[4] = "0 x 1 1 0.0"  # does not convert
-        lines[2] = "1 nan"  # a bad final weight, earlier
+        later, earlier = FIRST_FAILING_TEXTS
         with pytest.raises(ParseError, match="x.fst:3: final weight"):
-            WeightedFst.from_text("\n".join(lines), source="x.fst")
-        lines[1] = "0 -1 1 1 0.0"  # a negative state id, earlier still
+            WeightedFst.from_text(later, source="x.fst")
         with pytest.raises(ParseError, match="x.fst:2: state ids"):
-            WeightedFst.from_text("\n".join(lines), source="x.fst")
+            WeightedFst.from_text(earlier, source="x.fst")
 
-    @pytest.mark.parametrize("at", [0, 1, 500, 998, 999])
+    @pytest.mark.parametrize("at", UNCONVERTIBLE_AT)
     def test_unconvertible_line_found_in_a_long_file(self, at):
-        lines = [f"{i} {i + 1} 1 1 0.25" for i in range(1000)]
-        lines[at] = f"{at} {at + 1} 1 1.5 0.25"
+        lines = _long_file_with_unconvertible_line(at)
         with pytest.raises(ParseError, match=f"x.fst:{at + 1}: cannot read '{at} {at + 1} 1 1.5 0.25'"):
             WeightedFst.from_text("\n".join(lines), source="x.fst")
 
-    @pytest.mark.parametrize(
-        "bad,state",
-        [
-            ("0 1000000000 1 1 0.0", 1000000000),
-            ("1000000000 0 1 1 0.0", 1000000000),
-            ("9223372036854775807 0", 9223372036854775807),
-            ("0 6 1 1 0.0", 6),
-            ("6 0", 6),
-        ],
-    )
+    @pytest.mark.parametrize("bad,state", TOO_LARGE_LINES)
     def test_state_id_past_what_the_file_can_describe_rejected(self, bad, state):
         # Three lines name at most six states, ids 0 to 5. The machine is
         # sized by its largest id, so this must fail before any allocation.
@@ -429,6 +458,165 @@ class TestTextFormat:
         assert [(a.ilabel, a.olabel) for a in fst.arcs(0)] == [(2, 1), (1, 2)]
         assert [(a.ilabel, a.olabel) for a in fst.arcs(1)] == [(2, 2), (1, 1)]
         assert fst.num_states() == 2 and fst.start == 0
+
+
+# Every line break `str.splitlines` knows.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _parse_error(text, isymbols=None, osymbols=None) -> tuple[str, int]:
+    with pytest.raises(ParseError) as info:
+        WeightedFst.from_text(text, isymbols, osymbols, source="x.fst")
+    return str(info.value), info.value.line
+
+
+def _machine(fst: WeightedFst) -> tuple:
+    a = fst.arc_arrays()
+    return fst.num_states(), fst.start, fst.finals, *(c.tolist() for c in (a.offsets, *a.columns()[1:]))
+
+
+class TestTextBlocks:
+    """`from_text` reads a block of lines at a time, and `to_text` and `write`
+    format a chunk of arcs at a time; no size may show in what they give."""
+
+    @pytest.fixture
+    def tiny(self, monkeypatch):
+        def set_size(size: int) -> None:
+            monkeypatch.setattr(fstlib, "_READ_BLOCK", size)
+            monkeypatch.setattr(fstlib, "_TEXT_CHUNK", size)
+        return set_size
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_machine_and_bytes_do_not_depend_on_block_size(self, tiny, tmp_path, size):
+        rng = random.Random(57)
+        isym, osym = _tables()
+        fsts = [random_acyclic_fst(rng, isym, osym) for _ in range(20)]
+        texts = [fst.to_text() for fst in fsts]
+        shuffled = []  # file order is arc order within a state, so parse an unsorted file too
+        for text in texts:
+            lines = text.splitlines(keepends=True)
+            rng.shuffle(lines)
+            shuffled.append("".join(lines))
+        parsed = [_machine(WeightedFst.from_text(text, isym, osym)) for text in texts + shuffled]
+        tiny(size)
+        for fst, text in zip(fsts, texts):
+            assert fst.to_text() == text
+            fst.write(tmp_path / "x.fst")
+            assert (tmp_path / "x.fst").read_bytes() == text.encode("ascii")
+        assert [_machine(WeightedFst.from_text(text, isym, osym)) for text in texts + shuffled] == parsed
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 40])
+    def test_errors_do_not_depend_on_block_size(self, tiny, size):
+        expected = [_parse_error(*case) for case in _bad_texts()]
+        tiny(size)
+        assert [_parse_error(*case) for case in _bad_texts()] == expected
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("-1 1000000000 1 1 0.0", "state ids must be >= 0, got -1 and 1000000000"),
+            ("0 1000000000 -1 1 0.0", "state id 1000000000 is too large for a file of 3 lines"),
+            ("0 1000000000 9 1 nan", "state id 1000000000 is too large for a file of 3 lines"),
+            ("0 1 9 -1 nan", "labels must be >= 0, got 9 and -1"),
+            ("0 1 9 1 nan", "input label 9 not in the symbol table"),
+            ("1000000000 nan", "state id 1000000000 is too large for a file of 3 lines"),
+            ("-1 nan", "state id must be >= 0, got -1"),
+        ],
+    )
+    @pytest.mark.parametrize("size", [1, 1 << 18])
+    def test_a_line_failing_two_checks_cites_the_first_check(self, tiny, bad, message, size):
+        isym = SymbolTable.with_epsilon(["a"])
+        tiny(size)
+        assert _parse_error(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", isym, isym.copy()) == (f"x.fst:2: {message}", 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lines_are_the_lines_of_the_whole_text(self, tiny, seed):
+        """Every line break, blank lines on each side of a cut, and a last
+        line with no break: each block size finds the lines that
+        `str.splitlines` finds in the whole text, and cites them alike."""
+        rng = random.Random(seed)
+        rows = [f"{i} {i + 1} 1 1 0.{i}" for i in range(12)] + [f"{i} 0.5" for i in range(0, 13, 4)]
+        pieces = []
+        for row in rows:
+            pieces.append(row + rng.choice(LINE_BREAKS))
+            pieces += [rng.choice(["", " ", "\t"]) + rng.choice(LINE_BREAKS) for _ in range(rng.randrange(3))]
+        text = "".join(pieces).rstrip("".join(LINE_BREAKS))  # the last line ends without a break
+        bad_at = rng.randrange(len(pieces))
+        bad = "".join(pieces[:bad_at]) + "0 -1 1 1 0.0\n" + "".join(pieces[bad_at:])
+        bad_line = len("".join(pieces[:bad_at]).splitlines()) + 1
+        too_large = text + "\n" + f"{2 * (len(text.splitlines()) + 1)} 0.0"
+        whole = WeightedFst.from_text(text)
+        assert (whole.num_arcs(), len(whole.finals)) == (12, 4)
+        expected = _machine(whole)
+        for size in (1, 2, 3, 11, 64):
+            tiny(size)
+            assert _machine(WeightedFst.from_text(text)) == expected
+            assert _parse_error(bad) == (f"x.fst:{bad_line}: state ids must be >= 0, got 0 and -1", bad_line)
+            message, line = _parse_error(too_large)
+            assert line == len(too_large.splitlines()) and "too large" in message
+
+    def test_write_that_fails_midway_leaves_the_old_file(self, monkeypatch, tiny, tmp_path):
+        path = tmp_path / "x.fst"
+        path.write_bytes(b"old\n")
+        isym, osym = _tables()
+        fst = linear_fst([1, 2, 3, 1], isymbols=isym, osymbols=osym)
+        tiny(1)
+        format_lines, calls = fstlib._format_lines, []
+
+        def fail_on_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return format_lines(*args)
+
+        monkeypatch.setattr(fstlib, "_format_lines", fail_on_third)
+        with pytest.raises(OSError, match="no space left"):
+            fst.write(path)
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.fst"]
+
+    def test_atomic_write_replaces_whole_or_not_at_all(self, tmp_path):
+        path, other = tmp_path / "x.txt", tmp_path / "other.txt"
+        path.write_bytes(b"old\n")
+        other.touch()
+
+        def chunks():
+            yield b"new "
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt", "x.txt"]
+        write_atomic(path, [b"new ", b"text\n"])
+        assert path.read_bytes() == b"new text\n"
+        assert path.stat().st_mode == other.stat().st_mode  # the mode of any new file, not a temporary's 0600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt", "x.txt"]
+
+    def test_read_and_write_hold_a_bounded_amount_per_line(self, tmp_path):
+        """Above what each call keeps, reading and writing 120k arc lines must
+        peak at under 64 bytes a line. A Python `str` per line alone costs more."""
+        rng = np.random.default_rng(11)
+        n = 120_000
+        columns = (np.sort(rng.integers(0, 30_000, n)), rng.integers(0, 30_000, n), rng.integers(0, 60, n),
+                   rng.integers(0, 300, n), rng.integers(0, 10**5, n) / 997)
+        text = "".join(map("{} {} {} {} {:.6f}\n".format, *(c.tolist() for c in columns)))
+        text += "".join(f"{s} 0.5\n" for s in range(0, 30_000, 97))
+        lines = len(text.splitlines())
+        tracemalloc.start()
+        try:
+            fst = WeightedFst.from_text(text)
+            kept, peak = tracemalloc.get_traced_memory()
+            read_excess = peak - kept
+            tracemalloc.reset_peak()
+            fst.write(tmp_path / "x.fst")
+            kept, peak = tracemalloc.get_traced_memory()
+            write_excess = peak - kept
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "x.fst").read_text(encoding="utf-8") == fst.to_text()
+        assert read_excess < 64 * lines, f"from_text peaked {read_excess / lines:.0f} bytes a line above what it kept"
+        assert write_excess < 64 * lines, f"write peaked {write_excess / lines:.0f} bytes a line above what it kept"
 
 
 def test_connect_drops_unproductive_states():

@@ -4,12 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctcdec.arpa import parse_arpa
 from ctcdec.decode import WfstBeamDecoder
 from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.fst import WeightedFst, compose, determinize
-from ctcdec.graph import build_G, build_L, build_T, build_TLG, disambig_ids, read_units
+from ctcdec.graph import build_G, build_L, build_T, build_TLG, disambig_ids, prefix_prons, read_units
 from ctcdec.lexicon import Lexicon, parse_lexicon
 from ctcdec.symbols import SymbolTable
 
@@ -219,6 +221,12 @@ class TestLexiconFst:
         l = build_L(lex)
         det = determinize(compose(l, g))  # default 10x-plus-floor budget
         assert det.num_states() > 0
+
+    @given(st.lists(st.lists(st.sampled_from("abc"), max_size=4).map(tuple), max_size=40))
+    def test_prefix_prons_match_the_pairwise_definition(self, prons):
+        """Three units and short words give many homophones and prefix chains."""
+        pairwise = {p for p in prons if any(q != p and q[: len(p)] == p for q in prons)}
+        assert prefix_prons(prons) == pairwise
 
     def test_homophones_both_recoverable(self):
         lex = parse_lexicon("won w a n\none w a n\n")
