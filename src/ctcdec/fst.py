@@ -320,9 +320,10 @@ def _read_lines(lines: list[str], line0: int, ilabels, olabels, errors: list) ->
     arc and final rows beside each row's line index.
 
     Each check appends its first failing line to `errors` as (line index, rank,
-    message). The ranks order the checks as one line would meet them; `from_text`
-    runs the state-id bound, ranks 4 and 10, once it has counted every line. Rows
-    after a line that does not convert are not read.
+    message). The rank fixes which message a line that fails two checks cites,
+    whichever block runs it; `from_text` runs the state-id bound, ranks 4 and 10,
+    once it has counted every line. Rows after a line that does not convert are
+    not read.
     """
     fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
     arc_at, final_at = np.flatnonzero(fields == 5), np.flatnonzero(fields == 2)
