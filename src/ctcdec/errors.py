@@ -4,6 +4,7 @@ and the one way files are written."""
 from __future__ import annotations
 
 import os
+import stat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -79,15 +80,22 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
 
     So `path` holds either its old bytes or all the new ones, never a
     prefix, even when producing a chunk raises. On any failure the new
-    file is removed. The new file is made like any other, with the mode
-    the umask allows.
+    file is removed. A symlink at `path` is followed: the file it points
+    to is replaced and the link kept. The new file keeps the permission
+    bits of the file it replaces, or else gets the mode the umask allows;
+    its owner is the writer, and a hard link to the old file keeps the
+    old bytes.
     """
-    path = Path(path)
+    path = Path(path).resolve()
     temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(temp, "xb") as file:
             for chunk in chunks:
                 file.write(chunk)
+        try:
+            os.chmod(temp, stat.S_IMODE(path.stat().st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

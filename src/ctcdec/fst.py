@@ -373,7 +373,7 @@ def load_rows(lines: list[str], at, dtype: np.dtype, width: int | None = None) -
     """Parse the non-blank `lines[i]`, i in `at` (increasing), in one `np.loadtxt` call into
     records of a structured `dtype` or `width` columns. If a row does not convert, return
     the rows before it and its index in `lines`, found by bisecting with the same call."""
-    rows = lines if len(at) == len(lines) else [lines[i] for i in np.asarray(at, dtype=np.int64).tolist()]
+    rows = [lines[i] for i in np.asarray(at, dtype=np.int64).tolist()]
     try:
         return _loadtxt(rows, dtype, width), None
     except (ValueError, Warning):

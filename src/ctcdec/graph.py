@@ -254,10 +254,15 @@ def build_TLG(
         return WeightedFst(t.isymbols.copy(), g.osymbols.copy())
     det = fstlib.determinize(lg, state_budget)
     mind = fstlib.minimize(det)
-    aux = disambig_ids(mind.isymbols)
+    return fstlib.compose(t, strip_disambig(mind))
+
+
+def strip_disambig(fst: WeightedFst) -> WeightedFst:
+    """`fst` with the disambiguation symbols on its input tape rewritten
+    to epsilon and dropped from its input table."""
+    aux = disambig_ids(fst.isymbols)
     clean = SymbolTable()
-    for sym, sym_id in mind.isymbols:
+    for sym, sym_id in fst.isymbols:
         if sym_id not in aux:
             clean.add(sym, sym_id)
-    stripped = fstlib.relabel_ilabels(mind, {a: 0 for a in aux}, isymbols=clean)
-    return fstlib.compose(t, stripped)
+    return fstlib.relabel_ilabels(fst, {a: 0 for a in aux}, isymbols=clean)

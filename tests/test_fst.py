@@ -593,6 +593,21 @@ class TestTextBlocks:
         assert path.stat().st_mode == other.stat().st_mode  # the mode of any new file, not a temporary's 0600
         assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt", "x.txt"]
 
+    def test_atomic_write_replaces_the_file_a_symlink_points_to(self, tmp_path):
+        shared, out = tmp_path / "shared", tmp_path / "out"
+        shared.mkdir()
+        out.mkdir()
+        target = shared / "TLG.fst"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        (out / "TLG.fst").symlink_to(target)
+        WeightedFst.from_text("0 1 1 1 0.5\n1 0\n").write(out / "TLG.fst")
+        assert (out / "TLG.fst").is_symlink()
+        assert target.read_bytes() == b"0 1 1 1 0.500000\n1 0.000000\n"
+        assert target.stat().st_mode & 0o777 == 0o640  # the replaced file's mode, kept
+        assert [p.name for p in shared.iterdir()] == ["TLG.fst"]
+        assert [p.name for p in out.iterdir()] == ["TLG.fst"]
+
     def test_read_and_write_hold_a_bounded_amount_per_line(self, tmp_path):
         """Above what each call keeps, reading and writing 120k arc lines must
         peak at under 64 bytes a line. A Python `str` per line alone costs more."""
