@@ -420,16 +420,19 @@ def _take(tokens: _Tokens, index: np.ndarray) -> _Tokens:
     return tokens[0].take(index, axis=1), tokens[1].take(index, axis=1)
 
 
-def _cheapest(key: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates sorted by (key, cost, index) as `order`, and `heads`, the
-    positions in `order` where a key begins: `order[heads]` is each key's
-    cheapest candidate, the first among equals, in key order."""
+def _ranked(tokens: _Tokens) -> np.ndarray:
+    """The tokens' indices in (cost, state, ctx) order."""
+    return np.lexsort((tokens[1][3], tokens[1][0], tokens[0][0]))
+
+
+def _cheapest(key: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Each key's cheapest candidate, the first among equals, in key order."""
     order = np.lexsort((cost, key))
     ranked = key[order]
     head = np.empty(len(ranked), dtype=bool)
     head[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
-    return order, head.nonzero()[0]
+    return order[head]
 
 
 def _distinct(key: np.ndarray) -> int:
@@ -437,11 +440,6 @@ def _distinct(key: np.ndarray) -> int:
     (`np.unique` hashes, which is several times slower on a frame's keys)."""
     ranked = np.sort(key)
     return len(ranked) - int(np.count_nonzero(ranked[1:] == ranked[:-1]))
-
-
-def _by_arrival(order: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """The permutation of `_cheapest`'s keys into the order they are first reached."""
-    return np.minimum.reduceat(order, heads).argsort()
 
 
 class _Links:
@@ -528,11 +526,14 @@ class WfstBeamDecoder(StreamingDecoder):
     graph apart from the label-0 arcs as `emitting`. It drops the
     candidates beyond `score_beam` of the frame's best whose state no
     label-0 path leaves or reaches, which pruning would drop anyway, and
-    recombines the rest per (state, context node), where the first arrival
-    wins among equal costs. The survivors then follow the label-0 paths of
-    their states, frozen as `closure` (a label-0 cycle is refused here),
-    and the path ends merge in the same way. Arcs of weight +inf lie on no
-    finite path and are not searched. Counters over the stream:
+    recombines the rest per (state, context node). Ties are settled from
+    the tokens, never from the order they arrive in: tokens are held in
+    `_prune`'s (cost, state, context node) order between frames, and among
+    equal costs the candidate of the token first in that order wins, then
+    the one whose arc comes first. The survivors then follow the label-0
+    paths of their states, frozen as `closure` (a label-0 cycle is refused
+    here), and the path ends merge as `_close` says. Arcs of weight +inf
+    lie on no finite path and are not searched. Counters over the stream:
     `arcs_expanded` (emitting arcs with a finite log-probability, plus
     label-0 hops), `tokens_pruned_beam`, `tokens_pruned_max_active` and
     `eps_relaxations` (keys that a label-0 path improved or added).
@@ -579,7 +580,8 @@ class WfstBeamDecoder(StreamingDecoder):
         self._units = _Links()
         self._words = _Links()
         self._tokens = (np.zeros((4, 1)), np.array([[graph.start, -1, 0, ContextGraph.START, -1, -1, 0]]).T)
-        self._close(by_arrival=True)  # no `_prune` follows to order the tokens
+        self._close()
+        self._tokens = _take(self._tokens, _ranked(self._tokens))  # `_prune`'s order, with no cut
         self._link()
 
     @property
@@ -610,15 +612,10 @@ class WfstBeamDecoder(StreamingDecoder):
         key = nextstate if ctx is None else nextstate * self._n_ctx + ctx
         # The exact beam cut: `_close` can only lower the best cost, so `_prune`
         # drops a candidate beyond the beam of this best unless a label-0 path
-        # leaves or reaches its state. Such paths' sources keep every candidate,
-        # so the order keys are first reached in stays what it is among them.
+        # leaves or reaches its state.
         kept = ((cost <= np.minimum.reduce(cost) + self.score_beam) | view.on_label0[nextstate]).nonzero()[0]
-        order, heads = _cheapest(key[kept], cost[kept])
-        self.tokens_pruned_beam += _distinct(key) - len(heads)  # the keys cut whole, as `_prune` counts them
-        win = kept[order[heads]]
-        paths = view.starts_label0[nextstate[win]].any()
-        if paths:  # `_close` follows the order of arrival
-            win = win[_by_arrival(order, heads)]
+        win = kept[_cheapest(key[kept], cost[kept])]
+        self.tokens_pruned_beam += _distinct(key) - len(win)  # the keys cut whole, as `_prune` counts them
 
         parent = src[win]
         floats = floats.take(parent, axis=1)
@@ -660,25 +657,23 @@ class WfstBeamDecoder(StreamingDecoder):
             cost -= delta
         return gw, cost, delta
 
-    def _close(self, by_arrival: bool = False) -> None:
-        """Follow every token's label-0 paths and merge their ends in:
-        shorter paths first, then the latest-arriving token first, then
-        closure order. A hop is costed like an emitting arc with no
-        acoustic part; a word on it first links the pending word. A path's
-        end replaces the token at its key only if strictly cheaper. The
-        tokens come out in key order, or, `by_arrival`, held keys first and
-        then new keys in the order found."""
+    def _close(self) -> None:
+        """Follow the label-0 paths of the tokens, held in (state, ctx) order,
+        and merge their ends in. A hop is costed like an emitting arc with
+        no acoustic part; a word on it first links the pending word. A
+        path's end replaces the token at its key only if strictly cheaper;
+        among ends of equal cost the shorter path wins, then the one whose
+        source comes first, then the first in closure order."""
         arcs = self._arcs
         offsets, paths = arcs.closure
         floats, ints = self._tokens
-        back = ints[0][::-1]  # each token's state, the latest-arriving token first
-        first = offsets[back]
-        count = offsets[back + 1] - first
+        first = offsets[ints[0]]
+        count = offsets[ints[0] + 1] - first
         if not np.count_nonzero(count):
             return
-        held = len(back)
+        held = len(first)
         src, rows = _spans(first, count)
-        src, hops = held - 1 - src, paths[rows]
+        hops = paths[rows]
         starts = [0]  # hop j moves rows starts[j]:, as shorter paths come first
         if hops.shape[1] > 1:
             length = (hops >= 0).sum(axis=1)
@@ -708,21 +703,17 @@ class WfstBeamDecoder(StreamingDecoder):
         if _distinct(key) == len(key):  # every path ends at a new key
             self.eps_relaxations += len(src)
             return
-        order, heads = _cheapest(key, floats[0])
-        win = order[heads]
-        if by_arrival:
-            win = win[_by_arrival(order, heads)]
+        win = _cheapest(key, floats[0])
         self.eps_relaxations += int(np.count_nonzero(win >= held))
         self._tokens = _take(self._tokens, win)
 
     def _prune(self) -> None:
         """Keep tokens within `score_beam` of the best, then the `max_active`
         cheapest, ordered by (cost, state, ctx)."""
-        floats, ints = self._tokens
-        cost = floats[0]
+        cost = self._tokens[0][0]
         if not len(cost):
             return
-        order = np.lexsort((ints[3], ints[0], cost))
+        order = _ranked(self._tokens)
         ranked = cost[order]
         within = int(ranked.searchsorted(ranked[0] + self.score_beam, "right"))
         keep = min(within, self.max_active)

@@ -9,8 +9,7 @@ A machine stores its arcs as one `ArcArrays`: CSR columns grouped by
 source state. The arrays are the storage, not a cache of it. Every
 algorithm here reads rows from them and emits new columns, which one
 private constructor turns into the result; no pass makes an object per
-arc. `WeightedFst.arcs` builds `Arc` values for one state on demand, for
-tests and oracles.
+arc.
 
 Every algorithm but `determinize` is array code. `compose` expands the
 composed states a frontier at a time, giving each new one a dense id
@@ -55,14 +54,6 @@ _FINAL_ROW = np.dtype([("state", np.int64), ("w", np.float64)])
 _READ_BLOCK = 1 << 18  # characters `from_text` splits into lines at once, which bounds the line objects it holds
 _TEXT_CHUNK = 1 << 14  # arcs `to_text` and `write` format at once, which bounds the byte rows they hold
 _EXPAND_KEYS = 256  # composed states `compose` expands at once, which bounds the arc rows it holds
-
-
-@dataclass(frozen=True)
-class Arc:
-    ilabel: int
-    olabel: int
-    weight: float
-    nextstate: int
 
 
 class WeightedFst:
@@ -144,12 +135,6 @@ class WeightedFst:
 
     def states(self) -> range:
         return range(self._num_states)
-
-    def arcs(self, state: int) -> list[Arc]:
-        """The arcs leaving `state`, built as `Arc` values on each call."""
-        a = self.arc_arrays()
-        span = slice(a.offsets[state], a.offsets[state + 1])
-        return list(map(Arc, *(c[span].tolist() for c in (a.ilabel, a.olabel, a.weight, a.nextstate))))
 
     def final_weight(self, state: int) -> float:
         return self.finals.get(state, semiring.ZERO)
@@ -486,12 +471,11 @@ class ArcArrays:
         state, with the states on a label-0 path as `closure` holds them."""
         arc = np.flatnonzero((self.ilabel != 0) & (self.weight < np.inf))
         by_state, paths = self.closure
-        starts_label0 = np.diff(by_state) > 0
-        on_label0 = starts_label0.copy()
+        on_label0 = np.diff(by_state) > 0
         on_label0[self.nextstate[paths[:, 0]]] = True  # every label-0 arc is a path of one hop
         view = EmittingArcs(_offsets(self.sources()[arc], self.num_states),
                             np.stack((self.nextstate[arc], self.ilabel[arc] - 1, self.olabel[arc])),
-                            self.weight[arc], starts_label0, on_label0)
+                            self.weight[arc], on_label0)
         for array in view:
             array.flags.writeable = False
         return view
@@ -502,14 +486,12 @@ class EmittingArcs(NamedTuple):
 
     State s owns columns `offsets[s]:offsets[s + 1]` of `arcs`, whose rows
     are (nextstate, acoustic column = ilabel - 1, olabel), and of `weight`.
-    `starts_label0` and `on_label0` mark the states that a label-0 path
-    leaves, and that one leaves or reaches.
+    `on_label0` marks the states that a label-0 path leaves or reaches.
     """
 
     offsets: np.ndarray
     arcs: np.ndarray
     weight: np.ndarray
-    starts_label0: np.ndarray
     on_label0: np.ndarray
 
 

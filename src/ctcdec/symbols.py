@@ -22,6 +22,7 @@ class SymbolTable:
     def __init__(self) -> None:
         self._sym_to_id: dict[str, int] = {}
         self._id_to_sym: dict[int, str] = {}
+        self._next_id = 0  # the largest id + 1 (at least 0), which an add without an id takes
 
     @classmethod
     def with_epsilon(cls, symbols: Iterable[str] = ()) -> "SymbolTable":
@@ -33,17 +34,20 @@ class SymbolTable:
         return table
 
     def add(self, symbol: str, symbol_id: int | None = None) -> int:
+        """Map `symbol` to `symbol_id`, or, with no id, to the largest id + 1
+        (at least 0); returns the id."""
         if symbol in self._sym_to_id:
             existing = self._sym_to_id[symbol]
             if symbol_id is not None and symbol_id != existing:
                 raise ValueError(f"symbol {symbol!r} already mapped to id {existing}")
             return existing
         if symbol_id is None:
-            symbol_id = max(self._id_to_sym, default=-1) + 1
+            symbol_id = self._next_id
         if symbol_id in self._id_to_sym:
             raise ValueError(f"id {symbol_id} already mapped to {self._id_to_sym[symbol_id]!r}")
         self._sym_to_id[symbol] = symbol_id
         self._id_to_sym[symbol_id] = symbol
+        self._next_id = max(self._next_id, symbol_id + 1)
         return symbol_id
 
     def id_of(self, symbol: str) -> int:
@@ -78,6 +82,7 @@ class SymbolTable:
         out = SymbolTable()
         out._sym_to_id = dict(self._sym_to_id)
         out._id_to_sym = dict(self._id_to_sym)
+        out._next_id = self._next_id
         return out
 
     def to_text(self) -> str:

@@ -46,6 +46,21 @@ from ctcdec.uio import SampleRecord
 INF = math.inf
 
 
+@dataclass(frozen=True)
+class Arc:
+    ilabel: int
+    olabel: int
+    weight: float
+    nextstate: int
+
+
+def arcs_of(fst, state):
+    """The arcs leaving `state`, as `Arc` values built from `arc_arrays()`."""
+    a = fst.arc_arrays()
+    span = slice(a.offsets[state], a.offsets[state + 1])
+    return list(map(Arc, *(c[span].tolist() for c in (a.ilabel, a.olabel, a.weight, a.nextstate))))
+
+
 def enumerate_language(fst, max_arcs=None):
     """All accepting (input, output) label pairs with min path weight.
 
@@ -65,7 +80,7 @@ def enumerate_language(fst, max_arcs=None):
             best[key] = min(best[key], weight + fw)
         if depth >= max_arcs:
             return
-        for arc in fst.arcs(state):
+        for arc in arcs_of(fst, state):
             nil = ilabels + (arc.ilabel,) if arc.ilabel else ilabels
             nol = olabels + (arc.olabel,) if arc.olabel else olabels
             walk(arc.nextstate, nil, nol, weight + arc.weight, depth + 1)
@@ -339,10 +354,11 @@ class ReferencePrefixBeamDecoder:
 #
 # The WFST search as it stood when every search token carried a full
 # `TraceStep` chain (frame, labels, acoustic log-probability and graph
-# weight for each arc taken) and `finalize` rebuilt `units` from it. It
-# shares only the `StreamingDecoder` chunk loop and the output containers
-# with the engine; repeats are collapsed with `ctc_collapse` above. The
-# engine's `WfstBeamDecoder` must give byte-identical n-best text.
+# weight for each arc taken) and `finalize` rebuilt `units` from it, with
+# its label-0 step an enumeration of every label-0 path. It shares only
+# the `StreamingDecoder` chunk loop and the output containers with the
+# engine; repeats are collapsed with `ctc_collapse` above. The engine's
+# `WfstBeamDecoder` must give byte-identical n-best text.
 
 
 @dataclass(frozen=True)
@@ -378,9 +394,15 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
     after each frame. Tokens are pruned to `score_beam` score units of the
     best and to `max_active` tokens. Biasing advances on emitted words.
     Arcs of weight +inf lie on no finite path and are not followed.
-    """
 
-    _EPS_RELAX_LIMIT = 1_000_000
+    Exact cost ties at one (state, ctx) key are settled from the tokens:
+    between frames, tokens are held in (cost, state, ctx) order, the
+    constructor's too. A frame's candidates are made in that order, arc by
+    arc, and the first of equal cost is kept. The label-0 step ranks each
+    path end by (cost, hops, source key, the arc position at each hop) and
+    keeps the lowest rank for each key, so a held token, of 0 hops, is
+    replaced only by a strictly cheaper end.
+    """
 
     def __init__(
         self,
@@ -417,7 +439,7 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
         max_ilabel = 0
         for state in graph.states():
             emit, eps = [], []
-            for arc in graph.arcs(state):
+            for arc in arcs_of(graph, state):
                 if arc.ilabel != 0:
                     max_ilabel = max(max_ilabel, arc.ilabel)
                 if arc.weight == math.inf:
@@ -428,12 +450,14 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
                     emit.append(arc)
             self._emit_arcs.append(emit)
             self._eps_arcs.append(eps)
+        self._eps_count = sum(map(len, self._eps_arcs))
         self._min_tokens = max(self._min_tokens, max_ilabel)
         initial_ctx = self.context.START if self.context is not None else None
         start = _RefToken(graph.start, 0.0, 0.0, 0.0, initial_ctx, 0.0, (), None)
         self._tokens: dict[tuple[int, int], _RefToken] = {self._key(start): start}
         self._frame = 0  # index of the next searched (not skipped) frame
         self._eps_expand()
+        self._tokens = dict(sorted(self._tokens.items(), key=lambda item: (item[1].cost, item[0])))
 
     def _key(self, token: _RefToken) -> tuple[int, int]:
         return (token.state, token.ctx if token.ctx is not None else 0)
@@ -480,46 +504,44 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
         self._prune()
 
     def _eps_expand(self, frame: int = -2) -> None:
-        """Relax label-0 arcs to a fixed point (no frame is consumed)."""
+        """Follow every label-0 path from every held token (no frame is
+        consumed) and keep the lowest-ranked token for each key."""
         lm_scale = self.lm_scale
         word_penalty = self.word_penalty
-        worklist = list(self._tokens.values())
-        relaxed = 0
-        while worklist:
-            token = worklist.pop()
-            current = self._tokens.get(self._key(token))
-            if current is not token:
-                continue  # superseded by a cheaper token at this key
-            for arc in self._eps_arcs[token.state]:
-                gw = arc.weight * lm_scale
-                ctx = token.ctx
-                ctx_delta = 0.0
-                words = token.words
-                if arc.olabel != 0:
-                    gw += word_penalty
-                    words = words + (arc.olabel,)
-                    if ctx is not None:
-                        ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
-                cand = _RefToken(
-                    arc.nextstate,
-                    token.cost + gw - ctx_delta,
-                    token.ac_cost,
-                    token.graph_cost + gw,
-                    ctx,
-                    token.ctx_score + ctx_delta,
-                    words,
-                    (token.trace, TraceStep(frame, 0, arc.olabel, 0.0, arc.weight)),
-                )
-                key = (cand.state, cand.ctx if cand.ctx is not None else 0)
-                best = self._tokens.get(key)
-                if best is None or cand.cost < best.cost:
-                    self._tokens[key] = cand
-                    worklist.append(cand)
-                    relaxed += 1
-                    if relaxed > self._EPS_RELAX_LIMIT:
-                        raise ConfigurationError(
-                            "epsilon expansion did not converge; the graph has an improving label-0 cycle"
-                        )
+        best = {key: ((token.cost, 0, key, ()), token) for key, token in self._tokens.items()}
+        for source, token in list(self._tokens.items()):
+            paths = [(token, ())]  # (path end, the arc position at each hop)
+            while paths:
+                token, route = paths.pop()
+                for pos, arc in enumerate(self._eps_arcs[token.state]):
+                    if len(route) == self._eps_count:  # a longer path repeats an arc
+                        raise ConfigurationError("the graph has a label-0 cycle")
+                    gw = arc.weight * lm_scale
+                    ctx = token.ctx
+                    ctx_delta = 0.0
+                    words = token.words
+                    if arc.olabel != 0:
+                        gw += word_penalty
+                        words = words + (arc.olabel,)
+                        if ctx is not None:
+                            ctx, ctx_delta = self.context.advance(ctx, arc.olabel)
+                    cand = _RefToken(
+                        arc.nextstate,
+                        token.cost + gw - ctx_delta,
+                        token.ac_cost,
+                        token.graph_cost + gw,
+                        ctx,
+                        token.ctx_score + ctx_delta,
+                        words,
+                        (token.trace, TraceStep(frame, 0, arc.olabel, 0.0, arc.weight)),
+                    )
+                    hops = route + (pos,)
+                    rank = (cand.cost, len(hops), source, hops)
+                    key = self._key(cand)
+                    if key not in best or rank < best[key][0]:
+                        best[key] = (rank, cand)
+                    paths.append((cand, hops))
+        self._tokens = {key: token for key, (_, token) in best.items()}
 
     def _prune(self) -> None:
         if not self._tokens:
@@ -649,7 +671,7 @@ def shortest_path(a, n=1, *, max_expansions=200_000):
         if fw != INF:
             counter += 1
             heapq.heappush(heap, (semiring.times(weight, fw), ilabels, olabels, counter, None))
-        for arc in a.arcs(state):
+        for arc in arcs_of(a, state):
             w = semiring.times(weight, arc.weight)
             if w == INF:
                 continue
@@ -676,7 +698,7 @@ def score_hypothesis(units, graph):
 #
 # The engine's algorithms work on CSR arc columns. These are the earlier
 # versions, which walk one `Arc` object at a time, kept as the byte-identity
-# reference: each reads arcs only through `WeightedFst.arcs` and builds its
+# reference: each reads arcs only through `arcs_of` and builds its
 # result only through `add_state`, `add_arc` and `set_final`.
 
 
@@ -685,7 +707,7 @@ def _arc_key(arc):
 
 
 def _arc_lists(fst):
-    return [fst.arcs(state) for state in fst.states()]
+    return [arcs_of(fst, state) for state in fst.states()]
 
 
 def reference_sorted(fst):

@@ -22,7 +22,7 @@ from ctcdec.fst import (
 from ctcdec.symbols import SymbolTable
 
 from conftest import random_acyclic_fst
-from oracles import enumerate_language, join_languages, languages_equal, linear_fst, shortest_path
+from oracles import arcs_of, enumerate_language, join_languages, languages_equal, linear_fst, shortest_path
 
 finite_weights = st.floats(min_value=-50, max_value=50, allow_nan=False)
 weights = st.one_of(finite_weights, st.just(semiring.ZERO))
@@ -208,8 +208,8 @@ class TestDeterminize:
         fst.set_final(3, 0.0)
         fst.set_final(4, 0.0)
         det = determinize(fst)
-        assert len(det.arcs(det.start)) == 1  # the shared "a" arc
-        assert det.arcs(det.start)[0].weight == pytest.approx(1.0)
+        assert len(arcs_of(det, det.start)) == 1  # the shared "a" arc
+        assert arcs_of(det, det.start)[0].weight == pytest.approx(1.0)
         assert languages_equal(enumerate_language(det), enumerate_language(fst))
 
     def test_budget_exceeded_raises(self):
@@ -399,7 +399,7 @@ class TestTextFormat:
 
     def test_plus_inf_weight_is_the_semiring_zero(self):
         fst = WeightedFst.from_text("0 1 1 1 inf\n1 inf\n0 0.5\n")
-        assert fst.arcs(0)[0].weight == semiring.ZERO
+        assert arcs_of(fst, 0)[0].weight == semiring.ZERO
         assert fst.final_weight(1) == semiring.ZERO
         assert fst.final_weight(0) == 0.5
 
@@ -455,8 +455,8 @@ class TestTextFormat:
     def test_arcs_keep_file_order_within_a_state(self):
         text = "1 0 2 2 0.0\n0 1 2 1 0.5\n1 1 1 1 0.0\n0 0 1 2 0.25\n1 0.0\n"
         fst = WeightedFst.from_text(text)
-        assert [(a.ilabel, a.olabel) for a in fst.arcs(0)] == [(2, 1), (1, 2)]
-        assert [(a.ilabel, a.olabel) for a in fst.arcs(1)] == [(2, 2), (1, 1)]
+        assert [(a.ilabel, a.olabel) for a in arcs_of(fst, 0)] == [(2, 1), (1, 2)]
+        assert [(a.ilabel, a.olabel) for a in arcs_of(fst, 1)] == [(2, 2), (1, 1)]
         assert fst.num_states() == 2 and fst.start == 0
 
 
@@ -685,8 +685,7 @@ class TestArcArrays:
         assert view.offsets.tolist() == [0, 2, 2, 3]
         assert view.arcs.tolist() == [[1, 1, 0], [1, 0, 2], [1, 0, 3]]  # nextstate, ilabel - 1, olabel
         assert view.weight.tolist() == [0.5, 0.0, 2.0]
-        assert view.starts_label0.tolist() == [True, False, False]  # state 1's label-0 arc weighs +inf
-        assert view.on_label0.tolist() == [True, False, True]
+        assert view.on_label0.tolist() == [True, False, True]  # state 1's label-0 arc weighs +inf
         offsets, paths = frozen.closure
         assert (offsets.tolist(), paths.tolist()) == ([0, 1, 1, 1], [[1]])
         assert frozen.emitting is view
@@ -697,7 +696,6 @@ class TestArcArrays:
         fst = self._fst()
         frozen = fst.arc_arrays()
         assert fst.arc_arrays() is frozen
-        fst.arcs(0)
         fst.set_start(1)  # neither the start state nor final weights are frozen
         fst.set_final(2, 1.0)
         assert fst.arc_arrays() is frozen

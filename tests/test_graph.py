@@ -16,7 +16,7 @@ from ctcdec.lexicon import Lexicon, parse_lexicon
 from ctcdec.symbols import SymbolTable
 
 from conftest import TOY_ARPA, TOY_LEXICON
-from oracles import arpa_sentence_log10, ctc_collapse, enumerate_language, linear_fst, shortest_path
+from oracles import arcs_of, arpa_sentence_log10, ctc_collapse, enumerate_language, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
 
@@ -360,7 +360,7 @@ class TestTlg:
         units, words = ["a", "b", "c"], ["ab", "ac", "bc"]
         tlg = build_TLG(build_T(units), build_L(lex, units, words), build_G(parse_arpa(arpa), words))
         ac = tlg.osymbols.id_of("ac")
-        assert all(arc.olabel != ac for state in tlg.states() for arc in tlg.arcs(state))
+        assert all(arc.olabel != ac for state in tlg.states() for arc in arcs_of(tlg, state))
         # frame labels for "ac": a a <blank> c
         nbest = WfstBeamDecoder(tlg).decode(np.log(np.full((4, 4), 0.01) + 0.96 * np.eye(4)[[1, 1, 0, 3]]))
         assert nbest.best().words
@@ -416,3 +416,23 @@ def test_symbol_table_line_errors_cite_the_line(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{message}')}$"):
         SymbolTable.read(path)
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.one_of(st.none(), st.integers(0, 40))), max_size=40), st.booleans())
+def test_an_add_without_an_id_takes_the_largest_id_plus_one(adds, copy):
+    """Adds of new and known symbols, with ids and without, mixed: the
+    table follows the rule "largest id + 1" (0 when empty), copies too."""
+    table = SymbolTable()
+    for name, symbol_id in adds:
+        symbol, ids = f"s{name}", table.ids()
+        if symbol in table:
+            expected = table.id_of(symbol)
+        else:
+            expected = max(ids, default=-1) + 1 if symbol_id is None else symbol_id
+        if symbol_id not in (None, expected) or (symbol not in table and expected in ids):
+            with pytest.raises(ValueError):
+                table.add(symbol, symbol_id)
+        else:
+            assert table.add(symbol, symbol_id) == expected
+        if copy:
+            table = table.copy()

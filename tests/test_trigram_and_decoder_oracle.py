@@ -20,7 +20,7 @@ from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 
 from conftest import TOY_ARPA, TOY_LEXICON, TRIGRAM_ARPA
-from oracles import arpa_sentence_log10, ctc_collapse, linear_fst, shortest_path
+from oracles import arcs_of, arpa_sentence_log10, ctc_collapse, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
 
@@ -82,7 +82,7 @@ def _scaled(fst: WeightedFst, factor: float) -> WeightedFst:
     out.add_states(fst.num_states())
     out.set_start(fst.start)
     for state in fst.states():
-        for arc in fst.arcs(state):
+        for arc in arcs_of(fst, state):
             out.add_arc(state, arc.ilabel, arc.olabel, arc.weight * factor, arc.nextstate)
     for state, weight in fst.finals.items():
         out.set_final(state, weight * factor)
