@@ -47,7 +47,8 @@ class SymbolTable:
             raise ValueError(f"id {symbol_id} already mapped to {self._id_to_sym[symbol_id]!r}")
         self._sym_to_id[symbol] = symbol_id
         self._id_to_sym[symbol_id] = symbol
-        self._next_id = max(self._next_id, symbol_id + 1)
+        if symbol_id >= self._next_id:
+            self._next_id = symbol_id + 1
         return symbol_id
 
     def id_of(self, symbol: str) -> int:

@@ -509,8 +509,8 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
         lm_scale = self.lm_scale
         word_penalty = self.word_penalty
         best = {key: ((token.cost, 0, key, ()), token) for key, token in self._tokens.items()}
-        for source, token in list(self._tokens.items()):
-            paths = [(token, ())]  # (path end, the arc position at each hop)
+        for source, held in list(self._tokens.items()):
+            paths = [(held, ())]  # (path end, the arc position at each hop)
             while paths:
                 token, route = paths.pop()
                 for pos, arc in enumerate(self._eps_arcs[token.state]):

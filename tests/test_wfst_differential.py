@@ -3,9 +3,11 @@
 `WfstBeamDecoder` searches each frame as array code over the graph's
 frozen arcs and keeps unit and word backpointers as int arrays.
 `oracles.ReferenceWfstBeamDecoder` is the per-token Python search it
-replaced: it keeps a full `TraceStep` chain per token and builds tokens
-separately for emitting and label-0 arcs. Over seeded random TLGs,
-hand-made graphs and posteriors their n-best text must be byte-identical.
+replaced: it keeps a full `TraceStep` chain per token, builds tokens
+separately for emitting and label-0 arcs and enumerates every label-0
+path. Both settle exact cost ties by the same rule, read from the
+tokens. Over seeded random TLGs, hand-made graphs and posteriors their
+n-best text must be byte-identical.
 """
 
 import random
@@ -225,8 +227,7 @@ def test_dense_label0_graphs_byte_identical():
         except ConfigurationError as err:
             assert "label-0 paths" in str(err)
             continue
-        width = max(arc.ilabel for s in graph.states() for arc in arcs_of(graph, s))
-        logprobs = _random_logprobs(rng, rng.randint(1, 7), width)
+        logprobs = _random_logprobs(rng, rng.randint(1, 7), graph.arc_arrays().max_ilabel)
         chunks = _chunks(rng, logprobs)
         context = _word_context(rng, graph) if seed % 2 else None
         for pruning in PRUNING:
