@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Time and memory of each stage of one `build-graph` and of reading its TLG back.
 
-The inputs are the benchmark's seeded `graph_build` inputs (60 units, 300
-words, a bigram LM). The stages are the steps `build_TLG` chains (compose
-L∘G, determinize, minimize, relabel, compose T∘LG), then writing TLG and
-reading it back as `decode --graph-dir` does. Each stage runs twice: once
+The inputs are the benchmark's seeded inputs of one workload:
+`graph_build` (60 units, 300 words, a bigram LM) by default, or
+`lm_stream` (30 units, 90 words), whose smaller graph that workload's
+`setup_s` builds, writes and reads back on every set-up. The stages are
+the steps `build_TLG` chains (compose L∘G, determinize, minimize,
+relabel, compose T∘LG), then writing TLG and reading it back as
+`decode --graph-dir` does. Each stage runs twice: once
 for its time, and once under `tracemalloc` for its peak above what it
 returns, that is the most memory it held at once beyond its result. The
 stage with the largest peak is the one that sets a build's peak memory.
 
     python3 scripts/graph_stages.py --seed 5
+    python3 scripts/graph_stages.py --workload lm_stream --seed 5
 """
 
 import argparse
@@ -53,10 +57,12 @@ def stage(name: str, run):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=5, help="seed of the graph_build inputs (default: 5)")
+    parser.add_argument("--workload", choices=("graph_build", "lm_stream"), default="graph_build",
+                        help="the benchmark workload whose inputs to build (default: graph_build)")
+    parser.add_argument("--seed", type=int, default=5, help="seed of the inputs (default: 5)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = gen.generate("graph_build", args.seed, tmp)
+        manifest = gen.generate(args.workload, args.seed, tmp)
         tokens = read_units(Path(tmp) / manifest["units_file"])
         lex = read_lexicon(Path(tmp) / manifest["lexicon_file"])
         model = read_arpa(Path(tmp) / manifest["arpa_file"])

@@ -52,6 +52,35 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", source=str(path), line=line) from None
 
 
+def read_line_blocks(path: str | Path, size: int) -> Iterator[str]:
+    """The text of a UTF-8 file, read `size` bytes at a time and handed out in
+    pieces that each end just after a `\\n` (the last may end anywhere), so
+    `str.splitlines` finds the same lines in the pieces as in the whole text.
+    A byte that is not UTF-8 raises the `ParseError` that `read_text` raises.
+
+    A `\\n` byte is never part of a longer UTF-8 sequence, so the bytes are
+    cut after one and each piece is decoded alone."""
+    held: list[bytes | memoryview] = []  # the bytes read since the last `\n`
+    with open(path, "rb") as file:
+        while True:
+            data = file.read(size)
+            cut = data.rfind(b"\n") + 1
+            if data and not cut:
+                held.append(data)
+                continue
+            held.append(memoryview(data)[:cut])
+            try:
+                piece = str(b"".join(held), "utf-8")
+            except UnicodeDecodeError:
+                read_text(path)  # raises the `ParseError` that cites the first bad byte
+                raise
+            held = [memoryview(data)[cut:]]
+            if piece:
+                yield piece
+            if not data:
+                return
+
+
 def numbered_lines(text: str, comments: bool = False) -> Iterator[tuple[int, str]]:
     """(1-based line number, stripped line) for each non-blank line of `text`;
     with `comments`, lines starting with `#` are skipped too."""

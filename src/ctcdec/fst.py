@@ -20,10 +20,12 @@ scalar loop over the arcs of each subset it builds.
 
 The text format is read and written a block of lines at a time, with
 no Python object per line or field that outlives its block.
-`from_text` splits `_READ_BLOCK` characters into lines at once, parses
-them with `np.loadtxt` and copies their arcs into columns allocated
-once. `to_text` and `write` format `_TEXT_CHUNK` arcs at once, each
-distinct value of a column once, and `write` replaces its file whole.
+`from_text` splits `_READ_BLOCK` characters into lines at once, and
+`read` reads `_READ_BLOCK` bytes of its file at once; each block's lines
+are parsed with `np.loadtxt` and their arcs copied into columns that
+grow in place, to the size the text read so far projects. `to_text`
+and `write` format `_TEXT_CHUNK` arcs at once, each distinct value of
+a column once, and `write` replaces its file whole.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import semiring
-from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_text, write_atomic
+from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_line_blocks, write_atomic
 from .symbols import EPSILON, SymbolTable
 
 NO_STATE = -1
@@ -51,7 +53,7 @@ _DET_BUDGET_FLOOR = 1000
 # The text format's two line shapes, as `np.loadtxt` rows.
 _ARC_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("il", np.int64), ("ol", np.int64), ("w", np.float64)])
 _FINAL_ROW = np.dtype([("state", np.int64), ("w", np.float64)])
-_READ_BLOCK = 1 << 18  # characters `from_text` splits into lines at once, which bounds the line objects it holds
+_READ_BLOCK = 1 << 18  # characters (or file bytes) parsed into lines at once, which bounds the line objects held
 _TEXT_CHUNK = 1 << 14  # arcs `to_text` and `write` format at once, which bounds the byte rows they hold
 _EXPAND_KEYS = 256  # composed states `compose` expands at once, which bounds the arc rows it holds
 
@@ -214,24 +216,42 @@ class WeightedFst:
 
         The text is split into lines `_READ_BLOCK` characters at a time,
         each block cut after a `\\n`, and each block's arcs are copied into
-        columns sized by the count of `\\n`.
+        columns that grow in place.
         """
+        return cls._from_blocks(_line_blocks(text, _READ_BLOCK), len(text), isymbols, osymbols, source)
+
+    @classmethod
+    def read(
+        cls,
+        path: str | Path,
+        isymbols: SymbolTable | None = None,
+        osymbols: SymbolTable | None = None,
+    ) -> "WeightedFst":
+        """`from_text` of a UTF-8 file, read and parsed `_READ_BLOCK` bytes at a time."""
+        length = Path(path).stat().st_size
+        return cls._from_blocks(read_line_blocks(path, _READ_BLOCK), length, isymbols, osymbols, str(path))
+
+    @classmethod
+    def _from_blocks(cls, blocks: Iterator[str], length: int, isymbols, osymbols, source: str) -> "WeightedFst":
+        """Parse the text format from `blocks`, pieces of a text of about `length`
+        characters that each end after a `\\n`. When a block's arcs do not fit,
+        the columns grow to the arcs so far times `length` over the text so far."""
         names = _ARC_ROW.names  # src, dst, il, ol, w
         # No view of a column exists until the last block is in, so they resize in place.
-        size = text.count("\n") + 1
-        columns = [np.empty(size, _ARC_ROW[name]) for name in names]
+        columns = [np.empty(0, _ARC_ROW[name]) for name in names]
         labels = [None if table is None else table.ids() for table in (isymbols, osymbols)]
         finals, arc_lines, final_lines = [], [], []  # per block: final rows, and the line of each arc and final row
         errors: list[tuple[int, int, str]] = []  # (line index, rank of the check, message)
-        n_arcs = n_lines = 0
-        for block in _line_blocks(text, _READ_BLOCK):
+        n_arcs = n_lines = seen = 0
+        for block in blocks:
             lines = block.splitlines()
+            seen += len(block)
             if not errors:  # past a failing block only the line count matters
                 arcs, arc_line, fin, final_line = _read_lines(lines, n_lines, *labels, errors)
                 end = n_arcs + len(arcs)
-                if end > len(columns[0]):  # lines ended by \r, \x0b and the like
+                if end > len(columns[0]):
                     for c in columns:
-                        c.resize(2 * end, refcheck=False)
+                        c.resize(max(end, end * length // seen), refcheck=False)
                 for c, name in zip(columns, names):
                     c[n_arcs:end] = arcs[name]
                 n_arcs = end
@@ -260,15 +280,6 @@ class WeightedFst:
         for s, weight in zip(state.tolist(), fw.tolist()):
             fst.set_final(s, weight)
         return fst
-
-    @classmethod
-    def read(
-        cls,
-        path: str | Path,
-        isymbols: SymbolTable | None = None,
-        osymbols: SymbolTable | None = None,
-    ) -> "WeightedFst":
-        return cls.from_text(read_text(path), isymbols, osymbols, source=str(path))
 
 
 def _format_lines(columns, formats) -> bytes:
@@ -581,6 +592,8 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     finds first get the next ids in ascending order. A second pass
     replays that loop's stack over each key's destinations, with a few
     array operations per state, to number the states as the loop would.
+    The keys that reach no final key are then dropped, and the arcs are
+    sorted once into their final order.
     """
     if a.osymbols != b.isymbols:
         raise ConfigurationError(
@@ -653,17 +666,39 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
                 codes.append(c)
         dst.append(np.fromiter(map(ids.__getitem__, unique), np.int64, len(unique))[inverse])
 
-    counts, dst, codes = np.concatenate(counts), np.concatenate(dst), np.array(codes, dtype=np.int64)
-    state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
+    # Each column is joined alone, and rebinding its name frees the per-expansion list.
+    counts = np.concatenate(counts)
+    dst = np.concatenate(dst)
+    codes = np.array(codes, dtype=np.int64)
     fw = _times(_final_weights(a)[codes // 3 // n2], _final_weights(b)[codes // 3 % n2])
     final = np.flatnonzero(fw != semiring.ZERO)
-    out = WeightedFst._from_columns(
-        a.isymbols.copy(), b.osymbols.copy(), len(codes), 0, dict(zip(state[final].tolist(), fw[final].tolist())),
-        np.repeat(state, counts), np.concatenate(il), np.concatenate(ol), np.concatenate(w), state[dst],
-    )
-    out = connect(out)
-    out.sort_arcs()
-    return out
+    src = np.repeat(np.arange(len(codes)), counts)
+    # Every key is reached from key 0, so the trim keeps the keys that reach a final one.
+    keep = _reachable(_offsets(dst, len(codes)), src[np.argsort(dst, kind="stable")], final)
+    if not keep[0]:
+        return WeightedFst(a.isymbols.copy(), b.osymbols.copy())
+    # The kept keys are numbered in stack order among themselves; the number
+    # `kept` marks a dropped key, and an arc into one is dropped too.
+    state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
+    kept = int(np.count_nonzero(keep))
+    numbered = np.zeros(len(codes), dtype=bool)
+    numbered[state[keep]] = True
+    state = np.where(keep, np.cumsum(numbered)[state] - 1, kept)
+    src = state[src]
+    dst = state[dst]
+    src[dst == kept] = kept
+    il = np.concatenate(il)
+    ol = np.concatenate(ol)
+    w = np.concatenate(w)
+    # One sort, into `sort_arcs` order, with the dropped arcs last and cut off.
+    order = np.lexsort((w, dst, ol, il, src))[: np.count_nonzero(src < kept)]
+    src = src[order]
+    il = il[order]
+    ol = ol[order]
+    w = w[order]
+    dst = dst[order]
+    finals = dict(zip(state[final].tolist(), fw[final].tolist()))
+    return WeightedFst._from_columns(a.isymbols.copy(), b.osymbols.copy(), kept, 0, finals, src, il, ol, w, dst)
 
 
 def _stack_order(offsets: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -787,6 +822,8 @@ def minimize(a: WeightedFst) -> WeightedFst:
     identical. Determinism fixes each state's arc order by (ilabel,
     olabel), so the blocks start from (final weight, labelled arc weights)
     and each round refines them by the block of each arc's nextstate.
+    States of one out-degree are refined together, as the columns of one
+    matrix with a row per arc position.
     """
     if not is_deterministic(a):
         raise PreconditionError("minimize requires a deterministic input FST")
@@ -795,39 +832,72 @@ def minimize(a: WeightedFst) -> WeightedFst:
         return trimmed
     arrays = trimmed.arc_arrays()
     n = trimmed.num_states()
-    src, il, ol, w, dst = arrays.columns()
-    order = np.lexsort((ol, il, src))
-    offsets = arrays.offsets.tolist()
-    spans = [slice(offsets[s], offsets[s + 1]) for s in range(n)]
-    labelled = list(zip(il[order].tolist(), ol[order].tolist(), w[order].tolist()))
-    blocks: dict = {}
-    classes = [
-        blocks.setdefault((trimmed.final_weight(s), tuple(labelled[span])), len(blocks))
-        for s, span in enumerate(spans)
-    ]
-    next_by_label = dst[order]
-    count = len(blocks)
+    order = arrays.sorted_order()  # (ilabel, olabel) order within each state
+    degree = np.diff(arrays.offsets)
+    # Ids of equal (ilabel, olabel, weight) arcs and of equal final weights;
+    # the comparisons take -0.0 for 0.0, as a tuple's == does.
+    label = _column_ids(np.stack((arrays.ilabel, arrays.olabel)), arrays.weight[None])
+    final = _column_ids(_final_weights(trimmed)[None])
+    # Per out-degree d, a matrix with a column per state: the state, then the
+    # next state of each of its arcs; the first partition reads the final
+    # weight and arc labels in their place.
+    groups, members, initial = [], [], []
+    for d in np.unique(degree).tolist():
+        states = np.flatnonzero(degree == d)
+        arcs = order[arrays.offsets[states] + np.arange(d)[:, None]]
+        groups.append(states)
+        members.append(np.vstack((states, arrays.nextstate[arcs])))
+        initial.append(np.vstack((final[states], label[arcs])))
+    del label, final
+
+    def refine(keys: list[np.ndarray]) -> np.ndarray:
+        """Each state's class: one per distinct column of its group's matrix."""
+        classes = np.empty(n, dtype=np.int64)
+        count = 0
+        for states, key in zip(groups, keys):
+            ids = _column_ids(key)
+            classes[states] = count + ids
+            count += int(ids.max()) + 1
+        return classes
+
+    classes = refine(initial)
+    del initial
+    count = int(classes.max()) + 1
     while True:
-        successors = np.asarray(classes)[next_by_label].tolist()
-        blocks = {}
-        classes = [blocks.setdefault((c, tuple(successors[span])), len(blocks)) for c, span in zip(classes, spans)]
-        if len(blocks) == count:
+        classes = refine([classes[m] for m in members])
+        if classes.max() + 1 == count:
             break
-        count = len(blocks)
+        count = int(classes.max()) + 1
 
     # Classes are numbered in the order of their first state, which
     # represents the class and becomes its state; connect numbered the
     # start state 0, so its class is state 0.
-    classes = np.asarray(classes)
-    _, first = np.unique(classes, return_index=True)
-    arc = np.isin(src, first)
+    first = np.sort(np.unique(classes, return_index=True)[1])
+    number = np.empty(count, dtype=np.int64)
+    number[classes[first]] = np.arange(count)
+    # The representatives' arcs, emitted already in `sort_arcs` order.
+    arc = order[_spans(arrays.offsets[first], degree[first])[1]]
     finals = {c: trimmed.finals[s] for c, s in enumerate(first.tolist()) if trimmed.final_weight(s) != semiring.ZERO}
-    out = WeightedFst._from_columns(
+    return WeightedFst._from_columns(
         trimmed.isymbols.copy(), trimmed.osymbols.copy(), count, 0, finals,
-        classes[src[arc]], il[arc], ol[arc], w[arc], classes[dst[arc]],
+        np.repeat(np.arange(count), degree[first]), arrays.ilabel[arc], arrays.olabel[arc], arrays.weight[arc],
+        number[classes[arrays.nextstate[arc]]],
     )
-    out.sort_arcs()
-    return out
+
+
+def _column_ids(*keys: np.ndarray) -> np.ndarray:
+    """Dense ids of the columns of `keys`, 2-D arrays of one width: two
+    columns share an id exactly when they are equal in every key. The
+    columns are sorted with `np.lexsort` and compared with their
+    neighbours."""
+    order = np.lexsort([row for key in keys for row in key])
+    new = np.zeros(len(order), dtype=bool)
+    for key in keys:
+        ranked = key[:, order]
+        new[1:] |= (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids
 
 
 # -- relabeling ----------------------------------------------------------

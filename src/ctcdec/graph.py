@@ -249,12 +249,14 @@ def build_TLG(
     rewritten to epsilon (and dropped from its table) before the final
     composition with T.
     """
-    lg = fstlib.compose(l, g)
-    if lg.is_empty():
+    fst = fstlib.compose(l, g)
+    if fst.is_empty():
         return WeightedFst(t.isymbols.copy(), g.osymbols.copy())
-    det = fstlib.determinize(lg, state_budget)
-    mind = fstlib.minimize(det)
-    return fstlib.compose(t, strip_disambig(mind))
+    # Each stage rebinds `fst`, which frees its input once its result is built.
+    fst = fstlib.determinize(fst, state_budget)
+    fst = fstlib.minimize(fst)
+    fst = strip_disambig(fst)
+    return fstlib.compose(t, fst)
 
 
 def strip_disambig(fst: WeightedFst) -> WeightedFst:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ctcdec import fst as fstlib
 from ctcdec import semiring
-from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError, write_atomic
+from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_text, write_atomic
 from ctcdec.fst import (
     WeightedFst,
     compose,
@@ -470,6 +470,14 @@ def _parse_error(text, isymbols=None, osymbols=None) -> tuple[str, int]:
     return str(info.value), info.value.line
 
 
+def _outcome(parse) -> tuple:
+    """`_machine` of what `parse()` returns, or the text and line of the `ParseError` it raises."""
+    try:
+        return _machine(parse())
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
 def _machine(fst: WeightedFst) -> tuple:
     a = fst.arc_arrays()
     return fst.num_states(), fst.start, fst.finals, *(c.tolist() for c in (a.offsets, *a.columns()[1:]))
@@ -555,6 +563,39 @@ class TestTextBlocks:
             message, line = _parse_error(too_large)
             assert line == len(too_large.splitlines()) and "too large" in message
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_read_parses_a_file_as_from_text_parses_its_text(self, tiny, tmp_path, seed):
+        """Files with every line break, a two-byte character and bytes that are
+        not UTF-8: at each block size `read` gives the machine, or the error,
+        that `from_text` gives on the text `read_text` decodes, or the error
+        `read_text` raises."""
+        rng = random.Random(seed)
+        path = tmp_path / "x.fst"
+        rows = [f"{i} {i + 1} 1 1 0.{i}" for i in range(12)] + [f"{i} 0.5" for i in range(0, 13, 4)]
+        for case in range(8):
+            data = bytearray("".join(row + rng.choice(LINE_BREAKS) for row in rows).encode("utf-8"))
+            for run in rng.sample([b"\xc3\xa9", b"\xff", b"\xe4\xb8", b"\xc3"], rng.randrange(3)):
+                at = rng.randrange(len(data) + 1)
+                data[at:at] = run
+            path.write_bytes(bytes(data))
+            expected = _outcome(lambda: WeightedFst.from_text(read_text(path), source=str(path)))
+            for size in (1, 2, 3, 11, 64):
+                tiny(size)
+                assert _outcome(lambda: WeightedFst.read(path)) == expected, (case, size)
+
+    def test_a_byte_that_is_not_utf8_in_a_later_block_cites_its_line(self, tmp_path):
+        """As `read_text` does, the first byte that is not UTF-8 is the error,
+        even after a line that does not parse."""
+        lines = [f"{i} {i + 1} 1 1 0.500000\n".encode("ascii") for i in range(3 * fstlib._READ_BLOCK // 20)]
+        lines[1] = b"not an arc line\n"
+        lines[-5] = b"7 8 1 \xff 0.5\n"
+        path = tmp_path / "x.fst"
+        path.write_bytes(b"".join(lines))
+        assert len(b"".join(lines[:-5])) > 2 * fstlib._READ_BLOCK
+        with pytest.raises(ParseError) as info:
+            WeightedFst.read(path)
+        assert (str(info.value), info.value.line) == (f"{path}:{len(lines) - 4}: byte 0xff is not UTF-8", len(lines) - 4)
+
     def test_write_that_fails_midway_leaves_the_old_file(self, monkeypatch, tiny, tmp_path):
         path = tmp_path / "x.fst"
         path.write_bytes(b"old\n")
@@ -627,11 +668,19 @@ class TestTextBlocks:
             fst.write(tmp_path / "x.fst")
             kept, peak = tracemalloc.get_traced_memory()
             write_excess = peak - kept
+            tracemalloc.reset_peak()
+            again = WeightedFst.read(tmp_path / "x.fst")
+            kept, peak = tracemalloc.get_traced_memory()
+            file_excess = peak - kept
         finally:
             tracemalloc.stop()
         assert (tmp_path / "x.fst").read_text(encoding="utf-8") == fst.to_text()
+        fst.sort_arcs()  # the order the file lists each state's arcs in
+        assert _machine(again) == _machine(fst)
         assert read_excess < 64 * lines, f"from_text peaked {read_excess / lines:.0f} bytes a line above what it kept"
         assert write_excess < 64 * lines, f"write peaked {write_excess / lines:.0f} bytes a line above what it kept"
+        # The file's text alone is about 30 bytes a line, and `read` holds no copy of it.
+        assert file_excess < 48 * lines, f"read peaked {file_excess / lines:.0f} bytes a line above what it kept"
 
 
 def test_connect_drops_unproductive_states():

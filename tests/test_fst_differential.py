@@ -12,6 +12,7 @@ golden TLG.
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctcdec.arpa import parse_arpa, read_arpa
@@ -112,6 +113,12 @@ def _assert_same(got, want):
     assert got.to_text() == reference_to_text(want)
 
 
+def _assert_same_and_sorted(got, want):
+    """`_assert_same`, and `got`'s arcs are built in `sort_arcs` order already."""
+    _assert_same(got, want)
+    assert np.array_equal(got.arc_arrays().sorted_order(), np.arange(got.num_arcs()))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_to_text_and_sort_arcs(seed):
     rng = random.Random(seed)
@@ -144,7 +151,46 @@ def test_compose(seed):
     for _ in range(CASES):
         make = _random_fst if rng.random() < 0.5 else random_acyclic_fst
         a, b = make(rng, isym, mid), make(rng, mid, third)
-        _assert_same(compose(a, b), reference_compose(a, b))
+        _assert_same_and_sorted(compose(a, b), reference_compose(a, b))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_trims_keys_that_reach_no_final(seed):
+    """Pairs whose composed states all reach a final one, and pairs where
+    some do not. With every state of both inputs final no state is
+    trimmed, so that composition counts the states reached."""
+    rng = random.Random(270 + seed)
+    isym, mid = _tables(3, 2)
+    third = SymbolTable.with_epsilon(["z1", "z2"])
+    trimmed = []
+    for _ in range(CASES):
+        a, b = _random_fst(rng, isym, mid), _random_fst(rng, mid, third)
+        got = compose(a, b)
+        _assert_same_and_sorted(got, reference_compose(a, b))
+        for fst in (a, b):
+            for state in fst.states():
+                fst.set_final(state, 0.0)
+        reached = compose(a, b)
+        _assert_same_and_sorted(reached, reference_compose(a, b))
+        trimmed.append(got.num_states() < reached.num_states())
+    assert any(trimmed) and not all(trimmed)
+
+
+def test_compose_trims_a_key_whose_inputs_both_reach_a_final():
+    """States 1 of a and of b each reach a final state, but over labels 2
+    and 3, so the composed state (1, 1) reaches none and is dropped."""
+    isym, _ = _tables(3, 3)
+    a, b = WeightedFst(isym.copy(), isym.copy()), WeightedFst(isym.copy(), isym.copy())
+    for fst, second in ((a, 2), (b, 3)):
+        fst.add_states(3)
+        fst.set_start(0)
+        fst.add_arc(0, 1, 1, 0.5, 1)
+        fst.add_arc(1, second, second, 0.0, 2)
+        fst.add_arc(0, 2, 2, -0.0, 2)
+        fst.set_final(2)
+    got = compose(a, b)
+    _assert_same_and_sorted(got, reference_compose(a, b))
+    assert got.to_text() == "0 1 2 2 0.000000\n1 0.000000\n"
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -156,7 +202,7 @@ def test_compose_large(seed):
     for _ in range(12):
         a, b = _large_fst(rng, isym, mid), _large_fst(rng, mid, third)
         got = compose(a, b)
-        _assert_same(got, reference_compose(a, b))
+        _assert_same_and_sorted(got, reference_compose(a, b))
         sizes.append(got.num_states())
     assert max(sizes) > 2 * fstlib._EXPAND_KEYS  # the connected result alone spans three expansions
 
@@ -170,9 +216,9 @@ def test_compose_does_not_depend_on_expansion_size(monkeypatch, keys):
     for _ in range(CASES):
         make = _random_fst if rng.random() < 0.5 else random_acyclic_fst
         a, b = make(rng, isym, mid), make(rng, mid, third)
-        _assert_same(compose(a, b), reference_compose(a, b))
+        _assert_same_and_sorted(compose(a, b), reference_compose(a, b))
     a, b = _large_fst(rng, isym, mid), _large_fst(rng, mid, third)
-    _assert_same(compose(a, b), reference_compose(a, b))
+    _assert_same_and_sorted(compose(a, b), reference_compose(a, b))
 
 
 def test_compose_numbers_states_in_stack_order():
@@ -237,9 +283,29 @@ def test_minimize(seed):
     isym, _ = _tables()
     for _ in range(CASES):
         fst = _random_deterministic(rng, isym)
-        _assert_same(minimize(fst), reference_minimize(fst))
+        _assert_same_and_sorted(minimize(fst), reference_minimize(fst))
         det = determinize(random_acyclic_fst(rng, isym, isym, max_states=8))
-        _assert_same(minimize(det), reference_minimize(det))
+        _assert_same_and_sorted(minimize(det), reference_minimize(det))
+
+
+def test_minimize_merges_states_whose_weights_differ_only_by_the_sign_of_zero():
+    """States 1 and 2 differ only in -0.0 against 0.0, on an arc weight and
+    on a final weight; 3 and 4 likewise. Equal weights merge, as they do
+    for the reference's tuples, and each class keeps its first state's
+    weights."""
+    isym, _ = _tables()
+    fst = WeightedFst(isym.copy(), isym.copy())
+    fst.add_states(5)
+    fst.set_start(0)
+    for src, il, weight, dst in ((0, 1, 0.0, 1), (0, 2, 0.0, 2), (1, 3, -0.0, 3), (2, 3, 0.0, 4)):
+        fst.add_arc(src, il, il, weight, dst)
+    for state, weight in ((1, -0.0), (2, 0.0), (3, 0.0), (4, -0.0)):
+        fst.set_final(state, weight)
+    got = minimize(fst)
+    _assert_same_and_sorted(got, reference_minimize(fst))
+    assert got.num_states() == 3
+    assert [str(arc.weight) for arc in arcs_of(got, 1)] == ["-0.0"]
+    assert [str(got.finals[s]) for s in (1, 2)] == ["-0.0", "0.0"]
 
 
 @pytest.mark.parametrize("seed", range(3))
