@@ -5,9 +5,9 @@ The inputs are the benchmark's seeded inputs of one workload:
 `graph_build` (60 units, 300 words, a bigram LM) by default, or
 `lm_stream` (30 units, 90 words), whose smaller graph that workload's
 `setup_s` builds, writes and reads back on every set-up. The stages are
-the steps `build_TLG` chains (compose L∘G, determinize, minimize,
-relabel, compose T∘LG), then writing TLG and reading it back as
-`decode --graph-dir` does. Each stage runs twice: once
+the steps `build_TLG` chains (`graph.tlg_stages`: compose L∘G,
+determinize, minimize, relabel, compose T∘LG), then writing TLG and
+reading it back as `decode --graph-dir` does. Each stage runs twice: once
 for its time, and once under `tracemalloc` for its peak above what it
 returns, that is the most memory it held at once beyond its result. The
 stage with the largest peak is the one that sets a build's peak memory.
@@ -29,8 +29,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402  (the benchmark's input generator)
 from ctcdec.arpa import read_arpa  # noqa: E402
-from ctcdec.fst import WeightedFst, compose, determinize, minimize  # noqa: E402
-from ctcdec.graph import build_G, build_L, build_T, read_units, strip_disambig, units_of  # noqa: E402
+from ctcdec.fst import WeightedFst  # noqa: E402
+from ctcdec.graph import build_graph, read_units, tlg_stages, units_of  # noqa: E402
 from ctcdec.lexicon import read_lexicon  # noqa: E402
 from ctcdec.symbols import BLANK_SYMBOL, SymbolTable  # noqa: E402
 
@@ -66,19 +66,15 @@ def main() -> None:
         tokens = read_units(Path(tmp) / manifest["units_file"])
         lex = read_lexicon(Path(tmp) / manifest["lexicon_file"])
         model = read_arpa(Path(tmp) / manifest["arpa_file"])
-        units = units_of(tokens)
-        words = sorted(set(lex.words()) | (model.all_words() - {"<s>", "</s>"}))
-        t, l, g = build_T(units), build_L(lex, units, words), build_G(model, words)
+        machines = build_graph(units_of(tokens), lex, model)
 
-        lg = stage("compose_LG", lambda: compose(l, g))
-        det = stage("determinize", lambda: determinize(lg))
-        mind = stage("minimize", lambda: minimize(det))
-        stripped = stage("relabel", lambda: strip_disambig(mind))
-        tlg = stage("compose_TLG", lambda: compose(t, stripped))
+        fst = None
+        for name, step in tlg_stages(machines["T"], machines["L"], machines["G"]):
+            fst = stage(name, lambda: step(fst))
         path = Path(tmp) / "TLG.fst"
-        stage("write", lambda: tlg.write(path))
+        stage("write", lambda: fst.write(path))
         isymbols = SymbolTable.with_epsilon([BLANK_SYMBOL, *units_of(tokens)])
-        stage("read", lambda: WeightedFst.read(path, isymbols=isymbols, osymbols=g.osymbols))
+        stage("read", lambda: WeightedFst.read(path, isymbols=isymbols, osymbols=machines["G"].osymbols))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import gen  # noqa: E402  (the benchmark's input generator)
 from ctcdec.arpa import read_arpa  # noqa: E402
 from ctcdec.decode import PrefixBeamDecoder, WfstBeamDecoder  # noqa: E402
-from ctcdec.graph import build_G, build_L, build_T, build_TLG, read_units, units_of  # noqa: E402
+from ctcdec.graph import build_graph, read_units, units_of  # noqa: E402
 from ctcdec.lexicon import read_lexicon  # noqa: E402
 
 CHUNK = 16
@@ -42,9 +42,7 @@ def lm_stream_graph(seed: int):
         tokens = read_units(Path(tmp) / manifest["units_file"])
         lex = read_lexicon(Path(tmp) / manifest["lexicon_file"])
         model = read_arpa(Path(tmp) / manifest["arpa_file"])
-    units = units_of(tokens)
-    words = sorted(set(lex.words()) | (model.all_words() - {"<s>", "</s>"}))
-    return build_TLG(build_T(units), build_L(lex, units, words), build_G(model, words)), len(tokens)
+    return build_graph(units_of(tokens), lex, model)["TLG"], len(tokens)
 
 
 def rows(seed: int, start: int, count: int, width: int) -> np.ndarray:

@@ -24,9 +24,11 @@ from .decode import (
     StreamingDecoder,
     WfstBeamDecoder,
 )
-from .errors import ConfigurationError, EngineError, ParseError, numbered_lines, parse_count, parse_number, read_text
+from .errors import (
+    ConfigurationError, EngineError, ParseError, numbered_lines, parse_count, parse_number, read_text, write_atomic
+)
 from .fst import WeightedFst
-from .graph import build_G, build_L, build_T, build_TLG, read_units, units_of
+from .graph import build_graph, read_units, units_of
 from .lexicon import read_lexicon
 from .rescore import FusionWeights, TableScorer, rescore_nbest
 from .symbols import BLANK_SYMBOL, SymbolTable
@@ -176,32 +178,23 @@ def resolve_options(args: argparse.Namespace, config: dict[str, object], owner) 
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    if args.arpa and not args.lexicon:
-        print("error: --arpa requires --lexicon", file=sys.stderr)
+    if bool(args.arpa) != bool(args.lexicon):
+        given, needed = ("--arpa", "--lexicon") if args.arpa else ("--lexicon", "--arpa")
+        print(f"error: {given} requires {needed}", file=sys.stderr)
         return 2
     # Parse every input and build every machine before writing anything.
     tokens = read_units(args.units)
-    units = units_of(tokens)
-    lex = read_lexicon(args.lexicon) if args.arpa else None
+    lex = read_lexicon(args.lexicon) if args.lexicon else None
     model = read_arpa(args.arpa, strict=args.strict_arpa) if args.arpa else None
-    t = build_T(units)
-    machines = {"T": t}
-    if model is not None:
-        missing = [u for u in lex.units() if u not in units]
-        if missing:
-            raise ConfigurationError(f"lexicon units {missing} missing from the units file")
-        words = sorted(set(lex.words()) | (model.all_words() - {"<s>", "</s>"}))
-        l = build_L(lex, units, words)
-        g = build_G(model, words)
-        machines.update(L=l, G=g, TLG=build_TLG(t, l, g, state_budget=args.det_budget))
+    machines = build_graph(units_of(tokens), lex, model, state_budget=args.det_budget)
 
     # Each file is replaced whole; a failed write leaves the old one.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tokens.write(out / "tokens.txt")
     if model is not None:
-        l.isymbols.write(out / "units.txt")
-        g.osymbols.write(out / "words.txt")
+        machines["L"].isymbols.write(out / "units.txt")
+        machines["G"].osymbols.write(out / "words.txt")
     for name, fst in machines.items():
         fst.write(out / f"{name}.fst")
     for name, fst in machines.items():
@@ -286,7 +279,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        write_atomic(output, [text.encode("utf-8")])
     else:
         sys.stdout.write(text)
 

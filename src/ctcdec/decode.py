@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .context import ContextGraph
-from .errors import ConfigurationError, ParseError, parse_count, read_text
+from .errors import ConfigurationError, ParseError, parse_count, read_text, write_atomic
 from .fst import WeightedFst, _spans, load_rows
 from .symbols import SymbolTable
 
@@ -123,7 +123,7 @@ class PosteriorMatrix:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path, domain: str = "logprob") -> None:
-        Path(path).write_text(self.to_text(domain), encoding="utf-8")
+        write_atomic(path, [self.to_text(domain).encode("utf-8")])
 
 
 def _first_bad_row(logprobs: np.ndarray) -> tuple[int, str] | None:

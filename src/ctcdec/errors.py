@@ -113,14 +113,18 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
     to is replaced and the link kept. The new file keeps the permission
     bits of the file it replaces, or else gets the mode the umask allows;
     its owner is the writer, and a hard link to the old file keeps the
-    old bytes.
+    old bytes. Something other than a regular file at `path`, such as
+    `/dev/stdout` or a pipe, cannot be replaced, so it is written through.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as file:
+            file.writelines(chunks)
+        return
     path = Path(path).resolve()
     temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(temp, "xb") as file:
-            for chunk in chunks:
-                file.write(chunk)
+            file.writelines(chunks)
         try:
             os.chmod(temp, stat.S_IMODE(path.stat().st_mode))
         except FileNotFoundError:

@@ -164,7 +164,7 @@ def build_G(model: ArpaModel, words: Sequence[str] | None = None) -> WeightedFst
     """
     vocab = model.vocabulary()
     if words is None:
-        words = sorted(model.all_words() - {SENTENCE_START, SENTENCE_END})
+        words = sorted(_lm_words(model))
     word_ids = {sym: i + 1 for i, sym in enumerate(words)}
     table = SymbolTable.with_epsilon(words)
     g = WeightedFst(table.copy(), table.copy())
@@ -237,26 +237,71 @@ def disambig_ids(table: SymbolTable) -> set[int]:
     return {sym_id for sym, sym_id in table if _is_disambig(sym)}
 
 
+def tlg_stages(
+    t: WeightedFst,
+    l: WeightedFst,
+    g: WeightedFst,
+    state_budget: int | None = None,
+) -> tuple:
+    """The steps of `build_TLG` in order, as (name, stage) pairs: each stage
+    maps the previous stage's result to its own (the first ignores its
+    argument), and the last returns TLG.
+
+    Disambiguation symbols on the minimized machine's input tape are
+    rewritten to epsilon (and dropped from its table) before the final
+    composition with T.
+    """
+    return (
+        ("compose_LG", lambda _: fstlib.compose(l, g)),
+        ("determinize", lambda lg: fstlib.determinize(lg, state_budget)),
+        ("minimize", fstlib.minimize),
+        ("relabel", strip_disambig),
+        ("compose_TLG", lambda lg: fstlib.compose(t, lg)),
+    )
+
+
 def build_TLG(
     t: WeightedFst,
     l: WeightedFst,
     g: WeightedFst,
     state_budget: int | None = None,
 ) -> WeightedFst:
-    """Assemble the decoding graph: compose(t, minimize(determinize(L o G))).
-
-    Disambiguation symbols on the determinized machine's input tape are
-    rewritten to epsilon (and dropped from its table) before the final
-    composition with T.
-    """
-    fst = fstlib.compose(l, g)
-    if fst.is_empty():
-        return WeightedFst(t.isymbols.copy(), g.osymbols.copy())
+    """Assemble the decoding graph: compose(t, minimize(determinize(L o G)))."""
+    fst = None
     # Each stage rebinds `fst`, which frees its input once its result is built.
-    fst = fstlib.determinize(fst, state_budget)
-    fst = fstlib.minimize(fst)
-    fst = strip_disambig(fst)
-    return fstlib.compose(t, fst)
+    for _, stage in tlg_stages(t, l, g, state_budget):
+        fst = stage(fst)
+    return fst
+
+
+def _lm_words(model: ArpaModel) -> set[str]:
+    """The words of `model` at any order, without the sentence sentinels."""
+    return model.all_words() - {SENTENCE_START, SENTENCE_END}
+
+
+def build_graph(
+    units: Sequence[str],
+    lexicon: Lexicon | None = None,
+    model: ArpaModel | None = None,
+    state_budget: int | None = None,
+) -> dict[str, WeightedFst]:
+    """The machines of `ctcdec build-graph`: T alone without a language
+    model; with one, and its lexicon, also L, G and TLG. The word table of
+    L and G is the lexicon's words and the model's but `<s>`/`</s>`, sorted.
+    Every unit the lexicon spells must be one of `units`.
+    """
+    if (lexicon is None) != (model is None):
+        raise ConfigurationError("a lexicon and a language model are given together or not at all")
+    t = build_T(units)
+    if model is None:
+        return {"T": t}
+    missing = [u for u in lexicon.units() if u not in units]
+    if missing:
+        raise ConfigurationError(f"lexicon units {missing} missing from the units file")
+    words = sorted(set(lexicon.words()) | _lm_words(model))
+    l = build_L(lexicon, units, words)
+    g = build_G(model, words)
+    return {"T": t, "L": l, "G": g, "TLG": build_TLG(t, l, g, state_budget)}
 
 
 def strip_disambig(fst: WeightedFst) -> WeightedFst:

@@ -51,9 +51,6 @@ class SymbolTable:
             self._next_id = symbol_id + 1
         return symbol_id
 
-    def id_of(self, symbol: str) -> int:
-        return self._sym_to_id[symbol]
-
     def get_id(self, symbol: str) -> int | None:
         return self._sym_to_id.get(symbol)
 

@@ -1,9 +1,13 @@
 import random
 
-import pytest
+import numpy as np
 from hypothesis import settings
 
+from ctcdec.arpa import parse_arpa
+from ctcdec.decode import PosteriorMatrix
 from ctcdec.fst import WeightedFst
+from ctcdec.graph import build_graph
+from ctcdec.lexicon import parse_lexicon
 from ctcdec.symbols import SymbolTable
 
 settings.register_profile("ci", max_examples=60, deadline=None)
@@ -25,8 +29,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 # -- shared toy inputs -------------------------------------------------------
-
-TOY_UNITS = "<blank> 0\na 1\nb 2\nc 3\n"
 
 TOY_LEXICON = "ab a b\nac a c\nbc b c\n"
 
@@ -91,25 +93,21 @@ ngram 3=5
 """
 
 
-@pytest.fixture
-def toy_units_file(tmp_path):
-    path = tmp_path / "units.txt"
-    path.write_text(TOY_UNITS, encoding="utf-8")
-    return path
+def graph_from_text(lexicon_text=TOY_LEXICON, arpa_text=TOY_ARPA, units=("a", "b", "c")) -> dict[str, WeightedFst]:
+    """T, L, G and TLG as `ctcdec build-graph` builds them, from lexicon and ARPA text."""
+    return build_graph(units, parse_lexicon(lexicon_text), parse_arpa(arpa_text))
 
 
-@pytest.fixture
-def toy_lexicon_file(tmp_path):
-    path = tmp_path / "lexicon.txt"
-    path.write_text(TOY_LEXICON, encoding="utf-8")
-    return path
-
-
-@pytest.fixture
-def toy_arpa_file(tmp_path):
-    path = tmp_path / "lm.arpa"
-    path.write_text(TOY_ARPA, encoding="utf-8")
-    return path
+def random_matrix(rng: random.Random, frames: int, tokens: int) -> PosteriorMatrix:
+    """`frames` rows of random probabilities over `tokens` columns, none of them zero."""
+    if frames == 0:
+        return PosteriorMatrix(np.zeros((0, tokens)))
+    rows = []
+    for _ in range(frames):
+        weights = [rng.random() + 1e-3 for _ in range(tokens)]
+        total = sum(weights)
+        rows.append([w / total for w in weights])
+    return PosteriorMatrix.from_probs(np.array(rows))
 
 
 # -- random machine generator ------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import TOY_ARPA, TOY_LEXICON, random_acyclic_fst
+from conftest import TOY_ARPA, graph_from_text, random_acyclic_fst, random_matrix
 from oracles import (
     arpa_sentence_log10,
     best_marginal,
@@ -33,9 +33,8 @@ from ctcdec.decode import (
     PrefixBeamDecoder,
     WfstBeamDecoder,
 )
-from ctcdec.fst import WeightedFst, compose, determinize, minimize
-from ctcdec.graph import build_G, build_L, build_T, build_TLG
-from ctcdec.lexicon import parse_lexicon
+from ctcdec.fst import compose, determinize, minimize
+from ctcdec.graph import build_G
 from ctcdec.rescore import FusionWeights, TableScorer, rescore_nbest
 from ctcdec.symbols import SymbolTable
 from ctcdec.uio import LocalStorage, RawSampleReader, SampleRecord, pack_shards, read_shards
@@ -53,24 +52,13 @@ def criterion(name):
     conftest.record_criterion(name, True)
 
 
-def _random_matrix(rng, frames, tokens):
-    if frames == 0:
-        return PosteriorMatrix(np.zeros((0, tokens)))
-    rows = []
-    for _ in range(frames):
-        weights = [rng.random() + 1e-3 for _ in range(tokens)]
-        total = sum(weights)
-        rows.append([w / total for w in weights])
-    return PosteriorMatrix.from_probs(np.array(rows))
-
-
 def test_prefix_search_oracle_equivalence():
     with criterion("oracle equivalence, prefix search (500 matrices, 1e-9, <10s)"):
         rng = random.Random(2024)
         start = time.perf_counter()
         for _ in range(500):
             frames = rng.randint(0, 4)
-            m = _random_matrix(rng, frames, 3)
+            m = random_matrix(rng, frames, 3)
             nbest = PrefixBeamDecoder(beam=100, nbest=1, blank_skip_threshold=None).decode(m)
             seq, score = best_marginal(m.logprobs.tolist())
             assert nbest.best().units == seq
@@ -113,7 +101,7 @@ def test_lm_scores_match_backoff_recursion():
         checked = 0
         for length in range(0, 5):
             for sentence in itertools.product(words, repeat=length):
-                ids = [g.isymbols.id_of(w) for w in sentence]
+                ids = [g.isymbols.get_id(w) for w in sentence]
                 lin = linear_fst(ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
                 paths = shortest_path(compose(lin, g), 1, max_expansions=100_000)
                 expected = -arpa_sentence_log10(model, list(sentence)) * LN10
@@ -180,18 +168,9 @@ def test_context_biasing_mechanics():
             assert top.score_context == 0.0  # exact, not approximate
 
 
-def _toy_tlg():
-    lex = parse_lexicon(TOY_LEXICON)
-    model = parse_arpa(TOY_ARPA)
-    units = ["a", "b", "c"]
-    words = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
-    t = build_T(units)
-    return build_TLG(t, build_L(lex, units, words), build_G(model, words))
-
-
 def test_blank_skipping_matches_manual_filtering():
     with criterion("blank skipping at 0.98: same top-1 words, exact kept-frame count"):
-        graph = _toy_tlg()
+        graph = graph_from_text()["TLG"]
         informative = [
             [0.02, 0.94, 0.02, 0.02],
             [0.02, 0.02, 0.94, 0.02],
@@ -334,7 +313,7 @@ def test_streaming_equals_one_shot_decoding():
         rng = random.Random(31337)
         for case in range(50):
             frames = rng.randint(0, 8)
-            m = _random_matrix(rng, frames, 4)
+            m = random_matrix(rng, frames, 4)
             one_shot = PrefixBeamDecoder(beam=6, nbest=4, blank_skip_threshold=None).decode(m)
             dec = PrefixBeamDecoder(beam=6, nbest=4, blank_skip_threshold=None)
             cut = 0
@@ -344,9 +323,9 @@ def test_streaming_equals_one_shot_decoding():
                 cut += step
             assert dec.finalize().to_text() == one_shot.to_text(), f"prefix case {case}"
 
-        graph = _toy_tlg()
+        graph = graph_from_text()["TLG"]
         for case in range(10):
-            m = _random_matrix(rng, rng.randint(1, 6), 4)
+            m = random_matrix(rng, rng.randint(1, 6), 4)
             one_shot = WfstBeamDecoder(graph, nbest=4).decode(m)
             dec = WfstBeamDecoder(graph, nbest=4)
             for t in range(m.frames):

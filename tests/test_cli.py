@@ -1,4 +1,5 @@
 import io
+import os
 import tarfile
 from pathlib import Path
 
@@ -104,6 +105,12 @@ class TestBuildGraph:
         assert capsys.readouterr().err == "error: --arpa requires --lexicon\n"
         assert not (tmp_path / "x").exists()
 
+    def test_lexicon_without_arpa_is_usage_error(self, tmp_path, capsys):
+        args = ["build-graph", "--units", str(DATA / "units.txt"), "--lexicon", str(DATA / "lexicon.txt")]
+        assert main([*args, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: --lexicon requires --arpa\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("unit", ["#1", "#\u0661"], ids=["ascii", "arabic_indic"])
     def test_unit_spelled_like_a_disambiguation_symbol(self, tmp_path, capsys, unit):
         """`#` and ASCII digits is a disambiguation symbol's spelling, refused
@@ -146,6 +153,20 @@ class TestDecode:
         assert code == 0
         assert out.read_bytes() == (DATA / "golden" / "decode_lm.txt").read_bytes()
         assert "ab" in out.read_text().splitlines()[1]
+
+    def test_failed_output_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        """`--output` is replaced whole: a write that fails at the last step leaves the old bytes."""
+        out = tmp_path / "nbest.txt"
+        out.write_bytes(b"old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(["decode", str(DATA / "utt1.post"), "--units", str(DATA / "units.txt"), "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: replace refused\n"
+        assert out.read_bytes() == b"old\n"
 
     def test_lmfree_context_score_flips_top1(self, tmp_path, capsys):
         base = [

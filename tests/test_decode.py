@@ -12,15 +12,12 @@ from ctcdec.decode import (
     _Links,
     skip_blank_frames,
 )
-from ctcdec.arpa import parse_arpa
 from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.fst import WeightedFst
-from ctcdec.graph import build_G, build_L, build_T, build_TLG
-from ctcdec.lexicon import parse_lexicon
 from ctcdec.rescore import FusionWeights
 from ctcdec.symbols import SymbolTable
 
-from conftest import TOY_ARPA, TOY_LEXICON
+from conftest import graph_from_text, random_matrix
 from oracles import best_marginal, ctc_marginals, score_hypothesis
 
 LN10 = math.log(10.0)
@@ -28,17 +25,6 @@ LN10 = math.log(10.0)
 
 def _matrix(rows):
     return PosteriorMatrix.from_probs(np.array(rows, dtype=float))
-
-
-def _random_matrix(rng, frames, tokens):
-    if frames == 0:
-        return PosteriorMatrix(np.zeros((0, tokens)))
-    rows = []
-    for _ in range(frames):
-        weights = [rng.random() + 1e-3 for _ in range(tokens)]
-        total = sum(weights)
-        rows.append([w / total for w in weights])
-    return _matrix(rows)
 
 
 class TestPosteriorMatrix:
@@ -210,7 +196,7 @@ class TestSkipBlankFrames:
 
     def test_idempotent(self):
         rng = random.Random(3)
-        m = _random_matrix(rng, 6, 3)
+        m = random_matrix(rng, 6, 3)
         once = m.logprobs[skip_blank_frames(m, 0.5)]
         twice = once[skip_blank_frames(PosteriorMatrix(once), 0.5)]
         assert np.array_equal(once, twice)
@@ -258,7 +244,7 @@ class TestPrefixBeamSearch:
         rng = random.Random(20240)
         for _ in range(50):
             frames = rng.randint(0, 4)
-            m = _random_matrix(rng, frames, 3)
+            m = random_matrix(rng, frames, 3)
             nbest = PrefixBeamDecoder(beam=100, nbest=1, blank_skip_threshold=None).decode(m)
             seq, score = best_marginal(m.logprobs.tolist())
             assert nbest.best().units == seq
@@ -268,7 +254,7 @@ class TestPrefixBeamSearch:
         rng = random.Random(77)
         ctx = ContextGraph([BiasingPhrase("ab", (1, 2))], 4.0)
         for _ in range(20):
-            m = _random_matrix(rng, 3, 3)
+            m = random_matrix(rng, 3, 3)
             nbest = PrefixBeamDecoder(beam=200, nbest=1, context=ctx, blank_skip_threshold=None).decode(m)
             marginals = ctc_marginals(m.logprobs.tolist())
             expected = min(
@@ -295,24 +281,13 @@ class TestPrefixBeamSearch:
 
     def test_streaming_equals_one_shot(self):
         rng = random.Random(5)
-        m = _random_matrix(rng, 7, 3)
+        m = random_matrix(rng, 7, 3)
         one_shot = PrefixBeamDecoder(beam=8, nbest=4, blank_skip_threshold=None).decode(m)
         dec = PrefixBeamDecoder(beam=8, nbest=4, blank_skip_threshold=None)
         dec.advance(PosteriorMatrix(m.logprobs[:3]))
         dec.advance(PosteriorMatrix(m.logprobs[3:4]))
         dec.advance(PosteriorMatrix(m.logprobs[4:]))
         assert dec.finalize().to_text() == one_shot.to_text()
-
-
-def _toy_graph():
-    lex = parse_lexicon(TOY_LEXICON)
-    model = parse_arpa(TOY_ARPA)
-    units = ["a", "b", "c"]
-    words = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
-    t = build_T(units)
-    l = build_L(lex, units, words)
-    g = build_G(model, words)
-    return build_TLG(t, l, g)
 
 
 def _forced_rows(labels, tokens=4, peak=0.97):
@@ -327,7 +302,7 @@ def _forced_rows(labels, tokens=4, peak=0.97):
 
 class TestWfstBeamSearch:
     def test_forced_alignment_decodes_word(self):
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         m = _matrix(_forced_rows([1, 0, 2]))  # a <blank> b -> "ab"
         nbest = WfstBeamDecoder(graph, blank_skip_threshold=1.0).decode(m)
         assert nbest.best().words == ("ab",)
@@ -340,7 +315,7 @@ class TestWfstBeamSearch:
             WfstBeamDecoder(WeightedFst())
 
     def test_all_frames_blank_dominant_skips_everything(self):
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         m = _matrix([[0.99, 0.004, 0.003, 0.003]] * 5)
         dec = WfstBeamDecoder(graph, blank_skip_threshold=0.98)
         dec.advance(m)
@@ -350,7 +325,7 @@ class TestWfstBeamSearch:
         assert nbest.best().words == ()
 
     def test_blank_skip_equals_manual_filtering(self):
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         rows = _forced_rows([1, 2], peak=0.9)
         noisy = [[0.99, 0.004, 0.003, 0.003]] * 2
         interleaved = [noisy[0], rows[0], noisy[1], rows[1]]
@@ -364,18 +339,12 @@ class TestWfstBeamSearch:
         assert auto_dec.frames_processed == manual.frames
 
     def test_homophone_ranking_follows_lm(self):
-        units = ["x"]
-        lex = parse_lexicon("alpha x\nbeta x\n")
-        t = build_T(units)
-
         def tlg_for(pa, pb):
             arpa = (
                 "\\data\\\nngram 1=3\n\n\\1-grams:\n"
                 f"{math.log10(pa):.7f} alpha\n{math.log10(pb):.7f} beta\n-0.69897 </s>\n\n\\end\\\n"
             )
-            model = parse_arpa(arpa)
-            words = ["alpha", "beta"]
-            return build_TLG(t, build_L(lex, units, words), build_G(model, words))
+            return graph_from_text("alpha x\nbeta x\n", arpa, ["x"])["TLG"]
 
         m = _matrix(_forced_rows([1], tokens=2, peak=0.9))
         favored_a = WfstBeamDecoder(tlg_for(0.4, 0.1), blank_skip_threshold=1.0).decode(m)
@@ -385,30 +354,30 @@ class TestWfstBeamSearch:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_chunk_rejected(self, value):
-        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=1.0)
+        dec = WfstBeamDecoder(graph_from_text()["TLG"], blank_skip_threshold=1.0)
         chunk = np.log(np.array(_forced_rows([1, 0])))
         chunk[0, 2] = value
         with pytest.raises(ConfigurationError, match="NaN or"):
             dec.advance(chunk)
 
     def test_posterior_width_mismatch_names_counts(self):
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         m = _matrix([[0.7, 0.3]])
         dec = WfstBeamDecoder(graph, blank_skip_threshold=1.0)
         with pytest.raises(ConfigurationError, match="4 acoustic tokens.*2"):
             dec.advance(m)
 
     def test_chunk_width_change_names_both_widths(self):
-        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=1.0)
+        dec = WfstBeamDecoder(graph_from_text()["TLG"], blank_skip_threshold=1.0)
         dec.advance(np.log(np.array(_forced_rows([1]))))
         dec.advance(np.zeros((0, 2)))
         with pytest.raises(ConfigurationError, match="5 tokens .* had 4"):
             dec.advance(np.log(np.array(_forced_rows([2], tokens=5))))
 
     def test_streaming_equals_one_shot(self):
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         rng = random.Random(31)
-        m = _random_matrix(rng, 6, 4)
+        m = random_matrix(rng, 6, 4)
         one_shot = WfstBeamDecoder(graph, nbest=4).decode(m)
         dec = WfstBeamDecoder(graph, nbest=4)
         for i in range(m.frames):
@@ -416,7 +385,7 @@ class TestWfstBeamSearch:
         assert dec.finalize().to_text() == one_shot.to_text()
 
     def test_wfst_biasing_boosts_word(self):
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         # "ac" slightly less likely than "ab" acoustically.
         rows = [
             [0.02, 0.9, 0.04, 0.04],
@@ -427,7 +396,7 @@ class TestWfstBeamSearch:
         assert plain.best().words == ("ab",)
         words_table = graph.osymbols
         ctx = ContextGraph(
-            [BiasingPhrase("ac", (words_table.id_of("ac"),))], 6.0
+            [BiasingPhrase("ac", (words_table.get_id("ac"),))], 6.0
         )
         boosted = WfstBeamDecoder(graph, blank_skip_threshold=1.0, context=ctx).decode(m)
         assert boosted.best().words == ("ac",)
@@ -456,7 +425,7 @@ class TestWfstSearchOverAChangedGraph:
         return WfstBeamDecoder(graph, blank_skip_threshold=None).decode(np.zeros((1, 1))).best()
 
     def test_decoders_share_the_frozen_graph(self):
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         WfstBeamDecoder(graph)
         frozen = graph.arc_arrays()
         WfstBeamDecoder(graph)
@@ -552,7 +521,7 @@ class TestWfstSearchOverALongStream:
         rng = np.random.default_rng(8)
         with np.errstate(divide="ignore"):
             logprobs = np.log(rng.dirichlet(np.ones(4), size=self.FRAMES))
-        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=None)
+        dec = WfstBeamDecoder(graph_from_text()["TLG"], blank_skip_threshold=None)
         held = 0
         for start in range(0, self.FRAMES, 400):
             dec.advance(logprobs[start : start + 400])
@@ -578,7 +547,7 @@ class TestWfstSearchCounters:
     ROWS = [[0.5, 0.5, 0.0, 0.0], [0.25, 0.0, 0.75, 0.0]]
 
     def _run(self, **pruning):
-        dec = WfstBeamDecoder(_toy_graph(), blank_skip_threshold=None, **pruning)
+        dec = WfstBeamDecoder(graph_from_text()["TLG"], blank_skip_threshold=None, **pruning)
         with np.errstate(divide="ignore"):
             dec.decode(np.log(np.array(self.ROWS)))
         return self._counts(dec)
@@ -647,9 +616,9 @@ class TestWfstSearchCounters:
 class TestNBestOrdering:
     def test_totals_nonincreasing_and_size_capped(self):
         rng = random.Random(77)
-        graph = _toy_graph()
+        graph = graph_from_text()["TLG"]
         for _ in range(10):
-            m = _random_matrix(rng, 4, 4)
+            m = random_matrix(rng, 4, 4)
             for nbest in (
                 PrefixBeamDecoder(beam=20, nbest=6, blank_skip_threshold=None).decode(m),
                 WfstBeamDecoder(graph, nbest=6, blank_skip_threshold=1.0).decode(m),
@@ -666,14 +635,14 @@ class TestDecodeOptions:
         with pytest.raises(ConfigurationError):
             PrefixBeamDecoder(beam=2, nbest=5)
         with pytest.raises(ConfigurationError):
-            WfstBeamDecoder(_toy_graph(), blank_skip_threshold=0.0)
+            WfstBeamDecoder(graph_from_text()["TLG"], blank_skip_threshold=0.0)
         with pytest.raises(ConfigurationError):
             FusionWeights(alpha=1.5)
         with pytest.raises(ConfigurationError):
             ContextGraph([BiasingPhrase("a", (1,))], -1.0)
 
     def test_defaults_follow_stated_conventions(self):
-        wfst = WfstBeamDecoder(_toy_graph())
+        wfst = WfstBeamDecoder(graph_from_text()["TLG"])
         fusion = FusionWeights()
         assert wfst.blank_skip_threshold == 0.98
         assert ContextGraph([BiasingPhrase("a", (1,))]).boost == 0.0

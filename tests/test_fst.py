@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -648,6 +649,16 @@ class TestTextBlocks:
         assert target.stat().st_mode & 0o777 == 0o640  # the replaced file's mode, kept
         assert [p.name for p in shared.iterdir()] == ["TLG.fst"]
         assert [p.name for p in out.iterdir()] == ["TLG.fst"]
+
+    def test_atomic_write_writes_through_a_pipe(self, tmp_path):
+        """A pipe (or `/dev/stdout`) is written to, not replaced by a file."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        write_atomic(fifo, [b"new ", b"text\n"])
+        assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["fifo"]
+        assert os.read(reader, 100) == b"new text\n"
+        os.close(reader)
 
     def test_read_and_write_hold_a_bounded_amount_per_line(self, tmp_path):
         """Above what each call keeps, reading and writing 120k arc lines must

@@ -15,15 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctcdec.arpa import parse_arpa, read_arpa
 from ctcdec.errors import PreconditionError, ResourceError
 from ctcdec import fst as fstlib
 from ctcdec.fst import WeightedFst, compose, connect, determinize, minimize, relabel_ilabels
-from ctcdec.graph import build_G, build_L, build_T, build_TLG, read_units, units_of
-from ctcdec.lexicon import parse_lexicon, read_lexicon
+from ctcdec.graph import read_units, units_of
 from ctcdec.symbols import SymbolTable
 
-from conftest import random_acyclic_fst, random_bigram_arpa, random_lexicon
+from conftest import graph_from_text, random_acyclic_fst, random_bigram_arpa, random_lexicon
 from oracles import (
     arcs_of,
     reference_build_TLG,
@@ -324,19 +322,16 @@ def test_build_TLG_over_random_lexicon_and_bigram(seed):
     units = ["a", "b", "c", "d"][: rng.randint(2, 4)]
     lexicon = random_lexicon(rng, units)
     words = [line.split()[0] for line in lexicon.splitlines()]
-    lex, model = parse_lexicon(lexicon), parse_arpa(random_bigram_arpa(rng, words))
-    vocab = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
-    t, l, g = build_T(units), build_L(lex, units, vocab), build_G(model, vocab)
-    _assert_same(build_TLG(t, l, g), reference_build_TLG(t, l, g))
+    machines = graph_from_text(lexicon, random_bigram_arpa(rng, words), units)
+    _assert_same(machines["TLG"], reference_build_TLG(machines["T"], machines["L"], machines["G"]))
 
 
 def test_golden_TLG():
     golden = (DATA / "golden" / "TLG.fst").read_text(encoding="utf-8")
     units = units_of(read_units(DATA / "units.txt"))
-    lex, model = read_lexicon(DATA / "lexicon.txt"), read_arpa(DATA / "lm.arpa")
-    words = sorted(set(lex.words()) | (model.all_words() - {"<s>", "</s>"}))
-    t, l, g = build_T(units), build_L(lex, units, words), build_G(model, words)
-    assert build_TLG(t, l, g).to_text() == golden
+    lexicon, arpa = ((DATA / name).read_text(encoding="utf-8") for name in ("lexicon.txt", "lm.arpa"))
+    t, l, g, tlg = graph_from_text(lexicon, arpa, units).values()
+    assert tlg.to_text() == golden
     assert reference_to_text(reference_build_TLG(t, l, g)) == golden
     again = WeightedFst.from_text(golden, t.isymbols.copy(), g.osymbols.copy())
     assert again.to_text() == reference_to_text(again) == golden

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from ctcdec.arpa import parse_arpa
 from ctcdec.decode import WfstBeamDecoder
 from ctcdec.errors import ConfigurationError, ParseError
-from ctcdec.fst import WeightedFst, compose, determinize
-from ctcdec.graph import build_G, build_L, build_T, build_TLG, disambig_ids, prefix_prons, read_units
+from ctcdec.fst import WeightedFst, compose
+from ctcdec.graph import build_G, build_L, build_T, build_graph, disambig_ids, prefix_prons, read_units
 from ctcdec.lexicon import Lexicon, parse_lexicon
 from ctcdec.symbols import SymbolTable
 
-from conftest import TOY_ARPA, TOY_LEXICON
+from conftest import TOY_ARPA, TOY_LEXICON, graph_from_text
 from oracles import arcs_of, arpa_sentence_log10, ctc_collapse, enumerate_language, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
@@ -199,28 +199,19 @@ class TestLexiconFst:
         assert ((unit["c"], unit["a"], unit["t"]), (1,)) in lang
 
     def test_prefix_pronunciations_get_disambig_and_determinize(self):
-        lex = parse_lexicon("a x\nab x y\n")
-        l = build_L(lex)
-        assert disambig_ids(l.isymbols)
-        arpa = parse_arpa(
-            "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5 a\n-0.5 ab\n-0.5 </s>\n\n\\end\\\n"
-        )
-        g = build_G(arpa, words=sorted(lex.words()))
-        det = determinize(compose(l, g))  # must stay within the default budget
-        assert det.num_states() > 0
+        arpa = "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5 a\n-0.5 ab\n-0.5 </s>\n\n\\end\\\n"
+        machines = graph_from_text("a x\nab x y\n", arpa, ["x", "y"])  # det(L o G) within the default budget
+        assert disambig_ids(machines["L"].isymbols)
+        assert machines["TLG"].num_states() > 0
 
     def test_prefix_and_homophone_mix_determinizes_within_budget(self):
         # prefix chains plus homophones: the disambig-symbol stress case
-        lex = parse_lexicon(
-            "a x\nab x y\nabc x y z\nalpha x\nbeta y\ngamma y\nbc y z\n"
-        )
-        words = sorted(lex.words())
+        lexicon = "a x\nab x y\nabc x y z\nalpha x\nbeta y\ngamma y\nbc y z\n"
+        words = sorted(parse_lexicon(lexicon).words())
         arpa_lines = ["\\data\\", f"ngram 1={len(words) + 1}", "", "\\1-grams:"]
         arpa_lines += [f"-0.9 {w}" for w in words] + ["-0.9 </s>", "", "\\end\\", ""]
-        g = build_G(parse_arpa("\n".join(arpa_lines)), words=words)
-        l = build_L(lex)
-        det = determinize(compose(l, g))  # default 10x-plus-floor budget
-        assert det.num_states() > 0
+        tlg = graph_from_text(lexicon, "\n".join(arpa_lines), ["x", "y", "z"])["TLG"]  # default 10x-plus-floor budget
+        assert tlg.num_states() > 0
 
     @given(st.lists(st.lists(st.sampled_from("abc"), max_size=4).map(tuple), max_size=40))
     def test_prefix_prons_match_the_pairwise_definition(self, prons):
@@ -306,29 +297,18 @@ class TestGrammar:
 # -- TLG ----------------------------------------------------------------------
 
 
-def _toy_tlg():
-    lex = parse_lexicon(TOY_LEXICON)
-    model = parse_arpa(TOY_ARPA)
-    units = ["a", "b", "c"]
-    words = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
-    t = build_T(units)
-    l = build_L(lex, units, words)
-    g = build_G(model, words)
-    return build_TLG(t, l, g), words
-
-
 class TestTlg:
     def test_forced_frames_decode_to_word(self):
-        tlg, words = _toy_tlg()
+        tlg = graph_from_text()["TLG"]
         # frame labels for "ab": a a <blank> b  (acoustic ids +1 on T's tape)
         frames = [2, 2, 1, 3]
         lin = linear_fst(frames, isymbols=tlg.isymbols.copy(), osymbols=tlg.isymbols.copy())
         paths = shortest_path(compose(lin, tlg), 1, max_expansions=100_000)
         assert paths, "no accepting path"
-        assert [words[o - 1] for o in paths[0].olabels] == ["ab"]
+        assert [tlg.osymbols.symbol_of(o) for o in paths[0].olabels] == ["ab"]
 
     def test_graph_weight_equals_lm_score(self):
-        tlg, words = _toy_tlg()
+        tlg = graph_from_text()["TLG"]
         model = parse_arpa(TOY_ARPA)
         frames = [2, 2, 1, 3]  # "ab" with zero acoustic weight in the graph
         lin = linear_fst(frames, isymbols=tlg.isymbols.copy(), osymbols=tlg.isymbols.copy())
@@ -337,12 +317,7 @@ class TestTlg:
         assert paths[0].weight == pytest.approx(expected, abs=1e-6)
 
     def test_empty_grammar_gives_empty_tlg(self):
-        lex = parse_lexicon(TOY_LEXICON)
-        units = ["a", "b", "c"]
-        t = build_T(units)
-        l = build_L(lex, units, lex.words())
-        g = build_G(parse_arpa("\\data\\\n\n\\end\\\n"), words=lex.words())
-        assert build_TLG(t, l, g).is_empty()
+        assert graph_from_text(TOY_LEXICON, "\\data\\\n\n\\end\\\n")["TLG"].is_empty()
 
     @pytest.mark.parametrize(
         "arpa",
@@ -356,18 +331,24 @@ class TestTlg:
         ids=["zero_word", "zero_backoff"],
     )
     def test_probability_zero_paths_are_dropped(self, arpa):
-        lex = parse_lexicon(TOY_LEXICON)
-        units, words = ["a", "b", "c"], ["ab", "ac", "bc"]
-        tlg = build_TLG(build_T(units), build_L(lex, units, words), build_G(parse_arpa(arpa), words))
-        ac = tlg.osymbols.id_of("ac")
+        tlg = graph_from_text(TOY_LEXICON, arpa)["TLG"]
+        ac = tlg.osymbols.get_id("ac")
         assert all(arc.olabel != ac for state in tlg.states() for arc in arcs_of(tlg, state))
         # frame labels for "ac": a a <blank> c
         nbest = WfstBeamDecoder(tlg).decode(np.log(np.full((4, 4), 0.01) + 0.96 * np.eye(4)[[1, 1, 0, 3]]))
         assert nbest.best().words
         assert "ac" not in {word for hyp in nbest for word in hyp.words}
 
+    def test_build_graph_refuses_mismatched_inputs(self):
+        with pytest.raises(ConfigurationError, match="together"):
+            build_graph(["a", "b", "c"], lexicon=parse_lexicon(TOY_LEXICON))
+        with pytest.raises(ConfigurationError, match="together"):
+            build_graph(["a", "b", "c"], model=parse_arpa(TOY_ARPA))
+        with pytest.raises(ConfigurationError, match=r"lexicon units \['c'\] missing from the units file"):
+            build_graph(["a", "b"], parse_lexicon(TOY_LEXICON), parse_arpa(TOY_ARPA))
+
     def test_no_disambig_survives(self):
-        tlg, _ = _toy_tlg()
+        tlg = graph_from_text()["TLG"]
         assert not disambig_ids(tlg.isymbols)
 
 
@@ -426,7 +407,7 @@ def test_an_add_without_an_id_takes_the_largest_id_plus_one(adds, copy):
     for name, symbol_id in adds:
         symbol, ids = f"s{name}", table.ids()
         if symbol in table:
-            expected = table.id_of(symbol)
+            expected = table.get_id(symbol)
         else:
             expected = max(ids, default=-1) + 1 if symbol_id is None else symbol_id
         if symbol_id not in (None, expected) or (symbol not in table and expected in ids):

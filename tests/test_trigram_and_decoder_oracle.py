@@ -19,7 +19,7 @@ from ctcdec.fst import WeightedFst, compose
 from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 
-from conftest import TOY_ARPA, TOY_LEXICON, TRIGRAM_ARPA
+from conftest import TRIGRAM_ARPA, graph_from_text, random_matrix
 from oracles import arcs_of, arpa_sentence_log10, ctc_collapse, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
@@ -31,7 +31,7 @@ def test_trigram_grammar_matches_backoff_recursion():
     words = sorted(model.vocabulary() - {"<s>", "</s>"})
     for length in range(0, 5):
         for sentence in itertools.product(words, repeat=length):
-            ids = [g.isymbols.id_of(w) for w in sentence]
+            ids = [g.isymbols.get_id(w) for w in sentence]
             lin = linear_fst(ids, isymbols=g.isymbols.copy(), osymbols=g.isymbols.copy())
             paths = shortest_path(compose(lin, g), 1, max_expansions=200_000)
             expected = -arpa_sentence_log10(model, list(sentence)) * LN10
@@ -68,15 +68,6 @@ def _posterior_lattice(matrix: PosteriorMatrix, tlg: WeightedFst, acoustic_scale
     return fst
 
 
-def _random_matrix(rng, frames, tokens):
-    rows = []
-    for _ in range(frames):
-        weights = [rng.random() + 1e-3 for _ in range(tokens)]
-        total = sum(weights)
-        rows.append([w / total for w in weights])
-    return PosteriorMatrix.from_probs(np.array(rows))
-
-
 def _scaled(fst: WeightedFst, factor: float) -> WeightedFst:
     out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
     out.add_states(fst.num_states())
@@ -90,16 +81,9 @@ def _scaled(fst: WeightedFst, factor: float) -> WeightedFst:
 
 
 class TestWfstDecoderAgainstCompositionOracle:
-    def _tlg(self, arpa_text, lexicon_text, units):
-        lex = parse_lexicon(lexicon_text)
-        model = parse_arpa(arpa_text)
-        words = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
-        t = build_T(units)
-        return build_TLG(t, build_L(lex, units, words), build_G(model, words))
-
     @pytest.mark.parametrize("acoustic_scale,lm_scale", [(1.0, 1.0), (0.7, 1.0), (1.0, 2.5)])
     def test_top1_matches_shortest_path(self, acoustic_scale, lm_scale):
-        tlg = self._tlg(TOY_ARPA, TOY_LEXICON, ["a", "b", "c"])
+        tlg = graph_from_text()["TLG"]
         oracle_graph = _scaled(tlg, lm_scale) if lm_scale != 1.0 else tlg
         opts = dict(
             acoustic_scale=acoustic_scale,
@@ -112,7 +96,7 @@ class TestWfstDecoderAgainstCompositionOracle:
         rng = random.Random(9090)
         agreements = 0
         for _ in range(25):
-            m = _random_matrix(rng, rng.randint(1, 5), 4)
+            m = random_matrix(rng, rng.randint(1, 5), 4)
             got = WfstBeamDecoder(tlg, **opts).decode(m).best()
             lattice = _posterior_lattice(m, tlg, acoustic_scale)
             paths = shortest_path(compose(lattice, oracle_graph), 1, max_expansions=500_000)
@@ -135,11 +119,11 @@ class TestWfstDecoderAgainstCompositionOracle:
 
     def test_trigram_tlg_decodes_against_oracle(self):
         lexicon = "a x\nb y\nc z\n"
-        tlg = self._tlg(TRIGRAM_ARPA, lexicon, ["x", "y", "z"])
+        tlg = graph_from_text(lexicon, TRIGRAM_ARPA, ["x", "y", "z"])["TLG"]
         opts = dict(blank_skip_threshold=1.0, score_beam=1e9, max_active=1_000_000)
         rng = random.Random(41)
         for _ in range(15):
-            m = _random_matrix(rng, rng.randint(1, 6), 4)
+            m = random_matrix(rng, rng.randint(1, 6), 4)
             got = WfstBeamDecoder(tlg, **opts).decode(m).best()
             lattice = _posterior_lattice(m, tlg, 1.0)
             paths = shortest_path(compose(lattice, tlg), 1, max_expansions=500_000)

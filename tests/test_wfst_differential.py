@@ -15,16 +15,13 @@ import random
 import numpy as np
 import pytest
 
-from ctcdec.arpa import parse_arpa
 from ctcdec.context import BiasingPhrase, ContextGraph
 from ctcdec.decode import WfstBeamDecoder
 from ctcdec.errors import ConfigurationError
 from ctcdec.fst import WeightedFst
-from ctcdec.graph import build_G, build_L, build_T, build_TLG
-from ctcdec.lexicon import parse_lexicon
 from ctcdec.symbols import SymbolTable
 
-from conftest import TOY_ARPA, TOY_LEXICON, TRIGRAM_ARPA, random_bigram_arpa, random_lexicon
+from conftest import TRIGRAM_ARPA, graph_from_text, random_bigram_arpa, random_lexicon
 from oracles import ReferenceWfstBeamDecoder, arcs_of
 
 PRUNING = (
@@ -40,18 +37,11 @@ SCALES = (
 )
 
 
-def _tlg(lexicon_text: str, arpa_text: str, units: list[str]):
-    lex = parse_lexicon(lexicon_text)
-    model = parse_arpa(arpa_text)
-    words = sorted(set(lex.words()) | (model.vocabulary() - {"<s>", "</s>"}))
-    return build_TLG(build_T(units), build_L(lex, units, words), build_G(model, words))
-
-
 def _random_graph(rng: random.Random):
     units = ["a", "b", "c", "d"][: rng.randint(2, 4)]
     lexicon = random_lexicon(rng, units)
     words = [line.split()[0] for line in lexicon.splitlines()]
-    return _tlg(lexicon, random_bigram_arpa(rng, words), units)
+    return graph_from_text(lexicon, random_bigram_arpa(rng, words), units)["TLG"]
 
 
 def _random_wfst(rng: random.Random, max_states: int = 6, max_arcs: int = 4, label0: float = 0.3) -> WeightedFst:
@@ -167,12 +157,12 @@ def test_hand_made_graphs_byte_identical(seed):
 
 
 def test_toy_graph_byte_identical():
-    _check_graph(random.Random(99), _tlg(TOY_LEXICON, TOY_ARPA, ["a", "b", "c"]), draws=40)
+    _check_graph(random.Random(99), graph_from_text()["TLG"], draws=40)
 
 
 def test_long_posteriors_on_toy_graph():
     """Longer streams, where pruning and word recombination bite."""
-    graph = _tlg(TOY_LEXICON, TOY_ARPA, ["a", "b", "c"])
+    graph = graph_from_text()["TLG"]
     rng = random.Random(5)
     for _ in range(6):
         logprobs = _random_logprobs(rng, 30, 4)
@@ -185,7 +175,7 @@ TWO_HOP_OPTIONS = (dict(), dict(max_active=2, score_beam=2.0, lm_scale=0.0))
 
 
 def _trigram_graph() -> WeightedFst:
-    return _tlg("a x\nb y\nc z\n", TRIGRAM_ARPA, ["x", "y", "z"])
+    return graph_from_text("a x\nb y\nc z\n", TRIGRAM_ARPA, ["x", "y", "z"])["TLG"]
 
 
 def _two_hop_draws():
