@@ -6,11 +6,13 @@ The inputs are the benchmark's seeded inputs of one workload:
 `lm_stream` (30 units, 90 words), whose smaller graph that workload's
 `setup_s` builds, writes and reads back on every set-up. The stages are
 the steps `build_TLG` chains (`graph.tlg_stages`: compose L∘G,
-determinize, minimize, relabel, compose T∘LG), then writing TLG and
-reading it back as `decode --graph-dir` does. Each stage runs twice: once
-for its time, and once under `tracemalloc` for its peak above what it
-returns, that is the most memory it held at once beyond its result. The
-stage with the largest peak is the one that sets a build's peak memory.
+determinize, minimize, relabel, compose T∘LG), then writing the graph
+directory as `build-graph` does (`graph.write_graph`) and reading its TLG
+back as `decode --graph-dir` does (`graph.read_graph`). Each stage runs
+twice: once for its time, and once under `tracemalloc` for its peak above
+what it returns, that is the most memory it held at once beyond its
+result. The stage with the largest peak is the one that sets a build's
+peak memory.
 
     python3 scripts/graph_stages.py --seed 5
     python3 scripts/graph_stages.py --workload lm_stream --seed 5
@@ -30,9 +32,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import gen  # noqa: E402  (the benchmark's input generator)
 from ctcdec.arpa import read_arpa  # noqa: E402
 from ctcdec.fst import WeightedFst  # noqa: E402
-from ctcdec.graph import build_graph, read_units, tlg_stages, units_of  # noqa: E402
+from ctcdec.graph import build_graph, read_graph, read_units, tlg_stages, units_of, write_graph  # noqa: E402
 from ctcdec.lexicon import read_lexicon  # noqa: E402
-from ctcdec.symbols import BLANK_SYMBOL, SymbolTable  # noqa: E402
 
 
 def stage(name: str, run):
@@ -71,10 +72,9 @@ def main() -> None:
         fst = None
         for name, step in tlg_stages(machines["T"], machines["L"], machines["G"]):
             fst = stage(name, lambda: step(fst))
-        path = Path(tmp) / "TLG.fst"
-        stage("write", lambda: fst.write(path))
-        isymbols = SymbolTable.with_epsilon([BLANK_SYMBOL, *units_of(tokens)])
-        stage("read", lambda: WeightedFst.read(path, isymbols=isymbols, osymbols=machines["G"].osymbols))
+        out = Path(tmp) / "graph"
+        stage("write", lambda: write_graph(out, tokens, machines))
+        stage("read", lambda: read_graph(out)[1])
 
 
 if __name__ == "__main__":

@@ -10,28 +10,23 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import sys
 from pathlib import Path
 
 from .arpa import read_arpa
 from .context import ContextGraph, load_biasing_phrases
 from .decode import (
-    Hypothesis,
-    NBestList,
     PosteriorMatrix,
     PrefixBeamDecoder,
     StreamingDecoder,
     WfstBeamDecoder,
+    nbest_file_text,
+    read_nbest_file,
 )
-from .errors import (
-    ConfigurationError, EngineError, ParseError, numbered_lines, parse_count, parse_number, read_text, write_atomic
-)
-from .fst import WeightedFst
-from .graph import build_graph, read_units, units_of
+from .errors import ConfigurationError, EngineError, ParseError, numbered_lines, parse_number, read_text, write_atomic
+from .graph import build_graph, read_graph, read_units, units_of, write_graph
 from .lexicon import read_lexicon
 from .rescore import FusionWeights, TableScorer, rescore_nbest
-from .symbols import BLANK_SYMBOL, SymbolTable
 from .uio import RawSampleReader, pack_shards, read_shards, shard_list_from_manifest
 
 # Option -> (the stage that takes it, its parameter name there, help).
@@ -187,23 +182,10 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     lex = read_lexicon(args.lexicon) if args.lexicon else None
     model = read_arpa(args.arpa, strict=args.strict_arpa) if args.arpa else None
     machines = build_graph(units_of(tokens), lex, model, state_budget=args.det_budget)
-
-    # Each file is replaced whole; a failed write leaves the old one.
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tokens.write(out / "tokens.txt")
-    if model is not None:
-        machines["L"].isymbols.write(out / "units.txt")
-        machines["G"].osymbols.write(out / "words.txt")
+    write_graph(args.out, tokens, machines)
     for name, fst in machines.items():
-        fst.write(out / f"{name}.fst")
-    for name, fst in machines.items():
-        _report(name, fst)
+        print(f"{name}: {fst.num_states()} states, {fst.num_arcs()} arcs")
     return 0
-
-
-def _report(name: str, fst: WeightedFst) -> None:
-    print(f"{name}: {fst.num_states()} states, {fst.num_arcs()} arcs")
 
 
 # -- decode -------------------------------------------------------------------
@@ -217,15 +199,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     )
 
     graph = None
-    words = None
     if args.graph_dir:
-        graph_dir = Path(args.graph_dir)
-        tokens = read_units(graph_dir / "tokens.txt")
-        words = SymbolTable.read(graph_dir / "words.txt")
-        isymbols = SymbolTable.with_epsilon([BLANK_SYMBOL, *units_of(tokens)])
-        graph = WeightedFst.read(graph_dir / "TLG.fst", isymbols=isymbols, osymbols=words)
-        if graph.is_empty():
-            raise ConfigurationError(f"decoding graph {graph_dir / 'TLG.fst'} is empty")
+        tokens, graph = read_graph(args.graph_dir)
     elif args.units:
         tokens = read_units(args.units)
     else:
@@ -235,7 +210,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     context = None
     if args.context_file and context_opts["boost"] != 0:
         if graph is not None:
-            phrases = load_biasing_phrases(args.context_file, words, mode="word")
+            phrases = load_biasing_phrases(args.context_file, graph.osymbols, mode="word")
         else:
             phrases = load_biasing_phrases(args.context_file, tokens, mode="char")
         context = ContextGraph(phrases, **context_opts)
@@ -263,17 +238,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 f"{path}: posterior has {post.tokens} tokens but the units table has {len(tokens)}"
             )
         results.append((Path(path).stem, decoder.decode(post)))
-
-    blocks = [f"# utt {utt}\n{nbest.to_text(tokens)}" for utt, nbest in results]
-    _emit("".join(blocks), args.output)
+    _emit(nbest_file_text(results, tokens), args.output)
 
     if scorers is not None:
-        rescored_blocks = []
-        for utt, nbest in results:
-            rescored = rescore_nbest(nbest, scorers[0], scorers[1], weights)
-            rescored_blocks.append(f"# utt {utt}\n{rescored.to_text(tokens)}")
-        target = f"{args.output}.rescored" if args.output else None
-        _emit("".join(rescored_blocks), target)
+        rescored = [(utt, rescore_nbest(nbest, *scorers, weights)) for utt, nbest in results]
+        _emit(nbest_file_text(rescored, tokens), f"{args.output}.rescored" if args.output else None)
     return 0
 
 
@@ -287,66 +256,13 @@ def _emit(text: str, output: str | None) -> None:
 # -- rescore ------------------------------------------------------------------
 
 
-def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
-    """Parse `ctcdec decode` output back into per-utterance n-best lists.
-
-    Token sequences come back as string tuples, which is what file-backed
-    scorer tables key on.
-    """
-    sections: list[tuple[str, NBestList]] = []
-    current: NBestList | None = None
-    source = str(path)
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        if not raw.strip():
-            continue
-        if raw.startswith("# utt "):
-            current = NBestList()
-            sections.append((raw[len("# utt "):].strip(), current))
-            continue
-        if current is None:
-            raise ParseError("hypothesis line before any '# utt' header", source=source, line=lineno)
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise ParseError("expected 'scores<TAB>tokens<TAB>words'", source=source, line=lineno)
-        head = parts[0].split()
-        if len(head) != 5:
-            raise ParseError("expected 'rank total ctc context lm'", source=source, line=lineno)
-        rank = len(current) + 1
-        try:
-            found = parse_count(head[0])
-        except ValueError:
-            found = None
-        if found != rank:
-            raise ParseError(f"expected rank {rank}, found {head[0]!r}", source=source, line=lineno)
-        try:
-            total, ctc, ctx, lm = map(parse_number, head[1:])
-        except ValueError:
-            raise ParseError("non-numeric score", source=source, line=lineno) from None
-        if not all(v < math.inf for v in (total, ctc, ctx, lm)):  # -inf marks an empty result
-            raise ParseError("score is NaN or +inf", source=source, line=lineno)
-        current.hyps.append(
-            Hypothesis(
-                units=tuple(parts[1].split()),
-                total_score=total,
-                score_ctc=ctc,
-                score_context=ctx,
-                score_lm=lm,
-                words=tuple(parts[2].split()),
-            )
-        )
-    return sections
-
-
 def cmd_rescore(args: argparse.Namespace) -> int:
     config = read_config(args.config) if args.config else {}
     weights = FusionWeights(**resolve_options(args, config, FusionWeights))
     l2r = TableScorer.from_file(args.l2r_table, direction="l2r")
     r2l = TableScorer.from_file(args.r2l_table, direction="r2l")
-    blocks = []
-    for utt, nbest in read_nbest_file(args.nbest):
-        rescored = rescore_nbest(nbest, l2r, r2l, weights)
-        blocks.append(f"# utt {utt}\n{rescored.to_text()}")
-    _emit("".join(blocks), args.output)
+    rescored = [(utt, rescore_nbest(nbest, l2r, r2l, weights)) for utt, nbest in read_nbest_file(args.nbest)]
+    _emit(nbest_file_text(rescored), args.output)
     return 0
 
 

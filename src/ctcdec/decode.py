@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .context import ContextGraph
-from .errors import ConfigurationError, ParseError, parse_count, read_text, write_atomic
+from .errors import ConfigurationError, ParseError, parse_count, parse_number, read_text, write_atomic
 from .fst import WeightedFst, _spans, load_rows
 from .symbols import SymbolTable
 
@@ -201,6 +201,65 @@ class NBestList:
 
 def _fmt_score(value: float) -> str:
     return f"{value + 0.0:.6f}"
+
+
+_UTT_HEADER = "# utt "
+
+
+def nbest_file_text(sections: Iterable[tuple[str, NBestList]], unit_table: SymbolTable | None = None) -> str:
+    """The n-best file of `ctcdec decode` and `rescore`: per utterance a
+    `# utt <id>` line, then its list's `to_text(unit_table)`."""
+    return "".join(f"{_UTT_HEADER}{utt}\n{nbest.to_text(unit_table)}" for utt, nbest in sections)
+
+
+def read_nbest_file(path: str | Path) -> list[tuple[str, NBestList]]:
+    """Parse an `nbest_file_text` file back into per-utterance n-best lists.
+
+    Token sequences come back as string tuples, which is what file-backed
+    scorer tables key on.
+    """
+    sections: list[tuple[str, NBestList]] = []
+    current: NBestList | None = None
+    source = str(path)
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        if not raw.strip():
+            continue
+        if raw.startswith(_UTT_HEADER):
+            current = NBestList()
+            sections.append((raw[len(_UTT_HEADER):].strip(), current))
+            continue
+        if current is None:
+            raise ParseError("hypothesis line before any '# utt' header", source=source, line=lineno)
+        parts = raw.split("\t")
+        if len(parts) != 3:
+            raise ParseError("expected 'scores<TAB>tokens<TAB>words'", source=source, line=lineno)
+        head = parts[0].split()
+        if len(head) != 5:
+            raise ParseError("expected 'rank total ctc context lm'", source=source, line=lineno)
+        rank = len(current) + 1
+        try:
+            found = parse_count(head[0])
+        except ValueError:
+            found = None
+        if found != rank:
+            raise ParseError(f"expected rank {rank}, found {head[0]!r}", source=source, line=lineno)
+        try:
+            total, ctc, ctx, lm = map(parse_number, head[1:])
+        except ValueError:
+            raise ParseError("non-numeric score", source=source, line=lineno) from None
+        if not all(v < math.inf for v in (total, ctc, ctx, lm)):  # -inf marks an empty result
+            raise ParseError("score is NaN or +inf", source=source, line=lineno)
+        current.hyps.append(
+            Hypothesis(
+                units=tuple(parts[1].split()),
+                total_score=total,
+                score_ctc=ctc,
+                score_context=ctx,
+                score_lm=lm,
+                words=tuple(parts[2].split()),
+            )
+        )
+    return sections
 
 
 # -- the streaming contract ----------------------------------------------

@@ -44,6 +44,11 @@ def units_of(tokens: SymbolTable) -> list[str]:
     return [sym for sym, sym_id in tokens if sym_id != 0]
 
 
+def _t_input_table(units: Sequence[str]) -> SymbolTable:
+    """T's input table, and so TLG's: `<eps>` 0, `<blank>` 1, then `units`."""
+    return SymbolTable.with_epsilon([BLANK_SYMBOL, *units])
+
+
 def build_T(units: Sequence[str]) -> WeightedFst:
     """CTC topology: collapse frame labels (repeats + blanks) to unit sequences.
 
@@ -55,9 +60,7 @@ def build_T(units: Sequence[str]) -> WeightedFst:
         raise ConfigurationError("unit inventory is empty")
     if BLANK_SYMBOL in units:
         raise ConfigurationError(f"unit inventory must not contain {BLANK_SYMBOL}")
-    isymbols = SymbolTable.with_epsilon([BLANK_SYMBOL, *units])
-    osymbols = SymbolTable.with_epsilon(units)
-    t = WeightedFst(isymbols, osymbols)
+    t = WeightedFst(_t_input_table(units), SymbolTable.with_epsilon(units))
     start = t.add_state()
     t.set_start(start)
     t.set_final(start)
@@ -302,6 +305,37 @@ def build_graph(
     l = build_L(lexicon, units, words)
     g = build_G(model, words)
     return {"T": t, "L": l, "G": g, "TLG": build_TLG(t, l, g, state_budget)}
+
+
+def write_graph(out: str | Path, tokens: SymbolTable, machines: dict[str, WeightedFst]) -> None:
+    """Write the graph directory `out` of `ctcdec build-graph`: the acoustic
+    token table `tokens.txt`; with L and G, L's input table `units.txt` (for
+    inspection only: nothing reads it back) and the word table `words.txt`;
+    then `<name>.fst` for each of `build_graph`'s machines. Each file is
+    replaced whole, so a failed write leaves the old one.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    tokens.write(out / "tokens.txt")
+    if "L" in machines:
+        machines["L"].isymbols.write(out / "units.txt")
+        machines["G"].osymbols.write(out / "words.txt")
+    for name, fst in machines.items():
+        fst.write(out / f"{name}.fst")
+
+
+def read_graph(graph_dir: str | Path) -> tuple[SymbolTable, WeightedFst]:
+    """The acoustic token table and TLG of a `write_graph` directory, as
+    `ctcdec decode --graph-dir` reads them. A TLG with no start state is a
+    `ConfigurationError` naming its file."""
+    graph_dir = Path(graph_dir)
+    tokens = read_units(graph_dir / "tokens.txt")
+    words = SymbolTable.read(graph_dir / "words.txt")
+    path = graph_dir / "TLG.fst"
+    tlg = WeightedFst.read(path, isymbols=_t_input_table(units_of(tokens)), osymbols=words)
+    if tlg.is_empty():
+        raise ConfigurationError(f"decoding graph {path} is empty")
+    return tokens, tlg
 
 
 def strip_disambig(fst: WeightedFst) -> WeightedFst:

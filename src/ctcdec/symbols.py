@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ParseError, numbered_lines, parse_count, read_text, write_atomic
+from .errors import ConfigurationError, ParseError, numbered_lines, parse_count, read_text, write_atomic
 
 EPSILON = 0
 EPSILON_SYMBOL = "<eps>"
@@ -26,11 +26,21 @@ class SymbolTable:
 
     @classmethod
     def with_epsilon(cls, symbols: Iterable[str] = ()) -> "SymbolTable":
-        """A table with `<eps>` at 0 and `symbols` at 1, 2, ..."""
-        table = cls()
-        table.add(EPSILON_SYMBOL, EPSILON)
+        """A table with `<eps>` at 0 and `symbols` at 1, 2, ...
+
+        A symbol already in the table, `<eps>` itself or one given twice, is
+        a `ConfigurationError` naming it: it would keep its old id, and every
+        symbol after it would land one id below its position.
+        """
+        sym_to_id = {EPSILON_SYMBOL: EPSILON}
         for sym in symbols:
-            table.add(sym)
+            next_id = len(sym_to_id)
+            if sym_to_id.setdefault(sym, next_id) != next_id:
+                raise ConfigurationError(f"symbol {sym!r} is already in the table, at id {sym_to_id[sym]}")
+        table = cls()
+        table._sym_to_id = sym_to_id
+        table._id_to_sym = {sym_id: sym for sym, sym_id in sym_to_id.items()}
+        table._next_id = len(sym_to_id)
         return table
 
     def add(self, symbol: str, symbol_id: int | None = None) -> int:

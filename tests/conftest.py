@@ -98,6 +98,21 @@ def graph_from_text(lexicon_text=TOY_LEXICON, arpa_text=TOY_ARPA, units=("a", "b
     return build_graph(units, parse_lexicon(lexicon_text), parse_arpa(arpa_text))
 
 
+def symbol_tables(n_in: int = 3, n_out: int = 3) -> tuple[SymbolTable, SymbolTable]:
+    """Input labels `i1..i<n_in>` and output labels `o1..o<n_out>`, each after `<eps>`."""
+    return (
+        SymbolTable.with_epsilon([f"i{k}" for k in range(1, n_in + 1)]),
+        SymbolTable.with_epsilon([f"o{k}" for k in range(1, n_out + 1)]),
+    )
+
+
+def random_chunks(rng: random.Random, logprobs: np.ndarray) -> list[np.ndarray]:
+    """`logprobs` cut at random frames into consecutive chunks, of one frame up to all of them."""
+    cuts = sorted(rng.sample(range(1, len(logprobs)), rng.randint(0, len(logprobs) - 1))) if len(logprobs) > 1 else []
+    bounds = [0, *cuts, len(logprobs)]
+    return [logprobs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def random_matrix(rng: random.Random, frames: int, tokens: int) -> PosteriorMatrix:
     """`frames` rows of random probabilities over `tokens` columns, none of them zero."""
     if frames == 0:

@@ -130,6 +130,24 @@ class TestBuildGraph:
             assert code == 0
             assert f"{unit} 2" in (tmp_path / "graph" / "units.txt").read_text(encoding="utf-8").splitlines()
 
+    @pytest.mark.parametrize(
+        "unit_lines, lexicon_lines, words",
+        [("<eps> 1\na 2\n", "w a\n", ["w"]), ("a 1\nb 2\n", "<eps> a\nw b\n", ["<eps>", "w"])],
+        ids=["unit", "word"],
+    )
+    def test_eps_unit_or_word_is_refused_and_nothing_written(self, tmp_path, capsys, unit_lines, lexicon_lines, words):
+        """`<eps>` is id 0 of every FST table, so a unit or word spelled so
+        would leave T or L with a label missing from its table."""
+        units, lexicon, arpa = tmp_path / "units.txt", tmp_path / "lexicon.txt", tmp_path / "lm.arpa"
+        units.write_text("<blank> 0\n" + unit_lines, encoding="utf-8")
+        lexicon.write_text(lexicon_lines, encoding="utf-8")
+        unigrams = "".join(f"-0.5 {word}\n" for word in [*words, "</s>"])
+        arpa.write_text(f"\\data\\\nngram 1={len(words) + 1}\n\n\\1-grams:\n{unigrams}\n\\end\\\n", encoding="utf-8")
+        args = ["build-graph", "--units", str(units), "--lexicon", str(lexicon), "--arpa", str(arpa)]
+        assert main([*args, "--out", str(tmp_path / "graph")]) == 1
+        assert capsys.readouterr().err == "error: symbol '<eps>' is already in the table, at id 0\n"
+        assert not (tmp_path / "graph").exists()
+
     def test_negative_state_in_graph_exits_2(self, tmp_path, capsys):
         graph = _build(tmp_path)
         tlg = graph / "TLG.fst"
@@ -141,6 +159,13 @@ class TestBuildGraph:
 
 
 class TestDecode:
+    def test_empty_graph_exits_1_naming_it(self, tmp_path, capsys):
+        graph = _build(tmp_path)
+        (graph / "TLG.fst").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph)]) == 1
+        assert capsys.readouterr() == ("", f"error: decoding graph {graph / 'TLG.fst'} is empty\n")
+
     def test_with_lm_matches_golden(self, tmp_path):
         graph = _build(tmp_path)
         out = tmp_path / "nbest.txt"

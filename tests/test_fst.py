@@ -22,7 +22,7 @@ from ctcdec.fst import (
 )
 from ctcdec.symbols import SymbolTable
 
-from conftest import random_acyclic_fst
+from conftest import random_acyclic_fst, symbol_tables
 from oracles import arcs_of, enumerate_language, join_languages, languages_equal, linear_fst, shortest_path
 
 finite_weights = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -47,12 +47,6 @@ class TestSemiring:
     def test_plus_commutative_idempotent(self, a, b):
         assert semiring.plus(a, b) == semiring.plus(b, a)
         assert semiring.plus(a, a) == a
-
-
-def _tables(n_in=3, n_out=3):
-    isym = SymbolTable.with_epsilon([f"i{k}" for k in range(1, n_in + 1)])
-    osym = SymbolTable.with_epsilon([f"o{k}" for k in range(1, n_out + 1)])
-    return isym, osym
 
 
 # Bad-line cases of `TestTextFormat`, which `TestTextBlocks` also reads with tiny blocks.
@@ -109,7 +103,7 @@ def _bad_texts():
         yield f"0 1 1 1 0.0\n{bad}\n1 0.0\n", None, None
     isym = SymbolTable.with_epsilon(["a"])
     yield "0 1 9 1 0.0\n1 0.0\n", isym, isym.copy()
-    isym, osym = _tables(4, 2)
+    isym, osym = symbol_tables(4, 2)
     for bad, _ in BAD_MID_LINES:
         yield f"0 1 1 1 0.0\n1 2 2 2 0.5\n{bad}\n2 0.0\n0 1 3 0 1.0\n", isym, osym
     for text in FIRST_FAILING_TEXTS:
@@ -133,7 +127,7 @@ class TestCompose:
         assert languages_equal(lang, oracle)
 
     def test_identity_acceptor_preserves_language(self):
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         rng = random.Random(7)
         a = random_acyclic_fst(rng, isym, osym)
         ident = WeightedFst(osym.copy(), osym.copy())
@@ -146,13 +140,13 @@ class TestCompose:
         assert languages_equal(enumerate_language(composed), enumerate_language(a))
 
     def test_disjoint_labels_give_empty_fst(self):
-        isym, osym = _tables(2, 2)
+        isym, osym = symbol_tables(2, 2)
         a = linear_fst([1], [1], isymbols=isym, osymbols=osym)
         b = linear_fst([2], [2], isymbols=osym, osymbols=osym)
         assert compose(a, b).is_empty()
 
     def test_symbol_table_mismatch_rejected(self):
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         other = SymbolTable.with_epsilon(["z"])
         a = linear_fst([1], [1], isymbols=isym, osymbols=osym)
         b = linear_fst([1], [1], isymbols=other, osymbols=other)
@@ -160,14 +154,14 @@ class TestCompose:
             compose(a, b)
 
     def test_empty_input_gives_empty_output(self):
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         a = WeightedFst(isym, osym)
         b = WeightedFst(osym.copy(), osym.copy())
         assert compose(a, b).is_empty()
 
     def test_random_pairs_match_join_oracle(self):
         rng = random.Random(1234)
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         third = SymbolTable.with_epsilon(["z1", "z2", "z3"])
         for _ in range(60):
             a = random_acyclic_fst(rng, isym, osym, max_states=6)
@@ -179,7 +173,7 @@ class TestCompose:
 
 class TestDeterminize:
     def test_merges_parallel_paths_tropically(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(3)
         fst.set_start(0)
@@ -192,13 +186,13 @@ class TestDeterminize:
         assert enumerate_language(det) == {((1,), (1,)): pytest.approx(3.0)}
 
     def test_deterministic_input_is_fixed_point(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = linear_fst([1, 2, 3], isymbols=isym, osymbols=isym)
         det = determinize(fst)
         assert languages_equal(enumerate_language(det), enumerate_language(fst))
 
     def test_shared_prefix_pushes_residuals(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(5)
         fst.set_start(0)
@@ -214,7 +208,7 @@ class TestDeterminize:
         assert languages_equal(enumerate_language(det), enumerate_language(fst))
 
     def test_budget_exceeded_raises(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(4)
         fst.set_start(0)
@@ -226,7 +220,7 @@ class TestDeterminize:
 
     def test_random_acyclic_language_preserved(self):
         rng = random.Random(99)
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         for _ in range(60):
             fst = random_acyclic_fst(rng, isym, isym, max_states=8)
             det = determinize(fst)
@@ -236,7 +230,7 @@ class TestDeterminize:
 
 class TestMinimize:
     def test_merges_equivalent_states(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(3)
         fst.set_start(0)
@@ -249,14 +243,14 @@ class TestMinimize:
         assert languages_equal(enumerate_language(out), enumerate_language(fst))
 
     def test_minimal_machine_unchanged(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = linear_fst([1, 2], isymbols=isym, osymbols=isym)
         out = minimize(fst)
         assert out.num_states() == fst.num_states()
         assert languages_equal(enumerate_language(out), enumerate_language(fst))
 
     def test_dead_states_dropped_from_abc_chain(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(6)
         fst.set_start(0)
@@ -271,7 +265,7 @@ class TestMinimize:
         assert enumerate_language(out) == {((1, 2, 3), (1, 2, 3)): pytest.approx(0.0)}
 
     def test_rejects_nondeterministic_input(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(3)
         fst.set_start(0)
@@ -284,7 +278,7 @@ class TestMinimize:
 
     def test_random_deterministic_language_preserved(self):
         rng = random.Random(4321)
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         for _ in range(60):
             fst = random_acyclic_fst(rng, isym, isym, max_states=8)
             det = determinize(fst)
@@ -295,7 +289,7 @@ class TestMinimize:
 
 class TestShortestPath:
     def _diamond(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(3)
         fst.set_start(0)
@@ -312,7 +306,7 @@ class TestShortestPath:
         assert paths[1].ilabels == (2, 3)
 
     def test_single_path(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = linear_fst([1, 2], weights=[0.5, 0.25], isymbols=isym, osymbols=isym)
         paths = shortest_path(fst, 1)
         assert len(paths) == 1
@@ -322,7 +316,7 @@ class TestShortestPath:
         assert len(shortest_path(self._diamond(), 10)) == 2
 
     def test_no_accepting_path_gives_empty_list(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(2)
         fst.set_start(0)
@@ -331,7 +325,7 @@ class TestShortestPath:
 
     def test_best_weight_matches_enumeration(self):
         rng = random.Random(8)
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         for _ in range(40):
             fst = random_acyclic_fst(rng, isym, isym, max_states=7)
             lang = enumerate_language(fst)
@@ -342,7 +336,7 @@ class TestShortestPath:
             assert paths[0].weight == pytest.approx(min(lang.values()), abs=1e-9)
 
     def test_tie_break_is_lexicographic(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = WeightedFst(isym.copy(), isym.copy())
         fst.add_states(2)
         fst.set_start(0)
@@ -357,7 +351,7 @@ class TestShortestPath:
 class TestTextFormat:
     def test_round_trip_and_determinism(self):
         rng = random.Random(55)
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         fst = random_acyclic_fst(rng, isym, osym)
         fst.sort_arcs()
         text = fst.to_text()
@@ -366,7 +360,7 @@ class TestTextFormat:
         assert languages_equal(enumerate_language(again), enumerate_language(fst))
 
     def test_weights_have_six_decimals(self):
-        isym, _ = _tables()
+        isym, _ = symbol_tables()
         fst = linear_fst([1], weights=[1.25], isymbols=isym, osymbols=isym)
         lines = fst.to_text().splitlines()
         assert lines[0].endswith("1.250000")
@@ -411,7 +405,7 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("bad,match", BAD_MID_LINES)
     def test_bad_line_in_mid_file_cites_its_line(self, bad, match):
-        isym, osym = _tables(4, 2)
+        isym, osym = symbol_tables(4, 2)
         text = f"0 1 1 1 0.0\n1 2 2 2 0.5\n{bad}\n2 0.0\n0 1 3 0 1.0\n"
         with pytest.raises(ParseError, match=f"x.fst:3: {match}"):
             WeightedFst.from_text(text, isym, osym, source="x.fst")
@@ -498,7 +492,7 @@ class TestTextBlocks:
     @pytest.mark.parametrize("size", [1, 2, 3, 7])
     def test_machine_and_bytes_do_not_depend_on_block_size(self, tiny, tmp_path, size):
         rng = random.Random(57)
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         fsts = [random_acyclic_fst(rng, isym, osym) for _ in range(20)]
         texts = [fst.to_text() for fst in fsts]
         shuffled = []  # file order is arc order within a state, so parse an unsorted file too
@@ -600,7 +594,7 @@ class TestTextBlocks:
     def test_write_that_fails_midway_leaves_the_old_file(self, monkeypatch, tiny, tmp_path):
         path = tmp_path / "x.fst"
         path.write_bytes(b"old\n")
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         fst = linear_fst([1, 2, 3, 1], isymbols=isym, osymbols=osym)
         tiny(1)
         format_lines, calls = fstlib._format_lines, []
@@ -695,7 +689,7 @@ class TestTextBlocks:
 
 
 def test_connect_drops_unproductive_states():
-    isym, _ = _tables()
+    isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
     fst.add_states(4)
     fst.set_start(0)
@@ -710,7 +704,7 @@ def test_connect_drops_unproductive_states():
 
 class TestArcArrays:
     def _fst(self):
-        isym, osym = _tables()
+        isym, osym = symbol_tables()
         fst = WeightedFst(isym, osym)
         fst.add_states(3)
         fst.set_start(0)

@@ -21,7 +21,7 @@ from ctcdec.fst import WeightedFst, compose, connect, determinize, minimize, rel
 from ctcdec.graph import read_units, units_of
 from ctcdec.symbols import SymbolTable
 
-from conftest import graph_from_text, random_acyclic_fst, random_bigram_arpa, random_lexicon
+from conftest import graph_from_text, random_acyclic_fst, random_bigram_arpa, random_lexicon, symbol_tables
 from oracles import (
     arcs_of,
     reference_build_TLG,
@@ -36,13 +36,6 @@ from oracles import (
 
 DATA = Path(__file__).parent / "data"
 CASES = 80
-
-
-def _tables(n_in=3, n_out=3):
-    return (
-        SymbolTable.with_epsilon([f"i{k}" for k in range(1, n_in + 1)]),
-        SymbolTable.with_epsilon([f"o{k}" for k in range(1, n_out + 1)]),
-    )
 
 
 def _random_fst(rng, isymbols, osymbols, max_states=7):
@@ -120,7 +113,7 @@ def _assert_same_and_sorted(got, want):
 @pytest.mark.parametrize("seed", range(3))
 def test_to_text_and_sort_arcs(seed):
     rng = random.Random(seed)
-    isym, osym = _tables()
+    isym, osym = symbol_tables()
     for _ in range(CASES):
         fst = _random_fst(rng, isym, osym)
         assert fst.to_text() == reference_to_text(fst)
@@ -133,7 +126,7 @@ def test_to_text_and_sort_arcs(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_connect(seed):
     rng = random.Random(100 + seed)
-    isym, osym = _tables()
+    isym, osym = symbol_tables()
     for _ in range(CASES):
         fst = _random_fst(rng, isym, osym)
         got, want = connect(fst), reference_connect(fst)
@@ -144,7 +137,7 @@ def test_connect(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_compose(seed):
     rng = random.Random(200 + seed)
-    isym, mid = _tables(3, 2)
+    isym, mid = symbol_tables(3, 2)
     third = SymbolTable.with_epsilon(["z1", "z2"])
     for _ in range(CASES):
         make = _random_fst if rng.random() < 0.5 else random_acyclic_fst
@@ -158,7 +151,7 @@ def test_compose_trims_keys_that_reach_no_final(seed):
     some do not. With every state of both inputs final no state is
     trimmed, so that composition counts the states reached."""
     rng = random.Random(270 + seed)
-    isym, mid = _tables(3, 2)
+    isym, mid = symbol_tables(3, 2)
     third = SymbolTable.with_epsilon(["z1", "z2"])
     trimmed = []
     for _ in range(CASES):
@@ -177,7 +170,7 @@ def test_compose_trims_keys_that_reach_no_final(seed):
 def test_compose_trims_a_key_whose_inputs_both_reach_a_final():
     """States 1 of a and of b each reach a final state, but over labels 2
     and 3, so the composed state (1, 1) reaches none and is dropped."""
-    isym, _ = _tables(3, 3)
+    isym, _ = symbol_tables(3, 3)
     a, b = WeightedFst(isym.copy(), isym.copy()), WeightedFst(isym.copy(), isym.copy())
     for fst, second in ((a, 2), (b, 3)):
         fst.add_states(3)
@@ -194,7 +187,7 @@ def test_compose_trims_a_key_whose_inputs_both_reach_a_final():
 @pytest.mark.parametrize("seed", range(3))
 def test_compose_large(seed):
     rng = random.Random(250 + seed)
-    isym, mid = _tables(3, 2)
+    isym, mid = symbol_tables(3, 2)
     third = SymbolTable.with_epsilon(["z1", "z2"])
     sizes = []
     for _ in range(12):
@@ -208,7 +201,7 @@ def test_compose_large(seed):
 @pytest.mark.parametrize("keys", [1, 2, 7])
 def test_compose_does_not_depend_on_expansion_size(monkeypatch, keys):
     rng = random.Random(260 + keys)
-    isym, mid = _tables(3, 2)
+    isym, mid = symbol_tables(3, 2)
     third = SymbolTable.with_epsilon(["z1", "z2"])
     monkeypatch.setattr(fstlib, "_EXPAND_KEYS", keys)
     for _ in range(CASES):
@@ -225,7 +218,7 @@ def test_compose_numbers_states_in_stack_order():
     a: 0 -1-> 1 -1-> 3 and 0 -2-> 2 -2-> 4; b accepts any string. Breadth-first
     numbering would give 1's successor 3 and 2's successor 4.
     """
-    isym, _ = _tables(2, 2)
+    isym, _ = symbol_tables(2, 2)
     a = WeightedFst(isym.copy(), isym.copy())
     a.add_states(5)
     a.set_start(0)
@@ -248,7 +241,7 @@ def test_compose_numbers_states_in_stack_order():
 
 def test_sort_arcs_orders_weight_ties_stably_at_any_label_width():
     """Arcs equal but for the weight sort by weight, stably, with labels of 1 or 2**62."""
-    isym, osym = _tables()
+    isym, osym = symbol_tables()
     for big in (1, 2**62):
         fst = WeightedFst(isym.copy(), osym.copy())
         fst.add_states(3)
@@ -269,7 +262,7 @@ def test_sort_arcs_orders_weight_ties_stably_at_any_label_width():
 @pytest.mark.parametrize("seed", range(3))
 def test_determinize(seed):
     rng = random.Random(300 + seed)
-    isym, _ = _tables()
+    isym, _ = symbol_tables()
     for _ in range(CASES):
         fst = random_acyclic_fst(rng, isym, isym, max_states=8, eps_prob=0.3)
         _assert_same(determinize(fst), reference_determinize(fst))
@@ -278,7 +271,7 @@ def test_determinize(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_minimize(seed):
     rng = random.Random(400 + seed)
-    isym, _ = _tables()
+    isym, _ = symbol_tables()
     for _ in range(CASES):
         fst = _random_deterministic(rng, isym)
         _assert_same_and_sorted(minimize(fst), reference_minimize(fst))
@@ -291,7 +284,7 @@ def test_minimize_merges_states_whose_weights_differ_only_by_the_sign_of_zero():
     on a final weight; 3 and 4 likewise. Equal weights merge, as they do
     for the reference's tuples, and each class keeps its first state's
     weights."""
-    isym, _ = _tables()
+    isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
     fst.add_states(5)
     fst.set_start(0)
@@ -309,7 +302,7 @@ def test_minimize_merges_states_whose_weights_differ_only_by_the_sign_of_zero():
 @pytest.mark.parametrize("seed", range(3))
 def test_relabel_ilabels(seed):
     rng = random.Random(500 + seed)
-    isym, osym = _tables()
+    isym, osym = symbol_tables()
     for _ in range(CASES):
         fst = _random_fst(rng, isym, osym)
         mapping = {rng.randint(0, 4): rng.randint(0, 3) for _ in range(rng.randint(0, 3))}
@@ -338,7 +331,7 @@ def test_golden_TLG():
 
 
 def test_determinize_budget_raises_in_both():
-    isym, _ = _tables()
+    isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
     fst.add_states(4)
     fst.set_start(0)
@@ -353,7 +346,7 @@ def test_determinize_budget_raises_in_both():
 
 
 def test_minimize_rejects_nondeterministic_in_both():
-    isym, _ = _tables()
+    isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
     fst.add_states(3)
     fst.set_start(0)

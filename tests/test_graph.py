@@ -11,7 +11,9 @@ from ctcdec.arpa import parse_arpa
 from ctcdec.decode import WfstBeamDecoder
 from ctcdec.errors import ConfigurationError, ParseError
 from ctcdec.fst import WeightedFst, compose
-from ctcdec.graph import build_G, build_L, build_T, build_graph, disambig_ids, prefix_prons, read_units
+from ctcdec.graph import (
+    build_G, build_L, build_T, build_graph, disambig_ids, prefix_prons, read_graph, read_units, write_graph
+)
 from ctcdec.lexicon import Lexicon, parse_lexicon
 from ctcdec.symbols import SymbolTable
 
@@ -352,6 +354,21 @@ class TestTlg:
         assert not disambig_ids(tlg.isymbols)
 
 
+def test_read_graph_returns_what_write_graph_wrote(tmp_path):
+    machines = graph_from_text()
+    tokens = SymbolTable()
+    for sym in ("<blank>", "a", "b", "c"):
+        tokens.add(sym)
+    write_graph(tmp_path, tokens, machines)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "G.fst", "L.fst", "T.fst", "TLG.fst", "tokens.txt", "units.txt", "words.txt"
+    ]
+    read_tokens, tlg = read_graph(tmp_path)
+    assert read_tokens == tokens
+    assert (tlg.isymbols, tlg.osymbols) == (machines["TLG"].isymbols, machines["TLG"].osymbols)
+    assert tlg.to_text() == machines["TLG"].to_text()
+
+
 def test_grammar_round_trips_through_text_format(tmp_path):
     model = parse_arpa(TOY_ARPA)
     g = build_G(model)
@@ -397,6 +414,21 @@ def test_symbol_table_line_errors_cite_the_line(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{message}')}$"):
         SymbolTable.read(path)
+
+
+@pytest.mark.parametrize("symbols, named", [(["a", "<eps>"], "'<eps>'.*id 0"), (["a", "b", "a"], "'a'.*id 1")])
+def test_with_epsilon_refuses_a_symbol_already_in_the_table(symbols, named):
+    with pytest.raises(ConfigurationError, match=f"^symbol {named}$"):
+        SymbolTable.with_epsilon(symbols)
+
+
+def test_with_epsilon_equals_the_table_its_adds_make():
+    table = SymbolTable()
+    for sym in ("<eps>", "a", "b"):
+        table.add(sym)
+    made = SymbolTable.with_epsilon(["a", "b"])
+    assert (made, list(made)) == (table, list(table))
+    assert made.add("c") == table.add("c") == 3
 
 
 @given(st.lists(st.tuples(st.integers(0, 12), st.one_of(st.none(), st.integers(0, 40))), max_size=40), st.booleans())

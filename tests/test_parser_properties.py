@@ -26,9 +26,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctcdec.arpa import parse_arpa, read_arpa
-from ctcdec.cli import _OPTIONS, _default, read_config, read_nbest_file
+from ctcdec.cli import _OPTIONS, _default, read_config
 from ctcdec.context import load_biasing_phrases
-from ctcdec.decode import PosteriorMatrix
+from ctcdec.decode import PosteriorMatrix, read_nbest_file
 from ctcdec.errors import EngineError, ParseError
 from ctcdec.fst import WeightedFst
 from ctcdec.lexicon import parse_lexicon, read_lexicon

@@ -14,6 +14,7 @@ import pytest
 from ctcdec.context import BiasingPhrase, ContextGraph
 from ctcdec.decode import PrefixBeamDecoder
 
+from conftest import random_chunks
 from oracles import ReferencePrefixBeamDecoder
 
 NEG_INF = float("-inf")
@@ -58,12 +59,6 @@ def _random_logprobs(rng: random.Random, frames: int, width: int) -> np.ndarray:
         return np.log(np.array(rows, dtype=np.float64).reshape(frames, width))
 
 
-def _chunks(rng: random.Random, logprobs: np.ndarray):
-    cuts = sorted(rng.sample(range(1, len(logprobs)), rng.randint(0, len(logprobs) - 1))) if len(logprobs) > 1 else []
-    bounds = [0, *cuts, len(logprobs)]
-    return [logprobs[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _both(logprobs, chunks, **kwargs):
     fast = PrefixBeamDecoder(**kwargs)
     for chunk in chunks:
@@ -79,7 +74,7 @@ def test_random_posteriors_byte_identical(seed):
     for _ in range(60):
         width = rng.randint(2, 7)
         logprobs = _random_logprobs(rng, rng.randint(0, 7), width)
-        chunks = _chunks(rng, logprobs)
+        chunks = random_chunks(rng, logprobs)
         skip = rng.choice((None, None, 0.5, 0.9))
         for beam, nbest in BEAMS:
             for context in (None, SHARED_CONTEXT):

@@ -21,7 +21,7 @@ from ctcdec.errors import ConfigurationError
 from ctcdec.fst import WeightedFst
 from ctcdec.symbols import SymbolTable
 
-from conftest import TRIGRAM_ARPA, graph_from_text, random_bigram_arpa, random_lexicon
+from conftest import TRIGRAM_ARPA, graph_from_text, random_bigram_arpa, random_chunks, random_lexicon
 from oracles import ReferenceWfstBeamDecoder, arcs_of
 
 PRUNING = (
@@ -101,12 +101,6 @@ def _random_logprobs(rng: random.Random, frames: int, width: int) -> np.ndarray:
         return np.log(np.array(rows, dtype=np.float64).reshape(frames, width))
 
 
-def _chunks(rng: random.Random, logprobs: np.ndarray):
-    cuts = sorted(rng.sample(range(1, len(logprobs)), rng.randint(0, len(logprobs) - 1))) if len(logprobs) > 1 else []
-    bounds = [0, *cuts, len(logprobs)]
-    return [logprobs[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _word_context(rng: random.Random, graph) -> ContextGraph:
     n_words = len(graph.osymbols) - 1
     phrases = [
@@ -129,7 +123,7 @@ def _check_graph(rng: random.Random, graph, draws: int) -> None:
     width = max(arc.ilabel for s in graph.states() for arc in arcs_of(graph, s))
     for _ in range(draws):
         logprobs = _random_logprobs(rng, rng.randint(0, 7), width)
-        chunks = _chunks(rng, logprobs)
+        chunks = random_chunks(rng, logprobs)
         skip = rng.choice((None, 0.98, 0.9, 0.5))
         context = _word_context(rng, graph) if rng.random() < 0.5 else None
         for pruning in PRUNING:
@@ -167,7 +161,7 @@ def test_long_posteriors_on_toy_graph():
     for _ in range(6):
         logprobs = _random_logprobs(rng, 30, 4)
         for pruning in PRUNING:
-            fast, ref = _both(graph, logprobs, _chunks(rng, logprobs), nbest=10, blank_skip_threshold=None, **pruning)
+            fast, ref = _both(graph, logprobs, random_chunks(rng, logprobs), nbest=10, blank_skip_threshold=None, **pruning)
             assert fast == ref
 
 
@@ -183,7 +177,7 @@ def _two_hop_draws():
     rng = random.Random(18)
     for _ in range(150):
         logprobs = _random_logprobs(rng, rng.randint(1, 11), 4)
-        yield logprobs, _chunks(rng, logprobs)
+        yield logprobs, random_chunks(rng, logprobs)
 
 
 def test_two_hop_label0_paths_of_a_built_trigram_graph():
@@ -218,7 +212,7 @@ def test_dense_label0_graphs_byte_identical():
             assert "label-0 paths" in str(err)
             continue
         logprobs = _random_logprobs(rng, rng.randint(1, 7), graph.arc_arrays().max_ilabel)
-        chunks = _chunks(rng, logprobs)
+        chunks = random_chunks(rng, logprobs)
         context = _word_context(rng, graph) if seed % 2 else None
         for pruning in PRUNING:
             fast, ref = _both(graph, logprobs, chunks, nbest=5, blank_skip_threshold=None, context=context, **pruning)
@@ -360,5 +354,5 @@ def test_long_stream_on_a_random_graph(with_context):
     logprobs = _random_logprobs(rng, 240, width)
     context = _word_context(rng, graph) if with_context else None
     for pruning in (dict(), dict(max_active=3), dict(score_beam=4.0)):
-        fast, ref = _both(graph, logprobs, _chunks(rng, logprobs), nbest=10, context=context, **pruning)
+        fast, ref = _both(graph, logprobs, random_chunks(rng, logprobs), nbest=10, context=context, **pruning)
         assert fast == ref, pruning
