@@ -123,7 +123,9 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
     path = Path(path).resolve()
     temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(temp, "xb") as file:
+        # A buffer of 256 KiB, not 8 KiB, so small chunks (a shard's 512-byte
+        # headers between its payloads) reach the file in few large writes.
+        with open(temp, "xb", buffering=1 << 18) as file:
             file.writelines(chunks)
         try:
             os.chmod(temp, stat.S_IMODE(path.stat().st_mode))

@@ -30,7 +30,6 @@ a column once, and `write` replaces its file whole.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,9 +134,6 @@ class WeightedFst:
     def num_arcs(self) -> int:
         return len(self._arrays.ilabel) + len(self._pending)
 
-    def states(self) -> range:
-        return range(self._num_states)
-
     def final_weight(self, state: int) -> float:
         return self.finals.get(state, semiring.ZERO)
 
@@ -160,15 +156,6 @@ class WeightedFst:
         a = self.arc_arrays()
         order = a.sorted_order()
         self._arrays = ArcArrays.from_columns(self._num_states, *(c[order] for c in a.columns()))
-
-    def copy(self) -> "WeightedFst":
-        """An independent machine; the read-only arc arrays are shared."""
-        out = WeightedFst(self.isymbols.copy(), self.osymbols.copy())
-        out.start = self.start
-        out.finals = dict(self.finals)
-        out._num_states = self._num_states
-        out._arrays = dataclasses.replace(self.arc_arrays())
-        return out
 
     # -- text format -----------------------------------------------------
 
@@ -240,7 +227,12 @@ class WeightedFst:
         # No view of a column exists until the last block is in, so they resize in place.
         columns = [np.empty(0, _ARC_ROW[name]) for name in names]
         labels = [None if table is None else table.ids() for table in (isymbols, osymbols)]
-        finals, arc_lines, final_lines = [], [], []  # per block: final rows, and the line of each arc and final row
+        finals = []  # per block: the final rows
+        # A line names at most two states, so no file of n lines numbers its states
+        # densely past 2n. That bound only grows, so only a row whose state id is
+        # past it for the lines read so far can break it; `held` keeps each block's
+        # such rows as (rank of the check, line indices, state ids).
+        held: list[tuple[int, np.ndarray, np.ndarray]] = []
         errors: list[tuple[int, int, str]] = []  # (line index, rank of the check, message)
         n_arcs = n_lines = seen = 0
         for block in blocks:
@@ -256,26 +248,26 @@ class WeightedFst:
                     c[n_arcs:end] = arcs[name]
                 n_arcs = end
                 finals.append(fin)
-                arc_lines.append(arc_line)
-                final_lines.append(final_line)
+                low = 2 * (n_lines + len(lines))
+                rows = ((4, arc_line, arcs["src"], arcs["dst"]), (10, final_line, fin["state"], fin["state"]))
+                for rank, at, a, b in rows:  # a final row names one state, so it stands as both ends
+                    keep = (a >= low) | (b >= low)
+                    if keep.any():
+                        held.append((rank, at[keep], np.maximum(a[keep], b[keep])))
             n_lines += len(lines)
         for c in columns:
             c.resize(n_arcs, refcheck=False)
         src, dst, il, ol, w = columns
         fin = np.concatenate(finals) if finals else np.zeros(0, _FINAL_ROW)
         state, fw = fin["state"], fin["w"]
-        n = 1 + max((int(c.max()) for c in (src, dst, state) if len(c)), default=-1)
-        # A line names at most two states, so no file numbers its states densely past this.
-        bound = 2 * n_lines
-        if n > bound:
-            too_large = f"is too large for a file of {n_lines} lines"
-            _fail(errors, np.concatenate(arc_lines), np.maximum(src, dst) >= bound, 4,
-                  lambda r: f"state id {max(src[r], dst[r])} {too_large}")
-            _fail(errors, np.concatenate(final_lines), state >= bound, 10, lambda r: f"state id {state[r]} {too_large}")
+        too_large = f"is too large for a file of {n_lines} lines"
+        for rank, at, ids in held:
+            _fail(errors, at, ids >= 2 * n_lines, rank, lambda r: f"state id {ids[r]} {too_large}")
         if errors:
             at, _, message = min(errors)
             raise ParseError(message, source=source, line=at + 1)
 
+        n = 1 + max((int(c.max()) for c in (src, dst, state) if len(c)), default=-1)
         fst = cls._from_columns(isymbols, osymbols, n, 0 if n else NO_STATE, {}, src, il, ol, w, dst)
         for s, weight in zip(state.tolist(), fw.tolist()):
             fst.set_final(s, weight)

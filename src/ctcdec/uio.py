@@ -19,6 +19,8 @@ nothing but NULs, so a truncated shard never reads as a shorter one.
 from __future__ import annotations
 
 import gzip
+import io
+import itertools
 import json
 import logging
 import struct
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlparse
 
-from .errors import ConfigurationError, EngineError, ParseError, numbered_lines, parse_count, read_text
+from .errors import ConfigurationError, EngineError, ParseError, numbered_lines, parse_count, read_text, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -122,8 +124,10 @@ def pack_shards(
 
     Entries of one record stay adjacent and records keep input order. A
     `manifest.txt` with `shard_path sample_count byte_size` lines is
-    written next to the shards. Duplicate keys abort the pack. Returns
-    the shard paths in order.
+    written next to the shards. Each shard and the manifest is replaced
+    whole, so a failed pack leaves every earlier file whole, though a pack
+    may stop between files. Duplicate keys abort the pack. Returns the
+    shard paths in order.
     """
     if shard_size < 1:
         raise ConfigurationError("shard_size must be >= 1")
@@ -131,77 +135,52 @@ def pack_shards(
     seen_keys: set[str] = set()
     manifest: list[str] = []
     locators: list[str] = []
-
-    writer: _ShardWriter | None = None
-    try:
-        for sample in samples:
-            if sample.key in seen_keys:
-                raise ConfigurationError(f"duplicate sample key {sample.key!r}")
-            seen_keys.add(sample.key)
-            if writer is None:
-                out_path.mkdir(parents=True, exist_ok=True)
-                writer = _ShardWriter(out_path, len(locators), compress)
-            writer.add(sample)
-            if writer.count >= shard_size:
-                manifest.append(writer.close())
-                locators.append(str(writer.path))
-                writer = None
-        if writer is not None:
-            manifest.append(writer.close())
-            locators.append(str(writer.path))
-            writer = None
-    finally:
-        if writer is not None:
-            writer.abort()
-
+    records = iter(samples)
+    for first in records:  # each shard takes the next record and up to shard_size - 1 more
+        out_path.mkdir(parents=True, exist_ok=True)
+        path = out_path / (f"shard_{len(locators):05d}.tar" + (".gz" if compress else ""))
+        before = len(seen_keys)
+        chunks = _tar_chunks(itertools.chain([first], itertools.islice(records, shard_size - 1)), seen_keys)
+        write_atomic(path, _gzip_chunks(chunks) if compress else chunks)
+        manifest.append(f"{path.name} {len(seen_keys) - before} {path.stat().st_size}\n")
+        locators.append(str(path))
     if manifest:
-        (out_path / MANIFEST_NAME).write_text("".join(manifest), encoding="utf-8")
+        write_atomic(out_path / MANIFEST_NAME, ["".join(manifest).encode("utf-8")])
     return locators
 
 
-class _ShardWriter:
-    def __init__(self, out_dir: Path, index: int, compress: bool):
-        self.name = f"shard_{index:05d}.tar" + (".gz" if compress else "")
-        self.path = out_dir / self.name
-        self.count = 0
-        self._offset = 0
-        self._raw = open(self.path, "wb")
-        if compress:
-            # mtime pinned so identical inputs give byte-identical shards
-            self._stream: BinaryIO = gzip.GzipFile(filename="", mode="wb", fileobj=self._raw, mtime=0)
-        else:
-            self._stream = self._raw
-
-    def add(self, sample: SampleRecord) -> None:
-        for suffix in sorted(sample.payloads):
-            self._entry(f"{sample.key}.{suffix}", sample.payloads[suffix])
+def _tar_chunks(samples: Iterable[SampleRecord], seen_keys: set[str]) -> Iterator[bytes]:
+    """The bytes of a tar archive of `samples`, a piece at a time. Each key
+    goes into `seen_keys`; a key already there raises."""
+    offset = 0
+    for sample in samples:
+        if sample.key in seen_keys:
+            raise ConfigurationError(f"duplicate sample key {sample.key!r}")
+        seen_keys.add(sample.key)
         meta = json.dumps(sample.metadata, sort_keys=True, ensure_ascii=False).encode("utf-8")
-        self._entry(f"{sample.key}.{METADATA_SUFFIX}", meta)
-        self.count += 1
+        for suffix, data in [*sorted(sample.payloads.items()), (METADATA_SUFFIX, meta)]:
+            yield _ustar_header(f"{sample.key}.{suffix}", len(data))
+            yield data
+            pad = -len(data) % _BLOCK
+            if pad:
+                yield _ZERO_BLOCK[:pad]
+            offset += _BLOCK + len(data) + pad
+    end = 2 * _BLOCK
+    yield bytes(end + -(offset + end) % _RECORD)
 
-    def _entry(self, name: str, data: bytes) -> None:
-        write = self._stream.write
-        write(_ustar_header(name, len(data)))
-        write(data)
-        pad = -len(data) % _BLOCK
-        if pad:
-            write(_ZERO_BLOCK[:pad])
-        self._offset += _BLOCK + len(data) + pad
 
-    def close(self) -> str:
-        """Finish the shard and return its manifest line."""
-        end = 2 * _BLOCK
-        self._stream.write(bytes(end + -(self._offset + end) % _RECORD))
-        if self._stream is not self._raw:
-            self._stream.close()
-        self._raw.close()
-        return f"{self.name} {self.count} {self.path.stat().st_size}\n"
-
-    def abort(self) -> None:
-        try:
-            self._raw.close()
-        finally:
-            self.path.unlink(missing_ok=True)
+def _gzip_chunks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """`chunks` gzipped, handed on as the compressor lets each piece out."""
+    buffer = io.BytesIO()
+    # mtime pinned so identical inputs give byte-identical shards
+    with gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0) as stream:
+        for chunk in chunks:
+            stream.write(chunk)
+            if buffer.tell():
+                yield buffer.getvalue()
+                buffer.seek(0)
+                buffer.truncate()
+    yield buffer.getvalue()
 
 
 def shard_list_from_manifest(path: str | Path) -> list[str]:

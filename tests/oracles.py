@@ -437,7 +437,7 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
         self._emit_arcs: list[list] = []
         self._eps_arcs: list[list] = []
         max_ilabel = 0
-        for state in graph.states():
+        for state in range(graph.num_states()):
             emit, eps = [], []
             for arc in arcs_of(graph, state):
                 if arc.ilabel != 0:
@@ -707,7 +707,7 @@ def _arc_key(arc):
 
 
 def _arc_lists(fst):
-    return [arcs_of(fst, state) for state in fst.states()]
+    return [arcs_of(fst, state) for state in range(fst.num_states())]
 
 
 def reference_sorted(fst):
@@ -746,8 +746,8 @@ def reference_connect(fst):
             if arc.nextstate not in accessible:
                 accessible.add(arc.nextstate)
                 stack.append(arc.nextstate)
-    reverse = {s: [] for s in fst.states()}
-    for state in fst.states():
+    reverse = {s: [] for s in range(fst.num_states())}
+    for state in range(fst.num_states()):
         for arc in arcs[state]:
             reverse[arc.nextstate].append(state)
     coaccessible = set()
@@ -869,12 +869,12 @@ def reference_minimize(a):
     arcs = _arc_lists(trimmed)
     classes = [0] * trimmed.num_states()
     keys = {}
-    for state in trimmed.states():
+    for state in range(trimmed.num_states()):
         classes[state] = keys.setdefault(("F", trimmed.final_weight(state)), len(keys))
     while True:
         keys = {}
         new_classes = [0] * trimmed.num_states()
-        for state in trimmed.states():
+        for state in range(trimmed.num_states()):
             signature = (
                 classes[state],
                 tuple(sorted((arc.ilabel, arc.olabel, arc.weight, classes[arc.nextstate]) for arc in arcs[state])),
@@ -885,7 +885,7 @@ def reference_minimize(a):
         classes = new_classes
     out = WeightedFst(trimmed.isymbols.copy(), trimmed.osymbols.copy())
     representative = {}
-    for state in trimmed.states():
+    for state in range(trimmed.num_states()):
         representative.setdefault(classes[state], state)
     start_class = classes[trimmed.start]
     ordered = [start_class] + [c for c in sorted(representative, key=representative.get) if c != start_class]

@@ -335,7 +335,7 @@ class TestTlg:
     def test_probability_zero_paths_are_dropped(self, arpa):
         tlg = graph_from_text(TOY_LEXICON, arpa)["TLG"]
         ac = tlg.osymbols.get_id("ac")
-        assert all(arc.olabel != ac for state in tlg.states() for arc in arcs_of(tlg, state))
+        assert all(arc.olabel != ac for state in range(tlg.num_states()) for arc in arcs_of(tlg, state))
         # frame labels for "ac": a a <blank> c
         nbest = WfstBeamDecoder(tlg).decode(np.log(np.full((4, 4), 0.01) + 0.96 * np.eye(4)[[1, 1, 0, 3]]))
         assert nbest.best().words

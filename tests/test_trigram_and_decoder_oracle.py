@@ -72,7 +72,7 @@ def _scaled(fst: WeightedFst, factor: float) -> WeightedFst:
     out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
     out.add_states(fst.num_states())
     out.set_start(fst.start)
-    for state in fst.states():
+    for state in range(fst.num_states()):
         for arc in arcs_of(fst, state):
             out.add_arc(state, arc.ilabel, arc.olabel, arc.weight * factor, arc.nextstate)
     for state, weight in fst.finals.items():

@@ -1,5 +1,6 @@
 import gzip
 import io
+import os
 import struct
 import tarfile
 from pathlib import Path
@@ -134,6 +135,33 @@ class TestPack:
         records = _records(2) + _records(1)
         with pytest.raises(ConfigurationError, match="utt0000"):
             pack_shards(records, 10, tmp_path)
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_failed_pack_leaves_earlier_files_whole(self, tmp_path, compress):
+        records = {key: SampleRecord(key, {"wav": key.encode()}) for key in "abcdefg"}
+        pack_shards([records[key] for key in "abcd"], 2, tmp_path, compress=compress)
+        shards = [f"shard_0000{i}.tar" + (".gz" if compress else "") for i in (0, 1)]
+        before = {name: (tmp_path / name).read_bytes() for name in (shards[1], "manifest.txt")}
+        with pytest.raises(ConfigurationError, match="'e'"):
+            pack_shards([records[key] for key in "efge"], 2, tmp_path, compress=compress)
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt", *shards]
+
+    def test_manifest_that_cannot_land_keeps_the_old_one(self, tmp_path, monkeypatch):
+        pack_shards(_records(4), 2, tmp_path)
+        old = (tmp_path / "manifest.txt").read_bytes()
+        replace = os.replace
+
+        def replace_all_but_the_manifest(src, dst):
+            if Path(dst).name == "manifest.txt":
+                raise OSError("no room for the manifest")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_all_but_the_manifest)
+        with pytest.raises(OSError, match="no room"):
+            pack_shards(_records(6), 2, tmp_path)
+        assert (tmp_path / "manifest.txt").read_bytes() == old
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_record_entries_adjacent_and_ordered(self, tmp_path):
         pack_shards(_records(2), 10, tmp_path)

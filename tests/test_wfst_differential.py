@@ -120,7 +120,7 @@ def _both(graph, logprobs, chunks, **kwargs):
 
 
 def _check_graph(rng: random.Random, graph, draws: int) -> None:
-    width = max(arc.ilabel for s in graph.states() for arc in arcs_of(graph, s))
+    width = max(arc.ilabel for s in range(graph.num_states()) for arc in arcs_of(graph, s))
     for _ in range(draws):
         logprobs = _random_logprobs(rng, rng.randint(0, 7), width)
         chunks = random_chunks(rng, logprobs)
@@ -319,7 +319,7 @@ def test_hand_made_graphs_with_inf_arcs_byte_identical(seed):
     rng = random.Random(2000 + seed)
     for _ in range(6):
         graph = _random_wfst(rng)
-        for state in graph.states():
+        for state in range(graph.num_states()):
             for arc in arcs_of(graph, state):
                 if rng.random() < 0.4:
                     graph.add_arc(state, arc.ilabel, rng.choice((0, arc.olabel)), float("inf"), arc.nextstate)
@@ -350,7 +350,7 @@ def test_long_stream_on_a_random_graph(with_context):
     """A 240-frame stream in random chunks over a seeded random TLG."""
     rng = random.Random(77)
     graph = _random_graph(rng)
-    width = max(arc.ilabel for s in graph.states() for arc in arcs_of(graph, s))
+    width = max(arc.ilabel for s in range(graph.num_states()) for arc in arcs_of(graph, s))
     logprobs = _random_logprobs(rng, 240, width)
     context = _word_context(rng, graph) if with_context else None
     for pruning in (dict(), dict(max_active=3), dict(score_beam=4.0)):
