@@ -11,12 +11,12 @@ algorithm here reads rows from them and emits new columns, which one
 private constructor turns into the result; no pass makes an object per
 arc.
 
-Every algorithm but `determinize` is array code. `compose` expands the
-composed states a frontier at a time, giving each new one a dense id
-from a dict, and then numbers them in the order a stack would discover
-them. `connect` walks forward over the CSR arrays and backward over
-each arc's source grouped by its destination. `determinize` keeps a
-scalar loop over the arcs of each subset it builds.
+Every algorithm is array code. `compose` and `determinize` expand their
+states a bounded batch at a time, giving each new one a dense id from a
+dict, and then number them in the order a stack would discover them:
+`compose` keys a state by its code, `determinize` a subset by the bytes
+of its states and residuals. `connect` walks forward over the CSR arrays
+and backward over each arc's source grouped by its destination.
 
 The text format is read and written a block of lines at a time, with
 no Python object per line or field that outlives its block.
@@ -31,6 +31,7 @@ a column once, and `write` replaces its file whole.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -54,7 +55,7 @@ _ARC_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("il", np.int64), ("o
 _FINAL_ROW = np.dtype([("state", np.int64), ("w", np.float64)])
 _READ_BLOCK = 1 << 18  # characters (or file bytes) parsed into lines at once, which bounds the line objects held
 _TEXT_CHUNK = 1 << 14  # arcs `to_text` and `write` format at once, which bounds the byte rows they hold
-_EXPAND_KEYS = 256  # composed states `compose` expands at once, which bounds the arc rows it holds
+_EXPAND_KEYS = 256  # states `compose` and `determinize` expand at once, which bounds the arc rows they hold
 
 
 class WeightedFst:
@@ -505,13 +506,6 @@ def _offsets(group: np.ndarray, n: int) -> np.ndarray:
     return offsets
 
 
-def _rows(a: ArcArrays) -> list[list[tuple[int, int, float, int]]]:
-    """Each state's arcs as (ilabel, olabel, weight, nextstate) tuples, for scalar loops."""
-    arcs = list(zip(a.ilabel.tolist(), a.olabel.tolist(), a.weight.tolist(), a.nextstate.tolist()))
-    offsets = a.offsets.tolist()
-    return [arcs[offsets[s] : offsets[s + 1]] for s in range(a.num_states)]
-
-
 # -- connect -------------------------------------------------------------
 
 
@@ -739,58 +733,98 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
     machines with epsilon cycles of that kind (n-gram backoff loops) stay
     representable. Paths of weight +inf (the semiring zero) are dropped.
     Subsets are numbered in the order a stack discovers them, and each
-    state's arcs are added in (ilabel, olabel) order. Raises ResourceError
-    if the construction exceeds the state budget (default 10x the input
-    size, with a small floor).
+    state's arcs are in (ilabel, olabel) order. Raises ResourceError when
+    more subsets are reachable than the state budget (default 10x the
+    input size, with a small floor), which must be at least 1.
+
+    This is array code with no step per arc or per subset element.
+    Subsets are expanded `_EXPAND_KEYS` at a time in the order they are
+    found. The (element, arc) rows of a batch are costed at once and
+    sorted by (subset, ilabel, olabel, nextstate); each nextstate keeps
+    its least cost and each label the least of those. A label's
+    destination, its nextstates and their residuals, is looked up in a
+    dict once per distinct destination of the batch. The subsets are
+    then numbered by a replay of the stack (`_stack_order`).
+
+    No cost or residual is ever -0.0: the start's residual is 0.0, x + y
+    is -0.0 only if x and y are, and x - y only if x is. So costs that
+    tie have the same bits, which tie is kept does not matter, and
+    subsets that compare equal have the same bytes.
     """
+    if state_budget is not None and state_budget < 1:
+        raise ConfigurationError("state_budget must be >= 1")
     if a.is_empty():
         return WeightedFst(a.isymbols.copy(), a.osymbols.copy())
     budget = state_budget if state_budget is not None else max(10 * a.num_states(), _DET_BUDGET_FLOOR)
-    rows = _rows(a.arc_arrays())
-    ZERO, plus, times = semiring.ZERO, semiring.plus, semiring.times
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    add_src, add_il, add_ol, add_w, add_dst = (c.append for c in columns)
-    finals: dict[int, float] = {}
+    A = a.arc_arrays()
+    final_weight = _final_weights(a)
+    ids = {np.array([a.start, 0], dtype=np.int64).tobytes(): 0}  # a subset's states and residuals, as bytes
+    # Subsets found and not yet expanded, as (sizes, states, residuals), in id order.
+    todo = deque([(np.ones(1, dtype=np.int64), np.array([a.start], dtype=np.int64), np.zeros(1))])
+    counts, il, ol, w, dst, finals = [], [], [], [], [], []  # per expansion: arcs per subset, the arcs' columns, finals
+    while todo:
+        size, element, residual = todo.popleft()
+        if len(size) > _EXPAND_KEYS:
+            cut = int(size[:_EXPAND_KEYS].sum())
+            todo.appendleft((size[_EXPAND_KEYS:], element[cut:], residual[cut:]))
+            size, element, residual = size[:_EXPAND_KEYS], element[:cut], residual[:cut]
+        subset = np.repeat(np.arange(len(size)), size)  # each element's subset
+        finals.append(np.minimum.reduceat(_times(residual, final_weight[element]), np.cumsum(size) - size))
 
-    Subset = tuple[tuple[int, float], ...]
-    subset_ids: dict[Subset, int] = {}
-    queue: list[Subset] = []
+        # Each element's arcs, costed, grouped by (subset, ilabel, olabel, nextstate).
+        row, arc = _spans(A.offsets[element], A.offsets[element + 1] - A.offsets[element])
+        cost = _times(residual[row], A.weight[arc])
+        live = np.flatnonzero(cost != semiring.ZERO)  # a +inf row lies on no path
+        row, arc, cost = row[live], arc[live], cost[live]
+        columns = (subset[row], A.ilabel[arc], A.olabel[arc], A.nextstate[arc])
+        order = np.lexsort(columns[::-1])
+        key, lab_i, lab_o, nxt = (c[order] for c in columns)
+        new_label = np.ones(len(order), dtype=bool)
+        new_label[1:] = (key[1:] != key[:-1]) | (lab_i[1:] != lab_i[:-1]) | (lab_o[1:] != lab_o[:-1])
+        target = np.flatnonzero(new_label | np.concatenate(([True], nxt[1:] != nxt[:-1])))
+        value = np.minimum.reduceat(cost[order], target)  # each (label, nextstate)'s least cost
+        label = np.flatnonzero(new_label[target])  # each label's first target
+        width = np.diff(np.append(label, len(target)))  # and its number of targets
+        w_min = np.minimum.reduceat(value, label)
+        residual = value - np.repeat(w_min, width)
+        nxt = nxt[target]
+        head = target[label]
+        counts.append(np.bincount(key[head], minlength=len(size)))
+        il.append(lab_i[head])
+        ol.append(lab_o[head])
+        w.append(w_min)
 
-    def subset_state(subset: Subset) -> int:
-        state = subset_ids.get(subset)
-        if state is None:
-            if len(subset_ids) >= budget:
-                raise ResourceError(f"determinization exceeded its state budget of {budget} states")
-            state = subset_ids[subset] = len(subset_ids)
-            queue.append(subset)
-        return state
+        # Each label's destination subset, one dict lookup per distinct one.
+        to = np.empty(len(label), dtype=np.int64)
+        new = []  # the labels whose subset is new, in id order
+        for n in np.unique(width).tolist():
+            at = np.flatnonzero(width == n)
+            cells = label[at, None] + np.arange(n)
+            keys = np.hstack((nxt[cells], residual[cells].view(np.int64)))
+            inverse = _column_ids(keys.T)
+            once = np.unique(inverse, return_index=True)[1]
+            got = []
+            for subset_key, j in zip(keys[once], once.tolist()):
+                known = len(ids)
+                got.append(ids.setdefault(subset_key.tobytes(), known))
+                if got[-1] == known:
+                    if known == budget:
+                        raise ResourceError(f"determinization exceeded its state budget of {budget} states")
+                    new.append(at[j])
+            to[at] = np.array(got)[inverse]
+        dst.append(to)
+        if new:
+            cell = _spans(label[new], width[new])[1]
+            todo.append((width[new], nxt[cell], residual[cell]))
 
-    subset_state(((a.start, semiring.ONE),))
-    while queue:
-        subset = queue.pop()
-        src = subset_ids[subset]
-
-        # Gather per encoded label the best extension weight into each state.
-        by_label: dict[tuple[int, int], dict[int, float]] = {}
-        final = ZERO
-        for state, residual in subset:
-            final = plus(final, times(residual, a.final_weight(state)))
-            for il, ol, weight, nxt in rows[state]:
-                w = times(residual, weight)
-                if w == ZERO:
-                    continue  # a subset of +inf residuals would hold NaN and never match itself
-                targets = by_label.setdefault((il, ol), {})
-                targets[nxt] = plus(targets.get(nxt, ZERO), w)
-        if final != ZERO:
-            finals[src] = final
-
-        for label in sorted(by_label):
-            targets = by_label[label]
-            w_min = min(targets.values())
-            dst = subset_state(tuple(sorted((state, w - w_min) for state, w in targets.items())))
-            add_src(src), add_il(label[0]), add_ol(label[1]), add_w(w_min), add_dst(dst)
+    counts = np.concatenate(counts)
+    dst = np.concatenate(dst)
+    state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
+    final = np.concatenate(finals)
+    is_final = np.flatnonzero(final != semiring.ZERO)
     return WeightedFst._from_columns(
-        a.isymbols.copy(), a.osymbols.copy(), len(subset_ids), 0, finals, *columns
+        a.isymbols.copy(), a.osymbols.copy(), len(state), 0, dict(zip(state[is_final].tolist(), final[is_final].tolist())),
+        np.repeat(state, counts), np.concatenate(il), np.concatenate(ol), np.concatenate(w), state[dst],
     )
 
 

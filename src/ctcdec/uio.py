@@ -125,9 +125,13 @@ def pack_shards(
     Entries of one record stay adjacent and records keep input order. A
     `manifest.txt` with `shard_path sample_count byte_size` lines is
     written next to the shards. Each shard and the manifest is replaced
-    whole, so a failed pack leaves every earlier file whole, though a pack
-    may stop between files. Duplicate keys abort the pack. Returns the
-    shard paths in order.
+    whole, so a failed pack leaves no file cut short, though a pack may
+    stop between files. An earlier manifest is removed before the first
+    shard is replaced, so a failed pack leaves no manifest rather than
+    one that lists the new shards under the old counts. Shards left over
+    from an earlier, larger pack stay in the directory, but the new
+    manifest does not list them. Duplicate keys abort the pack. Returns
+    the shard paths in order.
     """
     if shard_size < 1:
         raise ConfigurationError("shard_size must be >= 1")
@@ -138,6 +142,8 @@ def pack_shards(
     records = iter(samples)
     for first in records:  # each shard takes the next record and up to shard_size - 1 more
         out_path.mkdir(parents=True, exist_ok=True)
+        if not locators:
+            (out_path / MANIFEST_NAME).unlink(missing_ok=True)
         path = out_path / (f"shard_{len(locators):05d}.tar" + (".gz" if compress else ""))
         before = len(seen_keys)
         chunks = _tar_chunks(itertools.chain([first], itertools.islice(records, shard_size - 1)), seen_keys)

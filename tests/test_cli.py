@@ -65,6 +65,21 @@ class TestBuildGraph:
         assert "state budget" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_det_budget_below_one_exits_1_and_writes_nothing(self, tmp_path, capsys, budget):
+        out = tmp_path / "graph"
+        code = main([
+            "build-graph",
+            "--units", str(DATA / "units.txt"),
+            "--lexicon", str(DATA / "lexicon.txt"),
+            "--arpa", str(DATA / "lm.arpa"),
+            "--out", str(out),
+            "--det-budget", budget,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: state_budget must be >= 1\n"
+        assert not out.exists()
+
     def test_without_arpa_is_t_only(self, tmp_path, capsys):
         out = tmp_path / "nolm"
         code = main(["build-graph", "--units", str(DATA / "units.txt"), "--out", str(out)])

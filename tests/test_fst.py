@@ -218,6 +218,13 @@ class TestDeterminize:
         with pytest.raises(ResourceError, match="budget"):
             determinize(fst, state_budget=1)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_a_configuration_error(self, budget):
+        isym, _ = symbol_tables()
+        fst = linear_fst([1, 2], isymbols=isym, osymbols=isym)
+        with pytest.raises(ConfigurationError, match="^state_budget must be >= 1$"):
+            determinize(fst, state_budget=budget)
+
     def test_random_acyclic_language_preserved(self):
         rng = random.Random(99)
         isym, _ = symbol_tables()

@@ -99,9 +99,45 @@ def _random_deterministic(rng, isymbols, max_states=6):
     return fst
 
 
+def _backoff_fst(rng, isymbols, max_states=6):
+    """An n-gram-shaped acceptor over the weights 0.0, -0.0, 1.0 and +inf.
+
+    Every state but 0 has a (0:0) backoff arc to a lower state, and word
+    arcs run to any state, so backoff loops and longer cycles come up,
+    with exact ties and signed zeros. Some machines cannot be
+    determinized.
+    """
+    weights = (0.0, -0.0, 1.0, float("inf"))
+    fst = WeightedFst(isymbols.copy(), isymbols.copy())
+    n = rng.randint(2, max_states)
+    fst.add_states(n)
+    fst.set_start(rng.randrange(n))
+    for src in range(n):
+        if src:
+            fst.add_arc(src, 0, 0, rng.choice(weights), rng.randrange(src))
+        for _ in range(rng.randint(0, 3)):
+            word = rng.randint(1, len(isymbols) - 1)
+            fst.add_arc(src, word, word, rng.choice(weights), rng.randrange(n))
+    for state in rng.sample(range(n), rng.randint(1, n)):
+        fst.set_final(state, rng.choice(weights))
+    return fst
+
+
 def _assert_same(got, want):
     assert (got.num_states(), got.start) == (want.num_states(), want.start)
     assert got.to_text() == reference_to_text(want)
+
+
+def _weights(fst):
+    """Each state's arc weights and the final weights, as `str` prints them, so -0.0 is not 0.0."""
+    arcs = [[str(arc.weight) for arc in arcs_of(fst, state)] for state in range(fst.num_states())]
+    return arcs, {state: str(weight) for state, weight in fst.finals.items()}
+
+
+def _assert_same_weights(got, want):
+    """`_assert_same`, and every weight is the same float, the sign of a zero included."""
+    _assert_same(got, want)
+    assert _weights(got) == _weights(want)
 
 
 def _assert_same_and_sorted(got, want):
@@ -266,6 +302,79 @@ def test_determinize(seed):
     for _ in range(CASES):
         fst = random_acyclic_fst(rng, isym, isym, max_states=8, eps_prob=0.3)
         _assert_same(determinize(fst), reference_determinize(fst))
+
+
+@pytest.mark.parametrize("keys", [1, 3, 256])
+def test_determinize_cyclic_with_signed_zeros(monkeypatch, keys):
+    """Backoff-shaped cyclic machines, with exact ties and signed zeros, at
+    several expansion sizes; two words make cycles on one word common.
+    Where the reference exceeds the budget, so does `determinize`, with
+    the same message; where it does not, a budget of its state count is
+    enough and one less is not."""
+    monkeypatch.setattr(fstlib, "_EXPAND_KEYS", keys)
+    rng = random.Random(320)
+    isym, _ = symbol_tables(2)
+    outcomes = []
+    for _ in range(2 * CASES):
+        fst = _backoff_fst(rng, isym)
+        try:
+            want = reference_determinize(fst, state_budget=40)
+        except ResourceError as error:
+            with pytest.raises(ResourceError) as raised:
+                determinize(fst, state_budget=40)
+            assert str(raised.value) == str(error)
+            outcomes.append("raised")
+            continue
+        _assert_same_weights(determinize(fst, state_budget=40), want)
+        _assert_same(determinize(fst, state_budget=want.num_states()), want)
+        if want.num_states() > 1:
+            with pytest.raises(ResourceError, match=f"budget of {want.num_states() - 1} states"):
+                determinize(fst, state_budget=want.num_states() - 1)
+        outcomes.append("built")
+    assert 0 < outcomes.count("raised") < len(outcomes)
+
+
+def test_determinize_numbers_subsets_in_stack_order():
+    """Subsets {1} and {2} are found in that order, but a stack expands {2}
+    first, so its successors {3, 4} and {7} are numbered before {1}'s {6}.
+    In the order they are found, {6} would come before {7}. The -0.0 arc
+    weights cost 0.0 + -0.0 = 0.0, so no weight of the result is -0.0."""
+    isym, _ = symbol_tables(5, 5)
+    fst = WeightedFst(isym.copy(), isym.copy())
+    fst.add_states(8)
+    fst.set_start(0)
+    for src, label, weight, dst in (
+        (0, 1, 0.0, 1), (0, 2, 0.0, 2),
+        (1, 3, 0.0, 3), (1, 3, -0.0, 4), (1, 5, 1.0, 6),
+        (2, 3, 0.0, 3), (2, 3, 0.0, 4), (2, 5, 1.0, 7),
+        (4, 4, -0.0, 5),
+    ):
+        fst.add_arc(src, label, label, weight, dst)
+    for state, weight in ((5, 0.0), (6, 0.0), (7, 1.0)):
+        fst.set_final(state, weight)
+    got = determinize(fst)
+    _assert_same_weights(got, reference_determinize(fst))
+    assert got.to_text() == (
+        "0 1 1 1 0.000000\n0 2 2 2 0.000000\n1 3 3 3 0.000000\n1 6 5 5 1.000000\n"
+        "2 3 3 3 0.000000\n2 4 5 5 1.000000\n3 5 4 4 0.000000\n4 1.000000\n5 0.000000\n6 0.000000\n"
+    )
+    assert [str(arc.weight) for arc in arcs_of(got, 3)] == ["0.0"]
+
+
+def test_determinize_raises_the_same_error_on_a_machine_without_the_twins_property():
+    """Two "a" paths loop on "b" at costs 1 and 2, so the residual between them
+    grows without end and no budget is enough."""
+    isym, _ = symbol_tables()
+    fst = WeightedFst(isym.copy(), isym.copy())
+    fst.add_states(3)
+    fst.set_start(0)
+    for state, weight in ((1, 1.0), (2, 2.0)):
+        fst.add_arc(0, 1, 1, 0.0, state)
+        fst.add_arc(state, 2, 2, weight, state)
+        fst.set_final(state, 0.0)
+    for run in (determinize, reference_determinize):
+        with pytest.raises(ResourceError, match="^determinization exceeded its state budget of 1000 states$"):
+            run(fst)
 
 
 @pytest.mark.parametrize("seed", range(3))

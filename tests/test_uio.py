@@ -138,18 +138,26 @@ class TestPack:
 
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
     def test_failed_pack_leaves_earlier_files_whole(self, tmp_path, compress):
+        """`e f g e` over `a b c d` replaces shard 0 and fails in shard 1. Shard 1
+        keeps its bytes, and no manifest is left: the old one would read
+        `e f c d`."""
         records = {key: SampleRecord(key, {"wav": key.encode()}) for key in "abcdefg"}
         pack_shards([records[key] for key in "abcd"], 2, tmp_path, compress=compress)
         shards = [f"shard_0000{i}.tar" + (".gz" if compress else "") for i in (0, 1)]
-        before = {name: (tmp_path / name).read_bytes() for name in (shards[1], "manifest.txt")}
+        before = (tmp_path / shards[1]).read_bytes()
         with pytest.raises(ConfigurationError, match="'e'"):
             pack_shards([records[key] for key in "efge"], 2, tmp_path, compress=compress)
-        assert {name: (tmp_path / name).read_bytes() for name in before} == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt", *shards]
+        assert (tmp_path / shards[1]).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == shards
 
-    def test_manifest_that_cannot_land_keeps_the_old_one(self, tmp_path, monkeypatch):
+    def test_smaller_pack_lists_only_its_own_shards(self, tmp_path):
+        pack_shards(_records(6), 2, tmp_path)
+        shards = pack_shards(_records(2), 2, tmp_path)
+        assert shard_list_from_manifest(tmp_path / "manifest.txt") == shards
+        assert sorted(p.name for p in tmp_path.glob("shard_*")) == [f"shard_0000{i}.tar" for i in range(3)]
+
+    def test_manifest_that_cannot_land_leaves_none(self, tmp_path, monkeypatch):
         pack_shards(_records(4), 2, tmp_path)
-        old = (tmp_path / "manifest.txt").read_bytes()
         replace = os.replace
 
         def replace_all_but_the_manifest(src, dst):
@@ -160,8 +168,7 @@ class TestPack:
         monkeypatch.setattr(os, "replace", replace_all_but_the_manifest)
         with pytest.raises(OSError, match="no room"):
             pack_shards(_records(6), 2, tmp_path)
-        assert (tmp_path / "manifest.txt").read_bytes() == old
-        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"shard_0000{i}.tar" for i in range(3)]
 
     def test_record_entries_adjacent_and_ordered(self, tmp_path):
         pack_shards(_records(2), 10, tmp_path)
