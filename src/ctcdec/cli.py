@@ -78,14 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", help="lexicon file: `word unit1 unit2 ...` per line")
     p.add_argument("--arpa", help="ARPA n-gram LM; omit for an LM-free (T only) build")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--strict-arpa", action="store_true", help="reject ARPA files with missing prefixes")
-    p.add_argument("--det-budget", type=_flag_type(int), help="determinization state budget override")
+    p.add_argument("--strict-arpa", action="store_true", help="reject ARPA files with missing prefixes (needs --arpa)")
+    p.add_argument("--det-budget", type=_flag_type(int), help="determinization state budget override (needs --arpa)")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("decode", help="first-pass decoding (+ optional rescoring)")
     p.add_argument("posteriors", nargs="+", help="posterior files (`frames tokens domain` header)")
     p.add_argument("--graph-dir", help="build-graph output dir; selects WFST search over TLG")
-    p.add_argument("--units", help="acoustic token table (LM-free mode)")
+    p.add_argument("--units", help="acoustic token table (LM-free mode; not with --graph-dir)")
     p.add_argument("--context-file", help="biasing phrases, one per line")
     p.add_argument("--output", help="n-best output file (default stdout)")
     p.add_argument("--config", help="`key = value` option file")
@@ -173,10 +173,19 @@ def resolve_options(args: argparse.Namespace, config: dict[str, object], owner) 
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    if bool(args.arpa) != bool(args.lexicon):
-        given, needed = ("--arpa", "--lexicon") if args.arpa else ("--lexicon", "--arpa")
-        print(f"error: {given} requires {needed}", file=sys.stderr)
+    if args.arpa and not args.lexicon:
+        print("error: --arpa requires --lexicon", file=sys.stderr)
         return 2
+    if not args.arpa:
+        # These shape only the LM half of the build, which --arpa turns on.
+        for flag, given in (
+            ("--lexicon", args.lexicon is not None),
+            ("--strict-arpa", args.strict_arpa),
+            ("--det-budget", args.det_budget is not None),
+        ):
+            if given:
+                print(f"error: {flag} requires --arpa", file=sys.stderr)
+                return 2
     # Parse every input and build every machine before writing anything.
     tokens = read_units(args.units)
     lex = read_lexicon(args.lexicon) if args.lexicon else None
@@ -199,6 +208,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     )
 
     graph = None
+    if args.graph_dir and args.units:
+        print("error: --units does not go with --graph-dir, which holds its own units", file=sys.stderr)
+        return 2
     if args.graph_dir:
         tokens, graph = read_graph(args.graph_dir)
     elif args.units:

@@ -83,16 +83,6 @@ class ContextGraph:
     def num_states(self) -> int:
         return len(self._children)
 
-    def is_final(self, node: int) -> bool:
-        return self._final[node]
-
-    def match_arcs(self, node: int) -> dict[int, int]:
-        return dict(self._children[node])
-
-    def failure_weight(self, node: int) -> float:
-        """Weight of the failure arc back to start; 0.0 where no arc is needed."""
-        return -self._pending[node]
-
     # -- walking ---------------------------------------------------------
 
     def advance(self, node: int, unit: int) -> tuple[int, float]:

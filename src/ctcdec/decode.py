@@ -344,12 +344,6 @@ class _PrefixEntry:
         return log_add(self.pb, self.pnb)
 
 
-def _rank_key(item: tuple[tuple[int, ...], _PrefixEntry]) -> tuple[float, tuple[int, ...]]:
-    """Best combined score first; ties go to the lexicographically smaller prefix."""
-    prefix, entry = item
-    return (-(entry.total() + entry.ctx_score), prefix)
-
-
 class PrefixBeamDecoder(StreamingDecoder):
     """Streaming CTC prefix beam search (LM-free first pass).
 
@@ -364,6 +358,7 @@ class PrefixBeamDecoder(StreamingDecoder):
         if beam < self.nbest:
             raise ConfigurationError(f"beam ({beam}) must be >= nbest ({self.nbest})")
         self.beam = beam
+        # Held best first, as `_step` ranks them, so `finalize` reads the front.
         self._entries: dict[tuple[int, ...], _PrefixEntry] = {
             (): _PrefixEntry(0.0, NEG_INF, ContextGraph.START, 0.0)
         }
@@ -427,10 +422,12 @@ class PrefixBeamDecoder(StreamingDecoder):
         else:
             kept = np.arange(len(scores))
 
-        nxt: list[tuple[tuple[int, ...], _PrefixEntry]] = []
-        for k in kept.tolist():
+        # A survivor's cut score is its total() + ctx_score bit for bit: an
+        # extension's total() is its pnb, and `rank` sums in the same order.
+        nxt: list[tuple[float, tuple[int, ...], _PrefixEntry]] = []
+        for k, neg_score in zip(kept.tolist(), (-scores[kept]).tolist()):
             if k < n_stay:
-                nxt.append((prefixes[k], stays[k]))
+                nxt.append((neg_score, prefixes[k], stays[k]))
                 continue
             i, token = divmod(int(cand[k - n_stay]), width)
             cur = entries[i]
@@ -438,15 +435,16 @@ class PrefixBeamDecoder(StreamingDecoder):
             if self.context is not None:
                 ctx, delta = self.context.advance(cur.ctx, token)
             entry = _PrefixEntry(NEG_INF, float(ext[i, token]), ctx, cur.ctx_score + delta)
-            nxt.append((prefixes[i] + (token,), entry))
+            nxt.append((neg_score, prefixes[i] + (token,), entry))
 
-        nxt.sort(key=_rank_key)
-        self._entries = dict(nxt[: self.beam])
+        # Best first; ties go to the lexicographically smaller prefix. No
+        # two survivors share a prefix, so no entry is ever compared.
+        nxt.sort()
+        self._entries = {prefix: entry for _, prefix, entry in nxt[: self.beam]}
 
     def finalize(self) -> NBestList:
-        ranked = sorted(self._entries.items(), key=_rank_key)
         hyps = []
-        for prefix, entry in ranked[: self.nbest]:
+        for prefix, entry in list(self._entries.items())[: self.nbest]:
             ctc = entry.total()
             hyps.append(
                 Hypothesis(

@@ -101,9 +101,6 @@ class WeightedFst:
         self._num_states += 1
         return self._num_states - 1
 
-    def add_states(self, n: int) -> None:
-        self._num_states += max(n, 0)
-
     def set_start(self, state: int) -> None:
         self._check_state(state)
         self.start = state
@@ -716,7 +713,7 @@ def _final_weights(fst: WeightedFst) -> np.ndarray:
 
 
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`semiring.times` elementwise: +inf absorbs, even against -inf."""
+    """The semiring product, elementwise: +inf absorbs, even against -inf."""
     with np.errstate(invalid="ignore"):
         return np.where((x == semiring.ZERO) | (y == semiring.ZERO), semiring.ZERO, x + y)
 

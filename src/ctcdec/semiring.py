@@ -15,11 +15,3 @@ ONE: Weight = 0.0
 def plus(a: Weight, b: Weight) -> Weight:
     """Semiring sum: min of the two costs."""
     return a if a <= b else b
-
-
-def times(a: Weight, b: Weight) -> Weight:
-    """Semiring product: cost accumulation along a path."""
-    if a == ZERO or b == ZERO:
-        return ZERO
-    return a + b
-

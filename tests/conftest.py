@@ -10,6 +10,8 @@ from ctcdec.graph import build_graph
 from ctcdec.lexicon import parse_lexicon
 from ctcdec.symbols import SymbolTable
 
+from oracles import add_states
+
 settings.register_profile("ci", max_examples=60, deadline=None)
 settings.load_profile("ci")
 
@@ -139,7 +141,7 @@ def random_acyclic_fst(
     """A random acyclic transducer (arcs only run to higher state ids)."""
     n = rng.randint(2, max_states)
     fst = WeightedFst(isymbols.copy(), osymbols.copy())
-    fst.add_states(n)
+    add_states(fst, n)
     fst.set_start(0)
     n_in = len(isymbols) - 1
     n_out = len(osymbols) - 1

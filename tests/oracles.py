@@ -2,16 +2,16 @@
 
 Everything here is deliberately brute force: exhaustive path enumeration,
 full path-sum marginalization, the textbook ARPA backoff recursion, a
-plain greedy phrase matcher, the `(node, pending)` biasing walker, the
+plain greedy phrase matcher, the `(matched, pending)` biasing walker, the
 object-per-extension prefix search, the trace-carrying WFST search, a
 heap-based n-best shortest path, the list-of-`Arc` FST algorithms and the
 `tarfile` shard writer and reader. None of it shares code with the engine
-paths it verifies; the walker reads only the biasing trie's arcs, the two
-searches borrow only the engine's input and output containers (the WFST
-search also its `StreamingDecoder` chunk loop) and the biasing graph's
-`advance`, the FST code uses `WeightedFst` only as a container of states
-and arcs, and the shard code uses `SampleRecord` only as a container of a
-record.
+paths it verifies; the walker reads only the phrase list and the boost,
+the two searches borrow only the engine's input and output containers
+(the WFST search also its `StreamingDecoder` chunk loop) and the biasing
+graph's `advance`, the FST code uses `WeightedFst` only as a container of
+states and arcs, and the shard code uses `SampleRecord` only as a
+container of a record.
 """
 
 from __future__ import annotations
@@ -52,6 +52,19 @@ class Arc:
     olabel: int
     weight: float
     nextstate: int
+
+
+def times(a, b):
+    """The semiring product of two weights: +inf absorbs, else the sum."""
+    if a == INF or b == INF:
+        return INF
+    return a + b
+
+
+def add_states(fst, n):
+    """Add `n` states to `fst` through its one-state `add_state`."""
+    for _ in range(n):
+        fst.add_state()
 
 
 def arcs_of(fst, state):
@@ -209,31 +222,45 @@ def greedy_phrase_score(units, phrase_sets, boost):
     return score
 
 
-def reference_advance(graph, node, pending, unit):
-    """One step of the biasing walk that carries its refund along.
+def phrase_node_ids(phrases):
+    """Every prefix of `phrases` -> its node id: the empty prefix is 0 and
+    the others are numbered in order of first appearance, phrase by phrase
+    and shortest first, as the biasing trie numbers its nodes."""
+    ids = {(): 0}
+    for phrase in phrases:
+        for k in range(1, len(phrase) + 1):
+            ids.setdefault(tuple(phrase[:k]), len(ids))
+    return ids
 
-    The walker as it stood when its state was `(node, pending)`: `pending`
-    sums `+= boost` over the matches since the last completed phrase, and
-    a mismatch refunds it. It reads only the trie's `match_arcs`,
-    `is_final`, `boost` and `START`. Returns `(node, pending, delta)`.
+
+def reference_advance(phrases, boost, matched, pending, unit):
+    """One step of the biasing walk, over the phrase list itself.
+
+    The walker stands at `matched`, the units matched so far (a prefix of
+    some phrase), with `pending` the boost summed `+= boost` over the
+    matches since the last completed phrase; a mismatch refunds it and
+    retries the unit from the start once. A completed phrase banks the
+    boost, and the walk goes on past it only while a longer phrase can
+    still complete. Returns `(matched, pending, delta)`.
     """
+    phrases = {tuple(p) for p in phrases}
 
-    def enter(child, pending):
-        pending += graph.boost
-        if graph.is_final(child):
-            # Keep walking only while a longer phrase can still complete.
-            return (child if graph.match_arcs(child) else graph.START), 0.0, graph.boost
-        return child, pending, graph.boost
+    def continues(prefix):
+        return any(len(p) > len(prefix) and p[: len(prefix)] == prefix for p in phrases)
 
-    child = graph.match_arcs(node).get(unit)
-    if child is not None:
-        return enter(child, pending)
+    def enter(prefix, pending):
+        pending += boost
+        if prefix in phrases:
+            return (prefix if continues(prefix) else ()), 0.0, boost
+        return prefix, pending, boost
+
+    if matched + (unit,) in phrases or continues(matched + (unit,)):
+        return enter(matched + (unit,), pending)
     delta = -pending
-    child = graph.match_arcs(graph.START).get(unit)
-    if child is not None:
-        node, pending, gain = enter(child, 0.0)
-        return node, pending, delta + gain
-    return graph.START, 0.0, delta
+    if (unit,) in phrases or continues((unit,)):
+        matched, pending, gain = enter((unit,), 0.0)
+        return matched, pending, delta + gain
+    return (), 0.0, delta
 
 
 # -- reference CTC prefix beam search ---------------------------------------
@@ -670,9 +697,9 @@ def shortest_path(a, n=1, *, max_expansions=200_000):
         fw = a.final_weight(state)
         if fw != INF:
             counter += 1
-            heapq.heappush(heap, (semiring.times(weight, fw), ilabels, olabels, counter, None))
+            heapq.heappush(heap, (times(weight, fw), ilabels, olabels, counter, None))
         for arc in arcs_of(a, state):
-            w = semiring.times(weight, arc.weight)
+            w = times(weight, arc.weight)
             if w == INF:
                 continue
             counter += 1
@@ -682,14 +709,12 @@ def shortest_path(a, n=1, *, max_expansions=200_000):
     return results
 
 
-def score_hypothesis(units, graph):
-    """Fold of `ContextGraph.advance` over a unit sequence from the start node."""
-    if graph is None:
-        return 0.0
-    node = graph.START
-    total = 0.0
+def score_hypothesis(units, phrases, boost):
+    """The biasing score of a unit sequence: `reference_advance`'s deltas,
+    summed from the start in walk order."""
+    matched, pending, total = (), 0.0, 0.0
     for unit in units:
-        node, delta = graph.advance(node, unit)
+        matched, pending, delta = reference_advance(phrases, boost, matched, pending, unit)
         total += delta
     return total
 
@@ -713,7 +738,7 @@ def _arc_lists(fst):
 def reference_sorted(fst):
     """A copy whose arcs are added state by state in `_arc_key` order."""
     out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
-    out.add_states(fst.num_states())
+    add_states(out, fst.num_states())
     if fst.start != -1:
         out.set_start(fst.start)
     for state, arcs in enumerate(_arc_lists(fst)):
@@ -800,18 +825,18 @@ def reference_compose(a, b):
             if arc1.olabel != 0:
                 for arc2 in by_ilabel.get(arc1.olabel, ()):
                     dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                    out.add_arc(src, arc1.ilabel, arc2.olabel, semiring.times(arc1.weight, arc2.weight), dst)
+                    out.add_arc(src, arc1.ilabel, arc2.olabel, times(arc1.weight, arc2.weight), dst)
             else:
                 if flt != 2:
                     out.add_arc(src, arc1.ilabel, 0, arc1.weight, state_of((arc1.nextstate, s2, 1)))
                 if flt == 0:
                     for arc2 in by_ilabel.get(0, ()):
                         dst = state_of((arc1.nextstate, arc2.nextstate, 0))
-                        out.add_arc(src, arc1.ilabel, arc2.olabel, semiring.times(arc1.weight, arc2.weight), dst)
+                        out.add_arc(src, arc1.ilabel, arc2.olabel, times(arc1.weight, arc2.weight), dst)
         if flt != 1:
             for arc2 in by_ilabel.get(0, ()):
                 out.add_arc(src, 0, arc2.olabel, arc2.weight, state_of((s1, arc2.nextstate, 2)))
-        fw = semiring.times(a.final_weight(s1), b.final_weight(s2))
+        fw = times(a.final_weight(s1), b.final_weight(s2))
         if fw != INF:
             out.set_final(src, fw)
     return reference_sorted(reference_connect(out))
@@ -841,9 +866,9 @@ def reference_determinize(a, state_budget=None):
         by_label = {}
         final = INF
         for state, residual in subset:
-            final = semiring.plus(final, semiring.times(residual, a.final_weight(state)))
+            final = semiring.plus(final, times(residual, a.final_weight(state)))
             for arc in arcs[state]:
-                w = semiring.times(residual, arc.weight)
+                w = times(residual, arc.weight)
                 if w == INF:
                     continue
                 targets = by_label.setdefault((arc.ilabel, arc.olabel), {})
@@ -902,7 +927,7 @@ def reference_minimize(a):
 
 def reference_relabel_ilabels(fst, mapping, isymbols=None):
     out = WeightedFst(isymbols if isymbols is not None else fst.isymbols.copy(), fst.osymbols.copy())
-    out.add_states(fst.num_states())
+    add_states(out, fst.num_states())
     if fst.start != -1:
         out.set_start(fst.start)
     for state, arcs in enumerate(_arc_lists(fst)):

@@ -126,6 +126,13 @@ class TestBuildGraph:
         assert capsys.readouterr().err == "error: --lexicon requires --arpa\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flags", [["--strict-arpa"], ["--det-budget", "0"]], ids=["strict_arpa", "det_budget"])
+    def test_lm_option_without_arpa_is_usage_error(self, tmp_path, capsys, flags):
+        args = ["build-graph", "--units", str(DATA / "units.txt"), *flags]
+        assert main([*args, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {flags[0]} requires --arpa\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("unit", ["#1", "#\u0661"], ids=["ascii", "arabic_indic"])
     def test_unit_spelled_like_a_disambiguation_symbol(self, tmp_path, capsys, unit):
         """`#` and ASCII digits is a disambiguation symbol's spelling, refused
@@ -361,6 +368,16 @@ class TestDecode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert name in captured.err
+
+    def test_units_with_graph_dir_is_usage_error(self, tmp_path, capsys):
+        graph = _build(tmp_path)
+        capsys.readouterr()
+        args = ["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph), "--units", str(tmp_path / "missing.txt")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: --units does not go with --graph-dir, which holds its own units\n"
+        )
 
     def test_no_graph_dir_or_units_is_usage_error(self, capsys):
         assert main(["decode", str(DATA / "utt1.post")]) == 2

@@ -13,38 +13,49 @@ from ctcdec.context import (
 from ctcdec.errors import ConfigurationError
 from ctcdec.symbols import SymbolTable
 
-from oracles import greedy_phrase_score, reference_advance, score_hypothesis
+from oracles import greedy_phrase_score, phrase_node_ids, reference_advance, score_hypothesis
 
 
 def _phrase(units, surface="p"):
     return BiasingPhrase(surface, tuple(units))
 
 
+def _walk(graph, units):
+    """`graph.advance` folded over `units` from the start: (node, total)."""
+    node, total = graph.START, 0.0
+    for unit in units:
+        node, delta = graph.advance(node, unit)
+        total += delta
+    return node, total
+
+
 class TestBuild:
+    # A failure weight shows as the refund of a mismatch (unit 9 starts no phrase).
     def test_char_chain_failure_weights(self):
-        # One four-unit phrase at boost b: failure arcs -b, -2b, -3b at depths 1..3.
+        # One four-unit phrase at boost b: after k = 1..3 matched units a
+        # mismatch refunds the pending kb; after all four it refunds nothing.
         b = 2.5
         graph = ContextGraph([_phrase([5, 6, 7, 8])], b)
         assert graph.num_states() == 5
-        node = graph.START
-        for depth, unit in enumerate([5, 6, 7], start=1):
-            node = graph.match_arcs(node)[unit]
-            assert graph.failure_weight(node) == pytest.approx(-depth * b)
-        final = graph.match_arcs(node)[8]
-        assert graph.is_final(final)
-        assert graph.failure_weight(final) == 0.0
+        for depth in range(1, 4):
+            node, pending = _walk(graph, [5, 6, 7][:depth])
+            assert pending == pytest.approx(depth * b)
+            assert graph.advance(node, 9) == (graph.START, -pending)
+        node, total = _walk(graph, [5, 6, 7, 8])
+        assert total == pytest.approx(4 * b)
+        assert graph.advance(node, 9) == (graph.START, 0.0)
 
     def test_single_word_phrase_has_no_failure_arc(self):
         graph = ContextGraph([_phrase([3])], 4.0)
-        node = graph.match_arcs(graph.START)[3]
-        assert graph.is_final(node)
-        assert graph.failure_weight(node) == 0.0
+        node, delta = graph.advance(graph.START, 3)
+        assert delta == 4.0
+        assert graph.advance(node, 9) == (graph.START, 0.0)
 
     def test_shared_prefix_merges_into_trie(self):
         graph = ContextGraph([_phrase([1, 2], "ab"), _phrase([1, 3], "ac")], 1.0)
         assert graph.num_states() == 4  # start, a, ab, ac
-        mid = graph.match_arcs(graph.START)[1]
-        assert set(graph.match_arcs(mid)) == {2, 3}
+        mid, _ = graph.advance(graph.START, 1)
+        assert [graph.advance(mid, unit)[1] for unit in (2, 3, 4)] == [1.0, 1.0, -1.0]
 
     def test_empty_phrase_list_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
@@ -76,7 +87,7 @@ class TestAdvance:
         graph = ContextGraph([_phrase([1, 2])], 3.0)
         state, delta = graph.advance(graph.START, 1)
         assert delta == pytest.approx(3.0)
-        assert graph.failure_weight(state) == pytest.approx(-3.0)
+        assert graph.advance(state, 9)[1] == pytest.approx(-3.0)
 
     def test_partial_match_then_mismatch_nets_zero(self):
         b = 7.0
@@ -110,28 +121,32 @@ class TestAdvance:
         assert state != graph.START
 
 
+def _score(units, phrases, boost):
+    """The engine's biasing score of `units`, which must equal the
+    phrase-list oracle's bit for bit."""
+    score = _walk(ContextGraph([_phrase(p) for p in phrases], boost), units)[1]
+    assert score == score_hypothesis(units, phrases, boost)
+    return score
+
+
 class TestScoreHypothesis:
     def test_empty_sequence_scores_zero(self):
-        graph = ContextGraph([_phrase([1, 2])], 5.0)
-        assert score_hypothesis([], graph) == 0.0
+        assert _score([], [(1, 2)], 5.0) == 0.0
 
     def test_embedded_phrase_scores_len_times_boost(self):
-        graph = ContextGraph([_phrase([1, 2, 3])], 2.0)
-        assert score_hypothesis([9, 1, 2, 3, 9], graph) == pytest.approx(6.0)
+        assert _score([9, 1, 2, 3, 9], [(1, 2, 3)], 2.0) == pytest.approx(6.0)
 
     def test_two_disjoint_occurrences(self):
-        graph = ContextGraph([_phrase([1, 2])], 2.0)
-        assert score_hypothesis([1, 2, 9, 1, 2], graph) == pytest.approx(8.0)
+        assert _score([1, 2, 9, 1, 2], [(1, 2)], 2.0) == pytest.approx(8.0)
 
     def test_prefix_of_longer_phrase_banks_short_completion(self):
-        graph = ContextGraph([_phrase([1, 2], "ab"), _phrase([1, 2, 3, 4], "abcd")], 1.0)
+        phrases = [(1, 2), (1, 2, 3, 4)]
         # "ab" completes, then "abc" fails: keep the 2 banked, refund the 1.
-        assert score_hypothesis([1, 2, 3, 9], graph) == pytest.approx(2.0)
-        assert score_hypothesis([1, 2, 3, 4], graph) == pytest.approx(4.0)
+        assert _score([1, 2, 3, 9], phrases, 1.0) == pytest.approx(2.0)
+        assert _score([1, 2, 3, 4], phrases, 1.0) == pytest.approx(4.0)
 
     def test_zero_boost_scores_zero(self):
-        graph = ContextGraph([_phrase([1, 2])], 0.0)
-        assert score_hypothesis([1, 2, 1, 9], graph) == 0.0
+        assert _score([1, 2, 1, 9], [(1, 2)], 0.0) == 0.0
 
     @given(
         st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3, unique=True),
@@ -139,18 +154,16 @@ class TestScoreHypothesis:
         st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
     )
     def test_matches_greedy_oracle(self, phrase, sequence, boost):
-        graph = ContextGraph([_phrase(tuple(phrase))], boost)
         expected = greedy_phrase_score(sequence, [tuple(phrase)], boost)
-        assert score_hypothesis(sequence, graph) == pytest.approx(expected, abs=1e-9)
+        assert _score(sequence, [tuple(phrase)], boost) == pytest.approx(expected, abs=1e-9)
 
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=6))
     def test_net_zero_abandonment(self, units):
         phrase = tuple(units)
-        graph = ContextGraph([_phrase(phrase)], 3.0)
         # Take a proper prefix, then diverge on a unit that matches nothing.
         prefix = list(phrase[: len(phrase) - 1])
         sequence = prefix + [99]
-        assert score_hypothesis(sequence, graph) == 0.0
+        assert _score(sequence, [phrase], 3.0) == 0.0
 
     def test_advance_is_total(self):
         graph = ContextGraph([_phrase([1, 2])], 1.0)
@@ -182,27 +195,28 @@ class TestDeltaRow:
         assert list(graph._rows) == [(0, 4)]
 
 
-def _check_against_pending_walker(graph, walk, width):
-    # Exact equality: the node-only walker must round as the walker that
-    # summed its pending boost step by step did.
-    node, pending = graph.START, 0.0
+def _check_against_pending_walker(phrases, boost, walk, width):
+    # Exact equality: the trie's node-only walker must number its nodes and
+    # round its refunds as the phrase-list walker that sums its pending
+    # boost step by step does.
+    graph = ContextGraph([_phrase(p) for p in phrases], boost)
+    ids = phrase_node_ids(phrases)
+    node, matched, pending = graph.START, (), 0.0
     for unit in [*walk, None]:
-        assert graph.failure_weight(node) == -pending
         row = graph.delta_row(node, width)
-        assert row.tolist() == [reference_advance(graph, node, pending, u)[2] for u in range(width)]
+        assert row.tolist() == [reference_advance(phrases, boost, matched, pending, u)[2] for u in range(width)]
         assert not row.flags.writeable
         if unit is None:
             break
-        ref_node, pending, ref_delta = reference_advance(graph, node, pending, unit)
+        matched, pending, ref_delta = reference_advance(phrases, boost, matched, pending, unit)
         node, delta = graph.advance(node, unit)
-        assert (node, delta) == (ref_node, ref_delta)
+        assert (node, delta) == (ids[matched], ref_delta)
 
 
 class TestAgainstPendingWalker:
     def test_deep_refund_is_the_summed_boost(self):
         # Six or more additions of 0.1 round differently from k * 0.1.
-        graph = ContextGraph([_phrase([1] * 9), _phrase([2, 1])], 0.1)
-        _check_against_pending_walker(graph, [1] * 8 + [2, 1, 1] * 2, 4)
+        _check_against_pending_walker([(1,) * 9, (2, 1)], 0.1, [1] * 8 + [2, 1, 1] * 2, 4)
 
     @given(
         st.lists(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=8), min_size=1, max_size=4),
@@ -219,4 +233,4 @@ class TestAgainstPendingWalker:
             st.lists(st.integers(min_value=1, max_value=6), max_size=2),
         ), max_size=4))
         walk = [u for phrase, cut, stray in pieces for u in [*phrase[:cut], *stray]]
-        _check_against_pending_walker(ContextGraph([_phrase(p) for p in phrases], boost), walk, width)
+        _check_against_pending_walker(phrases, boost, walk, width)

@@ -18,7 +18,7 @@ from ctcdec.rescore import FusionWeights
 from ctcdec.symbols import SymbolTable
 
 from conftest import graph_from_text, random_matrix
-from oracles import best_marginal, ctc_marginals, score_hypothesis
+from oracles import add_states, best_marginal, ctc_marginals, score_hypothesis
 
 LN10 = math.log(10.0)
 
@@ -252,13 +252,14 @@ class TestPrefixBeamSearch:
 
     def test_biasing_consistency_with_exhaustive_beam(self):
         rng = random.Random(77)
-        ctx = ContextGraph([BiasingPhrase("ab", (1, 2))], 4.0)
+        phrases, boost = [(1, 2)], 4.0
+        ctx = ContextGraph([BiasingPhrase("ab", phrase) for phrase in phrases], boost)
         for _ in range(20):
             m = random_matrix(rng, 3, 3)
             nbest = PrefixBeamDecoder(beam=200, nbest=1, context=ctx, blank_skip_threshold=None).decode(m)
             marginals = ctc_marginals(m.logprobs.tolist())
             expected = min(
-                ((seq, lp + score_hypothesis(seq, ctx)) for seq, lp in marginals.items()),
+                ((seq, lp + score_hypothesis(seq, phrases, boost)) for seq, lp in marginals.items()),
                 key=lambda item: (-item[1], item[0]),
             )
             assert nbest.best().units == expected[0]
@@ -410,7 +411,7 @@ def _tie_graph():
     from ctcdec.symbols import SymbolTable
 
     graph = WeightedFst(SymbolTable.with_epsilon(["t0"]), SymbolTable.with_epsilon(["w1", "w2"]))
-    graph.add_states(2)
+    add_states(graph, 2)
     graph.set_start(0)
     graph.add_arc(0, 1, 2, 0.5, 1)
     graph.add_arc(0, 1, 1, 0.5, 1)
@@ -458,7 +459,7 @@ class TestWfstSearchOverAChangedGraph:
         from ctcdec.fst import WeightedFst
 
         graph = WeightedFst()
-        graph.add_states(3)
+        add_states(graph, 3)
         graph.set_start(0)
         graph.add_arc(0, 2, 0, 0.0, 1)
         graph.add_arc(1, 0, 0, -1.0, 2)
@@ -471,7 +472,7 @@ class TestWfstSearchOverAChangedGraph:
         from ctcdec.fst import WeightedFst
 
         graph = WeightedFst()
-        graph.add_states(2)
+        add_states(graph, 2)
         graph.set_start(0)
         graph.add_arc(0, 0, 0, 1.0, 1)
         graph.add_arc(1, 0, 0, 1.0, 0)
@@ -483,7 +484,7 @@ class TestWfstSearchOverAChangedGraph:
         from ctcdec.fst import WeightedFst
 
         graph = WeightedFst()
-        graph.add_states(40)
+        add_states(graph, 40)
         graph.set_start(0)
         for k in range(39):
             graph.add_arc(k, 0, 0, 0.0, k + 1)
@@ -588,7 +589,7 @@ class TestWfstSearchCounters:
     @staticmethod
     def _cut_graph():
         graph = WeightedFst(SymbolTable.with_epsilon(["t0", "t1"]), SymbolTable.with_epsilon(["w"]))
-        graph.add_states(5)
+        add_states(graph, 5)
         graph.set_start(0)
         for weight, state in ((0.0, 1), (3.0, 1), (2.0, 2), (2.5, 2), (2.0, 3), (4.0, 4)):
             graph.add_arc(0, 2, 0, weight, state)

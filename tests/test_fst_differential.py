@@ -23,6 +23,7 @@ from ctcdec.symbols import SymbolTable
 
 from conftest import graph_from_text, random_acyclic_fst, random_bigram_arpa, random_lexicon, symbol_tables
 from oracles import (
+    add_states,
     arcs_of,
     reference_build_TLG,
     reference_compose,
@@ -42,7 +43,7 @@ def _random_fst(rng, isymbols, osymbols, max_states=7):
     """Arcs in any direction, so cycles, unreachable and dead states come up."""
     fst = WeightedFst(isymbols.copy(), osymbols.copy())
     n = rng.randint(1, max_states)
-    fst.add_states(n)
+    add_states(fst, n)
     fst.set_start(rng.randrange(n))
     for _ in range(rng.randint(0, 3 * n)):
         il = rng.randint(0, len(isymbols) - 1) if rng.random() < 0.8 else 0
@@ -62,7 +63,7 @@ def _large_fst(rng, isymbols, osymbols):
     """
     fst = WeightedFst(isymbols.copy(), osymbols.copy())
     n = rng.randint(20, 40)
-    fst.add_states(n)
+    add_states(fst, n)
     fst.set_start(0)
     for src in range(n):
         for _ in range(rng.randint(1, 4)):
@@ -84,7 +85,7 @@ def _random_deterministic(rng, isymbols, max_states=6):
     """
     n = rng.randint(1, max_states)
     fst = WeightedFst(isymbols.copy(), isymbols.copy())
-    fst.add_states(2 * n)
+    add_states(fst, 2 * n)
     fst.set_start(0)
     labels = [(il, ol) for il in range(len(isymbols)) for ol in range(2)]
     for src in range(n):
@@ -110,7 +111,7 @@ def _backoff_fst(rng, isymbols, max_states=6):
     weights = (0.0, -0.0, 1.0, float("inf"))
     fst = WeightedFst(isymbols.copy(), isymbols.copy())
     n = rng.randint(2, max_states)
-    fst.add_states(n)
+    add_states(fst, n)
     fst.set_start(rng.randrange(n))
     for src in range(n):
         if src:
@@ -209,7 +210,7 @@ def test_compose_trims_a_key_whose_inputs_both_reach_a_final():
     isym, _ = symbol_tables(3, 3)
     a, b = WeightedFst(isym.copy(), isym.copy()), WeightedFst(isym.copy(), isym.copy())
     for fst, second in ((a, 2), (b, 3)):
-        fst.add_states(3)
+        add_states(fst, 3)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 0.5, 1)
         fst.add_arc(1, second, second, 0.0, 2)
@@ -256,7 +257,7 @@ def test_compose_numbers_states_in_stack_order():
     """
     isym, _ = symbol_tables(2, 2)
     a = WeightedFst(isym.copy(), isym.copy())
-    a.add_states(5)
+    add_states(a, 5)
     a.set_start(0)
     for src, label, dst in ((0, 1, 1), (0, 2, 2), (1, 1, 3), (2, 2, 4)):
         a.add_arc(src, label, label, 0.0, dst)
@@ -280,7 +281,7 @@ def test_sort_arcs_orders_weight_ties_stably_at_any_label_width():
     isym, osym = symbol_tables()
     for big in (1, 2**62):
         fst = WeightedFst(isym.copy(), osym.copy())
-        fst.add_states(3)
+        add_states(fst, 3)
         fst.set_start(0)
         for src, il, ol, weight, dst in (
             (1, big, 1, 2.0, 2), (0, 1, big, 0.5, 1), (1, big, 1, -0.0, 2), (1, big, 1, 0.0, 2),
@@ -341,7 +342,7 @@ def test_determinize_numbers_subsets_in_stack_order():
     weights cost 0.0 + -0.0 = 0.0, so no weight of the result is -0.0."""
     isym, _ = symbol_tables(5, 5)
     fst = WeightedFst(isym.copy(), isym.copy())
-    fst.add_states(8)
+    add_states(fst, 8)
     fst.set_start(0)
     for src, label, weight, dst in (
         (0, 1, 0.0, 1), (0, 2, 0.0, 2),
@@ -366,7 +367,7 @@ def test_determinize_raises_the_same_error_on_a_machine_without_the_twins_proper
     grows without end and no budget is enough."""
     isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
-    fst.add_states(3)
+    add_states(fst, 3)
     fst.set_start(0)
     for state, weight in ((1, 1.0), (2, 2.0)):
         fst.add_arc(0, 1, 1, 0.0, state)
@@ -395,7 +396,7 @@ def test_minimize_merges_states_whose_weights_differ_only_by_the_sign_of_zero():
     weights."""
     isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
-    fst.add_states(5)
+    add_states(fst, 5)
     fst.set_start(0)
     for src, il, weight, dst in ((0, 1, 0.0, 1), (0, 2, 0.0, 2), (1, 3, -0.0, 3), (2, 3, 0.0, 4)):
         fst.add_arc(src, il, il, weight, dst)
@@ -442,7 +443,7 @@ def test_golden_TLG():
 def test_determinize_budget_raises_in_both():
     isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
-    fst.add_states(4)
+    add_states(fst, 4)
     fst.set_start(0)
     for dst in (1, 2, 3):
         fst.add_arc(0, 1, 1, float(dst), dst)
@@ -457,7 +458,7 @@ def test_determinize_budget_raises_in_both():
 def test_minimize_rejects_nondeterministic_in_both():
     isym, _ = symbol_tables()
     fst = WeightedFst(isym.copy(), isym.copy())
-    fst.add_states(3)
+    add_states(fst, 3)
     fst.set_start(0)
     fst.add_arc(0, 1, 2, 0.0, 1)
     fst.add_arc(0, 1, 1, 0.0, 2)  # (1, 2) and (1, 1) differ: still deterministic

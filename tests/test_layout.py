@@ -1,5 +1,7 @@
-"""Every file the package writes goes through `errors.write_atomic`, which
-replaces it whole; no other module opens a file for writing."""
+"""Two rules of the package's layout. Every file the package writes goes
+through `errors.write_atomic`, which replaces it whole; no other module
+opens a file for writing. And every public function or method is used by
+the package, its scripts or its benchmark, not by the tests alone."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import ctcdec
 
 PACKAGE = Path(ctcdec.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 WRITE_MODE = set("wax+")
 
 
@@ -51,3 +54,60 @@ def test_only_errors_writes_files():
         if path.name != "errors.py" and (lines := _file_writes(path.read_text(encoding="utf-8")))
     }
     assert found == {}, "write through errors.write_atomic instead"
+
+
+def _public_defs(source: str) -> list[str]:
+    """Names of the public module-level functions and class methods in `source`."""
+    found = []
+    for node in ast.parse(source).body:
+        scope = node.body if isinstance(node, ast.ClassDef) else [node]
+        found += [
+            fn.name for fn in scope
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")
+        ]
+    return found
+
+
+def _names_used(source: str) -> set[str]:
+    """Every name `source` reads, calls or imports, attributes included."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_the_unused_check_reads_defs_and_uses():
+    source = """
+def kept(): pass
+def _private(): pass
+class Box:
+    def read(self): pass
+    def _helper(self): pass
+    def dropped(self): pass
+kept()
+Box().read
+"""
+    assert _public_defs(source) == ["kept", "read", "dropped"]
+    assert {"kept", "Box", "read"} <= _names_used(source)
+    assert "dropped" not in _names_used(source)
+
+
+def test_no_public_def_is_used_by_tests_alone():
+    sources = [
+        path.read_text(encoding="utf-8")
+        for where in ("src", "scripts", "bench")
+        for path in (ROOT / where).rglob("*.py")
+    ]
+    used = set().union(*map(_names_used, sources))
+    unused = {
+        f"{path.name}:{name}"
+        for path in sorted((ROOT / "src" / "ctcdec").glob("*.py"))
+        for name in _public_defs(path.read_text(encoding="utf-8"))
+        if name not in used
+    }
+    assert unused == set(), "delete them, or move them into tests/ if only a test needs them"

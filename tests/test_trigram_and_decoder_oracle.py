@@ -20,7 +20,7 @@ from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 
 from conftest import TRIGRAM_ARPA, graph_from_text, random_matrix
-from oracles import arcs_of, arpa_sentence_log10, ctc_collapse, linear_fst, shortest_path
+from oracles import add_states, arcs_of, arpa_sentence_log10, ctc_collapse, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
 
@@ -70,7 +70,7 @@ def _posterior_lattice(matrix: PosteriorMatrix, tlg: WeightedFst, acoustic_scale
 
 def _scaled(fst: WeightedFst, factor: float) -> WeightedFst:
     out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
-    out.add_states(fst.num_states())
+    add_states(out, fst.num_states())
     out.set_start(fst.start)
     for state in range(fst.num_states()):
         for arc in arcs_of(fst, state):

@@ -22,7 +22,7 @@ from ctcdec.fst import WeightedFst
 from ctcdec.symbols import SymbolTable
 
 from conftest import TRIGRAM_ARPA, graph_from_text, random_bigram_arpa, random_chunks, random_lexicon
-from oracles import ReferenceWfstBeamDecoder, arcs_of
+from oracles import ReferenceWfstBeamDecoder, add_states, arcs_of
 
 PRUNING = (
     dict(score_beam=1e9, max_active=10**6),  # off
@@ -62,7 +62,7 @@ def _random_wfst(rng: random.Random, max_states: int = 6, max_arcs: int = 4, lab
         SymbolTable.with_epsilon([f"w{i}" for i in range(1, n_words + 1)]),
     )
     n = rng.randint(2, max_states)
-    graph.add_states(n)
+    add_states(graph, n)
     graph.set_start(0)
     for src in range(n):
         for _ in range(rng.randint(1, max_arcs)):
@@ -243,7 +243,7 @@ def test_equal_cost_arrivals_keep_the_first():
     both reach state 3 on frame 2 at equal cost: the token at state 1 comes
     first in (cost, state) order, so w2 wins state 3."""
     graph = _word_graph(2)
-    graph.add_states(4)
+    add_states(graph, 4)
     graph.set_start(0)
     graph.add_arc(0, 2, 2, 0.5, 1)
     graph.add_arc(0, 2, 1, 0.5, 2)
@@ -261,7 +261,7 @@ def test_constructor_orders_its_tokens_by_cost_and_state():
     the token at 2 (w1) is the first source of equal cost to reach state
     4."""
     graph = _word_graph(2)
-    graph.add_states(5)
+    add_states(graph, 5)
     graph.set_start(0)
     graph.add_arc(0, 0, 0, 1.0, 3)
     graph.add_arc(0, 0, 0, 1.0, 2)
@@ -279,7 +279,7 @@ def test_constructor_orders_its_tokens_by_cost_and_state_when_a_key_repeats():
     1 the token at 2 (w1) is the first source of equal cost to reach
     state 4."""
     graph = _word_graph(2)
-    graph.add_states(5)
+    add_states(graph, 5)
     graph.set_start(0)
     graph.add_arc(0, 0, 0, 1.0, 3)
     graph.add_arc(0, 0, 0, 1.0, 2)
@@ -298,7 +298,7 @@ def test_inf_weight_arcs_lie_on_no_path():
     frames' log-probability."""
     inf = float("inf")
     graph = _word_graph(2)
-    graph.add_states(4)
+    add_states(graph, 4)
     graph.set_start(0)
     graph.add_arc(0, 1, 1, inf, 1)
     graph.add_arc(0, 1, 2, 0.5, 1)
@@ -331,7 +331,7 @@ def test_max_active_cut_inside_a_run_of_equal_costs(max_active):
     """Five tokens tie after frame 1; the cut keeps the lowest states, and
     each state's word shows which ones survived."""
     graph = _word_graph(5)
-    graph.add_states(11)
+    add_states(graph, 11)
     graph.set_start(0)
     for state in (5, 3, 1, 4, 2):
         graph.add_arc(0, 2, 0, 0.5, state)
