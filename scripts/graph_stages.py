@@ -32,7 +32,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import gen  # noqa: E402  (the benchmark's input generator)
 from ctcdec.arpa import read_arpa  # noqa: E402
 from ctcdec.fst import WeightedFst  # noqa: E402
-from ctcdec.graph import build_graph, read_graph, read_units, tlg_stages, units_of, write_graph  # noqa: E402
+from ctcdec.graph import (  # noqa: E402
+    build_G, build_L, build_T, graph_words, read_graph, read_units, tlg_stages, units_of, write_graph
+)
 from ctcdec.lexicon import read_lexicon  # noqa: E402
 
 
@@ -67,11 +69,13 @@ def main() -> None:
         tokens = read_units(Path(tmp) / manifest["units_file"])
         lex = read_lexicon(Path(tmp) / manifest["lexicon_file"])
         model = read_arpa(Path(tmp) / manifest["arpa_file"])
-        machines = build_graph(units_of(tokens), lex, model)
+        units, words = units_of(tokens), graph_words(lex, model)
+        machines = {"T": build_T(units), "L": build_L(lex, units, words), "G": build_G(model, words)}
 
         fst = None
-        for name, step in tlg_stages(machines["T"], machines["L"], machines["G"]):
+        for name, step in tlg_stages(*machines.values()):
             fst = stage(name, lambda: step(fst))
+        machines["TLG"] = fst  # the last stage's result, as `build_graph` would build it
         out = Path(tmp) / "graph"
         stage("write", lambda: write_graph(out, tokens, machines))
         stage("read", lambda: read_graph(out)[1])

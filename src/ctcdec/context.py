@@ -57,13 +57,13 @@ class ContextGraph:
         # root path: what its failure arc takes back. Summed in the walker's
         # own float steps (0.0 at a completed phrase, else the parent's plus
         # the boost), so `advance` and `delta_row` refund it bit for bit.
-        self._pending = [0.0] * len(self._children)
+        self._refund = [0.0] * len(self._children)
         stack = [self.START]
         while stack:
             node = stack.pop()
             for child in self._children[node].values():
                 if not self._final[child]:
-                    self._pending[child] = self._pending[node] + boost
+                    self._refund[child] = self._refund[node] + boost
                 stack.append(child)
 
     def _insert(self, units: tuple[int, ...]) -> None:
@@ -96,7 +96,7 @@ class ContextGraph:
         child = self._children[node].get(unit)
         if child is not None:
             return self._enter(child), self.boost
-        delta = -self._pending[node]
+        delta = -self._refund[node]
         child = self._children[self.START].get(unit)
         if child is not None:
             return self._enter(child), delta + self.boost
@@ -112,7 +112,7 @@ class ContextGraph:
         key = (node, width)
         row = self._rows.get(key)
         if row is None:
-            refund = -self._pending[node]
+            refund = -self._refund[node]
             row = np.full(width, refund)
             for unit in self._children[self.START]:
                 if unit < width:

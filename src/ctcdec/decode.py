@@ -791,7 +791,7 @@ class WfstBeamDecoder(StreamingDecoder):
         """Add final weights, keep the cheapest token per word sequence, rank."""
         ints = self._tokens[1]
         tokens = _take(self._tokens, np.lexsort((ints[3], ints[0])))
-        fw = np.array([self.graph.final_weight(state) for state in tokens[1][0].tolist()])
+        fw = self.graph.final[tokens[1][0]]
         is_final = fw != math.inf
         if is_final.any():
             tokens, fw = _take(tokens, is_final.nonzero()[0]), fw[is_final]

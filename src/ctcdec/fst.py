@@ -5,11 +5,13 @@ composition with an epsilon filter, determinization of (ilabel,
 olabel)-encoded labels, minimization and connection. Arc label 0 is
 epsilon on both tapes.
 
-A machine stores its arcs as one `ArcArrays`: CSR columns grouped by
-source state. The arrays are the storage, not a cache of it. Every
-algorithm here reads rows from them and emits new columns, which one
-private constructor turns into the result; no pass makes an object per
-arc.
+A machine is a value, built once from columns by its one constructor,
+which checks them. It stores its arcs as one `ArcArrays`, CSR columns
+grouped by source state, and its final weights as one array with a
+weight per state; +inf there means "not final", so a final weight of
++inf is never written. Every algorithm here reads rows from the arrays
+and emits new columns and a new final array, which the constructor turns
+into the result; no pass makes an object per arc.
 
 Every algorithm is array code. `compose` and `determinize` expand their
 states a bounded batch at a time, giving each new one a dense id from a
@@ -59,101 +61,83 @@ _EXPAND_KEYS = 256  # states `compose` and `determinize` expand at once, which b
 
 
 class WeightedFst:
-    """A WFST with dense integer states whose arcs are one `ArcArrays`.
+    """A WFST with dense integer states, built once from columns.
 
-    Arc weights live in the tropical semiring (see `semiring`); a weight
-    may be +inf (the semiring zero) but not NaN or -inf. Symbol tables are
-    carried along so composition can verify tape compatibility; id 0 must
-    be epsilon in both.
+    Its arcs are one `ArcArrays` and its final weights one float64 array,
+    a weight per state. As in OpenFst, a state is final exactly when its
+    weight is not +inf, the semiring zero. Weights live in the tropical
+    semiring (see `semiring`); an arc weight may be +inf but no weight may
+    be NaN or -inf. Symbol tables are carried along so composition can
+    verify tape compatibility; id 0 must be epsilon in both.
 
-    `add_arc` checks its arguments and queues the arc; queued arcs and
-    added states are merged into new arrays, stably by source state, on
-    the next read. An unchanged machine hands out the same arrays object
-    every time, and every change to its arcs yields a new one. The start
-    state and the final weights are not part of the arrays: `set_start`
-    and `set_final` leave them alone.
+    The constructor takes the machine whole: its state count, its start
+    state (`NO_STATE` for none), its final weights and its arcs as columns
+    (src, ilabel, olabel, weight, nextstate), grouped by source state
+    stably. It alone checks them, and every algorithm here builds its
+    result through it. Given only the tables, it is the empty machine.
+    `sort_arcs` is the one change a machine takes: it reorders each
+    state's arcs and leaves the language alone.
     """
 
-    def __init__(self, isymbols: SymbolTable | None = None, osymbols: SymbolTable | None = None):
+    def __init__(
+        self,
+        isymbols: SymbolTable | None = None,
+        osymbols: SymbolTable | None = None,
+        num_states: int = 0,
+        start: int = NO_STATE,
+        final=(),
+        src=(),
+        ilabel=(),
+        olabel=(),
+        weight=(),
+        nextstate=(),
+    ):
         self.isymbols = isymbols if isymbols is not None else SymbolTable.with_epsilon()
         self.osymbols = osymbols if osymbols is not None else SymbolTable.with_epsilon()
-        self.start = NO_STATE
-        self.finals: dict[int, float] = {}
-        self._num_states = 0
-        self._arrays = ArcArrays.from_columns(0, (), (), (), (), ())
-        self._pending: list[tuple[int, int, int, float, int]] = []  # (src, ilabel, olabel, weight, dst)
-
-    @classmethod
-    def _from_columns(
-        cls, isymbols, osymbols, num_states: int, start: int, finals: dict[int, float], *columns
-    ) -> "WeightedFst":
-        """A machine over `columns` = (src, ilabel, olabel, weight, nextstate)."""
-        out = cls(isymbols, osymbols)
-        out._num_states = num_states
-        out.start = start
-        out.finals = finals
-        out._arrays = ArcArrays.from_columns(num_states, *columns)
-        return out
-
-    # -- construction ----------------------------------------------------
-
-    def add_state(self) -> int:
-        self._num_states += 1
-        return self._num_states - 1
-
-    def set_start(self, state: int) -> None:
-        self._check_state(state)
-        self.start = state
-
-    def set_final(self, state: int, weight: float = semiring.ONE) -> None:
-        self._check_state(state)
-        if not weight > _NEG_INF:
-            raise ConfigurationError(f"final weight {weight!r} is NaN or -inf")
-        self.finals[state] = semiring.plus(self.finals.get(state, semiring.ZERO), weight)
-
-    def add_arc(self, src: int, ilabel: int, olabel: int, weight: float, dst: int) -> None:
-        self._check_state(src)
-        self._check_state(dst)
-        if ilabel < 0 or olabel < 0:
+        final = np.array(final, dtype=np.float64)
+        src, ilabel, olabel, nextstate = (np.asarray(c, dtype=np.int64) for c in (src, ilabel, olabel, nextstate))
+        weight = np.asarray(weight, dtype=np.float64)
+        if len(final) != num_states:
+            raise ConfigurationError(f"{len(final)} final weights for {num_states} states")
+        if len({len(src), len(ilabel), len(olabel), len(weight), len(nextstate)}) != 1:
+            raise ConfigurationError("arc columns differ in length")
+        # Each check reduces a column to one number; only a failing one looks for the row to cite.
+        if not (start == NO_STATE or 0 <= start < num_states):
+            raise ConfigurationError(f"state {start} does not exist")
+        for ends in (src, nextstate):
+            if len(ends) and (ends.min() < 0 or ends.max() >= num_states):
+                raise ConfigurationError(f"state {ends[np.argmax((ends < 0) | (ends >= num_states))]} does not exist")
+        if min(ilabel.min(initial=0), olabel.min(initial=0)) < 0:
             raise ConfigurationError("arc labels must be >= 0")
-        if not weight > _NEG_INF:
-            raise ConfigurationError(f"arc weight {weight!r} is NaN or -inf")
-        self._pending.append((src, ilabel, olabel, weight, dst))
-
-    def _check_state(self, state: int) -> None:
-        if not 0 <= state < self._num_states:
-            raise ConfigurationError(f"state {state} does not exist")
+        for name, values in (("arc", weight), ("final", final)):
+            if not values.min(initial=np.inf) > _NEG_INF:  # NaN or -inf
+                bad = float(values[np.argmax(~(values > _NEG_INF))])
+                raise ConfigurationError(f"{name} weight {bad!r} is NaN or -inf")
+        final.flags.writeable = False
+        self.start = start
+        self.final = final
+        self._arrays = ArcArrays.from_columns(num_states, src, ilabel, olabel, weight, nextstate)
 
     # -- inspection ------------------------------------------------------
 
     def num_states(self) -> int:
-        return self._num_states
+        return len(self.final)
 
     def num_arcs(self) -> int:
-        return len(self._arrays.ilabel) + len(self._pending)
-
-    def final_weight(self, state: int) -> float:
-        return self.finals.get(state, semiring.ZERO)
+        return len(self._arrays.ilabel)
 
     def is_empty(self) -> bool:
-        return self.start == NO_STATE or not self._num_states
+        return self.start == NO_STATE
 
     def arc_arrays(self) -> "ArcArrays":
-        """The arcs as read-only CSR arrays, with queued arcs merged in first."""
-        a = self._arrays
-        if self._pending or a.num_states != self._num_states:
-            added = zip(*self._pending) if self._pending else [()] * 5
-            self._arrays = ArcArrays.from_columns(self._num_states, *(
-                np.concatenate((old, np.array(new, dtype=old.dtype))) for old, new in zip(a.columns(), added)
-            ))
-            self._pending = []
+        """The arcs as read-only CSR arrays."""
         return self._arrays
 
     def sort_arcs(self) -> None:
         """Order each state's arcs by (ilabel, olabel, nextstate, weight)."""
-        a = self.arc_arrays()
+        a = self._arrays
         order = a.sorted_order()
-        self._arrays = ArcArrays.from_columns(self._num_states, *(c[order] for c in a.columns()))
+        self._arrays = ArcArrays.from_columns(a.num_states, *(c[order] for c in a.columns()))
 
     # -- text format -----------------------------------------------------
 
@@ -180,7 +164,9 @@ class WeightedFst:
             src, dst, il, ol, w = (c[at] for c in columns)
             # + 0.0 prints -0.0 as 0.000000
             yield _format_lines((src, dst, il, ol, w + 0.0), (b"%d",) * 4 + (b"%.6f",))
-        yield "".join(f"{state} {self.finals[state] + 0.0:.6f}\n" for state in sorted(self.finals)).encode("ascii")
+        state = np.flatnonzero(self.final < np.inf)
+        if len(state):
+            yield _format_lines((state, self.final[state] + 0.0), (b"%d", b"%.6f"))
 
     @classmethod
     def from_text(
@@ -195,7 +181,8 @@ class WeightedFst:
         A line is an arc (5 fields) or a final weight (2 fields). State ids
         and labels are ASCII integers >= 0; labels must be in the given
         symbol tables. A weight may be +inf (the semiring zero) but not NaN
-        or -inf, and a state listed final twice keeps the smaller weight.
+        or -inf, and a state listed final twice keeps the smaller weight. A
+        final weight of +inf leaves its state not final.
         `#` is an ordinary token, not a comment. Errors cite the first
         failing line.
 
@@ -266,10 +253,9 @@ class WeightedFst:
             raise ParseError(message, source=source, line=at + 1)
 
         n = 1 + max((int(c.max()) for c in (src, dst, state) if len(c)), default=-1)
-        fst = cls._from_columns(isymbols, osymbols, n, 0 if n else NO_STATE, {}, src, il, ol, w, dst)
-        for s, weight in zip(state.tolist(), fw.tolist()):
-            fst.set_final(s, weight)
-        return fst
+        final = np.full(n, np.inf)
+        np.minimum.at(final, state, fw)
+        return cls(isymbols, osymbols, n, 0 if n else NO_STATE, final, src, il, ol, w, dst)
 
 
 def _format_lines(columns, formats) -> bytes:
@@ -309,15 +295,15 @@ def _read_lines(lines: list[str], line0: int, ilabels, olabels, errors: list) ->
     message). The rank fixes which message a line that fails two checks cites,
     whichever block runs it; `from_text` runs the state-id bound, ranks 4 and 10,
     once it has counted every line. Rows after a line that does not convert are
-    not read.
+    not read, and each row's line index is returned only for the rows read.
     """
     fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
     arc_at, final_at = np.flatnonzero(fields == 5), np.flatnonzero(fields == 2)
-    arc_line, final_line = arc_at + line0, final_at + line0
     _fail(errors, np.arange(line0, line0 + len(lines)), ~np.isin(fields, (0, 2, 5)), 0,
           lambda r: "expected arc or final-state line")
     arcs, bad_arc = load_rows(lines, arc_at, _ARC_ROW)
     finals, bad_final = load_rows(lines, final_at, _FINAL_ROW)
+    arc_line, final_line = arc_at[: len(arcs)] + line0, final_at[: len(finals)] + line0
     for rank, at in ((1, bad_arc), (2, bad_final)):
         if at is not None:
             message = f"cannot read {lines[at].strip()!r}: ids and labels must be integers and weights numbers"
@@ -422,13 +408,7 @@ class ArcArrays:
 
     def sorted_order(self) -> np.ndarray:
         """Arc indices by (source, ilabel, olabel, nextstate, weight), stably."""
-        keys = (self.sources(), self.ilabel, self.olabel, self.nextstate, self.weight)
-        tied = np.ones(max(len(self.ilabel) - 1, 0), dtype=bool)  # neighbours equal on the keys so far
-        for key in keys:  # skip the sort when the arcs are in order already
-            if np.any(tied & ~(key[:-1] <= key[1:])):
-                return np.lexsort(keys[::-1])
-            tied &= key[:-1] == key[1:]
-        return np.arange(len(self.ilabel))
+        return _arc_order(self.sources(), self.ilabel, self.olabel, self.nextstate, self.weight)
 
     @cached_property
     def max_ilabel(self) -> int:
@@ -496,6 +476,16 @@ class EmittingArcs(NamedTuple):
     on_label0: np.ndarray
 
 
+def _arc_order(*keys: np.ndarray) -> np.ndarray:
+    """Indices of the rows of the columns `keys` in lexicographic order, stably."""
+    tied = np.ones(max(len(keys[0]) - 1, 0), dtype=bool)  # neighbours equal on the keys so far
+    for key in keys:  # skip the sort when the rows are in order already
+        if np.any(tied & ~(key[:-1] <= key[1:])):
+            return np.lexsort(keys[::-1])
+        tied &= key[:-1] == key[1:]
+    return np.arange(len(keys[0]))
+
+
 def _offsets(group: np.ndarray, n: int) -> np.ndarray:
     """CSR offsets of items grouped by `group`, a state in range(n) each."""
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -520,7 +510,7 @@ def connect(fst: WeightedFst) -> WeightedFst:
     src, il, ol, w, dst = a.columns()
     accessible = _reachable(a.offsets, a.nextstate, [fst.start])
     # backwards from the accessible finals, over each arc's source grouped by its destination
-    ends = [s for s in fst.finals if accessible[s]]
+    ends = np.flatnonzero(accessible & (fst.final < np.inf))
     keep = accessible & _reachable(_offsets(dst, n), src[np.argsort(dst, kind="stable")], ends)
     if not keep[fst.start]:
         return WeightedFst(isymbols, osymbols)
@@ -529,13 +519,14 @@ def connect(fst: WeightedFst) -> WeightedFst:
     remap[kept[kept != fst.start]] = np.arange(1, len(kept))
     remap[fst.start] = 0
     arc = keep[src] & keep[dst]
-    finals = {int(remap[s]): weight for s, weight in fst.finals.items() if keep[s]}
-    return WeightedFst._from_columns(
-        isymbols, osymbols, len(kept), 0, finals, remap[src[arc]], il[arc], ol[arc], w[arc], remap[dst[arc]]
+    final = np.empty(len(kept))
+    final[remap[kept]] = fst.final[kept]
+    return WeightedFst(
+        isymbols, osymbols, len(kept), 0, final, remap[src[arc]], il[arc], ol[arc], w[arc], remap[dst[arc]]
     )
 
 
-def _reachable(offsets: np.ndarray, nextstate: np.ndarray, starts: list[int]) -> np.ndarray:
+def _reachable(offsets: np.ndarray, nextstate: np.ndarray, starts) -> np.ndarray:
     """Mask of the states reached from `starts` over CSR arcs, a frontier at a time."""
     seen = np.zeros(len(offsets) - 1, dtype=bool)
     frontier = np.unique(np.asarray(starts, dtype=np.int64))
@@ -653,11 +644,10 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     counts = np.concatenate(counts)
     dst = np.concatenate(dst)
     codes = np.array(codes, dtype=np.int64)
-    fw = _times(_final_weights(a)[codes // 3 // n2], _final_weights(b)[codes // 3 % n2])
-    final = np.flatnonzero(fw != semiring.ZERO)
+    fw = _times(a.final[codes // 3 // n2], b.final[codes // 3 % n2])
     src = np.repeat(np.arange(len(codes)), counts)
     # Every key is reached from key 0, so the trim keeps the keys that reach a final one.
-    keep = _reachable(_offsets(dst, len(codes)), src[np.argsort(dst, kind="stable")], final)
+    keep = _reachable(_offsets(dst, len(codes)), src[np.argsort(dst, kind="stable")], np.flatnonzero(fw < np.inf))
     if not keep[0]:
         return WeightedFst(a.isymbols.copy(), b.osymbols.copy())
     # The kept keys are numbered in stack order among themselves; the number
@@ -680,8 +670,9 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     ol = ol[order]
     w = w[order]
     dst = dst[order]
-    finals = dict(zip(state[final].tolist(), fw[final].tolist()))
-    return WeightedFst._from_columns(a.isymbols.copy(), b.osymbols.copy(), kept, 0, finals, src, il, ol, w, dst)
+    final = np.empty(kept)
+    final[state[keep]] = fw[keep]
+    return WeightedFst(a.isymbols.copy(), b.osymbols.copy(), kept, 0, final, src, il, ol, w, dst)
 
 
 def _stack_order(offsets: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -704,12 +695,6 @@ def _stack_order(offsets: np.ndarray, dst: np.ndarray) -> np.ndarray:
                 n += 1
                 stack.append(fresh)
     return state
-
-
-def _final_weights(fst: WeightedFst) -> np.ndarray:
-    out = np.full(fst.num_states(), semiring.ZERO)
-    out[list(fst.finals)] = list(fst.finals.values())
-    return out
 
 
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -754,7 +739,6 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
         return WeightedFst(a.isymbols.copy(), a.osymbols.copy())
     budget = state_budget if state_budget is not None else max(10 * a.num_states(), _DET_BUDGET_FLOOR)
     A = a.arc_arrays()
-    final_weight = _final_weights(a)
     ids = {np.array([a.start, 0], dtype=np.int64).tobytes(): 0}  # a subset's states and residuals, as bytes
     # Subsets found and not yet expanded, as (sizes, states, residuals), in id order.
     todo = deque([(np.ones(1, dtype=np.int64), np.array([a.start], dtype=np.int64), np.zeros(1))])
@@ -766,7 +750,7 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
             todo.appendleft((size[_EXPAND_KEYS:], element[cut:], residual[cut:]))
             size, element, residual = size[:_EXPAND_KEYS], element[:cut], residual[:cut]
         subset = np.repeat(np.arange(len(size)), size)  # each element's subset
-        finals.append(np.minimum.reduceat(_times(residual, final_weight[element]), np.cumsum(size) - size))
+        finals.append(np.minimum.reduceat(_times(residual, a.final[element]), np.cumsum(size) - size))
 
         # Each element's arcs, costed, grouped by (subset, ilabel, olabel, nextstate).
         row, arc = _spans(A.offsets[element], A.offsets[element + 1] - A.offsets[element])
@@ -817,10 +801,10 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
     counts = np.concatenate(counts)
     dst = np.concatenate(dst)
     state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
-    final = np.concatenate(finals)
-    is_final = np.flatnonzero(final != semiring.ZERO)
-    return WeightedFst._from_columns(
-        a.isymbols.copy(), a.osymbols.copy(), len(state), 0, dict(zip(state[is_final].tolist(), final[is_final].tolist())),
+    final = np.empty(len(state))
+    final[state] = np.concatenate(finals)
+    return WeightedFst(
+        a.isymbols.copy(), a.osymbols.copy(), len(state), 0, final,
         np.repeat(state, counts), np.concatenate(il), np.concatenate(ol), np.concatenate(w), state[dst],
     )
 
@@ -860,7 +844,7 @@ def minimize(a: WeightedFst) -> WeightedFst:
     # Ids of equal (ilabel, olabel, weight) arcs and of equal final weights;
     # the comparisons take -0.0 for 0.0, as a tuple's == does.
     label = _column_ids(np.stack((arrays.ilabel, arrays.olabel)), arrays.weight[None])
-    final = _column_ids(_final_weights(trimmed)[None])
+    final = _column_ids(trimmed.final[None])
     # Per out-degree d, a matrix with a column per state: the state, then the
     # next state of each of its arcs; the first partition reads the final
     # weight and arc labels in their place.
@@ -900,9 +884,8 @@ def minimize(a: WeightedFst) -> WeightedFst:
     number[classes[first]] = np.arange(count)
     # The representatives' arcs, emitted already in `sort_arcs` order.
     arc = order[_spans(arrays.offsets[first], degree[first])[1]]
-    finals = {c: trimmed.finals[s] for c, s in enumerate(first.tolist()) if trimmed.final_weight(s) != semiring.ZERO}
-    return WeightedFst._from_columns(
-        trimmed.isymbols.copy(), trimmed.osymbols.copy(), count, 0, finals,
+    return WeightedFst(
+        trimmed.isymbols.copy(), trimmed.osymbols.copy(), count, 0, trimmed.final[first],
         np.repeat(np.arange(count), degree[first]), arrays.ilabel[arc], arrays.olabel[arc], arrays.weight[arc],
         number[classes[arrays.nextstate[arc]]],
     )
@@ -940,9 +923,9 @@ def relabel_ilabels(
         if 0 <= old < len(table):
             table[old] = new
     src, il, ol, w, dst = a.columns()
-    out = WeightedFst._from_columns(
+    il = table[il]
+    order = _arc_order(src, il, ol, dst, w)
+    return WeightedFst(
         isymbols if isymbols is not None else fst.isymbols.copy(), fst.osymbols.copy(),
-        fst.num_states(), fst.start, dict(fst.finals), src, table[il], ol, w, dst,
+        fst.num_states(), fst.start, fst.final, *(c[order] for c in (src, il, ol, w, dst)),
     )
-    out.sort_arcs()
-    return out

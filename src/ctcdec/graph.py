@@ -18,6 +18,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import fst as fstlib
 from .arpa import SENTENCE_END, SENTENCE_START, ArpaModel
 from .errors import ConfigurationError, ParseError
@@ -60,25 +62,16 @@ def build_T(units: Sequence[str]) -> WeightedFst:
         raise ConfigurationError("unit inventory is empty")
     if BLANK_SYMBOL in units:
         raise ConfigurationError(f"unit inventory must not contain {BLANK_SYMBOL}")
-    t = WeightedFst(_t_input_table(units), SymbolTable.with_epsilon(units))
-    start = t.add_state()
-    t.set_start(start)
-    t.set_final(start)
-    blank = 1
-    t.add_arc(start, blank, 0, 0.0, start)
-    n = len(units)
-    for u in range(1, n + 1):
-        state = t.add_state()  # state id == unit id
-        t.set_final(state)
-        t.add_arc(start, u + 1, u, 0.0, state)
-        t.add_arc(state, u + 1, 0, 0.0, state)
-        t.add_arc(state, blank, 0, 0.0, start)
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            if u != v:
-                t.add_arc(u, v + 1, v, 0.0, v)
-    t.sort_arcs()
-    return t
+    # Each state s (s == unit id) has a blank arc (input 1) to the start,
+    # then one arc per unit v (input v + 1) to state v, in ilabel order; the
+    # arc emits v unless it is s's own self-loop.
+    n = len(units) + 1
+    src = np.repeat(np.arange(n), n)
+    unit = np.tile(np.arange(n), n)
+    return WeightedFst(
+        _t_input_table(units), SymbolTable.with_epsilon(units), n, 0, np.zeros(n),
+        src, unit + 1, np.where(unit == src, 0, unit), np.zeros(n * n), unit,
+    )
 
 
 def prefix_prons(prons: Iterable[tuple[str, ...]]) -> set[tuple[str, ...]]:
@@ -136,23 +129,26 @@ def build_L(
     osymbols = SymbolTable.with_epsilon(words)
     disambig_base = len(units)  # disambig #k has id disambig_base + k
 
-    l = WeightedFst(isymbols, osymbols)
-    start = l.add_state()
-    l.set_start(start)
-    l.set_final(start)
+    src, ilabel, olabel, nextstate = [], [], [], []
+    n = 1  # state 0 is the start, the only final state
     for (word, pron), disambig in zip(lex.entries, assignments):
         labels = [unit_ids[u] for u in pron]
         if disambig:
             labels.append(disambig_base + disambig)
-        state = start
+        state = 0
         for i, label in enumerate(labels):
-            olabel = word_ids[word] if i == 0 else 0
             if i == len(labels) - 1:
-                nxt = start
+                nxt = 0
             else:
-                nxt = l.add_state()
-            l.add_arc(state, label, olabel, 0.0, nxt)
+                nxt, n = n, n + 1
+            src.append(state)
+            ilabel.append(label)
+            olabel.append(word_ids[word] if i == 0 else 0)
+            nextstate.append(nxt)
             state = nxt
+    final = np.full(n, np.inf)
+    final[0] = 0.0
+    l = WeightedFst(isymbols, osymbols, n, 0, final, src, ilabel, olabel, np.zeros(len(src)), nextstate)
     l.sort_arcs()
     return l
 
@@ -170,21 +166,20 @@ def build_G(model: ArpaModel, words: Sequence[str] | None = None) -> WeightedFst
         words = sorted(_lm_words(model))
     word_ids = {sym: i + 1 for i, sym in enumerate(words)}
     table = SymbolTable.with_epsilon(words)
-    g = WeightedFst(table.copy(), table.copy())
     max_order = model.max_order
     if max_order == 0 or not model.entries(1):
-        return g
+        return WeightedFst(table.copy(), table.copy())
 
     has_sentence_end = SENTENCE_END in vocab
     index = model.index()
 
-    contexts: dict[tuple[str, ...], int] = {(): g.add_state()}
+    contexts: dict[tuple[str, ...], int] = {(): 0}
     for order in range(1, max_order):
         for entry in model.entries(order):
             if entry.words[-1] == SENTENCE_END:
                 continue
             if entry.words not in contexts:
-                contexts[entry.words] = g.add_state()
+                contexts[entry.words] = len(contexts)
 
     def longest_suffix_state(words_tuple: tuple[str, ...]) -> int:
         for i in range(len(words_tuple) + 1):
@@ -193,6 +188,9 @@ def build_G(model: ArpaModel, words: Sequence[str] | None = None) -> WeightedFst
                 return contexts[suffix]
         raise AssertionError("empty context is always present")
 
+    # Without `</s>` every context is final; with it, a context's `</s>` entry sets its weight.
+    final = [math.inf if has_sentence_end else 0.0] * len(contexts)
+    arcs = []  # (src, label, weight, nextstate)
     for order in sorted(model.orders):
         for entry in model.entries(order):
             history, word = entry.words[:-1], entry.words[-1]
@@ -201,7 +199,7 @@ def build_G(model: ArpaModel, words: Sequence[str] | None = None) -> WeightedFst
             src = contexts[history]
             weight = -entry.logprob * _LN10
             if word == SENTENCE_END:
-                g.set_final(src, weight)
+                final[src] = min(final[src], weight)
                 continue
             if word == SENTENCE_START:
                 continue  # defines a context only, never an emission
@@ -211,22 +209,18 @@ def build_G(model: ArpaModel, words: Sequence[str] | None = None) -> WeightedFst
                 dst = contexts[entry.words]
             else:
                 dst = longest_suffix_state(entry.words[1:])
-            g.add_arc(src, word_ids[word], word_ids[word], weight, dst)
+            arcs.append((src, word_ids[word], weight, dst))
 
     for ctx, state in contexts.items():
         if not ctx:
             continue
         entry = index.get(ctx)
         backoff = entry.backoff if entry is not None and entry.backoff is not None else 0.0
-        g.add_arc(state, 0, 0, -backoff * _LN10, longest_suffix_state(ctx[1:]))
+        arcs.append((state, 0, -backoff * _LN10, longest_suffix_state(ctx[1:])))
 
-    if not has_sentence_end:
-        for state in contexts.values():
-            g.set_final(state, 0.0)
-
-    start_ctx = (SENTENCE_START,)
-    g.set_start(contexts.get(start_ctx, contexts[()]))
-    g = fstlib.connect(g)
+    src, label, weight, nextstate = zip(*arcs) if arcs else [()] * 4
+    start = contexts.get((SENTENCE_START,), contexts[()])
+    g = fstlib.connect(WeightedFst(table, table, len(contexts), start, final, src, label, label, weight, nextstate))
     g.sort_arcs()
     return g
 
@@ -282,6 +276,11 @@ def _lm_words(model: ArpaModel) -> set[str]:
     return model.all_words() - {SENTENCE_START, SENTENCE_END}
 
 
+def graph_words(lexicon: Lexicon, model: ArpaModel) -> list[str]:
+    """The word table of L and G: the lexicon's words and the model's but `<s>`/`</s>`, sorted."""
+    return sorted(set(lexicon.words()) | _lm_words(model))
+
+
 def build_graph(
     units: Sequence[str],
     lexicon: Lexicon | None = None,
@@ -289,9 +288,8 @@ def build_graph(
     state_budget: int | None = None,
 ) -> dict[str, WeightedFst]:
     """The machines of `ctcdec build-graph`: T alone without a language
-    model; with one, and its lexicon, also L, G and TLG. The word table of
-    L and G is the lexicon's words and the model's but `<s>`/`</s>`, sorted.
-    Every unit the lexicon spells must be one of `units`.
+    model; with one, and its lexicon, also L, G and TLG, over the words of
+    `graph_words`. Every unit the lexicon spells must be one of `units`.
     """
     if (lexicon is None) != (model is None):
         raise ConfigurationError("a lexicon and a language model are given together or not at all")
@@ -301,7 +299,7 @@ def build_graph(
     missing = [u for u in lexicon.units() if u not in units]
     if missing:
         raise ConfigurationError(f"lexicon units {missing} missing from the units file")
-    words = sorted(set(lexicon.words()) | _lm_words(model))
+    words = graph_words(lexicon, model)
     l = build_L(lexicon, units, words)
     g = build_G(model, words)
     return {"T": t, "L": l, "G": g, "TLG": build_TLG(t, l, g, state_budget)}

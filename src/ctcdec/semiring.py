@@ -11,7 +11,3 @@ Weight = float
 ZERO: Weight = math.inf
 ONE: Weight = 0.0
 
-
-def plus(a: Weight, b: Weight) -> Weight:
-    """Semiring sum: min of the two costs."""
-    return a if a <= b else b

@@ -10,7 +10,7 @@ from ctcdec.graph import build_graph
 from ctcdec.lexicon import parse_lexicon
 from ctcdec.symbols import SymbolTable
 
-from oracles import add_states
+from oracles import FstBuilder
 
 settings.register_profile("ci", max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -140,8 +140,8 @@ def random_acyclic_fst(
 ) -> WeightedFst:
     """A random acyclic transducer (arcs only run to higher state ids)."""
     n = rng.randint(2, max_states)
-    fst = WeightedFst(isymbols.copy(), osymbols.copy())
-    add_states(fst, n)
+    fst = FstBuilder(isymbols.copy(), osymbols.copy())
+    fst.add_states(n)
     fst.set_start(0)
     n_in = len(isymbols) - 1
     n_out = len(osymbols) - 1
@@ -156,7 +156,7 @@ def random_acyclic_fst(
     fst.set_final(n - 1, round(rng.uniform(0.0, 2.0), 3))
     if rng.random() < 0.3:
         fst.set_final(rng.randrange(0, n), round(rng.uniform(0.0, 2.0), 3))
-    return fst
+    return fst.fst()
 
 
 # -- random graph-build inputs ---------------------------------------------

@@ -10,8 +10,8 @@ paths it verifies; the walker reads only the phrase list and the boost,
 the two searches borrow only the engine's input and output containers
 (the WFST search also its `StreamingDecoder` chunk loop) and the biasing
 graph's `advance`, the FST code uses `WeightedFst` only as a container of
-states and arcs, and the shard code uses `SampleRecord` only as a
-container of a record.
+states and arcs (built through `FstBuilder`), and the shard code uses
+`SampleRecord` only as a container of a record.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctcdec import semiring
 from ctcdec.decode import (
     Hypothesis,
     NBestList,
@@ -38,7 +37,7 @@ from ctcdec.decode import (
     skip_blank_frames,
 )
 from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError
-from ctcdec.fst import WeightedFst
+from ctcdec.fst import NO_STATE, WeightedFst
 from ctcdec.graph import disambig_ids
 from ctcdec.symbols import SymbolTable
 from ctcdec.uio import SampleRecord
@@ -61,10 +60,59 @@ def times(a, b):
     return a + b
 
 
-def add_states(fst, n):
-    """Add `n` states to `fst` through its one-state `add_state`."""
-    for _ in range(n):
-        fst.add_state()
+def plus(a, b):
+    """The semiring sum of two weights: the smaller."""
+    return a if a <= b else b
+
+
+class FstBuilder:
+    """A `WeightedFst` put together a call at a time: states, the start,
+    arcs and final weights are gathered, and `fst()` hands them to the
+    machine's constructor, which checks them. A state set final twice
+    keeps the smaller weight."""
+
+    def __init__(self, isymbols=None, osymbols=None):
+        self.isymbols, self.osymbols = isymbols, osymbols
+        self.num_states = 0
+        self.start = NO_STATE
+        self.finals = {}
+        self.arcs = []  # (src, ilabel, olabel, weight, nextstate)
+
+    @classmethod
+    def of(cls, fst):
+        """A builder holding all of `fst`, to build a changed copy of it."""
+        out = cls(fst.isymbols, fst.osymbols)
+        out.add_states(fst.num_states())
+        out.set_start(fst.start)
+        out.arcs = list(zip(*(c.tolist() for c in fst.arc_arrays().columns())))
+        out.finals = finals_of(fst)
+        return out
+
+    def add_state(self):
+        self.num_states += 1
+        return self.num_states - 1
+
+    def add_states(self, n):
+        self.num_states += n
+
+    def set_start(self, state):
+        self.start = state
+
+    def set_final(self, state, weight=0.0):
+        self.finals[state] = plus(self.finals.get(state, INF), weight)
+
+    def add_arc(self, src, ilabel, olabel, weight, nextstate):
+        self.arcs.append((src, ilabel, olabel, weight, nextstate))
+
+    def fst(self):
+        final = [self.finals.get(state, INF) for state in range(self.num_states)]
+        columns = zip(*self.arcs) if self.arcs else [()] * 5
+        return WeightedFst(self.isymbols, self.osymbols, self.num_states, self.start, final, *columns)
+
+
+def finals_of(fst):
+    """The final states of `fst` and their weights: those below +inf."""
+    return {state: weight for state, weight in enumerate(fst.final.tolist()) if weight < INF}
 
 
 def arcs_of(fst, state):
@@ -87,7 +135,7 @@ def enumerate_language(fst, max_arcs=None):
         return dict(best)
 
     def walk(state, ilabels, olabels, weight, depth):
-        fw = fst.final_weight(state)
+        fw = fst.final[state]
         if fw != INF:
             key = (ilabels, olabels)
             best[key] = min(best[key], weight + fw)
@@ -587,10 +635,10 @@ class ReferenceWfstBeamDecoder(StreamingDecoder):
         lm_scale = self.lm_scale
         candidates = []
         any_final = any(
-            self.graph.final_weight(token.state) != math.inf for token in self._tokens.values()
+            self.graph.final[token.state] != math.inf for token in self._tokens.values()
         )
         for key, token in sorted(self._tokens.items()):
-            fw = self.graph.final_weight(token.state)
+            fw = float(self.graph.final[token.state])
             if fw == math.inf:
                 if any_final:
                     continue
@@ -649,7 +697,7 @@ def linear_fst(ilabels, olabels=None, weights=None, isymbols=None, osymbols=None
         raise ConfigurationError("ilabels and olabels must have equal length")
     if weights is None:
         weights = [0.0] * len(ilabels)
-    fst = WeightedFst(isymbols, osymbols)
+    fst = FstBuilder(isymbols, osymbols)
     state = fst.add_state()
     fst.set_start(state)
     for il, ol, w in zip(ilabels, olabels, weights):
@@ -657,7 +705,7 @@ def linear_fst(ilabels, olabels=None, weights=None, isymbols=None, osymbols=None
         fst.add_arc(state, il, ol, w, nxt)
         state = nxt
     fst.set_final(state, final_weight)
-    return fst
+    return fst.fst()
 
 
 @dataclass(frozen=True)
@@ -694,7 +742,7 @@ def shortest_path(a, n=1, *, max_expansions=200_000):
         expansions += 1
         if expansions > max_expansions:
             raise ResourceError(f"shortest_path exceeded {max_expansions} expansions")
-        fw = a.final_weight(state)
+        fw = a.final[state]
         if fw != INF:
             counter += 1
             heapq.heappush(heap, (times(weight, fw), ilabels, olabels, counter, None))
@@ -723,8 +771,8 @@ def score_hypothesis(units, phrases, boost):
 #
 # The engine's algorithms work on CSR arc columns. These are the earlier
 # versions, which walk one `Arc` object at a time, kept as the byte-identity
-# reference: each reads arcs only through `arcs_of` and builds its
-# result only through `add_state`, `add_arc` and `set_final`.
+# reference: each reads arcs only through `arcs_of`, finals only through
+# `finals_of` or the final array, and builds its result through `FstBuilder`.
 
 
 def _arc_key(arc):
@@ -737,16 +785,16 @@ def _arc_lists(fst):
 
 def reference_sorted(fst):
     """A copy whose arcs are added state by state in `_arc_key` order."""
-    out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
-    add_states(out, fst.num_states())
+    out = FstBuilder(fst.isymbols.copy(), fst.osymbols.copy())
+    out.add_states(fst.num_states())
     if fst.start != -1:
         out.set_start(fst.start)
     for state, arcs in enumerate(_arc_lists(fst)):
         for arc in sorted(arcs, key=_arc_key):
             out.add_arc(state, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
-    for state, weight in fst.finals.items():
+    for state, weight in finals_of(fst).items():
         out.set_final(state, weight)
-    return out
+    return out.fst()
 
 
 def reference_to_text(fst):
@@ -754,15 +802,15 @@ def reference_to_text(fst):
     for state, arcs in enumerate(_arc_lists(fst)):
         for arc in sorted(arcs, key=_arc_key):
             lines.append(f"{state} {arc.nextstate} {arc.ilabel} {arc.olabel} {arc.weight + 0.0:.6f}")
-    for state in sorted(fst.finals):
-        lines.append(f"{state} {fst.finals[state] + 0.0:.6f}")
+    for state, weight in sorted(finals_of(fst).items()):
+        lines.append(f"{state} {weight + 0.0:.6f}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def reference_connect(fst):
-    out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
+    out = FstBuilder(fst.isymbols.copy(), fst.osymbols.copy())
     if fst.is_empty():
-        return out
+        return out.fst()
     arcs = _arc_lists(fst)
     accessible = {fst.start}
     stack = [fst.start]
@@ -776,7 +824,7 @@ def reference_connect(fst):
         for arc in arcs[state]:
             reverse[arc.nextstate].append(state)
     coaccessible = set()
-    stack = [s for s in fst.finals if s in accessible]
+    stack = [s for s in finals_of(fst) if s in accessible]
     while stack:
         state = stack.pop()
         if state in coaccessible:
@@ -785,7 +833,7 @@ def reference_connect(fst):
         stack.extend(p for p in reverse[state] if p not in coaccessible)
     keep = accessible & coaccessible
     if fst.start not in keep:
-        return out
+        return out.fst()
     order = [fst.start] + [s for s in sorted(keep) if s != fst.start]
     remap = {state: out.add_state() for state in order}
     out.set_start(remap[fst.start])
@@ -793,16 +841,16 @@ def reference_connect(fst):
         for arc in arcs[state]:
             if arc.nextstate in keep:
                 out.add_arc(remap[state], arc.ilabel, arc.olabel, arc.weight, remap[arc.nextstate])
-    for state, weight in fst.finals.items():
+    for state, weight in finals_of(fst).items():
         if state in keep:
             out.set_final(remap[state], weight)
-    return out
+    return out.fst()
 
 
 def reference_compose(a, b):
-    out = WeightedFst(a.isymbols.copy(), b.osymbols.copy())
+    out = FstBuilder(a.isymbols.copy(), b.osymbols.copy())
     if a.is_empty() or b.is_empty():
-        return out
+        return out.fst()
     a_arcs, b_arcs = _arc_lists(a), _arc_lists(b)
     state_ids = {}
     queue = []
@@ -836,16 +884,16 @@ def reference_compose(a, b):
         if flt != 1:
             for arc2 in by_ilabel.get(0, ()):
                 out.add_arc(src, 0, arc2.olabel, arc2.weight, state_of((s1, arc2.nextstate, 2)))
-        fw = times(a.final_weight(s1), b.final_weight(s2))
+        fw = times(a.final[s1], b.final[s2])
         if fw != INF:
             out.set_final(src, fw)
-    return reference_sorted(reference_connect(out))
+    return reference_sorted(reference_connect(out.fst()))
 
 
 def reference_determinize(a, state_budget=None):
-    out = WeightedFst(a.isymbols.copy(), a.osymbols.copy())
+    out = FstBuilder(a.isymbols.copy(), a.osymbols.copy())
     if a.is_empty():
-        return out
+        return out.fst()
     budget = state_budget if state_budget is not None else max(10 * a.num_states(), 1000)
     arcs = _arc_lists(a)
     subset_ids = {}
@@ -866,13 +914,13 @@ def reference_determinize(a, state_budget=None):
         by_label = {}
         final = INF
         for state, residual in subset:
-            final = semiring.plus(final, times(residual, a.final_weight(state)))
+            final = plus(final, times(residual, a.final[state]))
             for arc in arcs[state]:
                 w = times(residual, arc.weight)
                 if w == INF:
                     continue
                 targets = by_label.setdefault((arc.ilabel, arc.olabel), {})
-                targets[arc.nextstate] = semiring.plus(targets.get(arc.nextstate, INF), w)
+                targets[arc.nextstate] = plus(targets.get(arc.nextstate, INF), w)
         if final != INF:
             out.set_final(src, final)
         for label in sorted(by_label):
@@ -880,7 +928,7 @@ def reference_determinize(a, state_budget=None):
             w_min = min(targets.values())
             dst = subset_state(tuple(sorted((state, w - w_min) for state, w in targets.items())))
             out.add_arc(src, label[0], label[1], w_min, dst)
-    return out
+    return out.fst()
 
 
 def reference_minimize(a):
@@ -895,7 +943,7 @@ def reference_minimize(a):
     classes = [0] * trimmed.num_states()
     keys = {}
     for state in range(trimmed.num_states()):
-        classes[state] = keys.setdefault(("F", trimmed.final_weight(state)), len(keys))
+        classes[state] = keys.setdefault(("F", trimmed.final[state]), len(keys))
     while True:
         keys = {}
         new_classes = [0] * trimmed.num_states()
@@ -908,7 +956,7 @@ def reference_minimize(a):
         if new_classes == classes:
             break
         classes = new_classes
-    out = WeightedFst(trimmed.isymbols.copy(), trimmed.osymbols.copy())
+    out = FstBuilder(trimmed.isymbols.copy(), trimmed.osymbols.copy())
     representative = {}
     for state in range(trimmed.num_states()):
         representative.setdefault(classes[state], state)
@@ -919,23 +967,23 @@ def reference_minimize(a):
     for c, rep in representative.items():
         for arc in arcs[rep]:
             out.add_arc(class_state[c], arc.ilabel, arc.olabel, arc.weight, class_state[classes[arc.nextstate]])
-        fw = trimmed.final_weight(rep)
+        fw = trimmed.final[rep]
         if fw != INF:
             out.set_final(class_state[c], fw)
-    return reference_sorted(out)
+    return reference_sorted(out.fst())
 
 
 def reference_relabel_ilabels(fst, mapping, isymbols=None):
-    out = WeightedFst(isymbols if isymbols is not None else fst.isymbols.copy(), fst.osymbols.copy())
-    add_states(out, fst.num_states())
+    out = FstBuilder(isymbols if isymbols is not None else fst.isymbols.copy(), fst.osymbols.copy())
+    out.add_states(fst.num_states())
     if fst.start != -1:
         out.set_start(fst.start)
     for state, arcs in enumerate(_arc_lists(fst)):
         for arc in arcs:
             out.add_arc(state, mapping.get(arc.ilabel, arc.ilabel), arc.olabel, arc.weight, arc.nextstate)
-    for state, weight in fst.finals.items():
+    for state, weight in finals_of(fst).items():
         out.set_final(state, weight)
-    return reference_sorted(out)
+    return reference_sorted(out.fst())
 
 
 def reference_build_TLG(t, l, g):

@@ -114,6 +114,18 @@ class TestBuildGraph:
         assert code == 2
         assert "NaN or +inf" in capsys.readouterr().err
 
+    def test_lm_weight_of_minus_inf_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        """A log probability of 1e308 scales to a G arc weight of -inf, which
+        the machine's constructor refuses."""
+        units, lexicon, arpa = tmp_path / "units.txt", tmp_path / "lexicon.txt", tmp_path / "lm.arpa"
+        units.write_text("<blank> 0\na 1\n", encoding="utf-8")
+        lexicon.write_text("a a\n", encoding="utf-8")
+        arpa.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n1e308 a -1e308\n-0.5 </s>\n\n\\end\\\n", encoding="utf-8")
+        args = ["build-graph", "--units", str(units), "--lexicon", str(lexicon), "--arpa", str(arpa)]
+        assert main([*args, "--out", str(tmp_path / "graph")]) == 1
+        assert capsys.readouterr().err == "error: arc weight -inf is NaN or -inf\n"
+        assert not (tmp_path / "graph").exists()
+
     def test_arpa_without_lexicon_is_usage_error(self, tmp_path, capsys):
         args = ["build-graph", "--units", str(DATA / "units.txt"), "--arpa", str(DATA / "lm.arpa")]
         assert main([*args, "--out", str(tmp_path / "x")]) == 2
@@ -324,6 +336,16 @@ class TestDecode:
         capsys.readouterr()
         assert main(["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph)]) == 2
         assert f"{tlg}:3: {message}" in capsys.readouterr().err
+
+    def test_too_large_state_before_an_unreadable_line_exits_2(self, tmp_path, capsys):
+        """Line 1 names a state too large for the file, and line 2 does not
+        convert: line 1 is cited, with no traceback."""
+        graph = _build(tmp_path)
+        tlg = graph / "TLG.fst"
+        tlg.write_text("0 1000000000 1 1 0.5\nnan 1 1 1 0.5\n1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["decode", str(DATA / "utt1.post"), "--graph-dir", str(graph)]) == 2
+        assert capsys.readouterr() == ("", f"error: {tlg}:1: state id 1000000000 is too large for a file of 3 lines\n")
 
     def test_token_count_mismatch_names_both_counts(self, tmp_path, capsys):
         narrow = tmp_path / "narrow.post"

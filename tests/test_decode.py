@@ -18,7 +18,7 @@ from ctcdec.rescore import FusionWeights
 from ctcdec.symbols import SymbolTable
 
 from conftest import graph_from_text, random_matrix
-from oracles import add_states, best_marginal, ctc_marginals, score_hypothesis
+from oracles import FstBuilder, best_marginal, ctc_marginals, score_hypothesis
 
 LN10 = math.log(10.0)
 
@@ -405,13 +405,11 @@ class TestWfstBeamSearch:
 
 
 def _tie_graph():
-    """Start state 0 has two blank arcs to state 1 at equal cost, for w2 and
-    then w1, so the first arc wins recombination; state 1 is final."""
-    from ctcdec.fst import WeightedFst
-    from ctcdec.symbols import SymbolTable
-
-    graph = WeightedFst(SymbolTable.with_epsilon(["t0"]), SymbolTable.with_epsilon(["w1", "w2"]))
-    add_states(graph, 2)
+    """A builder of a graph whose start state 0 has two blank arcs to state 1
+    at equal cost, for w2 and then w1, so the first arc wins recombination;
+    state 1 is final."""
+    graph = FstBuilder(SymbolTable.with_epsilon(["t0"]), SymbolTable.with_epsilon(["w1", "w2"]))
+    graph.add_states(2)
     graph.set_start(0)
     graph.add_arc(0, 1, 2, 0.5, 1)
     graph.add_arc(0, 1, 1, 0.5, 1)
@@ -433,63 +431,60 @@ class TestWfstSearchOverAChangedGraph:
         assert graph.arc_arrays() is frozen
 
     def test_add_arc_after_a_decode_is_searched(self):
-        graph = _tie_graph()
-        assert self._best(graph).words == ("w2",)
-        graph.add_arc(0, 1, 1, 0.25, 1)  # a cheaper w1 arc
-        best = self._best(graph)
+        builder = _tie_graph()
+        assert self._best(builder.fst()).words == ("w2",)
+        builder.add_arc(0, 1, 1, 0.25, 1)  # a cheaper w1 arc
+        best = self._best(builder.fst())
         assert best.words == ("w1",)
         assert best.total_score == -0.25
 
     def test_set_final_after_a_decode_is_searched(self):
-        graph = _tie_graph()
-        assert self._best(graph).total_score == -0.5
-        graph.set_final(1, 0.75)  # the tropical plus keeps the cheaper final weight
-        assert self._best(graph).total_score == -0.5
-        graph.finals.clear()
-        graph.set_final(1, 2.0)
-        assert self._best(graph).total_score == -2.5
+        builder = _tie_graph()
+        assert self._best(builder.fst()).total_score == -0.5
+        builder.set_final(1, 0.75)  # the tropical plus keeps the cheaper final weight
+        assert self._best(builder.fst()).total_score == -0.5
+        builder.finals.clear()
+        builder.set_final(1, 2.0)
+        assert self._best(builder.fst()).total_score == -2.5
 
     def test_sort_arcs_after_a_decode_is_searched(self):
-        graph = _tie_graph()
+        graph = _tie_graph().fst()
         assert self._best(graph).words == ("w2",)
         graph.sort_arcs()  # w1's arc now comes first and wins the tie
         assert self._best(graph).words == ("w1",)
 
     def test_improving_label0_cycle_is_an_error(self):
-        from ctcdec.fst import WeightedFst
-
-        graph = WeightedFst()
-        add_states(graph, 3)
+        graph = FstBuilder()
+        graph.add_states(3)
         graph.set_start(0)
         graph.add_arc(0, 2, 0, 0.0, 1)
         graph.add_arc(1, 0, 0, -1.0, 2)
         graph.add_arc(2, 0, 0, 0.0, 1)
         graph.set_final(1, 0.0)
+        graph = graph.fst()
         with pytest.raises(ConfigurationError, match="label-0 cycle"):
             WfstBeamDecoder(graph, blank_skip_threshold=None)
 
     def test_non_improving_label0_cycle_is_refused_when_built(self):
-        from ctcdec.fst import WeightedFst
-
-        graph = WeightedFst()
-        add_states(graph, 2)
+        graph = FstBuilder()
+        graph.add_states(2)
         graph.set_start(0)
         graph.add_arc(0, 0, 0, 1.0, 1)
         graph.add_arc(1, 0, 0, 1.0, 0)
         graph.set_final(1, 0.0)
+        graph = graph.fst()
         with pytest.raises(ConfigurationError, match="label-0 cycle"):
             WfstBeamDecoder(graph, blank_skip_threshold=None)
 
     def test_label0_ladder_is_refused_when_built(self):
-        from ctcdec.fst import WeightedFst
-
-        graph = WeightedFst()
-        add_states(graph, 40)
+        graph = FstBuilder()
+        graph.add_states(40)
         graph.set_start(0)
         for k in range(39):
             graph.add_arc(k, 0, 0, 0.0, k + 1)
             graph.add_arc(k, 0, 0, 1.0, k + 1)
         graph.set_final(39, 0.0)
+        graph = graph.fst()
         with pytest.raises(ConfigurationError, match="label-0 paths"):
             WfstBeamDecoder(graph, blank_skip_threshold=None)
 
@@ -588,15 +583,15 @@ class TestWfstSearchCounters:
     # `_prune` drops the token at 3.
     @staticmethod
     def _cut_graph():
-        graph = WeightedFst(SymbolTable.with_epsilon(["t0", "t1"]), SymbolTable.with_epsilon(["w"]))
-        add_states(graph, 5)
+        graph = FstBuilder(SymbolTable.with_epsilon(["t0", "t1"]), SymbolTable.with_epsilon(["w"]))
+        graph.add_states(5)
         graph.set_start(0)
         for weight, state in ((0.0, 1), (3.0, 1), (2.0, 2), (2.5, 2), (2.0, 3), (4.0, 4)):
             graph.add_arc(0, 2, 0, weight, state)
         graph.add_arc(3, 0, 1, -1.5, 4)
         graph.set_final(1, 0.0)
         graph.set_final(4, 0.0)
-        return graph
+        return graph.fst()
 
     @pytest.mark.parametrize(
         "max_active, counts, words",

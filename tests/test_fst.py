@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import time
 import tracemalloc
 
@@ -23,31 +24,46 @@ from ctcdec.fst import (
 from ctcdec.symbols import SymbolTable
 
 from conftest import random_acyclic_fst, symbol_tables
-from oracles import add_states, arcs_of, enumerate_language, join_languages, languages_equal, linear_fst, shortest_path
+from oracles import (
+    FstBuilder,
+    arcs_of,
+    enumerate_language,
+    finals_of,
+    join_languages,
+    languages_equal,
+    linear_fst,
+    shortest_path,
+)
 
 finite_weights = st.floats(min_value=-50, max_value=50, allow_nan=False)
 weights = st.one_of(finite_weights, st.just(semiring.ZERO))
 
 
+def _plus(*weights):
+    """The engine's semiring sum: the final weight a state listed final once per weight gets."""
+    return WeightedFst.from_text("".join(f"0 {weight!r}\n" for weight in weights)).final.tolist()[0]
+
+
 class TestSemiring:
-    # The product is the engine's array `_times`, here over single weights.
+    # The sum is the one `from_text` takes over repeated final lines, and the
+    # product the engine's array `_times`, both here over single weights.
     @given(weights, weights, weights)
     def test_associativity(self, a, b, c):
-        assert semiring.plus(semiring.plus(a, b), c) == semiring.plus(a, semiring.plus(b, c))
+        assert _plus(_plus(a, b), c) == _plus(a, _plus(b, c)) == _plus(a, b, c)
         lhs = fstlib._times(fstlib._times(a, b), c)
         rhs = fstlib._times(a, fstlib._times(b, c))
         assert lhs == rhs or abs(lhs - rhs) < 1e-9
 
     @given(weights)
     def test_identities(self, a):
-        assert semiring.plus(a, semiring.ZERO) == a
+        assert _plus(a, semiring.ZERO) == a
         assert fstlib._times(a, semiring.ONE) == a
         assert fstlib._times(a, semiring.ZERO) == semiring.ZERO
 
     @given(weights, weights)
     def test_plus_commutative_idempotent(self, a, b):
-        assert semiring.plus(a, b) == semiring.plus(b, a)
-        assert semiring.plus(a, a) == a
+        assert _plus(a, b) == _plus(b, a) == min(a, b)
+        assert _plus(a, a) == a
 
 
 # Bad-line cases of `TestTextFormat`, which `TestTextBlocks` also reads with tiny blocks.
@@ -81,6 +97,9 @@ TOO_LARGE_LINES = [
     ("6 0", 6),
 ]
 UNCONVERTIBLE_AT = [0, 1, 500, 998, 999]
+# A state id too large for the file, on a line before one that does not
+# convert: the rows read stop at the bad line, and the id is still cited.
+TOO_LARGE_BEFORE_UNCONVERTIBLE = "0 1000000000 1 1 0.5\nnan 1 1 1 0.5\n1\n"
 # The same file with a bad final weight on line 3 (and a line 5 that does not
 # convert), and then also a negative state id on line 2.
 FIRST_FAILING_TEXTS = [
@@ -111,6 +130,49 @@ def _bad_texts():
         yield text, None, None
     for at in UNCONVERTIBLE_AT:
         yield "\n".join(_long_file_with_unconvertible_line(at)), None, None
+    yield TOO_LARGE_BEFORE_UNCONVERTIBLE, None, None
+
+
+# The constructor's arguments for a valid two-state machine, and each of
+# its checks broken in turn.
+VALID_MACHINE = dict(num_states=2, start=0, final=[math.inf, 0.0], src=[0], ilabel=[1], olabel=[1], weight=[0.5],
+                     nextstate=[1])
+BROKEN_MACHINES = {
+    "start_past_the_states": (dict(start=2), "state 2 does not exist"),
+    "start_negative": (dict(start=-2), "state -2 does not exist"),
+    "src_past_the_states": (dict(src=[2]), "state 2 does not exist"),
+    "nextstate_negative": (dict(nextstate=[-1]), "state -1 does not exist"),
+    "ilabel_negative": (dict(ilabel=[-1]), "arc labels must be >= 0"),
+    "olabel_negative": (dict(olabel=[-3]), "arc labels must be >= 0"),
+    "arc_nan": (dict(weight=[math.nan]), "arc weight nan is NaN or -inf"),
+    "arc_minus_inf": (dict(weight=[-math.inf]), "arc weight -inf is NaN or -inf"),
+    "final_nan": (dict(final=[math.nan, 0.0]), "final weight nan is NaN or -inf"),
+    "final_minus_inf": (dict(final=[0.0, -math.inf]), "final weight -inf is NaN or -inf"),
+    "final_short": (dict(final=[0.0]), "1 final weights for 2 states"),
+    "columns_uneven": (dict(weight=[]), "arc columns differ in length"),
+}
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("broken,message", BROKEN_MACHINES.values(), ids=BROKEN_MACHINES.keys())
+    def test_refuses_each_broken_argument(self, broken, message):
+        WeightedFst(**VALID_MACHINE)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            WeightedFst(**{**VALID_MACHINE, **broken})
+
+    def test_takes_plus_inf_weights_and_no_start(self):
+        fst = WeightedFst(**{**VALID_MACHINE, "weight": [math.inf], "final": [math.inf, math.inf]})
+        assert (fst.num_arcs(), finals_of(fst)) == (1, {})
+        assert WeightedFst(**{**VALID_MACHINE, "start": -1}).is_empty()
+        assert WeightedFst().is_empty() and WeightedFst().num_states() == 0
+
+    def test_final_weights_are_read_only(self):
+        final = np.array([math.inf, 0.0])
+        fst = WeightedFst(**{**VALID_MACHINE, "final": final})
+        final[0] = 1.0  # the machine holds a copy
+        assert fst.final.tolist() == [math.inf, 0.0]
+        with pytest.raises(ValueError):
+            fst.final[0] = 1.0
 
 
 class TestCompose:
@@ -131,12 +193,13 @@ class TestCompose:
         isym, osym = symbol_tables()
         rng = random.Random(7)
         a = random_acyclic_fst(rng, isym, osym)
-        ident = WeightedFst(osym.copy(), osym.copy())
+        ident = FstBuilder(osym.copy(), osym.copy())
         s = ident.add_state()
         ident.set_start(s)
         ident.set_final(s, 0.0)
         for label in range(1, len(osym)):
             ident.add_arc(s, label, label, 0.0, s)
+        ident = ident.fst()
         composed = compose(a, ident)
         assert languages_equal(enumerate_language(composed), enumerate_language(a))
 
@@ -175,13 +238,14 @@ class TestCompose:
 class TestDeterminize:
     def test_merges_parallel_paths_tropically(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 3)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(3)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 3.0, 1)
         fst.add_arc(0, 1, 1, 5.0, 2)
         fst.set_final(1, 0.0)
         fst.set_final(2, 0.0)
+        fst = fst.fst()
         det = determinize(fst)
         assert is_deterministic(det)
         assert enumerate_language(det) == {((1,), (1,)): pytest.approx(3.0)}
@@ -194,8 +258,8 @@ class TestDeterminize:
 
     def test_shared_prefix_pushes_residuals(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 5)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(5)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 1.0, 1)  # "ab" costs 3 in total
         fst.add_arc(1, 2, 2, 2.0, 3)
@@ -203,6 +267,7 @@ class TestDeterminize:
         fst.add_arc(2, 3, 3, 4.0, 4)
         fst.set_final(3, 0.0)
         fst.set_final(4, 0.0)
+        fst = fst.fst()
         det = determinize(fst)
         assert len(arcs_of(det, det.start)) == 1  # the shared "a" arc
         assert arcs_of(det, det.start)[0].weight == pytest.approx(1.0)
@@ -210,12 +275,13 @@ class TestDeterminize:
 
     def test_budget_exceeded_raises(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 4)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(4)
         fst.set_start(0)
         for dst in (1, 2, 3):
             fst.add_arc(0, 1, 1, float(dst), dst)
             fst.set_final(dst, 0.0)
+        fst = fst.fst()
         with pytest.raises(ResourceError, match="budget"):
             determinize(fst, state_budget=1)
 
@@ -239,13 +305,14 @@ class TestDeterminize:
 class TestMinimize:
     def test_merges_equivalent_states(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 3)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(3)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 0.0, 1)
         fst.add_arc(0, 2, 2, 0.0, 2)
         fst.set_final(1, 0.5)
         fst.set_final(2, 0.5)
+        fst = fst.fst()
         out = minimize(fst)
         assert out.num_states() == 2
         assert languages_equal(enumerate_language(out), enumerate_language(fst))
@@ -259,8 +326,8 @@ class TestMinimize:
 
     def test_dead_states_dropped_from_abc_chain(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 6)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(6)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 0.0, 1)
         fst.add_arc(1, 2, 2, 0.0, 2)
@@ -268,19 +335,21 @@ class TestMinimize:
         fst.set_final(3, 0.0)
         fst.add_arc(1, 3, 3, 0.0, 4)  # dead: state 4 cannot reach a final
         fst.add_arc(5, 1, 1, 0.0, 3)  # dead: state 5 unreachable
+        fst = fst.fst()
         out = minimize(connect(fst))
         assert out.num_states() == 4
         assert enumerate_language(out) == {((1, 2, 3), (1, 2, 3)): pytest.approx(0.0)}
 
     def test_rejects_nondeterministic_input(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 3)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(3)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 0.0, 1)
         fst.add_arc(0, 1, 1, 1.0, 2)
         fst.set_final(1)
         fst.set_final(2)
+        fst = fst.fst()
         with pytest.raises(PreconditionError):
             minimize(fst)
 
@@ -298,14 +367,14 @@ class TestMinimize:
 class TestShortestPath:
     def _diamond(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 3)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(3)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 1.0, 1)
         fst.add_arc(0, 2, 2, 2.0, 1)
         fst.add_arc(1, 3, 3, 0.0, 2)
         fst.set_final(2, 0.0)
-        return fst
+        return fst.fst()
 
     def test_diamond_orders_both_paths(self):
         paths = shortest_path(self._diamond(), 2)
@@ -325,10 +394,11 @@ class TestShortestPath:
 
     def test_no_accepting_path_gives_empty_list(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 2)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(2)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 0.0, 1)  # no finals at all
+        fst = fst.fst()
         assert shortest_path(fst, 3) == []
 
     def test_best_weight_matches_enumeration(self):
@@ -345,12 +415,13 @@ class TestShortestPath:
 
     def test_tie_break_is_lexicographic(self):
         isym, _ = symbol_tables()
-        fst = WeightedFst(isym.copy(), isym.copy())
-        add_states(fst, 2)
+        fst = FstBuilder(isym.copy(), isym.copy())
+        fst.add_states(2)
         fst.set_start(0)
         fst.add_arc(0, 2, 2, 1.0, 1)
         fst.add_arc(0, 1, 1, 1.0, 1)
         fst.set_final(1, 0.0)
+        fst = fst.fst()
         paths = shortest_path(fst, 2)
         assert paths[0].ilabels == (1,)
         assert paths[1].ilabels == (2,)
@@ -388,23 +459,15 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=r"x.fst:2: .*>= 0"):
             WeightedFst.from_text(f"0 1 1 1 0.0\n{bad}\n1 0.0\n", source="x.fst")
 
-    @pytest.mark.parametrize("weight", [math.nan, -math.inf], ids=["nan", "minus_inf"])
-    def test_add_arc_and_set_final_refuse_nan_or_minus_inf_weight(self, weight):
-        fst = WeightedFst()
-        add_states(fst, 2)
-        with pytest.raises(ConfigurationError, match="arc weight .* is NaN or -inf"):
-            fst.add_arc(0, 1, 1, weight, 1)
-        with pytest.raises(ConfigurationError, match="final weight .* is NaN or -inf"):
-            fst.set_final(1, weight)
-        fst.add_arc(0, 1, 1, math.inf, 1)
-        fst.set_final(1, math.inf)
-        assert (fst.num_arcs(), fst.finals) == (1, {1: math.inf})
-
     def test_plus_inf_weight_is_the_semiring_zero(self):
         fst = WeightedFst.from_text("0 1 1 1 inf\n1 inf\n0 0.5\n")
         assert arcs_of(fst, 0)[0].weight == semiring.ZERO
-        assert fst.final_weight(1) == semiring.ZERO
-        assert fst.final_weight(0) == 0.5
+        assert fst.final.tolist() == [0.5, semiring.ZERO]
+
+    def test_plus_inf_final_is_not_written(self):
+        fst = WeightedFst.from_text("0 1 1 1 0.5\n1 inf\n2 inf\n")
+        assert fst.num_states() == 3
+        assert fst.to_text() == "0 1 1 1 0.500000\n"
 
     def test_labels_validated_against_given_tables(self):
         isym = SymbolTable.with_epsilon(["a"])
@@ -464,9 +527,8 @@ class TestTextFormat:
 
     def test_repeated_final_lines_keep_the_smaller_weight(self):
         fst = WeightedFst.from_text("0 1 1 1 0.0\n1 2.0\n1 0.5\n1 1.0\n0 inf\n")
-        assert fst.final_weight(1) == 0.5
-        assert fst.final_weight(0) == semiring.ZERO
-        assert fst.to_text() == "0 1 1 1 0.000000\n0 inf\n1 0.500000\n"
+        assert fst.final.tolist() == [semiring.ZERO, 0.5]
+        assert fst.to_text() == "0 1 1 1 0.000000\n1 0.500000\n"
 
     def test_arcs_keep_file_order_within_a_state(self):
         text = "1 0 2 2 0.0\n0 1 2 1 0.5\n1 1 1 1 0.0\n0 0 1 2 0.25\n1 0.0\n"
@@ -496,7 +558,7 @@ def _outcome(parse) -> tuple:
 
 def _machine(fst: WeightedFst) -> tuple:
     a = fst.arc_arrays()
-    return fst.num_states(), fst.start, fst.finals, *(c.tolist() for c in (a.offsets, *a.columns()[1:]))
+    return fst.num_states(), fst.start, fst.final.tolist(), *(c.tolist() for c in (a.offsets, *a.columns()[1:]))
 
 
 class TestTextBlocks:
@@ -570,7 +632,7 @@ class TestTextBlocks:
         bad_line = len("".join(pieces[:bad_at]).splitlines()) + 1
         too_large = text + "\n" + f"{2 * (len(text.splitlines()) + 1)} 0.0"
         whole = WeightedFst.from_text(text)
-        assert (whole.num_arcs(), len(whole.finals)) == (12, 4)
+        assert (whole.num_arcs(), len(finals_of(whole))) == (12, 4)
         expected = _machine(whole)
         for size in (1, 2, 3, 11, 64):
             tiny(size)
@@ -711,30 +773,41 @@ class TestTextBlocks:
 
 def test_connect_drops_unproductive_states():
     isym, _ = symbol_tables()
-    fst = WeightedFst(isym.copy(), isym.copy())
-    add_states(fst, 4)
+    fst = FstBuilder(isym.copy(), isym.copy())
+    fst.add_states(4)
     fst.set_start(0)
     fst.add_arc(0, 1, 1, 0.0, 1)
     fst.add_arc(0, 2, 2, 0.0, 2)  # state 2 is a dead end
     fst.add_arc(3, 1, 1, 0.0, 1)  # state 3 is unreachable
     fst.set_final(1, 0.0)
+    fst = fst.fst()
     out = connect(fst)
     assert out.num_states() == 2
-    assert math.isinf(out.final_weight(out.start))
+    assert out.final.tolist() == [math.inf, 0.0]
+
+
+def test_connect_trims_a_state_only_a_plus_inf_final_kept():
+    """State 2 is final only at weight +inf, so it is not final, and no path from it ends."""
+    fst = WeightedFst.from_text("0 1 1 1 0.0\n0 2 2 2 0.0\n1 0.5\n2 inf\n")
+    out = connect(fst)
+    assert out.to_text() == "0 1 1 1 0.000000\n1 0.500000\n"
+    assert out.num_states() == 2
 
 
 class TestArcArrays:
-    def _fst(self):
+    def _fst(self, *more_arcs):
         isym, osym = symbol_tables()
-        fst = WeightedFst(isym, osym)
-        add_states(fst, 3)
+        fst = FstBuilder(isym, osym)
+        fst.add_states(3)
         fst.set_start(0)
         fst.add_arc(0, 2, 1, 0.5, 1)
         fst.add_arc(0, 0, 2, 1.5, 2)
         fst.add_arc(0, 1, 0, 0.0, 1)
         fst.add_arc(2, 3, 3, 2.0, 0)
+        for arc in more_arcs:
+            fst.add_arc(*arc)
         fst.set_final(1, 0.25)
-        return fst
+        return fst.fst()
 
     def test_csr_holds_every_arc_in_arc_order(self):
         fst = self._fst()
@@ -752,9 +825,7 @@ class TestArcArrays:
             frozen.weight[0] = 9.0
 
     def test_emitting_view_leaves_out_label0_and_inf_arcs(self):
-        fst = self._fst()
-        fst.add_arc(0, 1, 1, math.inf, 2)
-        fst.add_arc(1, 0, 0, math.inf, 2)
+        fst = self._fst((0, 1, 1, math.inf, 2), (1, 0, 0, math.inf, 2))
         frozen = fst.arc_arrays()
         view = frozen.emitting
         assert view.offsets.tolist() == [0, 2, 2, 3]
@@ -767,23 +838,8 @@ class TestArcArrays:
         with pytest.raises(ValueError):
             view.arcs[0, 0] = 9
 
-    def test_cached_until_the_arcs_change(self):
-        fst = self._fst()
-        frozen = fst.arc_arrays()
-        assert fst.arc_arrays() is frozen
-        fst.set_start(1)  # neither the start state nor final weights are frozen
-        fst.set_final(2, 1.0)
-        assert fst.arc_arrays() is frozen
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            lambda f: f.add_state(),
-            lambda f: f.add_arc(1, 1, 1, 0.0, 2),
-            lambda f: f.sort_arcs(),
-        ],
-        ids=["add_state", "add_arc", "sort_arcs"],
-    )
+    # `sort_arcs` is the one change a machine takes.
+    @pytest.mark.parametrize("change", [lambda f: f.sort_arcs()], ids=["sort_arcs"])
     def test_every_arc_change_drops_the_cache(self, change):
         fst = self._fst()
         frozen = fst.arc_arrays()
@@ -802,12 +858,12 @@ class TestArcArrays:
 class TestLabel0Closure:
     @staticmethod
     def _fst(n, arcs):
-        fst = WeightedFst()
-        add_states(fst, n)
+        fst = FstBuilder()
+        fst.add_states(n)
         fst.set_start(0)
         for arc in arcs:
             fst.add_arc(*arc)
-        return fst
+        return fst.fst()
 
     def test_paths_shorter_first_then_in_arc_order(self):
         # Label-0 arcs 0, 2, 3 and 4; arc 1 emits and is no part of any path.

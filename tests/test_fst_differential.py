@@ -23,8 +23,9 @@ from ctcdec.symbols import SymbolTable
 
 from conftest import graph_from_text, random_acyclic_fst, random_bigram_arpa, random_lexicon, symbol_tables
 from oracles import (
-    add_states,
+    FstBuilder,
     arcs_of,
+    finals_of,
     reference_build_TLG,
     reference_compose,
     reference_connect,
@@ -41,9 +42,9 @@ CASES = 80
 
 def _random_fst(rng, isymbols, osymbols, max_states=7):
     """Arcs in any direction, so cycles, unreachable and dead states come up."""
-    fst = WeightedFst(isymbols.copy(), osymbols.copy())
+    fst = FstBuilder(isymbols.copy(), osymbols.copy())
     n = rng.randint(1, max_states)
-    add_states(fst, n)
+    fst.add_states(n)
     fst.set_start(rng.randrange(n))
     for _ in range(rng.randint(0, 3 * n)):
         il = rng.randint(0, len(isymbols) - 1) if rng.random() < 0.8 else 0
@@ -52,7 +53,7 @@ def _random_fst(rng, isymbols, osymbols, max_states=7):
         fst.add_arc(rng.randrange(n), il, ol, weight, rng.randrange(n))
     for state in rng.sample(range(n), rng.randint(0, n)):
         fst.set_final(state, rng.choice((0.0, 0.5, float("inf"))))
-    return fst
+    return fst.fst()
 
 
 def _large_fst(rng, isymbols, osymbols):
@@ -61,9 +62,9 @@ def _large_fst(rng, isymbols, osymbols):
     Composing two gives hundreds of states, more than one `compose`
     expansion holds, and arcs in every filter state.
     """
-    fst = WeightedFst(isymbols.copy(), osymbols.copy())
+    fst = FstBuilder(isymbols.copy(), osymbols.copy())
     n = rng.randint(20, 40)
-    add_states(fst, n)
+    fst.add_states(n)
     fst.set_start(0)
     for src in range(n):
         for _ in range(rng.randint(1, 4)):
@@ -73,7 +74,7 @@ def _large_fst(rng, isymbols, osymbols):
             fst.add_arc(src, il, ol, weight, rng.randrange(n))
     for state in rng.sample(range(n), rng.randint(1, n // 4)):
         fst.set_final(state, rng.choice((0.0, -0.0, 0.5, float("inf"))))
-    return fst
+    return fst.fst()
 
 
 def _random_deterministic(rng, isymbols, max_states=6):
@@ -84,8 +85,8 @@ def _random_deterministic(rng, isymbols, max_states=6):
     minimization has states to merge; a few twins are perturbed.
     """
     n = rng.randint(1, max_states)
-    fst = WeightedFst(isymbols.copy(), isymbols.copy())
-    add_states(fst, 2 * n)
+    fst = FstBuilder(isymbols.copy(), isymbols.copy())
+    fst.add_states(2 * n)
     fst.set_start(0)
     labels = [(il, ol) for il in range(len(isymbols)) for ol in range(2)]
     for src in range(n):
@@ -97,7 +98,7 @@ def _random_deterministic(rng, isymbols, max_states=6):
         for copy in (src, src + n):
             if final is not None:
                 fst.set_final(copy, final if rng.random() < 0.9 else final + 0.5)
-    return fst
+    return fst.fst()
 
 
 def _backoff_fst(rng, isymbols, max_states=6):
@@ -109,9 +110,9 @@ def _backoff_fst(rng, isymbols, max_states=6):
     determinized.
     """
     weights = (0.0, -0.0, 1.0, float("inf"))
-    fst = WeightedFst(isymbols.copy(), isymbols.copy())
+    fst = FstBuilder(isymbols.copy(), isymbols.copy())
     n = rng.randint(2, max_states)
-    add_states(fst, n)
+    fst.add_states(n)
     fst.set_start(rng.randrange(n))
     for src in range(n):
         if src:
@@ -121,7 +122,7 @@ def _backoff_fst(rng, isymbols, max_states=6):
             fst.add_arc(src, word, word, rng.choice(weights), rng.randrange(n))
     for state in rng.sample(range(n), rng.randint(1, n)):
         fst.set_final(state, rng.choice(weights))
-    return fst
+    return fst.fst()
 
 
 def _assert_same(got, want):
@@ -132,7 +133,7 @@ def _assert_same(got, want):
 def _weights(fst):
     """Each state's arc weights and the final weights, as `str` prints them, so -0.0 is not 0.0."""
     arcs = [[str(arc.weight) for arc in arcs_of(fst, state)] for state in range(fst.num_states())]
-    return arcs, {state: str(weight) for state, weight in fst.finals.items()}
+    return arcs, {state: str(weight) for state, weight in finals_of(fst).items()}
 
 
 def _assert_same_weights(got, want):
@@ -195,11 +196,14 @@ def test_compose_trims_keys_that_reach_no_final(seed):
         a, b = _random_fst(rng, isym, mid), _random_fst(rng, mid, third)
         got = compose(a, b)
         _assert_same_and_sorted(got, reference_compose(a, b))
+        every = []
         for fst in (a, b):
+            builder = FstBuilder.of(fst)
             for state in range(fst.num_states()):
-                fst.set_final(state, 0.0)
-        reached = compose(a, b)
-        _assert_same_and_sorted(reached, reference_compose(a, b))
+                builder.set_final(state, 0.0)
+            every.append(builder.fst())
+        reached = compose(*every)
+        _assert_same_and_sorted(reached, reference_compose(*every))
         trimmed.append(got.num_states() < reached.num_states())
     assert any(trimmed) and not all(trimmed)
 
@@ -208,14 +212,15 @@ def test_compose_trims_a_key_whose_inputs_both_reach_a_final():
     """States 1 of a and of b each reach a final state, but over labels 2
     and 3, so the composed state (1, 1) reaches none and is dropped."""
     isym, _ = symbol_tables(3, 3)
-    a, b = WeightedFst(isym.copy(), isym.copy()), WeightedFst(isym.copy(), isym.copy())
+    a, b = FstBuilder(isym.copy(), isym.copy()), FstBuilder(isym.copy(), isym.copy())
     for fst, second in ((a, 2), (b, 3)):
-        add_states(fst, 3)
+        fst.add_states(3)
         fst.set_start(0)
         fst.add_arc(0, 1, 1, 0.5, 1)
         fst.add_arc(1, second, second, 0.0, 2)
         fst.add_arc(0, 2, 2, -0.0, 2)
         fst.set_final(2)
+    a, b = a.fst(), b.fst()
     got = compose(a, b)
     _assert_same_and_sorted(got, reference_compose(a, b))
     assert got.to_text() == "0 1 2 2 0.000000\n1 0.000000\n"
@@ -256,19 +261,21 @@ def test_compose_numbers_states_in_stack_order():
     numbering would give 1's successor 3 and 2's successor 4.
     """
     isym, _ = symbol_tables(2, 2)
-    a = WeightedFst(isym.copy(), isym.copy())
-    add_states(a, 5)
+    a = FstBuilder(isym.copy(), isym.copy())
+    a.add_states(5)
     a.set_start(0)
     for src, label, dst in ((0, 1, 1), (0, 2, 2), (1, 1, 3), (2, 2, 4)):
         a.add_arc(src, label, label, 0.0, dst)
     a.set_final(3)
     a.set_final(4)
-    b = WeightedFst(isym.copy(), isym.copy())
+    a = a.fst()
+    b = FstBuilder(isym.copy(), isym.copy())
     b.add_state()
     b.set_start(0)
     b.add_arc(0, 1, 1, 0.0, 0)
     b.add_arc(0, 2, 2, 0.5, 0)
     b.set_final(0)
+    b = b.fst()
     want = (
         "0 1 1 1 0.000000\n0 2 2 2 0.500000\n1 4 1 1 0.000000\n2 3 2 2 0.500000\n"
         "3 0.000000\n4 0.000000\n"
@@ -280,8 +287,8 @@ def test_sort_arcs_orders_weight_ties_stably_at_any_label_width():
     """Arcs equal but for the weight sort by weight, stably, with labels of 1 or 2**62."""
     isym, osym = symbol_tables()
     for big in (1, 2**62):
-        fst = WeightedFst(isym.copy(), osym.copy())
-        add_states(fst, 3)
+        fst = FstBuilder(isym.copy(), osym.copy())
+        fst.add_states(3)
         fst.set_start(0)
         for src, il, ol, weight, dst in (
             (1, big, 1, 2.0, 2), (0, 1, big, 0.5, 1), (1, big, 1, -0.0, 2), (1, big, 1, 0.0, 2),
@@ -289,6 +296,7 @@ def test_sort_arcs_orders_weight_ties_stably_at_any_label_width():
             (2, big, 1, 0.0, 1), (2, 1, big, 0.0, 1),
         ):
             fst.add_arc(src, il, ol, weight, dst)
+        fst = fst.fst()
         assert fst.to_text() == reference_to_text(fst)
         want = reference_sorted(fst)
         fst.sort_arcs()
@@ -341,8 +349,8 @@ def test_determinize_numbers_subsets_in_stack_order():
     In the order they are found, {6} would come before {7}. The -0.0 arc
     weights cost 0.0 + -0.0 = 0.0, so no weight of the result is -0.0."""
     isym, _ = symbol_tables(5, 5)
-    fst = WeightedFst(isym.copy(), isym.copy())
-    add_states(fst, 8)
+    fst = FstBuilder(isym.copy(), isym.copy())
+    fst.add_states(8)
     fst.set_start(0)
     for src, label, weight, dst in (
         (0, 1, 0.0, 1), (0, 2, 0.0, 2),
@@ -353,6 +361,7 @@ def test_determinize_numbers_subsets_in_stack_order():
         fst.add_arc(src, label, label, weight, dst)
     for state, weight in ((5, 0.0), (6, 0.0), (7, 1.0)):
         fst.set_final(state, weight)
+    fst = fst.fst()
     got = determinize(fst)
     _assert_same_weights(got, reference_determinize(fst))
     assert got.to_text() == (
@@ -366,13 +375,14 @@ def test_determinize_raises_the_same_error_on_a_machine_without_the_twins_proper
     """Two "a" paths loop on "b" at costs 1 and 2, so the residual between them
     grows without end and no budget is enough."""
     isym, _ = symbol_tables()
-    fst = WeightedFst(isym.copy(), isym.copy())
-    add_states(fst, 3)
+    fst = FstBuilder(isym.copy(), isym.copy())
+    fst.add_states(3)
     fst.set_start(0)
     for state, weight in ((1, 1.0), (2, 2.0)):
         fst.add_arc(0, 1, 1, 0.0, state)
         fst.add_arc(state, 2, 2, weight, state)
         fst.set_final(state, 0.0)
+    fst = fst.fst()
     for run in (determinize, reference_determinize):
         with pytest.raises(ResourceError, match="^determinization exceeded its state budget of 1000 states$"):
             run(fst)
@@ -395,18 +405,19 @@ def test_minimize_merges_states_whose_weights_differ_only_by_the_sign_of_zero():
     for the reference's tuples, and each class keeps its first state's
     weights."""
     isym, _ = symbol_tables()
-    fst = WeightedFst(isym.copy(), isym.copy())
-    add_states(fst, 5)
+    fst = FstBuilder(isym.copy(), isym.copy())
+    fst.add_states(5)
     fst.set_start(0)
     for src, il, weight, dst in ((0, 1, 0.0, 1), (0, 2, 0.0, 2), (1, 3, -0.0, 3), (2, 3, 0.0, 4)):
         fst.add_arc(src, il, il, weight, dst)
     for state, weight in ((1, -0.0), (2, 0.0), (3, 0.0), (4, -0.0)):
         fst.set_final(state, weight)
+    fst = fst.fst()
     got = minimize(fst)
     _assert_same_and_sorted(got, reference_minimize(fst))
     assert got.num_states() == 3
     assert [str(arc.weight) for arc in arcs_of(got, 1)] == ["-0.0"]
-    assert [str(got.finals[s]) for s in (1, 2)] == ["-0.0", "0.0"]
+    assert [str(got.final.tolist()[s]) for s in (1, 2)] == ["-0.0", "0.0"]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -442,13 +453,14 @@ def test_golden_TLG():
 
 def test_determinize_budget_raises_in_both():
     isym, _ = symbol_tables()
-    fst = WeightedFst(isym.copy(), isym.copy())
-    add_states(fst, 4)
+    fst = FstBuilder(isym.copy(), isym.copy())
+    fst.add_states(4)
     fst.set_start(0)
     for dst in (1, 2, 3):
         fst.add_arc(0, 1, 1, float(dst), dst)
         fst.add_arc(dst, 2, 2, 0.0, dst)
         fst.set_final(dst, 0.0)
+    fst = fst.fst()
     for run in (determinize, reference_determinize):
         with pytest.raises(ResourceError, match="budget of 1 states"):
             run(fst, state_budget=1)
@@ -457,15 +469,17 @@ def test_determinize_budget_raises_in_both():
 
 def test_minimize_rejects_nondeterministic_in_both():
     isym, _ = symbol_tables()
-    fst = WeightedFst(isym.copy(), isym.copy())
-    add_states(fst, 3)
+    fst = FstBuilder(isym.copy(), isym.copy())
+    fst.add_states(3)
     fst.set_start(0)
     fst.add_arc(0, 1, 2, 0.0, 1)
     fst.add_arc(0, 1, 1, 0.0, 2)  # (1, 2) and (1, 1) differ: still deterministic
     fst.add_arc(2, 1, 2, 0.0, 1)
     fst.set_final(1)
-    assert minimize(fst).to_text() == reference_to_text(reference_minimize(fst))
+    deterministic = fst.fst()
+    assert minimize(deterministic).to_text() == reference_to_text(reference_minimize(deterministic))
     fst.add_arc(2, 1, 2, 1.0, 2)  # state 2 now has (1, 2) twice
+    fst = fst.fst()
     for run in (minimize, reference_minimize):
         with pytest.raises(PreconditionError):
             run(fst)

@@ -18,7 +18,15 @@ from ctcdec.lexicon import Lexicon, parse_lexicon
 from ctcdec.symbols import SymbolTable
 
 from conftest import TOY_ARPA, TOY_LEXICON, graph_from_text
-from oracles import arcs_of, arpa_sentence_log10, ctc_collapse, enumerate_language, linear_fst, shortest_path
+from oracles import (
+    arcs_of,
+    arpa_sentence_log10,
+    ctc_collapse,
+    enumerate_language,
+    languages_equal,
+    linear_fst,
+    shortest_path,
+)
 
 LN10 = math.log(10.0)
 
@@ -266,6 +274,22 @@ class TestGrammar:
         paths = shortest_path(g, 1)
         assert paths[0].ilabels == ()
         assert paths[0].weight == pytest.approx(-math.log(0.9), abs=1e-6)
+
+    def test_sentence_end_of_probability_zero_is_not_a_final(self):
+        """`-inf a </s>` gives context a the final weight +inf: a is not
+        final, no `inf` final is written, and the weighted language is
+        that of the model without the entry."""
+        def model(*bigrams):
+            return parse_arpa(
+                f"\\data\\\nngram 1=3\nngram 2={1 + len(bigrams)}\n\n\\1-grams:\n-0.5 a -0.3\n-0.5 </s>\n"
+                "-99 <s> -0.2\n\n\\2-grams:\n-0.1 <s> a\n" + "".join(f"{b}\n" for b in bigrams) + "\n\\end\\\n"
+            )
+
+        g = build_G(model("-inf a </s>"))
+        assert "inf" not in g.to_text()
+        assert g.to_text().splitlines()[-1] == f"1 {0.5 * LN10:.6f}"  # only the empty context ends a sentence
+        without = build_G(model())
+        assert languages_equal(enumerate_language(g, 6), enumerate_language(without, 6))
 
     def test_unseen_bigram_backs_off(self):
         model = parse_arpa(TOY_ARPA)

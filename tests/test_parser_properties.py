@@ -172,6 +172,7 @@ def test_posterior_parser_raises_only_engine_errors(domain, mutations):
 
 
 @given(st.booleans(), st.lists(MUTATION, max_size=6))
+@example(False, [("replace", 0, 0, "1000000000"), ("replace", 1, 0, "nan")])
 def test_fst_parser_raises_only_engine_errors(with_tables, mutations):
     text = _mutate(_fst_text(), mutations)
     isymbols, osymbols = _tables() if with_tables else (None, None)

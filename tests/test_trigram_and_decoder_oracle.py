@@ -20,7 +20,7 @@ from ctcdec.graph import build_G, build_L, build_T, build_TLG
 from ctcdec.lexicon import parse_lexicon
 
 from conftest import TRIGRAM_ARPA, graph_from_text, random_matrix
-from oracles import add_states, arcs_of, arpa_sentence_log10, ctc_collapse, linear_fst, shortest_path
+from oracles import FstBuilder, arcs_of, arpa_sentence_log10, ctc_collapse, finals_of, linear_fst, shortest_path
 
 LN10 = math.log(10.0)
 
@@ -52,7 +52,7 @@ def test_trigram_tlg_over_words_of_several_units_compiles():
 
 def _posterior_lattice(matrix: PosteriorMatrix, tlg: WeightedFst, acoustic_scale: float) -> WeightedFst:
     """Linear-chain FST over T's input labels with scaled -log posteriors."""
-    fst = WeightedFst(tlg.isymbols.copy(), tlg.isymbols.copy())
+    fst = FstBuilder(tlg.isymbols.copy(), tlg.isymbols.copy())
     state = fst.add_state()
     fst.set_start(state)
     for t in range(matrix.frames):
@@ -65,19 +65,19 @@ def _posterior_lattice(matrix: PosteriorMatrix, tlg: WeightedFst, acoustic_scale
             fst.add_arc(state, token + 1, token + 1, -lp * acoustic_scale, nxt)
         state = nxt
     fst.set_final(state, 0.0)
-    return fst
+    return fst.fst()
 
 
 def _scaled(fst: WeightedFst, factor: float) -> WeightedFst:
-    out = WeightedFst(fst.isymbols.copy(), fst.osymbols.copy())
-    add_states(out, fst.num_states())
+    out = FstBuilder(fst.isymbols.copy(), fst.osymbols.copy())
+    out.add_states(fst.num_states())
     out.set_start(fst.start)
     for state in range(fst.num_states()):
         for arc in arcs_of(fst, state):
             out.add_arc(state, arc.ilabel, arc.olabel, arc.weight * factor, arc.nextstate)
-    for state, weight in fst.finals.items():
+    for state, weight in finals_of(fst).items():
         out.set_final(state, weight * factor)
-    return out
+    return out.fst()
 
 
 class TestWfstDecoderAgainstCompositionOracle:

@@ -22,7 +22,7 @@ from ctcdec.fst import WeightedFst
 from ctcdec.symbols import SymbolTable
 
 from conftest import TRIGRAM_ARPA, graph_from_text, random_bigram_arpa, random_chunks, random_lexicon
-from oracles import ReferenceWfstBeamDecoder, add_states, arcs_of
+from oracles import FstBuilder, ReferenceWfstBeamDecoder, arcs_of
 
 PRUNING = (
     dict(score_beam=1e9, max_active=10**6),  # off
@@ -57,12 +57,12 @@ def _random_wfst(rng: random.Random, max_states: int = 6, max_arcs: int = 4, lab
     """
     width = rng.randint(2, 4)
     n_words = rng.randint(1, 4)
-    graph = WeightedFst(
+    graph = FstBuilder(
         SymbolTable.with_epsilon([f"t{i}" for i in range(width)]),
         SymbolTable.with_epsilon([f"w{i}" for i in range(1, n_words + 1)]),
     )
     n = rng.randint(2, max_states)
-    add_states(graph, n)
+    graph.add_states(n)
     graph.set_start(0)
     for src in range(n):
         for _ in range(rng.randint(1, max_arcs)):
@@ -74,7 +74,7 @@ def _random_wfst(rng: random.Random, max_states: int = 6, max_arcs: int = 4, lab
                 graph.add_arc(src, rng.randint(1, width), olabel, weight, rng.randrange(n))
     for state in rng.sample(range(n), rng.randint(0, 2)):
         graph.set_final(state, rng.choice((0.0, 1.0)))
-    return graph
+    return graph.fst()
 
 
 def _random_logprobs(rng: random.Random, frames: int, width: int) -> np.ndarray:
@@ -221,8 +221,8 @@ def test_dense_label0_graphs_byte_identical():
     assert checked >= 180
 
 
-def _word_graph(n_words: int, width: int = 2) -> WeightedFst:
-    return WeightedFst(
+def _word_graph(n_words: int, width: int = 2) -> FstBuilder:
+    return FstBuilder(
         SymbolTable.with_epsilon([f"t{i}" for i in range(width)]),
         SymbolTable.with_epsilon([f"w{i}" for i in range(1, n_words + 1)]),
     )
@@ -243,13 +243,14 @@ def test_equal_cost_arrivals_keep_the_first():
     both reach state 3 on frame 2 at equal cost: the token at state 1 comes
     first in (cost, state) order, so w2 wins state 3."""
     graph = _word_graph(2)
-    add_states(graph, 4)
+    graph.add_states(4)
     graph.set_start(0)
     graph.add_arc(0, 2, 2, 0.5, 1)
     graph.add_arc(0, 2, 1, 0.5, 2)
     graph.add_arc(1, 1, 0, 0.25, 3)
     graph.add_arc(2, 1, 0, 0.25, 3)
     graph.set_final(3, 0.0)
+    graph = graph.fst()
     logprobs = np.log(np.array([[0.5, 0.5], [0.5, 0.5]]))
     _check_fixed(graph, logprobs, expected_top_words=("w2",))
 
@@ -261,13 +262,14 @@ def test_constructor_orders_its_tokens_by_cost_and_state():
     the token at 2 (w1) is the first source of equal cost to reach state
     4."""
     graph = _word_graph(2)
-    add_states(graph, 5)
+    graph.add_states(5)
     graph.set_start(0)
     graph.add_arc(0, 0, 0, 1.0, 3)
     graph.add_arc(0, 0, 0, 1.0, 2)
     graph.add_arc(3, 2, 2, 0.0, 4)
     graph.add_arc(2, 2, 1, 0.0, 4)
     graph.set_final(4, 0.0)
+    graph = graph.fst()
     logprobs = np.log(np.array([[0.5, 0.5]]))
     _check_fixed(graph, logprobs, expected_top_words=("w1",))
 
@@ -279,7 +281,7 @@ def test_constructor_orders_its_tokens_by_cost_and_state_when_a_key_repeats():
     1 the token at 2 (w1) is the first source of equal cost to reach
     state 4."""
     graph = _word_graph(2)
-    add_states(graph, 5)
+    graph.add_states(5)
     graph.set_start(0)
     graph.add_arc(0, 0, 0, 1.0, 3)
     graph.add_arc(0, 0, 0, 1.0, 2)
@@ -287,6 +289,7 @@ def test_constructor_orders_its_tokens_by_cost_and_state_when_a_key_repeats():
     graph.add_arc(3, 2, 2, 0.0, 4)
     graph.add_arc(2, 2, 1, 0.0, 4)
     graph.set_final(4, 0.0)
+    graph = graph.fst()
     logprobs = np.log(np.array([[0.5, 0.5]]))
     _check_fixed(graph, logprobs, expected_top_words=("w1",))
 
@@ -298,7 +301,7 @@ def test_inf_weight_arcs_lie_on_no_path():
     frames' log-probability."""
     inf = float("inf")
     graph = _word_graph(2)
-    add_states(graph, 4)
+    graph.add_states(4)
     graph.set_start(0)
     graph.add_arc(0, 1, 1, inf, 1)
     graph.add_arc(0, 1, 2, 0.5, 1)
@@ -306,6 +309,7 @@ def test_inf_weight_arcs_lie_on_no_path():
     graph.add_arc(1, 0, 0, 0.0, 3)
     graph.add_arc(3, 1, 0, 0.0, 3)
     graph.set_final(3, 0.0)
+    graph = graph.fst()
     logprobs = np.log(np.array([[0.5, 0.5], [0.5, 0.5]]))
     for lm_scale, total, lm in ((0.0, "-1.386294", "0.000000"), (1.0, "-1.886294", "-0.500000")):
         _check_fixed(graph, logprobs, expected_top_words=("w2",), lm_scale=lm_scale)
@@ -319,11 +323,12 @@ def test_hand_made_graphs_with_inf_arcs_byte_identical(seed):
     rng = random.Random(2000 + seed)
     for _ in range(6):
         graph = _random_wfst(rng)
+        builder = FstBuilder.of(graph)
         for state in range(graph.num_states()):
             for arc in arcs_of(graph, state):
                 if rng.random() < 0.4:
-                    graph.add_arc(state, arc.ilabel, rng.choice((0, arc.olabel)), float("inf"), arc.nextstate)
-        _check_graph(rng, graph, draws=4)
+                    builder.add_arc(state, arc.ilabel, rng.choice((0, arc.olabel)), float("inf"), arc.nextstate)
+        _check_graph(rng, builder.fst(), draws=4)
 
 
 @pytest.mark.parametrize("max_active", [1, 2, 3, 4])
@@ -331,12 +336,13 @@ def test_max_active_cut_inside_a_run_of_equal_costs(max_active):
     """Five tokens tie after frame 1; the cut keeps the lowest states, and
     each state's word shows which ones survived."""
     graph = _word_graph(5)
-    add_states(graph, 11)
+    graph.add_states(11)
     graph.set_start(0)
     for state in (5, 3, 1, 4, 2):
         graph.add_arc(0, 2, 0, 0.5, state)
         graph.add_arc(state, 1, state, 0.0, state + 5)
         graph.set_final(state + 5, 0.0)
+    graph = graph.fst()
     logprobs = np.log(np.array([[0.5, 0.5], [0.5, 0.5]]))
     for kwargs in (dict(max_active=max_active), dict(max_active=max_active, score_beam=1.0)):
         fast, ref = _both(graph, logprobs, [logprobs[:1], logprobs[1:]], nbest=10, blank_skip_threshold=None, **kwargs)
