@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .context import ContextGraph
-from .errors import ConfigurationError, ParseError, parse_count, parse_number, read_text, write_atomic
+from .errors import ConfigurationError, ParseError, parse_count, parse_number, read_text
 from .fst import WeightedFst, _spans, load_rows
 from .symbols import SymbolTable
 
@@ -112,18 +112,6 @@ class PosteriorMatrix:
     @classmethod
     def read(cls, path: str | Path) -> "PosteriorMatrix":
         return cls.from_text(read_text(path), source=str(path))
-
-    def to_text(self, domain: str = "logprob") -> str:
-        if domain not in ("prob", "logprob"):
-            raise ConfigurationError(f"domain must be 'prob' or 'logprob', got {domain!r}")
-        values = np.exp(self.logprobs) if domain == "prob" else self.logprobs
-        lines = [f"{self.frames} {self.tokens} {domain}"]
-        for t in range(self.frames):
-            lines.append(" ".join(repr(float(v)) for v in values[t]))
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path, domain: str = "logprob") -> None:
-        write_atomic(path, [self.to_text(domain).encode("utf-8")])
 
 
 def _first_bad_row(logprobs: np.ndarray) -> tuple[int, str] | None:
@@ -577,13 +565,15 @@ class WfstBeamDecoder(StreamingDecoder):
     after each frame. Tokens are pruned to `score_beam` score units of the
     best and to `max_active` tokens. Biasing advances on emitted words.
 
-    The search reads the graph's `arc_arrays()`, which every decoder on an
-    unchanged graph shares, and keeps its tokens as arrays. A frame costs
-    all emitting arcs of the active tokens as one vector, frozen with the
-    graph apart from the label-0 arcs as `emitting`. It drops the
-    candidates beyond `score_beam` of the frame's best whose state no
-    label-0 path leaves or reaches, which pruning would drop anyway, and
-    recombines the rest per (state, context node). Ties are settled from
+    The search reads the graph's arc columns and its cached `emitting` and
+    `closure` views, which every decoder on the graph shares; a decoder
+    keeps the ones it was built with, so a later `sort_arcs` leaves its
+    stream alone. Tokens are kept as arrays. A frame costs all emitting
+    arcs of the active tokens as one vector, as `emitting` holds them
+    apart from the label-0 arcs. It drops the candidates beyond
+    `score_beam` of the frame's best whose state no label-0 path leaves
+    or reaches, which pruning would drop anyway, and recombines the rest
+    per (state, context node). Ties are settled from
     the tokens, never from the order they arrive in: tokens are held in
     `_prune`'s (cost, state, context node) order between frames, and among
     equal costs the candidate of the token first in that order wins, then
@@ -631,8 +621,10 @@ class WfstBeamDecoder(StreamingDecoder):
         self.tokens_pruned_beam = 0
         self.tokens_pruned_max_active = 0
         self.eps_relaxations = 0
-        self._arcs = graph.arc_arrays()
-        self._min_tokens = max(self._min_tokens, self._arcs.max_ilabel)
+        # What the search reads of the graph, kept as built: a later `sort_arcs` rebuilds the graph's own.
+        self._emitting, self._closure = graph.emitting, graph.closure
+        self._olabel, self._weight, self._nextstate = graph.olabel, graph.weight, graph.nextstate
+        self._min_tokens = max(self._min_tokens, graph.max_ilabel)
         self._n_ctx = self.context.num_states() if self.context is not None else 1
         self._units = _Links()
         self._words = _Links()
@@ -646,7 +638,7 @@ class WfstBeamDecoder(StreamingDecoder):
         return len(self._units) + len(self._words)
 
     def _step(self, row: np.ndarray) -> None:
-        view = self._arcs.emitting
+        view = self._emitting
         floats, ints = self._tokens
         state = ints[0]
         # Every emitting arc of every token, in token order and then arc order.
@@ -721,8 +713,7 @@ class WfstBeamDecoder(StreamingDecoder):
         path's end replaces the token at its key only if strictly cheaper;
         among ends of equal cost the shorter path wins, then the one whose
         source comes first, then the first in closure order."""
-        arcs = self._arcs
-        offsets, paths = arcs.closure
+        offsets, paths = self._closure
         floats, ints = self._tokens
         first = offsets[ints[0]]
         count = offsets[ints[0] + 1] - first
@@ -743,12 +734,12 @@ class WfstBeamDecoder(StreamingDecoder):
         for start, arc in zip(starts, hops.T):
             arc = arc[start:]
             self.arcs_expanded += len(arc)
-            olabel = arcs.olabel[arc]
-            gw, cost[start:], delta = self._follow(olabel, arcs.weight[arc], cost[start:], ctx[start:])
+            olabel = self._olabel[arc]
+            gw, cost[start:], delta = self._follow(olabel, self._weight[arc], cost[start:], ctx[start:])
             graph_cost[start:] += gw
             if delta is not None:
                 ctx_score[start:] += delta
-            state[start:] = arcs.nextstate[arc]
+            state[start:] = self._nextstate[arc]
             emits = olabel.nonzero()[0]
             if len(emits):
                 at = emits + start

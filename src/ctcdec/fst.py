@@ -1,4 +1,4 @@
-"""Weighted finite-state transducers over the tropical semiring.
+"""Weighted finite-state transducers over the tropical semiring (min, +).
 
 Just enough algebra to build and search CTC decoding graphs: construction,
 composition with an epsilon filter, determinization of (ilabel,
@@ -6,12 +6,14 @@ olabel)-encoded labels, minimization and connection. Arc label 0 is
 epsilon on both tapes.
 
 A machine is a value, built once from columns by its one constructor,
-which checks them. It stores its arcs as one `ArcArrays`, CSR columns
-grouped by source state, and its final weights as one array with a
-weight per state; +inf there means "not final", so a final weight of
-+inf is never written. Every algorithm here reads rows from the arrays
-and emits new columns and a new final array, which the constructor turns
-into the result; no pass makes an object per arc.
+which checks them. It is its arrays, as OpenFst's `ConstFst` is: the
+arcs as read-only CSR columns grouped by source state, and the final
+weights as one array with a weight per state; +inf there means "not
+final", so a final weight of +inf is never written. Beside them it
+caches the views the search reads (`closure` and `emitting`). Every
+algorithm here reads rows from the arrays and emits new columns and a
+new final array, which the constructor turns into the result; no pass
+makes an object per arc.
 
 Every algorithm is array code. `compose` and `determinize` expand their
 states a bounded batch at a time, giving each new one a dense id from a
@@ -34,14 +36,12 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import semiring
 from .errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_line_blocks, write_atomic
 from .symbols import EPSILON, SymbolTable
 
@@ -63,20 +63,24 @@ _EXPAND_KEYS = 256  # states `compose` and `determinize` expand at once, which b
 class WeightedFst:
     """A WFST with dense integer states, built once from columns.
 
-    Its arcs are one `ArcArrays` and its final weights one float64 array,
-    a weight per state. As in OpenFst, a state is final exactly when its
-    weight is not +inf, the semiring zero. Weights live in the tropical
-    semiring (see `semiring`); an arc weight may be +inf but no weight may
-    be NaN or -inf. Symbol tables are carried along so composition can
-    verify tape compatibility; id 0 must be epsilon in both.
+    State s owns arcs `offsets[s]:offsets[s + 1]` of the read-only
+    columns `ilabel`, `olabel`, `weight` and `nextstate`, and `final`
+    holds a float64 weight per state. As in OpenFst, a state is final
+    exactly when its weight is not +inf, the semiring zero. Weights live
+    in the tropical semiring, where min is the sum and + the product; an
+    arc weight may be +inf but no weight may be NaN or -inf. Symbol tables
+    are carried along so composition can verify tape compatibility; id 0
+    must be epsilon in both.
 
     The constructor takes the machine whole: its state count, its start
     state (`NO_STATE` for none), its final weights and its arcs as columns
-    (src, ilabel, olabel, weight, nextstate), grouped by source state
-    stably. It alone checks them, and every algorithm here builds its
-    result through it. Given only the tables, it is the empty machine.
-    `sort_arcs` is the one change a machine takes: it reorders each
-    state's arcs and leaves the language alone.
+    (src, ilabel, olabel, weight, nextstate), which it groups by source
+    state stably. It alone checks them, and every algorithm here builds
+    its result through it. Given only the tables, it is the empty machine.
+    `max_ilabel`, `closure` and `emitting` are computed on first use and
+    kept, so every decoder on one machine shares them. `sort_arcs` is the
+    one change a machine takes: it reorders each state's arcs, leaves the
+    language alone and rebuilds the machine, cached views included.
     """
 
     def __init__(
@@ -113,10 +117,16 @@ class WeightedFst:
             if not values.min(initial=np.inf) > _NEG_INF:  # NaN or -inf
                 bad = float(values[np.argmax(~(values > _NEG_INF))])
                 raise ConfigurationError(f"{name} weight {bad!r} is NaN or -inf")
-        final.flags.writeable = False
+        columns = [ilabel, olabel, weight, nextstate]
+        if np.any(src[1:] < src[:-1]):
+            order = np.argsort(src, kind="stable")
+            columns = [c[order] for c in columns]
+        self.offsets = _offsets(src, num_states)
+        self.ilabel, self.olabel, self.weight, self.nextstate = map(np.ascontiguousarray, columns)
+        for array in (final, self.offsets, self.ilabel, self.olabel, self.weight, self.nextstate):
+            array.flags.writeable = False
         self.start = start
         self.final = final
-        self._arrays = ArcArrays.from_columns(num_states, src, ilabel, olabel, weight, nextstate)
 
     # -- inspection ------------------------------------------------------
 
@@ -124,20 +134,88 @@ class WeightedFst:
         return len(self.final)
 
     def num_arcs(self) -> int:
-        return len(self._arrays.ilabel)
+        return len(self.ilabel)
 
     def is_empty(self) -> bool:
         return self.start == NO_STATE
 
-    def arc_arrays(self) -> "ArcArrays":
-        """The arcs as read-only CSR arrays."""
-        return self._arrays
+    def sources(self) -> np.ndarray:
+        """Each arc's source state."""
+        return np.repeat(np.arange(self.num_states(), dtype=np.int64), np.diff(self.offsets))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """(src, ilabel, olabel, weight, nextstate), one entry per arc."""
+        return self.sources(), self.ilabel, self.olabel, self.weight, self.nextstate
+
+    def sorted_order(self) -> np.ndarray:
+        """Arc indices by (source, ilabel, olabel, nextstate, weight), stably."""
+        return _arc_order(self.sources(), self.ilabel, self.olabel, self.nextstate, self.weight)
 
     def sort_arcs(self) -> None:
-        """Order each state's arcs by (ilabel, olabel, nextstate, weight)."""
-        a = self._arrays
-        order = a.sorted_order()
-        self._arrays = ArcArrays.from_columns(a.num_states, *(c[order] for c in a.columns()))
+        """Order each state's arcs by (ilabel, olabel, nextstate, weight).
+
+        The machine is rebuilt through the constructor, so the views cached
+        from the old arc order are dropped; a decoder already built on it
+        keeps the ones it was built with."""
+        order = self.sorted_order()
+        rebuilt = type(self)(self.isymbols, self.osymbols, self.num_states(), self.start, self.final,
+                             *(c[order] for c in self.columns()))
+        self.__dict__ = vars(rebuilt)
+
+    # -- search views ----------------------------------------------------
+
+    @cached_property
+    def max_ilabel(self) -> int:
+        return int(self.ilabel.max(initial=0))
+
+    @cached_property
+    def closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each state's label-0 paths as `(offsets, paths)`: state s owns the
+        rows `offsets[s]:offsets[s + 1]` of `paths`, one row of arc ids per
+        path padded with -1, shorter paths first and then in arc order. Arcs
+        of weight +inf lie on no finite path and are left out. A label-0
+        cycle is refused, and so are more paths than states times label-0
+        arcs."""
+        n = self.num_states()
+        eps = np.flatnonzero((self.ilabel == 0) & (self.weight < np.inf))
+        src = self.sources()[eps]
+        by_state = _offsets(src, n)  # each state's label-0 arcs, as a range of `eps`
+        found = [(src, eps[:, None])]  # round k: the paths of k hops, as (source state, arc ids)
+        total, bound = len(eps), n * len(eps)
+        while True:
+            src, rows = found[-1]
+            end = self.nextstate[rows[:, -1]]
+            first, count = by_state[end], by_state[end + 1] - by_state[end]
+            if not count.any():
+                break
+            if rows.shape[1] == len(eps):  # a path of more hops than there are label-0 arcs repeats one
+                raise ConfigurationError("the graph has a label-0 cycle")
+            total += int(count.sum())
+            if total > bound:
+                raise ConfigurationError(f"the graph has more than {bound} label-0 paths (states x label-0 arcs)")
+            parent, at = _spans(first, count)
+            found.append((src[parent], np.column_stack((rows[parent], eps[at]))))
+        src = np.concatenate([src for src, _ in found])
+        paths = np.concatenate([np.pad(rows, ((0, 0), (0, len(found) - rows.shape[1])), constant_values=-1)
+                                for _, rows in found])
+        offsets, paths = _offsets(src, n), paths[np.argsort(src, kind="stable")]
+        offsets.flags.writeable = paths.flags.writeable = False
+        return offsets, paths
+
+    @cached_property
+    def emitting(self) -> "EmittingArcs":
+        """The arcs of label > 0 and finite weight, in arc order within a
+        state, with the states on a label-0 path as `closure` holds them."""
+        arc = np.flatnonzero((self.ilabel != 0) & (self.weight < np.inf))
+        by_state, paths = self.closure
+        on_label0 = np.diff(by_state) > 0
+        on_label0[self.nextstate[paths[:, 0]]] = True  # every label-0 arc is a path of one hop
+        view = EmittingArcs(_offsets(self.sources()[arc], self.num_states()),
+                            np.stack((self.nextstate[arc], self.ilabel[arc] - 1, self.olabel[arc])),
+                            self.weight[arc], on_label0)
+        for array in view:
+            array.flags.writeable = False
+        return view
 
     # -- text format -----------------------------------------------------
 
@@ -156,9 +234,8 @@ class WeightedFst:
 
     def _text_blocks(self) -> Iterator[bytes]:
         """The text format as ASCII, `_TEXT_CHUNK` arc lines at a time and then the final lines."""
-        a = self.arc_arrays()
-        order = a.sorted_order()
-        columns = (a.sources(), a.nextstate, a.ilabel, a.olabel, a.weight)
+        order = self.sorted_order()
+        columns = (self.sources(), self.nextstate, self.ilabel, self.olabel, self.weight)
         for lo in range(0, len(order), _TEXT_CHUNK):
             at = order[lo : lo + _TEXT_CHUNK]
             src, dst, il, ol, w = (c[at] for c in columns)
@@ -362,108 +439,8 @@ def load_rows(lines: list[str], at, dtype: np.dtype, width: int | None = None) -
     return _loadtxt(rows[:lo], dtype, width), int(at[lo])
 
 
-@dataclass(frozen=True, eq=False)
-class ArcArrays:
-    """The arcs of a `WeightedFst` as read-only arrays in CSR form.
-
-    State s owns arcs `offsets[s]:offsets[s + 1]`, in the machine's arc
-    order. `closure` holds each state's label-0 paths and `emitting` the
-    other arcs, as the search reads them; both are computed on first use,
-    like `max_ilabel`, and both leave out arcs of weight +inf, which lie
-    on no finite path.
-    """
-
-    offsets: np.ndarray
-    ilabel: np.ndarray
-    olabel: np.ndarray
-    weight: np.ndarray
-    nextstate: np.ndarray
-
-    @classmethod
-    def from_columns(cls, num_states: int, src, ilabel, olabel, weight, nextstate) -> "ArcArrays":
-        """Group arcs by source state, keeping their given order within a state."""
-        src = np.asarray(src, dtype=np.int64)
-        columns = [np.asarray(c, dtype) for c, dtype in
-                   ((ilabel, np.int64), (olabel, np.int64), (weight, np.float64), (nextstate, np.int64))]
-        if np.any(src[1:] < src[:-1]):
-            order = np.argsort(src, kind="stable")
-            columns = [c[order] for c in columns]
-        offsets = _offsets(src, num_states)
-        columns = [np.ascontiguousarray(c) for c in columns]
-        for array in (offsets, *columns):
-            array.flags.writeable = False
-        return cls(offsets, *columns)
-
-    @property
-    def num_states(self) -> int:
-        return len(self.offsets) - 1
-
-    def sources(self) -> np.ndarray:
-        """Each arc's source state."""
-        return np.repeat(np.arange(self.num_states, dtype=np.int64), np.diff(self.offsets))
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """(src, ilabel, olabel, weight, nextstate), one entry per arc."""
-        return self.sources(), self.ilabel, self.olabel, self.weight, self.nextstate
-
-    def sorted_order(self) -> np.ndarray:
-        """Arc indices by (source, ilabel, olabel, nextstate, weight), stably."""
-        return _arc_order(self.sources(), self.ilabel, self.olabel, self.nextstate, self.weight)
-
-    @cached_property
-    def max_ilabel(self) -> int:
-        return int(self.ilabel.max(initial=0))
-
-    @cached_property
-    def closure(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each state's label-0 paths as `(offsets, paths)`: state s owns the
-        rows `offsets[s]:offsets[s + 1]` of `paths`, one row of arc ids per
-        path padded with -1, shorter paths first and then in arc order. A
-        label-0 cycle is refused, and so are more paths than states times
-        label-0 arcs."""
-        eps = np.flatnonzero((self.ilabel == 0) & (self.weight < np.inf))
-        src = self.sources()[eps]
-        by_state = _offsets(src, self.num_states)  # each state's label-0 arcs, as a range of `eps`
-        found = [(src, eps[:, None])]  # round k: the paths of k hops, as (source state, arc ids)
-        total, bound = len(eps), self.num_states * len(eps)
-        while True:
-            src, rows = found[-1]
-            end = self.nextstate[rows[:, -1]]
-            first, count = by_state[end], by_state[end + 1] - by_state[end]
-            if not count.any():
-                break
-            if rows.shape[1] == len(eps):  # a path of more hops than there are label-0 arcs repeats one
-                raise ConfigurationError("the graph has a label-0 cycle")
-            total += int(count.sum())
-            if total > bound:
-                raise ConfigurationError(f"the graph has more than {bound} label-0 paths (states x label-0 arcs)")
-            parent, at = _spans(first, count)
-            found.append((src[parent], np.column_stack((rows[parent], eps[at]))))
-        src = np.concatenate([src for src, _ in found])
-        paths = np.concatenate([np.pad(rows, ((0, 0), (0, len(found) - rows.shape[1])), constant_values=-1)
-                                for _, rows in found])
-        offsets, paths = _offsets(src, self.num_states), paths[np.argsort(src, kind="stable")]
-        offsets.flags.writeable = paths.flags.writeable = False
-        return offsets, paths
-
-    @cached_property
-    def emitting(self) -> "EmittingArcs":
-        """The arcs of label > 0 and finite weight, in arc order within a
-        state, with the states on a label-0 path as `closure` holds them."""
-        arc = np.flatnonzero((self.ilabel != 0) & (self.weight < np.inf))
-        by_state, paths = self.closure
-        on_label0 = np.diff(by_state) > 0
-        on_label0[self.nextstate[paths[:, 0]]] = True  # every label-0 arc is a path of one hop
-        view = EmittingArcs(_offsets(self.sources()[arc], self.num_states),
-                            np.stack((self.nextstate[arc], self.ilabel[arc] - 1, self.olabel[arc])),
-                            self.weight[arc], on_label0)
-        for array in view:
-            array.flags.writeable = False
-        return view
-
-
 class EmittingArcs(NamedTuple):
-    """The arcs a frame's search follows, as `ArcArrays.emitting` builds them.
+    """The arcs a frame's search follows, as `WeightedFst.emitting` builds them.
 
     State s owns columns `offsets[s]:offsets[s + 1]` of `arcs`, whose rows
     are (nextstate, acoustic column = ilabel - 1, olabel), and of `weight`.
@@ -505,10 +482,9 @@ def connect(fst: WeightedFst) -> WeightedFst:
     isymbols, osymbols = fst.isymbols.copy(), fst.osymbols.copy()
     if fst.is_empty():
         return WeightedFst(isymbols, osymbols)
-    a = fst.arc_arrays()
     n = fst.num_states()
-    src, il, ol, w, dst = a.columns()
-    accessible = _reachable(a.offsets, a.nextstate, [fst.start])
+    src, il, ol, w, dst = fst.columns()
+    accessible = _reachable(fst.offsets, dst, [fst.start])
     # backwards from the accessible finals, over each arc's source grouped by its destination
     ends = np.flatnonzero(accessible & (fst.final < np.inf))
     keep = accessible & _reachable(_offsets(dst, n), src[np.argsort(dst, kind="stable")], ends)
@@ -576,12 +552,11 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         )
     if a.is_empty() or b.is_empty():
         return WeightedFst(a.isymbols.copy(), b.osymbols.copy())
-    A, B = a.arc_arrays(), b.arc_arrays()
-    n2 = B.num_states
+    n2 = b.num_states()
     # b's arcs stably sorted by (state, ilabel), so the arcs of one pair are
     # a range of `b_order`, in arc order.
-    width = 1 + max(B.max_ilabel, int(A.olabel.max(initial=0)))
-    b_pair = B.sources() * width + B.ilabel
+    width = 1 + max(b.max_ilabel, int(a.olabel.max(initial=0)))
+    b_pair = b.sources() * width + b.ilabel
     b_order = np.argsort(b_pair, kind="stable")
     b_pair = b_pair[b_order]
 
@@ -597,22 +572,22 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     codes = [(a.start * n2 + b.start) * 3]
     ids = {codes[0]: 0}
     counts, il, ol, w, dst = [], [], [], [], []  # per expansion: arcs per key, then the arcs' columns
-    after_a = len(A.ilabel) + 1  # a b-epsilon-alone arc sorts after every a arc
+    after_a = a.num_arcs() + 1  # a b-epsilon-alone arc sorts after every a arc
     done = 0
     while done < len(codes):
         code = np.array(codes[done : done + _EXPAND_KEYS], dtype=np.int64)
         done += len(code)
         s1, s2, flt = code // 3 // n2, code // 3 % n2, code % 3
-        first = A.offsets[s1]
-        a_count = A.offsets[s1 + 1] - first
+        first = a.offsets[s1]
+        a_count = a.offsets[s1 + 1] - first
         a_key, a_arc = _spans(first, a_count)
-        a_eps = A.olabel[a_arc] == EPSILON
+        a_eps = a.olabel[a_arc] == EPSILON
         # a moves alone on an output epsilon, to filter 1
         alone = a_eps & (flt[a_key] != 2)
         key1, arc1 = a_key[alone], a_arc[alone]
         # both move, to filter 0: on a matched label, or from filter 0 on an epsilon pair
         paired = ~a_eps | (flt[a_key] == 0)
-        at, rows2 = b_arcs(s2[a_key[paired]], A.olabel[a_arc[paired]])
+        at, rows2 = b_arcs(s2[a_key[paired]], a.olabel[a_arc[paired]])
         key2, arc2, b2 = a_key[paired][at], a_arc[paired][at], b_order[rows2]
         # b moves alone on an input epsilon, to filter 2, after all of a's arcs
         b_keys = np.flatnonzero(flt != 1)
@@ -624,11 +599,11 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         order = np.argsort(key * after_a + np.concatenate((arc1, arc2, np.full(len(key3), after_a - 1))), kind="stable")
         counts.append(np.bincount(key, minlength=len(code)))
         zeros = np.zeros(len(key3), dtype=np.int64)
-        il.append(np.concatenate((A.ilabel[arc1], A.ilabel[arc2], zeros))[order])
-        ol.append(np.concatenate((np.zeros(len(key1), dtype=np.int64), B.olabel[b2], B.olabel[b3]))[order])
-        w.append(np.concatenate((A.weight[arc1], _times(A.weight[arc2], B.weight[b2]), B.weight[b3]))[order])
-        d1 = np.concatenate((A.nextstate[arc1], A.nextstate[arc2], s1[key3]))
-        d2 = np.concatenate((s2[key1], B.nextstate[b2], B.nextstate[b3]))
+        il.append(np.concatenate((a.ilabel[arc1], a.ilabel[arc2], zeros))[order])
+        ol.append(np.concatenate((np.zeros(len(key1), dtype=np.int64), b.olabel[b2], b.olabel[b3]))[order])
+        w.append(np.concatenate((a.weight[arc1], _times(a.weight[arc2], b.weight[b2]), b.weight[b3]))[order])
+        d1 = np.concatenate((a.nextstate[arc1], a.nextstate[arc2], s1[key3]))
+        d2 = np.concatenate((s2[key1], b.nextstate[b2], b.nextstate[b3]))
         d = ((d1 * n2 + d2) * 3 + np.repeat((1, 0, 2), (len(key1), len(key2), len(key3))))[order]
 
         # unseen codes take the next ids in ascending order
@@ -700,7 +675,7 @@ def _stack_order(offsets: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The semiring product, elementwise: +inf absorbs, even against -inf."""
     with np.errstate(invalid="ignore"):
-        return np.where((x == semiring.ZERO) | (y == semiring.ZERO), semiring.ZERO, x + y)
+        return np.where((x == np.inf) | (y == np.inf), np.inf, x + y)
 
 
 # -- determinization -----------------------------------------------------
@@ -738,7 +713,6 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
     if a.is_empty():
         return WeightedFst(a.isymbols.copy(), a.osymbols.copy())
     budget = state_budget if state_budget is not None else max(10 * a.num_states(), _DET_BUDGET_FLOOR)
-    A = a.arc_arrays()
     ids = {np.array([a.start, 0], dtype=np.int64).tobytes(): 0}  # a subset's states and residuals, as bytes
     # Subsets found and not yet expanded, as (sizes, states, residuals), in id order.
     todo = deque([(np.ones(1, dtype=np.int64), np.array([a.start], dtype=np.int64), np.zeros(1))])
@@ -753,11 +727,11 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
         finals.append(np.minimum.reduceat(_times(residual, a.final[element]), np.cumsum(size) - size))
 
         # Each element's arcs, costed, grouped by (subset, ilabel, olabel, nextstate).
-        row, arc = _spans(A.offsets[element], A.offsets[element + 1] - A.offsets[element])
-        cost = _times(residual[row], A.weight[arc])
-        live = np.flatnonzero(cost != semiring.ZERO)  # a +inf row lies on no path
+        row, arc = _spans(a.offsets[element], a.offsets[element + 1] - a.offsets[element])
+        cost = _times(residual[row], a.weight[arc])
+        live = np.flatnonzero(cost != np.inf)  # a +inf row lies on no path
         row, arc, cost = row[live], arc[live], cost[live]
-        columns = (subset[row], A.ilabel[arc], A.olabel[arc], A.nextstate[arc])
+        columns = (subset[row], a.ilabel[arc], a.olabel[arc], a.nextstate[arc])
         order = np.lexsort(columns[::-1])
         key, lab_i, lab_o, nxt = (c[order] for c in columns)
         new_label = np.ones(len(order), dtype=bool)
@@ -811,10 +785,9 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
 
 def is_deterministic(a: WeightedFst) -> bool:
     """True when no state has two arcs sharing an encoded (ilabel, olabel) pair."""
-    arrays = a.arc_arrays()
-    src = arrays.sources()
-    order = np.lexsort((arrays.olabel, arrays.ilabel, src))
-    keys = np.stack((src[order], arrays.ilabel[order], arrays.olabel[order]))
+    src = a.sources()
+    order = np.lexsort((a.olabel, a.ilabel, src))
+    keys = np.stack((src[order], a.ilabel[order], a.olabel[order]))
     return not np.all(keys[:, 1:] == keys[:, :-1], axis=0).any()
 
 
@@ -837,13 +810,12 @@ def minimize(a: WeightedFst) -> WeightedFst:
     trimmed = connect(a)
     if trimmed.is_empty():
         return trimmed
-    arrays = trimmed.arc_arrays()
     n = trimmed.num_states()
-    order = arrays.sorted_order()  # (ilabel, olabel) order within each state
-    degree = np.diff(arrays.offsets)
+    order = trimmed.sorted_order()  # (ilabel, olabel) order within each state
+    degree = np.diff(trimmed.offsets)
     # Ids of equal (ilabel, olabel, weight) arcs and of equal final weights;
     # the comparisons take -0.0 for 0.0, as a tuple's == does.
-    label = _column_ids(np.stack((arrays.ilabel, arrays.olabel)), arrays.weight[None])
+    label = _column_ids(np.stack((trimmed.ilabel, trimmed.olabel)), trimmed.weight[None])
     final = _column_ids(trimmed.final[None])
     # Per out-degree d, a matrix with a column per state: the state, then the
     # next state of each of its arcs; the first partition reads the final
@@ -851,9 +823,9 @@ def minimize(a: WeightedFst) -> WeightedFst:
     groups, members, initial = [], [], []
     for d in np.unique(degree).tolist():
         states = np.flatnonzero(degree == d)
-        arcs = order[arrays.offsets[states] + np.arange(d)[:, None]]
+        arcs = order[trimmed.offsets[states] + np.arange(d)[:, None]]
         groups.append(states)
-        members.append(np.vstack((states, arrays.nextstate[arcs])))
+        members.append(np.vstack((states, trimmed.nextstate[arcs])))
         initial.append(np.vstack((final[states], label[arcs])))
     del label, final
 
@@ -883,11 +855,11 @@ def minimize(a: WeightedFst) -> WeightedFst:
     number = np.empty(count, dtype=np.int64)
     number[classes[first]] = np.arange(count)
     # The representatives' arcs, emitted already in `sort_arcs` order.
-    arc = order[_spans(arrays.offsets[first], degree[first])[1]]
+    arc = order[_spans(trimmed.offsets[first], degree[first])[1]]
     return WeightedFst(
         trimmed.isymbols.copy(), trimmed.osymbols.copy(), count, 0, trimmed.final[first],
-        np.repeat(np.arange(count), degree[first]), arrays.ilabel[arc], arrays.olabel[arc], arrays.weight[arc],
-        number[classes[arrays.nextstate[arc]]],
+        np.repeat(np.arange(count), degree[first]), trimmed.ilabel[arc], trimmed.olabel[arc], trimmed.weight[arc],
+        number[classes[trimmed.nextstate[arc]]],
     )
 
 
@@ -917,12 +889,11 @@ def relabel_ilabels(
     """Copy with input labels rewritten through `mapping` (identity elsewhere)."""
     if min(mapping.values(), default=0) < 0:
         raise ConfigurationError("arc labels must be >= 0")
-    a = fst.arc_arrays()
-    table = np.arange(a.max_ilabel + 1, dtype=np.int64)
+    table = np.arange(fst.max_ilabel + 1, dtype=np.int64)
     for old, new in mapping.items():
         if 0 <= old < len(table):
             table[old] = new
-    src, il, ol, w, dst = a.columns()
+    src, il, ol, w, dst = fst.columns()
     il = table[il]
     order = _arc_order(src, il, ol, dst, w)
     return WeightedFst(

@@ -4,14 +4,16 @@ Everything here is deliberately brute force: exhaustive path enumeration,
 full path-sum marginalization, the textbook ARPA backoff recursion, a
 plain greedy phrase matcher, the `(matched, pending)` biasing walker, the
 object-per-extension prefix search, the trace-carrying WFST search, a
-heap-based n-best shortest path, the list-of-`Arc` FST algorithms and the
-`tarfile` shard writer and reader. None of it shares code with the engine
-paths it verifies; the walker reads only the phrase list and the boost,
-the two searches borrow only the engine's input and output containers
-(the WFST search also its `StreamingDecoder` chunk loop) and the biasing
-graph's `advance`, the FST code uses `WeightedFst` only as a container of
-states and arcs (built through `FstBuilder`), and the shard code uses
-`SampleRecord` only as a container of a record.
+heap-based n-best shortest path, the list-of-`Arc` FST algorithms, the
+line-at-a-time FST text reader and the `tarfile` shard writer and
+reader. None of it shares code with the engine paths it verifies; the
+walker reads only the phrase list and the boost, the two searches borrow
+only the engine's input and output containers (the WFST search also its
+`StreamingDecoder` chunk loop) and the biasing graph's `advance`, the FST
+code uses `WeightedFst` only as a container of states and arcs (built
+through `FstBuilder`), the text reader uses Python's `float` and `int`
+and no numpy, and the shard code uses `SampleRecord` only as a container
+of a record.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class FstBuilder:
         out = cls(fst.isymbols, fst.osymbols)
         out.add_states(fst.num_states())
         out.set_start(fst.start)
-        out.arcs = list(zip(*(c.tolist() for c in fst.arc_arrays().columns())))
+        out.arcs = list(zip(*(c.tolist() for c in fst.columns())))
         out.finals = finals_of(fst)
         return out
 
@@ -116,10 +118,9 @@ def finals_of(fst):
 
 
 def arcs_of(fst, state):
-    """The arcs leaving `state`, as `Arc` values built from `arc_arrays()`."""
-    a = fst.arc_arrays()
-    span = slice(a.offsets[state], a.offsets[state + 1])
-    return list(map(Arc, *(c[span].tolist() for c in (a.ilabel, a.olabel, a.weight, a.nextstate))))
+    """The arcs leaving `state`, as `Arc` values built from the machine's CSR arrays."""
+    span = slice(fst.offsets[state], fst.offsets[state + 1])
+    return list(map(Arc, *(c[span].tolist() for c in (fst.ilabel, fst.olabel, fst.weight, fst.nextstate))))
 
 
 def enumerate_language(fst, max_arcs=None):
@@ -805,6 +806,91 @@ def reference_to_text(fst):
     for state, weight in sorted(finals_of(fst).items()):
         lines.append(f"{state} {weight + 0.0:.6f}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+_INT64 = 2**63
+
+
+def _reference_int(field):
+    """An ASCII integer with an optional sign that fits int64, as the FST text format takes one, or None."""
+    digits = field[1:] if field[:1] in ("+", "-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    value = int(field)
+    return value if -_INT64 <= value < _INT64 else None
+
+
+def _reference_float(field):
+    """`float(field)` for an ASCII field without `_`, or None."""
+    if not field.isascii() or "_" in field:
+        return None
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _reference_fst_line(fields, line, n_lines, ilabels, olabels):
+    """The message of the first check one FST text line fails, in the reader's
+    rank order, or the line's values: (src, dst, ilabel, olabel, weight) for
+    an arc, (state, weight) for a final weight, () for a blank line."""
+    if len(fields) not in (0, 2, 5):
+        return "expected arc or final-state line"
+    values = [_reference_int(f) for f in fields[:-1]] + [_reference_float(f) for f in fields[-1:]]
+    if None in values:
+        return f"cannot read {line.strip()!r}: ids and labels must be integers and weights numbers"
+    too_large = f"is too large for a file of {n_lines} lines"
+    if len(fields) == 2:
+        state, weight = values
+        if state < 0:
+            return f"state id must be >= 0, got {state}"
+        if state >= 2 * n_lines:
+            return f"state id {state} {too_large}"
+        if not weight > -INF:
+            return f"final weight {fields[1]!r} is NaN or -inf"
+        return tuple(values)
+    if len(fields) == 5:
+        src, dst, ilabel, olabel, weight = values
+        if min(src, dst) < 0:
+            return f"state ids must be >= 0, got {src} and {dst}"
+        if max(src, dst) >= 2 * n_lines:
+            return f"state id {max(src, dst)} {too_large}"
+        if min(ilabel, olabel) < 0:
+            return f"labels must be >= 0, got {ilabel} and {olabel}"
+        if ilabels is not None and ilabel not in ilabels:
+            return f"input label {ilabel} not in the symbol table"
+        if olabels is not None and olabel not in olabels:
+            return f"output label {olabel} not in the symbol table"
+        if not weight > -INF:
+            return f"arc weight {fields[4]!r} is NaN or -inf"
+    return tuple(values)
+
+
+def reference_read_fst(text, isymbols=None, osymbols=None):
+    """The FST text format read one line at a time, with the reader's checks:
+    the machine's `to_text`, or (line number, message) of the first failing
+    line, which is the `ParseError` the reader must raise.
+
+    A line names at most two states, so no state id of a file of n lines
+    may reach 2n. The file's lines are counted first, then each line is
+    checked and kept in turn; a state listed final twice keeps the smaller
+    weight, and the arcs are written in `sort_arcs` order."""
+    lines = text.splitlines()
+    tables = [None if table is None else {i for _, i in table} for table in (isymbols, osymbols)]
+    arcs, finals = [], {}
+    for number, line in enumerate(lines, 1):
+        values = _reference_fst_line(line.split(), line, len(lines), *tables)
+        if isinstance(values, str):
+            return number, values
+        if len(values) == 5:
+            arcs.append(values)
+        elif len(values) == 2:
+            state, weight = values
+            finals[state] = plus(finals.get(state, INF), weight)
+    arcs.sort(key=lambda arc: (arc[0], arc[2], arc[3], arc[1], arc[4]))  # (src, ilabel, olabel, dst, weight)
+    out = [f"{src} {dst} {il} {ol} {w + 0.0:.6f}" for src, dst, il, ol, w in arcs]
+    out += [f"{state} {w + 0.0:.6f}" for state, w in sorted(finals.items()) if w < INF]
+    return "".join(line + "\n" for line in out)
 
 
 def reference_connect(fst):

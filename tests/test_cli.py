@@ -1,5 +1,7 @@
 import io
+import itertools
 import os
+import random
 import tarfile
 from pathlib import Path
 
@@ -826,3 +828,67 @@ class TestTextInputBoundaries:
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _random_build_inputs(rng: random.Random, directory: Path) -> tuple[Path, Path, Path, int]:
+    """A units file of 1 to 5 units, a lexicon of 1 to 6 words (some of them
+    homophones of an earlier word) and a bigram or trigram ARPA file over
+    some of those words, `<unk>` and, half the time, a word missing from the
+    lexicon. Returns the three paths and the unit count."""
+    units = [f"u{k}" for k in range(1, rng.randint(1, 5) + 1)]
+    words, prons = [f"w{k}" for k in range(1, rng.randint(1, 6) + 1)], []
+    for _ in words:
+        homophone = prons and rng.random() < 0.3
+        prons.append(rng.choice(prons) if homophone else [rng.choice(units) for _ in range(rng.randint(1, 3))])
+    vocab = rng.sample(words, rng.randint(1, len(words))) + ["<unk>"] + ["oov"] * (rng.random() < 0.5)
+    order = rng.choice([2, 3])
+    grams = {1: [(w,) for w in ["<s>", *vocab, "</s>"]]}
+    for n in range(2, order + 1):
+        every = list(itertools.product(["<s>", *vocab], *[vocab] * (n - 2), [*vocab, "</s>"]))
+        grams[n] = sorted(rng.sample(every, rng.randint(1, min(len(every), 8))))
+    lines = ["\\data\\", *(f"ngram {n}={len(grams[n])}" for n in grams)]
+    for n, entries in grams.items():
+        lines += ["", f"\\{n}-grams:"]
+        for gram in entries:
+            logprob = -99 if gram == ("<s>",) else round(rng.uniform(-2.0, -0.1), 4)
+            backoff = f" {round(rng.uniform(-0.5, 0.0), 4)}" if n < order and gram[-1] != "</s>" else ""
+            lines.append(f"{logprob} {' '.join(gram)}{backoff}")
+    lines += ["", "\\end\\"]
+    paths = directory / "units.txt", directory / "lexicon.txt", directory / "lm.arpa"
+    paths[0].write_text("<blank> 0\n" + "".join(f"{u} {k}\n" for k, u in enumerate(units, 1)), encoding="utf-8")
+    paths[1].write_text("".join(f"{w} {' '.join(p)}\n" for w, p in zip(words, prons)), encoding="utf-8")
+    paths[2].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return *paths, len(units)
+
+
+def test_random_builds_then_decodes_end_cleanly(tmp_path, capsys):
+    """Seeded random units, lexicons and ARPA files through `build-graph`,
+    then random posteriors through `decode` over the built graph, both in
+    process. Every exit is 0, 1 or 2 with no traceback, every exit 1 is
+    the determinization budget of a graph that cannot be compiled (a
+    trigram over words of several units), and every built graph decodes."""
+    rng = random.Random(4)
+    exits = {}
+    for case in range(100):
+        directory = tmp_path / str(case)
+        directory.mkdir()
+        units, lexicon, arpa, n_units = _random_build_inputs(rng, directory)
+        out = directory / "graph"
+        code = main(["build-graph", "--units", str(units), "--lexicon", str(lexicon), "--arpa", str(arpa),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (case, code, err)
+        assert code != 1 or "determinization exceeded its state budget" in err, (case, err)
+        exits[code] = exits.get(code, 0) + 1
+        if code:
+            continue
+        frames = rng.randint(1, 8)
+        probs = [[rng.random() + 1e-3 for _ in range(n_units + 1)] for _ in range(frames)]
+        post = directory / "x.post"
+        post.write_text(f"{frames} {n_units + 1} prob\n" + "".join(
+            " ".join(repr(p / sum(row)) for p in row) + "\n" for row in probs), encoding="utf-8")
+        code = main(["decode", str(post), "--graph-dir", str(out), "--nbest", "3"])
+        captured = capsys.readouterr()
+        assert code == 0, (case, captured.err)
+        assert captured.out.startswith("# utt "), (case, captured.out)
+    assert exits.get(0, 0) >= 90, exits

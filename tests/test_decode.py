@@ -30,9 +30,10 @@ def _matrix(rows):
 class TestPosteriorMatrix:
     def test_text_round_trip(self):
         m = _matrix([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
-        again = PosteriorMatrix.from_text(m.to_text("prob"))
+        again = PosteriorMatrix.from_text("2 3 prob\n0.6 0.3 0.1\n0.2 0.5 0.3\n")
         assert np.allclose(m.logprobs, again.logprobs)
-        again = PosteriorMatrix.from_text(m.to_text("logprob"))
+        logs = "\n".join(" ".join(repr(math.log(p)) for p in row) for row in ([0.6, 0.3, 0.1], [0.2, 0.5, 0.3]))
+        again = PosteriorMatrix.from_text(f"2 3 logprob\n{logs}\n")
         assert np.allclose(m.logprobs, again.logprobs)
 
     def test_unnormalized_rows_rejected(self):
@@ -426,9 +427,9 @@ class TestWfstSearchOverAChangedGraph:
     def test_decoders_share_the_frozen_graph(self):
         graph = graph_from_text()["TLG"]
         WfstBeamDecoder(graph)
-        frozen = graph.arc_arrays()
+        emitting, closure = graph.emitting, graph.closure
         WfstBeamDecoder(graph)
-        assert graph.arc_arrays() is frozen
+        assert graph.emitting is emitting and graph.closure is closure
 
     def test_add_arc_after_a_decode_is_searched(self):
         builder = _tie_graph()
@@ -452,6 +453,21 @@ class TestWfstSearchOverAChangedGraph:
         assert self._best(graph).words == ("w2",)
         graph.sort_arcs()  # w1's arc now comes first and wins the tie
         assert self._best(graph).words == ("w1",)
+
+        # A stream keeps the arc order its decoder was built with. With a
+        # blank self-loop on state 0, the tie is settled again in frame 2.
+        builder = _tie_graph()
+        builder.add_arc(0, 1, 0, 0.0, 0)
+        graph, unsorted = builder.fst(), builder.fst()
+        frames = np.zeros((2, 1))
+        dec = WfstBeamDecoder(graph, blank_skip_threshold=None)
+        dec.advance(PosteriorMatrix(frames[:1]))
+        graph.sort_arcs()
+        dec.advance(PosteriorMatrix(frames[1:]))
+        mid_stream = dec.finalize()
+        assert mid_stream.best().words == ("w2",)
+        assert mid_stream.to_text() == WfstBeamDecoder(unsorted, blank_skip_threshold=None).decode(frames).to_text()
+        assert WfstBeamDecoder(graph, blank_skip_threshold=None).decode(frames).best().words == ("w1",)
 
     def test_improving_label0_cycle_is_an_error(self):
         graph = FstBuilder()

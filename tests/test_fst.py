@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctcdec import fst as fstlib
-from ctcdec import semiring
 from ctcdec.errors import ConfigurationError, ParseError, PreconditionError, ResourceError, read_text, write_atomic
 from ctcdec.fst import (
     WeightedFst,
@@ -36,7 +35,7 @@ from oracles import (
 )
 
 finite_weights = st.floats(min_value=-50, max_value=50, allow_nan=False)
-weights = st.one_of(finite_weights, st.just(semiring.ZERO))
+weights = st.one_of(finite_weights, st.just(math.inf))
 
 
 def _plus(*weights):
@@ -56,9 +55,9 @@ class TestSemiring:
 
     @given(weights)
     def test_identities(self, a):
-        assert _plus(a, semiring.ZERO) == a
-        assert fstlib._times(a, semiring.ONE) == a
-        assert fstlib._times(a, semiring.ZERO) == semiring.ZERO
+        assert _plus(a, math.inf) == a
+        assert fstlib._times(a, 0.0) == a
+        assert fstlib._times(a, math.inf) == math.inf
 
     @given(weights, weights)
     def test_plus_commutative_idempotent(self, a, b):
@@ -461,8 +460,8 @@ class TestTextFormat:
 
     def test_plus_inf_weight_is_the_semiring_zero(self):
         fst = WeightedFst.from_text("0 1 1 1 inf\n1 inf\n0 0.5\n")
-        assert arcs_of(fst, 0)[0].weight == semiring.ZERO
-        assert fst.final.tolist() == [0.5, semiring.ZERO]
+        assert arcs_of(fst, 0)[0].weight == math.inf
+        assert fst.final.tolist() == [0.5, math.inf]
 
     def test_plus_inf_final_is_not_written(self):
         fst = WeightedFst.from_text("0 1 1 1 0.5\n1 inf\n2 inf\n")
@@ -527,7 +526,7 @@ class TestTextFormat:
 
     def test_repeated_final_lines_keep_the_smaller_weight(self):
         fst = WeightedFst.from_text("0 1 1 1 0.0\n1 2.0\n1 0.5\n1 1.0\n0 inf\n")
-        assert fst.final.tolist() == [semiring.ZERO, 0.5]
+        assert fst.final.tolist() == [math.inf, 0.5]
         assert fst.to_text() == "0 1 1 1 0.000000\n1 0.500000\n"
 
     def test_arcs_keep_file_order_within_a_state(self):
@@ -557,8 +556,7 @@ def _outcome(parse) -> tuple:
 
 
 def _machine(fst: WeightedFst) -> tuple:
-    a = fst.arc_arrays()
-    return fst.num_states(), fst.start, fst.final.tolist(), *(c.tolist() for c in (a.offsets, *a.columns()[1:]))
+    return fst.num_states(), fst.start, fst.final.tolist(), *(c.tolist() for c in (fst.offsets, *fst.columns()[1:]))
 
 
 class TestTextBlocks:
@@ -794,47 +792,43 @@ def test_connect_trims_a_state_only_a_plus_inf_final_kept():
     assert out.num_states() == 2
 
 
-class TestArcArrays:
-    def _fst(self, *more_arcs):
+class TestCsrArcs:
+    BASE_ARCS = [(0, 2, 1, 0.5, 1), (0, 0, 2, 1.5, 2), (0, 1, 0, 0.0, 1), (2, 3, 3, 2.0, 0)]
+
+    def _fst(self, *more_arcs, arcs=BASE_ARCS):
         isym, osym = symbol_tables()
         fst = FstBuilder(isym, osym)
         fst.add_states(3)
         fst.set_start(0)
-        fst.add_arc(0, 2, 1, 0.5, 1)
-        fst.add_arc(0, 0, 2, 1.5, 2)
-        fst.add_arc(0, 1, 0, 0.0, 1)
-        fst.add_arc(2, 3, 3, 2.0, 0)
-        for arc in more_arcs:
+        for arc in (*arcs, *more_arcs):
             fst.add_arc(*arc)
         fst.set_final(1, 0.25)
         return fst.fst()
 
     def test_csr_holds_every_arc_in_arc_order(self):
         fst = self._fst()
-        frozen = fst.arc_arrays()
-        assert frozen.offsets.tolist() == [0, 3, 3, 4]
-        assert frozen.ilabel.tolist() == [2, 0, 1, 3]
-        assert frozen.olabel.tolist() == [1, 2, 0, 3]
-        assert frozen.weight.tolist() == [0.5, 1.5, 0.0, 2.0]
-        assert frozen.nextstate.tolist() == [1, 2, 1, 0]
-        assert frozen.max_ilabel == 3
-        offsets, paths = frozen.closure
+        assert fst.offsets.tolist() == [0, 3, 3, 4]
+        assert fst.ilabel.tolist() == [2, 0, 1, 3]
+        assert fst.olabel.tolist() == [1, 2, 0, 3]
+        assert fst.weight.tolist() == [0.5, 1.5, 0.0, 2.0]
+        assert fst.nextstate.tolist() == [1, 2, 1, 0]
+        assert fst.max_ilabel == 3
+        offsets, paths = fst.closure
         assert offsets.tolist() == [0, 1, 1, 1]
         assert paths.tolist() == [[1]]
         with pytest.raises(ValueError):
-            frozen.weight[0] = 9.0
+            fst.weight[0] = 9.0
 
     def test_emitting_view_leaves_out_label0_and_inf_arcs(self):
         fst = self._fst((0, 1, 1, math.inf, 2), (1, 0, 0, math.inf, 2))
-        frozen = fst.arc_arrays()
-        view = frozen.emitting
+        view = fst.emitting
         assert view.offsets.tolist() == [0, 2, 2, 3]
         assert view.arcs.tolist() == [[1, 1, 0], [1, 0, 2], [1, 0, 3]]  # nextstate, ilabel - 1, olabel
         assert view.weight.tolist() == [0.5, 0.0, 2.0]
         assert view.on_label0.tolist() == [True, False, True]  # state 1's label-0 arc weighs +inf
-        offsets, paths = frozen.closure
+        offsets, paths = fst.closure
         assert (offsets.tolist(), paths.tolist()) == ([0, 1, 1, 1], [[1]])
-        assert frozen.emitting is view
+        assert fst.emitting is view
         with pytest.raises(ValueError):
             view.arcs[0, 0] = 9
 
@@ -842,16 +836,14 @@ class TestArcArrays:
     @pytest.mark.parametrize("change", [lambda f: f.sort_arcs()], ids=["sort_arcs"])
     def test_every_arc_change_drops_the_cache(self, change):
         fst = self._fst()
-        frozen = fst.arc_arrays()
+        emitting, closure = fst.emitting, fst.closure
         change(fst)
-        fresh = fst.arc_arrays()
-        assert fresh is not frozen
-        twin = self._fst()
-        change(twin)
-        rebuilt = twin.arc_arrays()
+        assert fst.emitting is not emitting and fst.closure is not closure
+        # the same machine built with each state's arcs in (ilabel, olabel, nextstate, weight) order
+        twin = self._fst(arcs=[(0, 0, 2, 1.5, 2), (0, 1, 0, 0.0, 1), (0, 2, 1, 0.5, 1), (2, 3, 3, 2.0, 0)])
         for name in ("offsets", "ilabel", "olabel", "weight", "nextstate"):
-            assert getattr(fresh, name).tolist() == getattr(rebuilt, name).tolist(), name
-        for mine, theirs in zip((*fresh.closure, *fresh.emitting), (*rebuilt.closure, *rebuilt.emitting)):
+            assert getattr(fst, name).tolist() == getattr(twin, name).tolist(), name
+        for mine, theirs in zip((*fst.closure, *fst.emitting), (*twin.closure, *twin.emitting)):
             assert mine.tolist() == theirs.tolist()
 
 
@@ -868,14 +860,14 @@ class TestLabel0Closure:
     def test_paths_shorter_first_then_in_arc_order(self):
         # Label-0 arcs 0, 2, 3 and 4; arc 1 emits and is no part of any path.
         fst = self._fst(4, [(0, 0, 0, 1.0, 1), (0, 1, 0, 0.0, 2), (0, 0, 0, 0.5, 2), (1, 0, 0, 0.0, 3), (2, 0, 0, 0.0, 3)])
-        offsets, paths = fst.arc_arrays().closure
+        offsets, paths = fst.closure
         assert offsets.tolist() == [0, 4, 5, 6, 6]
         assert paths.tolist() == [[0, -1], [2, -1], [0, 3], [2, 4], [3, -1], [4, -1]]
         with pytest.raises(ValueError):
             paths[0, 0] = 9
 
     def test_no_label0_arc_gives_no_path(self):
-        offsets, paths = self._fst(2, [(0, 1, 0, 0.0, 1)]).arc_arrays().closure
+        offsets, paths = self._fst(2, [(0, 1, 0, 0.0, 1)]).closure
         assert offsets.tolist() == [0, 0, 0]
         assert len(paths) == 0
 
@@ -890,7 +882,7 @@ class TestLabel0Closure:
     )
     def test_any_label0_cycle_is_refused(self, arcs):
         with pytest.raises(ConfigurationError, match="label-0 cycle"):
-            self._fst(3, arcs).arc_arrays().closure
+            self._fst(3, arcs).closure
 
     def test_path_count_is_bounded_by_states_times_label0_arcs(self):
         # A 40-state ladder with two parallel label-0 arcs per step has about
@@ -898,5 +890,5 @@ class TestLabel0Closure:
         arcs = [(k, 0, 0, weight, k + 1) for k in range(39) for weight in (0.0, 1.0)]
         start = time.perf_counter()
         with pytest.raises(ConfigurationError, match=r"more than 3120 label-0 paths"):
-            self._fst(40, arcs).arc_arrays().closure
+            self._fst(40, arcs).closure
         assert time.perf_counter() - start < 0.5

@@ -145,7 +145,7 @@ def _assert_same_weights(got, want):
 def _assert_same_and_sorted(got, want):
     """`_assert_same`, and `got`'s arcs are built in `sort_arcs` order already."""
     _assert_same(got, want)
-    assert np.array_equal(got.arc_arrays().sorted_order(), np.arange(got.num_arcs()))
+    assert np.array_equal(got.sorted_order(), np.arange(got.num_arcs()))
 
 
 @pytest.mark.parametrize("seed", range(3))

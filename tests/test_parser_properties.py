@@ -17,6 +17,7 @@ accepted ARPA file, symbol table or scorer table follows the ASCII rule:
 ASCII without `_`, and counts and ids of ASCII digits only.
 """
 
+import random
 import re
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ctcdec import fst as fstlib
 from ctcdec.arpa import parse_arpa, read_arpa
 from ctcdec.cli import _OPTIONS, _default, read_config
 from ctcdec.context import load_biasing_phrases
@@ -35,6 +37,8 @@ from ctcdec.lexicon import parse_lexicon, read_lexicon
 from ctcdec.rescore import TableScorer
 from ctcdec.symbols import SymbolTable
 from ctcdec.uio import RawSampleReader, shard_list_from_manifest
+
+from oracles import reference_read_fst
 
 VALUES = [
     "nan", "inf", "-inf", "+inf", "1_0", "#", "0x10", "1e999", "-0", "0.25",
@@ -49,9 +53,12 @@ ARPA_VALUES = VALUES + [
 ]
 
 
+MUTATION_KINDS = ["drop", "repeat", "insert", "replace", "blank_line"]
+
+
 def _mutation(values):
     return st.tuples(
-        st.sampled_from(["drop", "repeat", "insert", "replace", "blank_line"]),
+        st.sampled_from(MUTATION_KINDS),
         st.integers(0, 1000),
         st.integers(0, 1000),
         st.sampled_from(values),
@@ -231,6 +238,87 @@ def test_unmutated_files_parse():
     model = parse_arpa(_arpa_text(), strict=True)
     assert [len(model.entries(order)) for order in (1, 2)] == [3, 2]
     assert len(parse_lexicon(_lexicon_text()).entries) == 4
+
+
+# -- the FST readers against a line-at-a-time reference ---------------------
+
+
+def _random_fst_text(rng: random.Random) -> str:
+    """A valid FST text of 3 to 12 lines with labels 0 to 4, whose state ids
+    go up to the largest its line count allows. Half of them list the
+    largest source states first, so the rows of the first blocks name
+    states past what the lines read so far could describe."""
+    n = rng.randint(3, 12)
+    weights = ["0.0", "0.5", "1.25", "-0", "inf", "2.5"]
+    lines = []
+    for _ in range(n):
+        if rng.random() < 0.25:
+            lines.append(f"{rng.randrange(2 * n)} {rng.choice(weights)}")
+        else:
+            src, dst, il, ol = rng.randrange(2 * n), rng.randrange(2 * n), rng.randrange(5), rng.randrange(5)
+            lines.append(f"{src} {dst} {il} {ol} {rng.choice(weights)}")
+    if rng.random() < 0.5:
+        lines.sort(key=lambda line: -int(line.split()[0]))
+    return "".join(line + "\n" for line in lines)
+
+
+def _faulty_fst_texts(rng: random.Random, count: int) -> list[str]:
+    """`count` valid FST texts with 2 to 6 faults each. Half of them take
+    the mutations above, most of them replacements, anywhere, with small,
+    negative and bound-of-the-line-count ids among the values. The other
+    half replace fields of one line with values that convert but fail a
+    later check, so that one line fails several checks and their ranks
+    decide the message."""
+    texts = []
+    for _ in range(count):
+        text = _fst_text() if rng.random() < 0.2 else _random_fst_text(rng)
+        n = len(text.splitlines())
+        faults = rng.randint(2, 6)
+        if rng.random() < 0.5:
+            values = VALUES + ["-1", "0", "3", "4", str(2 * n - 1), str(2 * n), str(2 * n + 2)]
+            kinds = rng.choices(MUTATION_KINDS, weights=[1, 1, 1, 8, 1], k=faults)
+            mutations = [(kind, rng.randrange(1000), rng.randrange(1000), rng.choice(values)) for kind in kinds]
+        else:
+            values = ["-1", "4", "nan", "-inf", str(2 * n)]
+            line = rng.randrange(n)
+            mutations = [("replace", line, rng.randrange(5), rng.choice(values)) for _ in range(faults)]
+        texts.append(_mutate(text, mutations))
+    return texts
+
+
+def _reader_outcome(read) -> str | tuple[int, str]:
+    """The text of the machine `read()` returns, or the line and text of its `ParseError`."""
+    try:
+        return read().to_text()
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def test_fst_readers_match_a_line_at_a_time_reference_at_every_block_size(monkeypatch, tmp_path):
+    """200 seeded texts of `_faulty_fst_texts`, each read with and without
+    symbol tables, by `from_text` and by `read` of a file, with blocks of
+    1, 2, 3, 7 and 64 characters and the default. Each read gives the
+    reference's machine text, or its `ParseError` at the reference's line
+    and with its message."""
+    sizes = [1, 2, 3, 7, 64, fstlib._READ_BLOCK]
+    path = tmp_path / "x.fst"
+    outcomes = {}
+    for text in _faulty_fst_texts(random.Random(1), 200):
+        path.write_bytes(text.encode("utf-8"))
+        for tables in ((None, None), _tables()):
+            want = reference_read_fst(text, *tables)
+            for size in sizes:
+                monkeypatch.setattr(fstlib, "_READ_BLOCK", size)
+                for source, read in (("f", lambda: WeightedFst.from_text(text, *tables, source="f")),
+                                     (str(path), lambda: WeightedFst.read(path, *tables))):
+                    got = _reader_outcome(read)
+                    expected = want if isinstance(want, str) else (want[0], f"{source}:{want[0]}: {want[1]}")
+                    assert got == expected, (text, tables[0] is not None, size)
+            kind = "machine" if isinstance(want, str) else re.sub(r"-?\d+|'.*'", "#", want[1])
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    # Every check of the reader fails on some text, and some texts pass them all:
+    # 12 checks give 10 messages, as two pairs of them share one.
+    assert len(outcomes) == 11 and min(outcomes.values()) >= 2, outcomes
 
 
 # -- file readers ------------------------------------------------------------

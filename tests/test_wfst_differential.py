@@ -186,9 +186,8 @@ def test_two_hop_label0_paths_of_a_built_trigram_graph():
     at the second options has two best hypotheses that tie exactly over
     such paths."""
     graph = _trigram_graph()
-    arcs = graph.arc_arrays()
-    paths = arcs.closure[1]
-    assert (graph.num_states(), int((arcs.ilabel == 0).sum()), paths.shape) == (45, 16, (22, 2))
+    paths = graph.closure[1]
+    assert (graph.num_states(), int((graph.ilabel == 0).sum()), paths.shape) == (45, 16, (22, 2))
     assert (paths[:, 1] >= 0).sum() == 6
     for i, (logprobs, chunks) in enumerate(_two_hop_draws()):
         for opts in TWO_HOP_OPTIONS:
@@ -207,11 +206,11 @@ def test_dense_label0_graphs_byte_identical():
         rng = random.Random(seed)
         graph = _random_wfst(rng, max_states=8, max_arcs=5, label0=rng.uniform(0.3, 0.7))
         try:
-            graph.arc_arrays().closure
+            graph.closure
         except ConfigurationError as err:
             assert "label-0 paths" in str(err)
             continue
-        logprobs = _random_logprobs(rng, rng.randint(1, 7), graph.arc_arrays().max_ilabel)
+        logprobs = _random_logprobs(rng, rng.randint(1, 7), graph.max_ilabel)
         chunks = random_chunks(rng, logprobs)
         context = _word_context(rng, graph) if seed % 2 else None
         for pruning in PRUNING:
