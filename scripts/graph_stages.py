@@ -9,10 +9,10 @@ the steps `build_TLG` chains (`graph.tlg_stages`: compose L∘G,
 determinize, minimize, relabel, compose T∘LG), then writing the graph
 directory as `build-graph` does (`graph.write_graph`) and reading its TLG
 back as `decode --graph-dir` does (`graph.read_graph`). Each stage runs
-twice: once for its time, and once under `tracemalloc` for its peak above
-what it returns, that is the most memory it held at once beyond its
-result. The stage with the largest peak is the one that sets a build's
-peak memory.
+four times: three times for its time, of which the median is printed,
+and once under `tracemalloc` for its peak above what it returns, that is
+the most memory it held at once beyond its result. The stage with the
+largest peak is the one that sets a build's peak memory.
 
     python3 scripts/graph_stages.py --seed 5
     python3 scripts/graph_stages.py --workload lm_stream --seed 5
@@ -20,6 +20,7 @@ peak memory.
 
 import argparse
 import gc
+import statistics
 import sys
 import tempfile
 import time
@@ -39,12 +40,16 @@ from ctcdec.lexicon import read_lexicon  # noqa: E402
 
 
 def stage(name: str, run):
-    """Run `run()` once timed and once traced, print its time and peak, and return its result."""
-    gc.collect()
-    start = time.perf_counter()
-    result = run()
-    seconds = time.perf_counter() - start
-    del result
+    """Run `run()` three times timed and once traced, print its median time and
+    its peak, and return its result."""
+    times = []
+    for _ in range(3):
+        gc.collect()
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+        del result
+    seconds = statistics.median(times)
     gc.collect()
     tracemalloc.start()
     try:
@@ -53,8 +58,8 @@ def stage(name: str, run):
     finally:
         tracemalloc.stop()
     size = f"{result.num_arcs():>8} arcs" if isinstance(result, WeightedFst) else " " * 13
-    print(f"{name:<12} {seconds * 1e3:8.1f} ms  {size}  peak +{(peak - held) / 1e6:5.1f} MB above what it returns",
-          flush=True)
+    print(f"{name:<12} {seconds * 1e3:8.1f} ms (median of 3)  {size}  "
+          f"peak +{(peak - held) / 1e6:5.1f} MB above what it returns", flush=True)
     return result
 
 

@@ -20,16 +20,20 @@ states a bounded batch at a time, giving each new one a dense id from a
 dict, and then number them in the order a stack would discover them:
 `compose` keys a state by its code, `determinize` a subset by the bytes
 of its states and residuals. `connect` walks forward over the CSR arrays
-and backward over each arc's source grouped by its destination.
+and backward over each arc's source grouped by its destination. A sort
+of arcs on several keys folds its integer keys into one (`_lexsort`).
 
 The text format is read and written a block of lines at a time, with
 no Python object per line or field that outlives its block.
 `from_text` splits `_READ_BLOCK` characters into lines at once, and
-`read` reads `_READ_BLOCK` bytes of its file at once; each block's lines
-are parsed with `np.loadtxt` and their arcs copied into columns that
-grow in place, to the size the text read so far projects. `to_text`
-and `write` format `_TEXT_CHUNK` arcs at once, each distinct value of
-a column once, and `write` replaces its file whole.
+`read` reads `_READ_BLOCK` bytes of its file at once. A block of arc
+lines only, as is every block of a written machine but its last, is
+parsed in one `np.loadtxt` call; any other block has the fields of each
+line counted, and its arc and final lines parsed apart. Each block's
+arcs are copied into columns that grow in place, to the size the text
+read so far projects. `to_text` and `write` format `_TEXT_CHUNK` arcs at
+once, each distinct value of a column once, and `write` replaces its
+file whole.
 """
 
 from __future__ import annotations
@@ -368,18 +372,31 @@ def _read_lines(lines: list[str], line0: int, ilabels, olabels, errors: list) ->
     """Parse the FST text `lines`, the first of which is line index `line0`, into
     arc and final rows beside each row's line index.
 
+    An arc-only block is parsed in one `np.loadtxt` call: numpy skips blank
+    lines and splits on the whitespace `str.split` does, so a row per line means
+    every line held 5 fields. Any other block has the fields of each line
+    counted, and its arc and final lines parsed apart.
+
     Each check appends its first failing line to `errors` as (line index, rank,
     message). The rank fixes which message a line that fails two checks cites,
     whichever block runs it; `from_text` runs the state-id bound, ranks 4 and 10,
     once it has counted every line. Rows after a line that does not convert are
     not read, and each row's line index is returned only for the rows read.
     """
-    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-    arc_at, final_at = np.flatnonzero(fields == 5), np.flatnonzero(fields == 2)
-    _fail(errors, np.arange(line0, line0 + len(lines)), ~np.isin(fields, (0, 2, 5)), 0,
-          lambda r: "expected arc or final-state line")
-    arcs, bad_arc = load_rows(lines, arc_at, _ARC_ROW)
-    finals, bad_final = load_rows(lines, final_at, _FINAL_ROW)
+    try:
+        arcs = _loadtxt(lines, _ARC_ROW, None)
+    except (ValueError, Warning):
+        arcs = None
+    if arcs is not None and len(arcs) == len(lines):  # a row per line: every line is an arc
+        arc_at, final_at = np.arange(len(lines)), np.zeros(0, np.int64)
+        finals, bad_arc, bad_final = np.zeros(0, _FINAL_ROW), None, None
+    else:
+        fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+        arc_at, final_at = np.flatnonzero(fields == 5), np.flatnonzero(fields == 2)
+        _fail(errors, np.arange(line0, line0 + len(lines)), ~np.isin(fields, (0, 2, 5)), 0,
+              lambda r: "expected arc or final-state line")
+        arcs, bad_arc = load_rows(lines, arc_at, _ARC_ROW)
+        finals, bad_final = load_rows(lines, final_at, _FINAL_ROW)
     arc_line, final_line = arc_at[: len(arcs)] + line0, final_at[: len(finals)] + line0
     for rank, at in ((1, bad_arc), (2, bad_final)):
         if at is not None:
@@ -458,9 +475,37 @@ def _arc_order(*keys: np.ndarray) -> np.ndarray:
     tied = np.ones(max(len(keys[0]) - 1, 0), dtype=bool)  # neighbours equal on the keys so far
     for key in keys:  # skip the sort when the rows are in order already
         if np.any(tied & ~(key[:-1] <= key[1:])):
-            return np.lexsort(keys[::-1])
+            return _lexsort(keys)
         tied &= key[:-1] == key[1:]
     return np.arange(len(keys[0]))
+
+
+def _lexsort(keys) -> np.ndarray:
+    """`np.lexsort(keys[::-1])`: indices of the rows of the columns `keys`, most
+    significant first, in lexicographic order, stably.
+
+    Adjacent integer keys >= 0 are folded into one int64 key while the product
+    of their spans (largest value + 1) stays below 2**62, which keeps their
+    order. The first key is then sorted alone, and the rest are read only
+    when it has ties.
+    """
+    folded, span = [], 0  # the keys so far, folded; the product of the spans in the last, 0 if no key may join
+    for key in keys:
+        size = int(key.max()) + 1 if len(key) and key.dtype.kind == "i" and key.min() >= 0 else 0
+        if size and span and span * size < 1 << 62:
+            folded[-1] = np.multiply(folded[-1], size, dtype=np.int64)
+            folded[-1] += key
+            span *= size
+        else:
+            folded.append(key)
+            span = size if size < 1 << 62 else 0
+    first = folded[0]
+    order = np.argsort(first, kind="stable")
+    if len(folded) > 1:
+        ranked = first[order]
+        if not np.all(ranked[1:] > ranked[:-1]):  # ties, or NaNs, which np.lexsort also ties
+            order = np.lexsort(folded[::-1])
+    return order
 
 
 def _offsets(group: np.ndarray, n: int) -> np.ndarray:
@@ -625,21 +670,21 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     keep = _reachable(_offsets(dst, len(codes)), src[np.argsort(dst, kind="stable")], np.flatnonzero(fw < np.inf))
     if not keep[0]:
         return WeightedFst(a.isymbols.copy(), b.osymbols.copy())
-    # The kept keys are numbered in stack order among themselves; the number
-    # `kept` marks a dropped key, and an arc into one is dropped too.
+    # The kept keys are numbered in stack order among themselves.
     state = _stack_order(np.concatenate(([0], np.cumsum(counts))), dst)
     kept = int(np.count_nonzero(keep))
     numbered = np.zeros(len(codes), dtype=bool)
     numbered[state[keep]] = True
-    state = np.where(keep, np.cumsum(numbered)[state] - 1, kept)
-    src = state[src]
-    dst = state[dst]
-    src[dst == kept] = kept
-    il = np.concatenate(il)
-    ol = np.concatenate(ol)
-    w = np.concatenate(w)
-    # One sort, into `sort_arcs` order, with the dropped arcs last and cut off.
-    order = np.lexsort((w, dst, ol, il, src))[: np.count_nonzero(src < kept)]
+    state = np.cumsum(numbered)[state] - 1
+    # The arcs into kept keys live; their sources are kept too.
+    live = keep[dst]
+    src = state[src[live]]
+    dst = state[dst[live]]
+    il = np.concatenate(il)[live]
+    ol = np.concatenate(ol)[live]
+    w = np.concatenate(w)[live]
+    # One sort, into `sort_arcs` order.
+    order = _lexsort((src, il, ol, dst, w))
     src = src[order]
     il = il[order]
     ol = ol[order]
@@ -732,7 +777,7 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
         live = np.flatnonzero(cost != np.inf)  # a +inf row lies on no path
         row, arc, cost = row[live], arc[live], cost[live]
         columns = (subset[row], a.ilabel[arc], a.olabel[arc], a.nextstate[arc])
-        order = np.lexsort(columns[::-1])
+        order = _lexsort(columns)
         key, lab_i, lab_o, nxt = (c[order] for c in columns)
         new_label = np.ones(len(order), dtype=bool)
         new_label[1:] = (key[1:] != key[:-1]) | (lab_i[1:] != lab_i[:-1]) | (lab_o[1:] != lab_o[:-1])
@@ -786,7 +831,7 @@ def determinize(a: WeightedFst, state_budget: int | None = None) -> WeightedFst:
 def is_deterministic(a: WeightedFst) -> bool:
     """True when no state has two arcs sharing an encoded (ilabel, olabel) pair."""
     src = a.sources()
-    order = np.lexsort((a.olabel, a.ilabel, src))
+    order = _lexsort((src, a.ilabel, a.olabel))
     keys = np.stack((src[order], a.ilabel[order], a.olabel[order]))
     return not np.all(keys[:, 1:] == keys[:, :-1], axis=0).any()
 

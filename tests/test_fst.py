@@ -892,3 +892,45 @@ class TestLabel0Closure:
         with pytest.raises(ConfigurationError, match=r"more than 3120 label-0 paths"):
             self._fst(40, arcs).closure
         assert time.perf_counter() - start < 0.5
+
+
+def _sort_key(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    """A sort key of `n` rows, of one of the kinds `_lexsort` treats apart."""
+    if kind == "tied":  # few values, so every key ties
+        return rng.integers(0, 3, n)
+    if kind == "int32":
+        return rng.integers(0, 4, n).astype(np.int32)
+    if kind == "negative":  # not folded
+        return rng.integers(-3, 3, n)
+    if kind == "float":
+        return rng.choice([-0.0, 0.0, math.inf, 0.5, math.nan], n)
+    # spans of 2**31 and 2**31 - 1: two of the first multiply to 2**62 exactly,
+    # which the bound refuses; wide keys pass 2**62 by far, and huge ones alone
+    span = {"2**31": 1 << 31, "2**31-1": (1 << 31) - 1, "wide": 1 << 40, "huge": (1 << 62) + 5}[kind]
+    key = rng.integers(0, 2, n) * (span - 1)
+    key[:1] = span - 1  # the key's span is exactly `span`
+    return key
+
+
+class TestLexsort:
+    """`_lexsort` folds integer keys >= 0 into one and sorts it alone unless it
+    ties; it must give `np.lexsort`'s stable order exactly."""
+
+    KINDS = ["tied", "int32", "negative", "float", "2**31", "2**31-1", "wide", "huge"]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 40])
+    def test_equals_numpy_lexsort(self, n):
+        rng = np.random.default_rng(33 + n)
+        for _ in range(300):
+            keys = [_sort_key(rng, rng.choice(self.KINDS), n) for _ in range(rng.integers(1, 6))]
+            got, want = fstlib._lexsort(keys), np.lexsort(keys[::-1])
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), [k.tolist() for k in keys]
+
+    @pytest.mark.parametrize(
+        "first,want",
+        [([0.0, -0.0, 0.0, -0.0], [3, 2, 1, 0]), ([math.nan, 1.0, math.nan, 2.0], [1, 3, 2, 0])],
+        ids=["signed zeros", "NaNs"],
+    )
+    def test_float_values_tie_as_in_numpy(self, first, want):
+        keys = [np.array(first), np.array([3, 2, 1, 0])]
+        assert fstlib._lexsort(keys).tolist() == np.lexsort(keys[::-1]).tolist() == want

@@ -321,6 +321,97 @@ def test_fst_readers_match_a_line_at_a_time_reference_at_every_block_size(monkey
     assert len(outcomes) == 11 and min(outcomes.values()) >= 2, outcomes
 
 
+def _long_fst_text(rng: random.Random) -> tuple[list[str], int]:
+    """The lines of a valid arc-only FST text of about 3.3 default read blocks,
+    and the index of a line about 1.5 blocks in, which is in a middle block."""
+    lines, length, middle = [], 0, None
+    n = int(3.3 * fstlib._READ_BLOCK) // 28  # fewer than the lines of that length, so ids below 2n are valid
+    while length < 3.3 * fstlib._READ_BLOCK:
+        line = f"{rng.randrange(2 * n)} {rng.randrange(2 * n)} {rng.randrange(4)} {rng.randrange(4)} {rng.random():.6f}"
+        lines.append(line)
+        length += len(line) + 1
+        if middle is None and length > 1.5 * fstlib._READ_BLOCK:
+            middle = len(lines) - 1
+    return lines, middle
+
+
+def test_fst_readers_at_the_default_block_size_match_the_reference(tmp_path):
+    """A text of more than three default blocks, read whole and with one line
+    of its middle block changed in turn: to a fault of each rank of the
+    reader's checks, to a blank line or to a final line. Each read, by
+    `from_text` and by `read` of a file, with the symbol tables and without,
+    gives the reference's machine text, or its `ParseError` at the
+    reference's line and with its message. Without the tables only the
+    label faults read differently, so only they and the whole text are read
+    without them."""
+    lines, at = _long_fst_text(random.Random(33))
+    n = len(lines)
+    blocks = list(fstlib._line_blocks("".join(line + "\n" for line in lines), fstlib._READ_BLOCK))
+    assert len(blocks) >= 4 and len(blocks[0].splitlines()) < at < n - len(blocks[-1].splitlines())
+    changes = [
+        None,
+        "0 1 1 1 0.5 7",  # 0: neither an arc nor a final line
+        "0 1 x 1 0.5",  # 1: an arc that does not convert
+        "0 x",  # 2: a final that does not convert
+        "-1 1 1 1 0.5",  # 3: a negative state id
+        f"0 {2 * n} 1 1 0.5",  # 4: a state id past what n lines can number
+        "0 1 -1 1 0.5",  # 5: a negative label
+        "0 1 9 1 0.5",  # 6: an input label not in the table
+        "0 1 1 9 0.5",  # 7: an output label not in the table
+        "0 1 1 1 nan",  # 8: an arc weight that is NaN
+        "0 1 1 1 -inf",  # 8: or -inf
+        "-1 0.5",  # 9: a negative final state
+        f"{2 * n} 0.5",  # 10: a final state past what n lines can number
+        "3 -inf",  # 11: a final weight of -inf
+        "",
+        "3 0.5",
+    ]
+    path = tmp_path / "x.fst"
+    for change in changes:
+        text = "".join(line + "\n" for line in (lines if change is None else lines[:at] + [change] + lines[at + 1:]))
+        path.write_bytes(text.encode("utf-8"))
+        label_fault = change in ("0 1 9 1 0.5", "0 1 1 9 0.5")
+        for tables in ((None, None), _tables()) if change is None or label_fault else (_tables(),):
+            want = reference_read_fst(text, *tables)
+            for source, read in (("f", lambda: WeightedFst.from_text(text, *tables, source="f")),
+                                 (str(path), lambda: WeightedFst.read(path, *tables))):
+                expected = want if isinstance(want, str) else (want[0], f"{source}:{want[0]}: {want[1]}")
+                assert _reader_outcome(read) == expected, (change, tables[0] is not None)
+            if change in (None, "", "3 0.5") or tables[0] is None:
+                assert isinstance(want, str)
+            elif tables[0] is not None:
+                assert want[0] == at + 1, (change, want)
+
+
+def test_fst_reader_parses_each_arc_only_block_of_a_written_machine_in_one_call(monkeypatch, tmp_path):
+    """`write` puts every arc before the final lines, so each block of its
+    file but the last holds arcs only, and `read` parses each of those in one
+    `np.loadtxt` call."""
+    lines, _ = _long_fst_text(random.Random(34))
+    text = "".join(line + "\n" for line in lines) + "".join(f"{state} 0.5\n" for state in range(0, 50, 7))
+    path = tmp_path / "x.fst"
+    WeightedFst.from_text(text).write(path)
+    calls, blocks = [], []  # per block: whether every line is an arc, and its `_loadtxt` calls
+    loadtxt, read_lines = fstlib._loadtxt, fstlib._read_lines
+
+    def counted_loadtxt(*args):
+        calls.append(args)
+        return loadtxt(*args)
+
+    def recorded_read_lines(block_lines, *args):
+        before = len(calls)
+        result = read_lines(block_lines, *args)
+        blocks.append((all(len(line.split()) == 5 for line in block_lines), len(calls) - before))
+        return result
+
+    monkeypatch.setattr(fstlib, "_loadtxt", counted_loadtxt)
+    monkeypatch.setattr(fstlib, "_read_lines", recorded_read_lines)
+    assert WeightedFst.read(path).to_text() == path.read_text()
+    arc_only = [count for arcs, count in blocks if arcs]
+    assert len(arc_only) >= 3 and set(arc_only) == {1}, blocks
+    assert not blocks[-1][0]  # the finals are in the last block
+
+
 # -- file readers ------------------------------------------------------------
 
 
